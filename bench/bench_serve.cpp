@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -20,16 +21,30 @@ namespace {
 
 using namespace bnash;
 
-// 2x2 prisoner's-dilemma variants that differ structurally (one corner
-// payoff is perturbed), so canonicalization cannot fold them into one
-// cache entry the way it folds affine rescalings.
+// 2x2 games that share the column player's prisoner's-dilemma payoffs
+// and differ in the row player's preference order over the four cells:
+// variant i takes the i-th dense rank vector (the 75 weak orders, in
+// lexicographic order). Canonicalization folds any monotone rescaling of
+// a pure-candidate game, but never two different orders, so every
+// variant keeps its own cache entry.
 game::NormalFormGame pd_variant(std::size_t i) {
+    std::array<std::int64_t, 4> row{};
+    std::size_t found = 0;
+    for (unsigned code = 0; code < 256; ++code) {
+        unsigned used = 0;
+        std::int64_t top = 0;
+        for (std::size_t cell = 0; cell < 4; ++cell) {
+            row[cell] = (code >> (2 * (3 - cell))) & 3U;
+            used |= 1U << row[cell];
+            top = std::max(top, row[cell]);
+        }
+        if (used == (2U << top) - 1 && found++ == i) break;
+    }
     game::NormalFormGame g(std::vector<std::size_t>{2, 2});
-    g.set_payoffs({0, 0}, {util::Rational(3 + static_cast<std::int64_t>(i)),
-                           util::Rational(3)});
-    g.set_payoffs({0, 1}, {util::Rational(0), util::Rational(5)});
-    g.set_payoffs({1, 0}, {util::Rational(5), util::Rational(0)});
-    g.set_payoffs({1, 1}, {util::Rational(1), util::Rational(1)});
+    g.set_payoffs({0, 0}, {util::Rational(row[0]), util::Rational(3)});
+    g.set_payoffs({0, 1}, {util::Rational(row[1]), util::Rational(5)});
+    g.set_payoffs({1, 0}, {util::Rational(row[2]), util::Rational(0)});
+    g.set_payoffs({1, 1}, {util::Rational(row[3]), util::Rational(1)});
     return g;
 }
 
@@ -259,8 +274,8 @@ void bench_serve_resume(benchmark::State& state) {
 }
 BENCHMARK(bench_serve_resume)->Unit(benchmark::kMillisecond);
 
-// Canonicalization on its own: the fixed per-request cost every cached
-// answer still pays.
+// Canonicalization on its own (a pure candidate: the ordinal path): the
+// fixed per-request cost every cached answer still pays.
 void bench_canonical_key(benchmark::State& state) {
     const auto players = static_cast<std::size_t>(state.range(0));
     const game::NormalFormGame game = game::catalog::attack_coordination_game(players);
@@ -272,6 +287,19 @@ void bench_canonical_key(benchmark::State& state) {
     }
 }
 BENCHMARK(bench_canonical_key)->Arg(4)->Arg(6)->Unit(benchmark::kMicrosecond);
+
+// The same game with every player mixing half-half: the affine path.
+void bench_canonical_key_mixed(benchmark::State& state) {
+    const auto players = static_cast<std::size_t>(state.range(0));
+    const game::NormalFormGame game = game::catalog::attack_coordination_game(players);
+    const game::ExactMixedProfile profile(
+        players, {util::Rational(1, 2), util::Rational(1, 2)});
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            serve::canonical_key(game, profile, 2, 1, core::GainCriterion::kAnyMemberGains));
+    }
+}
+BENCHMARK(bench_canonical_key_mixed)->Arg(6)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

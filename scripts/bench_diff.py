@@ -12,7 +12,6 @@ factor (old / new, > 1 is faster). Aggregate rows (mean/median/stddev)
 are skipped.
 
 Gating:
-    --fail-above PCT          gate the report metric (legacy spelling)
     --gate METRIC:PCT         gate any per-benchmark JSON field; repeatable
 
 Re-blessing:
@@ -115,8 +114,6 @@ def main():
     parser.add_argument("new", help="candidate BENCH_<name>.json")
     parser.add_argument("--metric", default="real_time",
                         help="benchmark field to report (default: real_time)")
-    parser.add_argument("--fail-above", type=float, default=None, metavar="PCT",
-                        help="exit 1 if the report metric regresses by more than PCT")
     parser.add_argument("--gate", action="append", default=[], metavar="METRIC:PCT",
                         help="exit 1 if METRIC regresses by more than PCT percent; "
                              "repeatable (e.g. --gate cells_visited:5 --gate real_time:150)")
@@ -132,8 +129,6 @@ def main():
         return 1
 
     gates = []
-    if args.fail_above is not None:
-        gates.append((args.metric, args.fail_above))
     for spec in args.gate:
         try:
             metric, pct = spec.rsplit(":", 1)

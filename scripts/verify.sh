@@ -3,8 +3,7 @@
 # suite and the project linter, then run the gated bench binaries so every
 # verified tree leaves fresh BENCH_*.json perf artifacts (diffable across
 # PRs with scripts/bench_diff.py).
-# Usage: scripts/verify.sh [--bench] [--tsan] [--asan] [--audit] [--analyze] [--full]
-#   --bench    accepted for compatibility (every bench binary is gated now)
+# Usage: scripts/verify.sh [--tsan] [--asan] [--audit] [--analyze] [--full]
 #   --tsan     builds EVERY test suite with ThreadSanitizer (separate
 #              build-tsan/ tree) and runs the full ctest pass — including
 #              the socket front and fault-schedule scenarios
@@ -21,14 +20,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FULL_BENCH=OFF
 TSAN=OFF
 ASAN=OFF
 AUDIT=OFF
 ANALYZE=OFF
 for arg in "$@"; do
   case "${arg}" in
-    --bench) FULL_BENCH=ON ;;
     --tsan) TSAN=ON ;;
     --asan) ASAN=ON ;;
     --audit) AUDIT=ON ;;
@@ -105,12 +102,6 @@ if [[ "${BENCH}" == "ON" ]]; then
   else
     echo "verify.sh: python3 missing; skipping bench regression gates" >&2
   fi
-fi
-
-if [[ "${FULL_BENCH}" == "ON" && "${BENCH}" == "ON" ]]; then
-  # Every bench binary is now gated above; --bench is kept as a no-op so
-  # existing invocations don't break.
-  echo "verify.sh: --bench is subsumed by the gated run; nothing extra to do"
 fi
 
 if [[ "${ANALYZE}" == "ON" ]]; then

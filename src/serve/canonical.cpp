@@ -5,6 +5,7 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,6 +29,58 @@ void append_rational(std::string& out, const util::Rational& value) {
     out += std::to_string(value.den());
     out += ',';
 }
+
+// `value` as `width` little-endian bytes.
+void append_fixed(std::string& out, std::uint32_t value, std::size_t width) {
+    for (std::size_t byte = 0; byte < width; ++byte) {
+        out += static_cast<char>((value >> (8 * byte)) & 0xffU);
+    }
+}
+
+// Players in canonical order: perm[j] = original player at canonical
+// position j, stably sorted by their label-invariant keys. Equivalent
+// games sort their players identically up to ties, which keep the
+// original order — a cache miss, never an unsoundness.
+template <class Key>
+[[nodiscard]] std::vector<std::size_t> canonical_order(const std::vector<Key>& keys) {
+    std::vector<std::size_t> perm(keys.size());
+    std::iota(perm.begin(), perm.end(), std::size_t{0});
+    std::stable_sort(perm.begin(), perm.end(),
+                     [&keys](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
+    return perm;
+}
+
+// Visits every profile in CANONICAL rank order — an odometer over the
+// permuted action counts, last canonical player fastest — passing the
+// profile's ORIGINAL rank, kept incrementally through the strides.
+template <class Visit>
+void for_each_canonical_rank(const game::NormalFormGame& game,
+                             const std::vector<std::size_t>& perm, Visit&& visit) {
+    const std::size_t num_players = game.num_players();
+    std::vector<std::uint64_t> stride(num_players, 1);
+    for (std::size_t player = num_players; player-- > 1;) {
+        stride[player - 1] = stride[player] * game.num_actions(player);
+    }
+    game::PureProfile canonical(num_players, 0);
+    std::uint64_t rank = 0;
+    bool done = game.num_profiles() == 0;
+    while (!done) {
+        visit(rank);
+        done = true;
+        for (std::size_t j = num_players; j-- > 0;) {
+            const std::size_t player = perm[j];
+            if (++canonical[j] < game.num_actions(player)) {
+                rank += stride[player];
+                done = false;
+                break;
+            }
+            rank -= (canonical[j] - 1) * stride[player];
+            canonical[j] = 0;
+        }
+    }
+}
+
+// --- affine path (mixed candidates) ------------------------------------
 
 // Per-player positive affine map sending [min, max] to [0, 1] (identity
 // on the offset when the payoffs are constant). Throws RationalOverflow
@@ -58,134 +111,99 @@ struct AffineMap final {
     return maps;
 }
 
+// A game shaped like `game` whose payoff for `player` at profile rank r
+// is value(r, player): the normalized or rank tensor that serialization
+// and symmetry detection read.
+template <class Value>
+[[nodiscard]] game::NormalFormGame tabulate(const game::NormalFormGame& game, Value&& value) {
+    const std::size_t num_players = game.num_players();
+    game::NormalFormGame out(game.action_counts());
+    game::PureProfile cell(num_players, 0);
+    for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
+        for (std::size_t player = 0; player < num_players; ++player) {
+            out.set_payoff(cell, player, value(rank, player));
+        }
+        for (std::size_t j = num_players; j-- > 0;) {
+            if (++cell[j] < game.num_actions(j)) break;
+            cell[j] = 0;
+        }
+    }
+    return out;
+}
+
+// The game with every payoff pushed through its player's affine map, so
+// that players equivalent only up to rescaling still land in one class.
+// Throws RationalOverflow like any map application.
+[[nodiscard]] game::NormalFormGame apply_maps(const game::NormalFormGame& game,
+                                              const std::vector<AffineMap>& maps) {
+    return tabulate(game, [&](std::uint64_t rank, std::size_t player) {
+        return maps[player].apply(game.payoff_at(rank, player));
+    });
+}
+
 // Invariant per-player sort key: action count, then the candidate
-// strategy, then the sorted multiset of (mapped) payoffs. Every component
-// is preserved when players are relabeled, so equivalent games sort their
-// players into the same canonical order (up to ties, which keep the
-// original order — a cache miss, never an unsoundness).
-[[nodiscard]] std::string player_sort_key(const game::NormalFormGame& game,
+// strategy, then the sorted multiset of (normalized) payoffs. Every
+// component is preserved when players are relabeled.
+[[nodiscard]] std::string player_sort_key(const game::NormalFormGame& norm,
                                           const game::ExactMixedProfile& profile,
-                                          const std::vector<AffineMap>* maps,
                                           std::size_t player) {
     std::string key;
-    append_size(key, game.num_actions(player));
+    append_size(key, norm.num_actions(player));
     key += '|';
     for (const util::Rational& mass : profile[player]) append_rational(key, mass);
     key += '|';
     std::vector<util::Rational> values;
-    values.reserve(game.num_profiles());
-    for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
-        const util::Rational& raw = game.payoff_at(rank, player);
-        values.push_back(maps != nullptr ? (*maps)[player].apply(raw) : raw);
+    values.reserve(norm.num_profiles());
+    for (std::uint64_t rank = 0; rank < norm.num_profiles(); ++rank) {
+        values.push_back(norm.payoff_at(rank, player));
     }
     std::sort(values.begin(), values.end());
     for (const util::Rational& value : values) append_rational(key, value);
     return key;
 }
 
-[[nodiscard]] CanonicalSignature serialize(const game::NormalFormGame& game,
-                                           const game::ExactMixedProfile& profile,
-                                           const std::vector<AffineMap>* maps) {
-    const std::size_t num_players = game.num_players();
-
-    // perm[j] = original player occupying canonical position j.
-    std::vector<std::size_t> perm(num_players);
-    std::iota(perm.begin(), perm.end(), std::size_t{0});
+// Dense serialization of an already-normalized (or raw-fallback) game:
+// `tag`, the canonical action counts, the decimal payoff tensor in
+// canonical rank order, then the per-player strategies.
+[[nodiscard]] std::string serialize(const game::NormalFormGame& norm,
+                                    const game::ExactMixedProfile& profile,
+                                    std::string_view tag) {
+    const std::size_t num_players = norm.num_players();
     std::vector<std::string> keys(num_players);
     for (std::size_t player = 0; player < num_players; ++player) {
-        keys[player] = player_sort_key(game, profile, maps, player);
+        keys[player] = player_sort_key(norm, profile, player);
     }
-    std::stable_sort(perm.begin(), perm.end(),
-                     [&keys](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
+    const std::vector<std::size_t> perm = canonical_order(keys);
 
-    CanonicalSignature out;
-    out.normalized = maps != nullptr;
-    std::string& bytes = out.bytes;
-    bytes = out.normalized ? "bnashQ1:nrm:" : "bnashQ1:raw:";
+    std::string bytes(tag);
     append_size(bytes, num_players);
-    for (std::size_t j = 0; j < num_players; ++j) {
-        append_size(bytes, game.num_actions(perm[j]));
-    }
-
-    // Payoff tensor in CANONICAL rank order: odometer over the permuted
-    // action counts (last canonical player fastest), each canonical
-    // profile mapped back to an original profile for the lookup.
+    for (std::size_t j = 0; j < num_players; ++j) append_size(bytes, norm.num_actions(perm[j]));
     bytes += "|u:";
-    game::PureProfile canonical(num_players, 0);
-    game::PureProfile original(num_players, 0);
-    bool done = game.num_profiles() == 0;
-    while (!done) {
-        for (std::size_t j = 0; j < num_players; ++j) original[perm[j]] = canonical[j];
+    for_each_canonical_rank(norm, perm, [&](std::uint64_t rank) {
         for (std::size_t j = 0; j < num_players; ++j) {
-            const util::Rational& raw = game.payoff(original, perm[j]);
-            append_rational(bytes, maps != nullptr ? (*maps)[perm[j]].apply(raw) : raw);
+            append_rational(bytes, norm.payoff_at(rank, perm[j]));
         }
-        done = true;
-        for (std::size_t j = num_players; j-- > 0;) {
-            if (++canonical[j] < game.num_actions(perm[j])) {
-                done = false;
-                break;
-            }
-            canonical[j] = 0;
-        }
-    }
-
+    });
     bytes += "|s:";
     for (std::size_t j = 0; j < num_players; ++j) {
         append_size(bytes, profile[perm[j]].size());
         for (const util::Rational& mass : profile[perm[j]]) append_rational(bytes, mass);
     }
-    return out;
+    return bytes;
 }
 
-// The game with every payoff pushed through its player's affine map —
-// the tensor symmetry detection must run on, so that players equivalent
-// only up to rescaling still land in one class. Throws RationalOverflow
-// like any map application.
-[[nodiscard]] game::NormalFormGame apply_maps(const game::NormalFormGame& game,
-                                              const std::vector<AffineMap>& maps) {
-    game::NormalFormGame out(game.action_counts());
-    const std::size_t num_players = game.num_players();
-    game::PureProfile profile(num_players, 0);
-    bool done = game.num_profiles() == 0;
-    while (!done) {
-        for (std::size_t player = 0; player < num_players; ++player) {
-            out.set_payoff(profile, player, maps[player].apply(game.payoff(profile, player)));
-        }
-        done = true;
-        for (std::size_t j = num_players; j-- > 0;) {
-            if (++profile[j] < game.num_actions(j)) {
-                done = false;
-                break;
-            }
-            profile[j] = 0;
-        }
-    }
-    return out;
-}
+// --- symmetry folding (both paths) -------------------------------------
 
-// Label-invariant per-class sort key: size, action count, the class
-// strategy, then the representative's sorted payoff multiset over the
-// whole (normalized) tensor. Every component survives player
-// relabeling, so equivalent uploads order their classes identically
-// (ties keep detection order — a cache miss, never an unsoundness).
+// Label-invariant per-class sort key: the class size, then its
+// representative's player sort key. Equivalent uploads order their
+// classes identically (ties keep detection order — a cache miss, never
+// an unsoundness).
 [[nodiscard]] std::string class_sort_key(const game::NormalFormGame& norm,
                                          const game::ExactMixedProfile& profile,
                                          const std::vector<std::size_t>& members) {
-    const std::size_t rep = members.front();
     std::string key;
     append_size(key, members.size());
-    append_size(key, norm.num_actions(rep));
-    key += '|';
-    for (const util::Rational& mass : profile[rep]) append_rational(key, mass);
-    key += '|';
-    std::vector<util::Rational> values;
-    values.reserve(norm.num_profiles());
-    for (std::uint64_t rank = 0; rank < norm.num_profiles(); ++rank) {
-        values.push_back(norm.payoff_at(rank, rep));
-    }
-    std::sort(values.begin(), values.end());
-    for (const util::Rational& value : values) append_rational(key, value);
+    key += player_sort_key(norm, profile, members.front());
     return key;
 }
 
@@ -228,37 +246,31 @@ struct AffineMap final {
 }
 
 // Symmetry-folded signature: detect the (finest, verified) symmetry of
-// the normalized tensor, refine it by the candidate, and — when any
-// class is non-singleton — key on the QUOTIENT bytes plus per-class
+// the normalized or rank tensor, refine it by the candidate, and — when
+// any class is non-singleton — key on the QUOTIENT bytes plus per-class
 // strategies instead of the full tensor. Equal keys imply isomorphic
-// normalized games with corresponding class-constant candidates, and
-// the quotient determines the game up to within-class relabeling, which
-// preserves every verdict (the orbit-sweep reduction) — so folding is
-// as sound as the byte-identical dense key. nullopt routes the caller
-// to the dense serialization.
-[[nodiscard]] std::optional<CanonicalSignature> symmetric_signature(
-    const game::NormalFormGame& norm, const game::ExactMixedProfile& profile, bool normalized) {
+// tensors with corresponding class-constant candidates, and the quotient
+// determines the game up to within-class relabeling, which preserves
+// every verdict (the orbit-sweep reduction) — so folding is as sound as
+// the dense key. nullopt routes the caller to the dense serialization.
+[[nodiscard]] std::optional<std::string> symmetric_signature(
+    const game::NormalFormGame& norm, const game::ExactMixedProfile& profile,
+    std::string_view tag) {
     const game::GameView view = game::GameView::full(norm);
     const game::SymmetryGroup refined = game::SymmetryGroup::detect(view).refined_by(profile);
     if (refined.is_trivial()) return std::nullopt;
 
     const auto& classes = refined.classes();
-    std::vector<std::size_t> order(classes.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
     std::vector<std::string> keys(classes.size());
     for (std::size_t cls = 0; cls < classes.size(); ++cls) {
         keys[cls] = class_sort_key(norm, profile, classes[cls]);
     }
-    std::stable_sort(order.begin(), order.end(),
-                     [&keys](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
+    const std::vector<std::size_t> order = canonical_order(keys);
 
     const game::QuotientGame quotient =
         reorder_quotient(game::build_quotient(view, refined), order);
 
-    CanonicalSignature out;
-    out.normalized = normalized;
-    std::string& bytes = out.bytes;
-    bytes = normalized ? "bnashQ1:sym:nrm:" : "bnashQ1:sym:raw:";
+    std::string bytes(tag);
     append_size(bytes, quotient.num_classes());
     for (std::size_t j = 0; j < quotient.num_classes(); ++j) {
         append_size(bytes, quotient.class_sizes[j]);
@@ -275,39 +287,148 @@ struct AffineMap final {
         append_size(bytes, row.size());
         for (const util::Rational& value : row) append_rational(bytes, value);
     }
-    return out;
+    return bytes;
 }
 
 // Folding is best-effort: rank arithmetic on degenerate shapes may
 // overflow 64 bits, and that must cost dedup, not the request.
-[[nodiscard]] std::optional<CanonicalSignature> try_symmetric_signature(
-    const game::NormalFormGame& norm, const game::ExactMixedProfile& profile, bool normalized) {
+[[nodiscard]] std::optional<std::string> try_symmetric_signature(
+    const game::NormalFormGame& norm, const game::ExactMixedProfile& profile,
+    std::string_view tag) {
     try {
-        return symmetric_signature(norm, profile, normalized);
+        return symmetric_signature(norm, profile, tag);
     } catch (const std::overflow_error&) {
         return std::nullopt;
     }
+}
+
+// The folded key when the tensor has a candidate-compatible symmetry,
+// else the dense one. `kind` is "nrm:" or "raw:".
+[[nodiscard]] std::string affine_signature(const game::NormalFormGame& norm,
+                                           const game::ExactMixedProfile& profile,
+                                           std::string_view kind) {
+    if (auto sym = try_symmetric_signature(norm, profile, "bnashQ1:sym:" + std::string(kind))) {
+        return *std::move(sym);
+    }
+    return serialize(norm, profile, "bnashQ1:" + std::string(kind));
+}
+
+// --- ordinal path (pure candidates) ------------------------------------
+
+// Per-player dense payoff ranks: ranks[rank * num_players + player] is
+// the number of distinct payoffs of `player` strictly below its payoff
+// at that profile. keys[player] is the label-invariant sort key (action
+// count, candidate action, rank at the candidate profile, then the rank
+// histogram: how many profiles sit at each rank level).
+struct OrdinalTensor final {
+    std::vector<std::uint32_t> ranks;
+    std::vector<std::vector<std::uint32_t>> keys;
+    std::size_t max_levels = 0;
+};
+
+// Payoff order with the common equal-denominator case inlined.
+[[nodiscard]] bool payoff_less(const util::Rational& a, const util::Rational& b) {
+    return a.den() == b.den() ? a.num() < b.num() : a < b;
+}
+
+[[nodiscard]] OrdinalTensor rank_payoffs(const game::NormalFormGame& game,
+                                         const game::PureProfile& candidate) {
+    const std::size_t num_players = game.num_players();
+    const std::size_t profiles = game.num_profiles();
+    const std::vector<util::Rational>& flat = game.payoffs_flat();
+    const std::uint64_t at_candidate = game.profile_rank(candidate);
+    OrdinalTensor out;
+    out.ranks.resize(profiles * num_players);
+    out.keys.resize(num_players);
+    std::vector<util::Rational> values(profiles);
+    std::vector<std::uint32_t> order(profiles);
+    std::vector<std::uint32_t> histogram;
+    for (std::size_t player = 0; player < num_players; ++player) {
+        for (std::size_t rank = 0; rank < profiles; ++rank) {
+            values[rank] = flat[rank * num_players + player];
+        }
+        std::iota(order.begin(), order.end(), std::uint32_t{0});
+        std::sort(order.begin(), order.end(), [&values](std::uint32_t a, std::uint32_t b) {
+            return payoff_less(values[a], values[b]);
+        });
+        histogram.clear();
+        for (std::size_t i = 0; i < profiles; ++i) {
+            if (i == 0 || values[order[i]] != values[order[i - 1]]) histogram.push_back(0);
+            out.ranks[order[i] * num_players + player] =
+                static_cast<std::uint32_t>(histogram.size() - 1);
+            ++histogram.back();
+        }
+        std::vector<std::uint32_t>& key = out.keys[player];
+        key = {static_cast<std::uint32_t>(game.num_actions(player)),
+               static_cast<std::uint32_t>(candidate[player]),
+               out.ranks[at_candidate * num_players + player]};
+        key.insert(key.end(), histogram.begin(), histogram.end());
+        out.max_levels = std::max(out.max_levels, histogram.size());
+    }
+    return out;
+}
+
+// Ordinal key of a pure-candidate upload: the rank tensor in canonical
+// player order as fixed-width binary ranks, then the candidate actions,
+// or the folded "sym:ord:" key of the rank game.
+[[nodiscard]] std::string ordinal_signature(const game::NormalFormGame& game,
+                                            const game::ExactMixedProfile& profile,
+                                            const game::PureProfile& candidate) {
+    const OrdinalTensor ord = rank_payoffs(game, candidate);
+    const std::size_t num_players = game.num_players();
+    const std::vector<std::size_t> perm = canonical_order(ord.keys);
+    // detect() only groups players with equal action counts and payoff
+    // multisets (on ranks: equal histograms), and refined_by() then
+    // splits them by candidate action; exchangeable players with one
+    // candidate action also share their payoff at the candidate. Unless
+    // two players share their whole sort key, the refined group is
+    // provably trivial.
+    const bool tied = std::adjacent_find(perm.begin(), perm.end(),
+                                         [&ord](std::size_t a, std::size_t b) {
+                                             return ord.keys[a] == ord.keys[b];
+                                         }) != perm.end();
+    if (tied) {
+        const game::NormalFormGame ranks =
+            tabulate(game, [&](std::uint64_t rank, std::size_t player) {
+                return util::Rational(ord.ranks[rank * num_players + player]);
+            });
+        if (auto sym = try_symmetric_signature(ranks, profile, "bnashQ1:sym:ord:")) {
+            return *std::move(sym);
+        }
+    }
+    const std::size_t width = ord.max_levels <= 0x100U ? 1 : (ord.max_levels <= 0x10000U ? 2 : 4);
+
+    std::string bytes = "bnashQ1:ord:";
+    append_size(bytes, num_players);
+    for (std::size_t j = 0; j < num_players; ++j) append_size(bytes, game.num_actions(perm[j]));
+    append_size(bytes, width);
+    bytes += "|u:";
+    bytes.reserve(bytes.size() + ord.ranks.size() * width + 4 * num_players + 8);
+    for_each_canonical_rank(game, perm, [&](std::uint64_t rank) {
+        for (std::size_t j = 0; j < num_players; ++j) {
+            append_fixed(bytes, ord.ranks[rank * num_players + perm[j]], width);
+        }
+    });
+    bytes += "|s:";
+    for (std::size_t j = 0; j < num_players; ++j) append_size(bytes, candidate[perm[j]]);
+    return bytes;
 }
 
 }  // namespace
 
 CanonicalSignature canonical_signature(const game::NormalFormGame& game,
                                        const game::ExactMixedProfile& profile) {
+    if (const auto candidate = core::as_pure_profile(profile)) {
+        return {ordinal_signature(game, profile, *candidate), true};
+    }
     try {
-        const std::vector<AffineMap> maps = build_affine_maps(game);
-        const game::NormalFormGame norm = apply_maps(game, maps);
-        if (auto sym = try_symmetric_signature(norm, profile, /*normalized=*/true)) {
-            return *std::move(sym);
-        }
-        return serialize(game, profile, &maps);
+        return {affine_signature(apply_maps(game, build_affine_maps(game)), profile, "nrm:"),
+                true};
     } catch (const util::RationalOverflow&) {
         // Exact normalization does not fit in 64-bit rationals: fall back
         // to the identity map. The "raw:" tag keeps the two key spaces
         // disjoint, so the fallback only costs dedup, never soundness.
-        if (auto sym = try_symmetric_signature(game, profile, /*normalized=*/false)) {
-            return *std::move(sym);
-        }
-        return serialize(game, profile, nullptr);
+        return {affine_signature(game, profile, "raw:"), false};
     }
 }
 

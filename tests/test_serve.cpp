@@ -1,5 +1,7 @@
-// The serving layer: canonical signatures (permutation + affine
-// invariance, overflow fallback), the sharded single-flight verdict
+// The serving layer: canonical signatures (permutation invariance,
+// ordinal invariance for pure candidates and affine invariance for mixed
+// ones, golden affine bytes, overflow fallback, a fold-soundness fuzz
+// over monotone disguises), the sharded single-flight verdict
 // cache with follower-owned deadlines and leader hand-off, the
 // RobustnessServer's degradation ladder under scripted fault injection
 // — slow tasks against deadlines, poisoned (throwing) tasks,
@@ -22,7 +24,9 @@
 #include <condition_variable>
 #include <cstring>
 #include <future>
+#include <map>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -67,19 +71,38 @@ game::ExactMixedProfile pure(const NormalFormGame& game, const PureProfile& acti
     return core::as_exact_profile(game, actions);
 }
 
+// Per-player x -> x^3: strictly monotone but not affine.
+NormalFormGame cubed(const NormalFormGame& game) {
+    NormalFormGame out = game;
+    for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
+        const PureProfile cell = game.profile_unrank(rank);
+        for (std::size_t player = 0; player < game.num_players(); ++player) {
+            const Rational& value = game.payoff_at(rank, player);
+            out.set_payoff(cell, player, value * value * value);
+        }
+    }
+    return out;
+}
+
+// The 2-player game with its players swapped (tensor and counts).
+NormalFormGame swapped(const NormalFormGame& game) {
+    NormalFormGame out({game.num_actions(1), game.num_actions(0)});
+    for (std::size_t x = 0; x < game.num_actions(0); ++x) {
+        for (std::size_t y = 0; y < game.num_actions(1); ++y) {
+            out.set_payoff({y, x}, 0, game.payoff({x, y}, 1));
+            out.set_payoff({y, x}, 1, game.payoff({x, y}, 0));
+        }
+    }
+    return out;
+}
+
 // -------------------------------------------------------- canonicalization
 
 TEST(Canonical, PlayerPermutationInvariant) {
     const NormalFormGame a = asymmetric_game();
-    // The same game with the two players swapped (tensor, counts, and the
-    // candidate profile carried along).
-    NormalFormGame b({3, 2});
-    for (std::size_t x = 0; x < 2; ++x) {
-        for (std::size_t y = 0; y < 3; ++y) {
-            b.set_payoff({y, x}, 0, a.payoff({x, y}, 1));
-            b.set_payoff({y, x}, 1, a.payoff({x, y}, 0));
-        }
-    }
+    // The same game with the two players swapped (the candidate profile
+    // carried along).
+    const NormalFormGame b = swapped(a);
     const auto profile_a = pure(a, {1, 2});
     const auto profile_b = pure(b, {2, 1});
     const CanonicalSignature sig_a = canonical_signature(a, profile_a);
@@ -101,9 +124,14 @@ TEST(Canonical, AffineRescaleInvariant) {
 }
 
 TEST(Canonical, PayoffAndProfileChangesChangeTheKey) {
+    // Swapping two distinct payoffs of player 0 changes its payoff order
+    // (a +1 bump need not: the ordinal key only sees ranks).
     const NormalFormGame a = asymmetric_game();
+    std::uint64_t other = 1;
+    while (a.payoff_at(other, 0) == a.payoff_at(0, 0)) ++other;
     NormalFormGame b = a;
-    b.set_payoff({0, 0}, 0, a.payoff({0, 0}, 0) + 1);
+    b.set_payoff(a.profile_unrank(0), 0, a.payoff_at(other, 0));
+    b.set_payoff(a.profile_unrank(other), 0, a.payoff_at(0, 0));
     const auto profile = pure(a, {0, 0});
     EXPECT_NE(canonical_signature(a, profile).bytes, canonical_signature(b, profile).bytes);
     EXPECT_NE(canonical_signature(a, profile).bytes,
@@ -124,18 +152,36 @@ TEST(Canonical, QueryParametersChangeTheKey) {
               key(1, 0, core::GainCriterion::kAllMembersGain));
 }
 
-TEST(Canonical, OverflowFallsBackToRawTag) {
-    // The affine span (2^62)/5 + (2^62)/3 overflows 64-bit rationals, so
-    // normalization must fall back to the tagged identity serialization.
+// The affine span (2^62)/5 + (2^62)/3 overflows 64-bit rationals.
+NormalFormGame overflowing_game() {
     const std::int64_t big = std::int64_t{1} << 62;
     NormalFormGame game({2, 2});
     game.set_payoff({0, 0}, 0, Rational(-big, 3));
     game.set_payoff({1, 1}, 0, Rational(big, 5));
-    const auto profile = pure(game, {0, 0});
+    return game;
+}
+
+TEST(Canonical, OverflowFallsBackToRawTag) {
+    // A mixed candidate takes the affine path, whose normalization must
+    // fall back to the tagged identity serialization.
+    const NormalFormGame game = overflowing_game();
+    const game::ExactMixedProfile profile{{Rational(1, 2), Rational(1, 2)},
+                                          {Rational(0), Rational(1)}};
     const CanonicalSignature sig = canonical_signature(game, profile);
     EXPECT_FALSE(sig.normalized);
-    EXPECT_NE(sig.bytes.find("raw"), std::string::npos);
+    EXPECT_EQ(sig.bytes.rfind("bnashQ1:raw:", 0), 0u);
     // Deterministic: the fallback reproduces itself.
+    EXPECT_EQ(sig.bytes, canonical_signature(game, profile).bytes);
+}
+
+TEST(Canonical, OverflowingPureCandidateStaysOrdinal) {
+    // The ordinal path only compares payoffs, so the same game cannot
+    // overflow it.
+    const NormalFormGame game = overflowing_game();
+    const auto profile = pure(game, {0, 1});
+    const CanonicalSignature sig = canonical_signature(game, profile);
+    EXPECT_TRUE(sig.normalized);
+    EXPECT_EQ(sig.bytes.rfind("bnashQ1:ord:", 0), 0u);
     EXPECT_EQ(sig.bytes, canonical_signature(game, profile).bytes);
 }
 
@@ -167,13 +213,193 @@ TEST(Canonical, SymmetricGamesFoldToOrbitSizedKeys) {
     }
     const CanonicalSignature sig_g = canonical_signature(g, pure(g, {1, 1, 2, 2}));
     const CanonicalSignature sig_h = canonical_signature(h, pure(h, {2, 2, 1, 1}));
-    // Both uploads fold to the SAME orbit-sized ("sym:"-tagged) key.
-    EXPECT_NE(sig_g.bytes.find(":sym:"), std::string::npos);
+    // Both uploads fold to the SAME orbit-sized key, in the ordinal
+    // ("sym:ord:") space since the candidates are pure.
+    EXPECT_EQ(sig_g.bytes.rfind("bnashQ1:sym:ord:", 0), 0u);
     EXPECT_EQ(sig_g.bytes, sig_h.bytes);
     // An asymmetric game never takes the symmetry path.
     const NormalFormGame plain = asymmetric_game();
     EXPECT_EQ(canonical_signature(plain, pure(plain, {0, 0})).bytes.find(":sym:"),
               std::string::npos);
+}
+
+TEST(Canonical, MonotoneTransformFoldsPureCandidatesOnly) {
+    const NormalFormGame a = asymmetric_game();
+    const NormalFormGame b = swapped(cubed(a));
+    // Pure: every verdict only compares payoffs of one player, so the
+    // cubed, relabeled upload shares the key.
+    EXPECT_EQ(canonical_signature(a, pure(a, {1, 2})).bytes,
+              canonical_signature(b, pure(b, {2, 1})).bytes);
+    // Mixed: expected payoffs are not invariant under x^3, and the
+    // affine key keeps the two apart.
+    const game::ExactMixedProfile mixed_a{{Rational(1, 2), Rational(1, 2)},
+                                          {Rational(1, 3), Rational(0), Rational(2, 3)}};
+    const game::ExactMixedProfile mixed_b{mixed_a[1], mixed_a[0]};
+    const CanonicalSignature sig_a = canonical_signature(a, mixed_a);
+    EXPECT_EQ(sig_a.bytes.rfind("bnashQ1:nrm:", 0), 0u);
+    EXPECT_NE(sig_a.bytes, canonical_signature(b, mixed_b).bytes);
+    // The affine key still folds the plain relabeling.
+    EXPECT_EQ(sig_a.bytes, canonical_signature(swapped(a), mixed_b).bytes);
+}
+
+TEST(Canonical, OrdinalAndAffineKeySpacesAreDisjoint) {
+    util::Rng rng(7);
+    std::set<std::string> ordinal;
+    std::set<std::string> affine;
+    for (std::size_t trial = 0; trial < 40; ++trial) {
+        const std::size_t players = 2 + rng.next_below(2);
+        const NormalFormGame game =
+            NormalFormGame::random(std::vector<std::size_t>(players, 2), rng, 0, 2);
+        game::ExactMixedProfile mixed(players, {Rational(1, 2), Rational(1, 2)});
+        PureProfile actions(players, 0);
+        for (std::size_t& action : actions) action = rng.next_below(2);
+        const std::string ord = canonical_signature(game, pure(game, actions)).bytes;
+        const std::string aff = canonical_signature(game, mixed).bytes;
+        EXPECT_TRUE(ord.rfind("bnashQ1:ord:", 0) == 0 || ord.rfind("bnashQ1:sym:ord:", 0) == 0)
+            << ord;
+        EXPECT_TRUE(aff.rfind("bnashQ1:nrm:", 0) == 0 || aff.rfind("bnashQ1:sym:nrm:", 0) == 0)
+            << aff;
+        ordinal.insert(ord);
+        affine.insert(aff);
+    }
+    for (const std::string& key : ordinal) EXPECT_EQ(affine.count(key), 0u);
+}
+
+TEST(Canonical, MixedCandidateKeysMatchGoldenBytes) {
+    // Captured before the ordinal path landed: mixed candidates keep
+    // their affine keys byte for byte, so memo entries and traces stay
+    // comparable across that change.
+    const NormalFormGame a = asymmetric_game();
+    const game::ExactMixedProfile mixed_a{{Rational(1, 2), Rational(1, 2)},
+                                          {Rational(1, 3), Rational(0), Rational(2, 3)}};
+    EXPECT_EQ(canonical_signature(a, mixed_a).bytes,
+              "bnashQ1:nrm:2,2,3,|u:1/11,3/5,2/11,1/1,9/11,2/15,0/1,0/1,1/1,2/3,9/11,2/15,"
+              "|s:2,1/2,1/2,3,1/3,0/1,2/3,");
+
+    const game::ExactMixedProfile mixed_o{{Rational(1, 2), Rational(1, 2)},
+                                          {Rational(0), Rational(1)}};
+    EXPECT_EQ(canonical_signature(overflowing_game(), mixed_o).bytes,
+              "bnashQ1:raw:2,2,2,|u:0/1,-4611686018427387904/3,0/1,0/1,0/1,0/1,0/1,"
+              "4611686018427387904/5,|s:2,0/1,1/1,2,1/2,1/2,");
+
+    NormalFormGame sym({2, 2});
+    sym.set_payoffs({0, 0}, {Rational(4), Rational(4)});
+    sym.set_payoffs({0, 1}, {Rational(0), Rational(3)});
+    sym.set_payoffs({1, 0}, {Rational(3), Rational(0)});
+    sym.set_payoffs({1, 1}, {Rational(2), Rational(2)});
+    const game::ExactMixedProfile mixed_s{{Rational(1, 3), Rational(2, 3)},
+                                          {Rational(1, 3), Rational(2, 3)}};
+    EXPECT_EQ(canonical_key(sym, mixed_s, 1, 0, core::GainCriterion::kAnyMemberGains),
+              "bnashQ1:sym:nrm:1,2,2,|s:2,1/3,2/3,|u:4,1/1,0/1,3/4,1/2,|q:1,0,0,");
+}
+
+// A random strictly increasing remap of each player's distinct payoffs
+// (random gaps and denominators, so generally not affine), plus a random
+// player relabeling carried through the tensor and the candidate.
+std::pair<NormalFormGame, PureProfile> monotone_disguise(const NormalFormGame& game,
+                                                         const PureProfile& candidate,
+                                                         util::Rng& rng) {
+    const std::size_t n = game.num_players();
+    std::vector<std::map<Rational, Rational>> remap(n);
+    for (std::size_t player = 0; player < n; ++player) {
+        for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
+            remap[player].emplace(game.payoff_at(rank, player), Rational());
+        }
+        Rational next(rng.next_int(-50, 50));
+        for (auto& [value, image] : remap[player]) {
+            image = next;
+            next += Rational(rng.next_int(1, 9), rng.next_int(1, 4));
+        }
+    }
+    // slot[p] = new label of original player p.
+    std::vector<std::size_t> slot(n);
+    std::iota(slot.begin(), slot.end(), std::size_t{0});
+    rng.shuffle(slot);
+    std::vector<std::size_t> counts(n);
+    PureProfile moved(n);
+    for (std::size_t p = 0; p < n; ++p) {
+        counts[slot[p]] = game.num_actions(p);
+        moved[slot[p]] = candidate[p];
+    }
+    NormalFormGame out(counts);
+    for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
+        const PureProfile cell = game.profile_unrank(rank);
+        PureProfile image(n);
+        for (std::size_t p = 0; p < n; ++p) image[slot[p]] = cell[p];
+        for (std::size_t p = 0; p < n; ++p) {
+            out.set_payoff(image, slot[p], remap[p].at(game.payoff_at(rank, p)));
+        }
+    }
+    return {std::move(out), std::move(moved)};
+}
+
+std::vector<CellVerdict> verdict_grid(const NormalFormGame& game, const PureProfile& candidate) {
+    const std::size_t max_k = std::min<std::size_t>(3, game.num_players());
+    const std::size_t max_t = std::min<std::size_t>(2, game.num_players());
+    core::RobustnessOptions options;
+    options.mode = game::SweepMode::kSerial;
+    const core::FrontierVerdict frontier =
+        core::batch_robustness_frontier(game, pure(game, candidate), max_k, max_t, options);
+    std::vector<CellVerdict> grid;
+    for (std::size_t k = 0; k <= max_k; ++k) {
+        for (std::size_t t = 0; t <= max_t; ++t) grid.push_back(frontier.verdict(k, t));
+    }
+    return grid;
+}
+
+TEST(CanonicalFuzz, EqualOrdinalKeysMeanEqualVerdictGrids) {
+    // Seeded corpus: every third game is a 2x2 binary-payoff game with
+    // candidate (0, 0), so unrelated games collide; the rest have 2-6
+    // players, 2-3 actions and payoffs in [0, 3] or [-9, 9]. Each game
+    // is keyed as uploaded and under two monotone disguises. Any two
+    // entries sharing a key — disguises of one game, or unrelated games
+    // — must share every (k, t) verdict.
+    util::Rng rng(20261016);
+    std::map<std::string, std::pair<std::vector<CellVerdict>, std::size_t>> seen;
+    std::size_t disguises_folded = 0;
+    std::size_t cross_game_collisions = 0;
+    for (std::size_t trial = 0; trial < 100; ++trial) {
+        const bool tiny = trial % 3 == 0;
+        const std::size_t players = tiny ? 2 : 2 + rng.next_below(5);
+        std::vector<std::size_t> counts(players, 2);
+        if (!tiny) {
+            for (std::size_t& count : counts) count += rng.next_below(2);
+        }
+        const std::int64_t lo = trial % 3 == 2 ? -9 : 0;
+        const std::int64_t hi = tiny ? 1 : (trial % 3 == 1 ? 3 : 9);
+        const NormalFormGame game = NormalFormGame::random(counts, rng, lo, hi);
+        PureProfile candidate(players, 0);
+        if (!tiny) {
+            for (std::size_t p = 0; p < players; ++p) candidate[p] = rng.next_below(counts[p]);
+        }
+
+        std::vector<std::pair<NormalFormGame, PureProfile>> uploads;
+        uploads.emplace_back(game, candidate);
+        uploads.push_back(monotone_disguise(game, candidate, rng));
+        uploads.push_back(monotone_disguise(game, candidate, rng));
+        std::string base_key;
+        for (std::size_t u = 0; u < uploads.size(); ++u) {
+            const auto& [upload, upload_candidate] = uploads[u];
+            const CanonicalSignature sig =
+                canonical_signature(upload, pure(upload, upload_candidate));
+            ASSERT_TRUE(sig.normalized);
+            ASSERT_NE(sig.bytes.find("ord:"), std::string::npos) << sig.bytes;
+            const std::vector<CellVerdict> grid = verdict_grid(upload, upload_candidate);
+            const auto [it, fresh] = seen.try_emplace(sig.bytes, grid, trial);
+            if (!fresh) {
+                EXPECT_EQ(it->second.first, grid) << "trial " << trial << " vs trial "
+                                                  << it->second.second;
+                if (it->second.second != trial) ++cross_game_collisions;
+            }
+            if (u == 0) base_key = sig.bytes;
+            if (u > 0 && sig.bytes == base_key) ++disguises_folded;
+        }
+    }
+    // The corpus exercises both kinds of collision. Ties in the player
+    // sort key may split a disguise from its game, which only costs a
+    // cache miss.
+    EXPECT_GT(cross_game_collisions, 0u);  // 9 with this seed
+    EXPECT_GE(disguises_folded, 190u);  // 195 of 200 with this seed
 }
 
 // ----------------------------------------------------------- verdict cache
