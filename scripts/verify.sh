@@ -11,12 +11,15 @@
 #              (build-asan/ tree)
 #   --audit    builds with -DBNASH_AUDIT=ON (build-audit/ tree): the
 #              BNASH_AUDIT_CHECK cross-checks recompute walker rows, sparse
-#              prefix products, orbit ranks, and checkpoint seeks from
-#              scratch on every step; the fuzz-corpus suites replay with
-#              the checks live
+#              prefix products and orbit ranks from scratch on every
+#              step; the fuzz-corpus suites replay with the checks live
 #   --analyze  clang-tidy over src/ with the checked-in .clang-tidy
 #              (skips gracefully when clang-tidy is not installed)
-#   --full     umbrella: tier-1 + lint + analyze + audit + asan + tsan
+#   --full     umbrella: tier-1 + lint + analyze + audit + asan + tsan,
+#              plus the serving benchmark's self-tests
+#              (servebench/run.py --selftest: generator checks and a
+#              planted wrong verdict that must count as exactly one
+#              failed request; skipped when python3 or cmake is missing)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,13 +27,14 @@ TSAN=OFF
 ASAN=OFF
 AUDIT=OFF
 ANALYZE=OFF
+SELFTEST=OFF
 for arg in "$@"; do
   case "${arg}" in
     --tsan) TSAN=ON ;;
     --asan) ASAN=ON ;;
     --audit) AUDIT=ON ;;
     --analyze) ANALYZE=ON ;;
-    --full) TSAN=ON; ASAN=ON; AUDIT=ON; ANALYZE=ON ;;
+    --full) TSAN=ON; ASAN=ON; AUDIT=ON; ANALYZE=ON; SELFTEST=ON ;;
     *) echo "verify.sh: unknown flag '${arg}'" >&2; exit 2 ;;
   esac
 done
@@ -101,6 +105,17 @@ if [[ "${BENCH}" == "ON" ]]; then
     done
   else
     echo "verify.sh: python3 missing; skipping bench regression gates" >&2
+  fi
+fi
+
+if [[ "${SELFTEST}" == "ON" ]]; then
+  # The serving benchmark builds its own Release tree (.bench_build/) and
+  # checks that its generators plant the verdicts they claim and that a
+  # wrong answer counts as a failed request.
+  if command -v python3 >/dev/null 2>&1 && command -v cmake >/dev/null 2>&1; then
+    python3 servebench/run.py --selftest
+  else
+    echo "verify.sh: python3 or cmake missing; skipping the servebench self-test" >&2
   fi
 fi
 

@@ -185,10 +185,8 @@ TaskRun run_tasks_from(std::size_t start, std::size_t num_tasks, game::SweepMode
                        const TaskFn& fn) {
     // A resume rank beyond the task space means the checkpoint was
     // recorded against a different game or sweep parameterization.
-    BNASH_AUDIT_CHECK(start <= num_tasks,
-                      "run_tasks_from: checkpoint resume position lies beyond the "
-                      "task space (stale or mismatched checkpoint)");
-    if (start >= num_tasks) return {std::nullopt, num_tasks};
+    check_resume_position(start, num_tasks);
+    if (start == num_tasks) return {std::nullopt, num_tasks};
     TaskRun run =
         run_tasks(num_tasks - start, mode, [&](std::size_t index) { return fn(start + index); });
     if (run.hit) run.hit->first += start;
@@ -1293,6 +1291,7 @@ FrontierVerdict CoalitionSweep::batch_robustness_frontier(
     if (max_k > 0) {  // k = 0 row: resilience is vacuous
         const util::SubsetEnumerator coalitions(view_.num_players(), max_k);
         const std::size_t num_tasks = coalitions.size();
+        check_resume_position(start_b, num_tasks);
         std::vector<std::optional<RobustnessViolation>> found(num_tasks);
         std::vector<std::size_t> winner(t_res + 1, num_tasks);
         const auto effective = mode;

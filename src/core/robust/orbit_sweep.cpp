@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/robust/coalition_sweep.h"
-#include "util/audit.h"
 #include "util/execution_grant.h"
 #include "util/orbit_walker.h"
 #include "util/thread_pool.h"
@@ -529,6 +528,7 @@ std::optional<RobustnessViolation> OrbitSweep::robustness_violation(
     if (!(resume != nullptr && resume->immunity_done)) {
         const std::size_t start_s =
             resume != nullptr ? static_cast<std::size_t>(resume->immunity_next) : 1;
+        check_resume_position(start_s, t + 1);
         for (std::size_t s = std::max<std::size_t>(start_s, 1); s <= t; ++s) {
             ScanOutcome outcome = immunity_scan(s);
             if (outcome.violation) {
@@ -550,9 +550,7 @@ std::optional<RobustnessViolation> OrbitSweep::robustness_violation(
                                        : 0;
     // A resume rank beyond the (sc, st) scan space means the checkpoint
     // was recorded against different sweep parameters.
-    BNASH_AUDIT_CHECK(start_rank <= k * row,
-                      "OrbitSweep: checkpoint resume rank lies beyond the "
-                      "(coalition, faulty) scan space");
+    check_resume_position(start_rank, k * row);
     for (std::size_t sc = 1; sc <= k; ++sc) {
         for (std::size_t st = 0; st <= t; ++st) {
             const std::size_t rank = (sc - 1) * row + st;
@@ -578,6 +576,7 @@ OrbitSweep::Boundary OrbitSweep::immunity_boundary(std::size_t max_t) const {
 
 OrbitSweep::BoundaryPhase OrbitSweep::immunity_boundary_phase(std::size_t start_s,
                                                               std::size_t max_t) const {
+    check_resume_position(start_s, max_t + 1);
     BoundaryPhase phase;
     Boundary& boundary = phase.boundary;
     boundary.max_ok = start_s > 1 ? start_s - 1 : 0;
@@ -686,6 +685,7 @@ FrontierVerdict OrbitSweep::batch_robustness_frontier(std::size_t max_k, std::si
     std::size_t trunc_sc = max_k + 1;
     std::size_t trunc_st = 0;
     const std::size_t row = t_res + 1;  // pairs per coalition size
+    check_resume_position(start_rank, max_k * row);
     std::size_t next_rank = max_k * row;
     if (max_k > 0) {
         for (std::size_t sc = 1; sc <= max_k && !truncated; ++sc) {
@@ -819,6 +819,7 @@ MaxKtResult OrbitSweep::max_kt(std::size_t max_k, std::size_t max_t, GainCriteri
         out.k_of_t = resume->walk_k_of_t;
         t0 = resume->walk_t;
         k_prev = resume->walk_k_prev;
+        check_resume_position(resume->next_task, max_k + 1);
         sc_start = std::max<std::size_t>(static_cast<std::size_t>(resume->next_task), 1);
     } else {
         const BoundaryPhase phase = immunity_boundary_phase(

@@ -191,6 +191,12 @@ struct SweepCheckpoint final {
     friend bool operator==(const SweepCheckpoint&, const SweepCheckpoint&) = default;
 };
 
+// Resume positions are untrusted input (they travel in client tokens).
+// Throws std::invalid_argument when a checkpoint's `position` lies beyond
+// the `end` of the task space it seeks into — checked in every build, so
+// an out-of-range seek can never read as "every task verified".
+void check_resume_position(std::uint64_t position, std::uint64_t end);
+
 // Streaming hook for batch_robustness_frontier: called as each t-column's
 // verdict becomes FINAL. `breaking_k` is the smallest broken k in the
 // column (max_k + 1 for a clean column); `violation` is the witness

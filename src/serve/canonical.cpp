@@ -326,11 +326,6 @@ struct OrdinalTensor final {
     std::size_t max_levels = 0;
 };
 
-// Payoff order with the common equal-denominator case inlined.
-[[nodiscard]] bool payoff_less(const util::Rational& a, const util::Rational& b) {
-    return a.den() == b.den() ? a.num() < b.num() : a < b;
-}
-
 [[nodiscard]] OrdinalTensor rank_payoffs(const game::NormalFormGame& game,
                                          const game::PureProfile& candidate) {
     const std::size_t num_players = game.num_players();
@@ -349,7 +344,7 @@ struct OrdinalTensor final {
         }
         std::iota(order.begin(), order.end(), std::uint32_t{0});
         std::sort(order.begin(), order.end(), [&values](std::uint32_t a, std::uint32_t b) {
-            return payoff_less(values[a], values[b]);
+            return values[a] < values[b];
         });
         histogram.clear();
         for (std::size_t i = 0; i < profiles; ++i) {

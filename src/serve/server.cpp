@@ -302,15 +302,22 @@ QueryResponse RobustnessServer::process(const QueryRequest& request,
     std::string key;
     bool leader = false;
     try {
-        const std::uint64_t fingerprint = request_fingerprint(
-            request.game, request.profile, request.k, request.t, request.criterion,
-            request.mode);
+        // Only token paths need the fingerprint (see request_fingerprint).
+        std::optional<std::uint64_t> memo_fingerprint;
+        const auto fingerprint = [&] {
+            if (!memo_fingerprint) {
+                memo_fingerprint = request_fingerprint(request.game, request.profile, request.k,
+                                                       request.t, request.criterion,
+                                                       request.mode);
+            }
+            return *memo_fingerprint;
+        };
         // A user-presented token is validated STRICTLY before the cache
         // sees the request: a bad token is the caller's error and must
         // not leave a leader obligation behind.
         std::optional<core::SweepCheckpoint> resume;
         if (!request.resume_token.empty()) {
-            resume = decode_token(request.resume_token, 'c', fingerprint);
+            resume = decode_token(request.resume_token, 'c', fingerprint());
         }
         key = canonical_key(request.game, request.profile, request.k, request.t,
                             request.criterion);
@@ -347,7 +354,7 @@ QueryResponse RobustnessServer::process(const QueryRequest& request,
             leader = true;
             if (!handed.checkpoint.empty()) {
                 if (std::optional<core::SweepCheckpoint> inherited =
-                        try_decode_token(handed.checkpoint, 'c', fingerprint)) {
+                        try_decode_token(handed.checkpoint, 'c', fingerprint())) {
                     resume = std::move(inherited);
                 }
             }
@@ -377,7 +384,7 @@ QueryResponse RobustnessServer::process(const QueryRequest& request,
         response.verdict = verdict;
         if (verdict == core::CellVerdict::kUnknown) {
             response.status = QueryStatus::kDegraded;
-            response.resume_token = encode_token('c', fingerprint, checkpoint);
+            response.resume_token = encode_token('c', fingerprint(), checkpoint);
             degraded_.fetch_add(1, std::memory_order_relaxed);
             // Hand the checkpoint to the longest-deadline live follower
             // instead of degrading the whole burst; that follower's
@@ -414,12 +421,19 @@ FrontierResponse RobustnessServer::frontier(const FrontierRequest& request,
     const std::shared_ptr<util::ExecutionGrant> grant =
         make_grant(request.budget_cells, request.deadline);
     try {
-        const std::uint64_t fingerprint = request_fingerprint(
-            request.game, request.profile, request.max_k, request.max_t, request.criterion,
-            request.mode);
+        // Only token paths need the fingerprint (see request_fingerprint).
+        std::optional<std::uint64_t> memo_fingerprint;
+        const auto fingerprint = [&] {
+            if (!memo_fingerprint) {
+                memo_fingerprint = request_fingerprint(request.game, request.profile,
+                                                       request.max_k, request.max_t,
+                                                       request.criterion, request.mode);
+            }
+            return *memo_fingerprint;
+        };
         std::optional<core::SweepCheckpoint> resume;
         if (!request.resume_token.empty()) {
-            resume = decode_token(request.resume_token, 'f', fingerprint);
+            resume = decode_token(request.resume_token, 'f', fingerprint());
         }
         std::uint64_t streamed = 0;
         core::FrontierColumnSink sink;
@@ -445,7 +459,7 @@ FrontierResponse RobustnessServer::frontier(const FrontierRequest& request,
             resolved_.fetch_add(1, std::memory_order_relaxed);
         } else {
             response.status = QueryStatus::kDegraded;
-            response.resume_token = encode_token('f', fingerprint, checkpoint);
+            response.resume_token = encode_token('f', fingerprint(), checkpoint);
             degraded_.fetch_add(1, std::memory_order_relaxed);
         }
     } catch (const std::exception& error) {

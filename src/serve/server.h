@@ -273,7 +273,11 @@ private:
 // Exact-request fingerprint (FNV-1a 64 over the request's defining
 // bytes). Resume tokens bind to THIS — not to the canonical cache key —
 // because checkpoints are task-rank based and two permuted-equivalent
-// games give the same ranks different meanings.
+// games give the same ranks different meanings. It reads every payoff, so
+// the server computes it only on token paths — decoding a presented
+// token, re-checking a checkpoint handed to a promoted follower, minting
+// a degraded response's token — and at most once per request; a request
+// that never touches a token never pays for it.
 [[nodiscard]] std::uint64_t request_fingerprint(const game::NormalFormGame& game,
                                                 const game::ExactMixedProfile& profile,
                                                 std::size_t k_or_max_k,

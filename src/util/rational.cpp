@@ -150,14 +150,6 @@ Rational operator-(const Rational& value) {
     return out;
 }
 
-std::strong_ordering operator<=>(const Rational& lhs, const Rational& rhs) noexcept {
-    const Int128 left = Int128{lhs.num_} * rhs.den_;
-    const Int128 right = Int128{rhs.num_} * lhs.den_;
-    if (left < right) return std::strong_ordering::less;
-    if (left > right) return std::strong_ordering::greater;
-    return std::strong_ordering::equal;
-}
-
 std::ostream& operator<<(std::ostream& os, const Rational& value) {
     return os << value.to_string();
 }

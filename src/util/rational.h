@@ -62,7 +62,16 @@ public:
     friend Rational operator-(const Rational& value);
 
     friend bool operator==(const Rational& lhs, const Rational& rhs) noexcept = default;
-    friend std::strong_ordering operator<=>(const Rational& lhs, const Rational& rhs) noexcept;
+    // Exact order, inline because the robustness kernels compare payoffs
+    // once per cell. Equal denominators (every integer-payoff game) take
+    // the fast path num <=> num, which is exact because values are kept
+    // normalized with den > 0. Otherwise the cross products are formed in
+    // 128 bits, where no product of two int64 values can overflow.
+    friend std::strong_ordering operator<=>(const Rational& lhs, const Rational& rhs) noexcept {
+        if (lhs.den_ == rhs.den_) return lhs.num_ <=> rhs.num_;
+        __extension__ typedef __int128 Int128;  // GCC/Clang extension, pedantic-safe
+        return Int128{lhs.num_} * rhs.den_ <=> Int128{rhs.num_} * lhs.den_;
+    }
 
     friend std::ostream& operator<<(std::ostream& os, const Rational& value);
 

@@ -1064,6 +1064,43 @@ TEST(ServerResume, StaleGenerationAndGarbageTokensAreRejected) {
     EXPECT_EQ(server.query(request).status, QueryStatus::kResolved);
 }
 
+// Regression for a cache-poisoning forgery. The fingerprint a token binds
+// to is public, so a client can mint a well-formed token for its own
+// request. In the prisoner's dilemma, (C,C) is not even a Nash
+// equilibrium, yet a token claiming the resilience phase resumes at task
+// 999999 — past the 2-task space — used to read as "every task verified":
+// the sweep finished, the server memoized kRobust, and the next honest
+// client got it as a cache hit. Out-of-range resume positions now throw in
+// every build. An IN-range forgery (next_task = 2 here) is still accepted;
+// closing that needs authenticated tokens (a server-keyed MAC).
+TEST(ServerResume, OutOfRangeForgedTokenErrorsAndPoisonsNothing) {
+    RobustnessServer server;
+    QueryRequest forged = pd_request(0);
+    const std::uint64_t fingerprint = request_fingerprint(
+        forged.game, forged.profile, forged.k, forged.t, forged.criterion, forged.mode);
+    forged.resume_token = "c.0." + std::to_string(fingerprint) + ".0.1.0.0.999999.0.0.0.0.0.0";
+    const QueryResponse rejected = server.query(forged);
+    EXPECT_EQ(rejected.status, QueryStatus::kError);
+    EXPECT_EQ(rejected.verdict, CellVerdict::kUnknown);
+
+    const QueryResponse honest = server.query(pd_request(0));
+    EXPECT_EQ(honest.status, QueryStatus::kResolved);
+    EXPECT_EQ(honest.verdict, CellVerdict::kBroken);
+    EXPECT_FALSE(honest.cache_hit);
+
+    // The frontier path seeks through the same check.
+    FrontierRequest grid;
+    grid.game = game::catalog::prisoners_dilemma();
+    grid.profile = pure(grid.game, PureProfile(2, 0));
+    grid.max_k = 1;
+    grid.max_t = 0;
+    const std::uint64_t grid_fingerprint = request_fingerprint(
+        grid.game, grid.profile, grid.max_k, grid.max_t, grid.criterion, grid.mode);
+    grid.resume_token =
+        "f.0." + std::to_string(grid_fingerprint) + ".0.1.0.0.999999.1.0.0.0.0.0.0";
+    EXPECT_EQ(server.frontier(grid).status, QueryStatus::kError);
+}
+
 // ------------------------------------------------- promotion, end to end
 
 TEST(Server, LeaderDeathPromotesFollowerWhichFinishesTheSweep) {
@@ -1222,6 +1259,41 @@ TEST(ServerFrontier, WrongKindTokenIsRejected) {
     QueryRequest cell_with_grid_token = attack_request();
     cell_with_grid_token.resume_token = degraded_grid.resume_token;
     EXPECT_EQ(server.query(cell_with_grid_token).status, QueryStatus::kError);
+}
+
+// Tokens minted by budget-starved requests on a fixed game, byte for byte
+// as minted before the fingerprint became lazy; resuming from each one
+// reproduces the unbudgeted verdict or grid. Serial mode lands the
+// checkpoints at deterministic task boundaries.
+TEST(ServerResume, StarvedTokensMatchGoldenBytes) {
+    RobustnessServer server;
+    QueryRequest ask = attack_request();
+    const QueryResponse unbudgeted = RobustnessServer{}.query(ask);
+    ASSERT_EQ(unbudgeted.status, QueryStatus::kResolved);
+    ask.budget_cells = 200;
+    const QueryResponse degraded = server.query(ask);
+    ASSERT_EQ(degraded.status, QueryStatus::kDegraded);
+    EXPECT_EQ(degraded.resume_token, "c.0.11474610264568175207.0.1.0.0.8.0.0.0.0.0.0");
+    ask.budget_cells = util::ExecutionGrant::kUnlimited;
+    ask.resume_token = degraded.resume_token;
+    const QueryResponse resumed = server.query(ask);
+    EXPECT_EQ(resumed.status, QueryStatus::kResolved);
+    EXPECT_EQ(resumed.verdict, unbudgeted.verdict);
+
+    FrontierRequest grid = frontier_request(2, 2);
+    const FrontierResponse full = server.frontier(grid);
+    ASSERT_EQ(full.status, QueryStatus::kResolved);
+    grid.budget_cells = 200;
+    const FrontierResponse partial = server.frontier(grid);
+    ASSERT_EQ(partial.status, QueryStatus::kDegraded);
+    EXPECT_EQ(partial.resume_token, "f.0.4224598482035055556.0.1.15.2.2.3.0.0.0.0.0.0.0.0");
+    grid.budget_cells = util::ExecutionGrant::kUnlimited;
+    grid.resume_token = partial.resume_token;
+    const FrontierResponse rest = server.frontier(grid);
+    ASSERT_EQ(rest.status, QueryStatus::kResolved);
+    core::FrontierVerdict assembled = partial.frontier;
+    core::merge_frontier(assembled, rest.frontier);
+    EXPECT_EQ(assembled, full.frontier);
 }
 
 // ------------------------------------------------------------- text front

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/combinatorics.h"
 #include "util/matrix.h"
@@ -105,6 +109,69 @@ TEST_P(RationalFieldProperty, AxiomsHold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RationalFieldProperty,
                          ::testing::Range<std::uint64_t>(1, 33));
+
+// Independent reference order: sign of a.num * b.den - b.num * a.den,
+// cross-multiplied in 128 bits with no equal-denominator shortcut.
+int reference_order(const Rational& a, const Rational& b) {
+    __extension__ typedef __int128 Wide;
+    const Wide left = static_cast<Wide>(a.num()) * static_cast<Wide>(b.den());
+    const Wide right = static_cast<Wide>(b.num()) * static_cast<Wide>(a.den());
+    return left < right ? -1 : (left > right ? 1 : 0);
+}
+
+void expect_order_matches_reference(const Rational& a, const Rational& b) {
+    const int expected = reference_order(a, b);
+    const std::strong_ordering order = a <=> b;
+    EXPECT_EQ(order < 0, expected < 0) << a << " vs " << b;
+    EXPECT_EQ(order == 0, expected == 0) << a << " vs " << b;
+    EXPECT_EQ(order > 0, expected > 0) << a << " vs " << b;
+    EXPECT_EQ(a < b, expected < 0) << a << " vs " << b;
+    EXPECT_EQ(a == b, expected == 0) << a << " vs " << b;
+    EXPECT_EQ(b < a, expected > 0) << a << " vs " << b;
+}
+
+TEST(Rational, OrderingMatchesWideCrossMultiplication) {
+    Rng rng{2024};
+    const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    const std::int64_t min = std::numeric_limits<std::int64_t>::min() + 1;
+    const auto wide_int = [&rng, max, min] { return rng.next_int(min, max); };
+    std::size_t equal_dens = 0;
+    std::size_t distinct_dens = 0;
+    for (int draw = 0; draw < 4000; ++draw) {
+        // Equal denominators (the inlined fast path): a shared small or
+        // near-2^62 denominator, full-range numerators.
+        const std::int64_t den = draw % 2 == 0 ? rng.next_int(1, 1000)
+                                               : (std::int64_t{1} << 62) - rng.next_int(0, 1000);
+        const Rational a{wide_int(), den};
+        const Rational b{wide_int(), den};
+        const Rational c{a.num(), a.den()};  // a copy built from its parts
+        expect_order_matches_reference(a, b);
+        expect_order_matches_reference(a, c);
+        // Different denominators (the 128-bit cross multiply).
+        const Rational d{wide_int(), rng.next_int(1, max)};
+        expect_order_matches_reference(a, d);
+        expect_order_matches_reference(d, b);
+        equal_dens += a.den() == b.den() ? 1 : 0;
+        distinct_dens += a.den() != d.den() ? 1 : 0;
+    }
+    EXPECT_GT(equal_dens, 1000u);
+    EXPECT_GT(distinct_dens, 3000u);
+
+    // Extremes: numerators at INT64_MAX and INT64_MIN + 1, denominators at
+    // and around 2^62, every pair in both orders.
+    const std::int64_t two62 = std::int64_t{1} << 62;
+    std::vector<Rational> edge;
+    for (const std::int64_t num : {max, max - 1, min, min + 1, std::int64_t{0}, std::int64_t{1},
+                                   std::int64_t{-1}, two62, -two62}) {
+        for (const std::int64_t den : {std::int64_t{1}, std::int64_t{2}, two62 - 1, two62,
+                                       two62 + 1, max}) {
+            edge.emplace_back(num, den);
+        }
+    }
+    for (const Rational& a : edge) {
+        for (const Rational& b : edge) expect_order_matches_reference(a, b);
+    }
+}
 
 // --------------------------------------------------------------------- Rng
 
