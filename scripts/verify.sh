@@ -20,8 +20,29 @@
 #              (servebench/run.py --selftest: generator checks and a
 #              planted wrong verdict that must count as exactly one
 #              failed request; skipped when python3 or cmake is missing)
-set -euo pipefail
+#
+# Every stage and every bench gate runs even when an earlier one failed:
+# failures are recorded, listed at the end, and make the script exit 1.
+set -uo pipefail
 cd "$(dirname "$0")/.."
+
+FAILED=()
+# Runs one stage; a failure is recorded and verification continues.
+stage() {
+  local name="$1"
+  shift
+  if ! "$@"; then
+    echo "verify.sh: FAILED: ${name}" >&2
+    FAILED+=("${name}")
+  fi
+}
+# Runs a command inside a directory (bench binaries write their
+# BENCH_*.json artifacts to the working directory).
+in_dir() {
+  local dir="$1"
+  shift
+  (cd "${dir}" && "$@")
+}
 
 TSAN=OFF
 ASAN=OFF
@@ -39,12 +60,12 @@ for arg in "$@"; do
   esac
 done
 
-# Project invariant linter — always runs; a dirty tree fails verification
-# before anything is built. New findings either get fixed, waived in the
+# Project invariant linter — always runs; a dirty tree fails verification.
+# New findings either get fixed, waived in the
 # source with `// lint: <rule>-ok(reason)` / `// lint: no-charge(reason)`,
 # or blessed into scripts/lint_baseline.json with --update-baseline.
 if command -v python3 >/dev/null 2>&1; then
-  python3 scripts/bnash_lint.py
+  stage "lint" python3 scripts/bnash_lint.py
 else
   echo "verify.sh: python3 missing; skipping project linter" >&2
 fi
@@ -55,29 +76,22 @@ fi
 BENCH=ON
 if ! cmake -B build -S . -DBNASH_BUILD_BENCH=ON; then
   echo "verify.sh: bench configure failed; retrying with BNASH_BUILD_BENCH=OFF" >&2
-  cmake -B build -S . -DBNASH_BUILD_BENCH=OFF
+  stage "configure" cmake -B build -S . -DBNASH_BUILD_BENCH=OFF
   BENCH=OFF
 fi
-cmake --build build -j
+stage "build" cmake --build build -j
 # Per-test timeout: a deadlocked condition-variable wait or a runaway
 # sweep fails its one test instead of wedging the whole verification.
-(cd build && ctest --output-on-failure -j --timeout 300)
+stage "ctest" in_dir build ctest --output-on-failure -j --timeout 300
 
 if [[ "${BENCH}" == "ON" ]]; then
   # Acceptance tables (R-CS / R-BATCH / R-FRONTIER / R-INTRA / R-MAXKT,
   # R-SYM orbit blocks, E-PE / PE-SPARSE, E4 byzantine, and E5/E6
   # mediator blocks) + BENCH_*.json artifacts.
-  (cd build && ./bench_robustness --benchmark_min_time=0.05s)
-  (cd build && ./bench_payoff_engine --benchmark_min_time=0.05s)
-  (cd build && ./bench_solvers --benchmark_min_time=0.05s)
-  (cd build && ./bench_byzantine --benchmark_min_time=0.05s)
-  (cd build && ./bench_symmetry --benchmark_min_time=0.05s)
-  (cd build && ./bench_mediator --benchmark_min_time=0.05s)
-  (cd build && ./bench_scrip --benchmark_min_time=0.05s)
-  (cd build && ./bench_machine --benchmark_min_time=0.05s)
-  (cd build && ./bench_frpd --benchmark_min_time=0.05s)
-  (cd build && ./bench_awareness --benchmark_min_time=0.05s)
-  (cd build && ./bench_serve --benchmark_min_time=0.05s)
+  for bench_name in robustness payoff_engine solvers byzantine symmetry mediator \
+                    scrip machine frpd awareness serve; do
+    stage "bench_${bench_name}" in_dir build "./bench_${bench_name}" --benchmark_min_time=0.05s
+  done
   # Regression gates against the blessed baselines. Wall time gets a
   # deliberately loose threshold (machine-to-machine noise); the
   # deterministic counters get tight ones — sweep work (cells_visited /
@@ -93,7 +107,8 @@ if [[ "${BENCH}" == "ON" ]]; then
     for bench_name in robustness payoff_engine solvers byzantine symmetry mediator \
                       scrip machine frpd awareness serve; do
       if [[ -f "bench/baselines/BENCH_${bench_name}.json" ]]; then
-        python3 scripts/bench_diff.py "bench/baselines/BENCH_${bench_name}.json" \
+        stage "gate BENCH_${bench_name}" \
+          python3 scripts/bench_diff.py "bench/baselines/BENCH_${bench_name}.json" \
           "build/BENCH_${bench_name}.json" --gate real_time:150 \
           --gate cells_visited:5 --gate offsets_advanced:5 \
           --gate rounds:1 --gate messages:1 --gate payload_words:1 \
@@ -113,7 +128,7 @@ if [[ "${SELFTEST}" == "ON" ]]; then
   # checks that its generators plant the verdicts they claim and that a
   # wrong answer counts as a failed request.
   if command -v python3 >/dev/null 2>&1 && command -v cmake >/dev/null 2>&1; then
-    python3 servebench/run.py --selftest
+    stage "servebench selftest" python3 servebench/run.py --selftest
   else
     echo "verify.sh: python3 or cmake missing; skipping the servebench self-test" >&2
   fi
@@ -124,12 +139,12 @@ if [[ "${ANALYZE}" == "ON" ]]; then
   # see .clang-tidy). The toolchain image ships only g++, so a missing
   # clang-tidy skips with a notice instead of failing.
   if command -v clang-tidy >/dev/null 2>&1; then
-    cmake -B build-tidy -S . -DBNASH_BUILD_BENCH=OFF -DBNASH_BUILD_TESTS=OFF \
+    stage "tidy configure" cmake -B build-tidy -S . -DBNASH_BUILD_BENCH=OFF -DBNASH_BUILD_TESTS=OFF \
       -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
     # xargs -P0 would interleave diagnostics; the suites are small enough
     # that a serial pass stays cheap.
-    find src -name '*.cpp' -print0 |
-      xargs -0 -n1 clang-tidy -p build-tidy --warnings-as-errors='*'
+    stage "clang-tidy" bash -c "find src -name '*.cpp' -print0 |
+      xargs -0 -n1 clang-tidy -p build-tidy --warnings-as-errors='*'"
   else
     echo "verify.sh: clang-tidy not installed; skipping --analyze" >&2
   fi
@@ -141,20 +156,20 @@ if [[ "${AUDIT}" == "ON" ]]; then
   # suite replay with from-scratch cross-checks of the incremental sweep
   # state. Dedicated tree: the PUBLIC BNASH_AUDIT define must never mix
   # with tier-1 objects.
-  cmake -B build-audit -S . -DBNASH_BUILD_BENCH=OFF \
+  stage "audit configure" cmake -B build-audit -S . -DBNASH_BUILD_BENCH=OFF \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DBNASH_AUDIT=ON
-  cmake --build build-audit -j
-  (cd build-audit && ctest --output-on-failure -j --timeout 600)
+  stage "audit build" cmake --build build-audit -j
+  stage "audit ctest" in_dir build-audit ctest --output-on-failure -j --timeout 600
 fi
 
 if [[ "${ASAN}" == "ON" ]]; then
   # Address + UB sanitizers over the FULL suite in a dedicated tree.
-  cmake -B build-asan -S . -DBNASH_BUILD_BENCH=OFF \
+  stage "asan configure" cmake -B build-asan -S . -DBNASH_BUILD_BENCH=OFF \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -fno-sanitize-recover=all" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-  cmake --build build-asan -j
-  (cd build-asan && ctest --output-on-failure -j --timeout 600)
+  stage "asan build" cmake --build build-asan -j
+  stage "asan ctest" in_dir build-asan ctest --output-on-failure -j --timeout 600
 fi
 
 if [[ "${TSAN}" == "ON" ]]; then
@@ -163,10 +178,17 @@ if [[ "${TSAN}" == "ON" ]]; then
   # simulator, and the serving layer including the socket front and the
   # fault-schedule scenarios. Separate build tree so the instrumented
   # objects never mix with the tier-1 ones.
-  cmake -B build-tsan -S . -DBNASH_BUILD_BENCH=OFF \
+  stage "tsan configure" cmake -B build-tsan -S . -DBNASH_BUILD_BENCH=OFF \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-  cmake --build build-tsan -j
-  (cd build-tsan && ctest --output-on-failure -j --timeout 600)
+  stage "tsan build" cmake --build build-tsan -j
+  stage "tsan ctest" in_dir build-tsan ctest --output-on-failure -j --timeout 600
 fi
+
+if ((${#FAILED[@]} > 0)); then
+  echo "verify.sh: ${#FAILED[@]} stage(s) failed:" >&2
+  printf '  - %s\n' "${FAILED[@]}" >&2
+  exit 1
+fi
+echo "verify.sh: every stage passed"

@@ -543,14 +543,6 @@ std::optional<PureProfile> find_punishment_strategy(const NormalFormGame& game, 
     return std::move(found[winner / kBlock]);
 }
 
-void check_resume_position(std::uint64_t position, std::uint64_t end) {
-    if (position > end) {
-        throw std::invalid_argument(
-            "resume checkpoint position lies beyond the task space (stale or forged "
-            "checkpoint)");
-    }
-}
-
 void merge_frontier(FrontierVerdict& base, const FrontierVerdict& update) {
     if (base.max_k != update.max_k || base.max_t != update.max_t ||
         base.cells.size() != update.cells.size()) {

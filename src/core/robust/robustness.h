@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -143,16 +144,26 @@ struct FrontierVerdict final {
 // Compact resume state of a budgeted sweep, captured when an active
 // util::ExecutionGrant expires mid-run and handed back to a later retry,
 // which seek()s past everything already resolved: N budgeted retries
-// then cost ~one full sweep instead of N. The fields cover all three
-// resumable entry points (robustness_violation, the frontier, and the
-// max_kt walk) plus the orbit engine's size/pair-granular scans; unused
-// fields keep their defaults. Soundness rests on the enumeration orders
-// being fixed: tasks [0, immunity_next) / [0, next_task) were verified
-// clean by the earlier runs, so re-entering at those ranks reproduces
-// the unbudgeted run's verdicts and witnesses bit for bit. Cells already
-// resolved by earlier runs stay kUnknown in a resumed run's own grid —
-// their witnesses were delivered earlier — and merge_frontier reassembles
-// the full grid from the run sequence.
+// then cost ~one full sweep instead of N. The fields cover the three
+// resumable entry points of SweepDriver (robustness_violation, the
+// frontier, and the max_kt walk); unused fields keep their defaults.
+// Positions are ranks in the engine's task enumeration order:
+//   - dense CoalitionSweep: faulty-set ranks (phase a) and coalition
+//     ranks (phase b) in util::SubsetEnumerator's size-major order;
+//   - orbit OrbitSweep: faulty SIZES minus one (phase a) and
+//     (coalition size, faulty size) pair ranks, coalition-size-major
+//     (phase b).
+// Soundness rests on those orders being fixed: tasks [0, immunity_next) /
+// [0, next_task) were verified clean by the earlier runs, so re-entering
+// at those ranks reproduces the unbudgeted run's verdicts and witnesses
+// bit for bit. Cells already resolved by earlier runs stay kUnknown in a
+// resumed run's own grid — their witnesses were delivered earlier — and
+// merge_frontier reassembles the full grid from the run sequence.
+//
+// Checkpoints are untrusted input (they travel in client tokens). Every
+// entry point validates them in release builds and throws
+// InvalidCheckpoint for state it could not have written itself; an
+// in-range position, though, is still taken on trust.
 //
 // PROGRESS FLOOR: a run can only vouch for a task it completed with the
 // grant still live, so a budget below the immunity baseline plus one
@@ -166,21 +177,16 @@ struct SweepCheckpoint final {
     bool finished = false;
     // Phase (a): shared immunity sweep. When done, immunity_ok is the
     // exact boundary; otherwise immunity_next is the first unverified
-    // faulty-set rank (dense) or faulty size (orbit).
+    // immunity task.
     bool immunity_done = false;
     std::uint64_t immunity_next = 0;
     std::size_t immunity_ok = 0;
-    // Phase (b): first unverified coalition-task rank (dense), linearized
-    // (coalition size, faulty size) pair rank (orbit frontier), or the
-    // in-column rank of the max_kt walk's current step.
+    // Phase (b): first unverified resilience task (for the max_kt walk,
+    // within its current column).
     std::uint64_t next_task = 0;
     // Frontier: columns t <= t_res fully resolved by earlier runs (their
     // verdicts and witnesses were already delivered).
     std::vector<std::uint8_t> column_done;
-    // Orbit frontier: minimal violating (coalition size, faulty size)
-    // pairs found by earlier runs — they dominate the resumed pair scan
-    // exactly as re-found hits would, without carrying witnesses.
-    std::vector<std::pair<std::size_t, std::size_t>> hit_pairs;
     // max_kt walk: next column, its coalition-size budget, the per-column
     // results accumulated so far, and the resolution tally carried across
     // retries so the final result equals the unbudgeted walk's.
@@ -191,11 +197,13 @@ struct SweepCheckpoint final {
     friend bool operator==(const SweepCheckpoint&, const SweepCheckpoint&) = default;
 };
 
-// Resume positions are untrusted input (they travel in client tokens).
-// Throws std::invalid_argument when a checkpoint's `position` lies beyond
-// the `end` of the task space it seeks into — checked in every build, so
-// an out-of-range seek can never read as "every task verified".
-void check_resume_position(std::uint64_t position, std::uint64_t end);
+// Thrown for a resume checkpoint (or, by the serving layer, a resume
+// token) that is refused: a position beyond its task space, or any field
+// the entry point could not have written.
+class InvalidCheckpoint final : public std::invalid_argument {
+public:
+    using std::invalid_argument::invalid_argument;
+};
 
 // Streaming hook for batch_robustness_frontier: called as each t-column's
 // verdict becomes FINAL. `breaking_k` is the smallest broken k in the

@@ -57,17 +57,17 @@ public:
     explicit TokenReader(const std::string& text) : text_(text) {}
 
     [[nodiscard]] std::uint64_t next() {
-        if (pos_ >= text_.size()) throw std::invalid_argument("malformed resume token");
+        if (pos_ >= text_.size()) throw core::InvalidCheckpoint("malformed resume token");
         std::size_t end = text_.find('.', pos_);
         if (end == std::string::npos) end = text_.size();
-        if (end == pos_) throw std::invalid_argument("malformed resume token");
+        if (end == pos_) throw core::InvalidCheckpoint("malformed resume token");
         std::uint64_t value = 0;
         for (std::size_t i = pos_; i < end; ++i) {
             const char c = text_[i];
-            if (c < '0' || c > '9') throw std::invalid_argument("malformed resume token");
+            if (c < '0' || c > '9') throw core::InvalidCheckpoint("malformed resume token");
             const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
             if (value > (~std::uint64_t{0} - digit) / 10) {
-                throw std::invalid_argument("malformed resume token");
+                throw core::InvalidCheckpoint("malformed resume token");
             }
             value = value * 10 + digit;
         }
@@ -88,8 +88,13 @@ private:
 constexpr std::uint64_t kMaxTokenVector = 1ULL << 20;
 
 [[nodiscard]] std::size_t checked_length(std::uint64_t claimed) {
-    if (claimed > kMaxTokenVector) throw std::invalid_argument("malformed resume token");
+    if (claimed > kMaxTokenVector) throw core::InvalidCheckpoint("malformed resume token");
     return static_cast<std::size_t>(claimed);
+}
+
+// True when `error` refuses the resume token a request presented.
+[[nodiscard]] bool refuses_token(const std::string& presented, const std::exception& error) {
+    return !presented.empty() && dynamic_cast<const core::InvalidCheckpoint*>(&error) != nullptr;
 }
 
 }  // namespace
@@ -132,11 +137,6 @@ std::string RobustnessServer::encode_token(char kind, std::uint64_t request_hash
     append_field(out, checkpoint.next_task);
     append_field(out, checkpoint.column_done.size());
     for (const std::uint8_t done : checkpoint.column_done) append_field(out, done ? 1 : 0);
-    append_field(out, checkpoint.hit_pairs.size());
-    for (const auto& [sc, st] : checkpoint.hit_pairs) {
-        append_field(out, sc);
-        append_field(out, st);
-    }
     append_field(out, checkpoint.walk_t);
     append_field(out, checkpoint.walk_k_prev);
     append_field(out, checkpoint.walk_k_of_t.size());
@@ -148,16 +148,16 @@ std::string RobustnessServer::encode_token(char kind, std::uint64_t request_hash
 core::SweepCheckpoint RobustnessServer::decode_token(const std::string& token, char kind,
                                                      std::uint64_t request_hash) const {
     if (token.size() < 2 || token[0] != kind || token[1] != '.') {
-        throw std::invalid_argument("malformed resume token");
+        throw core::InvalidCheckpoint("malformed resume token");
     }
     const std::string fields = token.substr(2);
     TokenReader cursor(fields);
     const std::uint64_t generation = cursor.next();
     if (generation != token_generation_.load(std::memory_order_relaxed)) {
-        throw std::invalid_argument("resume token: stale generation");
+        throw core::InvalidCheckpoint("resume token: stale generation");
     }
     if (cursor.next() != request_hash) {
-        throw std::invalid_argument("resume token does not match request");
+        throw core::InvalidCheckpoint("resume token does not match request");
     }
     core::SweepCheckpoint checkpoint;
     checkpoint.finished = cursor.next() != 0;
@@ -169,17 +169,12 @@ core::SweepCheckpoint RobustnessServer::decode_token(const std::string& token, c
     for (std::uint8_t& done : checkpoint.column_done) {
         done = cursor.next() != 0 ? std::uint8_t{1} : std::uint8_t{0};
     }
-    checkpoint.hit_pairs.resize(checked_length(cursor.next()));
-    for (auto& [sc, st] : checkpoint.hit_pairs) {
-        sc = static_cast<std::size_t>(cursor.next());
-        st = static_cast<std::size_t>(cursor.next());
-    }
     checkpoint.walk_t = static_cast<std::size_t>(cursor.next());
     checkpoint.walk_k_prev = static_cast<std::size_t>(cursor.next());
     checkpoint.walk_k_of_t.resize(checked_length(cursor.next()));
     for (std::size_t& k : checkpoint.walk_k_of_t) k = static_cast<std::size_t>(cursor.next());
     checkpoint.walk_cells_resolved = cursor.next();
-    if (!cursor.exhausted()) throw std::invalid_argument("malformed resume token");
+    if (!cursor.exhausted()) throw core::InvalidCheckpoint("malformed resume token");
     return checkpoint;
 }
 
@@ -396,6 +391,9 @@ QueryResponse RobustnessServer::process(const QueryRequest& request,
             resolved_.fetch_add(1, std::memory_order_relaxed);
         }
     } catch (const std::exception& error) {
+        if (refuses_token(request.resume_token, error)) {
+            tokens_rejected_.fetch_add(1, std::memory_order_relaxed);
+        }
         if (leader) cache_.fail(key, std::current_exception());
         response.status = QueryStatus::kError;
         response.verdict = core::CellVerdict::kUnknown;
@@ -463,6 +461,9 @@ FrontierResponse RobustnessServer::frontier(const FrontierRequest& request,
             degraded_.fetch_add(1, std::memory_order_relaxed);
         }
     } catch (const std::exception& error) {
+        if (refuses_token(request.resume_token, error)) {
+            tokens_rejected_.fetch_add(1, std::memory_order_relaxed);
+        }
         response.status = QueryStatus::kError;
         response.resume_token.clear();
         response.error = error.what();
@@ -485,6 +486,7 @@ ServerStats RobustnessServer::stats() const {
     out.degraded = degraded_.load(std::memory_order_relaxed);
     out.errors = errors_.load(std::memory_order_relaxed);
     out.stampede_waits = stampede_waits_.load(std::memory_order_relaxed);
+    out.tokens_rejected = tokens_rejected_.load(std::memory_order_relaxed);
     const VerdictCache::Stats cache = cache_.stats();
     out.cache_hits = cache.hits;
     out.cache_misses = cache.misses;

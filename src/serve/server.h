@@ -154,6 +154,10 @@ struct ServerStats final {
     std::uint64_t cache_evictions = 0;
     std::uint64_t cache_promotions = 0;
     std::uint64_t stampede_waits = 0;
+    // Requests whose presented resume token was refused: undecodable,
+    // stale, minted for another request, or carrying a checkpoint the
+    // sweep rejects (core::InvalidCheckpoint). Each also counts in errors.
+    std::uint64_t tokens_rejected = 0;
 };
 
 class RobustnessServer final {
@@ -235,7 +239,7 @@ private:
     // kind, generation, request hash, then the SweepCheckpoint payload.
     [[nodiscard]] std::string encode_token(char kind, std::uint64_t request_hash,
                                            const core::SweepCheckpoint& checkpoint) const;
-    // Strict decode for user-presented tokens: throws std::invalid_argument
+    // Strict decode for user-presented tokens: throws core::InvalidCheckpoint
     // on malformed input, wrong kind, stale generation, or a hash that
     // does not match `request_hash`.
     [[nodiscard]] core::SweepCheckpoint decode_token(const std::string& token, char kind,
@@ -268,6 +272,7 @@ private:
     std::atomic<std::uint64_t> degraded_{0};
     std::atomic<std::uint64_t> errors_{0};
     std::atomic<std::uint64_t> stampede_waits_{0};
+    std::atomic<std::uint64_t> tokens_rejected_{0};
 };
 
 // Exact-request fingerprint (FNV-1a 64 over the request's defining

@@ -219,7 +219,8 @@ bool LineSession::handle_stats(const LineSink& emit) {
           << " errors=" << stats.errors << " cache_hits=" << stats.cache_hits
           << " cache_misses=" << stats.cache_misses
           << " cache_promotions=" << stats.cache_promotions
-          << " stampede_waits=" << stats.stampede_waits;
+          << " stampede_waits=" << stats.stampede_waits
+          << " tokens_rejected=" << stats.tokens_rejected;
     return emit(reply.str());
 }
 

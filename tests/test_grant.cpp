@@ -15,7 +15,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/robust/anonymous.h"
@@ -29,6 +31,7 @@
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/work_counters.h"
+#include "symmetric_corpus.h"
 
 namespace bnash {
 namespace {
@@ -577,94 +580,323 @@ TEST(GrantAccounting, ResumedChainCostsAboutOneSweep) {
         << "total=" << total_cost << " full=" << full_cost;
 }
 
+// Runs one budgeted retry chain: `leg(resume, next)` runs a leg under a
+// fresh budget (resume is nullptr on the first) and returns true once the
+// chain is done. Stuck legs grow their budget as above. Returns every
+// checkpoint a leg resumed from.
+template <typename Leg>
+std::vector<core::SweepCheckpoint> run_chain(std::uint64_t budget, const Leg& leg) {
+    std::vector<core::SweepCheckpoint> resumed;
+    core::SweepCheckpoint checkpoint;
+    std::uint64_t leg_budget = budget;
+    for (std::size_t legs = 0; legs < 512; ++legs) {
+        core::SweepCheckpoint next;
+        bool done = false;
+        (void)run_leg(leg_budget, [&] { done = leg(legs == 0 ? nullptr : &checkpoint, next); });
+        if (done) return resumed;
+        BNASH_GROW_IF_STUCK(leg_budget, !(next == checkpoint));
+        checkpoint = next;
+        resumed.push_back(checkpoint);
+    }
+    ADD_FAILURE() << "chain did not terminate";
+    return resumed;
+}
+
+// The three resumable entry points of a sweep, each driven to completion
+// by a budgeted chain.
+struct ChainEnds final {
+    std::optional<core::RobustnessViolation> cell;
+    FrontierVerdict grid;
+    MaxKtResult walk;
+    // Checkpoints the cell, frontier and walk chains resumed from.
+    std::vector<core::SweepCheckpoint> cell_resumes, grid_resumes, walk_resumes;
+};
+
+ChainEnds run_chains(const core::SweepDriver& sweep, std::size_t max_k, std::size_t max_t,
+                     GainCriterion criterion, SweepMode mode, std::uint64_t budget) {
+    ChainEnds ends;
+    const RobustnessOptions options{criterion, mode};
+    ends.cell_resumes = run_chain(budget, [&](const core::SweepCheckpoint* resume,
+                                              core::SweepCheckpoint& next) {
+        ends.cell = sweep.robustness_violation(max_k, max_t, options, resume, &next);
+        return ends.cell.has_value() || next.finished;
+    });
+    ends.grid_resumes = run_chain(budget, [&](const core::SweepCheckpoint* resume,
+                                              core::SweepCheckpoint& next) {
+        const FrontierVerdict part =
+            sweep.batch_robustness_frontier(max_k, max_t, criterion, mode, resume, &next);
+        if (resume == nullptr) {
+            ends.grid = part;
+        } else {
+            core::merge_frontier(ends.grid, part);
+        }
+        return next.finished;
+    });
+    ends.walk_resumes = run_chain(budget, [&](const core::SweepCheckpoint* resume,
+                                              core::SweepCheckpoint& next) {
+        ends.walk = sweep.max_kt(max_k, max_t, criterion, mode, resume, &next);
+        return ends.walk.complete;
+    });
+    return ends;
+}
+
 // The orbit engine's resume points (faulty-size / pair-rank / boundary
-// granular) satisfy the same contract on a symmetric game.
+// granular) satisfy the same contract: over the attack(6) game and a
+// seeded symmetric corpus — several class structures, both criteria,
+// serial and forced-split kAuto sweeps — every chain ends on the
+// unbudgeted orbit result, which in turn matches the dense verdicts cell
+// for cell (and the dense boundary walk field for field).
 TEST(GrantFuzz, OrbitResumeChainsMatchUnbudgetedRuns) {
-    const auto abg = core::AnonymousBinaryGame::attack(6);
-    const game::SymmetryGroup group = game::SymmetryGroup::single_class(6);
-    const core::OrbitSweep sweep(abg.quotient(), group, {0});
-    const std::size_t max_k = 4;
-    const std::size_t max_t = 2;
+    util::Rng rng(20261016);
+    const std::size_t kCorpus = 24;
+    for (std::size_t trial = 0; trial <= kCorpus; ++trial) {
+        // Trial 0 is the attack(6) game; the rest draw a symmetric game.
+        game::QuotientGame quotient;
+        game::SymmetryGroup group = game::SymmetryGroup::single_class(6);
+        std::vector<std::size_t> base_by_class{0};
+        std::size_t max_k = 4;
+        std::size_t max_t = 2;
+        GainCriterion criterion = GainCriterion::kAnyMemberGains;
+        SweepMode mode = SweepMode::kSerial;
+        bool force_split = false;
+        if (trial == 0) {
+            quotient = core::AnonymousBinaryGame::attack(6).quotient();
+        } else {
+            const std::size_t n = 4 + trial % 3;
+            std::vector<std::size_t> sizes;
+            group = core::random_group(rng, n, sizes);
+            std::vector<std::size_t> actions(sizes.size());
+            for (auto& a : actions) a = 2 + static_cast<std::size_t>(rng.next_int(0, 1));
+            quotient = core::random_quotient(rng, sizes, actions);
+            base_by_class.resize(sizes.size());
+            for (std::size_t c = 0; c < sizes.size(); ++c) {
+                base_by_class[c] = (trial + c) % actions[c];
+            }
+            max_k = 1 + trial % n;
+            max_t = trial % 3;
+            criterion = trial % 4 == 1 ? GainCriterion::kAllMembersGain
+                                       : GainCriterion::kAnyMemberGains;
+            mode = trial % 3 == 0 ? SweepMode::kSerial : SweepMode::kAuto;
+            force_split = mode == SweepMode::kAuto && trial % 2 == 1;
+        }
+        const std::string label = "trial=" + std::to_string(trial) +
+                                  " classes=" + std::to_string(group.num_classes()) +
+                                  (mode == SweepMode::kSerial ? " serial" : " auto") +
+                                  (force_split ? "+split" : "");
+        const NormalFormGame dense_game = core::expand_quotient(quotient, group);
+        PureProfile base(group.num_players());
+        for (std::size_t i = 0; i < base.size(); ++i) base[i] = base_by_class[group.class_of(i)];
+        const ExactMixedProfile profile = core::as_exact_profile(dense_game, base);
+        const core::OrbitSweep sweep(quotient, group, base_by_class);
+        const CoalitionSweep dense(dense_game, profile);
+        const RobustnessOptions options{criterion, mode};
+
+        if (force_split) {
+            CoalitionSweep::set_intra_split_cells(4);
+            CoalitionSweep::set_intra_block_cells(2);
+            CoalitionSweep::set_intra_split_force(true);
+        }
+        const auto full_cell = sweep.robustness_violation(max_k, max_t, options);
+        const FrontierVerdict full_grid =
+            sweep.batch_robustness_frontier(max_k, max_t, criterion, mode);
+        const MaxKtResult full_walk = sweep.max_kt(max_k, max_t, criterion, mode);
+        std::uint64_t full_cost = 0;
+        {
+            ExecutionGrant unlimited;
+            GrantScope scope(&unlimited);
+            (void)sweep.batch_robustness_frontier(max_k, max_t, criterion, mode);
+            full_cost = unlimited.charged();
+        }
+        for (const std::uint64_t budget :
+             {std::uint64_t{1}, std::max<std::uint64_t>(full_cost / 4, 1),
+              std::max<std::uint64_t>(full_cost / 9, 1)}) {
+            const ChainEnds ends = run_chains(sweep, max_k, max_t, criterion, mode, budget);
+            const std::string leg_label = label + " budget=" + std::to_string(budget);
+            ASSERT_EQ(ends.cell.has_value(), full_cell.has_value()) << leg_label;
+            if (ends.cell) EXPECT_TRUE(*ends.cell == *full_cell) << leg_label;
+            EXPECT_TRUE(ends.grid == full_grid) << leg_label << " orbit grid differs";
+            EXPECT_TRUE(ends.walk == full_walk) << leg_label << " orbit walk differs";
+        }
+        if (force_split) {
+            CoalitionSweep::set_intra_split_force(false);
+            CoalitionSweep::set_intra_block_cells(CoalitionSweep::kIntraBlock);
+            CoalitionSweep::set_intra_split_adaptive();
+        }
+
+        // The orbit results carry the dense verdicts.
+        EXPECT_EQ(full_cell.has_value(),
+                  dense.robustness_violation(max_k, max_t, options).has_value())
+            << label;
+        const FrontierVerdict dense_grid =
+            dense.batch_robustness_frontier(max_k, max_t, criterion, mode);
+        for (std::size_t k = 0; k <= max_k; ++k) {
+            for (std::size_t t = 0; t <= max_t; ++t) {
+                EXPECT_EQ(full_grid.verdict(k, t), dense_grid.verdict(k, t))
+                    << label << " cell (" << k << "," << t << ")";
+            }
+        }
+        EXPECT_TRUE(full_walk == dense.max_kt(max_k, max_t, criterion, mode)) << label;
+        if (HasFatalFailure()) return;
+    }
+}
+
+enum class Entry { kCell, kFrontier, kWalk };
+
+// Every variant of checkpoint `c` that its entry point could not have
+// written: each must be refused.
+std::vector<std::pair<std::string, core::SweepCheckpoint>> invalid_variants(
+    const core::SweepCheckpoint& c, Entry entry, std::size_t max_k, std::size_t max_t) {
+    std::vector<std::pair<std::string, core::SweepCheckpoint>> out;
+    const auto add = [&](const char* what, const auto& mutate) {
+        core::SweepCheckpoint variant = c;
+        mutate(variant);
+        out.emplace_back(what, std::move(variant));
+    };
+    using Checkpoint = core::SweepCheckpoint;
+    constexpr std::uint64_t kFar = std::uint64_t{1} << 40;
+    add("immunity_ok beyond max_t", [&](Checkpoint& v) { v.immunity_ok = max_t + 1; });
+    if (!c.immunity_done) {
+        add("immunity_next beyond the task space", [&](Checkpoint& v) { v.immunity_next = kFar; });
+        add("next_task before immunity is done", [](Checkpoint& v) { v.next_task = 1; });
+        add("column_done before immunity is done", [](Checkpoint& v) { v.column_done = {0}; });
+        add("walk state before immunity is done", [&](Checkpoint& v) {
+            v.walk_t = 1;
+            v.walk_k_of_t = {max_k};
+            v.walk_k_prev = max_k;
+        });
+        add("walk_cells_resolved before immunity is done",
+            [](Checkpoint& v) { v.walk_cells_resolved = 1; });
+        return out;
+    }
+    add("next_task beyond the task space", [&](Checkpoint& v) { v.next_task = kFar; });
+    if (c.next_task != 0 || !c.column_done.empty() || c.walk_t != 0) {
+        add("phase-(b) state with immunity not done", [](Checkpoint& v) {
+            v.immunity_done = false;
+            v.immunity_next = 1;
+        });
+    }
+    if (entry != Entry::kFrontier) {
+        add("column_done on a non-frontier checkpoint", [](Checkpoint& v) { v.column_done = {0}; });
+    }
+    if (entry != Entry::kWalk) {
+        add("walk state on a non-walk checkpoint",
+            [](Checkpoint& v) { v.walk_cells_resolved = 1; });
+    }
+    if (entry == Entry::kFrontier) {
+        add("column_done lengthened", [](Checkpoint& v) { v.column_done.push_back(0); });
+        add("column_done shortened", [](Checkpoint& v) { v.column_done.pop_back(); });
+    }
+    if (entry == Entry::kWalk) {
+        add("walk_k_of_t longer than walk_t",
+            [](Checkpoint& v) { v.walk_k_of_t.push_back(v.walk_k_prev); });
+        add("walk_t past walk_k_of_t", [](Checkpoint& v) { ++v.walk_t; });
+        add("walk_k_prev off the last column", [](Checkpoint& v) { ++v.walk_k_prev; });
+        add("walk_k_of_t above max_k", [&](Checkpoint& v) {
+            v.walk_t = 1;
+            v.walk_k_of_t = {max_k + 1};
+            v.walk_k_prev = max_k + 1;
+        });
+        if (c.walk_t >= 1) {
+            add("walk_k_of_t increasing", [](Checkpoint& v) {
+                v.walk_k_of_t.push_back(v.walk_k_prev + 1);
+                ++v.walk_t;
+                ++v.walk_k_prev;
+            });
+        }
+        add("walk_t beyond immunity_ok", [](Checkpoint& v) {
+            v.walk_t = v.immunity_ok + 1;
+            v.walk_k_of_t.resize(v.walk_t, v.walk_k_prev);
+        });
+        add("walk_cells_resolved beyond the grid", [&](Checkpoint& v) {
+            v.walk_cells_resolved = (max_k + 1) * (max_t + 1) + 1;
+        });
+    }
+    return out;
+}
+
+// Resume checkpoints are untrusted input. Perturbing a field of a real
+// mid-chain checkpoint into state its entry point could not have written
+// must throw core::InvalidCheckpoint — on both engines, for all three
+// resumable entry points — while the untouched chains still end on the
+// unbudgeted results. (An in-range lie, such as a next_task the earlier
+// runs never reached, still needs authenticated tokens to catch.)
+TEST(GrantFuzz, PerturbedCheckpointFieldsAreRejected) {
+    // All-zero payoffs: robust everywhere, so every chain runs through
+    // both phases and every walk column.
+    const NormalFormGame zero_game(std::vector<std::size_t>(4, 3));
+    const ExactMixedProfile zero_profile = core::as_exact_profile(zero_game, PureProfile(4, 0));
+    const CoalitionSweep dense(zero_game, zero_profile);
+    util::Rng rng(77);
+    std::vector<std::size_t> sizes;
+    const game::SymmetryGroup group = core::random_group(rng, 6, sizes);
+    game::QuotientGame quotient =
+        core::random_quotient(rng, sizes, std::vector<std::size_t>(sizes.size(), 2));
+    for (auto& row : quotient.payoff) std::fill(row.begin(), row.end(), util::Rational{0});
+    const core::OrbitSweep orbit(quotient, group, std::vector<std::size_t>(sizes.size(), 0));
+
     const GainCriterion criterion = GainCriterion::kAnyMemberGains;
     const SweepMode mode = SweepMode::kSerial;
-    const RobustnessOptions options{criterion, mode};
-
-    const auto full_cell = sweep.robustness_violation(max_k, max_t, options);
-    const FrontierVerdict full_grid =
-        sweep.batch_robustness_frontier(max_k, max_t, criterion, mode);
-    const MaxKtResult full_walk = sweep.max_kt(max_k, max_t, criterion, mode);
-    std::uint64_t full_cost = 0;
-    {
-        ExecutionGrant unlimited;
-        GrantScope scope(&unlimited);
-        (void)sweep.batch_robustness_frontier(max_k, max_t, criterion, mode);
-        full_cost = unlimited.charged();
-    }
-
-    for (const std::uint64_t budget : {std::uint64_t{1},
-                                       std::max<std::uint64_t>(full_cost / 4, 1)}) {
-        const std::string label = "budget=" + std::to_string(budget);
-        {
-            core::SweepCheckpoint checkpoint;
-            std::optional<core::RobustnessViolation> hit;
-            std::uint64_t leg_budget = budget;
-            std::size_t legs = 0;
-            for (; legs < 512; ++legs) {
-                core::SweepCheckpoint next;
-                (void)run_leg(leg_budget, [&] {
-                    hit = sweep.robustness_violation(max_k, max_t, options,
-                                                     legs == 0 ? nullptr : &checkpoint, &next);
-                });
-                if (hit || next.finished) break;
-                BNASH_GROW_IF_STUCK(leg_budget, !(next == checkpoint));
-                checkpoint = next;
+    for (const bool use_orbit : {false, true}) {
+        const core::SweepDriver& sweep =
+            use_orbit ? static_cast<const core::SweepDriver&>(orbit) : dense;
+        const std::size_t max_k = use_orbit ? 3 : 2;
+        const std::size_t max_t = 2;
+        const RobustnessOptions options{criterion, mode};
+        const std::string engine = use_orbit ? "orbit" : "dense";
+        const auto resume = [&](Entry entry, const core::SweepCheckpoint& checkpoint) {
+            core::SweepCheckpoint next;
+            switch (entry) {
+                case Entry::kCell:
+                    (void)sweep.robustness_violation(max_k, max_t, options, &checkpoint, &next);
+                    break;
+                case Entry::kFrontier:
+                    (void)sweep.batch_robustness_frontier(max_k, max_t, criterion, mode,
+                                                          &checkpoint, &next);
+                    break;
+                case Entry::kWalk:
+                    (void)sweep.max_kt(max_k, max_t, criterion, mode, &checkpoint, &next);
+                    break;
             }
-            ASSERT_LT(legs, 512u) << label;
-            ASSERT_EQ(hit.has_value(), full_cell.has_value()) << label;
-            if (hit) EXPECT_TRUE(*hit == *full_cell) << label;
-        }
+        };
+        const FrontierVerdict full_grid = sweep.batch_robustness_frontier(max_k, max_t);
+        const MaxKtResult full_walk = sweep.max_kt(max_k, max_t);
+        std::uint64_t full_cost = 0;
         {
-            core::SweepCheckpoint checkpoint;
-            FrontierVerdict assembled;
-            std::uint64_t leg_budget = budget;
-            std::size_t legs = 0;
-            for (; legs < 512; ++legs) {
-                core::SweepCheckpoint next;
-                FrontierVerdict part;
-                (void)run_leg(leg_budget, [&] {
-                    part = sweep.batch_robustness_frontier(
-                        max_k, max_t, criterion, mode, legs == 0 ? nullptr : &checkpoint,
-                        &next);
-                });
-                if (legs == 0) {
-                    assembled = part;
-                } else {
-                    core::merge_frontier(assembled, part);
+            ExecutionGrant unlimited;
+            GrantScope scope(&unlimited);
+            (void)sweep.batch_robustness_frontier(max_k, max_t, criterion, mode);
+            full_cost = unlimited.charged();
+        }
+        std::set<std::string> rejected;
+        for (const std::uint64_t budget :
+             {std::uint64_t{1}, std::max<std::uint64_t>(full_cost / 5, 1)}) {
+            const ChainEnds ends = run_chains(sweep, max_k, max_t, criterion, mode, budget);
+            EXPECT_FALSE(ends.cell.has_value()) << engine;
+            EXPECT_TRUE(ends.grid == full_grid) << engine << " grid differs";
+            EXPECT_TRUE(ends.walk == full_walk) << engine << " walk differs";
+            for (const auto& [entry, resumes] :
+                 {std::pair{Entry::kCell, &ends.cell_resumes},
+                  std::pair{Entry::kFrontier, &ends.grid_resumes},
+                  std::pair{Entry::kWalk, &ends.walk_resumes}}) {
+                for (const core::SweepCheckpoint& checkpoint : *resumes) {
+                    for (const auto& [what, variant] :
+                         invalid_variants(checkpoint, entry, max_k, max_t)) {
+                        EXPECT_THROW(resume(entry, variant), core::InvalidCheckpoint)
+                            << engine << ": " << what;
+                        rejected.insert(what);
+                    }
                 }
-                if (next.finished) break;
-                BNASH_GROW_IF_STUCK(leg_budget, !(next == checkpoint));
-                checkpoint = next;
             }
-            ASSERT_LT(legs, 512u) << label;
-            EXPECT_TRUE(assembled == full_grid) << label << " orbit grid differs";
         }
-        {
-            core::SweepCheckpoint checkpoint;
-            MaxKtResult walk;
-            std::uint64_t leg_budget = budget;
-            std::size_t legs = 0;
-            for (; legs < 512; ++legs) {
-                core::SweepCheckpoint next;
-                (void)run_leg(leg_budget, [&] {
-                    walk = sweep.max_kt(max_k, max_t, criterion, mode,
-                                        legs == 0 ? nullptr : &checkpoint, &next);
-                });
-                if (walk.complete) break;
-                BNASH_GROW_IF_STUCK(leg_budget, !(next == checkpoint));
-                checkpoint = next;
-            }
-            ASSERT_LT(legs, 512u) << label;
-            EXPECT_TRUE(walk == full_walk) << label << " orbit walk differs";
+        // Both phases of every entry point were perturbed.
+        for (const char* what :
+             {"immunity_next beyond the task space", "next_task before immunity is done",
+              "phase-(b) state with immunity not done", "column_done lengthened",
+              "column_done shortened", "walk_k_of_t longer than walk_t",
+              "walk_k_of_t increasing", "walk_t beyond immunity_ok",
+              "walk_cells_resolved beyond the grid", "column_done on a non-frontier checkpoint",
+              "walk state on a non-walk checkpoint"}) {
+            EXPECT_TRUE(rejected.count(what) == 1) << engine << " never exercised: " << what;
         }
     }
 }

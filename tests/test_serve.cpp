@@ -1051,6 +1051,7 @@ TEST(ServerResume, StaleGenerationAndGarbageTokensAreRejected) {
     const QueryResponse stale = server.query(request);
     EXPECT_EQ(stale.status, QueryStatus::kError);
     EXPECT_NE(stale.error.find("stale"), std::string::npos);
+    EXPECT_EQ(server.stats().tokens_rejected, 1u);
 
     for (const char* garbage :
          {"zzz", "c.0", "c.0.1.not-a-number", "f.0.1.2.3",
@@ -1059,9 +1060,16 @@ TEST(ServerResume, StaleGenerationAndGarbageTokensAreRejected) {
         const QueryResponse rejected = server.query(request);
         EXPECT_EQ(rejected.status, QueryStatus::kError) << garbage;
     }
+    EXPECT_EQ(server.stats().tokens_rejected, 6u);
     // A rejected token leaves no cache debris: the clean query resolves.
     request.resume_token.clear();
     EXPECT_EQ(server.query(request).status, QueryStatus::kResolved);
+    // A bad request without a token is an error, not a refused token.
+    QueryRequest misshapen = pd_request(0);
+    misshapen.profile.pop_back();
+    EXPECT_EQ(server.query(misshapen).status, QueryStatus::kError);
+    EXPECT_EQ(server.stats().tokens_rejected, 6u);
+    EXPECT_EQ(server.stats().errors, 7u);
 }
 
 // Regression for a cache-poisoning forgery. The fingerprint a token binds
@@ -1078,10 +1086,12 @@ TEST(ServerResume, OutOfRangeForgedTokenErrorsAndPoisonsNothing) {
     QueryRequest forged = pd_request(0);
     const std::uint64_t fingerprint = request_fingerprint(
         forged.game, forged.profile, forged.k, forged.t, forged.criterion, forged.mode);
-    forged.resume_token = "c.0." + std::to_string(fingerprint) + ".0.1.0.0.999999.0.0.0.0.0.0";
+    forged.resume_token = "c.0." + std::to_string(fingerprint) + ".0.1.0.0.999999.0.0.0.0.0";
     const QueryResponse rejected = server.query(forged);
     EXPECT_EQ(rejected.status, QueryStatus::kError);
     EXPECT_EQ(rejected.verdict, CellVerdict::kUnknown);
+    EXPECT_NE(rejected.error.find("beyond the task space"), std::string::npos);
+    EXPECT_EQ(server.stats().tokens_rejected, 1u);
 
     const QueryResponse honest = server.query(pd_request(0));
     EXPECT_EQ(honest.status, QueryStatus::kResolved);
@@ -1097,8 +1107,9 @@ TEST(ServerResume, OutOfRangeForgedTokenErrorsAndPoisonsNothing) {
     const std::uint64_t grid_fingerprint = request_fingerprint(
         grid.game, grid.profile, grid.max_k, grid.max_t, grid.criterion, grid.mode);
     grid.resume_token =
-        "f.0." + std::to_string(grid_fingerprint) + ".0.1.0.0.999999.1.0.0.0.0.0.0";
+        "f.0." + std::to_string(grid_fingerprint) + ".0.1.0.0.999999.1.0.0.0.0.0";
     EXPECT_EQ(server.frontier(grid).status, QueryStatus::kError);
+    EXPECT_EQ(server.stats().tokens_rejected, 2u);
 }
 
 // ------------------------------------------------- promotion, end to end
@@ -1273,7 +1284,7 @@ TEST(ServerResume, StarvedTokensMatchGoldenBytes) {
     ask.budget_cells = 200;
     const QueryResponse degraded = server.query(ask);
     ASSERT_EQ(degraded.status, QueryStatus::kDegraded);
-    EXPECT_EQ(degraded.resume_token, "c.0.11474610264568175207.0.1.0.0.8.0.0.0.0.0.0");
+    EXPECT_EQ(degraded.resume_token, "c.0.11474610264568175207.0.1.0.0.8.0.0.0.0.0");
     ask.budget_cells = util::ExecutionGrant::kUnlimited;
     ask.resume_token = degraded.resume_token;
     const QueryResponse resumed = server.query(ask);
@@ -1286,7 +1297,7 @@ TEST(ServerResume, StarvedTokensMatchGoldenBytes) {
     grid.budget_cells = 200;
     const FrontierResponse partial = server.frontier(grid);
     ASSERT_EQ(partial.status, QueryStatus::kDegraded);
-    EXPECT_EQ(partial.resume_token, "f.0.4224598482035055556.0.1.15.2.2.3.0.0.0.0.0.0.0.0");
+    EXPECT_EQ(partial.resume_token, "f.0.4224598482035055556.0.1.15.2.2.3.0.0.0.0.0.0.0");
     grid.budget_cells = util::ExecutionGrant::kUnlimited;
     grid.resume_token = partial.resume_token;
     const FrontierResponse rest = server.frontier(grid);
@@ -1294,6 +1305,38 @@ TEST(ServerResume, StarvedTokensMatchGoldenBytes) {
     core::FrontierVerdict assembled = partial.frontier;
     core::merge_frontier(assembled, rest.frontier);
     EXPECT_EQ(assembled, full.frontier);
+}
+
+// A frontier token is validated field by field, not only by its
+// positions: a real starved token whose column_done list has been
+// lengthened by one column is refused (kError) and counted.
+TEST(ServerResume, LengthenedColumnDoneTokenIsRejected) {
+    RobustnessServer server;
+    FrontierRequest grid = frontier_request(2, 2);
+    grid.budget_cells = 200;
+    const FrontierResponse partial = server.frontier(grid);
+    ASSERT_EQ(partial.status, QueryStatus::kDegraded);
+    // Fields: kind, generation, fingerprint, finished, immunity_done,
+    // immunity_next, immunity_ok, next_task, then the column_done count.
+    std::vector<std::string> fields;
+    std::istringstream split(partial.resume_token);
+    for (std::string field; std::getline(split, field, '.');) fields.push_back(field);
+    ASSERT_GT(fields.size(), 9u);
+    fields[8] = std::to_string(std::stoull(fields[8]) + 1);
+    fields.insert(fields.begin() + 9, "0");
+    std::string lengthened = fields[0];
+    for (std::size_t i = 1; i < fields.size(); ++i) lengthened += "." + fields[i];
+
+    grid.budget_cells = util::ExecutionGrant::kUnlimited;
+    grid.resume_token = lengthened;
+    const FrontierResponse rejected = server.frontier(grid);
+    EXPECT_EQ(rejected.status, QueryStatus::kError);
+    EXPECT_NE(rejected.error.find("column_done"), std::string::npos) << rejected.error;
+    EXPECT_EQ(server.stats().tokens_rejected, 1u);
+    // The genuine token still resumes.
+    grid.resume_token = partial.resume_token;
+    EXPECT_EQ(server.frontier(grid).status, QueryStatus::kResolved);
+    EXPECT_EQ(server.stats().tokens_rejected, 1u);
 }
 
 // ------------------------------------------------------------- text front
@@ -1394,6 +1437,18 @@ TEST(TextFront, ResumeCommandChainsDegradedAsks) {
     std::ostringstream out2;
     run_text_front(retry, out2, server);
     EXPECT_NE(out2.str().find("status=resolved"), std::string::npos) << out2.str();
+
+    // A refused token is an error reply, and the stats line counts it.
+    std::istringstream forged(
+        "game 2 2 2\n"
+        "payoffs 3 3 -5 5 5 -5 -3 -3\n"
+        "profile 1 1\n"
+        "resume c.0.1\n"
+        "ask 2 1\n"
+        "stats\n");
+    std::ostringstream out3;
+    run_text_front(forged, out3, server);
+    EXPECT_NE(out3.str().find("tokens_rejected=1"), std::string::npos) << out3.str();
 }
 
 TEST(TextFront, FrontierStreamsColumnsAndTerminates) {
