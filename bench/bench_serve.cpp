@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bench_json.h"
@@ -15,7 +16,9 @@
 #include "game/catalog.h"
 #include "serve/canonical.h"
 #include "serve/server.h"
+#include "serve/text_front.h"
 #include "util/rational.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -300,6 +303,45 @@ void bench_canonical_key_mixed(benchmark::State& state) {
     }
 }
 BENCHMARK(bench_canonical_key_mixed)->Arg(6)->Unit(benchmark::kMicrosecond);
+
+// The line-protocol upload on its own: `game`, `payoffs` and `profile`
+// for an n-player, 3-action game through LineSession::handle_line, the
+// parse every uploaded request pays before any game theory. Every other
+// player's payoffs are quarters, so half the tokens take the "a/b" form.
+void bench_serve_upload(benchmark::State& state) {
+    const auto players = static_cast<std::size_t>(state.range(0));
+    const game::NormalFormGame shape(std::vector<std::size_t>(players, 3));
+    const std::size_t entries = shape.payoffs_flat().size();
+    util::Rng rng(15);
+    std::string game_line = "game " + std::to_string(players);
+    std::string payoffs_line = "payoffs";
+    std::string profile_line = "profile";
+    for (std::size_t player = 0; player < players; ++player) {
+        game_line += " 3";
+        profile_line += " 0";
+    }
+    for (std::size_t i = 0; i < entries; ++i) {
+        const std::int64_t den = (i % players) % 2 == 0 ? 1 : 4;
+        (payoffs_line += ' ') += util::Rational(rng.next_int(-99, 99), den).to_string();
+    }
+
+    serve::RobustnessServer server;
+    serve::LineSession session(server);
+    std::uint64_t refused = 0;
+    const serve::LineSession::LineSink sink = [&refused](const std::string& reply) {
+        if (reply != "ok") ++refused;
+        return true;
+    };
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(session.handle_line(game_line, sink));
+        benchmark::DoNotOptimize(session.handle_line(payoffs_line, sink));
+        benchmark::DoNotOptimize(session.handle_line(profile_line, sink));
+    }
+    if (refused > 0) state.SkipWithError("upload refused");
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * (game_line.size() + payoffs_line.size() + profile_line.size())));
+}
+BENCHMARK(bench_serve_upload)->Arg(6)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

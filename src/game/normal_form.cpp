@@ -107,6 +107,16 @@ void NormalFormGame::set_payoffs(const PureProfile& profile,
     }
 }
 
+void NormalFormGame::assign_payoffs(std::vector<util::Rational> values) {
+    if (values.size() != payoffs_.size()) {
+        throw std::invalid_argument("assign_payoffs: expected " +
+                                    std::to_string(payoffs_.size()) + " values, got " +
+                                    std::to_string(values.size()));
+    }
+    payoffs_ = std::move(values);
+    for (std::size_t i = 0; i < payoffs_.size(); ++i) payoffs_d_[i] = payoffs_[i].to_double();
+}
+
 const util::Rational& NormalFormGame::payoff(const PureProfile& profile,
                                              std::size_t player) const {
     return payoffs_[profile_rank(profile) * num_players() + player];

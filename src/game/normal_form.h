@@ -59,6 +59,11 @@ public:
 
     void set_payoff(const PureProfile& profile, std::size_t player, util::Rational value);
     void set_payoffs(const PureProfile& profile, const std::vector<util::Rational>& values);
+    // Replaces the whole tensor in one step. `values` is in the flat order
+    // [rank * num_players + player] and must hold exactly num_profiles *
+    // num_players entries; on a size mismatch it throws and the game is
+    // left unchanged.
+    void assign_payoffs(std::vector<util::Rational> values);
 
     [[nodiscard]] const util::Rational& payoff(const PureProfile& profile,
                                                std::size_t player) const;

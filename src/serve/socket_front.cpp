@@ -109,9 +109,8 @@ void serve_connection(int fd, std::uint64_t conn_index, RobustnessServer& server
         std::size_t start = 0;
         for (std::size_t newline = buffer.find('\n', start); newline != std::string::npos;
              newline = buffer.find('\n', start)) {
-            std::string line = buffer.substr(start, newline - start);
-            if (!line.empty() && line.back() == '\r') line.pop_back();
-            pending.push_back(std::move(line));
+            // A trailing '\r' (CRLF) is a token separator to the session.
+            pending.push_back(buffer.substr(start, newline - start));
             start = newline + 1;
         }
         buffer.erase(0, start);

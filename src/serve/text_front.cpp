@@ -1,5 +1,6 @@
 #include "serve/text_front.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <istream>
@@ -7,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -16,35 +18,62 @@ namespace bnash::serve {
 
 namespace {
 
-[[nodiscard]] std::int64_t parse_int(const std::string& token) {
-    std::size_t consumed = 0;
-    std::int64_t value = 0;
-    // std::stoll's own exceptions carry useless messages ("stoll") and an
-    // out-of-range 200-digit token must read as a protocol error, not a
-    // crash — both are rewrapped with the offending token.
-    try {
-        value = std::stoll(token, &consumed);
-    } catch (const std::out_of_range&) {
-        throw std::invalid_argument("integer out of range: '" + token + "'");
-    } catch (const std::invalid_argument&) {
-        throw std::invalid_argument("expected an integer, got '" + token + "'");
+// Upload cap: a `game` whose tensor (num_profiles * num_players payoff
+// entries) would exceed this is refused before anything is allocated.
+constexpr std::uint64_t kMaxGamePayoffs = std::uint64_t{1} << 22;
+
+// Token-buffer capacity kept between lines: enough for a 6-player
+// 3-action `payoffs` line (4374 tokens) without regrowing.
+constexpr std::size_t kKeptTokenCapacity = 8192;
+
+// The classic-locale whitespace set: ' ' and '\t' '\n' '\v' '\f' '\r'.
+[[nodiscard]] constexpr bool is_separator(char c) noexcept {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+[[nodiscard]] std::string quoted(std::string_view token) {
+    std::string out;
+    out.reserve(token.size() + 2);
+    ((out += '\'') += token) += '\'';
+    return out;
+}
+
+// An optional '+' or '-', then base-10 digits that fit in int64 — the
+// grammar std::stoll accepted, with its messages.
+[[nodiscard]] std::int64_t parse_int(std::string_view token) {
+    std::string_view digits = token;
+    // from_chars takes a '-' but not a '+'; a '+' may not precede a '-'.
+    if (digits.starts_with('+')) {
+        digits.remove_prefix(1);
+        if (digits.starts_with('-')) digits = {};
     }
-    if (consumed != token.size()) throw std::invalid_argument("trailing junk in '" + token + "'");
+    std::int64_t value = 0;
+    const char* const end = digits.data() + digits.size();
+    const auto [stop, error] = std::from_chars(digits.data(), end, value);
+    if (error == std::errc::result_out_of_range) {
+        throw std::invalid_argument("integer out of range: " + quoted(token));
+    }
+    if (error != std::errc{}) {
+        throw std::invalid_argument("expected an integer, got " + quoted(token));
+    }
+    if (stop != end) throw std::invalid_argument("trailing junk in " + quoted(token));
     return value;
 }
 
-[[nodiscard]] std::size_t parse_size(const std::string& token) {
+[[nodiscard]] std::size_t parse_size(std::string_view token) {
     const std::int64_t value = parse_int(token);
-    if (value < 0) throw std::invalid_argument("expected a non-negative integer, got " + token);
+    if (value < 0) {
+        throw std::invalid_argument("expected a non-negative integer, got " + std::string(token));
+    }
     return static_cast<std::size_t>(value);
 }
 
-[[nodiscard]] util::Rational parse_rational(const std::string& token) {
+[[nodiscard]] util::Rational parse_rational(std::string_view token) {
     const std::size_t slash = token.find('/');
-    if (slash == std::string::npos) return util::Rational(parse_int(token));
+    if (slash == std::string_view::npos) return util::Rational(parse_int(token));
     const std::int64_t num = parse_int(token.substr(0, slash));
     const std::int64_t den = parse_int(token.substr(slash + 1));
-    if (den == 0) throw std::invalid_argument("rational '" + token + "': zero denominator");
+    if (den == 0) throw std::invalid_argument("rational " + quoted(token) + ": zero denominator");
     return util::Rational(num, den);
 }
 
@@ -55,30 +84,43 @@ game::NormalFormGame& LineSession::require_game() {
     return *game_;
 }
 
-void LineSession::handle_game(const std::vector<std::string>& args) {
+void LineSession::handle_game(Args args) {
     if (args.empty()) throw std::invalid_argument("usage: game <n> <c_0> ... <c_{n-1}>");
     const std::size_t num_players = parse_size(args[0]);
     if (num_players == 0 || args.size() != num_players + 1) {
         throw std::invalid_argument("game: expected " + std::to_string(num_players) +
                                     " action counts");
     }
+    // The tensor size is checked before anything is allocated, one factor
+    // at a time so that the product never overflows.
+    std::uint64_t entries = num_players;
+    bool over_cap = entries > kMaxGamePayoffs;
     std::vector<std::size_t> counts;
     counts.reserve(num_players);
-    for (std::size_t i = 1; i < args.size(); ++i) {
-        const std::size_t count = parse_size(args[i]);
+    for (const std::string_view token : args.subspan(1)) {
+        const std::size_t count = parse_size(token);
         if (count == 0) throw std::invalid_argument("game: zero action count");
+        over_cap = over_cap || count > kMaxGamePayoffs / entries;
+        if (!over_cap) entries *= count;
         counts.push_back(count);
     }
-    game_.emplace(std::move(counts));
-    // Default candidate: everyone plays action 0, until overwritten.
-    profile_.assign(num_players, {});
-    for (std::size_t player = 0; player < num_players; ++player) {
-        profile_[player].assign(game_->num_actions(player), util::Rational(0));
-        profile_[player][0] = util::Rational(1);
+    if (over_cap) {
+        throw std::invalid_argument("game: payoff tensor exceeds upload cap of " +
+                                    std::to_string(kMaxGamePayoffs) + " entries");
     }
+    // Built aside, so that a throw leaves the previous game in place.
+    game::NormalFormGame declared(std::move(counts));
+    // Default candidate: everyone plays action 0, until overwritten.
+    game::ExactMixedProfile candidate(num_players);
+    for (std::size_t player = 0; player < num_players; ++player) {
+        candidate[player].assign(declared.num_actions(player), util::Rational(0));
+        candidate[player][0] = util::Rational(1);
+    }
+    game_ = std::move(declared);
+    profile_ = std::move(candidate);
 }
 
-void LineSession::handle_payoffs(const std::vector<std::string>& args) {
+void LineSession::handle_payoffs(Args args) {
     game::NormalFormGame& game = require_game();
     const std::size_t expected =
         static_cast<std::size_t>(game.num_profiles()) * game.num_players();
@@ -86,32 +128,34 @@ void LineSession::handle_payoffs(const std::vector<std::string>& args) {
         throw std::invalid_argument("payoffs: expected " + std::to_string(expected) +
                                     " values, got " + std::to_string(args.size()));
     }
-    std::size_t next = 0;
-    for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
-        const game::PureProfile profile = game.profile_unrank(rank);
-        for (std::size_t player = 0; player < game.num_players(); ++player) {
-            game.set_payoff(profile, player, parse_rational(args[next++]));
-        }
-    }
+    // The wire order is the flat tensor order, so the values are staged
+    // front to back and committed only once every token has parsed.
+    std::vector<util::Rational> values;
+    values.reserve(expected);
+    for (const std::string_view token : args) values.push_back(parse_rational(token));
+    game.assign_payoffs(std::move(values));
 }
 
-void LineSession::handle_profile(const std::vector<std::string>& args) {
+void LineSession::handle_profile(Args args) {
     game::NormalFormGame& game = require_game();
     if (args.size() != game.num_players()) {
         throw std::invalid_argument("profile: expected one action per player");
     }
+    std::vector<std::size_t> actions(args.size());
     for (std::size_t player = 0; player < game.num_players(); ++player) {
-        const std::size_t action = parse_size(args[player]);
-        if (action >= game.num_actions(player)) {
+        actions[player] = parse_size(args[player]);
+        if (actions[player] >= game.num_actions(player)) {
             throw std::invalid_argument("profile: action out of range for player " +
                                         std::to_string(player));
         }
+    }
+    for (std::size_t player = 0; player < game.num_players(); ++player) {
         profile_[player].assign(game.num_actions(player), util::Rational(0));
-        profile_[player][action] = util::Rational(1);
+        profile_[player][actions[player]] = util::Rational(1);
     }
 }
 
-void LineSession::handle_mixed(const std::vector<std::string>& args) {
+void LineSession::handle_mixed(Args args) {
     game::NormalFormGame& game = require_game();
     if (args.empty()) throw std::invalid_argument("usage: mixed <player> <p_0> ...");
     const std::size_t player = parse_size(args[0]);
@@ -123,25 +167,25 @@ void LineSession::handle_mixed(const std::vector<std::string>& args) {
     }
     game::ExactMixedStrategy strategy;
     strategy.reserve(args.size() - 1);
-    for (std::size_t i = 1; i < args.size(); ++i) strategy.push_back(parse_rational(args[i]));
+    for (const std::string_view token : args.subspan(1)) strategy.push_back(parse_rational(token));
     if (!game::is_exact_distribution(strategy)) {
         throw std::invalid_argument("mixed: probabilities must be >= 0 and sum to 1");
     }
     profile_[player] = std::move(strategy);
 }
 
-void LineSession::handle_mode(const std::vector<std::string>& args) {
+void LineSession::handle_mode(Args args) {
     if (args.size() != 1) throw std::invalid_argument("usage: mode <auto|serial>");
     if (args[0] == "auto") {
         mode_ = game::SweepMode::kAuto;
     } else if (args[0] == "serial") {
         mode_ = game::SweepMode::kSerial;
     } else {
-        throw std::invalid_argument("mode: expected 'auto' or 'serial', got '" + args[0] + "'");
+        throw std::invalid_argument("mode: expected 'auto' or 'serial', got " + quoted(args[0]));
     }
 }
 
-bool LineSession::handle_ask(const std::vector<std::string>& args, const LineSink& emit) {
+bool LineSession::handle_ask(Args args, const LineSink& emit) {
     game::NormalFormGame& game = require_game();
     if (args.size() < 2 || args.size() > 4) {
         throw std::invalid_argument("usage: ask <k> <t> [budget_cells] [deadline_ms]");
@@ -170,7 +214,7 @@ bool LineSession::handle_ask(const std::vector<std::string>& args, const LineSin
     return emit(reply.str());
 }
 
-bool LineSession::handle_frontier(const std::vector<std::string>& args, const LineSink& emit) {
+bool LineSession::handle_frontier(Args args, const LineSink& emit) {
     game::NormalFormGame& game = require_game();
     if (args.size() < 2 || args.size() > 4) {
         throw std::invalid_argument("usage: frontier <max_k> <max_t> [budget_cells] [deadline_ms]");
@@ -224,12 +268,28 @@ bool LineSession::handle_stats(const LineSink& emit) {
     return emit(reply.str());
 }
 
-bool LineSession::handle_line(const std::string& line, const LineSink& emit) {
-    std::istringstream tokens(line);
-    std::string command;
-    if (!(tokens >> command) || command[0] == '#') return true;
-    std::vector<std::string> args;
-    for (std::string token; tokens >> token;) args.push_back(std::move(token));
+bool LineSession::handle_line(std::string_view line, const LineSink& emit) {
+    tokens_.clear();
+    for (std::size_t at = 0; at < line.size();) {
+        if (is_separator(line[at])) {
+            ++at;
+            continue;
+        }
+        const std::size_t begin = at;
+        while (at < line.size() && !is_separator(line[at])) ++at;
+        tokens_.push_back(line.substr(begin, at - begin));
+    }
+    const bool keep = dispatch(emit);
+    // A very long line (a large `payoffs` upload) does not pin its token
+    // buffer for the rest of the session.
+    if (tokens_.capacity() > kKeptTokenCapacity) std::vector<std::string_view>().swap(tokens_);
+    return keep;
+}
+
+bool LineSession::dispatch(const LineSink& emit) {
+    if (tokens_.empty() || tokens_[0].starts_with('#')) return true;
+    const std::string_view command = tokens_[0];
+    const Args args = Args(tokens_).subspan(1);
     try {
         if (command == "game") {
             handle_game(args);
@@ -265,7 +325,7 @@ bool LineSession::handle_line(const std::string& line, const LineSink& emit) {
         if (command == "frontier") return handle_frontier(args, emit);
         if (command == "stats") return handle_stats(emit);
         if (command == "quit") return false;
-        throw std::invalid_argument("unknown command '" + command + "'");
+        throw std::invalid_argument("unknown command " + quoted(command));
     } catch (const std::exception& error) {
         return emit(std::string("error: ") + error.what());
     }

@@ -24,6 +24,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -32,6 +33,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -1468,6 +1470,248 @@ TEST(TextFront, FrontierStreamsColumnsAndTerminates) {
     EXPECT_NE(text.find("cols=2"), std::string::npos) << text;
 }
 
+// Drives one LineSession directly and returns each command's replies.
+class ScriptedSession final {
+public:
+    explicit ScriptedSession(RobustnessServer& server) : session_(server) {}
+
+    std::vector<std::string> send(std::string_view line) {
+        std::vector<std::string> replies;
+        (void)session_.handle_line(line, [&replies](const std::string& reply) {
+            replies.push_back(reply);
+            return true;
+        });
+        return replies;
+    }
+    // The reply of a one-line command ("" when it did not answer exactly once).
+    std::string reply(std::string_view line) {
+        std::vector<std::string> replies = send(line);
+        return replies.size() == 1 ? replies[0] : std::string();
+    }
+    [[nodiscard]] const LineSession& session() const noexcept { return session_; }
+
+private:
+    LineSession session_;
+};
+
+// A `payoffs` line with a bad token must not leave the tokens before it
+// committed: the re-ask still sees the first tensor, where (0,0) of this
+// prisoner's dilemma is broken. Committing 9 9 0 5 5 0 1 would make it
+// robust.
+const char* kRejectedPayoffsScript[] = {
+    "game 2 2 2",       "payoffs 3 3 0 5 5 0 1 1",     "profile 0 0",
+    "ask 1 0",          "payoffs 9 9 0 5 5 0 1 1/0",   "ask 1 0"};
+
+TEST(TextFront, RejectedPayoffsLeaveTheGameUnchanged) {
+    RobustnessServer server;
+    std::string script;
+    for (const char* line : kRejectedPayoffsScript) (script += line) += '\n';
+    std::istringstream in(script);
+    std::ostringstream out;
+    EXPECT_EQ(run_text_front(in, out, server), 2u);
+    std::vector<std::string> lines;
+    std::istringstream replies(out.str());
+    for (std::string line; std::getline(replies, line);) lines.push_back(line);
+    ASSERT_EQ(lines.size(), 6u) << out.str();
+    EXPECT_EQ(lines[3].rfind("verdict=broken status=resolved", 0), 0u) << lines[3];
+    EXPECT_NE(lines[4].find("error: rational '1/0': zero denominator"), std::string::npos)
+        << lines[4];
+    EXPECT_EQ(lines[5].rfind("verdict=broken status=resolved", 0), 0u) << lines[5];
+
+    // The tensor itself, exact and double, is untouched by a refused line
+    // whatever the position of the bad token.
+    ScriptedSession session(server);
+    ASSERT_EQ(session.reply("game 2 2 2"), "ok");
+    ASSERT_EQ(session.reply("payoffs 3 3 0 5 5 0 1 1"), "ok");
+    ASSERT_NE(session.session().game(), nullptr);
+    const NormalFormGame before = *session.session().game();
+    for (const char* bad : {"payoffs x 9 0 5 5 0 1 1", "payoffs 9 9 0 5 x 0 1 1",
+                            "payoffs 9 9 0 5 5 0 1 99999999999999999999"}) {
+        EXPECT_EQ(session.reply(bad).rfind("error: ", 0), 0u) << bad;
+        EXPECT_EQ(session.session().game()->payoffs_flat(), before.payoffs_flat()) << bad;
+        EXPECT_EQ(session.session().game()->payoffs_d_flat(), before.payoffs_d_flat()) << bad;
+    }
+}
+
+// Likewise `profile`: an out-of-range action for a later player must not
+// leave the earlier players' actions switched. (1,1) is robust here; the
+// half-written (0,1) would be broken.
+TEST(TextFront, RejectedProfileLeavesTheCandidateUnchanged) {
+    RobustnessServer server;
+    ScriptedSession session(server);
+    ASSERT_EQ(session.reply("game 2 2 2"), "ok");
+    ASSERT_EQ(session.reply("payoffs 3 3 0 5 5 0 1 1"), "ok");
+    ASSERT_EQ(session.reply("profile 1 1"), "ok");
+    EXPECT_EQ(session.reply("ask 1 0").rfind("verdict=robust status=resolved", 0), 0u);
+    EXPECT_EQ(session.reply("profile 0 9"), "error: profile: action out of range for player 1");
+    EXPECT_EQ(session.reply("ask 1 0").rfind("verdict=robust status=resolved", 0), 0u);
+}
+
+TEST(TextFront, UploadCapRefusesOversizedGamesAndKeepsTheSession) {
+    RobustnessServer server;
+    ScriptedSession session(server);
+    ASSERT_EQ(session.reply("game 2 2 2"), "ok");
+    ASSERT_EQ(session.reply("payoffs 3 3 0 5 5 0 1 1"), "ok");
+    ASSERT_EQ(session.reply("profile 0 0"), "ok");
+    // 30 players x 2^30 profiles: refused before anything is allocated.
+    std::string huge = "game 30";
+    for (int i = 0; i < 30; ++i) huge += " 2";
+    EXPECT_EQ(session.reply(huge),
+              "error: game: payoff tensor exceeds upload cap of 4194304 entries");
+    // A product that overflows 64 bits is refused the same way.
+    EXPECT_EQ(session.reply("game 3 4294967296 4294967296 4294967296"),
+              "error: game: payoff tensor exceeds upload cap of 4194304 entries");
+    // The previous game and candidate are intact.
+    ASSERT_NE(session.session().game(), nullptr);
+    EXPECT_EQ(session.session().game()->action_counts(), (std::vector<std::size_t>{2, 2}));
+    EXPECT_EQ(session.reply("ask 1 0").rfind("verdict=broken status=resolved", 0), 0u);
+
+    // The cap counts num_profiles * num_players entries: one entry over
+    // it is refused, whether the excess comes from profiles or players.
+    EXPECT_EQ(session.reply("game 1 4194305"),
+              "error: game: payoff tensor exceeds upload cap of 4194304 entries");
+    EXPECT_EQ(session.reply("game 2 2097153 1"),
+              "error: game: payoff tensor exceeds upload cap of 4194304 entries");
+    EXPECT_EQ(session.session().game()->action_counts(), (std::vector<std::size_t>{2, 2}));
+}
+
+// The token grammar std::stoll gave the parser, pinned token by token:
+// each accepted token with its value, each rejected one with its message.
+TEST(TextFront, NumberGrammarMatchesLegacyParser) {
+    struct Accepted final {
+        std::string_view token;
+        Rational value;
+    };
+    const Accepted accepted[] = {
+        {"3", Rational(3)},
+        {"+3", Rational(3)},
+        {"-3", Rational(-3)},
+        {"007", Rational(7)},
+        {"+3/+4", Rational(3, 4)},
+        {"-0", Rational(0)},
+        {"-9223372036854775808", Rational(std::numeric_limits<std::int64_t>::min())},
+        {"9223372036854775807", Rational(std::numeric_limits<std::int64_t>::max())},
+        {"3/-6", Rational(-1, 2)},
+        {"-6/-4", Rational(3, 2)},
+        {"0/5", Rational(0)},
+    };
+    struct Rejected final {
+        std::string_view token;
+        std::string_view error;
+    };
+    const Rejected rejected[] = {
+        {"3/", "expected an integer, got ''"},
+        {"/3", "expected an integer, got ''"},
+        {"1/2/3", "trailing junk in '2/3'"},
+        {"++3", "expected an integer, got '++3'"},
+        {"+-3", "expected an integer, got '+-3'"},
+        {"-+3", "expected an integer, got '-+3'"},
+        {"+", "expected an integer, got '+'"},
+        {"-", "expected an integer, got '-'"},
+        {"x", "expected an integer, got 'x'"},
+        {"3x", "trailing junk in '3x'"},
+        {"1.5", "trailing junk in '1.5'"},
+        {"0x10", "trailing junk in '0x10'"},
+        {"9223372036854775808", "integer out of range: '9223372036854775808'"},
+        {"-9223372036854775809", "integer out of range: '-9223372036854775809'"},
+        {"1/0", "rational '1/0': zero denominator"},
+        {"-9223372036854775808/-1", "Rational overflow"},
+    };
+
+    RobustnessServer server;
+    ScriptedSession session(server);
+    ASSERT_EQ(session.reply("game 1 1"), "ok");
+    for (const Accepted& one : accepted) {
+        EXPECT_EQ(session.reply("payoffs " + std::string(one.token)), "ok") << one.token;
+        EXPECT_EQ(session.session().game()->payoff_at(0, 0), one.value) << one.token;
+        EXPECT_EQ(session.session().game()->payoff_d_at(0, 0), one.value.to_double())
+            << one.token;
+    }
+    ASSERT_EQ(session.reply("payoffs 5"), "ok");
+    for (const Rejected& one : rejected) {
+        const std::string reply = session.reply("payoffs " + std::string(one.token));
+        EXPECT_EQ(reply.rfind("error: ", 0), 0u) << one.token << " -> " << reply;
+        EXPECT_NE(reply.find(one.error), std::string::npos) << one.token << " -> " << reply;
+        EXPECT_EQ(session.session().game()->payoff_at(0, 0), Rational(5)) << one.token;
+    }
+    // Integer arguments share the grammar: a '+' sign and "-0" are sizes.
+    EXPECT_NE(session.reply("ask +1 -0").find("status=resolved"), std::string::npos);
+    EXPECT_EQ(session.reply("ask 1 -1"),
+              "error: expected a non-negative integer, got -1");
+
+    // Tab, \v, \f and \r separate tokens anywhere on the line.
+    EXPECT_EQ(session.reply("payoffs\t6"), "ok");
+    EXPECT_EQ(session.session().game()->payoff_at(0, 0), Rational(6));
+    EXPECT_EQ(session.reply("\v payoffs\f\f7/2\r"), "ok");
+    EXPECT_EQ(session.session().game()->payoff_at(0, 0), Rational(7, 2));
+    EXPECT_TRUE(session.send(" \t\r").empty());         // blank: no reply
+    EXPECT_TRUE(session.send("\t# comment").empty());  // comment: no reply
+
+    // CRLF lines on the stdin front.
+    std::istringstream in(
+        "game\t2 2 2\r\n"
+        "payoffs 3 3 -5 5 5 -5 -3 -3\r\n"
+        "profile 1 1\r\n"
+        "ask 1 0\r\n");
+    std::ostringstream out;
+    EXPECT_EQ(run_text_front(in, out, server), 1u);
+    EXPECT_EQ(out.str().rfind("ok\nok\nok\nverdict=robust status=resolved", 0), 0u) << out.str();
+}
+
+// The `payoffs` line as clients render it (Rational::to_string in flat
+// tensor order) reproduces the source tensor exactly, doubles included.
+TEST(TextFront, PayoffsLineRoundTripsRandomGames) {
+    util::Rng rng(15);
+    RobustnessServer server;
+    for (int trial = 0; trial < 50; ++trial) {
+        std::vector<std::size_t> counts(2 + rng.next_below(5));
+        for (std::size_t& count : counts) count = 2 + rng.next_below(2);
+        NormalFormGame source = NormalFormGame::random(counts, rng);
+        if (trial % 2 == 1) {
+            // Per-player fractional rescale, so tokens carry "a/b" forms.
+            for (std::size_t player = 0; player < counts.size(); ++player) {
+                const Rational scale(rng.next_int(1, 7), rng.next_int(1, 9));
+                const Rational shift(rng.next_int(-5, 5), rng.next_int(1, 6));
+                for (std::uint64_t rank = 0; rank < source.num_profiles(); ++rank) {
+                    source.set_payoff(source.profile_unrank(rank), player,
+                                      source.payoff_at(rank, player) * scale + shift);
+                }
+            }
+        }
+        std::string header = "game " + std::to_string(counts.size());
+        for (const std::size_t count : counts) (header += ' ') += std::to_string(count);
+        std::string payoffs = "payoffs";
+        for (const Rational& value : source.payoffs_flat()) (payoffs += ' ') += value.to_string();
+
+        ScriptedSession session(server);
+        ASSERT_EQ(session.reply(header), "ok") << header;
+        ASSERT_EQ(session.reply(payoffs), "ok") << "trial " << trial;
+        const NormalFormGame& uploaded = *session.session().game();
+        EXPECT_EQ(uploaded.action_counts(), source.action_counts()) << "trial " << trial;
+        EXPECT_EQ(uploaded.payoffs_flat(), source.payoffs_flat()) << "trial " << trial;
+        EXPECT_EQ(uploaded.payoffs_d_flat(), source.payoffs_d_flat()) << "trial " << trial;
+    }
+}
+
+// A 7-player, 3-action upload (15309 payoff tokens) outgrows the token
+// buffer a session keeps between lines; the lines after it still parse.
+TEST(TextFront, SessionKeepsWorkingAfterAVeryLongLine) {
+    util::Rng rng(7);
+    const NormalFormGame source = NormalFormGame::random(std::vector<std::size_t>(7, 3), rng);
+    std::string payoffs = "payoffs";
+    for (const Rational& value : source.payoffs_flat()) (payoffs += ' ') += value.to_string();
+
+    RobustnessServer server;
+    ScriptedSession session(server);
+    ASSERT_EQ(session.reply("game 7 3 3 3 3 3 3 3"), "ok");
+    ASSERT_EQ(session.reply(payoffs), "ok");
+    EXPECT_EQ(session.session().game()->payoffs_flat(), source.payoffs_flat());
+    ASSERT_EQ(session.reply("game 2 2 2"), "ok");
+    ASSERT_EQ(session.reply("payoffs 3 3 0 5 5 0 1 1"), "ok");
+    ASSERT_EQ(session.reply("profile 0 0"), "ok");
+    EXPECT_EQ(session.reply("ask 1 0").rfind("verdict=broken status=resolved", 0), 0u);
+}
+
 // ------------------------------------------------------------ socket front
 
 // Runs the TCP front on a background thread; joins (and surfaces the
@@ -1716,6 +1960,45 @@ TEST(SocketFront, OverCapacityConnectionsAreTurnedAway) {
     EXPECT_FALSE(second.read_line(std::chrono::seconds(5)).has_value());
     harness.stop();
     EXPECT_EQ(harness.stats().rejected, 1u);
+}
+
+TEST(SocketFront, RejectedPayoffsLeaveTheGameUnchanged) {
+    RobustnessServer server;
+    SocketHarness harness(server);
+    TestClient client(harness.port());
+    ASSERT_TRUE(client.connected());
+    std::vector<std::string> replies;
+    for (const char* line : kRejectedPayoffsScript) {
+        ASSERT_TRUE(client.send_line(line));
+        const auto reply = client.read_line();
+        ASSERT_TRUE(reply.has_value()) << line;
+        replies.push_back(*reply);
+    }
+    EXPECT_EQ(replies[3].rfind("verdict=broken status=resolved", 0), 0u) << replies[3];
+    EXPECT_NE(replies[4].find("error: rational '1/0': zero denominator"), std::string::npos)
+        << replies[4];
+    EXPECT_EQ(replies[5].rfind("verdict=broken status=resolved", 0), 0u) << replies[5];
+}
+
+TEST(SocketFront, UploadCapRefusesOversizedGamesAndKeepsTheSession) {
+    RobustnessServer server;
+    SocketHarness harness(server);
+    TestClient client(harness.port());
+    ASSERT_TRUE(client.connected());
+    setup_pd(client);
+
+    std::string huge = "game 30";
+    for (int i = 0; i < 30; ++i) huge += " 2";
+    ASSERT_TRUE(client.send_line(huge));
+    auto reply = client.read_line();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(*reply, "error: game: payoff tensor exceeds upload cap of 4194304 entries");
+
+    // The connection and its prisoner's dilemma both survived.
+    ASSERT_TRUE(client.send_line("ask 1 0"));
+    reply = client.read_line();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->rfind("verdict=robust status=resolved", 0), 0u) << *reply;
 }
 
 }  // namespace
