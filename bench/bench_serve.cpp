@@ -278,7 +278,10 @@ void bench_serve_resume(benchmark::State& state) {
 BENCHMARK(bench_serve_resume)->Unit(benchmark::kMillisecond);
 
 // Canonicalization on its own (a pure candidate: the ordinal path): the
-// fixed per-request cost every cached answer still pays.
+// fixed per-request cost every cached answer still pays. This is the WARM
+// row: one game object serves every iteration, so its ordinal ranks are
+// built once and every later key reads them (a rank-cache hit, like a
+// repeat ask on one upload).
 void bench_canonical_key(benchmark::State& state) {
     const auto players = static_cast<std::size_t>(state.range(0));
     const game::NormalFormGame game = game::catalog::attack_coordination_game(players);
@@ -290,6 +293,23 @@ void bench_canonical_key(benchmark::State& state) {
     }
 }
 BENCHMARK(bench_canonical_key)->Arg(4)->Arg(6)->Unit(benchmark::kMicrosecond);
+
+// The COLD row: every iteration re-assigns the payoffs, as a fresh upload
+// does, so every key pays the rank build. The time includes that
+// assign_payoffs (one tensor copy plus its double mirror).
+void bench_canonical_key_cold(benchmark::State& state) {
+    const auto players = static_cast<std::size_t>(state.range(0));
+    game::NormalFormGame game = game::catalog::attack_coordination_game(players);
+    const std::vector<util::Rational> payoffs = game.payoffs_flat();
+    const game::ExactMixedProfile profile =
+        core::as_exact_profile(game, game::PureProfile(players, 1));
+    for (auto _ : state) {
+        game.assign_payoffs(payoffs);
+        benchmark::DoNotOptimize(
+            serve::canonical_key(game, profile, 2, 1, core::GainCriterion::kAnyMemberGains));
+    }
+}
+BENCHMARK(bench_canonical_key_cold)->Arg(4)->Arg(6)->Unit(benchmark::kMicrosecond);
 
 // The same game with every player mixing half-half: the affine path.
 void bench_canonical_key_mixed(benchmark::State& state) {

@@ -118,12 +118,20 @@ std::uint64_t max_scan_cells(const GameView& view, std::size_t width) {
     return total;
 }
 
+// Pure-candidate scans compare ordinal ranks (NormalFormGame::
+// ordinal_ranks), read like payoffs: ranks[row + view.parent_player(p)]
+// for view player p. Every check compares two cells of one player, where ranks
+// order exactly like the Rationals, so verdicts, witness cells and work
+// counters are those of the exact compare; a witness then reads its two
+// exact payoffs once.
 std::optional<RobustnessViolation> intra_resilience_scan(
-    const GameView& view, const PureProfile& candidate, std::uint64_t base_row,
-    const std::vector<std::size_t>& coalition, const std::vector<std::size_t>& faulty,
+    const GameView& view, const std::uint32_t* ranks, const PureProfile& candidate,
+    std::uint64_t base_row, const std::vector<std::size_t>& coalition, const std::vector<std::size_t>& faulty,
     GainCriterion criterion, std::uint64_t total) {
     const std::size_t fw = faulty.size();
     const std::size_t width = coalition.size();
+    std::vector<std::size_t> cols(width);
+    for (std::size_t idx = 0; idx < width; ++idx) cols[idx] = view.parent_player(coalition[idx]);
     // Combined walker prototype: every scanned player rebased to its
     // candidate action (copied and seek()ed per block).
     util::OffsetWalker proto;
@@ -156,25 +164,16 @@ std::optional<RobustnessViolation> intra_resilience_scan(
             const auto& column = view.cell_offsets(coalition[idx]);
             ref_row += column[candidate[coalition[idx]]] - column[tuple[fw + idx]];
         }
-        std::vector<const Rational*> reference(width);
-        for (std::size_t idx = 0; idx < width; ++idx) {
-            reference[idx] = &view.payoff_from(ref_row, coalition[idx]);
-        }
+        std::vector<std::uint32_t> reference(width);
+        for (std::size_t idx = 0; idx < width; ++idx) reference[idx] = ranks[ref_row + cols[idx]];
         for (std::uint64_t rank = lo; rank < hi; ++rank) {
             ++scanned;
             bool any_gain = false;
             bool all_gain = true;
-            std::size_t witness = coalition[0];
-            const Rational* witness_before = nullptr;
-            const Rational* witness_after = nullptr;
+            std::size_t witness = 0;
             for (std::size_t idx = 0; idx < width; ++idx) {
-                const Rational& after = view.payoff_from(walker.row(), coalition[idx]);
-                if (after > *reference[idx]) {
-                    if (!any_gain) {
-                        witness = coalition[idx];
-                        witness_before = reference[idx];
-                        witness_after = &after;
-                    }
+                if (ranks[walker.row() + cols[idx]] > reference[idx]) {
+                    if (!any_gain) witness = idx;
                     any_gain = true;
                 } else {
                     all_gain = false;
@@ -190,8 +189,9 @@ std::optional<RobustnessViolation> intra_resilience_scan(
                         coalition, faulty,
                         PureProfile(tuple.begin() + static_cast<std::ptrdiff_t>(fw), tuple.end()),
                         PureProfile(tuple.begin(), tuple.begin() + static_cast<std::ptrdiff_t>(fw)),
-                        witness, witness_before ? witness_before->to_double() : 0.0,
-                        witness_after ? witness_after->to_double() : 0.0}};
+                        coalition[witness],
+                        view.payoff_from(ref_row, coalition[witness]).to_double(),
+                        view.payoff_from(walker.row(), coalition[witness]).to_double()}};
                 break;
             }
             if (rank + 1 < hi) {
@@ -202,7 +202,7 @@ std::optional<RobustnessViolation> intra_resilience_scan(
                     // constant away.
                     ref_row = walker.row() - coalition_zero_delta;
                     for (std::size_t idx = 0; idx < width; ++idx) {
-                        reference[idx] = &view.payoff_from(ref_row, coalition[idx]);
+                        reference[idx] = ranks[ref_row + cols[idx]];
                     }
                 }
                 // Ranks above an established winner can never win.
@@ -223,9 +223,9 @@ std::optional<RobustnessViolation> intra_resilience_scan(
 }
 
 std::optional<RobustnessViolation> intra_immunity_scan(
-    const GameView& view, const PureProfile& candidate, std::uint64_t base_row,
-    const std::vector<std::size_t>& faulty, const std::vector<std::size_t>& outsiders,
-    const std::vector<Rational>& baseline, std::uint64_t total) {
+    const GameView& view, const std::uint32_t* ranks, const PureProfile& candidate,
+    std::uint64_t base_row, const std::vector<std::size_t>& faulty,
+    const std::vector<std::size_t>& outsiders, std::uint64_t total) {
     util::OffsetWalker proto;
     proto.reserve(faulty.size());
     std::uint64_t rebase = base_row;
@@ -233,6 +233,12 @@ std::optional<RobustnessViolation> intra_immunity_scan(
         const auto& column = view.cell_offsets(p);
         proto.add_digit(column.data(), column.size());
         rebase -= column[candidate[p]];
+    }
+    std::vector<std::size_t> cols(outsiders.size());
+    std::vector<std::uint32_t> baseline(outsiders.size());
+    for (std::size_t j = 0; j < outsiders.size(); ++j) {
+        cols[j] = view.parent_player(outsiders[j]);
+        baseline[j] = ranks[base_row + cols[j]];
     }
     const auto scan_block = [&](std::uint64_t lo, std::uint64_t hi,
                                 const std::atomic<std::uint64_t>& best) {
@@ -242,12 +248,13 @@ std::optional<RobustnessViolation> intra_immunity_scan(
         walker.seek(lo, rebase);
         for (std::uint64_t rank = lo; rank < hi && !hit; ++rank) {
             ++scanned;
-            for (const std::size_t i : outsiders) {
-                const Rational& after = view.payoff_from(walker.row(), i);
-                if (after < baseline[i]) {
-                    hit = RankHit{rank, RobustnessViolation{{}, faulty, {}, walker.tuple(), i,
-                                                            baseline[i].to_double(),
-                                                            after.to_double()}};
+            for (std::size_t j = 0; j < outsiders.size(); ++j) {
+                if (ranks[walker.row() + cols[j]] < baseline[j]) {
+                    const std::size_t i = outsiders[j];
+                    hit = RankHit{rank, RobustnessViolation{
+                                            {}, faulty, {}, walker.tuple(), i,
+                                            view.payoff_from(base_row, i).to_double(),
+                                            view.payoff_from(walker.row(), i).to_double()}};
                     break;
                 }
             }
@@ -332,6 +339,7 @@ CoalitionSweep::CoalitionSweep(GameView view, const ExactMixedProfile& profile)
     : view_(std::move(view)), profile_(&profile), pure_(as_pure_profile(profile)) {
     if (pure_) {
         base_row_ = view_.row_offset(*pure_);
+        ranks_ = view_.parent().ordinal_ranks().data();
     } else {
         // One plan per sweep: every sparse coalition scan walks it.
         support_ = game::build_support_plan(view_, profile);
@@ -658,8 +666,13 @@ std::optional<RobustnessViolation> CoalitionSweep::immunity_task(
     std::uint64_t total = 1;
     for (const std::size_t p : faulty) total *= view_.num_actions(p);
     if (should_split_intra(mode, total, split_cells)) {
-        return intra_immunity_scan(view_, *pure_, base_row_, faulty, outsiders, baseline,
-                                   total);
+        return intra_immunity_scan(view_, ranks_, *pure_, base_row_, faulty, outsiders, total);
+    }
+    std::vector<std::size_t> cols(outsiders.size());
+    std::vector<std::uint32_t> baseline_ranks(outsiders.size());
+    for (std::size_t j = 0; j < outsiders.size(); ++j) {
+        cols[j] = view_.parent_player(outsiders[j]);
+        baseline_ranks[j] = ranks_[base_row_ + cols[j]];
     }
     JointScan scan;
     scan.init(view_, *pure_, faulty);
@@ -676,17 +689,17 @@ std::optional<RobustnessViolation> CoalitionSweep::immunity_task(
     };
     do {
         ++cells;
-        for (const std::size_t i : outsiders) {
-            const Rational& after = view_.payoff_from(scan.row(), i);
-            if (after < baseline[i]) {
+        for (std::size_t j = 0; j < outsiders.size(); ++j) {
+            if (ranks_[scan.row() + cols[j]] < baseline_ranks[j]) {
+                const std::size_t i = outsiders[j];
                 flush();
                 return RobustnessViolation{{},
                                            faulty,
                                            {},
                                            scan.tuple(),
                                            i,
-                                           baseline[i].to_double(),
-                                           after.to_double()};
+                                           view_.payoff_from(base_row_, i).to_double(),
+                                           view_.payoff_from(scan.row(), i).to_double()};
             }
         }
         if (grant != nullptr && (cells % kGrantCheckCells) == 0) {
@@ -721,7 +734,9 @@ std::optional<RobustnessViolation> CoalitionSweep::resilience_task(
         // Both scans and the reference row are reused across faulty sets:
         // the inner loops allocate nothing.
         JointScan faulty_scan;
-        std::vector<const Rational*> reference(width);
+        std::vector<std::size_t> cols(width);
+        for (std::size_t idx = 0; idx < width; ++idx) cols[idx] = view_.parent_player(coalition[idx]);
+        std::vector<std::uint32_t> reference(width);
         std::vector<std::size_t> faulty;
         std::uint64_t cells = 0;
         std::uint64_t flushed_cells = 0;
@@ -740,28 +755,20 @@ std::optional<RobustnessViolation> CoalitionSweep::resilience_task(
             faulty_scan.init(view_, *pure_, faulty);
             faulty_scan.reset(base_row_);
             do {
-                // Coalition's reference payoffs: sigma_C against this
-                // tau_T (borrowed straight from the tensor, no copies).
+                // Coalition's reference ranks: sigma_C against this tau_T.
+                const std::uint64_t ref_row = faulty_scan.row();
                 for (std::size_t idx = 0; idx < width; ++idx) {
-                    reference[idx] = &view_.payoff_from(faulty_scan.row(), coalition[idx]);
+                    reference[idx] = ranks_[ref_row + cols[idx]];
                 }
-                coalition_scan.reset(faulty_scan.row());
+                coalition_scan.reset(ref_row);
                 do {
                     ++cells;
                     bool any_gain = false;
                     bool all_gain = true;
-                    std::size_t witness = coalition[0];
-                    const Rational* witness_before = nullptr;
-                    const Rational* witness_after = nullptr;
+                    std::size_t witness = 0;
                     for (std::size_t idx = 0; idx < width; ++idx) {
-                        const Rational& after =
-                            view_.payoff_from(coalition_scan.row(), coalition[idx]);
-                        if (after > *reference[idx]) {
-                            if (!any_gain) {
-                                witness = coalition[idx];
-                                witness_before = reference[idx];
-                                witness_after = &after;
-                            }
+                        if (ranks_[coalition_scan.row() + cols[idx]] > reference[idx]) {
+                            if (!any_gain) witness = idx;
                             any_gain = true;
                         } else {
                             all_gain = false;
@@ -771,14 +778,15 @@ std::optional<RobustnessViolation> CoalitionSweep::resilience_task(
                                               ? any_gain
                                               : (all_gain && !coalition.empty());
                     if (violated) {
+                        const std::size_t player = coalition[witness];
                         return RobustnessViolation{
                             coalition,
                             faulty,
                             coalition_scan.tuple(),
                             faulty_scan.tuple(),
-                            witness,
-                            witness_before ? witness_before->to_double() : 0.0,
-                            witness_after ? witness_after->to_double() : 0.0};
+                            player,
+                            view_.payoff_from(ref_row, player).to_double(),
+                            view_.payoff_from(coalition_scan.row(), player).to_double()};
                     }
                     if (grant != nullptr && (cells % kGrantCheckCells) == 0) {
                         flush_counters();
@@ -797,7 +805,7 @@ std::optional<RobustnessViolation> CoalitionSweep::resilience_task(
             std::uint64_t total = coalition_cells;
             for (const std::size_t p : faulty) total *= view_.num_actions(p);
             if (should_split_intra(mode, total, split_cells)) {
-                return intra_resilience_scan(view_, *pure_, base_row_, coalition, faulty,
+                return intra_resilience_scan(view_, ranks_, *pure_, base_row_, coalition, faulty,
                                              criterion, total);
             }
             return scan_serial();
@@ -853,16 +861,11 @@ std::optional<RobustnessViolation> CoalitionSweep::resilience_task(
 }
 
 std::vector<Rational> CoalitionSweep::immunity_baseline() const {
-    const std::size_t n = view_.num_players();
-    std::vector<Rational> baseline(n);
-    if (pure_) {
-        for (std::size_t i = 0; i < n; ++i) baseline[i] = view_.payoff_from(base_row_, i);
-    } else {
-        // One shared support sweep for ALL players (the per-player
-        // fallback ran n of them).
-        baseline = game::expected_payoffs_exact_sparse(view_, *profile_);
-    }
-    return baseline;
+    // Pure candidates compare ranks against the candidate row instead.
+    if (pure_) return {};
+    // One shared support sweep for ALL players (the per-player fallback
+    // ran n of them).
+    return game::expected_payoffs_exact_sparse(view_, *profile_);
 }
 
 // Phase (a): the faulty sets of sizes 1..max_t, size-major.

@@ -9,9 +9,16 @@
 // reference checkers' enumeration order, so witnesses match theirs.
 //
 // KERNELS scan joint deviations with an incremental mixed-radix odometer
-// that updates the profile's flat payoff-row offset in O(1) per step and
-// reads payoffs by reference — the pure-candidate inner loops allocate
-// nothing and never re-rank a profile.
+// that updates the profile's flat payoff-row offset in O(1) per step —
+// the pure-candidate inner loops allocate nothing and never re-rank a
+// profile. Pure-candidate kernels compare the parent game's uint32
+// ordinal ranks (NormalFormGame::ordinal_ranks), read through the same
+// row offsets plus the parent column, instead of Rationals: every check
+// compares two payoffs of ONE player, where ranks order exactly like
+// the payoffs (serve/canonical.h, ORDINAL INVARIANCE), so verdicts,
+// witness cells and work counters are those of the exact compare. A
+// witness reads its two exact payoffs once. The ranks are built on the
+// first pure sweep (or cache key) of a tensor and shared by its copies.
 //
 // TWO-LEVEL parallelism: above a split threshold of joint-deviation
 // cells, a single task splits ITS OWN scan into seek()-entered
@@ -122,6 +129,8 @@ private:
         const std::vector<std::size_t>& coalition, std::size_t min_t, std::size_t max_t,
         GainCriterion criterion, game::SweepMode mode, std::uint64_t split_cells) const;
 
+    // Mixed candidates' expected payoffs at the candidate (empty for a
+    // pure candidate, whose kernels read the candidate row's ranks).
     [[nodiscard]] std::vector<util::Rational> immunity_baseline() const;
 
     // Support-sparse fused scans for mixed candidates (one walk per
@@ -137,6 +146,9 @@ private:
     const game::ExactMixedProfile* profile_;
     std::optional<game::PureProfile> pure_;  // set iff the candidate is pure
     std::uint64_t base_row_ = 0;             // flat row of *pure_ when set
+    // Pure candidates only: the parent game's ordinal ranks, read at
+    // ranks_[row + view_.parent_player(p)] for view player p.
+    const std::uint32_t* ranks_ = nullptr;
     // Built once per sweep for mixed candidates: the support restriction
     // every sparse coalition scan walks.
     std::optional<game::SupportPlan> support_;

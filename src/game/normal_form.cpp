@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <mutex>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,10 +16,73 @@ namespace bnash::game {
 
 namespace {
 std::atomic<std::uint64_t> g_tensor_allocations{0};
+std::atomic<std::uint64_t> g_rank_builds{0};
+
+// Dense per-player ranks of a flat [rank * num_players + player] tensor:
+// one index sort per player over a contiguous copy of its column.
+std::vector<std::uint32_t> dense_ranks(const std::vector<util::Rational>& flat,
+                                       std::size_t num_players) {
+    const std::size_t profiles = num_players == 0 ? 0 : flat.size() / num_players;
+    if (profiles > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::length_error("ordinal_ranks: more profiles than 32-bit ranks can index");
+    }
+    std::vector<std::uint32_t> ranks(flat.size());
+    std::vector<util::Rational> values(profiles);
+    std::vector<std::uint32_t> order(profiles);
+    for (std::size_t player = 0; player < num_players; ++player) {
+        for (std::size_t rank = 0; rank < profiles; ++rank) {
+            values[rank] = flat[rank * num_players + player];
+        }
+        std::iota(order.begin(), order.end(), std::uint32_t{0});
+        std::sort(order.begin(), order.end(), [&values](std::uint32_t a, std::uint32_t b) {
+            return values[a] < values[b];
+        });
+        std::uint32_t level = 0;
+        for (std::size_t i = 0; i < profiles; ++i) {
+            if (i > 0 && values[order[i]] != values[order[i - 1]]) ++level;
+            ranks[order[i] * num_players + player] = level;
+        }
+    }
+    return ranks;
+}
 }  // namespace
+
+// The lazily built rank tensor. `built` lets release_ordinal tell a
+// pristine holder (keep it) from one whose ranks may already be read.
+struct NormalFormGame::OrdinalRanks final {
+    std::once_flag once;
+    std::atomic<bool> built{false};
+    std::vector<std::uint32_t> ranks;
+};
 
 std::uint64_t NormalFormGame::tensor_allocations() noexcept {
     return g_tensor_allocations.load(std::memory_order_relaxed);
+}
+
+std::uint64_t NormalFormGame::rank_builds() noexcept {
+    return g_rank_builds.load(std::memory_order_relaxed);
+}
+
+const std::vector<std::uint32_t>& NormalFormGame::ordinal_ranks() const {
+    if (!ordinal_) {  // moved-from: its tensors are gone too
+        static const std::vector<std::uint32_t> kNone;
+        return kNone;
+    }
+    OrdinalRanks& holder = *ordinal_;
+    std::call_once(holder.once, [&] {
+        holder.ranks = dense_ranks(payoffs_, num_players());
+        g_rank_builds.fetch_add(1, std::memory_order_relaxed);
+        holder.built.store(true);
+    });
+    return holder.ranks;
+}
+
+void NormalFormGame::release_ordinal() {
+    if (ordinal_ && ordinal_.use_count() == 1 &&
+        !ordinal_->built.load()) {
+        return;
+    }
+    ordinal_ = std::make_shared<OrdinalRanks>();
 }
 
 NormalFormGame::NormalFormGame(std::vector<std::size_t> action_counts)
@@ -29,6 +94,7 @@ NormalFormGame::NormalFormGame(std::vector<std::size_t> action_counts)
     num_profiles_ = util::product_size(action_counts_);
     payoffs_.assign(num_profiles_ * num_players(), util::Rational{0});
     payoffs_d_.assign(num_profiles_ * num_players(), 0.0);
+    ordinal_ = std::make_shared<OrdinalRanks>();
     action_labels_.resize(num_players());
     g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
 }
@@ -38,6 +104,7 @@ NormalFormGame::NormalFormGame(const NormalFormGame& other)
       num_profiles_(other.num_profiles_),
       payoffs_(other.payoffs_),
       payoffs_d_(other.payoffs_d_),
+      ordinal_(other.ordinal_),
       action_labels_(other.action_labels_) {
     g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
 }
@@ -48,6 +115,7 @@ NormalFormGame& NormalFormGame::operator=(const NormalFormGame& other) {
         num_profiles_ = other.num_profiles_;
         payoffs_ = other.payoffs_;
         payoffs_d_ = other.payoffs_d_;
+        ordinal_ = other.ordinal_;
         action_labels_ = other.action_labels_;
         g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
     }
@@ -95,6 +163,7 @@ void NormalFormGame::set_payoff(const PureProfile& profile, std::size_t player,
                                 util::Rational value) {
     if (player >= num_players()) throw std::out_of_range("set_payoff: bad player");
     const auto index = profile_rank(profile) * num_players() + player;
+    release_ordinal();
     payoffs_d_[index] = value.to_double();
     payoffs_[index] = std::move(value);
 }
@@ -113,6 +182,7 @@ void NormalFormGame::assign_payoffs(std::vector<util::Rational> values) {
                                     std::to_string(payoffs_.size()) + " values, got " +
                                     std::to_string(values.size()));
     }
+    release_ordinal();
     payoffs_ = std::move(values);
     for (std::size_t i = 0; i < payoffs_.size(); ++i) payoffs_d_[i] = payoffs_[i].to_double();
 }

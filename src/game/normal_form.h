@@ -1,12 +1,21 @@
 // Normal-form (strategic-form) games with exact rational payoffs.
 //
-// The payoff tensor is stored twice: exactly (Rational, consumed by the
-// exact solvers and the robustness checkers, where tie classification must
-// not depend on floating point) and as a double mirror (consumed by the
-// iterative dynamics and simulators on their hot paths).
+// The payoff tensor has three representations:
+//   - EXACT (Rational): consumed by the exact solvers and the robustness
+//     checkers' mixed-candidate scans, where tie classification must not
+//     depend on floating point;
+//   - a DOUBLE mirror: consumed by the iterative dynamics and simulators
+//     on their hot paths;
+//   - ORDINAL (ordinal_ranks): per-player dense payoff ranks, all that a
+//     pure-candidate robustness check or its cache key can observe (see
+//     serve/canonical.h, ORDINAL INVARIANCE). It is derived lazily, once,
+//     and held behind a pointer that copies of an unmodified game share;
+//     every payoff mutation gives the mutated game a fresh holder, so a
+//     copy's ranks are never cleared under it.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,6 +45,9 @@ public:
     // pipelines — view sweeps, view-based iterated elimination — really
     // allocate only their final materialization.
     [[nodiscard]] static std::uint64_t tensor_allocations() noexcept;
+    // Number of ordinal_ranks() builds since process start (copies that
+    // share a build count once). Lets tests pin one build per upload.
+    [[nodiscard]] static std::uint64_t rank_builds() noexcept;
 
     // 2-player convenience: row player's and column player's payoff matrices.
     static NormalFormGame from_bimatrix(const util::MatrixQ& row_payoffs,
@@ -85,6 +97,13 @@ public:
     [[nodiscard]] const std::vector<double>& payoffs_d_flat() const noexcept {
         return payoffs_d_;
     }
+    // Per-player dense payoff ranks in the same flat layout:
+    // ordinal_ranks()[rank * num_players + player] is the number of
+    // distinct payoffs of `player` strictly below its payoff at that
+    // profile, so two cells of ONE player compare exactly like their
+    // Rationals. Built on first use (thread-safe) and shared by unmodified
+    // copies; the reference stays valid until this game's payoffs change.
+    [[nodiscard]] const std::vector<std::uint32_t>& ordinal_ranks() const;
 
     // Expected utility of `player` under an independent mixed profile.
     [[nodiscard]] double expected_payoff(const MixedProfile& profile, std::size_t player) const;
@@ -138,11 +157,18 @@ public:
     [[nodiscard]] std::string to_string() const;  // 2-player matrix rendering
 
 private:
+    struct OrdinalRanks;
+
+    // Called before every payoff mutation: a holder that is shared or
+    // already built is replaced (never cleared), a pristine one is kept.
+    void release_ordinal();
+
     std::vector<std::size_t> action_counts_;
     std::uint64_t num_profiles_ = 0;
     // Indexed [profile_rank * num_players + player].
     std::vector<util::Rational> payoffs_;
     std::vector<double> payoffs_d_;
+    std::shared_ptr<OrdinalRanks> ordinal_;
     std::vector<std::vector<std::string>> action_labels_;
 };
 

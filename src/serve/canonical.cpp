@@ -315,48 +315,36 @@ template <class Value>
 
 // --- ordinal path (pure candidates) ------------------------------------
 
-// Per-player dense payoff ranks: ranks[rank * num_players + player] is
-// the number of distinct payoffs of `player` strictly below its payoff
-// at that profile. keys[player] is the label-invariant sort key (action
-// count, candidate action, rank at the candidate profile, then the rank
-// histogram: how many profiles sit at each rank level).
-struct OrdinalTensor final {
-    std::vector<std::uint32_t> ranks;
+// Label-invariant per-player sort keys over the game's ordinal ranks
+// (NormalFormGame::ordinal_ranks, shared with the sweep kernels):
+// keys[player] is the action count, the candidate action, the rank at
+// the candidate profile, then the rank histogram (how many profiles sit
+// at each rank level).
+struct OrdinalKeys final {
     std::vector<std::vector<std::uint32_t>> keys;
     std::size_t max_levels = 0;
 };
 
-[[nodiscard]] OrdinalTensor rank_payoffs(const game::NormalFormGame& game,
-                                         const game::PureProfile& candidate) {
+[[nodiscard]] OrdinalKeys ordinal_keys(const game::NormalFormGame& game,
+                                       const std::vector<std::uint32_t>& ranks,
+                                       const game::PureProfile& candidate) {
     const std::size_t num_players = game.num_players();
     const std::size_t profiles = game.num_profiles();
-    const std::vector<util::Rational>& flat = game.payoffs_flat();
     const std::uint64_t at_candidate = game.profile_rank(candidate);
-    OrdinalTensor out;
-    out.ranks.resize(profiles * num_players);
+    OrdinalKeys out;
     out.keys.resize(num_players);
-    std::vector<util::Rational> values(profiles);
-    std::vector<std::uint32_t> order(profiles);
     std::vector<std::uint32_t> histogram;
     for (std::size_t player = 0; player < num_players; ++player) {
-        for (std::size_t rank = 0; rank < profiles; ++rank) {
-            values[rank] = flat[rank * num_players + player];
-        }
-        std::iota(order.begin(), order.end(), std::uint32_t{0});
-        std::sort(order.begin(), order.end(), [&values](std::uint32_t a, std::uint32_t b) {
-            return values[a] < values[b];
-        });
         histogram.clear();
-        for (std::size_t i = 0; i < profiles; ++i) {
-            if (i == 0 || values[order[i]] != values[order[i - 1]]) histogram.push_back(0);
-            out.ranks[order[i] * num_players + player] =
-                static_cast<std::uint32_t>(histogram.size() - 1);
-            ++histogram.back();
+        for (std::size_t rank = 0; rank < profiles; ++rank) {
+            const std::uint32_t level = ranks[rank * num_players + player];
+            if (level >= histogram.size()) histogram.resize(level + 1, 0);
+            ++histogram[level];
         }
         std::vector<std::uint32_t>& key = out.keys[player];
         key = {static_cast<std::uint32_t>(game.num_actions(player)),
                static_cast<std::uint32_t>(candidate[player]),
-               out.ranks[at_candidate * num_players + player]};
+               ranks[at_candidate * num_players + player]};
         key.insert(key.end(), histogram.begin(), histogram.end());
         out.max_levels = std::max(out.max_levels, histogram.size());
     }
@@ -369,7 +357,8 @@ struct OrdinalTensor final {
 [[nodiscard]] std::string ordinal_signature(const game::NormalFormGame& game,
                                             const game::ExactMixedProfile& profile,
                                             const game::PureProfile& candidate) {
-    const OrdinalTensor ord = rank_payoffs(game, candidate);
+    const std::vector<std::uint32_t>& ranks = game.ordinal_ranks();
+    const OrdinalKeys ord = ordinal_keys(game, ranks, candidate);
     const std::size_t num_players = game.num_players();
     const std::vector<std::size_t> perm = canonical_order(ord.keys);
     // detect() only groups players with equal action counts and payoff
@@ -383,11 +372,11 @@ struct OrdinalTensor final {
                                              return ord.keys[a] == ord.keys[b];
                                          }) != perm.end();
     if (tied) {
-        const game::NormalFormGame ranks =
+        const game::NormalFormGame rank_game =
             tabulate(game, [&](std::uint64_t rank, std::size_t player) {
-                return util::Rational(ord.ranks[rank * num_players + player]);
+                return util::Rational(ranks[rank * num_players + player]);
             });
-        if (auto sym = try_symmetric_signature(ranks, profile, "bnashQ1:sym:ord:")) {
+        if (auto sym = try_symmetric_signature(rank_game, profile, "bnashQ1:sym:ord:")) {
             return *std::move(sym);
         }
     }
@@ -398,10 +387,10 @@ struct OrdinalTensor final {
     for (std::size_t j = 0; j < num_players; ++j) append_size(bytes, game.num_actions(perm[j]));
     append_size(bytes, width);
     bytes += "|u:";
-    bytes.reserve(bytes.size() + ord.ranks.size() * width + 4 * num_players + 8);
+    bytes.reserve(bytes.size() + ranks.size() * width + 4 * num_players + 8);
     for_each_canonical_rank(game, perm, [&](std::uint64_t rank) {
         for (std::size_t j = 0; j < num_players; ++j) {
-            append_fixed(bytes, ord.ranks[rank * num_players + perm[j]], width);
+            append_fixed(bytes, ranks[rank * num_players + perm[j]], width);
         }
     });
     bytes += "|s:";

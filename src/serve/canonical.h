@@ -17,7 +17,11 @@
 //     sorted by (action count, candidate action, rank at the candidate,
 //     rank histogram), then the rank tensor in canonical order as
 //     fixed-width binary ranks, then the candidate actions. Ranking only
-//     compares payoffs, so this path never overflows.
+//     compares payoffs, so this path never overflows. The ranks are the
+//     game's own NormalFormGame::ordinal_ranks(), built once per tensor
+//     and shared with core::CoalitionSweep, whose pure-candidate kernels
+//     compare those ranks instead of Rationals: the same argument is the
+//     kernels' correctness contract.
 //   - AFFINE INVARIANCE (mixed candidates). Expected payoffs are only
 //     invariant under positive affine maps u_i -> a_i * u_i + b_i, so
 //     each player's payoffs go through the map sending [min_i, max_i] to

@@ -4,12 +4,16 @@
 // random games, for pure and mixed candidate profiles.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "core/robust/coalition_sweep.h"
 #include "core/robust/robustness.h"
 #include "game/catalog.h"
+#include "game/game_view.h"
 #include "util/rng.h"
+#include "util/work_counters.h"
 
 namespace bnash::core {
 namespace {
@@ -227,6 +231,166 @@ TEST(CoalitionSweep, DegenerateSingleProfileAndOnePlayerGames) {
     expect_frontier_matches_probes(solo, worst, 1, 1, "solo worst");
     EXPECT_TRUE(is_kt_robust(solo, best, 1, 1));
     EXPECT_FALSE(is_k_resilient(solo, worst, 1));
+}
+
+// ------------------------------------------- exact order on rational payoffs
+
+// Payoffs that stress the exact order: unequal denominators, near-equal
+// rationals (1/3 vs 333333/1000000, 2/7 vs 285714/1000000), and values
+// near +-2^62 where comparisons need 128-bit cross products — including
+// two rationals just above 1 that differ by about 2^-124, so their
+// doubles are equal while their order is not.
+std::vector<Rational> stress_payoffs() {
+    const std::int64_t big = (std::int64_t{1} << 62) - 1;
+    return {Rational{1, 3},        Rational{333333, 1000000}, Rational{-1, 3},
+            Rational{-333333, 1000000}, Rational{2, 7},       Rational{285714, 1000000},
+            Rational{0},           Rational{1, 2},            Rational{1},
+            Rational{big},         Rational{-big},            Rational{big, 3},
+            Rational{-big, 7},     Rational{big - 1, big},    Rational{big, big - 1},
+            Rational{big - 1, big - 2}};
+}
+
+NormalFormGame stress_game(util::Rng& rng, const std::vector<std::size_t>& counts) {
+    const std::vector<Rational> pool = stress_payoffs();
+    NormalFormGame g(counts);
+    std::vector<Rational> values(g.payoffs_flat().size());
+    for (Rational& value : values) value = pool[rng.next_below(pool.size())];
+    g.assign_payoffs(std::move(values));
+    return g;
+}
+
+// FNV-1a over a violation (or its absence) and the serial work counters,
+// so one constant pins every verdict, witness and counter of the corpus.
+struct Digest final {
+    std::uint64_t hash = 14695981039346656037ULL;
+    void mix(std::uint64_t value) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (value >> (8 * byte)) & 0xffU;
+            hash *= 1099511628211ULL;
+        }
+    }
+    void mix(const std::optional<RobustnessViolation>& v) {
+        mix(v.has_value() ? 1 : 0);
+        if (!v) return;
+        for (const auto* list : {&v->coalition, &v->faulty, &v->coalition_deviation,
+                                 &v->faulty_deviation}) {
+            mix(list->size());
+            for (const std::size_t x : *list) mix(x);
+        }
+        mix(v->witness_player);
+        mix(std::bit_cast<std::uint64_t>(v->payoff_before));
+        mix(std::bit_cast<std::uint64_t>(v->payoff_after));
+    }
+};
+
+// Restores the process-wide intra-split tuning.
+struct SplitTuningGuard final {
+    bool pinned = CoalitionSweep::intra_split_pinned();
+    std::uint64_t cells = CoalitionSweep::intra_split_cells();
+    ~SplitTuningGuard() {
+        CoalitionSweep::set_intra_block_cells(CoalitionSweep::kIntraBlock);
+        CoalitionSweep::set_intra_split_force(false);
+        if (pinned) {
+            CoalitionSweep::set_intra_split_cells(cells);
+        } else {
+            CoalitionSweep::set_intra_split_adaptive();
+        }
+    }
+};
+
+// Pure candidates on rational, near-tied and near-2^62 payoffs, on the
+// full game and on restricted and permuted views: the serial sweep, the
+// pool sweep and the forced ranged-block split all equal the reference
+// checker on the materialized game, and the serial verdicts, witnesses
+// (before/after doubles included) and work counters hash to the value
+// the exact-Rational kernels produced.
+TEST(CoalitionSweep, PureKernelsMatchReferenceOnRationalPayoffs) {
+    const std::int64_t big = (std::int64_t{1} << 62) - 1;
+    util::Rng rng{20261017};
+    Digest digest;
+    int broken = 0;
+    for (int trial = 0; trial < 36; ++trial) {
+        const std::size_t n = 3 + static_cast<std::size_t>(trial % 2);
+        std::vector<std::size_t> counts(n);
+        for (auto& c : counts) c = static_cast<std::size_t>(rng.next_int(2, 3));
+        NormalFormGame g = stress_game(rng, counts);
+        // The candidate never plays action 0, which the restricted views
+        // drop for one player. Every third game pays the candidate cell
+        // the pool's maximum to everyone (no coalition gains: full
+        // resilience scans) and every third the minimum (no outsider is
+        // hurt: full immunity scans).
+        PureProfile candidate(n);
+        for (std::size_t p = 0; p < n; ++p) candidate[p] = 1 + rng.next_below(counts[p] - 1);
+        if (trial % 3 != 0) {
+            const Rational extreme{trial % 3 == 1 ? big : -big};
+            g.set_payoffs(candidate, std::vector<Rational>(n, extreme));
+        }
+        const std::size_t dropped = static_cast<std::size_t>(trial) % n;
+        std::vector<std::vector<std::size_t>> kept(n);
+        for (std::size_t p = 0; p < n; ++p) {
+            for (std::size_t a = p == dropped ? 1 : 0; a < counts[p]; ++a) kept[p].push_back(a);
+        }
+        std::vector<std::size_t> order(n);
+        for (std::size_t p = 0; p < n; ++p) order[p] = n - 1 - p;
+        const std::vector<game::GameView> views{
+            game::GameView::full(g), game::GameView::restrict(g, kept),
+            game::GameView::permute(g, order).restrict(
+                std::vector<std::vector<std::size_t>>(kept.rbegin(), kept.rend()))};
+        for (std::size_t v = 0; v < views.size(); ++v) {
+            const game::GameView& view = views[v];
+            const NormalFormGame flat = view.materialize();
+            PureProfile pure(n);
+            for (std::size_t p = 0; p < n; ++p) {
+                const std::size_t parent = view.parent_player(p);
+                pure[p] = candidate[parent] - (v > 0 && parent == dropped ? 1 : 0);
+            }
+            const ExactMixedProfile profile = as_exact_profile(flat, pure);
+            const GainCriterion criterion = trial % 4 == 0 ? GainCriterion::kAllMembersGain
+                                                           : GainCriterion::kAnyMemberGains;
+            const std::size_t k = 1 + static_cast<std::size_t>(trial) % 2;
+            const std::size_t t = static_cast<std::size_t>(trial / 3) % 2;
+            const std::string what = "trial " + std::to_string(trial) + " view " +
+                                     std::to_string(v) + " k=" + std::to_string(k) +
+                                     " t=" + std::to_string(t);
+            const CoalitionSweep sweep(view, profile);
+            const auto expected = reference::find_robustness_violation(flat, profile, k, t,
+                                                                       RobustnessOptions{criterion});
+            util::work_counters_reset();
+            const auto serial =
+                sweep.robustness_violation(k, t, RobustnessOptions{criterion, SweepMode::kSerial});
+            const util::WorkCounters work = util::work_counters_snapshot();
+            expect_same_violation(serial, expected, what + " serial-vs-reference");
+            expect_same_violation(sweep.robustness_violation(k, t, RobustnessOptions{criterion}),
+                                  expected, what + " auto-vs-reference");
+            {
+                const SplitTuningGuard guard;
+                CoalitionSweep::set_intra_split_cells(1);
+                CoalitionSweep::set_intra_block_cells(2);
+                CoalitionSweep::set_intra_split_force(true);
+                expect_same_violation(
+                    sweep.robustness_violation(k, t, RobustnessOptions{criterion}), expected,
+                    what + " split-vs-reference");
+            }
+            util::work_counters_reset();
+            const auto immunity = sweep.immunity_violation(2, SweepMode::kSerial);
+            const util::WorkCounters immunity_work = util::work_counters_snapshot();
+            expect_same_violation(immunity, reference::find_immunity_violation(flat, profile, 2),
+                                  what + " immunity-vs-reference");
+            digest.mix(serial);
+            digest.mix(work.cells_visited);
+            digest.mix(work.offsets_advanced);
+            digest.mix(immunity);
+            digest.mix(immunity_work.cells_visited);
+            digest.mix(immunity_work.offsets_advanced);
+            broken += serial.has_value() ? 1 : 0;
+            broken += immunity.has_value() ? 1 : 0;
+        }
+    }
+    // Both outcomes occur, so the corpus exercises witnesses and full
+    // sweeps alike.
+    EXPECT_GT(broken, 0);
+    EXPECT_LT(broken, 36 * 3 * 2);
+    EXPECT_EQ(digest.hash, 9499134786432498641ULL);
 }
 
 }  // namespace

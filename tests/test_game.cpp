@@ -2,6 +2,10 @@
 // extensive-form, and the paper's game catalog.
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "game/bayesian.h"
 #include "game/catalog.h"
 #include "game/extensive.h"
@@ -180,6 +184,118 @@ TEST_P(NormalFormEmbeddingProperty, PureEmbedsIntoMixed) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NormalFormEmbeddingProperty,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+// ---------------------------------------------------- NormalForm ordinal ranks
+
+// Brute-force dense rank: distinct payoffs of `player` strictly below.
+std::uint32_t brute_rank(const NormalFormGame& g, std::uint64_t rank, std::size_t player) {
+    std::vector<Rational> below;
+    for (std::uint64_t other = 0; other < g.num_profiles(); ++other) {
+        const Rational& value = g.payoff_at(other, player);
+        if (value < g.payoff_at(rank, player) &&
+            std::find(below.begin(), below.end(), value) == below.end()) {
+            below.push_back(value);
+        }
+    }
+    return static_cast<std::uint32_t>(below.size());
+}
+
+void expect_ranks_match_payoffs(const NormalFormGame& g) {
+    const std::vector<std::uint32_t>& ranks = g.ordinal_ranks();
+    ASSERT_EQ(ranks.size(), g.payoffs_flat().size());
+    for (std::uint64_t rank = 0; rank < g.num_profiles(); ++rank) {
+        for (std::size_t player = 0; player < g.num_players(); ++player) {
+            EXPECT_EQ(ranks[rank * g.num_players() + player], brute_rank(g, rank, player))
+                << "rank " << rank << " player " << player;
+        }
+    }
+}
+
+TEST(NormalFormOrdinal, RanksAreDensePerPlayerOrder) {
+    NormalFormGame g({2, 3});
+    const std::vector<Rational> values{Rational{1, 3},  Rational{7},        Rational{333333, 1000000},
+                                       Rational{7},     Rational{1, 3},     Rational{-2},
+                                       Rational{2, 6},  Rational{14, 2},    Rational{-1, 3},
+                                       Rational{0},     Rational{1, 3},     Rational{-2}};
+    g.assign_payoffs(values);
+    expect_ranks_match_payoffs(g);
+    util::Rng rng{31};
+    expect_ranks_match_payoffs(NormalFormGame::random({3, 2, 3}, rng, -3, 3));
+}
+
+// Copies of an unmodified game share one build; each payoff mutator gives
+// the mutated copy a fresh build and leaves the other copy's ranks intact.
+TEST(NormalFormOrdinal, CopiesShareOneBuildAndMutationsRebuildOnlyTheMutatedCopy) {
+    util::Rng rng{7};
+    const NormalFormGame original = NormalFormGame::random({3, 3, 2}, rng, -5, 5);
+    const std::uint64_t before = NormalFormGame::rank_builds();
+    const std::vector<std::uint32_t>& ranks = original.ordinal_ranks();
+    const std::vector<std::uint32_t> snapshot = ranks;
+    const NormalFormGame copy = original;
+    NormalFormGame assigned({1});
+    assigned = original;
+    EXPECT_EQ(&copy.ordinal_ranks(), &ranks);
+    EXPECT_EQ(&assigned.ordinal_ranks(), &ranks);
+    EXPECT_EQ(NormalFormGame::rank_builds(), before + 1);
+
+    const NormalFormGame other = NormalFormGame::random({3, 3, 2}, rng, -5, 5);
+    const std::vector<std::pair<const char*, void (*)(NormalFormGame&, const NormalFormGame&)>>
+        mutators{
+            {"set_payoff",
+             [](NormalFormGame& g, const NormalFormGame&) {
+                 g.set_payoff({2, 1, 0}, 1, Rational{99});
+             }},
+            {"set_payoffs",
+             [](NormalFormGame& g, const NormalFormGame&) {
+                 g.set_payoffs({0, 0, 1}, {Rational{-9}, Rational{1, 2}, Rational{9}});
+             }},
+            {"assign_payoffs",
+             [](NormalFormGame& g, const NormalFormGame& from) {
+                 g.assign_payoffs(from.payoffs_flat());
+             }},
+            {"copy-assign", [](NormalFormGame& g, const NormalFormGame& from) { g = from; }},
+        };
+    for (const auto& [name, mutate] : mutators) {
+        NormalFormGame mutated = original;
+        EXPECT_EQ(&mutated.ordinal_ranks(), &ranks) << name;
+        const std::uint64_t builds = NormalFormGame::rank_builds();
+        mutate(mutated, other);
+        EXPECT_NE(&mutated.ordinal_ranks(), &ranks) << name;
+        expect_ranks_match_payoffs(mutated);
+        EXPECT_EQ(NormalFormGame::rank_builds(), builds + 1) << name;
+        // The shared build is untouched: same storage, same contents.
+        EXPECT_EQ(&original.ordinal_ranks(), &ranks) << name;
+        EXPECT_EQ(ranks, snapshot) << name;
+        EXPECT_EQ(&copy.ordinal_ranks(), &ranks) << name;
+    }
+    // Repeated writes to a game whose ranks were never read cost no build.
+    NormalFormGame fresh({2, 2});
+    const std::uint64_t builds = NormalFormGame::rank_builds();
+    for (std::size_t a = 0; a < 2; ++a) fresh.set_payoffs({a, a}, {Rational{1}, Rational{2}});
+    EXPECT_EQ(NormalFormGame::rank_builds(), builds);
+}
+
+// Four threads reading the ranks of copies of one game for the first time
+// at once: exactly one build, and every thread sees it.
+TEST(NormalFormOrdinal, ConcurrentFirstUseBuildsOnce) {
+    util::Rng rng{11};
+    const NormalFormGame game = NormalFormGame::random({4, 4, 4, 4}, rng, -20, 20);
+    const std::vector<NormalFormGame> copies(4, game);
+    const std::uint64_t before = NormalFormGame::rank_builds();
+    std::vector<const std::vector<std::uint32_t>*> seen(4, nullptr);
+    std::latch start(4);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < 4; ++i) {
+        threads.emplace_back([&, i] {
+            start.arrive_and_wait();
+            seen[i] = &copies[i].ordinal_ranks();
+        });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(NormalFormGame::rank_builds(), before + 1);
+    for (const auto* ranks : seen) EXPECT_EQ(ranks, &game.ordinal_ranks());
+    expect_ranks_match_payoffs(game);
+}
 
 // ---------------------------------------------------------------- Bayesian
 

@@ -1712,6 +1712,65 @@ TEST(TextFront, SessionKeepsWorkingAfterAVeryLongLine) {
     EXPECT_EQ(session.reply("ask 1 0").rfind("verdict=broken status=resolved", 0), 0u);
 }
 
+// One ordinal rank build per uploaded tensor, shared by the cache key and
+// every sweep of the session's copies: eight frontier requests cost one
+// build, a pure ask and its three resume legs one, a mixed ask none, and
+// every re-upload one more.
+TEST(TextFront, OneRankBuildPerUpload) {
+    util::Rng rng(16);
+    NormalFormGame source = NormalFormGame::random(std::vector<std::size_t>(5, 3), rng, -4, 4);
+    // The all-zeros candidate pays everyone the maximum: no coalition
+    // ever gains, so a starved budget keeps degrading until the chain
+    // has covered the whole sweep.
+    source.set_payoffs(PureProfile(5, 0), std::vector<Rational>(5, Rational{9}));
+    std::string payoffs = "payoffs";
+    for (const Rational& value : source.payoffs_flat()) (payoffs += ' ') += value.to_string();
+
+    RobustnessServer server;
+    ScriptedSession session(server);
+    const auto upload = [&] {
+        ASSERT_EQ(session.reply("game 5 3 3 3 3 3"), "ok");
+        ASSERT_EQ(session.reply(payoffs), "ok");
+    };
+    const auto builds = [] { return NormalFormGame::rank_builds(); };
+
+    upload();
+    std::uint64_t before = builds();
+    for (std::size_t i = 0; i < 8; ++i) {
+        const std::string a = std::to_string(i % 3);
+        ASSERT_EQ(session.reply("profile " + a + " 0 " + a + " 1 2"), "ok");
+        const std::vector<std::string> replies = session.send("frontier 2 1");
+        ASSERT_FALSE(replies.empty());
+        EXPECT_EQ(replies.back().rfind("done cells=", 0), 0u) << replies.back();
+    }
+    EXPECT_EQ(builds(), before + 1);
+
+    upload();
+    before = builds();
+    ASSERT_EQ(session.reply("profile 0 0 0 0 0"), "ok");
+    ASSERT_EQ(session.reply("mixed 1 1/2 1/4 1/4"), "ok");
+    EXPECT_EQ(session.reply("ask 1 0").rfind("verdict=", 0), 0u);
+    EXPECT_EQ(builds(), before);
+
+    ASSERT_EQ(session.reply("profile 0 0 0 0 0"), "ok");
+    std::string reply = session.reply("ask 2 0 20");
+    for (int leg = 0; leg < 3; ++leg) {
+        const std::size_t at = reply.find(" token=");
+        ASSERT_NE(at, std::string::npos) << "leg " << leg << ": " << reply;
+        EXPECT_EQ(reply.rfind("verdict=unknown status=degraded", 0), 0u) << reply;
+        ASSERT_EQ(session.reply("resume " + reply.substr(at + 7)), "ok");
+        reply = session.reply("ask 2 0 20");
+    }
+    EXPECT_EQ(reply.rfind("verdict=", 0), 0u) << reply;
+    EXPECT_EQ(builds(), before + 1);
+
+    // Re-uploading the same tensor is a new game: one more build.
+    upload();
+    ASSERT_EQ(session.reply("profile 0 0 0 0 0"), "ok");
+    EXPECT_EQ(session.reply("ask 2 0").rfind("verdict=robust status=resolved", 0), 0u);
+    EXPECT_EQ(builds(), before + 2);
+}
+
 // ------------------------------------------------------------ socket front
 
 // Runs the TCP front on a background thread; joins (and surfaces the
