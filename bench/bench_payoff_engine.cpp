@@ -68,13 +68,14 @@ void print_tables() {
     util::Rng rng{42};
     const auto small = game::NormalFormGame::random({6, 6, 6, 6}, rng);
     const auto small_profile = interior_profile(small, rng);
-    const game::PayoffEngine small_engine(small);
+    const game::GameView small_view(small);
 
     const double naive_ns =
         measure_ns([&] { benchmark::DoNotOptimize(game::naive::deviation_payoffs_all(
                              small, small_profile)); });
-    const double engine_ns = measure_ns(
-        [&] { benchmark::DoNotOptimize(small_engine.deviation_payoffs_all(small_profile)); });
+    const double engine_ns = measure_ns([&] {
+        benchmark::DoNotOptimize(game::deviation_payoffs_all(small_view, small_profile));
+    });
 
     util::Table pe1({"implementation", "ns/op", "speedup"});
     pe1.add_row({"naive per-action sweeps", util::Table::fmt(naive_ns), "1.00x"});
@@ -87,14 +88,14 @@ void print_tables() {
     std::cout << "=== E-PE2: blocked sweep, 4 players x 32 actions (2^20 profiles) ===\n";
     const auto big = game::NormalFormGame::random({32, 32, 32, 32}, rng);
     const auto big_profile = interior_profile(big, rng);
-    const game::PayoffEngine big_engine(big);
+    const game::GameView big_view(big);
     const double serial_ns = measure_ns([&] {
         benchmark::DoNotOptimize(
-            big_engine.deviation_payoffs_all(big_profile, game::SweepMode::kSerial));
+            game::deviation_payoffs_all(big_view, big_profile, game::SweepMode::kSerial));
     });
     const double auto_ns = measure_ns([&] {
         benchmark::DoNotOptimize(
-            big_engine.deviation_payoffs_all(big_profile, game::SweepMode::kAuto));
+            game::deviation_payoffs_all(big_view, big_profile, game::SweepMode::kAuto));
     });
     util::Table pe2({"mode", "ns/op", "speedup"});
     pe2.add_row({"serial blocks", util::Table::fmt(serial_ns), "1.00x"});
@@ -109,31 +110,31 @@ void print_tables() {
                  "profiles), support-2 profile ===\n";
     const auto wide = game::NormalFormGame::random({8, 8, 8, 8, 8, 8}, rng);
     const auto sparse_profile = support2_profile(wide, rng);
-    const game::PayoffEngine wide_engine(wide);
+    const game::GameView wide_view(wide);
     const auto via_dense =
-        wide_engine.deviation_payoffs_all(sparse_profile, game::SweepMode::kSerial);
-    const auto via_sparse =
-        wide_engine.deviation_payoffs_all_sparse(sparse_profile, game::SweepMode::kSerial);
+        game::deviation_payoffs_all(wide_view, sparse_profile, game::SweepMode::kSerial);
+    const auto via_sparse = game::deviation_payoffs_all_sparse(wide_view, sparse_profile,
+                                                               game::SweepMode::kSerial);
     const bool identical = via_dense == via_sparse;
 
     // Per-op work tallies (single calls, outside the timing loops).
     util::work_counters_reset();
     benchmark::DoNotOptimize(
-        wide_engine.deviation_payoffs_all(sparse_profile, game::SweepMode::kSerial));
+        game::deviation_payoffs_all(wide_view, sparse_profile, game::SweepMode::kSerial));
     const auto dense_work = util::work_counters_snapshot();
     util::work_counters_reset();
-    benchmark::DoNotOptimize(
-        wide_engine.deviation_payoffs_all_sparse(sparse_profile, game::SweepMode::kSerial));
+    benchmark::DoNotOptimize(game::deviation_payoffs_all_sparse(wide_view, sparse_profile,
+                                                                game::SweepMode::kSerial));
     const auto sparse_work = util::work_counters_snapshot();
     util::work_counters_reset();
 
     const double dense_ns = measure_ns([&] {
         benchmark::DoNotOptimize(
-            wide_engine.deviation_payoffs_all(sparse_profile, game::SweepMode::kSerial));
+            game::deviation_payoffs_all(wide_view, sparse_profile, game::SweepMode::kSerial));
     });
     const double sparse_ns = measure_ns([&] {
-        benchmark::DoNotOptimize(wide_engine.deviation_payoffs_all_sparse(
-            sparse_profile, game::SweepMode::kSerial));
+        benchmark::DoNotOptimize(game::deviation_payoffs_all_sparse(
+            wide_view, sparse_profile, game::SweepMode::kSerial));
     });
     util::Table pes({"sweep", "ns/op", "speedup"});
     pes.add_row({"dense (full product space)", util::Table::fmt(dense_ns), "1.00x"});
@@ -168,10 +169,10 @@ void bench_deviation_engine_4p6a(benchmark::State& state) {
     util::Rng rng{42};
     const auto g = game::NormalFormGame::random({6, 6, 6, 6}, rng);
     const auto profile = interior_profile(g, rng);
-    const game::PayoffEngine engine(g);
+    const game::GameView view(g);
     const CounterScope counters(state);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.deviation_payoffs_all(profile));
+        benchmark::DoNotOptimize(game::deviation_payoffs_all(view, profile));
     }
 }
 BENCHMARK(bench_deviation_engine_4p6a)->Unit(benchmark::kMicrosecond);
@@ -182,11 +183,11 @@ void bench_deviation_dense_6p8a_support2(benchmark::State& state) {
     util::Rng rng{42};
     const auto g = game::NormalFormGame::random({8, 8, 8, 8, 8, 8}, rng);
     const auto profile = support2_profile(g, rng);
-    const game::PayoffEngine engine(g);
+    const game::GameView view(g);
     const CounterScope counters(state);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            engine.deviation_payoffs_all(profile, game::SweepMode::kSerial));
+            game::deviation_payoffs_all(view, profile, game::SweepMode::kSerial));
     }
 }
 BENCHMARK(bench_deviation_dense_6p8a_support2)->Unit(benchmark::kMillisecond);
@@ -195,11 +196,11 @@ void bench_deviation_sparse_6p8a_support2(benchmark::State& state) {
     util::Rng rng{42};
     const auto g = game::NormalFormGame::random({8, 8, 8, 8, 8, 8}, rng);
     const auto profile = support2_profile(g, rng);
-    const game::PayoffEngine engine(g);
+    const game::GameView view(g);
     const CounterScope counters(state);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            engine.deviation_payoffs_all_sparse(profile, game::SweepMode::kSerial));
+            game::deviation_payoffs_all_sparse(view, profile, game::SweepMode::kSerial));
     }
 }
 BENCHMARK(bench_deviation_sparse_6p8a_support2)->Unit(benchmark::kMicrosecond);
@@ -208,11 +209,11 @@ void bench_expected_sparse_6p8a_support2(benchmark::State& state) {
     util::Rng rng{42};
     const auto g = game::NormalFormGame::random({8, 8, 8, 8, 8, 8}, rng);
     const auto profile = support2_profile(g, rng);
-    const game::PayoffEngine engine(g);
+    const game::GameView view(g);
     const CounterScope counters(state);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            engine.expected_payoffs_sparse(profile, game::SweepMode::kSerial));
+            game::expected_payoffs_sparse(view, profile, game::SweepMode::kSerial));
     }
 }
 BENCHMARK(bench_expected_sparse_6p8a_support2)->Unit(benchmark::kMicrosecond);
@@ -224,9 +225,9 @@ void bench_deviation_engine_exact_3p4a(benchmark::State& state) {
     for (std::size_t i = 0; i < g.num_players(); ++i) {
         profile[i].assign(g.num_actions(i), util::Rational{1, 4});
     }
-    const game::PayoffEngine engine(g);
+    const game::GameView view(g);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.deviation_payoffs_all_exact(profile));
+        benchmark::DoNotOptimize(game::deviation_payoffs_all_exact(view, profile));
     }
 }
 BENCHMARK(bench_deviation_engine_exact_3p4a)->Unit(benchmark::kMicrosecond);
@@ -235,11 +236,11 @@ void bench_sweep_serial_1m(benchmark::State& state) {
     util::Rng rng{42};
     const auto g = game::NormalFormGame::random({32, 32, 32, 32}, rng);
     const auto profile = interior_profile(g, rng);
-    const game::PayoffEngine engine(g);
+    const game::GameView view(g);
     const CounterScope counters(state);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            engine.deviation_payoffs_all(profile, game::SweepMode::kSerial));
+            game::deviation_payoffs_all(view, profile, game::SweepMode::kSerial));
     }
 }
 BENCHMARK(bench_sweep_serial_1m)->Unit(benchmark::kMillisecond);
@@ -248,10 +249,10 @@ void bench_sweep_threaded_1m(benchmark::State& state) {
     util::Rng rng{42};
     const auto g = game::NormalFormGame::random({32, 32, 32, 32}, rng);
     const auto profile = interior_profile(g, rng);
-    const game::PayoffEngine engine(g);
+    const game::GameView view(g);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            engine.deviation_payoffs_all(profile, game::SweepMode::kAuto));
+            game::deviation_payoffs_all(view, profile, game::SweepMode::kAuto));
     }
 }
 BENCHMARK(bench_sweep_threaded_1m)->Unit(benchmark::kMillisecond);

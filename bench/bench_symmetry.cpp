@@ -201,7 +201,7 @@ void bench_routed_frontier(benchmark::State& state) {
     const CounterScope counters(state);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            core::batch_robustness_frontier(view, group, profile, 4, 2, options));
+            core::batch_robustness_frontier(view, profile, 4, 2, options, &group));
     }
 }
 BENCHMARK(bench_routed_frontier)->Arg(8)->Arg(10)->Unit(benchmark::kMicrosecond);

@@ -38,6 +38,10 @@ Rules (ids are stable; waivers reference them):
   include-hygiene    No "../" relative-up includes, no <bits/...>, every
                      quoted include resolves under src/, and foo.cpp's
                      first include is its own header when one exists.
+  identity-forward   No function that takes a NormalFormGame and whose
+                     whole body is `return f(... GameView::full(...) ...);`.
+                     A NormalFormGame converts to its identity view, so
+                     such a twin only restates the view entry. No waiver.
 
 Waivers bind to the flagged line: same line, or one of the three lines
 directly above it. The reason is mandatory — `// lint: no-charge()`
@@ -68,6 +72,7 @@ RULE_DOCS = {
     "no-stdout": "no stdout writes in library code (waiver: stdout-ok)",
     "header-guard": "headers open with #pragma once",
     "include-hygiene": "includes resolve under src/, no ../ or <bits/>",
+    "identity-forward": "no NormalFormGame twin that only forwards GameView::full (no waiver)",
 }
 
 WAIVER_OF_RULE = {
@@ -447,6 +452,31 @@ def check_header_guard(unit, findings):
     findings.append(Finding("header-guard", unit.rel, 1, "header has no #pragma once"))
 
 
+# A body that is one return statement calling something on GameView::full.
+IDENTITY_FORWARD_RE = re.compile(
+    r"\{\s*return\s+[A-Za-z_][\w:]*\s*\([^;]*\bGameView\s*::\s*full\s*\([^;]*;\s*\}",
+    re.DOTALL)
+NORMAL_FORM_RE = re.compile(r"\bNormalFormGame\b")
+
+
+def check_identity_forward(unit, findings):
+    for block in unit.blocks:
+        if block.kind != "function" or block.end is None:
+            continue
+        if not IDENTITY_FORWARD_RE.fullmatch(unit.stripped, block.start, block.end + 1):
+            continue
+        close = unit.stripped.rfind(")", 0, block.start)
+        open_paren = _match_paren_backwards(unit.stripped, close)
+        if open_paren < 0 or not NORMAL_FORM_RE.search(unit.stripped, open_paren, close):
+            continue
+        findings.append(Finding(
+            "identity-forward", unit.rel, line_of(unit.stripped, block.start),
+            f"'{block.name}' takes a NormalFormGame only to forward its "
+            "GameView::full identity view; a NormalFormGame converts to "
+            "GameView implicitly, so delete this twin and keep the view entry",
+            block.name))
+
+
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+(<[^>]+>|"[^"]+")', re.MULTILINE)
 
 
@@ -498,6 +528,7 @@ def lint_tree(src_root):
         check_no_stdout(unit, findings)
         check_header_guard(unit, findings)
         check_include_hygiene(unit, findings, src_root)
+        check_identity_forward(unit, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 

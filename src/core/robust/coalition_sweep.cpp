@@ -17,7 +17,6 @@ namespace {
 
 using game::ExactMixedProfile;
 using game::GameView;
-using game::NormalFormGame;
 using game::PureProfile;
 using util::Rational;
 
@@ -331,9 +330,6 @@ void CoalitionSweep::set_intra_split_force(bool force) noexcept {
 bool CoalitionSweep::intra_split_force() noexcept {
     return g_intra_split_force.load(std::memory_order_relaxed);
 }
-
-CoalitionSweep::CoalitionSweep(const NormalFormGame& game, const ExactMixedProfile& profile)
-    : CoalitionSweep(GameView::full(game), profile) {}
 
 CoalitionSweep::CoalitionSweep(GameView view, const ExactMixedProfile& profile)
     : view_(std::move(view)), profile_(&profile), pure_(as_pure_profile(profile)) {

@@ -48,7 +48,6 @@
 #include "core/robust/robustness.h"
 #include "core/robust/sweep_driver.h"
 #include "game/game_view.h"
-#include "game/normal_form.h"
 #include "game/payoff_engine.h"
 #include "game/strategy.h"
 
@@ -63,13 +62,10 @@ public:
     static constexpr std::uint64_t kIntraBlock = std::uint64_t{1} << 11;
     static constexpr std::uint64_t kDefaultIntraSplitCells = std::uint64_t{1} << 13;
 
-    // The profile must be a valid exact mixed profile for `game`; both
-    // must outlive the sweep.
-    CoalitionSweep(const game::NormalFormGame& game, const game::ExactMixedProfile& profile);
-
-    // View-native: the profile lives in VIEW action space and the sweep
-    // reads the parent tensor through the view's cell offsets. The view's
-    // parent game and the profile must outlive the sweep.
+    // The profile must be a valid exact mixed profile in VIEW action space
+    // (a NormalFormGame passes as its identity view); the sweep reads the
+    // parent tensor through the view's cell offsets. The view's parent
+    // game and the profile must outlive the sweep.
     CoalitionSweep(game::GameView view, const game::ExactMixedProfile& profile);
 
     // --- intra-task split tuning / test hooks --------------------------------

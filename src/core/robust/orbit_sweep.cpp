@@ -459,66 +459,10 @@ std::unique_ptr<SweepTasks> OrbitSweep::resilience_tasks(std::size_t max_k, std:
     return std::make_unique<PairTasks>(*this, max_k, max_t, criterion, mode);
 }
 
-// --- routed entry points ----------------------------------------------------
-
-namespace {
-
-OrbitSweep make_orbit_sweep(const game::GameView& view, const SymmetryGroup& group,
-                            const game::PureProfile& pure) {
-    std::vector<std::size_t> base(group.num_classes());
-    for (std::size_t c = 0; c < group.num_classes(); ++c) {
-        base[c] = pure[group.classes()[c].front()];
-    }
-    return OrbitSweep(game::build_quotient(view, group), group, std::move(base));
-}
-
-}  // namespace
-
 bool orbit_applicable(const SymmetryGroup& group, const game::ExactMixedProfile& profile) {
     if (group.is_trivial()) return false;
     const auto pure = as_pure_profile(profile);
     return pure.has_value() && group.class_constant(*pure);
-}
-
-std::optional<RobustnessViolation> find_robustness_violation(
-    const game::GameView& view, const SymmetryGroup& group,
-    const game::ExactMixedProfile& profile, std::size_t k, std::size_t t,
-    const RobustnessOptions& options) {
-    if (!orbit_applicable(group, profile)) {
-        return find_robustness_violation(view, profile, k, t, options);
-    }
-    const auto pure = as_pure_profile(profile);
-    return make_orbit_sweep(view, group, *pure).robustness_violation(k, t, options);
-}
-
-bool is_kt_robust(const game::GameView& view, const SymmetryGroup& group,
-                  const game::ExactMixedProfile& profile, std::size_t k, std::size_t t,
-                  const RobustnessOptions& options) {
-    return !find_robustness_violation(view, group, profile, k, t, options).has_value();
-}
-
-FrontierVerdict batch_robustness_frontier(const game::GameView& view,
-                                          const SymmetryGroup& group,
-                                          const game::ExactMixedProfile& profile,
-                                          std::size_t max_k, std::size_t max_t,
-                                          const RobustnessOptions& options) {
-    if (!orbit_applicable(group, profile)) {
-        return batch_robustness_frontier(view, profile, max_k, max_t, options);
-    }
-    const auto pure = as_pure_profile(profile);
-    return make_orbit_sweep(view, group, *pure)
-        .batch_robustness_frontier(max_k, max_t, options.criterion, options.mode);
-}
-
-MaxKtResult max_kt(const game::GameView& view, const SymmetryGroup& group,
-                   const game::ExactMixedProfile& profile, std::size_t max_k, std::size_t max_t,
-                   const RobustnessOptions& options) {
-    if (!orbit_applicable(group, profile)) {
-        return max_kt(view, profile, max_k, max_t, options);
-    }
-    const auto pure = as_pure_profile(profile);
-    return make_orbit_sweep(view, group, *pure)
-        .max_kt(max_k, max_t, options.criterion, options.mode);
 }
 
 }  // namespace bnash::core

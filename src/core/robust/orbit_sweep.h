@@ -33,6 +33,11 @@
 // (run_ranked_blocks). Cells and walker digit-moves are charged to
 // util::work_counters and through them to any active
 // util::ExecutionGrant.
+//
+// Callers reach it through the robustness.h questions' `symmetry`
+// argument: the one router in robustness.cpp validates the candidate,
+// builds this engine when orbit_applicable, and the dense CoalitionSweep
+// otherwise.
 #pragma once
 
 #include <cstddef>
@@ -92,32 +97,11 @@ private:
     std::vector<util::Rational> baseline_;  // per-class candidate payoff
 };
 
-// --- routed entry points ----------------------------------------------------
-// The symmetry-aware mirrors of the robustness.h view-native checkers:
-// when the group is non-trivial AND the candidate is pure and class-
-// constant, they build the quotient and run the orbit sweep; otherwise
-// they fall back to the dense CoalitionSweep, returning EXACTLY what the
-// plain (view, profile) overloads return — witnesses included — so a
-// degenerate (all-singleton) group is observationally a no-op.
+// True when the orbit engine can answer for this candidate: the group is
+// non-trivial and the candidate is pure and class-constant. Otherwise the
+// router runs the dense sweep, so a degenerate (all-singleton) group is
+// observationally a no-op.
 [[nodiscard]] bool orbit_applicable(const game::SymmetryGroup& group,
                                     const game::ExactMixedProfile& profile);
-
-[[nodiscard]] std::optional<RobustnessViolation> find_robustness_violation(
-    const game::GameView& view, const game::SymmetryGroup& group,
-    const game::ExactMixedProfile& profile, std::size_t k, std::size_t t,
-    const RobustnessOptions& options = {});
-
-[[nodiscard]] bool is_kt_robust(const game::GameView& view, const game::SymmetryGroup& group,
-                                const game::ExactMixedProfile& profile, std::size_t k,
-                                std::size_t t, const RobustnessOptions& options = {});
-
-[[nodiscard]] FrontierVerdict batch_robustness_frontier(
-    const game::GameView& view, const game::SymmetryGroup& group,
-    const game::ExactMixedProfile& profile, std::size_t max_k, std::size_t max_t,
-    const RobustnessOptions& options = {});
-
-[[nodiscard]] MaxKtResult max_kt(const game::GameView& view, const game::SymmetryGroup& group,
-                                 const game::ExactMixedProfile& profile, std::size_t max_k,
-                                 std::size_t max_t, const RobustnessOptions& options = {});
 
 }  // namespace bnash::core

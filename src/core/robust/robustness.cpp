@@ -7,8 +7,10 @@
 #include <stdexcept>
 
 #include "core/robust/coalition_sweep.h"
+#include "core/robust/orbit_sweep.h"
 #include "game/game_view.h"
 #include "game/payoff_engine.h"
+#include "game/symmetry.h"
 #include "util/combinatorics.h"
 #include "util/thread_pool.h"
 
@@ -28,8 +30,12 @@ using util::Rational;
 // production robustness checkers run on CoalitionSweep instead.
 class Evaluator final {
 public:
+    // A pure candidate; throws for a wrong width or an out-of-range action.
+    Evaluator(const NormalFormGame& game, const PureProfile& pure)
+        : game_(game), engine_(game), pure_(pure), base_rank_(game.profile_rank(pure)) {}
+
     Evaluator(const NormalFormGame& game, const ExactMixedProfile& profile)
-        : game_(game), engine_(game), profile_(profile), pure_(as_pure_profile(profile)) {
+        : game_(game), engine_(game), profile_(&profile), pure_(as_pure_profile(profile)) {
         if (pure_) base_rank_ = engine_.rank_of(*pure_);
     }
 
@@ -45,13 +51,13 @@ public:
             }
             return game_.payoff_at(rank, player);
         }
-        ExactMixedProfile deviated = profile_;
+        ExactMixedProfile deviated = *profile_;
         for (std::size_t idx = 0; idx < who.size(); ++idx) {
             game::ExactMixedStrategy point(game_.num_actions(who[idx]), Rational{0});
             point[actions[idx]] = Rational{1};
             deviated[who[idx]] = std::move(point);
         }
-        return engine_.expected_payoff_exact(deviated, player);
+        return game::expected_payoff_exact(game_, deviated, player);
     }
 
     [[nodiscard]] Rational baseline(std::size_t player) const {
@@ -61,7 +67,7 @@ public:
 private:
     const NormalFormGame& game_;
     game::PayoffEngine engine_;
-    const ExactMixedProfile& profile_;
+    const ExactMixedProfile* profile_ = nullptr;
     std::optional<PureProfile> pure_;
     std::uint64_t base_rank_ = 0;
 };
@@ -72,19 +78,6 @@ std::vector<std::size_t> action_space(const NormalFormGame& game,
     out.reserve(players.size());
     for (const std::size_t p : players) out.push_back(game.num_actions(p));
     return out;
-}
-
-void validate_profile(const NormalFormGame& game, const ExactMixedProfile& profile) {
-    if (profile.size() != game.num_players()) {
-        throw std::invalid_argument("robustness: profile width mismatch");
-    }
-    for (std::size_t i = 0; i < profile.size(); ++i) {
-        if (profile[i].size() != game.num_actions(i) ||
-            !game::is_exact_distribution(profile[i])) {
-            throw std::invalid_argument("robustness: invalid strategy for player " +
-                                        std::to_string(i));
-        }
-    }
 }
 
 // View candidates live in VIEW action space.
@@ -99,6 +92,24 @@ void validate_profile(const game::GameView& view, const ExactMixedProfile& profi
                                         std::to_string(i));
         }
     }
+}
+
+// The one router behind every question: validate the candidate, pick
+// the engine — the orbit engine when the group applies, the dense
+// CoalitionSweep otherwise — and ask it.
+template <typename Ask>
+auto route(game::GameView view, const ExactMixedProfile& profile,
+           const game::SymmetryGroup* symmetry, const Ask& ask) {
+    validate_profile(view, profile);
+    if (symmetry != nullptr && orbit_applicable(*symmetry, profile)) {
+        const PureProfile pure = *as_pure_profile(profile);
+        std::vector<std::size_t> base(symmetry->num_classes());
+        for (std::size_t c = 0; c < base.size(); ++c) {
+            base[c] = pure[symmetry->classes()[c].front()];
+        }
+        return ask(OrbitSweep(game::build_quotient(view, *symmetry), *symmetry, std::move(base)));
+    }
+    return ask(CoalitionSweep(std::move(view), profile));
 }
 
 }  // namespace
@@ -134,122 +145,102 @@ std::optional<PureProfile> as_pure_profile(const ExactMixedProfile& profile) {
 }
 
 std::optional<RobustnessViolation> find_resilience_violation(
-    const NormalFormGame& game, const ExactMixedProfile& profile, std::size_t k,
-    const RobustnessOptions& options) {
-    return find_robustness_violation(game, profile, k, 0, options);
+    game::GameView view, const ExactMixedProfile& profile, std::size_t k,
+    const RobustnessOptions& options, const game::SymmetryGroup* symmetry) {
+    return find_robustness_violation(std::move(view), profile, k, 0, options, symmetry);
 }
 
-std::optional<RobustnessViolation> find_immunity_violation(const NormalFormGame& game,
-                                                           const ExactMixedProfile& profile,
-                                                           std::size_t t) {
-    validate_profile(game, profile);
-    return CoalitionSweep(game, profile).immunity_violation(t);
+std::optional<RobustnessViolation> find_immunity_violation(
+    game::GameView view, const ExactMixedProfile& profile, std::size_t t,
+    const RobustnessOptions& options, const game::SymmetryGroup* symmetry) {
+    return route(std::move(view), profile, symmetry, [&](const SweepDriver& sweep) {
+        return sweep.immunity_violation(t, options.mode);
+    });
 }
 
-std::optional<RobustnessViolation> find_robustness_violation(const NormalFormGame& game,
-                                                             const ExactMixedProfile& profile,
-                                                             std::size_t k, std::size_t t,
-                                                             const RobustnessOptions& options) {
-    validate_profile(game, profile);
-    return CoalitionSweep(game, profile).robustness_violation(k, t, options);
+std::optional<RobustnessViolation> find_robustness_violation(
+    game::GameView view, const ExactMixedProfile& profile, std::size_t k,
+    std::size_t t, const RobustnessOptions& options, const game::SymmetryGroup* symmetry) {
+    return route(std::move(view), profile, symmetry, [&](const SweepDriver& sweep) {
+        return sweep.robustness_violation(k, t, options);
+    });
 }
 
-// --- view-native checkers ---------------------------------------------------
-
-std::optional<RobustnessViolation> find_resilience_violation(
-    const game::GameView& view, const ExactMixedProfile& profile, std::size_t k,
-    const RobustnessOptions& options) {
-    return find_robustness_violation(view, profile, k, 0, options);
+bool is_k_resilient(game::GameView view, const ExactMixedProfile& profile,
+                    std::size_t k, const RobustnessOptions& options,
+                    const game::SymmetryGroup* symmetry) {
+    return !find_resilience_violation(std::move(view), profile, k, options, symmetry).has_value();
 }
 
-std::optional<RobustnessViolation> find_immunity_violation(const game::GameView& view,
-                                                           const ExactMixedProfile& profile,
-                                                           std::size_t t) {
-    validate_profile(view, profile);
-    return CoalitionSweep(view, profile).immunity_violation(t);
+bool is_t_immune(game::GameView view, const ExactMixedProfile& profile, std::size_t t,
+                 const RobustnessOptions& options, const game::SymmetryGroup* symmetry) {
+    return !find_immunity_violation(std::move(view), profile, t, options, symmetry).has_value();
 }
 
-std::optional<RobustnessViolation> find_robustness_violation(const game::GameView& view,
-                                                             const ExactMixedProfile& profile,
-                                                             std::size_t k, std::size_t t,
-                                                             const RobustnessOptions& options) {
-    validate_profile(view, profile);
-    return CoalitionSweep(view, profile).robustness_violation(k, t, options);
+bool is_kt_robust(game::GameView view, const ExactMixedProfile& profile, std::size_t k,
+                  std::size_t t, const RobustnessOptions& options,
+                  const game::SymmetryGroup* symmetry) {
+    return !find_robustness_violation(std::move(view), profile, k, t, options, symmetry)
+                .has_value();
 }
 
-bool is_k_resilient(const game::GameView& view, const ExactMixedProfile& profile,
-                    std::size_t k, const RobustnessOptions& options) {
-    return !find_resilience_violation(view, profile, k, options).has_value();
+BatchVerdict batch_resilience(game::GameView view, const ExactMixedProfile& profile,
+                              std::size_t max_k, const RobustnessOptions& options,
+                              const game::SymmetryGroup* symmetry) {
+    return route(std::move(view), profile, symmetry, [&](const SweepDriver& sweep) {
+        return sweep.batch_resilience(max_k, options.criterion, options.mode);
+    });
 }
 
-bool is_t_immune(const game::GameView& view, const ExactMixedProfile& profile,
-                 std::size_t t) {
-    return !find_immunity_violation(view, profile, t).has_value();
+BatchVerdict batch_immunity(game::GameView view, const ExactMixedProfile& profile,
+                            std::size_t max_t, const RobustnessOptions& options,
+                            const game::SymmetryGroup* symmetry) {
+    return route(std::move(view), profile, symmetry, [&](const SweepDriver& sweep) {
+        return sweep.batch_immunity(max_t, options.mode);
+    });
 }
 
-bool is_kt_robust(const game::GameView& view, const ExactMixedProfile& profile, std::size_t k,
-                  std::size_t t, const RobustnessOptions& options) {
-    return !find_robustness_violation(view, profile, k, t, options).has_value();
-}
-
-// --- shared-sweep batch probes ----------------------------------------------
-
-BatchVerdict batch_resilience(const NormalFormGame& game, const ExactMixedProfile& profile,
-                              std::size_t max_k, const RobustnessOptions& options) {
-    validate_profile(game, profile);
-    return CoalitionSweep(game, profile).batch_resilience(max_k, options.criterion,
-                                                          options.mode);
-}
-
-BatchVerdict batch_resilience(const game::GameView& view, const ExactMixedProfile& profile,
-                              std::size_t max_k, const RobustnessOptions& options) {
-    validate_profile(view, profile);
-    return CoalitionSweep(view, profile).batch_resilience(max_k, options.criterion,
-                                                          options.mode);
-}
-
-BatchVerdict batch_immunity(const NormalFormGame& game, const ExactMixedProfile& profile,
-                            std::size_t max_t, game::SweepMode mode) {
-    validate_profile(game, profile);
-    return CoalitionSweep(game, profile).batch_immunity(max_t, mode);
-}
-
-BatchVerdict batch_immunity(const game::GameView& view, const ExactMixedProfile& profile,
-                            std::size_t max_t, game::SweepMode mode) {
-    validate_profile(view, profile);
-    return CoalitionSweep(view, profile).batch_immunity(max_t, mode);
-}
-
-FrontierVerdict batch_robustness_frontier(const NormalFormGame& game,
+FrontierVerdict batch_robustness_frontier(game::GameView view,
                                           const ExactMixedProfile& profile, std::size_t max_k,
-                                          std::size_t max_t,
-                                          const RobustnessOptions& options) {
-    validate_profile(game, profile);
-    return CoalitionSweep(game, profile)
-        .batch_robustness_frontier(max_k, max_t, options.criterion, options.mode);
+                                          std::size_t max_t, const RobustnessOptions& options,
+                                          const game::SymmetryGroup* symmetry) {
+    return route(std::move(view), profile, symmetry, [&](const SweepDriver& sweep) {
+        return sweep.batch_robustness_frontier(max_k, max_t, options.criterion, options.mode);
+    });
 }
 
-FrontierVerdict batch_robustness_frontier(const game::GameView& view,
-                                          const ExactMixedProfile& profile, std::size_t max_k,
-                                          std::size_t max_t,
-                                          const RobustnessOptions& options) {
-    validate_profile(view, profile);
-    return CoalitionSweep(view, profile)
-        .batch_robustness_frontier(max_k, max_t, options.criterion, options.mode);
+MaxKtResult max_kt(game::GameView view, const ExactMixedProfile& profile,
+                   std::size_t max_k, std::size_t max_t, const RobustnessOptions& options,
+                   const game::SymmetryGroup* symmetry) {
+    return route(std::move(view), profile, symmetry, [&](const SweepDriver& sweep) {
+        return sweep.max_kt(max_k, max_t, options.criterion, options.mode);
+    });
 }
 
-MaxKtResult max_kt(const NormalFormGame& game, const ExactMixedProfile& profile,
-                   std::size_t max_k, std::size_t max_t, const RobustnessOptions& options) {
-    validate_profile(game, profile);
-    return CoalitionSweep(game, profile).max_kt(max_k, max_t, options.criterion,
-                                               options.mode);
+std::size_t max_resilience(game::GameView view, const ExactMixedProfile& profile,
+                           std::size_t max_k, const RobustnessOptions& options,
+                           const game::SymmetryGroup* symmetry) {
+    return batch_resilience(std::move(view), profile, max_k, options, symmetry).max_ok;
 }
 
-MaxKtResult max_kt(const game::GameView& view, const ExactMixedProfile& profile,
-                   std::size_t max_k, std::size_t max_t, const RobustnessOptions& options) {
-    validate_profile(view, profile);
-    return CoalitionSweep(view, profile).max_kt(max_k, max_t, options.criterion,
-                                               options.mode);
+std::size_t max_immunity(game::GameView view, const ExactMixedProfile& profile,
+                         std::size_t max_t, const RobustnessOptions& options,
+                         const game::SymmetryGroup* symmetry) {
+    return batch_immunity(std::move(view), profile, max_t, options, symmetry).max_ok;
+}
+
+game::ExactMixedProfile as_exact_profile(const game::GameView& view,
+                                         const PureProfile& profile) {
+    if (profile.size() != view.num_players()) {
+        throw std::invalid_argument("as_exact_profile: width");
+    }
+    ExactMixedProfile out(view.num_players());
+    for (std::size_t i = 0; i < view.num_players(); ++i) {
+        game::ExactMixedStrategy strategy(view.num_actions(i), Rational{0});
+        strategy.at(profile[i]) = Rational{1};
+        out[i] = std::move(strategy);
+    }
+    return out;
 }
 
 namespace reference {
@@ -382,67 +373,12 @@ std::optional<RobustnessViolation> find_robustness_violation(const NormalFormGam
 
 }  // namespace reference
 
-bool is_k_resilient(const NormalFormGame& game, const ExactMixedProfile& profile,
-                    std::size_t k, const RobustnessOptions& options) {
-    return !find_resilience_violation(game, profile, k, options).has_value();
-}
-
-bool is_t_immune(const NormalFormGame& game, const ExactMixedProfile& profile, std::size_t t) {
-    return !find_immunity_violation(game, profile, t).has_value();
-}
-
-bool is_kt_robust(const NormalFormGame& game, const ExactMixedProfile& profile, std::size_t k,
-                  std::size_t t, const RobustnessOptions& options) {
-    return !find_robustness_violation(game, profile, k, t, options).has_value();
-}
-
-game::ExactMixedProfile as_exact_profile(const NormalFormGame& game,
-                                         const PureProfile& profile) {
-    if (profile.size() != game.num_players()) {
-        throw std::invalid_argument("as_exact_profile: width");
-    }
-    ExactMixedProfile out(game.num_players());
-    for (std::size_t i = 0; i < game.num_players(); ++i) {
-        game::ExactMixedStrategy strategy(game.num_actions(i), Rational{0});
-        strategy.at(profile[i]) = Rational{1};
-        out[i] = std::move(strategy);
-    }
-    return out;
-}
-
-game::ExactMixedProfile as_exact_profile(const game::GameView& view,
-                                         const PureProfile& profile) {
-    if (profile.size() != view.num_players()) {
-        throw std::invalid_argument("as_exact_profile: width");
-    }
-    ExactMixedProfile out(view.num_players());
-    for (std::size_t i = 0; i < view.num_players(); ++i) {
-        game::ExactMixedStrategy strategy(view.num_actions(i), Rational{0});
-        strategy.at(profile[i]) = Rational{1};
-        out[i] = std::move(strategy);
-    }
-    return out;
-}
-
-std::size_t max_resilience(const NormalFormGame& game, const ExactMixedProfile& profile,
-                           std::size_t max_k, const RobustnessOptions& options) {
-    // One shared coalition sweep instead of max_k independent probes: the
-    // first violating coalition's size is the boundary for every k.
-    return batch_resilience(game, profile, max_k, options).max_ok;
-}
-
-std::size_t max_immunity(const NormalFormGame& game, const ExactMixedProfile& profile,
-                         std::size_t max_t) {
-    return batch_immunity(game, profile, max_t).max_ok;
-}
-
 bool is_punishment_strategy(const NormalFormGame& game, const PureProfile& rho, std::size_t q,
                             const std::vector<Rational>& baseline) {
     if (baseline.size() != game.num_players()) {
         throw std::invalid_argument("is_punishment_strategy: baseline width");
     }
-    const auto rho_exact = as_exact_profile(game, rho);
-    const Evaluator eval(game, rho_exact);
+    const Evaluator eval(game, rho);
     // S empty: everyone at rho must be strictly below baseline.
     for (std::size_t i = 0; i < game.num_players(); ++i) {
         if (!(eval.utility({}, {}, i) < baseline[i])) return false;

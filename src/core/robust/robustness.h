@@ -32,12 +32,13 @@
 #include <vector>
 
 #include "game/bayesian.h"
+#include "game/game_view.h"
 #include "game/normal_form.h"
 #include "game/payoff_engine.h"
 #include "game/strategy.h"
 
 namespace bnash::game {
-class GameView;
+class SymmetryGroup;
 }  // namespace bnash::game
 
 namespace bnash::core {
@@ -278,96 +279,101 @@ struct MaxKtResult final {
     friend bool operator==(const MaxKtResult&, const MaxKtResult&) = default;
 };
 
-// --- normal-form checkers (exact rational arithmetic throughout) ---------
+// --- the questions (exact rational arithmetic throughout) -----------------
+// One entry per question, all of one shape:
+//
+//   (view, profile, sizes..., options = {}, symmetry = nullptr)
+//
+// The candidate lives in VIEW action space. A NormalFormGame converts to
+// its identity view (the view is taken by value and moved into the sweep,
+// so the conversion is the only view a game caller builds); an
+// iterated-elimination reduction or an awareness-restricted slice is
+// swept ZERO-COPY through the view's cell offsets (no restricted tensor
+// is materialized, asserted by the tensor_allocations() tests), with
+// verdicts and violations bit-identical to checking the materialized
+// copy. Every entry validates the candidate first (throws
+// std::invalid_argument for a wrong width or a non-distribution).
+// Immunity questions read only options.mode.
+//
+// `symmetry` (nullable) is a symmetry group of the view — for example
+// game::SymmetryGroup::detect's. When it is non-trivial and the candidate
+// is pure and class-constant (orbit_applicable, orbit_sweep.h), the
+// question runs on the orbit engine: verdicts, boundaries and MaxKtResult
+// structs equal the dense engine's, but a reported witness may be a
+// different, equally valid member of the same orbit. Otherwise the dense CoalitionSweep answers, bit for bit as with
+// no group at all. It is an argument rather than a RobustnessOptions
+// field because the SweepDriver methods take RobustnessOptions too and
+// have no engine to choose.
 
 [[nodiscard]] std::optional<RobustnessViolation> find_resilience_violation(
-    const game::NormalFormGame& game, const game::ExactMixedProfile& profile, std::size_t k,
-    const RobustnessOptions& options = {});
+    game::GameView view, const game::ExactMixedProfile& profile, std::size_t k,
+    const RobustnessOptions& options = {}, const game::SymmetryGroup* symmetry = nullptr);
 
 [[nodiscard]] std::optional<RobustnessViolation> find_immunity_violation(
-    const game::NormalFormGame& game, const game::ExactMixedProfile& profile, std::size_t t);
+    game::GameView view, const game::ExactMixedProfile& profile, std::size_t t,
+    const RobustnessOptions& options = {}, const game::SymmetryGroup* symmetry = nullptr);
 
 [[nodiscard]] std::optional<RobustnessViolation> find_robustness_violation(
-    const game::NormalFormGame& game, const game::ExactMixedProfile& profile, std::size_t k,
-    std::size_t t, const RobustnessOptions& options = {});
+    game::GameView view, const game::ExactMixedProfile& profile, std::size_t k,
+    std::size_t t, const RobustnessOptions& options = {},
+    const game::SymmetryGroup* symmetry = nullptr);
 
-[[nodiscard]] bool is_k_resilient(const game::NormalFormGame& game,
+[[nodiscard]] bool is_k_resilient(game::GameView view,
                                   const game::ExactMixedProfile& profile, std::size_t k,
-                                  const RobustnessOptions& options = {});
-[[nodiscard]] bool is_t_immune(const game::NormalFormGame& game,
-                               const game::ExactMixedProfile& profile, std::size_t t);
-[[nodiscard]] bool is_kt_robust(const game::NormalFormGame& game,
+                                  const RobustnessOptions& options = {},
+                                  const game::SymmetryGroup* symmetry = nullptr);
+[[nodiscard]] bool is_t_immune(game::GameView view,
+                               const game::ExactMixedProfile& profile, std::size_t t,
+                               const RobustnessOptions& options = {},
+                               const game::SymmetryGroup* symmetry = nullptr);
+[[nodiscard]] bool is_kt_robust(game::GameView view,
                                 const game::ExactMixedProfile& profile, std::size_t k,
-                                std::size_t t, const RobustnessOptions& options = {});
-
-// --- view-native checkers ---------------------------------------------------
-// The same checks on a game::GameView: an iterated-elimination reduction
-// or an awareness-restricted slice is swept ZERO-COPY through the view's
-// cell offsets — no restricted tensor is materialized (asserted by the
-// tensor_allocations() tests). The profile lives in VIEW action space;
-// verdicts and violations are bit-identical to materializing the view and
-// checking the copy.
-
-[[nodiscard]] std::optional<RobustnessViolation> find_resilience_violation(
-    const game::GameView& view, const game::ExactMixedProfile& profile, std::size_t k,
-    const RobustnessOptions& options = {});
-
-[[nodiscard]] std::optional<RobustnessViolation> find_immunity_violation(
-    const game::GameView& view, const game::ExactMixedProfile& profile, std::size_t t);
-
-[[nodiscard]] std::optional<RobustnessViolation> find_robustness_violation(
-    const game::GameView& view, const game::ExactMixedProfile& profile, std::size_t k,
-    std::size_t t, const RobustnessOptions& options = {});
-
-[[nodiscard]] bool is_k_resilient(const game::GameView& view,
-                                  const game::ExactMixedProfile& profile, std::size_t k,
-                                  const RobustnessOptions& options = {});
-[[nodiscard]] bool is_t_immune(const game::GameView& view,
-                               const game::ExactMixedProfile& profile, std::size_t t);
-[[nodiscard]] bool is_kt_robust(const game::GameView& view,
-                                const game::ExactMixedProfile& profile, std::size_t k,
-                                std::size_t t, const RobustnessOptions& options = {});
+                                std::size_t t, const RobustnessOptions& options = {},
+                                const game::SymmetryGroup* symmetry = nullptr);
 
 // --- shared-sweep batch probes ----------------------------------------------
 // All k = 1..max_k (resp. t = 1..max_t) probes inside ONE coalition
-// sweep; see CoalitionSweep::batch_resilience for the prefix argument
+// sweep; see SweepDriver::batch_resilience for the prefix argument
 // that makes the per-k witnesses bit-identical to independent probes.
-[[nodiscard]] BatchVerdict batch_resilience(const game::NormalFormGame& game,
+[[nodiscard]] BatchVerdict batch_resilience(game::GameView view,
                                             const game::ExactMixedProfile& profile,
                                             std::size_t max_k,
-                                            const RobustnessOptions& options = {});
-[[nodiscard]] BatchVerdict batch_resilience(const game::GameView& view,
-                                            const game::ExactMixedProfile& profile,
-                                            std::size_t max_k,
-                                            const RobustnessOptions& options = {});
-[[nodiscard]] BatchVerdict batch_immunity(const game::NormalFormGame& game,
+                                            const RobustnessOptions& options = {},
+                                            const game::SymmetryGroup* symmetry = nullptr);
+[[nodiscard]] BatchVerdict batch_immunity(game::GameView view,
                                           const game::ExactMixedProfile& profile,
                                           std::size_t max_t,
-                                          game::SweepMode mode = game::SweepMode::kAuto);
-[[nodiscard]] BatchVerdict batch_immunity(const game::GameView& view,
-                                          const game::ExactMixedProfile& profile,
-                                          std::size_t max_t,
-                                          game::SweepMode mode = game::SweepMode::kAuto);
+                                          const RobustnessOptions& options = {},
+                                          const game::SymmetryGroup* symmetry = nullptr);
 
 // The whole k x t grid in one batched sweep; see FrontierVerdict.
 [[nodiscard]] FrontierVerdict batch_robustness_frontier(
-    const game::NormalFormGame& game, const game::ExactMixedProfile& profile,
-    std::size_t max_k, std::size_t max_t, const RobustnessOptions& options = {});
-[[nodiscard]] FrontierVerdict batch_robustness_frontier(
-    const game::GameView& view, const game::ExactMixedProfile& profile, std::size_t max_k,
-    std::size_t max_t, const RobustnessOptions& options = {});
+    game::GameView view, const game::ExactMixedProfile& profile, std::size_t max_k,
+    std::size_t max_t, const RobustnessOptions& options = {},
+    const game::SymmetryGroup* symmetry = nullptr);
 
 // The maximal robust set only, via the boundary walk; see MaxKtResult.
-[[nodiscard]] MaxKtResult max_kt(const game::NormalFormGame& game,
+[[nodiscard]] MaxKtResult max_kt(game::GameView view,
                                  const game::ExactMixedProfile& profile, std::size_t max_k,
-                                 std::size_t max_t, const RobustnessOptions& options = {});
-[[nodiscard]] MaxKtResult max_kt(const game::GameView& view,
-                                 const game::ExactMixedProfile& profile, std::size_t max_k,
-                                 std::size_t max_t, const RobustnessOptions& options = {});
+                                 std::size_t max_t, const RobustnessOptions& options = {},
+                                 const game::SymmetryGroup* symmetry = nullptr);
 
-// Pure-profile conveniences.
-[[nodiscard]] game::ExactMixedProfile as_exact_profile(const game::NormalFormGame& game,
-                                                       const game::PureProfile& profile);
+// Largest k (up to max_k) such that the profile is k-resilient; 0 means
+// not even 1-resilient (i.e. not a Nash equilibrium in the coalition
+// sense). Similarly for immunity. Both run as ONE shared coalition sweep
+// (batch_resilience / batch_immunity) instead of max_k independent
+// probes; the returned boundary is identical to the probe loop's.
+[[nodiscard]] std::size_t max_resilience(game::GameView view,
+                                         const game::ExactMixedProfile& profile,
+                                         std::size_t max_k,
+                                         const RobustnessOptions& options = {},
+                                         const game::SymmetryGroup* symmetry = nullptr);
+[[nodiscard]] std::size_t max_immunity(game::GameView view,
+                                       const game::ExactMixedProfile& profile,
+                                       std::size_t max_t, const RobustnessOptions& options = {},
+                                       const game::SymmetryGroup* symmetry = nullptr);
+
+// Pure-profile convenience: point masses in VIEW action space.
 [[nodiscard]] game::ExactMixedProfile as_exact_profile(const game::GameView& view,
                                                        const game::PureProfile& profile);
 
@@ -376,19 +382,6 @@ struct MaxKtResult final {
 // checkers' O(1)-lookup fast path keys off this.
 [[nodiscard]] std::optional<game::PureProfile> as_pure_profile(
     const game::ExactMixedProfile& profile);
-
-// Largest k (up to max_k) such that the profile is k-resilient; 0 means
-// not even 1-resilient (i.e. not a Nash equilibrium in the coalition
-// sense). Similarly for immunity. Both run as ONE shared coalition sweep
-// (batch_resilience / batch_immunity) instead of max_k independent
-// probes; the returned boundary is identical to the probe loop's.
-[[nodiscard]] std::size_t max_resilience(const game::NormalFormGame& game,
-                                         const game::ExactMixedProfile& profile,
-                                         std::size_t max_k,
-                                         const RobustnessOptions& options = {});
-[[nodiscard]] std::size_t max_immunity(const game::NormalFormGame& game,
-                                       const game::ExactMixedProfile& profile,
-                                       std::size_t max_t);
 
 // --- (k+t)-punishment strategies ------------------------------------------
 // A pure profile rho is a q-punishment strategy relative to equilibrium

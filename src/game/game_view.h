@@ -3,7 +3,7 @@
 // A GameView is a non-owning, stride-indexed window onto a parent game's
 // flat payoff storage: the full game, an action-restricted subgame, a
 // player-permuted slice, or any composition of those. It exposes the same
-// payoff_at(rank, player) / action_counts() contract the PayoffEngine and
+// payoff_at(rank, player) / action_counts() contract the payoff sweeps and
 // the dominance scanners consume, so consumers sweep a subgame without
 // ever materializing its tensor — iterated elimination runs its whole
 // reduction loop on views and materializes only the final reduced game.
@@ -19,6 +19,12 @@
 // flat-tensor data pointers, so MUTATING the parent (copy-assigning over
 // it, or anything else that reallocates its tensors) invalidates every
 // view of it even while the parent object stays alive.
+//
+// A dense game IS its identity view: a NormalFormGame converts to
+// GameView implicitly, so every checker and payoff sweep takes a view and
+// is written once. The conversion refuses temporaries (the rvalue
+// constructor is deleted) — a view or sweep built over a game that dies
+// at the end of the full expression would dangle.
 #pragma once
 
 #include <cstddef>
@@ -33,8 +39,11 @@ namespace bnash::game {
 
 class GameView final {
 public:
-    // The whole game, unchanged (identity view).
-    [[nodiscard]] static GameView full(const NormalFormGame& game);
+    // The whole game, unchanged (identity view). Implicit on purpose: see
+    // the file comment.
+    GameView(const NormalFormGame& game);  // NOLINT
+    GameView(NormalFormGame&&) = delete;
+    [[nodiscard]] static GameView full(const NormalFormGame& game) { return GameView(game); }
 
     // Restriction to subsets of actions, per player. Validation matches
     // NormalFormGame::restrict: every player keeps >= 1 in-range action.
@@ -67,6 +76,10 @@ public:
     [[nodiscard]] std::size_t parent_player(std::size_t player) const {
         return player_map_.at(player);
     }
+    // True when view player p reads parent column p for every p (the full
+    // game and its action restrictions): a profile's payoffs then sit
+    // contiguously at row_offset .. row_offset + num_players() - 1.
+    [[nodiscard]] bool identity_player_map() const noexcept { return identity_players_; }
 
     // --- flat-offset hot path ------------------------------------------------
     // row_offset(tuple) = sum of cell_offset(p, tuple[p]): the flat index
@@ -140,6 +153,7 @@ private:
     std::vector<std::vector<std::uint64_t>> cell_offsets_;
     std::vector<std::size_t> action_counts_;
     std::uint64_t num_profiles_ = 0;
+    bool identity_players_ = false;
 };
 
 }  // namespace bnash::game

@@ -196,25 +196,24 @@ double NormalFormGame::payoff_d(const PureProfile& profile, std::size_t player) 
     return payoffs_d_[profile_rank(profile) * num_players() + player];
 }
 
-// The mixed-profile evaluations all route through PayoffEngine: one
-// stride-indexed tensor sweep instead of one per (player, action), with
-// identical validation behavior. The engine is cheap to construct (it only
-// derives strides); hot loops that evaluate many profiles should hold one
-// engine and call its batched entry points directly.
+// The mixed-profile evaluations are the payoff-engine sweeps on this
+// game's identity view: one stride-indexed tensor sweep instead of one
+// per (player, action). Hot loops that evaluate many profiles should call
+// the batched sweeps (deviation_payoffs_all) directly.
 
 double NormalFormGame::expected_payoff(const MixedProfile& profile, std::size_t player) const {
     if (profile.size() != num_players()) throw std::invalid_argument("expected_payoff: width");
-    return PayoffEngine(*this).expected_payoff(profile, player);
+    return game::expected_payoff(*this, profile, player);
 }
 
 std::vector<double> NormalFormGame::expected_payoffs(const MixedProfile& profile) const {
     if (profile.size() != num_players()) throw std::invalid_argument("expected_payoffs: width");
-    return PayoffEngine(*this).expected_payoffs(profile);
+    return game::expected_payoffs(*this, profile);
 }
 
 double NormalFormGame::deviation_payoff(const MixedProfile& profile, std::size_t player,
                                         std::size_t action) const {
-    return PayoffEngine(*this).deviation_row(profile, player).at(action);
+    return deviation_row(*this, profile, player).at(action);
 }
 
 util::Rational NormalFormGame::expected_payoff_exact(const ExactMixedProfile& profile,
@@ -222,22 +221,22 @@ util::Rational NormalFormGame::expected_payoff_exact(const ExactMixedProfile& pr
     if (profile.size() != num_players()) {
         throw std::invalid_argument("expected_payoff_exact: width");
     }
-    return PayoffEngine(*this).expected_payoff_exact(profile, player);
+    return game::expected_payoff_exact(*this, profile, player);
 }
 
 util::Rational NormalFormGame::deviation_payoff_exact(const ExactMixedProfile& profile,
                                                       std::size_t player,
                                                       std::size_t action) const {
-    return PayoffEngine(*this).deviation_row_exact(profile, player).at(action);
+    return deviation_row_exact(*this, profile, player).at(action);
 }
 
 std::vector<std::size_t> NormalFormGame::best_responses(const MixedProfile& profile,
                                                         std::size_t player, double tol) const {
-    return PayoffEngine(*this).best_responses(profile, player, tol);
+    return PayoffEngine::best_responses_from(deviation_row(*this, profile, player), tol);
 }
 
 double NormalFormGame::regret(const MixedProfile& profile) const {
-    return PayoffEngine(*this).regret(profile);
+    return PayoffEngine::regret_from(deviation_payoffs_all(*this, profile), profile);
 }
 
 util::MatrixQ NormalFormGame::payoff_matrix(std::size_t player) const {

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <exception>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "game/game_view.h"
@@ -22,39 +22,18 @@ namespace {
 inline bool sweep_zero(double value) { return value == 0.0; }
 inline bool sweep_zero(const util::Rational& value) { return value.is_zero(); }
 
-// Tensor accessors: the sweep kernels are generic over WHERE a profile's
-// payoff row lives. `make_walker()` yields a util::OffsetWalker over the
-// accessor's per-digit cell-offset tables (the ONE incremental odometer
-// every kernel steps), and `at(row, i)` reads player i's payoff from the
-// walker's current row.
-//
-// DenseTensor: contiguous [rank * n + i] storage (NormalFormGame's own
-// tensors); the walker steps the engine's precomputed offset tables
-// (cell_offsets()[p][a] = a * stride_p * n). Rows are contiguous, so the
-// all-player accumulation vectorizes (kContiguousRow).
-template <typename V>
-struct DenseTensor {
-    const V* data;
-    const std::vector<std::vector<std::uint64_t>>* cells;
-    static constexpr bool kContiguousRow = true;
-    [[nodiscard]] util::OffsetWalker make_walker() const {
-        util::OffsetWalker walker;
-        walker.reserve(cells->size());
-        for (const auto& column : *cells) walker.add_digit(column.data(), column.size());
-        return walker;
-    }
-    [[nodiscard]] const V* row_ptr(std::uint64_t row) const noexcept { return data + row; }
-    [[nodiscard]] const V& at(std::uint64_t row, std::size_t i) const noexcept {
-        return data[row + i];
-    }
-};
+// double for a MixedProfile, util::Rational for an ExactMixedProfile.
+template <typename ProfileT>
+using ValueOf = typename ProfileT::value_type::value_type;
 
-// ViewTensor: a GameView's scattered cells; the walker steps the view's
-// cell-offset tables straight into the PARENT tensor (zero copy), and
-// reads go through the view's player column map.
-struct ViewTensorBase {
+// Tensor accessors: the sweep kernels are generic over how a view
+// player's payoff is read from a payoff row. `make_walker()` yields a
+// util::OffsetWalker over the view's per-digit cell-offset tables (the
+// ONE incremental odometer every kernel steps, straight into the parent
+// tensor: zero copy), and `at(row, i)` reads view player i's payoff from
+// the walker's current row.
+struct ViewRows {
     const GameView* view;
-    static constexpr bool kContiguousRow = false;
     [[nodiscard]] util::OffsetWalker make_walker() const {
         util::OffsetWalker walker;
         walker.reserve(view->num_players());
@@ -64,20 +43,47 @@ struct ViewTensorBase {
         }
         return walker;
     }
-    [[nodiscard]] const double* row_ptr(std::uint64_t) const noexcept { return nullptr; }
 };
 
-struct ViewTensorExact : ViewTensorBase {
-    [[nodiscard]] const util::Rational& at(std::uint64_t row, std::size_t i) const {
-        return view->payoff_from(row, i);
+// The view's player map is the identity (the full game and its action
+// restrictions): view player i reads row + i, so a whole row is
+// contiguous and the all-player accumulation vectorizes (kContiguousRow).
+template <typename V>
+struct IdentityRows : ViewRows {
+    const V* data;  // the parent's flat tensor
+    static constexpr bool kContiguousRow = true;
+    [[nodiscard]] const V* row_ptr(std::uint64_t row) const noexcept { return data + row; }
+    [[nodiscard]] const V& at(std::uint64_t row, std::size_t i) const noexcept {
+        return data[row + i];
     }
 };
 
-struct ViewTensorDouble : ViewTensorBase {
-    [[nodiscard]] double at(std::uint64_t row, std::size_t i) const {
-        return view->payoff_d_from(row, i);
+// A player-permuted view reads through its player column map.
+template <typename V>
+struct MappedRows : ViewRows {
+    static constexpr bool kContiguousRow = false;
+    [[nodiscard]] decltype(auto) at(std::uint64_t row, std::size_t i) const {
+        if constexpr (std::is_same_v<V, double>) {
+            return view->payoff_d_from(row, i);
+        } else {
+            return view->payoff_from(row, i);
+        }
     }
 };
+
+// Runs `sweep(acc)` with the accessor the view's layout allows. The
+// choice is a property of the input, and both accessors accumulate in the
+// same order, so results are bit-identical either way.
+template <typename V, typename Sweep>
+void with_rows(const GameView& view, const Sweep& sweep) {
+    if (!view.identity_player_map()) {
+        sweep(MappedRows<V>{{&view}});
+    } else if constexpr (std::is_same_v<V, double>) {
+        sweep(IdentityRows<V>{{&view}, view.parent().payoffs_d_flat().data()});
+    } else {
+        sweep(IdentityRows<V>{{&view}, view.parent().payoffs_flat().data()});
+    }
+}
 
 // totals[i] += weight * row[i] for every player. On contiguous rows the
 // loop is elementwise-independent, so the double mirror vectorizes
@@ -203,15 +209,26 @@ BlockRanges uniform_blocks(std::uint64_t num_profiles) {
     return blocks;
 }
 
+// Elementwise into += part, recursing through nested tables.
+template <typename V>
+void add_into(V& into, const V& part) {
+    into += part;
+}
+template <typename V>
+void add_into(std::vector<V>& into, const std::vector<V>& part) {
+    for (std::size_t i = 0; i < into.size(); ++i) add_into(into[i], part[i]);
+}
+
 // Runs block_fn over the given rank ranges into per-block accumulators
 // (via the global pool in kAuto mode when it has capacity) and merges in
-// block order. The decomposition is an explicit input — the dense sweeps
-// pass uniform kParallelBlock chunks and the sparse sweeps pass the SAME
-// dense boundaries mapped into support-rank space — so kAuto and kSerial
-// (and dense and sparse) agree bit-for-bit.
-template <typename Table, typename MakeFn, typename BlockFn, typename MergeFn>
-void blocked_sweep_ranges(const BlockRanges& blocks, SweepMode mode, Table& out, MakeFn&& make,
-                          BlockFn&& block_fn, MergeFn&& merge) {
+// block order. `out` holds zeros on entry; each block's accumulator
+// starts as a copy of it. The decomposition is an explicit input — the
+// dense sweeps pass uniform kParallelBlock chunks and the sparse sweeps
+// pass the SAME dense boundaries mapped into support-rank space — so
+// kAuto and kSerial (and dense and sparse) agree bit-for-bit.
+template <typename Table, typename BlockFn>
+void blocked_sweep(const BlockRanges& blocks, SweepMode mode, Table& out,
+                   const BlockFn& block_fn) {
     if (blocks.empty()) return;
     util::ExecutionGrant* const grant = util::active_grant();
     if (blocks.size() == 1) {
@@ -224,7 +241,7 @@ void blocked_sweep_ranges(const BlockRanges& blocks, SweepMode mode, Table& out,
     std::vector<std::exception_ptr> errors(num_blocks);
     const auto work = [&](std::size_t block) {
         try {
-            partial[block] = make();
+            partial[block] = out;
             block_fn(blocks[block].first, blocks[block].second, partial[block]);
         } catch (...) {
             errors[block] = std::current_exception();
@@ -245,17 +262,7 @@ void blocked_sweep_ranges(const BlockRanges& blocks, SweepMode mode, Table& out,
     for (auto& error : errors) {
         if (error) std::rethrow_exception(error);
     }
-    for (std::size_t block = 0; block < num_blocks; ++block) {
-        merge(out, partial[block]);
-    }
-}
-
-template <typename Table, typename MakeFn, typename BlockFn, typename MergeFn>
-void blocked_sweep(std::uint64_t num_profiles, SweepMode mode, Table& out, MakeFn&& make,
-                   BlockFn&& block_fn, MergeFn&& merge) {
-    blocked_sweep_ranges(uniform_blocks(num_profiles), mode, out,
-                         std::forward<MakeFn>(make), std::forward<BlockFn>(block_fn),
-                         std::forward<MergeFn>(merge));
+    for (std::size_t block = 0; block < num_blocks; ++block) add_into(out, partial[block]);
 }
 
 template <typename V>
@@ -266,85 +273,7 @@ std::vector<std::vector<V>> make_table(const std::vector<std::size_t>& counts) {
 }
 
 template <typename ProfileT>
-void validate_profile_shape(const NormalFormGame& game, const ProfileT& profile,
-                            const char* what) {
-    if (profile.size() != game.num_players()) {
-        throw std::invalid_argument(std::string(what) + ": width");
-    }
-    for (std::size_t i = 0; i < profile.size(); ++i) {
-        if (profile[i].size() != game.num_actions(i)) {
-            throw std::invalid_argument(std::string(what) + ": strategy size for player " +
-                                        std::to_string(i));
-        }
-    }
-}
-
-template <typename V, typename ProfileT, typename Acc>
-std::vector<std::vector<V>> deviation_sweep(const std::vector<std::size_t>& counts,
-                                            std::uint64_t num_profiles, const Acc& acc,
-                                            const ProfileT& profile, SweepMode mode) {
-    auto dev = make_table<V>(counts);
-    blocked_sweep(
-        num_profiles, mode, dev, [&] { return make_table<V>(counts); },
-        [&](std::uint64_t lo, std::uint64_t hi, std::vector<std::vector<V>>& table) {
-            deviation_block<V>(profile, acc, lo, hi, table);
-        },
-        [](std::vector<std::vector<V>>& into, const std::vector<std::vector<V>>& part) {
-            for (std::size_t i = 0; i < into.size(); ++i) {
-                for (std::size_t a = 0; a < into[i].size(); ++a) into[i][a] += part[i][a];
-            }
-        });
-    return dev;
-}
-
-template <typename V, typename ProfileT, typename Acc>
-std::vector<V> expected_sweep(const std::vector<std::size_t>& counts,
-                              std::uint64_t num_profiles, const Acc& acc,
-                              const ProfileT& profile, SweepMode mode) {
-    std::vector<V> totals(counts.size(), V{0});
-    blocked_sweep(
-        num_profiles, mode, totals, [&] { return std::vector<V>(counts.size(), V{0}); },
-        [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
-            expected_block<V>(profile, acc, lo, hi, table);
-        },
-        [](std::vector<V>& into, const std::vector<V>& part) {
-            for (std::size_t i = 0; i < into.size(); ++i) into[i] += part[i];
-        });
-    return totals;
-}
-
-template <typename V, typename ProfileT, typename Acc>
-V expected_single_sweep(std::uint64_t num_profiles, const Acc& acc, const ProfileT& profile,
-                        std::size_t player) {
-    V total{0};
-    blocked_sweep(
-        num_profiles, SweepMode::kAuto, total, [] { return V{0}; },
-        [&](std::uint64_t lo, std::uint64_t hi, V& table) {
-            expected_single_block<V>(profile, acc, player, lo, hi, table);
-        },
-        [](V& into, const V& part) { into += part; });
-    return total;
-}
-
-template <typename V, typename ProfileT, typename Acc>
-std::vector<V> row_sweep(const std::vector<std::size_t>& counts, std::uint64_t num_profiles,
-                         const Acc& acc, const ProfileT& profile, std::size_t player) {
-    std::vector<V> row(counts[player], V{0});
-    blocked_sweep(
-        num_profiles, SweepMode::kAuto, row,
-        [&] { return std::vector<V>(counts[player], V{0}); },
-        [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
-            deviation_row_block<V>(profile, acc, player, lo, hi, table);
-        },
-        [](std::vector<V>& into, const std::vector<V>& part) {
-            for (std::size_t a = 0; a < into.size(); ++a) into[a] += part[a];
-        });
-    return row;
-}
-
-template <typename ProfileT>
-void validate_view_profile_shape(const GameView& view, const ProfileT& profile,
-                                 const char* what) {
+void validate_profile_shape(const GameView& view, const ProfileT& profile, const char* what) {
     if (profile.size() != view.num_players()) {
         throw std::invalid_argument(std::string(what) + ": width");
     }
@@ -356,6 +285,68 @@ void validate_view_profile_shape(const GameView& view, const ProfileT& profile,
     }
 }
 
+// --- dense sweeps: one per quantity ------------------------------------------
+
+template <typename ProfileT>
+auto deviation_sweep(const GameView& view, const ProfileT& profile, SweepMode mode,
+                     const char* what) {
+    using V = ValueOf<ProfileT>;
+    validate_profile_shape(view, profile, what);
+    auto dev = make_table<V>(view.action_counts());
+    with_rows<V>(view, [&](const auto& acc) {
+        blocked_sweep(uniform_blocks(view.num_profiles()), mode, dev,
+                      [&](std::uint64_t lo, std::uint64_t hi, std::vector<std::vector<V>>& table) {
+                          deviation_block<V>(profile, acc, lo, hi, table);
+                      });
+    });
+    return dev;
+}
+
+template <typename ProfileT>
+auto expected_sweep(const GameView& view, const ProfileT& profile, SweepMode mode,
+                    const char* what) {
+    using V = ValueOf<ProfileT>;
+    validate_profile_shape(view, profile, what);
+    std::vector<V> totals(view.num_players(), V{0});
+    with_rows<V>(view, [&](const auto& acc) {
+        blocked_sweep(uniform_blocks(view.num_profiles()), mode, totals,
+                      [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
+                          expected_block<V>(profile, acc, lo, hi, table);
+                      });
+    });
+    return totals;
+}
+
+template <typename ProfileT>
+auto expected_single_sweep(const GameView& view, const ProfileT& profile, std::size_t player,
+                           const char* what) {
+    using V = ValueOf<ProfileT>;
+    validate_profile_shape(view, profile, what);
+    V total{0};
+    with_rows<V>(view, [&](const auto& acc) {
+        blocked_sweep(uniform_blocks(view.num_profiles()), SweepMode::kAuto, total,
+                      [&](std::uint64_t lo, std::uint64_t hi, V& table) {
+                          expected_single_block<V>(profile, acc, player, lo, hi, table);
+                      });
+    });
+    return total;
+}
+
+template <typename ProfileT>
+auto row_sweep(const GameView& view, const ProfileT& profile, std::size_t player,
+               const char* what) {
+    using V = ValueOf<ProfileT>;
+    validate_profile_shape(view, profile, what);
+    std::vector<V> row(view.num_actions(player), V{0});
+    with_rows<V>(view, [&](const auto& acc) {
+        blocked_sweep(uniform_blocks(view.num_profiles()), SweepMode::kAuto, row,
+                      [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
+                          deviation_row_block<V>(profile, acc, player, lo, hi, table);
+                      });
+    });
+    return row;
+}
+
 // --- sparse-support machinery ------------------------------------------------
 //
 // The shared game::SupportPlan (see payoff_engine.h) restricts each digit
@@ -364,22 +355,21 @@ void validate_view_profile_shape(const GameView& view, const ProfileT& profile,
 // visits exactly the profiles the dense sweep would NOT have skipped, in
 // the same row-major order. A `full_player` digit (the deviating player
 // of a deviation-row sweep) keeps its whole action range. Offset tables
-// are materialized per plan (support-indexed slices of the accessor's
-// columns).
+// are materialized per plan (support-indexed slices of the view's
+// cell-offset columns).
 
 constexpr std::size_t kNoFullPlayer = SupportPlan::kNoFullPlayer;
 
 template <typename ProfileT>
-SupportPlan build_support_plan(const ProfileT& profile,
-                               const std::vector<std::vector<std::uint64_t>>* engine_cells,
-                               const GameView* view, std::size_t full_player) {
+SupportPlan support_plan(const GameView& view, const ProfileT& profile,
+                         std::size_t full_player) {
     const std::size_t n = profile.size();
     SupportPlan plan;
     plan.actions.resize(n);
     plan.offsets.resize(n);
     plan.radices.resize(n);
     for (std::size_t p = 0; p < n; ++p) {
-        const auto& column = engine_cells ? (*engine_cells)[p] : view->cell_offsets(p);
+        const auto& column = view.cell_offsets(p);
         if (p == full_player) {
             plan.actions[p].resize(column.size());
             for (std::size_t a = 0; a < column.size(); ++a) plan.actions[p][a] = a;
@@ -409,9 +399,10 @@ SupportPlan build_support_plan(const ProfileT& profile,
 // entry per NON-EMPTY dense block (adding an all-zero partial table is a
 // bitwise no-op: accumulators start at +0.0 and x + 0.0 == x for every
 // reachable x, so empty dense blocks are skipped).
-BlockRanges support_blocks(const std::vector<std::size_t>& full_counts,
-                           std::uint64_t full_profiles, const SupportPlan& plan) {
+BlockRanges support_blocks(const GameView& view, const SupportPlan& plan) {
     constexpr std::uint64_t kBlock = PayoffEngine::kParallelBlock;
+    const auto& full_counts = view.action_counts();
+    const std::uint64_t full_profiles = view.num_profiles();
     BlockRanges blocks;
     if (plan.num_tuples == 0) return blocks;
     if (full_profiles <= kBlock) {
@@ -554,65 +545,57 @@ void sparse_row_block(const SupportPlan& plan, const ProfileT& profile, const Ac
     util::work_counters_add(end - begin, walker.digit_moves());
 }
 
-template <typename V, typename ProfileT, typename Acc>
-std::vector<V> sparse_expected_sweep(const std::vector<std::size_t>& counts,
-                                     std::uint64_t num_profiles, const Acc& acc,
-                                     const std::vector<std::vector<std::uint64_t>>* cells,
-                                     const GameView* view, const ProfileT& profile,
-                                     SweepMode mode) {
-    std::vector<V> totals(counts.size(), V{0});
-    const auto plan = build_support_plan(profile, cells, view, kNoFullPlayer);
+template <typename ProfileT>
+auto sparse_expected_sweep(const GameView& view, const ProfileT& profile, SweepMode mode,
+                           const char* what) {
+    using V = ValueOf<ProfileT>;
+    validate_profile_shape(view, profile, what);
+    std::vector<V> totals(view.num_players(), V{0});
+    const auto plan = support_plan(view, profile, kNoFullPlayer);
     if (plan.dead) return totals;
-    blocked_sweep_ranges(
-        support_blocks(counts, num_profiles, plan), mode, totals,
-        [&] { return std::vector<V>(counts.size(), V{0}); },
-        [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
-            sparse_expected_block<V>(plan, profile, acc, lo, hi, table);
-        },
-        [](std::vector<V>& into, const std::vector<V>& part) {
-            for (std::size_t i = 0; i < into.size(); ++i) into[i] += part[i];
-        });
+    with_rows<V>(view, [&](const auto& acc) {
+        blocked_sweep(support_blocks(view, plan), mode, totals,
+                      [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
+                          sparse_expected_block<V>(plan, profile, acc, lo, hi, table);
+                      });
+    });
     return totals;
 }
 
-template <typename V, typename ProfileT, typename Acc>
-V sparse_expected_single_sweep(const std::vector<std::size_t>& counts,
-                               std::uint64_t num_profiles, const Acc& acc,
-                               const std::vector<std::vector<std::uint64_t>>* cells,
-                               const GameView* view, const ProfileT& profile,
-                               std::size_t player) {
+template <typename ProfileT>
+auto sparse_expected_single_sweep(const GameView& view, const ProfileT& profile,
+                                  std::size_t player, const char* what) {
+    using V = ValueOf<ProfileT>;
+    validate_profile_shape(view, profile, what);
     V total{0};
-    const auto plan = build_support_plan(profile, cells, view, kNoFullPlayer);
+    const auto plan = support_plan(view, profile, kNoFullPlayer);
     if (plan.dead) return total;
-    blocked_sweep_ranges(
-        support_blocks(counts, num_profiles, plan), SweepMode::kAuto, total,
-        [] { return V{0}; },
-        [&](std::uint64_t lo, std::uint64_t hi, V& table) {
-            sparse_expected_single_block<V>(plan, profile, acc, player, lo, hi, table);
-        },
-        [](V& into, const V& part) { into += part; });
+    with_rows<V>(view, [&](const auto& acc) {
+        blocked_sweep(support_blocks(view, plan), SweepMode::kAuto, total,
+                      [&](std::uint64_t lo, std::uint64_t hi, V& table) {
+                          sparse_expected_single_block<V>(plan, profile, acc, player, lo, hi,
+                                                          table);
+                      });
+    });
     return total;
 }
 
-template <typename V, typename ProfileT, typename Acc>
-std::vector<std::vector<V>> sparse_deviation_sweep(
-    const std::vector<std::size_t>& counts, std::uint64_t num_profiles, const Acc& acc,
-    const std::vector<std::vector<std::uint64_t>>* cells, const GameView* view,
-    const ProfileT& profile, SweepMode mode) {
-    auto dev = make_table<V>(counts);
-    for (std::size_t player = 0; player < counts.size(); ++player) {
-        const auto plan = build_support_plan(profile, cells, view, player);
-        if (plan.dead) continue;  // a rival support is empty: all weights are zero
-        blocked_sweep_ranges(
-            support_blocks(counts, num_profiles, plan), mode, dev[player],
-            [&] { return std::vector<V>(counts[player], V{0}); },
-            [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
-                sparse_row_block<V>(plan, profile, acc, player, lo, hi, table);
-            },
-            [](std::vector<V>& into, const std::vector<V>& part) {
-                for (std::size_t a = 0; a < into.size(); ++a) into[a] += part[a];
-            });
-    }
+template <typename ProfileT>
+auto sparse_deviation_sweep(const GameView& view, const ProfileT& profile, SweepMode mode,
+                            const char* what) {
+    using V = ValueOf<ProfileT>;
+    validate_profile_shape(view, profile, what);
+    auto dev = make_table<V>(view.action_counts());
+    with_rows<V>(view, [&](const auto& acc) {
+        for (std::size_t player = 0; player < dev.size(); ++player) {
+            const auto plan = support_plan(view, profile, player);
+            if (plan.dead) continue;  // a rival support is empty: all weights are zero
+            blocked_sweep(support_blocks(view, plan), mode, dev[player],
+                          [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
+                              sparse_row_block<V>(plan, profile, acc, player, lo, hi, table);
+                          });
+        }
+    });
     return dev;
 }
 
@@ -645,7 +628,7 @@ util::OffsetWalker SupportPlan::make_walker() const {
 
 SupportPlan build_support_plan(const GameView& view, const ExactMixedProfile& profile,
                                std::size_t full_player) {
-    return build_support_plan(profile, nullptr, &view, full_player);
+    return support_plan(view, profile, full_player);
 }
 
 SupportPlan build_support_plan_from_dists(const std::vector<std::vector<double>>& dists,
@@ -675,22 +658,11 @@ SupportPlan build_support_plan_from_dists(const std::vector<std::vector<double>>
     return plan;
 }
 
-PayoffEngine::PayoffEngine(const NormalFormGame& game) : game_(&game) {
+PayoffEngine::PayoffEngine(const NormalFormGame& game) {
     const auto& counts = game.action_counts();
-    const std::size_t n = counts.size();
-    strides_.assign(n, 1);
-    for (std::size_t i = n - 1; i-- > 0;) {
+    strides_.assign(counts.size(), 1);
+    for (std::size_t i = counts.size() - 1; i-- > 0;) {
         strides_[i] = strides_[i + 1] * counts[i + 1];
-    }
-    // Cell-offset tables in flat-tensor units (stride * row width): the
-    // digit tables the shared OffsetWalker steps. A dense game is the
-    // identity view, so these match GameView::full(game).cell_offsets.
-    cell_offsets_.resize(n);
-    for (std::size_t p = 0; p < n; ++p) {
-        cell_offsets_[p].resize(counts[p]);
-        for (std::size_t a = 0; a < counts[p]; ++a) {
-            cell_offsets_[p][a] = static_cast<std::uint64_t>(a) * strides_[p] * n;
-        }
     }
 }
 
@@ -700,225 +672,6 @@ std::uint64_t PayoffEngine::rank_of(const PureProfile& profile) const {
         rank += profile[i] * strides_[i];
     }
     return rank;
-}
-
-std::vector<double> PayoffEngine::expected_payoffs(const MixedProfile& profile,
-                                                   SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "expected_payoffs");
-    const DenseTensor<double> acc{game_->payoffs_d_flat().data(), &cell_offsets_};
-    return expected_sweep<double>(game_->action_counts(), game_->num_profiles(), acc, profile,
-                                  mode);
-}
-
-double PayoffEngine::expected_payoff(const MixedProfile& profile, std::size_t player) const {
-    validate_profile_shape(*game_, profile, "expected_payoff");
-    const DenseTensor<double> acc{game_->payoffs_d_flat().data(), &cell_offsets_};
-    return expected_single_sweep<double>(game_->num_profiles(), acc, profile, player);
-}
-
-DeviationTable PayoffEngine::deviation_payoffs_all(const MixedProfile& profile,
-                                                   SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "deviation_payoffs_all");
-    const DenseTensor<double> acc{game_->payoffs_d_flat().data(), &cell_offsets_};
-    return deviation_sweep<double>(game_->action_counts(), game_->num_profiles(), acc, profile,
-                                   mode);
-}
-
-std::vector<double> PayoffEngine::deviation_row(const MixedProfile& profile,
-                                                std::size_t player) const {
-    validate_profile_shape(*game_, profile, "deviation_row");
-    const DenseTensor<double> acc{game_->payoffs_d_flat().data(), &cell_offsets_};
-    return row_sweep<double>(game_->action_counts(), game_->num_profiles(), acc, profile,
-                             player);
-}
-
-std::vector<util::Rational> PayoffEngine::expected_payoffs_exact(
-    const ExactMixedProfile& profile, SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "expected_payoffs_exact");
-    const DenseTensor<util::Rational> acc{game_->payoffs_flat().data(), &cell_offsets_};
-    return expected_sweep<util::Rational>(game_->action_counts(), game_->num_profiles(), acc,
-                                          profile, mode);
-}
-
-util::Rational PayoffEngine::expected_payoff_exact(const ExactMixedProfile& profile,
-                                                   std::size_t player) const {
-    validate_profile_shape(*game_, profile, "expected_payoff_exact");
-    const DenseTensor<util::Rational> acc{game_->payoffs_flat().data(), &cell_offsets_};
-    return expected_single_sweep<util::Rational>(game_->num_profiles(), acc, profile, player);
-}
-
-ExactDeviationTable PayoffEngine::deviation_payoffs_all_exact(const ExactMixedProfile& profile,
-                                                              SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "deviation_payoffs_all_exact");
-    const DenseTensor<util::Rational> acc{game_->payoffs_flat().data(), &cell_offsets_};
-    return deviation_sweep<util::Rational>(game_->action_counts(), game_->num_profiles(), acc,
-                                           profile, mode);
-}
-
-std::vector<util::Rational> PayoffEngine::deviation_row_exact(const ExactMixedProfile& profile,
-                                                              std::size_t player) const {
-    validate_profile_shape(*game_, profile, "deviation_row_exact");
-    const DenseTensor<util::Rational> acc{game_->payoffs_flat().data(), &cell_offsets_};
-    return row_sweep<util::Rational>(game_->action_counts(), game_->num_profiles(), acc,
-                                     profile, player);
-}
-
-// --- sparse-support sweeps ---------------------------------------------------
-
-std::vector<double> PayoffEngine::expected_payoffs_sparse(const MixedProfile& profile,
-                                                          SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "expected_payoffs_sparse");
-    const DenseTensor<double> acc{game_->payoffs_d_flat().data(), &cell_offsets_};
-    return sparse_expected_sweep<double>(game_->action_counts(), game_->num_profiles(), acc,
-                                         &cell_offsets_, nullptr, profile, mode);
-}
-
-double PayoffEngine::expected_payoff_sparse(const MixedProfile& profile,
-                                            std::size_t player) const {
-    validate_profile_shape(*game_, profile, "expected_payoff_sparse");
-    const DenseTensor<double> acc{game_->payoffs_d_flat().data(), &cell_offsets_};
-    return sparse_expected_single_sweep<double>(game_->action_counts(),
-                                                game_->num_profiles(), acc, &cell_offsets_,
-                                                nullptr, profile, player);
-}
-
-DeviationTable PayoffEngine::deviation_payoffs_all_sparse(const MixedProfile& profile,
-                                                          SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "deviation_payoffs_all_sparse");
-    const DenseTensor<double> acc{game_->payoffs_d_flat().data(), &cell_offsets_};
-    return sparse_deviation_sweep<double>(game_->action_counts(), game_->num_profiles(), acc,
-                                          &cell_offsets_, nullptr, profile, mode);
-}
-
-std::vector<util::Rational> PayoffEngine::expected_payoffs_exact_sparse(
-    const ExactMixedProfile& profile, SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "expected_payoffs_exact_sparse");
-    const DenseTensor<util::Rational> acc{game_->payoffs_flat().data(), &cell_offsets_};
-    return sparse_expected_sweep<util::Rational>(game_->action_counts(),
-                                                 game_->num_profiles(), acc, &cell_offsets_,
-                                                 nullptr, profile, mode);
-}
-
-util::Rational PayoffEngine::expected_payoff_exact_sparse(const ExactMixedProfile& profile,
-                                                          std::size_t player) const {
-    validate_profile_shape(*game_, profile, "expected_payoff_exact_sparse");
-    const DenseTensor<util::Rational> acc{game_->payoffs_flat().data(), &cell_offsets_};
-    return sparse_expected_single_sweep<util::Rational>(game_->action_counts(),
-                                                        game_->num_profiles(), acc,
-                                                        &cell_offsets_, nullptr, profile,
-                                                        player);
-}
-
-ExactDeviationTable PayoffEngine::deviation_payoffs_all_exact_sparse(
-    const ExactMixedProfile& profile, SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "deviation_payoffs_all_exact_sparse");
-    const DenseTensor<util::Rational> acc{game_->payoffs_flat().data(), &cell_offsets_};
-    return sparse_deviation_sweep<util::Rational>(game_->action_counts(),
-                                                  game_->num_profiles(), acc, &cell_offsets_,
-                                                  nullptr, profile, mode);
-}
-
-// --- zero-copy view sweeps -------------------------------------------------
-
-std::vector<double> expected_payoffs(const GameView& view, const MixedProfile& profile,
-                                     SweepMode mode) {
-    validate_view_profile_shape(view, profile, "expected_payoffs(view)");
-    const ViewTensorDouble acc{&view};
-    return expected_sweep<double>(view.action_counts(), view.num_profiles(), acc, profile,
-                                  mode);
-}
-
-DeviationTable deviation_payoffs_all(const GameView& view, const MixedProfile& profile,
-                                     SweepMode mode) {
-    validate_view_profile_shape(view, profile, "deviation_payoffs_all(view)");
-    const ViewTensorDouble acc{&view};
-    return deviation_sweep<double>(view.action_counts(), view.num_profiles(), acc, profile,
-                                   mode);
-}
-
-std::vector<double> deviation_row(const GameView& view, const MixedProfile& profile,
-                                  std::size_t player) {
-    validate_view_profile_shape(view, profile, "deviation_row(view)");
-    const ViewTensorDouble acc{&view};
-    return row_sweep<double>(view.action_counts(), view.num_profiles(), acc, profile, player);
-}
-
-std::vector<util::Rational> expected_payoffs_exact(const GameView& view,
-                                                   const ExactMixedProfile& profile,
-                                                   SweepMode mode) {
-    validate_view_profile_shape(view, profile, "expected_payoffs_exact(view)");
-    const ViewTensorExact acc{&view};
-    return expected_sweep<util::Rational>(view.action_counts(), view.num_profiles(), acc,
-                                          profile, mode);
-}
-
-util::Rational expected_payoff_exact(const GameView& view, const ExactMixedProfile& profile,
-                                     std::size_t player) {
-    validate_view_profile_shape(view, profile, "expected_payoff_exact(view)");
-    const ViewTensorExact acc{&view};
-    return expected_single_sweep<util::Rational>(view.num_profiles(), acc, profile, player);
-}
-
-ExactDeviationTable deviation_payoffs_all_exact(const GameView& view,
-                                                const ExactMixedProfile& profile,
-                                                SweepMode mode) {
-    validate_view_profile_shape(view, profile, "deviation_payoffs_all_exact(view)");
-    const ViewTensorExact acc{&view};
-    return deviation_sweep<util::Rational>(view.action_counts(), view.num_profiles(), acc,
-                                           profile, mode);
-}
-
-std::vector<double> expected_payoffs_sparse(const GameView& view, const MixedProfile& profile,
-                                            SweepMode mode) {
-    validate_view_profile_shape(view, profile, "expected_payoffs_sparse(view)");
-    const ViewTensorDouble acc{&view};
-    return sparse_expected_sweep<double>(view.action_counts(), view.num_profiles(), acc,
-                                         nullptr, &view, profile, mode);
-}
-
-DeviationTable deviation_payoffs_all_sparse(const GameView& view, const MixedProfile& profile,
-                                            SweepMode mode) {
-    validate_view_profile_shape(view, profile, "deviation_payoffs_all_sparse(view)");
-    const ViewTensorDouble acc{&view};
-    return sparse_deviation_sweep<double>(view.action_counts(), view.num_profiles(), acc,
-                                          nullptr, &view, profile, mode);
-}
-
-std::vector<util::Rational> expected_payoffs_exact_sparse(const GameView& view,
-                                                          const ExactMixedProfile& profile,
-                                                          SweepMode mode) {
-    validate_view_profile_shape(view, profile, "expected_payoffs_exact_sparse(view)");
-    const ViewTensorExact acc{&view};
-    return sparse_expected_sweep<util::Rational>(view.action_counts(), view.num_profiles(),
-                                                 acc, nullptr, &view, profile, mode);
-}
-
-util::Rational expected_payoff_exact_sparse(const GameView& view,
-                                            const ExactMixedProfile& profile,
-                                            std::size_t player) {
-    validate_view_profile_shape(view, profile, "expected_payoff_exact_sparse(view)");
-    const ViewTensorExact acc{&view};
-    return sparse_expected_single_sweep<util::Rational>(view.action_counts(),
-                                                        view.num_profiles(), acc, nullptr,
-                                                        &view, profile, player);
-}
-
-ExactDeviationTable deviation_payoffs_all_exact_sparse(const GameView& view,
-                                                       const ExactMixedProfile& profile,
-                                                       SweepMode mode) {
-    validate_view_profile_shape(view, profile, "deviation_payoffs_all_exact_sparse(view)");
-    const ViewTensorExact acc{&view};
-    return sparse_deviation_sweep<util::Rational>(view.action_counts(), view.num_profiles(),
-                                                  acc, nullptr, &view, profile, mode);
-}
-
-std::vector<std::size_t> PayoffEngine::best_responses(const MixedProfile& profile,
-                                                      std::size_t player, double tol) const {
-    return best_responses_from(deviation_row(profile, player), tol);
-}
-
-double PayoffEngine::regret(const MixedProfile& profile) const {
-    return regret_from(deviation_payoffs_all(profile), profile);
 }
 
 double PayoffEngine::regret_from(const DeviationTable& dev, const MixedProfile& profile) {
@@ -944,6 +697,83 @@ std::vector<std::size_t> PayoffEngine::best_responses_from(const std::vector<dou
         if (row[action] >= best - tol) out.push_back(action);
     }
     return out;
+}
+
+// --- the sweep entries --------------------------------------------------------
+
+std::vector<double> expected_payoffs(const GameView& view, const MixedProfile& profile,
+                                     SweepMode mode) {
+    return expected_sweep(view, profile, mode, "expected_payoffs");
+}
+
+double expected_payoff(const GameView& view, const MixedProfile& profile, std::size_t player) {
+    return expected_single_sweep(view, profile, player, "expected_payoff");
+}
+
+DeviationTable deviation_payoffs_all(const GameView& view, const MixedProfile& profile,
+                                     SweepMode mode) {
+    return deviation_sweep(view, profile, mode, "deviation_payoffs_all");
+}
+
+std::vector<double> deviation_row(const GameView& view, const MixedProfile& profile,
+                                  std::size_t player) {
+    return row_sweep(view, profile, player, "deviation_row");
+}
+
+std::vector<util::Rational> expected_payoffs_exact(const GameView& view,
+                                                   const ExactMixedProfile& profile,
+                                                   SweepMode mode) {
+    return expected_sweep(view, profile, mode, "expected_payoffs_exact");
+}
+
+util::Rational expected_payoff_exact(const GameView& view, const ExactMixedProfile& profile,
+                                     std::size_t player) {
+    return expected_single_sweep(view, profile, player, "expected_payoff_exact");
+}
+
+ExactDeviationTable deviation_payoffs_all_exact(const GameView& view,
+                                                const ExactMixedProfile& profile,
+                                                SweepMode mode) {
+    return deviation_sweep(view, profile, mode, "deviation_payoffs_all_exact");
+}
+
+std::vector<util::Rational> deviation_row_exact(const GameView& view,
+                                                const ExactMixedProfile& profile,
+                                                std::size_t player) {
+    return row_sweep(view, profile, player, "deviation_row_exact");
+}
+
+std::vector<double> expected_payoffs_sparse(const GameView& view, const MixedProfile& profile,
+                                            SweepMode mode) {
+    return sparse_expected_sweep(view, profile, mode, "expected_payoffs_sparse");
+}
+
+double expected_payoff_sparse(const GameView& view, const MixedProfile& profile,
+                              std::size_t player) {
+    return sparse_expected_single_sweep(view, profile, player, "expected_payoff_sparse");
+}
+
+DeviationTable deviation_payoffs_all_sparse(const GameView& view, const MixedProfile& profile,
+                                            SweepMode mode) {
+    return sparse_deviation_sweep(view, profile, mode, "deviation_payoffs_all_sparse");
+}
+
+std::vector<util::Rational> expected_payoffs_exact_sparse(const GameView& view,
+                                                          const ExactMixedProfile& profile,
+                                                          SweepMode mode) {
+    return sparse_expected_sweep(view, profile, mode, "expected_payoffs_exact_sparse");
+}
+
+util::Rational expected_payoff_exact_sparse(const GameView& view,
+                                            const ExactMixedProfile& profile,
+                                            std::size_t player) {
+    return sparse_expected_single_sweep(view, profile, player, "expected_payoff_exact_sparse");
+}
+
+ExactDeviationTable deviation_payoffs_all_exact_sparse(const GameView& view,
+                                                       const ExactMixedProfile& profile,
+                                                       SweepMode mode) {
+    return sparse_deviation_sweep(view, profile, mode, "deviation_payoffs_all_exact_sparse");
 }
 
 namespace naive {

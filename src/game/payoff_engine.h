@@ -1,32 +1,36 @@
 // Stride-indexed payoff engine: single-sweep expected and deviation
-// payoffs over the payoff tensor.
+// payoffs over a payoff tensor.
 //
 // Every solution concept in the paper — Nash regret, epsilon-equilibria,
 // (k,t)-robustness — reduces to repeated expected-utility and
 // deviation-payoff evaluations. The seed implementation walked the whole
 // tensor once per (player, action) and re-derived each profile's rank
 // from scratch (O(players) per lookup), making best_responses, regret and
-// the learning dynamics O(actions x profiles x players^2). This engine:
+// the learning dynamics O(actions x profiles x players^2). These sweeps:
 //
-//   - precomputes row-major strides (and the per-digit cell-offset tables
-//     the shared util::OffsetWalker consumes) so ranks update in O(1) per
-//     odometer step and coalition deviations re-rank in O(|coalition|);
-//   - computes ALL deviation payoffs for ALL players in ONE sweep via
+//   - step a GameView's per-digit cell-offset tables with the shared
+//     util::OffsetWalker, so ranks update in O(1) per odometer step;
+//   - compute ALL deviation payoffs for ALL players in ONE sweep via
 //     marginalization: for each profile, prefix/suffix probability
 //     products give weight_excluding(i) for every i in O(players), and
 //     each accumulates into dev[i][a_i];
-//   - runs the same kernel over the double mirror and the exact Rational
+//   - run the same kernel over the double mirror and the exact Rational
 //     tensor (the robustness checkers must not see floating point);
-//   - above kParallelBlock profiles, splits the sweep into fixed-size
+//   - above kParallelBlock profiles, split the sweep into fixed-size
 //     contiguous blocks dispatched to util::global_pool(). Block
 //     decomposition is independent of worker count and partial tables are
 //     merged in block order, so results are bit-identical whether the
 //     sweep ran serial or threaded.
 //
-// The engine is cheap to construct (it only derives strides and the
-// per-digit offset tables); solvers on hot loops construct one per run
-// and call deviation_payoffs_all once per iteration instead of once per
-// action.
+// A DENSE GAME IS THE IDENTITY VIEW: every sweep takes a GameView, and a
+// NormalFormGame converts to its identity view implicitly, so each
+// quantity has exactly one entry. Restricted and permuted views sweep
+// zero-copy through the view's offsets into the parent tensor. When the
+// view's player map is the identity (the full game and its action
+// restrictions) a profile's payoffs are one contiguous row, and the
+// all-player accumulation runs the vectorized contiguous-row path;
+// permuted views read through the player map. The choice follows from the
+// input, and both paths accumulate in the same order.
 //
 // SPARSE-SUPPORT sweeps: the *_sparse entry points walk only the support
 // of the mixed profile (radix = |supp(sigma_i)| per digit), turning sweep
@@ -38,12 +42,15 @@
 // profiles and the sparse walk enumerates precisely the non-skipped ones
 // in the same order with the same merge grouping, so sparse results are
 // BIT-IDENTICAL to the dense entry points in every mode (asserted by
-// test_payoff_engine and the robustness fuzz suite).
+// test_payoff_engine and the robustness fuzz suite). They keep their own
+// names: the dense sweep over a sparse profile is the reference the
+// bit-identity tests and benches measure them against.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "game/game_view.h"
 #include "game/normal_form.h"
 #include "game/strategy.h"
 #include "util/rational.h"
@@ -53,8 +60,6 @@ class OffsetWalker;
 }  // namespace bnash::util
 
 namespace bnash::game {
-
-class GameView;
 
 // dev[player][action]: expected utility of `player` deviating to `action`
 // while everyone else follows the profile the table was computed from.
@@ -66,6 +71,10 @@ using ExactDeviationTable = std::vector<std::vector<util::Rational>>;
 // so results are identical — used by the determinism tests and benches).
 enum class SweepMode { kAuto, kSerial };
 
+// Row-major strides of a dense game, for callers that re-rank pure
+// profiles by hand (pure-Nash checks, the reference robustness
+// Evaluator), plus the derived quantities read off a deviation table.
+// Runs no sweep.
 class PayoffEngine final {
 public:
     // Profiles per parallel block. Fixed (not derived from worker count)
@@ -74,64 +83,12 @@ public:
 
     explicit PayoffEngine(const NormalFormGame& game);
 
-    [[nodiscard]] const NormalFormGame& game() const noexcept { return *game_; }
     [[nodiscard]] const std::vector<std::uint64_t>& strides() const noexcept {
         return strides_;
-    }
-    // Per-digit flat-tensor offsets (action a of player p contributes
-    // cell_offsets()[p][a] to a profile's payoff-row offset): the tables
-    // the shared util::OffsetWalker steps over. Same contract as
-    // GameView::cell_offsets — a dense game is the identity view.
-    [[nodiscard]] const std::vector<std::vector<std::uint64_t>>& cell_offsets()
-        const noexcept {
-        return cell_offsets_;
     }
 
     // Row-major rank via strides; O(players), no allocation.
     [[nodiscard]] std::uint64_t rank_of(const PureProfile& profile) const;
-
-    // --- double mirror -----------------------------------------------------
-    [[nodiscard]] std::vector<double> expected_payoffs(const MixedProfile& profile,
-                                                       SweepMode mode = SweepMode::kAuto) const;
-    [[nodiscard]] double expected_payoff(const MixedProfile& profile,
-                                         std::size_t player) const;
-    [[nodiscard]] DeviationTable deviation_payoffs_all(
-        const MixedProfile& profile, SweepMode mode = SweepMode::kAuto) const;
-    // One player's full deviation row (all of that player's actions).
-    [[nodiscard]] std::vector<double> deviation_row(const MixedProfile& profile,
-                                                    std::size_t player) const;
-
-    // --- exact tensor ------------------------------------------------------
-    [[nodiscard]] std::vector<util::Rational> expected_payoffs_exact(
-        const ExactMixedProfile& profile, SweepMode mode = SweepMode::kAuto) const;
-    [[nodiscard]] util::Rational expected_payoff_exact(const ExactMixedProfile& profile,
-                                                       std::size_t player) const;
-    [[nodiscard]] ExactDeviationTable deviation_payoffs_all_exact(
-        const ExactMixedProfile& profile, SweepMode mode = SweepMode::kAuto) const;
-    [[nodiscard]] std::vector<util::Rational> deviation_row_exact(
-        const ExactMixedProfile& profile, std::size_t player) const;
-
-    // --- sparse-support sweeps ----------------------------------------------
-    // Walk only the profile's support; results bit-identical to the dense
-    // siblings above (see the class comment for the alignment argument).
-    [[nodiscard]] std::vector<double> expected_payoffs_sparse(
-        const MixedProfile& profile, SweepMode mode = SweepMode::kAuto) const;
-    [[nodiscard]] double expected_payoff_sparse(const MixedProfile& profile,
-                                                std::size_t player) const;
-    [[nodiscard]] DeviationTable deviation_payoffs_all_sparse(
-        const MixedProfile& profile, SweepMode mode = SweepMode::kAuto) const;
-    [[nodiscard]] std::vector<util::Rational> expected_payoffs_exact_sparse(
-        const ExactMixedProfile& profile, SweepMode mode = SweepMode::kAuto) const;
-    [[nodiscard]] util::Rational expected_payoff_exact_sparse(
-        const ExactMixedProfile& profile, std::size_t player) const;
-    [[nodiscard]] ExactDeviationTable deviation_payoffs_all_exact_sparse(
-        const ExactMixedProfile& profile, SweepMode mode = SweepMode::kAuto) const;
-
-    // --- derived quantities ------------------------------------------------
-    [[nodiscard]] std::vector<std::size_t> best_responses(const MixedProfile& profile,
-                                                          std::size_t player,
-                                                          double tol) const;
-    [[nodiscard]] double regret(const MixedProfile& profile) const;
 
     // From a precomputed table: callers doing several queries per sweep
     // (fictitious play needs regret AND best responses every iteration).
@@ -141,26 +98,28 @@ public:
         const std::vector<double>& row, double tol);
 
 private:
-    const NormalFormGame* game_;
     std::vector<std::uint64_t> strides_;
-    std::vector<std::vector<std::uint64_t>> cell_offsets_;
 };
 
-// --- zero-copy view sweeps -------------------------------------------------
-// The same single-sweep kernels run over a GameView: subgame expected and
-// deviation payoffs without materializing the restricted tensor. Block
-// decomposition and accumulation order match the dense sweeps, so the
-// results are bit-identical to constructing a PayoffEngine on
-// view.materialize(). Profiles are indexed in VIEW action space.
+// --- the sweeps ---------------------------------------------------------------
+// One entry per quantity. Profiles are indexed in VIEW action space;
+// shape mismatches throw std::invalid_argument.
+
+// --- double mirror
 [[nodiscard]] std::vector<double> expected_payoffs(const GameView& view,
                                                    const MixedProfile& profile,
                                                    SweepMode mode = SweepMode::kAuto);
+[[nodiscard]] double expected_payoff(const GameView& view, const MixedProfile& profile,
+                                     std::size_t player);
 [[nodiscard]] DeviationTable deviation_payoffs_all(const GameView& view,
                                                    const MixedProfile& profile,
                                                    SweepMode mode = SweepMode::kAuto);
+// One player's full deviation row (all of that player's actions).
 [[nodiscard]] std::vector<double> deviation_row(const GameView& view,
                                                 const MixedProfile& profile,
                                                 std::size_t player);
+
+// --- exact tensor
 [[nodiscard]] std::vector<util::Rational> expected_payoffs_exact(
     const GameView& view, const ExactMixedProfile& profile,
     SweepMode mode = SweepMode::kAuto);
@@ -170,12 +129,16 @@ private:
 [[nodiscard]] ExactDeviationTable deviation_payoffs_all_exact(
     const GameView& view, const ExactMixedProfile& profile,
     SweepMode mode = SweepMode::kAuto);
+[[nodiscard]] std::vector<util::Rational> deviation_row_exact(
+    const GameView& view, const ExactMixedProfile& profile, std::size_t player);
 
-// Sparse-support view sweeps (zero-copy AND support-only: the robustness
-// engine's mixed fallback evaluates mostly point-mass profiles through
-// expected_payoff_exact_sparse).
+// --- sparse-support sweeps (bit-identical to the dense siblings above;
+// the robustness engine's mixed fallback evaluates mostly point-mass
+// profiles through expected_payoffs_exact_sparse)
 [[nodiscard]] std::vector<double> expected_payoffs_sparse(
     const GameView& view, const MixedProfile& profile, SweepMode mode = SweepMode::kAuto);
+[[nodiscard]] double expected_payoff_sparse(const GameView& view, const MixedProfile& profile,
+                                            std::size_t player);
 [[nodiscard]] DeviationTable deviation_payoffs_all_sparse(
     const GameView& view, const MixedProfile& profile, SweepMode mode = SweepMode::kAuto);
 [[nodiscard]] std::vector<util::Rational> expected_payoffs_exact_sparse(
@@ -211,8 +174,8 @@ struct SupportPlan final {
 };
 
 // Plan over a view's cell-offset columns for an exact candidate profile
-// (the robustness engine's case; the engine-internal double/dense
-// variants stay private to the sweep kernels).
+// (the robustness engine's case; the double variant stays private to the
+// sweep kernels).
 [[nodiscard]] SupportPlan build_support_plan(
     const GameView& view, const ExactMixedProfile& profile,
     std::size_t full_player = SupportPlan::kNoFullPlayer);

@@ -122,11 +122,6 @@ bool is_dominated(const GameView& view, std::size_t player, std::size_t action,
     return false;
 }
 
-bool is_dominated(const game::NormalFormGame& game, std::size_t player, std::size_t action,
-                  DominanceKind kind) {
-    return is_dominated(GameView::full(game), player, action, kind);
-}
-
 ViewEliminationResult iterated_elimination_view(const game::NormalFormGame& game,
                                                 DominanceKind kind) {
     std::vector<std::vector<std::size_t>> kept(game.num_players());

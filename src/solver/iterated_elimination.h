@@ -63,13 +63,9 @@ struct ViewEliminationResult final {
 [[nodiscard]] ViewEliminationResult iterated_elimination_view(const game::NormalFormGame& game,
                                                               DominanceKind kind);
 
-// True iff `action` of `player` is dominated in `game` under `kind`
-// (single-round test, no iteration).
-[[nodiscard]] bool is_dominated(const game::NormalFormGame& game, std::size_t player,
-                                std::size_t action, DominanceKind kind);
-
-// View overload: the dominance scan the reduction loop uses (action is a
-// VIEW action index).
+// True iff `action` of `player` is dominated in the view under `kind`
+// (single-round test, no iteration; action is a VIEW action index, and a
+// NormalFormGame passes as its identity view). The reduction loop's scan.
 [[nodiscard]] bool is_dominated(const game::GameView& view, std::size_t player,
                                 std::size_t action, DominanceKind kind);
 

@@ -29,7 +29,7 @@ double dot(const game::MixedStrategy& strategy, const std::vector<double>& value
 LearningResult fictitious_play(const game::NormalFormGame& game,
                                const LearningOptions& options) {
     const std::size_t players = game.num_players();
-    const game::PayoffEngine engine(game);
+    const game::GameView view(game);
     // counts[i][a]: how often player i played action a (Dirichlet-1 prior).
     std::vector<std::vector<double>> counts(players);
     for (std::size_t i = 0; i < players; ++i) {
@@ -47,7 +47,7 @@ LearningResult fictitious_play(const game::NormalFormGame& game,
     game::MixedProfile profile(players);
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
         for (std::size_t i = 0; i < players; ++i) profile[i] = empirical(i);
-        const auto dev = engine.deviation_payoffs_all(profile);
+        const auto dev = game::deviation_payoffs_all(view, profile);
         const double regret = game::PayoffEngine::regret_from(dev, profile);
         record_trace(regret, iter, options, result);
         result.iterations = iter + 1;
@@ -65,7 +65,7 @@ LearningResult fictitious_play(const game::NormalFormGame& game,
     }
     for (std::size_t i = 0; i < players; ++i) profile[i] = empirical(i);
     result.profile = std::move(profile);
-    result.final_regret = engine.regret(result.profile);
+    result.final_regret = game.regret(result.profile);
     result.converged = result.final_regret <= options.target_regret;
     return result;
 }
@@ -73,7 +73,7 @@ LearningResult fictitious_play(const game::NormalFormGame& game,
 LearningResult replicator_dynamics(const game::NormalFormGame& game,
                                    const LearningOptions& options) {
     const std::size_t players = game.num_players();
-    const game::PayoffEngine engine(game);
+    const game::GameView view(game);
     // Shift payoffs so fitness is positive.
     double min_payoff = std::numeric_limits<double>::infinity();
     for (const double value : game.payoffs_d_flat()) {
@@ -87,7 +87,7 @@ LearningResult replicator_dynamics(const game::NormalFormGame& game,
         profile[i] = game::uniform_strategy(game.num_actions(i));
     }
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-        const auto dev = engine.deviation_payoffs_all(profile);
+        const auto dev = game::deviation_payoffs_all(view, profile);
         const double regret = game::PayoffEngine::regret_from(dev, profile);
         record_trace(regret, iter, options, result);
         result.iterations = iter + 1;
@@ -112,7 +112,7 @@ LearningResult replicator_dynamics(const game::NormalFormGame& game,
         profile = std::move(next);
     }
     result.profile = std::move(profile);
-    result.final_regret = engine.regret(result.profile);
+    result.final_regret = game.regret(result.profile);
     result.converged = result.final_regret <= options.target_regret;
     return result;
 }

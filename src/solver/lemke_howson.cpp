@@ -62,13 +62,6 @@ private:
 
 }  // namespace
 
-std::optional<MixedEquilibrium> lemke_howson(const game::NormalFormGame& game,
-                                             std::size_t initial_label,
-                                             std::size_t max_pivots,
-                                             LemkeHowsonStats* stats) {
-    return lemke_howson(game::GameView::full(game), initial_label, max_pivots, stats);
-}
-
 std::optional<MixedEquilibrium> lemke_howson(const game::GameView& view,
                                              std::size_t initial_label,
                                              std::size_t max_pivots,
@@ -155,11 +148,6 @@ std::optional<MixedEquilibrium> lemke_howson(const game::GameView& view,
     out.payoffs = {game::expected_payoff_exact(view, out.profile, 0),
                    game::expected_payoff_exact(view, out.profile, 1)};
     return out;
-}
-
-std::vector<MixedEquilibrium> lemke_howson_all_labels(const game::NormalFormGame& game,
-                                                      std::size_t max_pivots) {
-    return lemke_howson_all_labels(game::GameView::full(game), max_pivots);
 }
 
 std::vector<MixedEquilibrium> lemke_howson_all_labels(const game::GameView& view,

@@ -28,21 +28,14 @@ struct LemkeHowsonStats final {
 };
 
 // Runs one Lemke-Howson path dropping `initial_label` in [0, m+n).
-// Throws std::logic_error unless the game has exactly 2 players.
-[[nodiscard]] std::optional<MixedEquilibrium> lemke_howson(
-    const game::NormalFormGame& game, std::size_t initial_label = 0,
-    std::size_t max_pivots = 100'000, LemkeHowsonStats* stats = nullptr);
-
-// Zero-copy overload: pivots on the viewed subgame directly (strategies
-// in VIEW action space), materializing no restricted tensor. The
-// NormalFormGame overload is this on the identity view.
+// Throws std::logic_error unless the game has exactly 2 players. A view
+// is pivoted on directly (strategies in VIEW action space), materializing
+// no restricted tensor; a NormalFormGame passes as its identity view.
 [[nodiscard]] std::optional<MixedEquilibrium> lemke_howson(
     const game::GameView& view, std::size_t initial_label = 0,
     std::size_t max_pivots = 100'000, LemkeHowsonStats* stats = nullptr);
 
 // Runs every initial label and returns the distinct equilibria found.
-[[nodiscard]] std::vector<MixedEquilibrium> lemke_howson_all_labels(
-    const game::NormalFormGame& game, std::size_t max_pivots = 100'000);
 [[nodiscard]] std::vector<MixedEquilibrium> lemke_howson_all_labels(
     const game::GameView& view, std::size_t max_pivots = 100'000);
 

@@ -74,11 +74,6 @@ bool no_profitable_outside_deviation(const MatrixQ& payoffs, bool transpose,
 
 }  // namespace
 
-std::vector<MixedEquilibrium> support_enumeration(const game::NormalFormGame& game,
-                                                  std::size_t max_support) {
-    return support_enumeration(game::GameView::full(game), max_support);
-}
-
 std::vector<MixedEquilibrium> support_enumeration(const game::GameView& view,
                                                   std::size_t max_support) {
     if (view.num_players() != 2) {

@@ -23,15 +23,11 @@ struct MixedEquilibrium final {
     std::vector<util::Rational> payoffs;
 };
 
-// Throws std::logic_error unless `game` has exactly two players.
-// `max_support` caps the support size considered (default: no cap).
-[[nodiscard]] std::vector<MixedEquilibrium> support_enumeration(
-    const game::NormalFormGame& game, std::size_t max_support = SIZE_MAX);
-
-// Zero-copy overload: solves the viewed subgame directly (strategies are
-// in VIEW action space) — an elimination-reduced game is solved without
-// materializing its tensor. The NormalFormGame overload is this on the
-// identity view.
+// Throws std::logic_error unless the game has exactly two players.
+// `max_support` caps the support size considered (default: no cap). A
+// view is solved directly (strategies in VIEW action space) — an
+// elimination-reduced game is solved without materializing its tensor; a
+// NormalFormGame passes as its identity view.
 [[nodiscard]] std::vector<MixedEquilibrium> support_enumeration(
     const game::GameView& view, std::size_t max_support = SIZE_MAX);
 

@@ -45,8 +45,7 @@ bool is_pure_nash_at(const game::NormalFormGame& game,
 
 bool is_epsilon_nash(const game::NormalFormGame& game, const game::MixedProfile& profile,
                      double epsilon) {
-    const game::PayoffEngine engine(game);
-    const auto dev = engine.deviation_payoffs_all(profile);
+    const auto dev = game::deviation_payoffs_all(game, profile);
     for (std::size_t player = 0; player < game.num_players(); ++player) {
         double current = 0.0;
         for (std::size_t action = 0; action < dev[player].size(); ++action) {
@@ -64,8 +63,7 @@ bool is_nash(const game::NormalFormGame& game, const game::MixedProfile& profile
 }
 
 bool is_nash_exact(const game::NormalFormGame& game, const game::ExactMixedProfile& profile) {
-    const game::PayoffEngine engine(game);
-    const auto dev = engine.deviation_payoffs_all_exact(profile);
+    const auto dev = game::deviation_payoffs_all_exact(game, profile);
     for (std::size_t player = 0; player < game.num_players(); ++player) {
         util::Rational current{0};
         for (std::size_t action = 0; action < dev[player].size(); ++action) {

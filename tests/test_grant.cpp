@@ -307,7 +307,7 @@ TEST(GrantFuzz, BudgetedResultsAreSoundPrefixes) {
         const FrontierVerdict full = core::batch_robustness_frontier(
             game, profile, max_k, max_t, {criterion, SweepMode::kSerial});
         const BatchVerdict full_res = core::batch_resilience(game, profile, max_k, options);
-        const BatchVerdict full_imm = core::batch_immunity(game, profile, max_t, mode);
+        const BatchVerdict full_imm = core::batch_immunity(game, profile, max_t, {.mode = mode});
         const MaxKtResult full_walk = core::max_kt(game, profile, max_k, max_t, options);
 
         for (const std::uint64_t budget : {std::uint64_t{1}, std::uint64_t{9},
@@ -372,7 +372,7 @@ TEST(GrantFuzz, BudgetedResultsAreSoundPrefixes) {
             {
                 ExecutionGrant grant = ExecutionGrant::with_budget(budget);
                 GrantScope scope(&grant);
-                const BatchVerdict imm = core::batch_immunity(game, profile, max_t, mode);
+                const BatchVerdict imm = core::batch_immunity(game, profile, max_t, {.mode = mode});
                 if (imm.complete) {
                     EXPECT_TRUE(imm == full_imm) << label << " batch_immunity";
                 } else {

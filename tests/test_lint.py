@@ -94,6 +94,11 @@ class BadTree(unittest.TestCase):
         hits = self.hits("include-hygiene", "own_header.cpp")
         self.assertTrue(any("own" in f["message"] for f in hits), self.out)
 
+    def test_identity_forward_fires_without_waiver(self):
+        hits = self.hits("identity-forward", "bad_identity_forward.cpp")
+        # both twins fire; the rule accepts no waiver
+        self.assertEqual(len(hits), 2, self.out)
+
     def test_empty_waiver_reason_does_not_suppress(self):
         self.assertTrue(self.hits("no-rand", "bad_waiver.cpp"), self.out)
 

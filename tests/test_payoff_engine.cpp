@@ -86,10 +86,9 @@ TEST(PayoffEngine, SingleSweepMatchesNaiveDouble) {
     for (std::size_t players = 2; players <= 4; ++players) {
         for (int trial = 0; trial < 5; ++trial) {
             const auto g = NormalFormGame::random(random_shape(rng, players), rng);
-            const PayoffEngine engine(g);
             for (const bool with_zeros : {false, true}) {
                 const auto profile = random_mixed(g, rng, with_zeros);
-                const auto fast = engine.deviation_payoffs_all(profile);
+                const auto fast = deviation_payoffs_all(g, profile);
                 const auto slow = naive::deviation_payoffs_all(g, profile);
                 ASSERT_EQ(fast.size(), slow.size());
                 for (std::size_t i = 0; i < fast.size(); ++i) {
@@ -108,9 +107,8 @@ TEST(PayoffEngine, SingleSweepMatchesNaiveExact) {
     for (std::size_t players = 2; players <= 4; ++players) {
         for (int trial = 0; trial < 3; ++trial) {
             const auto g = NormalFormGame::random(random_shape(rng, players), rng);
-            const PayoffEngine engine(g);
             const auto profile = random_exact(g, rng);
-            const auto fast = engine.deviation_payoffs_all_exact(profile);
+            const auto fast = deviation_payoffs_all_exact(g, profile);
             for (std::size_t i = 0; i < fast.size(); ++i) {
                 for (std::size_t a = 0; a < fast[i].size(); ++a) {
                     // Byte-identical: exact arithmetic admits no tolerance.
@@ -125,10 +123,9 @@ TEST(PayoffEngine, SingleSweepMatchesNaiveExact) {
 TEST(PayoffEngine, ExpectedPayoffIsTableContraction) {
     util::Rng rng{17};
     const auto g = NormalFormGame::random({3, 4, 3}, rng);
-    const PayoffEngine engine(g);
     const auto profile = random_mixed(g, rng, false);
-    const auto dev = engine.deviation_payoffs_all(profile);
-    const auto expected = engine.expected_payoffs(profile);
+    const auto dev = deviation_payoffs_all(g, profile);
+    const auto expected = expected_payoffs(g, profile);
     for (std::size_t i = 0; i < g.num_players(); ++i) {
         double contraction = 0.0;
         for (std::size_t a = 0; a < dev[i].size(); ++a) {
@@ -138,8 +135,8 @@ TEST(PayoffEngine, ExpectedPayoffIsTableContraction) {
     }
     // Exact mirror of the same identity.
     const auto exact_profile = random_exact(g, rng);
-    const auto exact_dev = engine.deviation_payoffs_all_exact(exact_profile);
-    const auto exact_expected = engine.expected_payoffs_exact(exact_profile);
+    const auto exact_dev = deviation_payoffs_all_exact(g, exact_profile);
+    const auto exact_expected = expected_payoffs_exact(g, exact_profile);
     for (std::size_t i = 0; i < g.num_players(); ++i) {
         Rational contraction{0};
         for (std::size_t a = 0; a < exact_dev[i].size(); ++a) {
@@ -152,11 +149,10 @@ TEST(PayoffEngine, ExpectedPayoffIsTableContraction) {
 TEST(PayoffEngine, DeviationRowMatchesFullTable) {
     util::Rng rng{19};
     const auto g = NormalFormGame::random({4, 3, 4}, rng);
-    const PayoffEngine engine(g);
     const auto profile = random_mixed(g, rng, true);
-    const auto dev = engine.deviation_payoffs_all(profile);
+    const auto dev = deviation_payoffs_all(g, profile);
     for (std::size_t i = 0; i < g.num_players(); ++i) {
-        const auto row = engine.deviation_row(profile, i);
+        const auto row = deviation_row(g, profile, i);
         ASSERT_EQ(row.size(), dev[i].size());
         for (std::size_t a = 0; a < row.size(); ++a) {
             EXPECT_NEAR(row[a], dev[i][a], 1e-12);
@@ -167,12 +163,13 @@ TEST(PayoffEngine, DeviationRowMatchesFullTable) {
 TEST(PayoffEngine, BestResponsesAndRegretMatchGameApi) {
     util::Rng rng{23};
     const auto g = NormalFormGame::random({5, 5}, rng);
-    const PayoffEngine engine(g);
     const auto profile = random_mixed(g, rng, false);
     for (std::size_t i = 0; i < g.num_players(); ++i) {
-        EXPECT_EQ(engine.best_responses(profile, i, 1e-9), g.best_responses(profile, i));
+        EXPECT_EQ(PayoffEngine::best_responses_from(deviation_row(g, profile, i), 1e-9),
+                  g.best_responses(profile, i));
     }
-    EXPECT_DOUBLE_EQ(engine.regret(profile), g.regret(profile));
+    EXPECT_DOUBLE_EQ(PayoffEngine::regret_from(deviation_payoffs_all(g, profile), profile),
+                     g.regret(profile));
 }
 
 TEST(PayoffEngine, ThreadedAndSerialSweepsAreBitIdentical) {
@@ -180,10 +177,9 @@ TEST(PayoffEngine, ThreadedAndSerialSweepsAreBitIdentical) {
     // 32^3 = 32768 profiles: two parallel blocks, so the blocked merge
     // path (and on multi-core hosts the pool dispatch) is exercised.
     const auto g = NormalFormGame::random({32, 32, 32}, rng);
-    const PayoffEngine engine(g);
     const auto profile = random_mixed(g, rng, false);
-    const auto threaded = engine.deviation_payoffs_all(profile, SweepMode::kAuto);
-    const auto serial = engine.deviation_payoffs_all(profile, SweepMode::kSerial);
+    const auto threaded = deviation_payoffs_all(g, profile, SweepMode::kAuto);
+    const auto serial = deviation_payoffs_all(g, profile, SweepMode::kSerial);
     ASSERT_EQ(threaded.size(), serial.size());
     for (std::size_t i = 0; i < threaded.size(); ++i) {
         for (std::size_t a = 0; a < threaded[i].size(); ++a) {
@@ -193,14 +189,14 @@ TEST(PayoffEngine, ThreadedAndSerialSweepsAreBitIdentical) {
         }
     }
     // Re-running must also be deterministic.
-    const auto again = engine.deviation_payoffs_all(profile, SweepMode::kAuto);
+    const auto again = deviation_payoffs_all(g, profile, SweepMode::kAuto);
     for (std::size_t i = 0; i < threaded.size(); ++i) {
         for (std::size_t a = 0; a < threaded[i].size(); ++a) {
             EXPECT_EQ(threaded[i][a], again[i][a]);
         }
     }
-    const auto expected_threaded = engine.expected_payoffs(profile, SweepMode::kAuto);
-    const auto expected_serial = engine.expected_payoffs(profile, SweepMode::kSerial);
+    const auto expected_threaded = expected_payoffs(g, profile, SweepMode::kAuto);
+    const auto expected_serial = expected_payoffs(g, profile, SweepMode::kSerial);
     for (std::size_t i = 0; i < expected_threaded.size(); ++i) {
         EXPECT_EQ(expected_threaded[i], expected_serial[i]);
     }
@@ -239,20 +235,19 @@ TEST(PayoffEngine, SparseSweepsAreBitIdenticalToDense) {
     for (int trial = 0; trial < 12; ++trial) {
         const std::size_t players = 2 + static_cast<std::size_t>(trial % 3);
         const auto g = NormalFormGame::random(random_shape(rng, players), rng);
-        const PayoffEngine engine(g);
         const std::size_t support = 1 + static_cast<std::size_t>(trial % 3);
         const auto profile = random_support_profile(g, rng, support);
         for (const auto mode : {SweepMode::kSerial, SweepMode::kAuto}) {
-            EXPECT_EQ(engine.expected_payoffs_sparse(profile, mode),
-                      engine.expected_payoffs(profile, mode))
+            EXPECT_EQ(expected_payoffs_sparse(g, profile, mode),
+                      expected_payoffs(g, profile, mode))
                 << "trial " << trial;
-            EXPECT_EQ(engine.deviation_payoffs_all_sparse(profile, mode),
-                      engine.deviation_payoffs_all(profile, mode))
+            EXPECT_EQ(deviation_payoffs_all_sparse(g, profile, mode),
+                      deviation_payoffs_all(g, profile, mode))
                 << "trial " << trial;
         }
         for (std::size_t i = 0; i < players; ++i) {
-            EXPECT_EQ(engine.expected_payoff_sparse(profile, i),
-                      engine.expected_payoff(profile, i))
+            EXPECT_EQ(expected_payoff_sparse(g, profile, i),
+                      expected_payoff(g, profile, i))
                 << "trial " << trial;
         }
     }
@@ -263,7 +258,6 @@ TEST(PayoffEngine, SparseExactSweepsMatchDense) {
     for (int trial = 0; trial < 8; ++trial) {
         const std::size_t players = 2 + static_cast<std::size_t>(trial % 2);
         const auto g = NormalFormGame::random(random_shape(rng, players), rng);
-        const PayoffEngine engine(g);
         // random_exact draws weight 0 with probability 1/5 per action, so
         // sparse supports occur naturally; force a point mass sometimes.
         auto profile = random_exact(g, rng);
@@ -273,13 +267,13 @@ TEST(PayoffEngine, SparseExactSweepsMatchDense) {
                 s[0] = Rational{1};
             }
         }
-        EXPECT_EQ(engine.expected_payoffs_exact_sparse(profile),
-                  engine.expected_payoffs_exact(profile));
-        EXPECT_EQ(engine.deviation_payoffs_all_exact_sparse(profile),
-                  engine.deviation_payoffs_all_exact(profile));
+        EXPECT_EQ(expected_payoffs_exact_sparse(g, profile),
+                  expected_payoffs_exact(g, profile));
+        EXPECT_EQ(deviation_payoffs_all_exact_sparse(g, profile),
+                  deviation_payoffs_all_exact(g, profile));
         for (std::size_t i = 0; i < players; ++i) {
-            EXPECT_EQ(engine.expected_payoff_exact_sparse(profile, i),
-                      engine.expected_payoff_exact(profile, i));
+            EXPECT_EQ(expected_payoff_exact_sparse(g, profile, i),
+                      expected_payoff_exact(g, profile, i));
         }
     }
 }
@@ -292,13 +286,12 @@ TEST(PayoffEngine, SparseMultiBlockMatchesDenseBitwise) {
     util::Rng rng{47};
     const auto g = NormalFormGame::random({8, 8, 8, 8, 8, 8}, rng);  // 2^18 profiles
     ASSERT_GT(g.num_profiles(), PayoffEngine::kParallelBlock);
-    const PayoffEngine engine(g);
     const auto profile = random_support_profile(g, rng, 2);
     for (const auto mode : {SweepMode::kSerial, SweepMode::kAuto}) {
-        EXPECT_EQ(engine.deviation_payoffs_all_sparse(profile, mode),
-                  engine.deviation_payoffs_all(profile, mode));
-        EXPECT_EQ(engine.expected_payoffs_sparse(profile, mode),
-                  engine.expected_payoffs(profile, mode));
+        EXPECT_EQ(deviation_payoffs_all_sparse(g, profile, mode),
+                  deviation_payoffs_all(g, profile, mode));
+        EXPECT_EQ(expected_payoffs_sparse(g, profile, mode),
+                  expected_payoffs(g, profile, mode));
     }
 }
 
@@ -308,14 +301,13 @@ TEST(PayoffEngine, SparseSweepVisitsOnlyTheSupport) {
     // the sparse sweep exactly 1.
     util::Rng rng{53};
     const auto g = NormalFormGame::random({3, 3, 3}, rng);
-    const PayoffEngine engine(g);
     MixedProfile point(3, MixedStrategy(3, 0.0));
     for (auto& s : point) s[1] = 1.0;
     util::work_counters_reset();
-    (void)engine.expected_payoffs(point, SweepMode::kSerial);
+    (void)expected_payoffs(g, point, SweepMode::kSerial);
     const auto dense = util::work_counters_snapshot();
     util::work_counters_reset();
-    (void)engine.expected_payoffs_sparse(point, SweepMode::kSerial);
+    (void)expected_payoffs_sparse(g, point, SweepMode::kSerial);
     const auto sparse = util::work_counters_snapshot();
     EXPECT_EQ(dense.cells_visited, 27u);
     EXPECT_EQ(sparse.cells_visited, 1u);
@@ -325,9 +317,8 @@ TEST(PayoffEngine, SparseSweepVisitsOnlyTheSupport) {
 TEST(PayoffEngine, ValidatesProfileShape) {
     util::Rng rng{31};
     const auto g = NormalFormGame::random({2, 3}, rng);
-    const PayoffEngine engine(g);
-    EXPECT_THROW((void)engine.deviation_payoffs_all({{0.5, 0.5}}), std::invalid_argument);
-    EXPECT_THROW((void)engine.deviation_payoffs_all({{0.5, 0.5}, {1.0}}),
+    EXPECT_THROW((void)deviation_payoffs_all(g, {{0.5, 0.5}}), std::invalid_argument);
+    EXPECT_THROW((void)deviation_payoffs_all(g, {{0.5, 0.5}, {1.0}}),
                  std::invalid_argument);
 }
 

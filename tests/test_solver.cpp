@@ -161,7 +161,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EliminationPreservesNash,
 // ------------------------------------------------------ support enumeration
 
 TEST(SupportEnumeration, MatchingPenniesUniqueUniform) {
-    const auto equilibria = support_enumeration(matching_pennies());
+    const auto pennies = matching_pennies();
+    const auto equilibria = support_enumeration(pennies);
     ASSERT_EQ(equilibria.size(), 1u);
     const auto& eq = equilibria[0];
     EXPECT_EQ(eq.profile[0], (game::ExactMixedStrategy{Rational{1, 2}, Rational{1, 2}}));
@@ -172,7 +173,8 @@ TEST(SupportEnumeration, MatchingPenniesUniqueUniform) {
 TEST(SupportEnumeration, RoshamboUniqueUniformThirds) {
     // Example 3.3: "the unique Nash equilibrium has the players randomizing
     // uniformly between 0, 1, and 2".
-    const auto equilibria = support_enumeration(roshambo());
+    const auto rps = roshambo();
+    const auto equilibria = support_enumeration(rps);
     ASSERT_EQ(equilibria.size(), 1u);
     for (std::size_t player = 0; player < 2; ++player) {
         for (std::size_t action = 0; action < 3; ++action) {
@@ -182,7 +184,8 @@ TEST(SupportEnumeration, RoshamboUniqueUniformThirds) {
 }
 
 TEST(SupportEnumeration, BattleOfTheSexesHasThreeEquilibria) {
-    const auto equilibria = support_enumeration(battle_of_the_sexes());
+    const auto bos = battle_of_the_sexes();
+    const auto equilibria = support_enumeration(bos);
     EXPECT_EQ(equilibria.size(), 3u);  // two pure + one mixed
     int pure_count = 0;
     for (const auto& eq : equilibria) {
@@ -198,7 +201,8 @@ TEST(SupportEnumeration, BattleOfTheSexesHasThreeEquilibria) {
 }
 
 TEST(SupportEnumeration, PrisonersDilemmaOnlyDefect) {
-    const auto equilibria = support_enumeration(prisoners_dilemma());
+    const auto pd = prisoners_dilemma();
+    const auto equilibria = support_enumeration(pd);
     ASSERT_EQ(equilibria.size(), 1u);
     EXPECT_EQ(equilibria[0].profile[0][1], Rational{1});
     EXPECT_EQ(equilibria[0].payoffs[0], Rational{-3});
@@ -223,14 +227,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SupportEnumerationProperty,
 // ------------------------------------------------------------ Lemke-Howson
 
 TEST(LemkeHowson, FindsMatchingPenniesEquilibrium) {
-    const auto eq = lemke_howson(matching_pennies(), 0);
+    const auto pennies = matching_pennies();
+    const auto eq = lemke_howson(pennies, 0);
     ASSERT_TRUE(eq.has_value());
-    EXPECT_TRUE(is_nash_exact(matching_pennies(), eq->profile));
+    EXPECT_TRUE(is_nash_exact(pennies, eq->profile));
     EXPECT_EQ(eq->profile[0][0], Rational(1, 2));
 }
 
 TEST(LemkeHowson, FindsRoshamboEquilibrium) {
-    const auto eq = lemke_howson(roshambo(), 0);
+    const auto rps = roshambo();
+    const auto eq = lemke_howson(rps, 0);
     ASSERT_TRUE(eq.has_value());
     for (std::size_t action = 0; action < 3; ++action) {
         EXPECT_EQ(eq->profile[0][action], Rational(1, 3));
@@ -239,18 +245,20 @@ TEST(LemkeHowson, FindsRoshamboEquilibrium) {
 }
 
 TEST(LemkeHowson, AllLabelsOnBattleOfTheSexes) {
-    const auto equilibria = lemke_howson_all_labels(battle_of_the_sexes());
+    const auto bos = battle_of_the_sexes();
+    const auto equilibria = lemke_howson_all_labels(bos);
     // LH reaches the two pure equilibria from different labels (the mixed
     // one has index 2 and may or may not be reached); all must verify.
     EXPECT_GE(equilibria.size(), 2u);
     for (const auto& eq : equilibria) {
-        EXPECT_TRUE(is_nash_exact(battle_of_the_sexes(), eq.profile));
+        EXPECT_TRUE(is_nash_exact(bos, eq.profile));
     }
 }
 
 TEST(LemkeHowson, ReportsPivotStats) {
     LemkeHowsonStats stats;
-    const auto eq = lemke_howson(roshambo(), 0, 1000, &stats);
+    const auto rps = roshambo();
+    const auto eq = lemke_howson(rps, 0, 1000, &stats);
     ASSERT_TRUE(eq.has_value());
     EXPECT_GT(stats.pivots, 0u);
 }
@@ -410,7 +418,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CrossSolverProperty,
 TEST(Solvers, StagHuntAndChickenEquilibriumCounts) {
     EXPECT_EQ(pure_nash_equilibria(stag_hunt()).size(), 2u);
     EXPECT_EQ(pure_nash_equilibria(chicken()).size(), 2u);
-    EXPECT_EQ(support_enumeration(stag_hunt()).size(), 3u);
+    const auto stag = stag_hunt();
+    EXPECT_EQ(support_enumeration(stag).size(), 3u);
 }
 
 // ------------------------------------------------------------ view solvers
@@ -461,11 +470,10 @@ TEST(Learning, TieToleranceSharedWithNashVerifier) {
     g.set_payoff({0}, 0, util::Rational{1});
     // 1 + tol/2 exactly: a gap of 5e-10, below the 1e-9 tolerance.
     g.set_payoff({1}, 0, util::Rational{2'000'000'001, 2'000'000'000});
-    const game::PayoffEngine engine(g);
 
     // At the shared tolerance the two actions tie, and ties break toward
     // the lowest index — exactly the indifference is_nash certifies.
-    const auto row = engine.deviation_row({game::uniform_strategy(2)}, 0);
+    const auto row = game::deviation_row(g, {game::uniform_strategy(2)}, 0);
     const auto tied = game::PayoffEngine::best_responses_from(row, kNashTolerance);
     ASSERT_EQ(tied.size(), 2u);
     EXPECT_EQ(tied.front(), 0u);
