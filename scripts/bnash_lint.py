@@ -39,7 +39,8 @@ Rules (ids are stable; waivers reference them):
                      quoted include resolves under src/, and foo.cpp's
                      first include is its own header when one exists.
   identity-forward   No function that takes a NormalFormGame and whose
-                     whole body is `return f(... GameView::full(...) ...);`.
+                     whole body is `return f(... GameView::full(...) ...);`
+                     (or GameView(...) / GameView{...}).
                      A NormalFormGame converts to its identity view, so
                      such a twin only restates the view entry. No waiver.
 
@@ -72,7 +73,7 @@ RULE_DOCS = {
     "no-stdout": "no stdout writes in library code (waiver: stdout-ok)",
     "header-guard": "headers open with #pragma once",
     "include-hygiene": "includes resolve under src/, no ../ or <bits/>",
-    "identity-forward": "no NormalFormGame twin that only forwards GameView::full (no waiver)",
+    "identity-forward": "no NormalFormGame twin that only forwards its identity view (no waiver)",
 }
 
 WAIVER_OF_RULE = {
@@ -452,9 +453,10 @@ def check_header_guard(unit, findings):
     findings.append(Finding("header-guard", unit.rel, 1, "header has no #pragma once"))
 
 
-# A body that is one return statement calling something on GameView::full.
+# A body that is one return statement calling something on the identity
+# view, spelled GameView::full(...), GameView(...) or GameView{...}.
 IDENTITY_FORWARD_RE = re.compile(
-    r"\{\s*return\s+[A-Za-z_][\w:]*\s*\([^;]*\bGameView\s*::\s*full\s*\([^;]*;\s*\}",
+    r"\{\s*return\s+[A-Za-z_][\w:]*\s*\([^;]*\bGameView\s*(?:::\s*full\s*)?[({][^;]*;\s*\}",
     re.DOTALL)
 NORMAL_FORM_RE = re.compile(r"\bNormalFormGame\b")
 
@@ -472,7 +474,7 @@ def check_identity_forward(unit, findings):
         findings.append(Finding(
             "identity-forward", unit.rel, line_of(unit.stripped, block.start),
             f"'{block.name}' takes a NormalFormGame only to forward its "
-            "GameView::full identity view; a NormalFormGame converts to "
+            "identity view; a NormalFormGame converts to "
             "GameView implicitly, so delete this twin and keep the view entry",
             block.name))
 

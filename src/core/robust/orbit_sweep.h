@@ -34,8 +34,8 @@
 // util::work_counters and through them to any active
 // util::ExecutionGrant.
 //
-// Callers reach it through the robustness.h questions' `symmetry`
-// argument: the one router in robustness.cpp validates the candidate,
+// Callers reach it through the `symmetry` argument of the robustness.h
+// (k,t) questions: the one router in robustness.cpp validates the candidate,
 // builds this engine when orbit_applicable, and the dense CoalitionSweep
 // otherwise.
 #pragma once

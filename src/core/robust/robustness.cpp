@@ -30,12 +30,8 @@ using util::Rational;
 // production robustness checkers run on CoalitionSweep instead.
 class Evaluator final {
 public:
-    // A pure candidate; throws for a wrong width or an out-of-range action.
-    Evaluator(const NormalFormGame& game, const PureProfile& pure)
-        : game_(game), engine_(game), pure_(pure), base_rank_(game.profile_rank(pure)) {}
-
     Evaluator(const NormalFormGame& game, const ExactMixedProfile& profile)
-        : game_(game), engine_(game), profile_(&profile), pure_(as_pure_profile(profile)) {
+        : game_(game), engine_(game), profile_(profile), pure_(as_pure_profile(profile)) {
         if (pure_) base_rank_ = engine_.rank_of(*pure_);
     }
 
@@ -51,7 +47,7 @@ public:
             }
             return game_.payoff_at(rank, player);
         }
-        ExactMixedProfile deviated = *profile_;
+        ExactMixedProfile deviated = profile_;
         for (std::size_t idx = 0; idx < who.size(); ++idx) {
             game::ExactMixedStrategy point(game_.num_actions(who[idx]), Rational{0});
             point[actions[idx]] = Rational{1};
@@ -67,7 +63,7 @@ public:
 private:
     const NormalFormGame& game_;
     game::PayoffEngine engine_;
-    const ExactMixedProfile* profile_ = nullptr;
+    const ExactMixedProfile& profile_;
     std::optional<PureProfile> pure_;
     std::uint64_t base_rank_ = 0;
 };
@@ -146,16 +142,14 @@ std::optional<PureProfile> as_pure_profile(const ExactMixedProfile& profile) {
 
 std::optional<RobustnessViolation> find_resilience_violation(
     game::GameView view, const ExactMixedProfile& profile, std::size_t k,
-    const RobustnessOptions& options, const game::SymmetryGroup* symmetry) {
-    return find_robustness_violation(std::move(view), profile, k, 0, options, symmetry);
+    const RobustnessOptions& options) {
+    return find_robustness_violation(std::move(view), profile, k, 0, options);
 }
 
 std::optional<RobustnessViolation> find_immunity_violation(
-    game::GameView view, const ExactMixedProfile& profile, std::size_t t,
-    const RobustnessOptions& options, const game::SymmetryGroup* symmetry) {
-    return route(std::move(view), profile, symmetry, [&](const SweepDriver& sweep) {
-        return sweep.immunity_violation(t, options.mode);
-    });
+    game::GameView view, const ExactMixedProfile& profile, std::size_t t) {
+    return route(std::move(view), profile, nullptr,
+                 [&](const SweepDriver& sweep) { return sweep.immunity_violation(t); });
 }
 
 std::optional<RobustnessViolation> find_robustness_violation(
@@ -167,14 +161,12 @@ std::optional<RobustnessViolation> find_robustness_violation(
 }
 
 bool is_k_resilient(game::GameView view, const ExactMixedProfile& profile,
-                    std::size_t k, const RobustnessOptions& options,
-                    const game::SymmetryGroup* symmetry) {
-    return !find_resilience_violation(std::move(view), profile, k, options, symmetry).has_value();
+                    std::size_t k, const RobustnessOptions& options) {
+    return !find_resilience_violation(std::move(view), profile, k, options).has_value();
 }
 
-bool is_t_immune(game::GameView view, const ExactMixedProfile& profile, std::size_t t,
-                 const RobustnessOptions& options, const game::SymmetryGroup* symmetry) {
-    return !find_immunity_violation(std::move(view), profile, t, options, symmetry).has_value();
+bool is_t_immune(game::GameView view, const ExactMixedProfile& profile, std::size_t t) {
+    return !find_immunity_violation(std::move(view), profile, t).has_value();
 }
 
 bool is_kt_robust(game::GameView view, const ExactMixedProfile& profile, std::size_t k,
@@ -185,18 +177,16 @@ bool is_kt_robust(game::GameView view, const ExactMixedProfile& profile, std::si
 }
 
 BatchVerdict batch_resilience(game::GameView view, const ExactMixedProfile& profile,
-                              std::size_t max_k, const RobustnessOptions& options,
-                              const game::SymmetryGroup* symmetry) {
-    return route(std::move(view), profile, symmetry, [&](const SweepDriver& sweep) {
+                              std::size_t max_k, const RobustnessOptions& options) {
+    return route(std::move(view), profile, nullptr, [&](const SweepDriver& sweep) {
         return sweep.batch_resilience(max_k, options.criterion, options.mode);
     });
 }
 
 BatchVerdict batch_immunity(game::GameView view, const ExactMixedProfile& profile,
-                            std::size_t max_t, const RobustnessOptions& options,
-                            const game::SymmetryGroup* symmetry) {
-    return route(std::move(view), profile, symmetry, [&](const SweepDriver& sweep) {
-        return sweep.batch_immunity(max_t, options.mode);
+                            std::size_t max_t, game::SweepMode mode) {
+    return route(std::move(view), profile, nullptr, [&](const SweepDriver& sweep) {
+        return sweep.batch_immunity(max_t, mode);
     });
 }
 
@@ -218,15 +208,13 @@ MaxKtResult max_kt(game::GameView view, const ExactMixedProfile& profile,
 }
 
 std::size_t max_resilience(game::GameView view, const ExactMixedProfile& profile,
-                           std::size_t max_k, const RobustnessOptions& options,
-                           const game::SymmetryGroup* symmetry) {
-    return batch_resilience(std::move(view), profile, max_k, options, symmetry).max_ok;
+                           std::size_t max_k, const RobustnessOptions& options) {
+    return batch_resilience(std::move(view), profile, max_k, options).max_ok;
 }
 
 std::size_t max_immunity(game::GameView view, const ExactMixedProfile& profile,
-                         std::size_t max_t, const RobustnessOptions& options,
-                         const game::SymmetryGroup* symmetry) {
-    return batch_immunity(std::move(view), profile, max_t, options, symmetry).max_ok;
+                         std::size_t max_t) {
+    return batch_immunity(std::move(view), profile, max_t).max_ok;
 }
 
 game::ExactMixedProfile as_exact_profile(const game::GameView& view,
@@ -378,7 +366,8 @@ bool is_punishment_strategy(const NormalFormGame& game, const PureProfile& rho, 
     if (baseline.size() != game.num_players()) {
         throw std::invalid_argument("is_punishment_strategy: baseline width");
     }
-    const Evaluator eval(game, rho);
+    const auto rho_exact = as_exact_profile(game, rho);
+    const Evaluator eval(game, rho_exact);
     // S empty: everyone at rho must be strictly below baseline.
     for (std::size_t i = 0; i < game.num_players(); ++i) {
         if (!(eval.utility({}, {}, i) < baseline[i])) return false;

@@ -280,9 +280,9 @@ struct MaxKtResult final {
 };
 
 // --- the questions (exact rational arithmetic throughout) -----------------
-// One entry per question, all of one shape:
+// One entry per question, on a view:
 //
-//   (view, profile, sizes..., options = {}, symmetry = nullptr)
+//   (view, profile, sizes..., options = {}[, symmetry = nullptr])
 //
 // The candidate lives in VIEW action space. A NormalFormGame converts to
 // its identity view (the view is taken by value and moved into the sweep,
@@ -293,25 +293,24 @@ struct MaxKtResult final {
 // verdicts and violations bit-identical to checking the materialized
 // copy. Every entry validates the candidate first (throws
 // std::invalid_argument for a wrong width or a non-distribution).
-// Immunity questions read only options.mode.
 //
-// `symmetry` (nullable) is a symmetry group of the view — for example
-// game::SymmetryGroup::detect's. When it is non-trivial and the candidate
-// is pure and class-constant (orbit_applicable, orbit_sweep.h), the
-// question runs on the orbit engine: verdicts, boundaries and MaxKtResult
-// structs equal the dense engine's, but a reported witness may be a
-// different, equally valid member of the same orbit. Otherwise the dense CoalitionSweep answers, bit for bit as with
-// no group at all. It is an argument rather than a RobustnessOptions
-// field because the SweepDriver methods take RobustnessOptions too and
-// have no engine to choose.
+// `symmetry` (nullable; the (k,t) questions only) is a symmetry group of
+// the view — for example game::SymmetryGroup::detect's. When it is
+// non-trivial and the candidate is pure and class-constant
+// (orbit_applicable, orbit_sweep.h), the question runs on the orbit
+// engine: verdicts, boundaries and MaxKtResult structs equal the dense
+// engine's, but a reported witness may be a different, equally valid
+// member of the same orbit. Otherwise the dense CoalitionSweep answers,
+// bit for bit as with no group at all. It is an argument rather than a
+// RobustnessOptions field because the SweepDriver methods take
+// RobustnessOptions too and have no engine to choose.
 
 [[nodiscard]] std::optional<RobustnessViolation> find_resilience_violation(
     game::GameView view, const game::ExactMixedProfile& profile, std::size_t k,
-    const RobustnessOptions& options = {}, const game::SymmetryGroup* symmetry = nullptr);
+    const RobustnessOptions& options = {});
 
 [[nodiscard]] std::optional<RobustnessViolation> find_immunity_violation(
-    game::GameView view, const game::ExactMixedProfile& profile, std::size_t t,
-    const RobustnessOptions& options = {}, const game::SymmetryGroup* symmetry = nullptr);
+    game::GameView view, const game::ExactMixedProfile& profile, std::size_t t);
 
 [[nodiscard]] std::optional<RobustnessViolation> find_robustness_violation(
     game::GameView view, const game::ExactMixedProfile& profile, std::size_t k,
@@ -320,12 +319,9 @@ struct MaxKtResult final {
 
 [[nodiscard]] bool is_k_resilient(game::GameView view,
                                   const game::ExactMixedProfile& profile, std::size_t k,
-                                  const RobustnessOptions& options = {},
-                                  const game::SymmetryGroup* symmetry = nullptr);
+                                  const RobustnessOptions& options = {});
 [[nodiscard]] bool is_t_immune(game::GameView view,
-                               const game::ExactMixedProfile& profile, std::size_t t,
-                               const RobustnessOptions& options = {},
-                               const game::SymmetryGroup* symmetry = nullptr);
+                               const game::ExactMixedProfile& profile, std::size_t t);
 [[nodiscard]] bool is_kt_robust(game::GameView view,
                                 const game::ExactMixedProfile& profile, std::size_t k,
                                 std::size_t t, const RobustnessOptions& options = {},
@@ -338,13 +334,11 @@ struct MaxKtResult final {
 [[nodiscard]] BatchVerdict batch_resilience(game::GameView view,
                                             const game::ExactMixedProfile& profile,
                                             std::size_t max_k,
-                                            const RobustnessOptions& options = {},
-                                            const game::SymmetryGroup* symmetry = nullptr);
+                                            const RobustnessOptions& options = {});
 [[nodiscard]] BatchVerdict batch_immunity(game::GameView view,
                                           const game::ExactMixedProfile& profile,
                                           std::size_t max_t,
-                                          const RobustnessOptions& options = {},
-                                          const game::SymmetryGroup* symmetry = nullptr);
+                                          game::SweepMode mode = game::SweepMode::kAuto);
 
 // The whole k x t grid in one batched sweep; see FrontierVerdict.
 [[nodiscard]] FrontierVerdict batch_robustness_frontier(
@@ -366,12 +360,10 @@ struct MaxKtResult final {
 [[nodiscard]] std::size_t max_resilience(game::GameView view,
                                          const game::ExactMixedProfile& profile,
                                          std::size_t max_k,
-                                         const RobustnessOptions& options = {},
-                                         const game::SymmetryGroup* symmetry = nullptr);
+                                         const RobustnessOptions& options = {});
 [[nodiscard]] std::size_t max_immunity(game::GameView view,
                                        const game::ExactMixedProfile& profile,
-                                       std::size_t max_t, const RobustnessOptions& options = {},
-                                       const game::SymmetryGroup* symmetry = nullptr);
+                                       std::size_t max_t);
 
 // Pure-profile convenience: point masses in VIEW action space.
 [[nodiscard]] game::ExactMixedProfile as_exact_profile(const game::GameView& view,

@@ -237,11 +237,12 @@ void blocked_sweep(const BlockRanges& blocks, SweepMode mode, Table& out,
         return;
     }
     const std::size_t num_blocks = blocks.size();
-    std::vector<Table> partial(num_blocks);
+    // Every accumulator starts as zeros, so a block the grant skipped
+    // merges as zeros.
+    std::vector<Table> partial(num_blocks, out);
     std::vector<std::exception_ptr> errors(num_blocks);
     const auto work = [&](std::size_t block) {
         try {
-            partial[block] = out;
             block_fn(blocks[block].first, blocks[block].second, partial[block]);
         } catch (...) {
             errors[block] = std::current_exception();

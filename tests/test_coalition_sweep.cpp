@@ -187,7 +187,7 @@ void expect_frontier_matches_probes(const NormalFormGame& g, const ExactMixedPro
                                   resilience.violations[k - 1],
                                   what + " batch k=" + std::to_string(k));
         }
-        const auto immunity = batch_immunity(g, profile, max_t, {.mode = mode});
+        const auto immunity = batch_immunity(g, profile, max_t, mode);
         ASSERT_EQ(immunity.violations.size(), max_t) << what;
         for (std::size_t t = 1; t <= max_t; ++t) {
             expect_same_violation(find_immunity_violation(g, profile, t),

@@ -131,6 +131,35 @@ TEST(GrantScope, WorkCountersChargeActiveGrant) {
     EXPECT_EQ(grant.charged(), 60u);
 }
 
+TEST(GrantScope, TruncatedMultiBlockPayoffSweepsMergeSkippedBlocksAsZeros) {
+    // 32^3 profiles: two kParallelBlock blocks. A 1-cell budget expires
+    // inside the first block, so the second is skipped and must merge as
+    // zeros: every partial sum lies between 0 and the full one (1).
+    NormalFormGame g({32, 32, 32});
+    g.assign_payoffs(std::vector<util::Rational>(g.num_profiles() * 3, util::Rational{1}));
+    const game::MixedProfile uniform(3, std::vector<double>(32, 1.0 / 32));
+    const ExactMixedProfile uniform_exact(3,
+                                          std::vector<util::Rational>(32, util::Rational{1, 32}));
+    for (const SweepMode mode : {SweepMode::kSerial, SweepMode::kAuto}) {
+        ExecutionGrant grant = ExecutionGrant::with_budget(1);
+        GrantScope scope(&grant);
+        const game::DeviationTable dev = game::deviation_payoffs_all(g, uniform, mode);
+        const auto totals = game::expected_payoffs_exact(g, uniform_exact, mode);
+        EXPECT_TRUE(grant.expired());
+        ASSERT_EQ(dev.size(), 3u);
+        ASSERT_EQ(totals.size(), 3u);
+        for (std::size_t i = 0; i < 3; ++i) {
+            ASSERT_EQ(dev[i].size(), 32u);
+            for (const double v : dev[i]) {
+                EXPECT_GE(v, 0.0);
+                EXPECT_LE(v, 1.0 + 1e-12);
+            }
+            EXPECT_GE(totals[i], util::Rational{0});
+            EXPECT_LE(totals[i], util::Rational{1});
+        }
+    }
+}
+
 // ----------------------------------------------------- pool sizing + gating
 
 TEST(ThreadPool, PoolWorkersForDefaultsToCores) {
@@ -307,7 +336,7 @@ TEST(GrantFuzz, BudgetedResultsAreSoundPrefixes) {
         const FrontierVerdict full = core::batch_robustness_frontier(
             game, profile, max_k, max_t, {criterion, SweepMode::kSerial});
         const BatchVerdict full_res = core::batch_resilience(game, profile, max_k, options);
-        const BatchVerdict full_imm = core::batch_immunity(game, profile, max_t, {.mode = mode});
+        const BatchVerdict full_imm = core::batch_immunity(game, profile, max_t, mode);
         const MaxKtResult full_walk = core::max_kt(game, profile, max_k, max_t, options);
 
         for (const std::uint64_t budget : {std::uint64_t{1}, std::uint64_t{9},
@@ -372,7 +401,7 @@ TEST(GrantFuzz, BudgetedResultsAreSoundPrefixes) {
             {
                 ExecutionGrant grant = ExecutionGrant::with_budget(budget);
                 GrantScope scope(&grant);
-                const BatchVerdict imm = core::batch_immunity(game, profile, max_t, {.mode = mode});
+                const BatchVerdict imm = core::batch_immunity(game, profile, max_t, mode);
                 if (imm.complete) {
                     EXPECT_TRUE(imm == full_imm) << label << " batch_immunity";
                 } else {

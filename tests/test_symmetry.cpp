@@ -180,19 +180,6 @@ void validate_witness(const NormalFormGame& g, const PureProfile& base,
     }
 }
 
-// Orbit batch probes: the same boundaries and per-size verdicts as the
-// dense ones; witnesses may name other members of the same orbits.
-void expect_same_batch_verdicts(const BatchVerdict& a, const BatchVerdict& b,
-                                const std::string& label) {
-    EXPECT_EQ(a.max_ok, b.max_ok) << label;
-    EXPECT_EQ(a.complete, b.complete) << label;
-    ASSERT_EQ(a.violations.size(), b.violations.size()) << label;
-    for (std::size_t i = 0; i < a.violations.size(); ++i) {
-        EXPECT_EQ(a.violations[i].has_value(), b.violations[i].has_value())
-            << label << " size " << i + 1;
-    }
-}
-
 void expect_same_verdict_grid(const FrontierVerdict& a, const FrontierVerdict& b,
                               const std::string& label) {
     ASSERT_EQ(a.max_k, b.max_k) << label;
@@ -398,41 +385,6 @@ TEST(OrbitSweepFuzz, VerdictsMatchDenseOnSeededSymmetricGames) {
             EXPECT_TRUE(*dense_find == *routed_find) << label;
         }
 
-        // The immunity and batch questions with the group: the same
-        // verdicts as the dense engine's, and the dense fallback's results
-        // bit for bit.
-        const std::size_t max_imm = n - 1;
-        const auto dense_immune = find_immunity_violation(view, profile, max_imm, options);
-        const auto routed_immune =
-            find_immunity_violation(view, profile, max_imm, options, &group);
-        const BatchVerdict dense_res = batch_resilience(view, profile, max_k, options);
-        const BatchVerdict routed_res = batch_resilience(view, profile, max_k, options, &group);
-        const BatchVerdict dense_imm = batch_immunity(view, profile, max_imm, options);
-        const BatchVerdict routed_imm = batch_immunity(view, profile, max_imm, options, &group);
-        if (breaking || group.is_trivial()) {
-            EXPECT_TRUE(dense_immune == routed_immune) << label;
-            EXPECT_TRUE(dense_res == routed_res) << label;
-            EXPECT_TRUE(dense_imm == routed_imm) << label;
-        } else {
-            ASSERT_EQ(dense_immune.has_value(), routed_immune.has_value()) << label;
-            if (routed_immune) {
-                validate_witness(g, base, *routed_immune, 0, max_imm, criterion,
-                                 label + " immunity");
-            }
-            expect_same_batch_verdicts(dense_res, routed_res, label + " batch_resilience");
-            expect_same_batch_verdicts(dense_imm, routed_imm, label + " batch_immunity");
-            for (std::size_t k = 1; k <= max_k; ++k) {
-                if (const auto& v = routed_res.violations[k - 1]) {
-                    validate_witness(g, base, *v, k, 0, criterion,
-                                     label + " batch k=" + std::to_string(k));
-                }
-            }
-        }
-        EXPECT_EQ(max_resilience(view, profile, max_k, options, &group), dense_res.max_ok)
-            << label;
-        EXPECT_EQ(max_immunity(view, profile, max_imm, options, &group), dense_imm.max_ok)
-            << label;
-
         // A mixed class-constant candidate never takes the orbit route.
         if (trial % 5 == 0) {
             ExactMixedProfile mixed(n);
@@ -480,21 +432,6 @@ TEST(OrbitSweepTest, DegenerateGroupRoutesToDenseUnchanged) {
             core::find_robustness_violation(view, profile, 2, 1, options, &trivial);
         ASSERT_EQ(dense_find.has_value(), routed_find.has_value());
         if (dense_find) EXPECT_TRUE(*dense_find == *routed_find);
-        EXPECT_TRUE(find_immunity_violation(view, profile, 2, options) ==
-                    find_immunity_violation(view, profile, 2, options, &trivial))
-            << "trial " << trial;
-        EXPECT_TRUE(batch_resilience(view, profile, n, options) ==
-                    batch_resilience(view, profile, n, options, &trivial))
-            << "trial " << trial;
-        EXPECT_TRUE(batch_immunity(view, profile, n - 1, options) ==
-                    batch_immunity(view, profile, n - 1, options, &trivial))
-            << "trial " << trial;
-        EXPECT_EQ(max_resilience(view, profile, n, options),
-                  max_resilience(view, profile, n, options, &trivial))
-            << "trial " << trial;
-        EXPECT_EQ(max_immunity(view, profile, n - 1, options),
-                  max_immunity(view, profile, n - 1, options, &trivial))
-            << "trial " << trial;
     }
 }
 
@@ -509,22 +446,12 @@ TEST(OrbitSweepTest, SymmetryArgumentStillValidatesTheCandidate) {
     const ExactMixedProfile padded(2, {Rational{1}, Rational{0}, Rational{0}});
     const RobustnessOptions options;
     const SymmetryGroup* sym = &group;
-    EXPECT_THROW((void)find_resilience_violation(view, padded, 1, options, sym),
-                 std::invalid_argument);
-    EXPECT_THROW((void)find_immunity_violation(view, padded, 1, options, sym),
-                 std::invalid_argument);
     EXPECT_THROW((void)find_robustness_violation(view, padded, 1, 0, options, sym),
                  std::invalid_argument);
-    EXPECT_THROW((void)is_k_resilient(view, padded, 1, options, sym), std::invalid_argument);
-    EXPECT_THROW((void)is_t_immune(view, padded, 1, options, sym), std::invalid_argument);
     EXPECT_THROW((void)is_kt_robust(view, padded, 1, 0, options, sym), std::invalid_argument);
-    EXPECT_THROW((void)batch_resilience(view, padded, 1, options, sym), std::invalid_argument);
-    EXPECT_THROW((void)batch_immunity(view, padded, 1, options, sym), std::invalid_argument);
     EXPECT_THROW((void)batch_robustness_frontier(view, padded, 1, 1, options, sym),
                  std::invalid_argument);
     EXPECT_THROW((void)max_kt(view, padded, 1, 1, options, sym), std::invalid_argument);
-    EXPECT_THROW((void)max_resilience(view, padded, 1, options, sym), std::invalid_argument);
-    EXPECT_THROW((void)max_immunity(view, padded, 1, options, sym), std::invalid_argument);
 }
 
 // ------------------------------------------------ anonymous large-n path
