@@ -17,11 +17,18 @@ Rules (ids are stable; waivers reference them):
                      (work_counters_add or a digit_moves() hand-off)
                      inside its enclosing function, or carries an
                      explicit waiver:  // lint: no-charge(<reason>)
-  grant-propagation  Every pooled run_blocks call site outside src/util
-                     shows grant awareness in its enclosing function
-                     (ExecutionGrant / active_grant / GrantScope /
-                     work_counters_add — the latter charges the active
-                     grant), or carries:  // lint: grant-ok(<reason>)
+  grant-propagation  Every pooled call site outside src/util — a
+                     run_blocks member call, or a util::first_hit /
+                     util::for_blocks call — shows grant awareness in its
+                     enclosing function (ExecutionGrant / active_grant /
+                     GrantScope / work_counters_add — the latter charges
+                     the active grant), or carries:
+                     // lint: grant-ok(<reason>)
+  pool-loop          No raw run_blocks member call outside src/util:
+                     first-violation searches go through util::first_hit
+                     and ordered reductions through util::for_blocks, so
+                     lowest-hit, error and grant-prefix handling is
+                     written once. Waiver:  // lint: pool-ok(<reason>)
   naked-thread       No std::thread / std::jthread / std::async /
                      pthread_create outside util::ThreadPool and
                      src/serve (the two sanctioned concurrency owners).
@@ -67,7 +74,8 @@ from pathlib import Path
 
 RULE_DOCS = {
     "walker-charge": "advance loops must charge work counters (waiver: no-charge)",
-    "grant-propagation": "pooled run_blocks sites must be grant-aware (waiver: grant-ok)",
+    "grant-propagation": "pooled sites must be grant-aware (waiver: grant-ok)",
+    "pool-loop": "no raw run_blocks outside src/util; use first_hit/for_blocks (waiver: pool-ok)",
     "naked-thread": "threads only via util::ThreadPool or src/serve (waiver: thread-ok)",
     "no-rand": "no ambient randomness in library code (waiver: rand-ok)",
     "no-stdout": "no stdout writes in library code (waiver: stdout-ok)",
@@ -79,6 +87,7 @@ RULE_DOCS = {
 WAIVER_OF_RULE = {
     "walker-charge": "no-charge",
     "grant-propagation": "grant-ok",
+    "pool-loop": "pool-ok",
     "naked-thread": "thread-ok",
     "no-rand": "rand-ok",
     "no-stdout": "stdout-ok",
@@ -328,6 +337,12 @@ CHARGE_RE = re.compile(r"\bwork_counters_add\s*\(|\bdigit_moves\s*\(\s*\)")
 # Member-call syntax only: declarations/definitions of run_blocks (the
 # pool's own, or a test double's) are not call sites.
 RUN_BLOCKS_RE = re.compile(r"(?:\.|->)\s*run_blocks\s*\(")
+# Pooled call sites: raw run_blocks member calls and the util block runners
+# (free calls, with or without a namespace qualifier). A runner name right
+# after a return type (`void for_blocks(`) is a declaration, not a call.
+POOLED_CALL_RE = re.compile(
+    r"(?:\.|->)\s*run_blocks\s*\(|(?<![\w.>])(?:[\w:]*::)?(?:first_hit|for_blocks)\s*\(")
+RUNNER_DECL_RE = re.compile(r"(?:(?!\breturn\b)\b\w+|>)\s+$")
 GRANT_RE = re.compile(
     r"\bactive_grant\s*\(|\bGrantScope\b|\bExecutionGrant\b|\bwork_counters_add\s*\(")
 THREAD_RE = re.compile(
@@ -372,7 +387,9 @@ def check_walker_charge(unit, findings):
 def check_grant_propagation(unit, findings):
     if unit.rel.startswith("util/"):
         return  # the pool itself and its helpers
-    for match in RUN_BLOCKS_RE.finditer(unit.stripped):
+    for match in POOLED_CALL_RE.finditer(unit.stripped):
+        if RUNNER_DECL_RE.search(unit.stripped, max(0, match.start() - 64), match.start()):
+            continue
         line = line_of(unit.stripped, match.start())
         body = unit.function_text(match.start())
         if body and GRANT_RE.search(body):
@@ -381,11 +398,26 @@ def check_grant_propagation(unit, findings):
             continue
         findings.append(Finding(
             "grant-propagation", unit.rel, line,
-            "pooled run_blocks call with no grant awareness in its enclosing "
+            "pooled call with no grant awareness in its enclosing "
             "function (no ExecutionGrant/active_grant/GrantScope use and no "
             "work_counters_add charge); budget enforcement relies on the "
             "block bodies charging the active grant — document where that "
             "happens with // lint: grant-ok(<reason>) or add the charge",
+            unit.context_at(match.start())))
+
+
+def check_pool_loop(unit, findings):
+    if unit.rel.startswith("util/"):
+        return  # the pool and the block runners themselves
+    for match in RUN_BLOCKS_RE.finditer(unit.stripped):
+        line = line_of(unit.stripped, match.start())
+        if has_waiver(unit.raw_lines, line, "pool-loop"):
+            continue
+        findings.append(Finding(
+            "pool-loop", unit.rel, line,
+            "raw run_blocks call outside src/util; a first-violation search "
+            "goes through util::first_hit and an ordered reduction through "
+            "util::for_blocks (waive with // lint: pool-ok(<reason>))",
             unit.context_at(match.start())))
 
 
@@ -525,6 +557,7 @@ def lint_tree(src_root):
         unit = FileUnit(path, path.relative_to(src_root).as_posix())
         check_walker_charge(unit, findings)
         check_grant_propagation(unit, findings)
+        check_pool_loop(unit, findings)
         check_naked_thread(unit, findings)
         check_no_rand(unit, findings)
         check_no_stdout(unit, findings)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <exception>
 #include <stdexcept>
 
 #include "game/catalog.h"
@@ -273,38 +272,20 @@ std::vector<std::vector<std::size_t>> MachineGame::machine_equilibria(
     // Fixed block size: the decomposition (and thus the per-block work
     // counters) is independent of worker count.
     constexpr std::uint64_t kBlock = 16;
-    const std::uint64_t num_blocks = (total + kBlock - 1) / kBlock;
-    auto& pool = util::global_pool();
-    if (mode == game::SweepMode::kSerial || num_blocks <= 1 || pool.size() <= 1) {
-        std::vector<std::vector<std::size_t>> out;
-        util::product_for_each(radices, [&](const std::vector<std::size_t>& profile) {
-            if (is_machine_equilibrium(profile, tol)) out.push_back(profile);
-            return true;
-        });
-        return out;
-    }
+    const auto num_blocks = static_cast<std::size_t>((total + kBlock - 1) / kBlock);
     std::vector<std::vector<std::vector<std::size_t>>> partials(num_blocks);
-    std::vector<std::exception_ptr> errors(num_blocks);
     // lint: grant-ok(blocks charge the active grant through utility()'s
     // work_counters_add on every machine-profile evaluation)
-    pool.run_blocks(static_cast<std::size_t>(num_blocks), [&](std::size_t block) {
-        try {
-            const std::uint64_t lo = static_cast<std::uint64_t>(block) * kBlock;
-            const std::uint64_t hi = std::min(total, lo + kBlock);
-            util::product_for_each(radices, lo, hi,
-                                   [&](const std::vector<std::size_t>& profile) {
-                                       if (is_machine_equilibrium(profile, tol)) {
-                                           partials[block].push_back(profile);
-                                       }
-                                       return true;
-                                   });
-        } catch (...) {
-            errors[block] = std::current_exception();
-        }
+    util::for_blocks(num_blocks, mode == game::SweepMode::kAuto, [&](std::size_t block) {
+        const std::uint64_t lo = static_cast<std::uint64_t>(block) * kBlock;
+        util::product_for_each(radices, lo, std::min(total, lo + kBlock),
+                               [&](const std::vector<std::size_t>& profile) {
+                                   if (is_machine_equilibrium(profile, tol)) {
+                                       partials[block].push_back(profile);
+                                   }
+                                   return true;
+                               });
     });
-    for (const auto& error : errors) {
-        if (error) std::rethrow_exception(error);
-    }
     // Blocks merged in rank order: output order matches the serial scan.
     std::vector<std::vector<std::size_t>> out;
     for (auto& part : partials) {

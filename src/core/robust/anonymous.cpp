@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "util/combinatorics.h"
+#include "util/execution_grant.h"
 #include "util/thread_pool.h"
 
 namespace bnash::core {
@@ -14,17 +15,12 @@ using util::Rational;
 
 namespace {
 
-// Coalition sizes per pooled task. The inner switcher loop is O(c), so
-// chunks stay small to balance; pair counts per chunk still dwarf the
-// pool's per-task claim cost.
+// Coalition sizes per first_hit block. The inner switcher loop is O(c),
+// so chunks stay small to balance; pair counts per chunk still dwarf the
+// pool's per-block claim cost.
 constexpr std::size_t kSizeChunk = 64;
-// Switcher counts per pooled immunity task (O(1) work each).
+// Switcher counts per first_hit block (O(1) work each).
 constexpr std::size_t kImmunityChunk = 2048;
-
-bool use_pool(game::SweepMode mode, std::uint64_t work) {
-    return mode == game::SweepMode::kAuto && util::global_pool().size() > 1 &&
-           work >= AnonymousBinaryGame::kPooledWorkThreshold;
-}
 
 }  // namespace
 
@@ -97,9 +93,9 @@ std::size_t AnonymousBinaryGame::min_breaking_coalition(std::size_t base_action,
 // Smallest violating coalition size c <= min(max_k, n), 0 when none: ONE
 // (c, j) pair scan replaces the old per-k probe restarts. A coalition of
 // c players in which j members switch to 1-base; by anonymity only
-// (c, j) matters and j ranges 1..c (j = 0 is no change). The pooled path
-// splits coalition sizes into chunks with an atomic-min winner, so the
-// returned boundary is identical to the serial scan's.
+// (c, j) matters and j ranges 1..c (j = 0 is no change). Coalition sizes
+// are split into chunks through util::first_hit (rank c - 1), so the
+// returned boundary is the serial scan's in both modes.
 std::size_t AnonymousBinaryGame::min_breaking_coalition_impl(std::size_t base_action,
                                                              std::size_t max_k,
                                                              GainCriterion criterion,
@@ -115,39 +111,25 @@ std::size_t AnonymousBinaryGame::min_breaking_coalition_impl(std::size_t base_ac
                    ? (switcher_gains || stayer_gains)
                    : (switcher_gains && (j == c || stayer_gains));
     };
-    const std::uint64_t pairs =
-        static_cast<std::uint64_t>(limit) * (limit + 1) / 2;
-    if (!use_pool(mode, pairs)) {
-        for (std::size_t c = 1; c <= limit; ++c) {
-            for (std::size_t j = 1; j <= c; ++j) {
-                if (pair_violates(c, j)) return c;
-            }
-        }
-        return 0;
-    }
-    constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-    std::atomic<std::size_t> best{kNone};
-    const std::size_t num_blocks = (limit + kSizeChunk - 1) / kSizeChunk;
+    // Closed-form boundaries are exact whatever grant is active.
+    const util::GrantScope ungated(nullptr);
     // lint: grant-ok(boundary pairs are O(k^2) closed-form table lookups,
-    // not tensor sweep work — uncounted since PR 4 to keep counter parity)
-    util::global_pool().run_blocks(num_blocks, [&](std::size_t block) {
-        const std::size_t lo = 1 + block * kSizeChunk;
-        if (lo >= best.load(std::memory_order_acquire)) return;  // early exit
-        const std::size_t hi = std::min(limit, lo + kSizeChunk - 1);
-        for (std::size_t c = lo; c <= hi; ++c) {
-            if (c >= best.load(std::memory_order_acquire)) return;
-            for (std::size_t j = 1; j <= c; ++j) {
-                if (!pair_violates(c, j)) continue;
-                std::size_t current = best.load(std::memory_order_acquire);
-                while (c < current && !best.compare_exchange_weak(
-                                          current, c, std::memory_order_acq_rel)) {
+    // not tensor sweep work — left uncounted to keep counter parity)
+    const util::FirstHit hit = util::first_hit(
+        (limit + kSizeChunk - 1) / kSizeChunk, kSizeChunk, mode == game::SweepMode::kAuto,
+        [&](std::size_t block,
+            const std::atomic<std::uint64_t>& best) -> std::optional<std::uint64_t> {
+            const std::size_t lo = 1 + block * kSizeChunk;
+            const std::size_t hi = std::min(limit, lo + kSizeChunk - 1);
+            for (std::size_t c = lo; c <= hi && c - 1 < best.load(std::memory_order_acquire);
+                 ++c) {
+                for (std::size_t j = 1; j <= c; ++j) {
+                    if (pair_violates(c, j)) return c - 1;
                 }
-                return;
             }
-        }
-    });
-    const std::size_t winner = best.load(std::memory_order_acquire);
-    return winner == kNone ? 0 : winner;
+            return std::nullopt;
+        });
+    return hit.rank ? static_cast<std::size_t>(*hit.rank) + 1 : 0;
 }
 
 // Smallest harmful switcher count j <= limit (limit + 1 when none).
@@ -156,37 +138,24 @@ std::size_t AnonymousBinaryGame::first_harmful_switchers(std::size_t base_action
                                                          game::SweepMode mode) const {
     const std::size_t base_ones = base_action == 1 ? n_ : 0;
     const Rational baseline = payoff_(base_action, base_ones, n_);
-    const auto harmful = [&](std::size_t j) {
-        const std::size_t ones_after = base_action == 0 ? j : n_ - j;
-        return payoff_(base_action, ones_after, n_) < baseline;
-    };
-    if (!use_pool(mode, limit)) {
-        for (std::size_t j = 1; j <= limit; ++j) {
-            if (harmful(j)) return j;
-        }
-        return limit + 1;
-    }
-    constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-    std::atomic<std::size_t> best{kNone};
-    const std::size_t num_blocks = (limit + kImmunityChunk - 1) / kImmunityChunk;
+    const util::GrantScope ungated(nullptr);  // see min_breaking_coalition_impl
     // lint: grant-ok(same closed-form boundary contract as the coalition
     // scan above — O(t) table lookups outside the gated sweep counters)
-    util::global_pool().run_blocks(num_blocks, [&](std::size_t block) {
-        const std::size_t lo = 1 + block * kImmunityChunk;
-        if (lo >= best.load(std::memory_order_acquire)) return;
-        const std::size_t hi = std::min(limit, lo + kImmunityChunk - 1);
-        for (std::size_t j = lo; j <= hi; ++j) {
-            if (j >= best.load(std::memory_order_acquire)) return;
-            if (!harmful(j)) continue;
-            std::size_t current = best.load(std::memory_order_acquire);
-            while (j < current &&
-                   !best.compare_exchange_weak(current, j, std::memory_order_acq_rel)) {
+    const util::FirstHit hit = util::first_hit(
+        (limit + kImmunityChunk - 1) / kImmunityChunk, kImmunityChunk,
+        mode == game::SweepMode::kAuto,
+        [&](std::size_t block,
+            const std::atomic<std::uint64_t>& best) -> std::optional<std::uint64_t> {
+            const std::size_t lo = 1 + block * kImmunityChunk;
+            const std::size_t hi = std::min(limit, lo + kImmunityChunk - 1);
+            for (std::size_t j = lo; j <= hi && j - 1 < best.load(std::memory_order_acquire);
+                 ++j) {
+                const std::size_t ones_after = base_action == 0 ? j : n_ - j;
+                if (payoff_(base_action, ones_after, n_) < baseline) return j - 1;
             }
-            return;
-        }
-    });
-    const std::size_t winner = best.load(std::memory_order_acquire);
-    return winner == kNone ? limit + 1 : winner;
+            return std::nullopt;
+        });
+    return hit.rank ? static_cast<std::size_t>(*hit.rank) + 1 : limit + 1;
 }
 
 std::size_t AnonymousBinaryGame::max_immunity(std::size_t base_action, std::size_t max_t,

@@ -11,12 +11,14 @@
 //
 // LARGE-n path: the closed-form scans are the fast path, but at very
 // large n the O(k^2) (coalition size, switcher count) pair scan itself
-// dominates (each pair costs a PayoffFn call). Above
-// kPooledWorkThreshold scanned pairs, kAuto mode splits the scan into
-// CoalitionSweep-style coalition-size blocks on util::global_pool() with
-// an atomic-min winner, so verdicts and boundaries are identical to the
-// serial scan in both modes (cross-validated in test_robust_fuzz against
-// serial scans at large n and against tensor twins at small n).
+// dominates (each pair costs a PayoffFn call). Both scans run as
+// fixed-size blocks through util::first_hit: block 0 inline, and in kAuto
+// mode the rest on util::global_pool() only when block 0 found nothing.
+// Verdicts, boundaries and PayoffFn exceptions are those of the serial
+// scan in both modes (cross-validated in test_robust_fuzz against serial
+// scans at large n and against tensor twins at small n). The scans run
+// outside any active util::ExecutionGrant: their answers are always
+// exact.
 #pragma once
 
 #include <cstddef>
@@ -51,10 +53,6 @@ public:
 
     [[nodiscard]] std::size_t num_players() const noexcept { return n_; }
     [[nodiscard]] util::Rational payoff(std::size_t action, std::size_t total_ones) const;
-
-    // Scanned pairs (resp. switcher counts) above which kAuto pools the
-    // scan; below it the closed-form serial loop wins outright.
-    static constexpr std::uint64_t kPooledWorkThreshold = 4096;
 
     // Checks on the symmetric profile "everyone plays base_action":
     [[nodiscard]] bool all_base_is_nash(std::size_t base_action) const;

@@ -81,12 +81,13 @@ constexpr std::uint64_t kGrantCheckCells = 2048;
 //
 // One faulty set's joint-deviation space, walked as ONE combined odometer
 // (faulty digits then coalition digits — exactly the serial nesting
-// order) and split into fixed-size rank blocks on the pool. The winner is
-// the lowest violating RANK, so the reported violation is the first the
-// serial nested scan would have produced; blocks whose range lies above
-// the current winner are skipped. When the outer task level already owns
-// the workers, run_blocks degrades to an in-order inline loop and the
-// decomposition changes nothing observable.
+// order) and split into fixed-size rank blocks (run_ranked_blocks, block 0
+// inline, the rest on the pool). The winner is the lowest violating RANK,
+// so the reported violation is the first the serial nested scan would
+// have produced; blocks whose range lies above the current winner are
+// skipped. When the outer task level already owns the workers, the pool
+// runs the blocks inline in order and the decomposition changes nothing
+// observable.
 
 // True when a per-faulty-set scan of `total` cells should split;
 // `split_cells` is the sweep's threshold (pinned or adaptively derived

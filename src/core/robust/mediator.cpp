@@ -201,15 +201,14 @@ bool MediatorPolicy::is_truthful_resilient_independent(std::size_t k, GainCriter
     }
     const std::vector<std::uint64_t> zero_offsets(max_radix, 0);
 
-    // First-hit-wins pooled state: tasks above the lowest violating
-    // coalition index are work a serial scan would never have reached.
-    constexpr std::size_t kNoViolation = static_cast<std::size_t>(-1);
-    std::atomic<std::size_t> first_violation{kNoViolation};
-
-    // One coalition's sweep. Returns true iff a profitable deviation (per
-    // `criterion`) exists; truncated early when the grant expires or a
-    // lower-index task already violated.
-    auto scan_coalition = [&](std::size_t task, const std::vector<std::size_t>& coalition) {
+    // One coalition's sweep, block `task` of a util::first_hit search.
+    // Returns `task` iff a profitable deviation (per `criterion`) exists;
+    // truncated early when the grant expires or `best`, the lowest
+    // violating task so far, lies below it — work a serial scan would
+    // never have reached.
+    const auto scan_coalition = [&](std::size_t task, const std::atomic<std::uint64_t>& best)
+        -> std::optional<std::uint64_t> {
+        const std::vector<std::size_t>& coalition = coalitions[task];
         const std::size_t m = coalition.size();
         const std::size_t num_thetas = thetas.size();
         util::ExecutionGrant* grant = util::active_grant();
@@ -349,7 +348,7 @@ bool MediatorPolicy::is_truthful_resilient_independent(std::size_t k, GainCriter
                     util::work_counters_add(evals - flushed, 0);
                     flushed = evals;
                     if ((grant != nullptr && grant->expired()) ||
-                        first_violation.load(std::memory_order_relaxed) < task) {
+                        best.load(std::memory_order_relaxed) < task) {
                         truncated = true;
                         break;
                     }
@@ -362,44 +361,11 @@ bool MediatorPolicy::is_truthful_resilient_independent(std::size_t k, GainCriter
         }
         moves += report_walker.digit_moves();
         util::work_counters_add(evals - flushed, moves);
-        return violated;
+        if (!violated) return std::nullopt;
+        return task;
     };
-
-    auto& pool = util::global_pool();
-    const bool serial =
-        mode == game::SweepMode::kSerial || coalitions.size() <= 1 || pool.size() <= 1;
-    if (serial) {
-        util::ExecutionGrant* grant = util::active_grant();
-        for (std::size_t task = 0; task < coalitions.size(); ++task) {
-            if (scan_coalition(task, coalitions[task])) return false;
-            if (grant != nullptr && grant->expired()) break;  // truncated
-        }
-        return true;
-    }
-
-    // Pooled: one task per coalition, first-hit-wins, serial-equivalent
-    // error replay (an error only surfaces if no lower-index coalition
-    // violated — a serial scan would have stopped there first).
-    std::vector<std::exception_ptr> errors(coalitions.size());
-    pool.run_blocks(coalitions.size(), [&](std::size_t task) {
-        if (first_violation.load(std::memory_order_relaxed) < task) return;
-        try {
-            if (scan_coalition(task, coalitions[task])) {
-                std::size_t seen = first_violation.load(std::memory_order_relaxed);
-                while (task < seen &&
-                       !first_violation.compare_exchange_weak(seen, task,
-                                                              std::memory_order_relaxed)) {
-                }
-            }
-        } catch (...) {
-            errors[task] = std::current_exception();
-        }
-    });
-    const std::size_t winner = first_violation.load(std::memory_order_relaxed);
-    for (std::size_t task = 0; task < coalitions.size() && task < winner; ++task) {
-        if (errors[task]) std::rethrow_exception(errors[task]);
-    }
-    return winner == kNoViolation;
+    return !util::first_hit(coalitions.size(), 1, mode == game::SweepMode::kAuto, scan_coalition)
+                .rank;
 }
 
 std::size_t MediatorPolicy::coin_space() const {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,6 +12,7 @@
 #include "game/payoff_engine.h"
 #include "game/symmetry.h"
 #include "util/combinatorics.h"
+#include "util/execution_grant.h"
 #include "util/thread_pool.h"
 
 namespace bnash::core {
@@ -396,76 +397,40 @@ std::optional<PureProfile> find_punishment_strategy(const NormalFormGame& game, 
         throw std::invalid_argument("find_punishment_strategy: baseline width");
     }
     const std::uint64_t total = game.num_profiles();
-    auto& pool = util::global_pool();
     // Candidate evaluations are heavyweight (each quantifies over all
     // deviator sets and joint deviations), so blocks are small; the
-    // search is over candidate RANKS, and the parallel path's winner is
-    // the lowest-rank hit — identical to the serial scan.
+    // search is over candidate RANKS, and first_hit's winner is the
+    // lowest-rank hit in both modes.
     constexpr std::uint64_t kBlock = 8;
-    const std::uint64_t num_blocks = (total + kBlock - 1) / kBlock;
-    if (mode == game::SweepMode::kSerial || pool.size() <= 1 || num_blocks <= 1) {
-        std::optional<PureProfile> found;
-        util::product_for_each(game.action_counts(), [&](const PureProfile& rho) {
-            if (is_punishment_strategy(game, rho, q, baseline)) {
-                found = rho;
-                return false;
-            }
-            return true;
-        });
-        return found;
-    }
-    std::atomic<std::uint64_t> best{total};
+    const auto num_blocks = static_cast<std::size_t>((total + kBlock - 1) / kBlock);
     std::vector<std::optional<PureProfile>> found(num_blocks);
-    // First exception per block, with the rank it occurred at: the serial
-    // scan would have thrown the lowest such rank below the winner.
-    std::vector<std::pair<std::uint64_t, std::exception_ptr>> errors(
-        num_blocks, {total, nullptr});
+    // The search has no way to report truncation, so it answers exactly
+    // whatever grant is active.
+    const util::GrantScope ungated(nullptr);
     // lint: grant-ok(the punishment search predates grant accounting — its
     // Evaluator path is uncounted, so budgets cannot gate it; documented in
     // ROADMAP as a sweep-core residual)
-    pool.run_blocks(static_cast<std::size_t>(num_blocks), [&](std::size_t block) {
-        const std::uint64_t lo = block * kBlock;
-        const std::uint64_t hi = std::min(total, lo + kBlock);
-        if (lo >= best.load(std::memory_order_acquire)) return;  // early exit
-        std::uint64_t rank = lo;
-        try {
-            util::product_for_each(game.action_counts(), lo, hi,
-                                   [&](const PureProfile& rho) {
-                                       if (rank >= best.load(std::memory_order_acquire)) {
-                                           return false;
-                                       }
-                                       if (is_punishment_strategy(game, rho, q, baseline)) {
-                                           found[block] = rho;
-                                           std::uint64_t current =
-                                               best.load(std::memory_order_acquire);
-                                           while (rank < current &&
-                                                  !best.compare_exchange_weak(
-                                                      current, rank,
-                                                      std::memory_order_acq_rel)) {
-                                           }
-                                           return false;
-                                       }
-                                       ++rank;
-                                       return true;
-                                   });
-        } catch (...) {
-            errors[block] = {rank, std::current_exception()};
-        }
-    });
-    const std::uint64_t winner = best.load(std::memory_order_acquire);
-    // Serial behavior: an exception at a rank the in-order scan reaches
-    // before the winner is what the caller would have seen.
-    std::size_t first_error = num_blocks;
-    for (std::size_t block = 0; block < num_blocks; ++block) {
-        if (errors[block].second && errors[block].first < winner &&
-            (first_error == num_blocks ||
-             errors[block].first < errors[first_error].first)) {
-            first_error = block;
-        }
-    }
-    if (first_error < num_blocks) std::rethrow_exception(errors[first_error].second);
-    if (winner == total) return std::nullopt;
-    return std::move(found[winner / kBlock]);
+    const util::FirstHit hit = util::first_hit(
+        num_blocks, kBlock, mode == game::SweepMode::kAuto,
+        [&](std::size_t block,
+            const std::atomic<std::uint64_t>& best) -> std::optional<std::uint64_t> {
+            std::uint64_t rank = block * kBlock;
+            util::product_for_each(
+                game.action_counts(), rank, std::min(total, rank + kBlock),
+                [&](const PureProfile& rho) {
+                    if (rank >= best.load(std::memory_order_acquire)) return false;
+                    if (is_punishment_strategy(game, rho, q, baseline)) {
+                        found[block] = rho;
+                        return false;
+                    }
+                    ++rank;
+                    return true;
+                });
+            if (!found[block]) return std::nullopt;
+            return rank;
+        });
+    if (!hit.rank) return std::nullopt;
+    return std::move(found[hit.verified]);
 }
 
 void merge_frontier(FrontierVerdict& base, const FrontierVerdict& update) {

@@ -385,11 +385,12 @@ struct MaxKtResult final {
                                           const std::vector<util::Rational>& baseline);
 
 // Scans candidate profiles in rank order and returns the first (lowest
-// rank) q-punishment strategy. kAuto splits the candidate rank space into
-// fixed-size blocks on util::global_pool() with a deterministic
-// atomic-min early exit on the winning rank, so serial and parallel
-// searches return the SAME profile (and the same first exception, if an
-// evaluation throws).
+// rank) q-punishment strategy. The candidate rank space is split into
+// fixed-size util::first_hit blocks; kAuto sends the blocks after the
+// first to util::global_pool() when the first holds no hit, so serial and
+// parallel searches return the SAME profile (and the same first
+// exception, if an evaluation throws). The answer is exact whatever
+// util::ExecutionGrant is active.
 [[nodiscard]] std::optional<game::PureProfile> find_punishment_strategy(
     const game::NormalFormGame& game, std::size_t q,
     const std::vector<util::Rational>& baseline,

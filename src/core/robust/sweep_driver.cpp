@@ -11,101 +11,17 @@
 namespace bnash::core {
 namespace {
 
-// A found violation together with the index of the task that found it
-// (the batch probes map the winning index back to a set size).
-using TaskHit = std::pair<std::size_t, RobustnessViolation>;
-
 // Outcome of a task sweep under an (optional) util::ExecutionGrant.
 struct TaskRun final {
     // The serial-equivalent first violation; absent when no task violated
     // OR the grant expired before the first violation was pinned.
-    std::optional<TaskHit> hit;
+    std::optional<RobustnessViolation> hit;
     // Tasks [0, verified) completed untruncated without violating; with a
-    // hit, verified == hit->first. Without one, verified < num_tasks
-    // means the grant expired and everything from `verified` on is
-    // UNRESOLVED, not clean.
+    // hit, `verified` is its task rank (the batch probes map it back to a
+    // set size). Without one, verified < num_tasks means the grant
+    // expired and everything from `verified` on is UNRESOLVED, not clean.
     std::size_t verified = 0;
 };
-
-// Runs fn(0..num_tasks) with first-hit-wins semantics on the LOWEST task
-// index, serially or on the global pool. Parallel runs skip tasks above
-// the current best index (early exit) but never below it, so both modes
-// return the violation of the same task — the one the serial loop would
-// have stopped at. Under an active ExecutionGrant, a task observed
-// truncated (grant expired after fn returned) cannot vouch for its
-// verdict — a skipped stretch may hide an earlier violation — so its
-// result is discarded, and a hit is reported only when every lower-index
-// task completed untruncated, which keeps reported hits bit-identical to
-// the unbudgeted winner.
-template <typename TaskFn>
-TaskRun run_tasks(std::size_t num_tasks, game::SweepMode mode, const TaskFn& fn) {
-    if (num_tasks == 0) return {std::nullopt, 0};
-    util::ExecutionGrant* const grant = util::active_grant();
-    auto& pool = util::global_pool();
-    if (mode == game::SweepMode::kSerial || pool.size() <= 1 || num_tasks == 1) {
-        for (std::size_t index = 0; index < num_tasks; ++index) {
-            if (grant != nullptr && grant->expired()) return {std::nullopt, index};
-            auto violation = fn(index);
-            if (grant != nullptr && grant->expired()) return {std::nullopt, index};
-            if (violation) return {TaskHit{index, *std::move(violation)}, index};
-        }
-        return {std::nullopt, num_tasks};
-    }
-    std::atomic<std::size_t> best{num_tasks};
-    std::vector<std::optional<RobustnessViolation>> found(num_tasks);
-    std::vector<std::exception_ptr> errors(num_tasks);
-    // Per-task outcome under a grant: 0 = never ran or truncated, 1 =
-    // completed untruncated (errors count — they surface below), 2 =
-    // early-exit skip (only possible at indices >= the final winner).
-    // Each slot is written by the one thread that claimed the task and
-    // read only after the pool's completion barrier.
-    std::vector<unsigned char> state(grant != nullptr ? num_tasks : 0, 0);
-    pool.run_blocks(num_tasks, [&](std::size_t index) {
-        if (index >= best.load(std::memory_order_acquire)) {  // early exit
-            if (grant != nullptr) state[index] = 2;
-            return;
-        }
-        try {
-            auto violation = fn(index);
-            if (grant != nullptr) {
-                if (grant->expired()) return;  // truncated: verdict untrusted
-                state[index] = 1;
-            }
-            if (violation) {
-                found[index] = std::move(violation);
-                std::size_t current = best.load(std::memory_order_acquire);
-                while (index < current &&
-                       !best.compare_exchange_weak(current, index,
-                                                   std::memory_order_acq_rel)) {
-                }
-            }
-        } catch (...) {
-            errors[index] = std::current_exception();
-            if (grant != nullptr) state[index] = 1;
-        }
-    });
-    const std::size_t winner = best.load(std::memory_order_acquire);
-    // Completed prefix: early-exit skips only happen at indices >= the
-    // final winner, so the leading run of nonzero states is exactly the
-    // untruncated prefix.
-    std::size_t verified = num_tasks;
-    if (grant != nullptr) {
-        verified = 0;
-        while (verified < num_tasks && state[verified] != 0) ++verified;
-    }
-    // Replicate the serial loop's observable behavior exactly: serial
-    // execution stops at the first violating task (or at grant expiry),
-    // so an error in a task it would never have reached is swallowed; an
-    // error below that point is rethrown, lowest index first, just as the
-    // in-order loop would have thrown.
-    for (std::size_t index = 0; index < std::min(winner, verified); ++index) {
-        if (errors[index]) std::rethrow_exception(errors[index]);
-    }
-    if (winner < num_tasks && winner <= verified) {
-        return {TaskHit{winner, *std::move(found[winner])}, winner};
-    }
-    return {std::nullopt, verified};
-}
 
 // Resume positions are untrusted input (they travel in client tokens): a
 // position beyond the task space it seeks into means the checkpoint was
@@ -122,20 +38,28 @@ void check_resume_position(std::uint64_t position, std::uint64_t end) {
 // The tasks over the GLOBAL index range [start, size), each scanning
 // faulty sizes [min_t, max_t]: the prefix [0, start) was verified clean
 // by an earlier budgeted run, so skipping it preserves the first-hit-wins
-// verdict — any hit found here is the global-first hit. Hit index and
-// verified count are reported in global task ranks.
+// verdict — any hit found here is the global-first hit. Runs them through
+// util::first_hit, one task per block: in order, or in kAuto mode with
+// the first task inline and the rest on the global pool only when it did
+// not violate. Both modes report the task the serial loop stops at, in a
+// global task rank, and a task that finishes after the active grant
+// expired vouches for nothing.
 TaskRun run_tasks_from(const SweepTasks& tasks, std::uint64_t start, std::size_t min_t,
                        std::size_t max_t) {
-    const std::size_t num_tasks = tasks.size();
-    check_resume_position(start, num_tasks);
+    check_resume_position(start, tasks.size());
     const auto first = static_cast<std::size_t>(start);
-    if (first == num_tasks) return {std::nullopt, num_tasks};
-    TaskRun run = run_tasks(num_tasks - first, tasks.mode(), [&](std::size_t index) {
-        return tasks.run(first + index, min_t, max_t);
-    });
-    if (run.hit) run.hit->first += first;
-    run.verified += first;
-    return run;
+    std::vector<std::optional<RobustnessViolation>> found(tasks.size() - first);
+    // lint: grant-ok(the engines' task kernels charge the active grant
+    // through work_counters_add)
+    const util::FirstHit run = util::first_hit(
+        found.size(), 1, tasks.mode() == game::SweepMode::kAuto,
+        [&](std::size_t index, const std::atomic<std::uint64_t>&) -> std::optional<std::uint64_t> {
+            found[index] = tasks.run(first + index, min_t, max_t);
+            if (!found[index]) return std::nullopt;
+            return index;
+        });
+    if (!run.rank) return {std::nullopt, first + run.verified};
+    return {std::move(found[run.verified]), first + run.verified};
 }
 
 enum class Entry { kCell, kFrontier, kWalk };
@@ -199,36 +123,22 @@ std::optional<RobustnessViolation> run_ranked_blocks(std::uint64_t total,
     constexpr std::uint64_t kMaxBlocks = 4096;
     const std::uint64_t block =
         std::max({block_cells, std::uint64_t{1}, (total + kMaxBlocks - 1) / kMaxBlocks});
-    const std::uint64_t num_blocks = (total + block - 1) / block;
-    util::ExecutionGrant* const grant = util::active_grant();
-    std::atomic<std::uint64_t> best{total};
+    const auto num_blocks = static_cast<std::size_t>((total + block - 1) / block);
     std::vector<std::optional<RobustnessViolation>> found(num_blocks);
-    std::vector<std::exception_ptr> errors(num_blocks);
-    util::global_pool().run_blocks(static_cast<std::size_t>(num_blocks), [&](std::size_t index) {
-        const std::uint64_t lo = index * block;
-        if (lo >= best.load(std::memory_order_acquire)) return;  // early exit
-        try {
+    // lint: grant-ok(every scan_block charges its cells through
+    // work_counters_add as the block retires)
+    const util::FirstHit run = util::first_hit(
+        num_blocks, block, true,
+        [&](std::size_t index,
+            const std::atomic<std::uint64_t>& best) -> std::optional<std::uint64_t> {
+            const std::uint64_t lo = index * block;
             std::optional<RankHit> hit = scan_block(lo, std::min(total, lo + block), best);
-            if (!hit) return;
+            if (!hit) return std::nullopt;
             found[index] = std::move(hit->violation);
-            std::uint64_t current = best.load(std::memory_order_acquire);
-            while (hit->rank < current &&
-                   !best.compare_exchange_weak(current, hit->rank, std::memory_order_acq_rel)) {
-            }
-        } catch (...) {
-            errors[index] = std::current_exception();
-        }
-    });
-    const std::uint64_t winner = best.load(std::memory_order_acquire);
-    // Serial-equivalent errors: a block that threw found no hit of its
-    // own, so an error in a block starting below the winner is one the
-    // in-order scan would have hit first.
-    for (std::uint64_t index = 0; index < num_blocks && index * block < winner; ++index) {
-        if (errors[index]) std::rethrow_exception(errors[index]);
-    }
-    // An expired grant skips blocks, which may hide a lower hit.
-    if (winner == total || (grant != nullptr && grant->expired())) return std::nullopt;
-    return std::move(found[static_cast<std::size_t>(winner / block)]);
+            return hit->rank;
+        });
+    if (!run.rank) return std::nullopt;
+    return std::move(found[run.verified]);
 }
 
 // Phase (a) with a resume offset: tasks [0, start) are taken as verified
@@ -258,9 +168,9 @@ SweepDriver::ImmunityPhase SweepDriver::immunity_phase(std::size_t max_t, game::
         // Tasks below `start` were verified clean by the earlier runs, so
         // this hit is the global-first one — the witness an unbudgeted
         // sweep reports.
-        const std::size_t breaking = tasks->set_size(run.hit->first);
+        const std::size_t breaking = tasks->set_size(run.verified);
         out.max_ok = breaking - 1;
-        for (std::size_t t = breaking; t <= max_t; ++t) out.violations[t - 1] = run.hit->second;
+        for (std::size_t t = breaking; t <= max_t; ++t) out.violations[t - 1] = *run.hit;
         phase.done = true;
     } else if (run.verified == tasks->size()) {
         out.max_ok = max_t;
@@ -284,9 +194,7 @@ std::optional<RobustnessViolation> SweepDriver::resilience_violation(std::size_t
                                                                      GainCriterion criterion,
                                                                      game::SweepMode mode) const {
     if (k == 0) return std::nullopt;
-    TaskRun run = run_tasks_from(*resilience_tasks(k, t, criterion, mode), 0, 0, t);
-    if (!run.hit) return std::nullopt;
-    return std::move(run.hit->second);
+    return run_tasks_from(*resilience_tasks(k, t, criterion, mode), 0, 0, t).hit;
 }
 
 std::optional<RobustnessViolation> SweepDriver::robustness_violation(
@@ -324,7 +232,7 @@ std::optional<RobustnessViolation> SweepDriver::robustness_violation(
     TaskRun run = run_tasks_from(*tasks, start, 0, t);
     if (run.hit) {
         if (checkpoint != nullptr) checkpoint->finished = true;
-        return std::move(run.hit->second);
+        return std::move(run.hit);
     }
     if (checkpoint != nullptr) {
         if (run.verified == tasks->size()) {
@@ -346,9 +254,9 @@ BatchVerdict SweepDriver::batch_resilience(std::size_t max_k, GainCriterion crit
     if (run.hit) {
         // Every probe with k >= |winning coalition| enumerates the same
         // prefix and stops at the same task; smaller k never reaches it.
-        const std::size_t breaking = tasks->set_size(run.hit->first);
+        const std::size_t breaking = tasks->set_size(run.verified);
         out.max_ok = breaking - 1;
-        for (std::size_t k = breaking; k <= max_k; ++k) out.violations[k - 1] = run.hit->second;
+        for (std::size_t k = breaking; k <= max_k; ++k) out.violations[k - 1] = *run.hit;
         return out;
     }
     if (run.verified == tasks->size()) {
@@ -465,7 +373,7 @@ FrontierVerdict SweepDriver::batch_robustness_frontier(std::size_t max_k, std::s
                 }
                 auto violation = tasks->run(index, 0, cap);
                 // A truncated task cannot vouch for its verdict (see
-                // run_tasks); its hit is discarded too.
+                // util::first_hit); its hit is discarded too.
                 if (grant != nullptr && grant->expired()) {
                     reached = index;
                     break;
@@ -511,11 +419,14 @@ FrontierVerdict SweepDriver::batch_robustness_frontier(std::size_t max_k, std::s
                 best[t].store(done_before[t] ? 0 : num_tasks, std::memory_order_relaxed);
             }
             std::vector<std::exception_ptr> errors(num_tasks);
-            // Under a grant: per-task outcome (see run_tasks) plus the cap
-            // the task completed with — a clean task vouches only for the
-            // columns its cap covered.
+            // Under a grant: per-task outcome (0 = never ran or truncated,
+            // 1 = completed, 2 = early-exit skip, as in util::first_hit)
+            // plus the cap the task completed with — a clean task vouches
+            // only for the columns its cap covered.
             std::vector<unsigned char> state(grant != nullptr ? num_tasks : 0, 0);
             std::vector<std::size_t> cap_done(grant != nullptr ? num_tasks : 0, 0);
+            // lint: pool-ok(one winner per t-column, not one lowest hit:
+            // first_hit's single `best` cannot carry the per-column caps)
             pool.run_blocks(live_tasks, [&](std::size_t offset) {
                 const std::size_t index = first + offset;
                 // Columns this task could still win form a prefix; its cap
@@ -769,7 +680,7 @@ MaxKtResult SweepDriver::max_kt(std::size_t max_k, std::size_t max_t, GainCriter
             walk_next = run.verified;
             break;
         }
-        const std::size_t kt = run.hit ? tasks->set_size(run.hit->first) - 1 : k_prev;
+        const std::size_t kt = run.hit ? tasks->set_size(run.verified) - 1 : k_prev;
         out.k_of_t.push_back(kt);
         out.cells_resolved += 1 + (run.hit ? 1 : 0);
         k_prev = kt;

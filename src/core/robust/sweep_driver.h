@@ -7,10 +7,11 @@
 // (coalition size, faulty size) pairs) — and scans one task on demand.
 // Everything that follows from that order alone lives here, once:
 //
-//   - run_tasks: the lowest-index winner over the task list, serially or
-//     on util::global_pool(), with grant vouching (a task that finishes
-//     after its util::ExecutionGrant expired vouches for nothing) and
-//     serial-equivalent error replay;
+//   - run_tasks_from: the lowest-index winner over the task list through
+//     util::first_hit, one task per block: task 0 inline, the rest on
+//     util::global_pool() in kAuto mode only when task 0 did not violate.
+//     A task that finishes after its util::ExecutionGrant expired vouches
+//     for nothing, and errors surface as the serial loop would raise them;
 //   - the resumable immunity phase and the two-phase robustness check;
 //   - the frontier's per-column caps and winners, on_column streaming,
 //     checkpoint capture and per-cell `states` assembly;
@@ -72,15 +73,14 @@ struct RankHit final {
     RobustnessViolation violation;
 };
 
-// Scans ranks [0, total) as fixed-size blocks on util::global_pool() and
-// returns the LOWEST-rank hit — the violation the in-order scan reports.
+// Scans ranks [0, total) as fixed-size blocks through util::first_hit
+// (block 0 inline, the rest on util::global_pool()) and returns the
+// LOWEST-rank hit — the violation the in-order scan reports.
 // `scan_block(lo, hi, best)` scans [lo, hi) in order and returns its
-// first hit; it may give up early once `best` (the lowest hit rank so
-// far) drops to or below its current rank. Blocks above the current
-// winner are skipped. Block size is `block_cells`, grown so that no scan
-// has more than 4096 blocks. An exception in a block below the winner is
-// rethrown, lowest block first; a scan cut short by an expired grant
-// reports nothing.
+// first hit; it may give up early once `best` (the lowest hit or error
+// rank so far) drops to or below its current rank. Block size is
+// `block_cells`, grown so that no scan has more than 4096 blocks. Errors
+// and grant expiry behave as in first_hit.
 using BlockScan = std::function<std::optional<RankHit>(
     std::uint64_t lo, std::uint64_t hi, const std::atomic<std::uint64_t>& best)>;
 [[nodiscard]] std::optional<RobustnessViolation> run_ranked_blocks(std::uint64_t total,

@@ -1,7 +1,6 @@
 #include "game/payoff_engine.h"
 
 #include <algorithm>
-#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -220,50 +219,31 @@ void add_into(std::vector<V>& into, const std::vector<V>& part) {
 }
 
 // Runs block_fn over the given rank ranges into per-block accumulators
-// (via the global pool in kAuto mode when it has capacity) and merges in
-// block order. `out` holds zeros on entry; each block's accumulator
-// starts as a copy of it. The decomposition is an explicit input — the
-// dense sweeps pass uniform kParallelBlock chunks and the sparse sweeps
-// pass the SAME dense boundaries mapped into support-rank space — so
-// kAuto and kSerial (and dense and sparse) agree bit-for-bit.
+// (util::for_blocks: via the global pool in kAuto mode when it has
+// capacity) and merges in block order. `out` holds zeros on entry; each
+// block's accumulator starts as a copy of it. The decomposition is an
+// explicit input — the dense sweeps pass uniform kParallelBlock chunks
+// and the sparse sweeps pass the SAME dense boundaries mapped into
+// support-rank space — so kAuto and kSerial (and dense and sparse) agree
+// bit-for-bit. Blocks of an expired grant are skipped in both modes: a
+// truncated reduction yields partial sums, and grant users must discard
+// results when expired() after the call.
 template <typename Table, typename BlockFn>
 void blocked_sweep(const BlockRanges& blocks, SweepMode mode, Table& out,
                    const BlockFn& block_fn) {
-    if (blocks.empty()) return;
-    util::ExecutionGrant* const grant = util::active_grant();
     if (blocks.size() == 1) {
+        util::ExecutionGrant* const grant = util::active_grant();
         if (grant != nullptr && grant->expired()) return;
         block_fn(blocks[0].first, blocks[0].second, out);
         return;
     }
-    const std::size_t num_blocks = blocks.size();
     // Every accumulator starts as zeros, so a block the grant skipped
     // merges as zeros.
-    std::vector<Table> partial(num_blocks, out);
-    std::vector<std::exception_ptr> errors(num_blocks);
-    const auto work = [&](std::size_t block) {
-        try {
-            block_fn(blocks[block].first, blocks[block].second, partial[block]);
-        } catch (...) {
-            errors[block] = std::current_exception();
-        }
-    };
-    auto& pool = util::global_pool();
-    if (mode == SweepMode::kAuto && pool.size() > 1) {
-        pool.run_blocks(num_blocks, work);  // grant-gated inside the pool
-    } else {
-        // Serial block loop: the same one-block-granularity gate the pool
-        // applies. A reduction sweep truncated here yields partial sums;
-        // grant users must discard results when expired() after the call.
-        for (std::size_t block = 0; block < num_blocks; ++block) {
-            if (grant != nullptr && grant->expired()) break;
-            work(block);
-        }
-    }
-    for (auto& error : errors) {
-        if (error) std::rethrow_exception(error);
-    }
-    for (std::size_t block = 0; block < num_blocks; ++block) add_into(out, partial[block]);
+    std::vector<Table> partial(blocks.size(), out);
+    util::for_blocks(blocks.size(), mode == SweepMode::kAuto, [&](std::size_t block) {
+        block_fn(blocks[block].first, blocks[block].second, partial[block]);
+    });
+    for (const Table& part : partial) add_into(out, part);
 }
 
 template <typename V>

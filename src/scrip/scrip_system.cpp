@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <stdexcept>
 
 #include "util/stats.h"
@@ -109,33 +108,15 @@ std::vector<double> threshold_best_response_curve(const ScripParams& params,
     // independent tasks: the pooled run below writes out[candidate]
     // directly and is bit-identical to the serial loop.
     std::vector<double> out(max_threshold + 1, 0.0);
-    std::vector<std::exception_ptr> errors(out.size());
-    const auto run_candidate = [&](std::size_t candidate) {
+    // lint: grant-ok(candidate simulations are rounds-gated through
+    // bench_scrip's deterministic counters, not cell-gated; simulate() has
+    // no tensor cells to charge)
+    util::for_blocks(out.size(), true, [&](std::size_t candidate) {
         std::vector<AgentSpec> specs(
             params.num_agents, AgentSpec{BehaviorKind::kThreshold, population_threshold});
         specs[0] = AgentSpec{BehaviorKind::kThreshold, candidate};
         out[candidate] = simulate(params, specs).utility[0];
-    };
-    auto& pool = util::global_pool();
-    if (out.size() <= 1 || pool.size() <= 1) {
-        for (std::size_t candidate = 0; candidate < out.size(); ++candidate) {
-            run_candidate(candidate);
-        }
-        return out;
-    }
-    // lint: grant-ok(candidate simulations are rounds-gated through
-    // bench_scrip's deterministic counters, not cell-gated; simulate() has
-    // no tensor cells to charge)
-    pool.run_blocks(out.size(), [&](std::size_t candidate) {
-        try {
-            run_candidate(candidate);
-        } catch (...) {
-            errors[candidate] = std::current_exception();
-        }
     });
-    for (const auto& error : errors) {
-        if (error) std::rethrow_exception(error);
-    }
     return out;
 }
 

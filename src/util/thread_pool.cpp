@@ -5,6 +5,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -189,6 +191,89 @@ ThreadPool& global_pool() {
     static ThreadPool pool(pool_workers_for(std::thread::hardware_concurrency(),
                                             std::getenv("BNASH_THREADS")));
     return pool;
+}
+
+FirstHit first_hit(std::size_t num_blocks, std::uint64_t block_ranks, bool pooled,
+                   const HitScan& scan) {
+    constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
+    ExecutionGrant* const grant = active_grant();
+    std::atomic<std::uint64_t> best{kNone};
+    // In order: block 0 always, every block when not dispatching.
+    const std::size_t inline_blocks =
+        pooled && global_pool().size() > 1 ? std::min<std::size_t>(num_blocks, 1) : num_blocks;
+    for (std::size_t block = 0; block < inline_blocks; ++block) {
+        if (grant != nullptr && grant->expired()) return {std::nullopt, block};
+        std::optional<std::uint64_t> hit = scan(block, best);
+        if (grant != nullptr && grant->expired()) return {std::nullopt, block};
+        if (hit) return {hit, block};
+    }
+    if (inline_blocks == num_blocks) return {std::nullopt, num_blocks};
+    const auto lower_best = [&](std::uint64_t rank) {
+        std::uint64_t current = best.load(std::memory_order_acquire);
+        while (rank < current &&
+               !best.compare_exchange_weak(current, rank, std::memory_order_acq_rel)) {
+        }
+    };
+    // Per block: 0 = never ran or finished after the grant expired, 1 =
+    // completed (an error counts: it surfaces below), 2 = skipped above
+    // the winner. Each slot is written by the one thread that claimed the
+    // block and read after the pool's completion barrier.
+    std::vector<unsigned char> state(num_blocks, 0);
+    std::vector<std::exception_ptr> errors(num_blocks);
+    state[0] = 1;
+    global_pool().run_blocks(num_blocks - 1, [&](std::size_t offset) {
+        const std::size_t block = offset + 1;
+        const std::uint64_t first = block * block_ranks;
+        if (first >= best.load(std::memory_order_acquire)) {
+            state[block] = 2;
+            return;
+        }
+        try {
+            const std::optional<std::uint64_t> hit = scan(block, best);
+            if (grant != nullptr && grant->expired()) return;  // truncated: untrusted
+            state[block] = 1;
+            if (hit) lower_best(*hit);
+        } catch (...) {
+            errors[block] = std::current_exception();
+            state[block] = 1;
+            lower_best(first);
+        }
+    });
+    // Skips only happen above the final winner, so the leading run of
+    // nonzero states is exactly the untruncated prefix.
+    std::size_t verified = 0;
+    while (verified < num_blocks && state[verified] != 0) ++verified;
+    const std::uint64_t winner = best.load(std::memory_order_acquire);
+    if (winner == kNone) return {std::nullopt, verified};
+    const auto block = static_cast<std::size_t>(winner / block_ranks);
+    // A truncated block below the winner may hide a lower one.
+    if (verified < block) return {std::nullopt, verified};
+    if (errors[block]) std::rethrow_exception(errors[block]);
+    return {winner, block};
+}
+
+void for_blocks(std::size_t num_blocks, bool pooled,
+                const std::function<void(std::size_t)>& body) {
+    if (pooled && global_pool().size() > 1 && num_blocks > 1) {
+        std::vector<std::exception_ptr> errors(num_blocks);
+        global_pool().run_blocks(num_blocks, [&](std::size_t block) {
+            try {
+                body(block);
+            } catch (...) {
+                errors[block] = std::current_exception();
+            }
+        });
+        for (const auto& error : errors) {
+            if (error) std::rethrow_exception(error);
+        }
+        return;
+    }
+    // The same one-block gate the pool applies.
+    ExecutionGrant* const grant = active_grant();
+    for (std::size_t block = 0; block < num_blocks; ++block) {
+        if (grant != nullptr && grant->expired()) return;
+        body(block);
+    }
 }
 
 }  // namespace bnash::util

@@ -1,4 +1,5 @@
-// Small reusable worker pool for data-parallel sweeps.
+// Small reusable worker pool for data-parallel sweeps, and the two block
+// runners every pooled search and reduction in the library goes through.
 //
 // The payoff engine (and any future sharded workload) splits large tensor
 // sweeps into contiguous blocks and dispatches them here. The pool is
@@ -6,10 +7,19 @@
 // counter, which is contention-cheap because blocks are coarse (tens of
 // thousands of profiles each). The submitting thread participates in the
 // work, so a pool on a single-core machine degrades to a plain loop.
+//
+// Callers outside src/util do not call run_blocks directly (the project
+// linter's pool-loop rule): a first-violation search goes through
+// first_hit, an ordered reduction through for_blocks. Both take the
+// caller's `pooled` flag (SweepMode::kAuto) and run inline in block
+// order when it is false or the pool has a single executor.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 namespace bnash::util {
@@ -67,5 +77,50 @@ private:
 // Exposed for tests; global_pool() feeds it the live env var.
 [[nodiscard]] std::size_t pool_workers_for(unsigned hardware_concurrency,
                                            const char* env_threads) noexcept;
+
+// Outcome of a first_hit search.
+struct FirstHit final {
+    // The lowest hit rank: the one the in-order scan stops at. Absent when
+    // no block hit, or when the grant expired before the winner was pinned.
+    std::optional<std::uint64_t> rank;
+    // Blocks [0, verified) completed untruncated without a hit. With a
+    // hit, `verified` is the winning block. Without one, verified <
+    // num_blocks means the active grant expired: the blocks from
+    // `verified` on are unresolved, not clean.
+    std::size_t verified = 0;
+};
+
+// scan(block, best) scans one block in rank order and returns the rank of
+// its first hit, or nullopt. Block b covers ranks [b * block_ranks,
+// (b + 1) * block_ranks) and a hit must lie in its own block. `best` is
+// the lowest hit or error rank so far, so a long block may stop once its
+// current rank reaches it.
+using HitScan = std::function<std::optional<std::uint64_t>(
+    std::size_t block, const std::atomic<std::uint64_t>& best)>;
+
+// Lowest-hit search over blocks [0, num_blocks), with the behaviour of
+// the in-order loop that stops at the first hit:
+//   - block 0 runs inline; when it hits, throws or sees the grant expire,
+//     nothing is dispatched. The remaining blocks go to global_pool() when
+//     `pooled` and the pool has more than one executor, else run inline;
+//   - a block that starts at or above `best` is skipped;
+//   - a throwing block lowers `best` to its first rank; when the lowest
+//     winner is an error it is rethrown, and errors above it are
+//     swallowed, as the serial loop never reaches them;
+//   - under an active util::ExecutionGrant a block that finishes after
+//     expiry vouches for nothing, and a hit is reported only when every
+//     block below it completed untruncated.
+// Callers keep per-block result slots indexed by the winning block.
+[[nodiscard]] FirstHit first_hit(std::size_t num_blocks, std::uint64_t block_ranks,
+                                 bool pooled, const HitScan& scan);
+
+// Runs body(block) for every block in [0, num_blocks): on global_pool()
+// when `pooled` and the pool has more than one executor, else inline in
+// order. Either way blocks of an expired grant are skipped, and the
+// lowest-index exception is rethrown after the call. Meant for ordered
+// reductions into per-block slots, which have no early exit: block 0 is
+// not run first.
+void for_blocks(std::size_t num_blocks, bool pooled,
+                const std::function<void(std::size_t)>& body);
 
 }  // namespace bnash::util

@@ -1,28 +1,32 @@
-// Fixture: a pooled run_blocks call whose enclosing function consults the
+// Fixture: a first_hit search whose enclosing function consults the
 // active grant — grant-propagation must stay quiet without a waiver.
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 
 namespace bnash::util {
 struct ExecutionGrant {
     bool expired() const { return false; }
 };
 ExecutionGrant* active_grant() noexcept;
-struct Pool {
-    template <typename Fn>
-    void run_blocks(std::size_t blocks, const Fn& fn) {
-        for (std::size_t b = 0; b < blocks; ++b) fn(b);
+template <typename Fn>
+std::optional<std::uint64_t> first_hit(std::size_t blocks, std::uint64_t, bool, const Fn& fn) {
+    for (std::size_t b = 0; b < blocks; ++b) {
+        if (auto hit = fn(b)) return hit;
     }
-};
-Pool& global_pool();
+    return std::nullopt;
+}
 }
 
 namespace bnash::core {
 
-void granted_scan(std::size_t blocks) {
+bool granted_scan(std::size_t blocks) {
     bnash::util::ExecutionGrant* const grant = bnash::util::active_grant();
-    bnash::util::global_pool().run_blocks(blocks, [&](std::size_t) {
-        if (grant != nullptr && grant->expired()) return;
+    const auto hit = bnash::util::first_hit(blocks, 1, true, [&](std::size_t block) {
+        if (grant != nullptr && grant->expired()) return std::optional<std::uint64_t>{};
+        return std::optional<std::uint64_t>{block};
     });
+    return hit.has_value();
 }
 
 }  // namespace bnash::core

@@ -1,15 +1,12 @@
-// Fixture: a grant-unaware run_blocks call with a documented waiver —
+// Fixture: a grant-unaware block-runner call with a documented waiver —
 // grant-propagation must stay quiet.
 #include <cstddef>
 
 namespace bnash::util {
-struct Pool {
-    template <typename Fn>
-    void run_blocks(std::size_t blocks, const Fn& fn) {
-        for (std::size_t b = 0; b < blocks; ++b) fn(b);
-    }
-};
-Pool& global_pool();
+template <typename Fn>
+void for_blocks(std::size_t blocks, bool, const Fn& fn) {
+    for (std::size_t b = 0; b < blocks; ++b) fn(b);
+}
 }
 
 namespace bnash::core {
@@ -17,7 +14,7 @@ namespace bnash::core {
 void waived_scan(std::size_t blocks) {
     // lint: grant-ok(fixture blocks are empty; there is no work a budget
     // could account for)
-    bnash::util::global_pool().run_blocks(blocks, [](std::size_t) {});
+    bnash::util::for_blocks(blocks, true, [](std::size_t) {});
 }
 
 }  // namespace bnash::core

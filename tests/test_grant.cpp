@@ -213,9 +213,9 @@ TEST(ThreadPool, MidJobCancelStopsWithinInFlightBlocks) {
     ExecutionGrant grant;
     GrantScope scope(&grant);
     std::atomic<int> ran{0};
-    util::global_pool().run_blocks(256, [&](std::size_t block) {
-        ran.fetch_add(1);
-        if (block == 0) grant.cancel();
+    util::global_pool().run_blocks(256, [&](std::size_t) {
+        // Cancel in whichever block runs first: block 0 need not be it.
+        if (ran.fetch_add(1) == 0) grant.cancel();
     });
     // Every executor checks the grant before each block, so after the
     // cancel at most the blocks already in flight (one per executor) run.

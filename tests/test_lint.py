@@ -61,7 +61,17 @@ class BadTree(unittest.TestCase):
         self.assertTrue(self.hits("walker-charge", "bad_walker.cpp"), self.out)
 
     def test_grant_propagation_fires(self):
-        self.assertTrue(self.hits("grant-propagation", "bad_grant.cpp"), self.out)
+        hits = self.hits("grant-propagation", "bad_grant.cpp")
+        # the raw run_blocks call, util::first_hit and util::for_blocks
+        self.assertEqual(len(hits), 3, self.out)
+
+    def test_pool_loop_fires_on_raw_run_blocks(self):
+        self.assertEqual(len(self.hits("pool-loop", "bad_pool_loop.cpp")), 1, self.out)
+        # grant-aware: only pool-loop fires there
+        self.assertEqual(
+            [f for f in self.findings if "bad_pool_loop.cpp" in f["path"]
+             and f["rule"] != "pool-loop"], [], self.out)
+        self.assertEqual(len(self.hits("pool-loop", "bad_grant.cpp")), 1, self.out)
 
     def test_naked_thread_fires(self):
         hits = self.hits("naked-thread", "bad_thread.cpp")

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -601,11 +602,11 @@ TEST(RobustFuzz, AnonymousPooledLargeNMatchesSerialScan) {
     // boundaries as the serial closed-form scan — which the tensor-twin
     // test above already pins to the exact checkers at small n, so the
     // chain serial-twin + serial-pooled covers the pooled path. n is
-    // large enough that kAuto actually crosses kPooledWorkThreshold.
+    // large enough that the coalition scan spans more than one 64-size
+    // block, so kAuto can dispatch past block 0.
     util::Rng rng{31337};
     const std::size_t n = 200;
-    ASSERT_GE(static_cast<std::uint64_t>(n) * (n + 1) / 2,
-              AnonymousBinaryGame::kPooledWorkThreshold);
+    ASSERT_GT(n, std::size_t{64});
     for (int trial = 0; trial < 12; ++trial) {
         std::vector<std::vector<Rational>> table(2, std::vector<Rational>(n + 1));
         for (std::size_t a = 0; a < 2; ++a) {
@@ -643,6 +644,40 @@ TEST(RobustFuzz, AnonymousPooledLargeNMatchesSerialScan) {
     EXPECT_TRUE(bargaining.all_base_is_k_resilient(0, 5000, GainCriterion::kAnyMemberGains,
                                                    SweepMode::kAuto));
     EXPECT_EQ(bargaining.max_immunity(0, 4999, SweepMode::kAuto), 0u);
+
+    // A PayoffFn that throws past block 0 surfaces the same exception in
+    // both modes: the pooled scans rethrow it on the calling thread.
+    const auto throws_at = [](std::size_t n_players, std::size_t bad_ones) {
+        return AnonymousBinaryGame(
+            n_players, [bad_ones](std::size_t, std::size_t ones, std::size_t) -> Rational {
+                if (ones == bad_ones) {
+                    throw std::domain_error("payoff undefined at " + std::to_string(ones));
+                }
+                return 0;
+            });
+    };
+    const auto message_of = [](const auto& call) {
+        try {
+            call();
+        } catch (const std::domain_error& error) {
+            return std::string(error.what());
+        }
+        return std::string("no exception");
+    };
+    const auto coalition_game = throws_at(256, 150);
+    for (const auto mode : {SweepMode::kSerial, SweepMode::kAuto}) {
+        EXPECT_EQ(message_of([&] {
+                      (void)coalition_game.all_base_is_k_resilient(
+                          0, 256, GainCriterion::kAnyMemberGains, mode);
+                  }),
+                  "payoff undefined at 150");
+    }
+    // n > 4096: the switcher scan spans more than two 2048-size blocks.
+    const auto switcher_game = throws_at(5000, 3000);
+    for (const auto mode : {SweepMode::kSerial, SweepMode::kAuto}) {
+        EXPECT_EQ(message_of([&] { (void)switcher_game.all_base_is_t_immune(0, 4999, mode); }),
+                  "payoff undefined at 3000");
+    }
 }
 
 }  // namespace

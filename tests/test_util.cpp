@@ -1,17 +1,25 @@
 // Unit and property tests for the util substrate: exact rationals,
-// deterministic RNG, combinatorics, linear algebra, LP, statistics.
+// deterministic RNG, combinatorics, linear algebra, LP, statistics, and
+// the first_hit / for_blocks block runners.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <compare>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/combinatorics.h"
+#include "util/execution_grant.h"
 #include "util/matrix.h"
 #include "util/offset_walker.h"
 #include "util/rational.h"
@@ -19,6 +27,7 @@
 #include "util/simplex.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/work_counters.h"
 
 namespace bnash::util {
@@ -822,6 +831,164 @@ TEST(Table, FmtHelpers) {
     EXPECT_EQ(Table::fmt(1.23456, 2), "1.23");
     EXPECT_EQ(Table::fmt(std::size_t{42}), "42");
     EXPECT_EQ(Table::fmt(true), "yes");
+}
+
+// ----------------------------------------------------------- block runners
+//
+// Every case runs pooled (the real pool; the ctest entry
+// test_util_one_thread reruns them with BNASH_THREADS=1) and not pooled.
+
+// What an in-order scan of a rank pattern stops at.
+enum class Outcome : std::uint8_t { kNone, kHit, kError };
+
+// first_hit's answer as a comparable value: the hit rank, the rank in the
+// message of the exception it threw, or nothing.
+struct Observed final {
+    Outcome outcome = Outcome::kNone;
+    std::uint64_t rank = 0;
+    bool operator==(const Observed&) const = default;
+};
+
+Observed observe(std::size_t num_blocks, std::uint64_t block_ranks, bool pooled,
+                 const std::vector<Outcome>& pattern, std::size_t* verified = nullptr) {
+    try {
+        const FirstHit run = first_hit(
+            num_blocks, block_ranks, pooled,
+            [&](std::size_t block,
+                const std::atomic<std::uint64_t>& best) -> std::optional<std::uint64_t> {
+                for (std::uint64_t rank = block * block_ranks;
+                     rank < (block + 1) * block_ranks && rank < best.load(); ++rank) {
+                    if (pattern[rank] == Outcome::kError) {
+                        throw std::runtime_error(std::to_string(rank));
+                    }
+                    if (pattern[rank] == Outcome::kHit) return rank;
+                }
+                return std::nullopt;
+            });
+        if (verified != nullptr) *verified = run.verified;
+        if (!run.rank) return {};
+        EXPECT_EQ(run.verified, *run.rank / block_ranks);
+        return {Outcome::kHit, *run.rank};
+    } catch (const std::runtime_error& error) {
+        return {Outcome::kError, std::stoull(error.what())};
+    }
+}
+
+TEST(BlockRunner, FirstHitMatchesSerialLoopOnRandomPatterns) {
+    Rng rng(20260417);
+    for (int trial = 0; trial < 300; ++trial) {
+        const auto num_blocks = static_cast<std::size_t>(rng.next_below(40));
+        const std::uint64_t block_ranks = 1 + rng.next_below(5);
+        const double hit_rate = rng.next_double() * 0.1;
+        const double error_rate = rng.next_double() * 0.1;
+        std::vector<Outcome> pattern(num_blocks * block_ranks, Outcome::kNone);
+        Observed expected;
+        for (std::uint64_t rank = 0; rank < pattern.size(); ++rank) {
+            const double draw = rng.next_double();
+            if (draw < hit_rate) {
+                pattern[rank] = Outcome::kHit;
+            } else if (draw < hit_rate + error_rate) {
+                pattern[rank] = Outcome::kError;
+            }
+            if (expected.outcome == Outcome::kNone && pattern[rank] != Outcome::kNone) {
+                expected = {pattern[rank], rank};
+            }
+        }
+        for (const bool pooled : {true, false}) {
+            std::size_t verified = 0;
+            EXPECT_EQ(observe(num_blocks, block_ranks, pooled, pattern, &verified), expected)
+                << "trial " << trial << " pooled " << pooled;
+            if (expected.outcome == Outcome::kNone) EXPECT_EQ(verified, num_blocks);
+        }
+    }
+}
+
+TEST(BlockRunner, HitInBlockZeroRunsOneBlock) {
+    for (const bool pooled : {true, false}) {
+        std::atomic<int> calls{0};
+        const FirstHit run = first_hit(
+            100, 4, pooled,
+            [&](std::size_t block,
+                const std::atomic<std::uint64_t>&) -> std::optional<std::uint64_t> {
+                calls.fetch_add(1);
+                return block * 4 + 2;
+            });
+        EXPECT_EQ(run.rank, std::optional<std::uint64_t>(2));
+        EXPECT_EQ(run.verified, 0u);
+        EXPECT_EQ(calls.load(), 1);
+    }
+}
+
+TEST(BlockRunner, ErrorAboveWinnerIsSwallowed) {
+    for (const bool pooled : {true, false}) {
+        std::atomic<bool> error_thrown{false};
+        const FirstHit run = first_hit(
+            16, 1, pooled,
+            [&](std::size_t block,
+                const std::atomic<std::uint64_t>&) -> std::optional<std::uint64_t> {
+                if (block == 1) {
+                    // On the real pool, let block 9 throw before the
+                    // winner is pinned, so the error is really swallowed.
+                    const auto give_up =
+                        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+                    while (pooled && global_pool().size() > 1 && !error_thrown.load() &&
+                           std::chrono::steady_clock::now() < give_up) {
+                        std::this_thread::yield();
+                    }
+                    return 1;
+                }
+                if (block == 9) {
+                    error_thrown.store(true);
+                    throw std::runtime_error("above the winner");
+                }
+                return std::nullopt;
+            });
+        EXPECT_EQ(run.rank, std::optional<std::uint64_t>(1)) << "pooled " << pooled;
+    }
+}
+
+TEST(BlockRunner, CancelledGrantYieldsVerifiedPrefix) {
+    constexpr std::size_t kCancelBlock = 5;
+    for (const bool pooled : {true, false}) {
+        ExecutionGrant grant;
+        const GrantScope scope(&grant);
+        std::vector<std::atomic<bool>> completed_live(64);
+        const FirstHit run = first_hit(
+            64, 1, pooled,
+            [&](std::size_t block,
+                const std::atomic<std::uint64_t>&) -> std::optional<std::uint64_t> {
+                if (block == kCancelBlock) grant.cancel();
+                completed_live[block].store(!grant.expired());
+                return block > kCancelBlock ? std::optional<std::uint64_t>(block)
+                                            : std::nullopt;
+            });
+        // Hits above the cancel finished after expiry: none is reported.
+        EXPECT_FALSE(run.rank) << "pooled " << pooled;
+        if (pooled) {
+            EXPECT_LE(run.verified, kCancelBlock);
+        } else {
+            EXPECT_EQ(run.verified, kCancelBlock);
+        }
+        for (std::size_t block = 0; block < run.verified; ++block) {
+            EXPECT_TRUE(completed_live[block].load()) << "block " << block;
+        }
+    }
+}
+
+TEST(BlockRunner, ForBlocksRethrowsLowestIndexException) {
+    for (const bool pooled : {true, false}) {
+        std::vector<int> ran(32, 0);
+        try {
+            for_blocks(32, pooled, [&](std::size_t block) {
+                ran[block] = 1;
+                if (block == 7 || block == 20) throw std::runtime_error(std::to_string(block));
+            });
+            ADD_FAILURE() << "no exception, pooled " << pooled;
+        } catch (const std::runtime_error& error) {
+            EXPECT_STREQ(error.what(), "7") << "pooled " << pooled;
+        }
+        for (std::size_t block = 0; block < 7; ++block) EXPECT_EQ(ran[block], 1);
+    }
 }
 
 }  // namespace
