@@ -28,7 +28,7 @@ Rules (ids are stable; waivers reference them):
                      first-violation searches go through util::first_hit
                      and ordered reductions through util::for_blocks, so
                      lowest-hit, error and grant-prefix handling is
-                     written once. Waiver:  // lint: pool-ok(<reason>)
+                     written once. No waiver.
   naked-thread       No std::thread / std::jthread / std::async /
                      pthread_create outside util::ThreadPool and
                      src/serve (the two sanctioned concurrency owners).
@@ -75,7 +75,7 @@ from pathlib import Path
 RULE_DOCS = {
     "walker-charge": "advance loops must charge work counters (waiver: no-charge)",
     "grant-propagation": "pooled sites must be grant-aware (waiver: grant-ok)",
-    "pool-loop": "no raw run_blocks outside src/util; use first_hit/for_blocks (waiver: pool-ok)",
+    "pool-loop": "no raw run_blocks outside src/util; use first_hit/for_blocks (no waiver)",
     "naked-thread": "threads only via util::ThreadPool or src/serve (waiver: thread-ok)",
     "no-rand": "no ambient randomness in library code (waiver: rand-ok)",
     "no-stdout": "no stdout writes in library code (waiver: stdout-ok)",
@@ -87,7 +87,6 @@ RULE_DOCS = {
 WAIVER_OF_RULE = {
     "walker-charge": "no-charge",
     "grant-propagation": "grant-ok",
-    "pool-loop": "pool-ok",
     "naked-thread": "thread-ok",
     "no-rand": "rand-ok",
     "no-stdout": "stdout-ok",
@@ -410,14 +409,11 @@ def check_pool_loop(unit, findings):
     if unit.rel.startswith("util/"):
         return  # the pool and the block runners themselves
     for match in RUN_BLOCKS_RE.finditer(unit.stripped):
-        line = line_of(unit.stripped, match.start())
-        if has_waiver(unit.raw_lines, line, "pool-loop"):
-            continue
         findings.append(Finding(
-            "pool-loop", unit.rel, line,
+            "pool-loop", unit.rel, line_of(unit.stripped, match.start()),
             "raw run_blocks call outside src/util; a first-violation search "
             "goes through util::first_hit and an ordered reduction through "
-            "util::for_blocks (waive with // lint: pool-ok(<reason>))",
+            "util::for_blocks (the rule has no waiver)",
             unit.context_at(match.start())))
 
 

@@ -209,12 +209,13 @@ public:
 // Streaming hook for batch_robustness_frontier: called as each t-column's
 // verdict becomes FINAL. `breaking_k` is the smallest broken k in the
 // column (max_k + 1 for a clean column); `violation` is the witness
-// breaking (breaking_k, t), nullptr for clean columns. Serial dense
-// sweeps emit broken columns the moment their winner is pinned
-// (genuinely mid-sweep) and clean columns at sweep end; parallel sweeps
-// emit everything at resolution time, in t order. Columns resolved by an
-// EARLIER resumed run are not re-emitted. The callback runs on the sweep
-// thread; it must not re-enter the sweep.
+// breaking (breaking_k, t), nullptr for clean columns. Serial and pooled
+// sweeps emit the same sequence: a broken column the moment its winner is
+// pinned (genuinely mid-sweep; one hit pins a run of columns in t order,
+// and each later hit pins lower ones), then the clean columns at sweep
+// end, in t order. Columns resolved by an EARLIER resumed run are not
+// re-emitted. The callback runs on the sweep thread; it must not re-enter
+// the sweep.
 using FrontierColumnSink =
     std::function<void(std::size_t t, std::size_t breaking_k, const RobustnessViolation*)>;
 

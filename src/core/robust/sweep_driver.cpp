@@ -1,11 +1,9 @@
 #include "core/robust/sweep_driver.h"
 
 #include <algorithm>
-#include <exception>
 #include <utility>
 #include <vector>
 
-#include "util/execution_grant.h"
 #include "util/thread_pool.h"
 
 namespace bnash::core {
@@ -93,6 +91,13 @@ const SweepCheckpoint* validated(const SweepCheckpoint* resume, Entry entry, std
     if (entry == Entry::kFrontier) {
         const std::size_t columns = r.finished ? 0 : std::min(max_t, r.immunity_ok) + 1;
         if (r.column_done.size() != columns) reject("column_done does not match the grid");
+        // The open columns always form a t-prefix, and a run that stopped
+        // before finishing still had column 0 open: zeros, then ones.
+        const std::vector<std::uint8_t>& done = r.column_done;
+        if (!done.empty() &&
+            (done.front() != 0 || done.back() > 1 || !std::is_sorted(done.begin(), done.end()))) {
+            reject("column_done is not open columns followed by done ones");
+        }
     }
     if (entry == Entry::kWalk) {
         const std::vector<std::size_t>& k_of_t = r.walk_k_of_t;
@@ -283,7 +288,6 @@ FrontierVerdict SweepDriver::batch_robustness_frontier(std::size_t max_k, std::s
                                                        const FrontierColumnSink& on_column) const {
     resume = validated(resume, Entry::kFrontier, max_k, max_t);
     const bool resumed_b = resume != nullptr && resume->immunity_done;
-    util::ExecutionGrant* const grant = util::active_grant();
     FrontierVerdict out;
     out.max_k = max_k;
     out.max_t = max_t;
@@ -322,240 +326,66 @@ FrontierVerdict SweepDriver::batch_robustness_frontier(std::size_t max_k, std::s
     }
 
     // Part (b): the size-major task sweep resolves the surviving columns.
-    // A task's cap is the highest still-unresolved column (the unresolved
-    // set is always a t-prefix: every hit resolves a suffix, and columns
-    // resolved by EARLIER resumed runs were suffixes then), and a hit at
-    // faulty size s0 claims every column t >= s0 the task is still the
-    // lowest index for. Resume soundness: a column still open now was
-    // open during every earlier run too, so its cap covered it in all
-    // tasks [0, start_b) — the seek changes no cap, winner, or scan.
+    // The open columns always form a t-prefix [0, open): every hit closes
+    // a suffix, and columns closed by EARLIER resumed runs were a suffix
+    // then (validated() refuses any other column_done). Columns [live,
+    // t_res] had their verdicts and witnesses delivered by an earlier run:
+    // out of play here, and kUnknown in this grid. Resume soundness: a
+    // column still open now was open during every earlier run too, so
+    // every task in [0, start_b) ran with a cap covering it — the seek
+    // changes no cap, winner, or scan.
     const std::size_t t_res = std::min(max_t, immunity_ok);
-    // Per-column outcome. A resolved column either has a valid winning
-    // task (breaking_k[t] = that task's coalition size) or verified the
-    // whole sweep clean (breaking_k[t] = max_k + 1); a column truncated
-    // by the grant is clean only for k <= verified_k[t] and unknown above.
-    std::vector<char> resolved(t_res + 1, 1);
-    std::vector<std::size_t> verified_k(t_res + 1, max_k);
-    std::vector<std::size_t> breaking_k(t_res + 1, max_k + 1);
-    // Columns whose verdict (and witness) an earlier run already
-    // delivered: out of play for caps and winners, kUnknown in this grid.
-    std::vector<char> done_before(t_res + 1, 0);
-    if (resumed_b && !resume->column_done.empty()) {
-        for (std::size_t t = 0; t <= t_res; ++t) done_before[t] = resume->column_done[t] != 0;
-    }
+    const std::size_t live =
+        resumed_b && !resume->column_done.empty()
+            ? static_cast<std::size_t>(
+                  std::count(resume->column_done.begin(), resume->column_done.end(), 0))
+            : t_res + 1;
+    // The columns [open, live) were won by a task this run. The columns
+    // [0, open) no task won are clean, or — when the grant expired —
+    // clean only for k <= verified_k, unknown above.
+    std::size_t open = live;
+    bool truncated = false;
+    std::size_t verified_k = max_k;
+    std::uint64_t next_task = 0;  // first unverified task rank, for the checkpoint
     const std::uint64_t start_b = resumed_b ? resume->next_task : 0;
-    std::size_t next_task_out = 0;  // first unverified task rank, for the checkpoint
-    if (max_k > 0) {  // k = 0 row: resilience is vacuous
-        const auto tasks = resilience_tasks(max_k, t_res, criterion, mode);
-        const std::size_t num_tasks = tasks->size();
-        check_resume_position(start_b, num_tasks);
-        const auto first = static_cast<std::size_t>(start_b);
-        std::vector<std::optional<RobustnessViolation>> found(num_tasks);
-        std::vector<std::size_t> winner(t_res + 1, num_tasks);
-        auto& pool = util::global_pool();
-        const std::size_t live_tasks = num_tasks - first;
-        if (tasks->mode() == game::SweepMode::kSerial || pool.size() <= 1 || live_tasks <= 1) {
-            std::size_t reached = num_tasks;  // tasks [0, reached) ran untruncated
-            for (std::size_t index = first; index < num_tasks; ++index) {
-                std::size_t cap = 0;
-                bool unresolved = false;
-                for (std::size_t t = t_res + 1; t-- > 0;) {
-                    if (!done_before[t] && winner[t] == num_tasks) {
-                        cap = t;
-                        unresolved = true;
-                        break;
-                    }
-                }
-                if (!unresolved) break;
-                if (grant != nullptr && grant->expired()) {
-                    reached = index;
-                    break;
-                }
-                auto violation = tasks->run(index, 0, cap);
-                // A truncated task cannot vouch for its verdict (see
-                // util::first_hit); its hit is discarded too.
-                if (grant != nullptr && grant->expired()) {
-                    reached = index;
-                    break;
-                }
-                if (violation) {
-                    const std::size_t s0 = violation->faulty.size();
-                    found[index] = std::move(violation);
-                    for (std::size_t t = s0; t <= t_res; ++t) {
-                        if (!done_before[t] && winner[t] == num_tasks) {
-                            winner[t] = index;
-                            // Serial in-order execution: the winner is
-                            // final the moment it is pinned — stream it.
-                            if (on_column) on_column(t, tasks->set_size(index), &*found[index]);
-                        }
-                    }
-                }
-            }
-            next_task_out = reached;
-            if (reached < num_tasks) {
-                // In-order execution: winners found before the cutoff are
-                // valid; every still-open column was live the whole time
-                // (its cap covered it in every executed task), so its
-                // clean prefix is exactly [0, reached).
-                for (std::size_t t = 0; t <= t_res; ++t) {
-                    if (!done_before[t] && winner[t] == num_tasks) {
-                        resolved[t] = 0;
-                        verified_k[t] = tasks->set_size(reached) - 1;
-                    }
-                }
-            } else if (on_column) {
-                // Clean columns become final only when the sweep finishes.
-                for (std::size_t t = 0; t <= t_res; ++t) {
-                    if (!done_before[t] && winner[t] == num_tasks) {
-                        on_column(t, max_k + 1, nullptr);
-                    }
-                }
-            }
-        } else {
-            std::vector<std::atomic<std::size_t>> best(t_res + 1);
-            for (std::size_t t = 0; t <= t_res; ++t) {
-                // A column resolved by an earlier resumed run is out of
-                // play: no task can win it and no cap covers it.
-                best[t].store(done_before[t] ? 0 : num_tasks, std::memory_order_relaxed);
-            }
-            std::vector<std::exception_ptr> errors(num_tasks);
-            // Under a grant: per-task outcome (0 = never ran or truncated,
-            // 1 = completed, 2 = early-exit skip, as in util::first_hit)
-            // plus the cap the task completed with — a clean task vouches
-            // only for the columns its cap covered.
-            std::vector<unsigned char> state(grant != nullptr ? num_tasks : 0, 0);
-            std::vector<std::size_t> cap_done(grant != nullptr ? num_tasks : 0, 0);
-            // lint: pool-ok(one winner per t-column, not one lowest hit:
-            // first_hit's single `best` cannot carry the per-column caps)
-            pool.run_blocks(live_tasks, [&](std::size_t offset) {
-                const std::size_t index = first + offset;
-                // Columns this task could still win form a prefix; its cap
-                // is the highest of them. None -> early exit.
-                std::size_t cap = 0;
-                bool live = false;
-                for (std::size_t t = t_res + 1; t-- > 0;) {
-                    if (index < best[t].load(std::memory_order_acquire)) {
-                        cap = t;
-                        live = true;
-                        break;
-                    }
-                }
-                if (!live) {
-                    if (grant != nullptr) state[index] = 2;
-                    return;
-                }
-                try {
-                    auto violation = tasks->run(index, 0, cap);
-                    if (grant != nullptr) {
-                        if (grant->expired()) return;  // truncated: verdict untrusted
-                        state[index] = 1;
-                        cap_done[index] = cap;
-                    }
-                    if (violation) {
-                        const std::size_t s0 = violation->faulty.size();
-                        found[index] = std::move(violation);
-                        for (std::size_t t = s0; t <= t_res; ++t) {
-                            std::size_t current = best[t].load(std::memory_order_acquire);
-                            while (index < current &&
-                                   !best[t].compare_exchange_weak(
-                                       current, index, std::memory_order_acq_rel)) {
-                            }
-                        }
-                    }
-                } catch (...) {
-                    errors[index] = std::current_exception();
-                    if (grant != nullptr) {
-                        state[index] = 1;
-                        cap_done[index] = cap;
-                    }
-                }
-            });
-            std::size_t reach = first;
-            for (std::size_t t = 0; t <= t_res; ++t) {
-                winner[t] = done_before[t] ? num_tasks : best[t].load(std::memory_order_acquire);
-                if (!done_before[t]) reach = std::max(reach, winner[t]);
-            }
-            next_task_out = num_tasks;
-            std::size_t replay_end = std::min(reach, num_tasks);
-            if (grant != nullptr && grant->expired()) {
-                // Column-by-column completed-prefix resolution: task i
-                // vouches for column t iff it completed untruncated with a
-                // cap covering t and its first violation (if any) sits at
-                // a faulty size beyond t. A winner stands iff every lower
-                // live task vouches for its column (tasks below start_b
-                // were vouched for by the earlier runs).
-                for (std::size_t t = 0; t <= t_res; ++t) {
-                    if (done_before[t]) continue;
-                    std::size_t i = first;
-                    for (; i < num_tasks; ++i) {
-                        if (i == winner[t]) break;
-                        const bool vouches = state[i] == 1 && cap_done[i] >= t &&
-                                             (!found[i] || found[i]->faulty.size() > t);
-                        if (!vouches) break;
-                    }
-                    if (i == num_tasks) continue;                           // clean, resolved
-                    if (i == winner[t] && winner[t] < num_tasks) continue;  // broken, resolved
-                    resolved[t] = 0;
-                    winner[t] = num_tasks;  // an unvouched winner is discarded
-                    verified_k[t] = tasks->set_size(i) - 1;
-                    next_task_out = std::min(next_task_out, i);
-                }
-                // Errors surface only at tasks the budgeted serial loop
-                // would have reached: below both the winner and the
-                // truncation point.
-                std::size_t untruncated = first;
-                while (untruncated < num_tasks && state[untruncated] != 0) ++untruncated;
-                replay_end = std::min(replay_end, untruncated);
-            }
-            // Serial-equivalent error behavior: an error at a task the
-            // serial loop would still have reached (below the last
-            // column's winner, or anywhere when some column never
-            // resolved) is rethrown, lowest index first; errors past
-            // every winner are swallowed.
-            for (std::size_t index = first; index < replay_end; ++index) {
-                if (errors[index]) std::rethrow_exception(errors[index]);
-            }
-            if (on_column) {
-                // Parallel execution pins winners out of order; columns
-                // become final only once the vouch pass settles, so emit
-                // them here in t order.
-                for (std::size_t t = 0; t <= t_res; ++t) {
-                    if (done_before[t] || resolved[t] == 0) continue;
-                    if (winner[t] == num_tasks) {
-                        on_column(t, max_k + 1, nullptr);
-                    } else {
-                        on_column(t, tasks->set_size(winner[t]), &*found[winner[t]]);
-                    }
-                }
-            }
-        }
-        // Cell (k, t): the lowest winning task fits iff its coalition fits
-        // in k (tasks are size-major, so "index < first size-(k+1) task"
-        // and "size <= k" coincide).
-        for (std::size_t t = 0; t <= t_res; ++t) {
-            if (winner[t] == num_tasks) continue;
-            breaking_k[t] = tasks->set_size(winner[t]);
-            for (std::size_t k = breaking_k[t]; k <= max_k; ++k) {
-                out.cells[k * stride + t] = found[winner[t]];
-            }
-        }
-    } else {
+    if (max_k == 0) {  // k = 0 row: resilience is vacuous
         check_resume_position(start_b, 0);
-        if (on_column) {
-            // max_k == 0: resilience is vacuous, so every immune column is
-            // final the moment the immunity phase covers it.
-            for (std::size_t t = 0; t <= t_res; ++t) {
-                if (!done_before[t]) on_column(t, max_k + 1, nullptr);
+    } else {
+        const auto tasks = resilience_tasks(max_k, t_res, criterion, mode);
+        check_resume_position(start_b, tasks->size());
+        // The serial in-order loop, cut at each hit: every task runs with
+        // its cap, the highest open column, and the lowest task breaking
+        // at faulty size s0 wins every open column t >= s0. The next
+        // search resumes past it with the cap below s0.
+        for (std::uint64_t start = start_b; open > 0;) {
+            const TaskRun run = run_tasks_from(*tasks, start, 0, open - 1);
+            if (!run.hit) {
+                truncated = run.verified < tasks->size();
+                if (truncated) {
+                    verified_k = tasks->set_size(run.verified) - 1;
+                    next_task = run.verified;
+                }
+                break;
             }
+            // Cell (k, t) takes the winner iff its coalition fits in k.
+            const std::size_t breaking = tasks->set_size(run.verified);
+            const std::size_t s0 = run.hit->faulty.size();
+            for (std::size_t t = s0; t < open; ++t) {
+                for (std::size_t k = breaking; k <= max_k; ++k) out.cells[k * stride + t] = run.hit;
+                if (on_column) on_column(t, breaking, &*run.hit);
+            }
+            open = s0;
+            start = run.verified + 1;
         }
+    }
+    if (on_column && !truncated) {
+        // Clean columns become final only when the sweep finishes.
+        for (std::size_t t = 0; t < open; ++t) on_column(t, max_k + 1, nullptr);
     }
 
     // Checkpoint capture: enough to seek a later run past every verified
     // task and every column whose verdict has already been delivered.
-    bool sweep_finished = immunity_done;
-    for (std::size_t t = 0; t <= t_res && sweep_finished; ++t) {
-        sweep_finished = done_before[t] != 0 || resolved[t] != 0;
-    }
+    const bool sweep_finished = immunity_done && !truncated;
     if (checkpoint != nullptr) {
         *checkpoint = SweepCheckpoint{};
         checkpoint->finished = sweep_finished;
@@ -563,11 +393,9 @@ FrontierVerdict SweepDriver::batch_robustness_frontier(std::size_t max_k, std::s
         checkpoint->immunity_next = immunity_next;
         checkpoint->immunity_ok = immunity_ok;
         if (immunity_done && !sweep_finished) {
-            checkpoint->next_task = next_task_out;
-            checkpoint->column_done.assign(t_res + 1, 0);
-            for (std::size_t t = 0; t <= t_res; ++t) {
-                checkpoint->column_done[t] = (done_before[t] != 0 || resolved[t] != 0) ? 1 : 0;
-            }
+            checkpoint->next_task = next_task;
+            checkpoint->column_done.assign(t_res + 1, 1);
+            std::fill_n(checkpoint->column_done.begin(), open, 0);
         }
     }
 
@@ -575,9 +403,7 @@ FrontierVerdict SweepDriver::batch_robustness_frontier(std::size_t max_k, std::s
     // and keeps `states` in its empty "all resolved" form. A resumed run
     // never does — the columns earlier runs resolved stay kUnknown here
     // (merge_frontier reassembles the full grid).
-    bool all_resolved = resume == nullptr && immunity_exact_now;
-    for (std::size_t t = 0; t <= t_res && all_resolved; ++t) all_resolved = resolved[t] != 0;
-    if (all_resolved) {
+    if (resume == nullptr && immunity_exact_now && !truncated) {
         out.cells_resolved = out.cells.size();
         return out;
     }
@@ -595,13 +421,14 @@ FrontierVerdict SweepDriver::batch_robustness_frontier(std::size_t max_k, std::s
             }
             continue;
         }
-        if (done_before[t]) continue;  // delivered by an earlier run
+        if (t >= live) continue;  // delivered by an earlier run
+        const bool unresolved = truncated && t < open;
         for (std::size_t k = 0; k <= max_k; ++k) {
-            if (resolved[t] != 0) {
-                out.states[k * stride + t] =
-                    k < breaking_k[t] ? CellVerdict::kRobust : CellVerdict::kBroken;
-            } else if (k <= verified_k[t]) {
-                out.states[k * stride + t] = CellVerdict::kRobust;
+            const std::size_t cell = k * stride + t;
+            if (!unresolved) {
+                out.states[cell] = out.cells[cell] ? CellVerdict::kBroken : CellVerdict::kRobust;
+            } else if (k <= verified_k) {
+                out.states[cell] = CellVerdict::kRobust;
             }
         }
     }

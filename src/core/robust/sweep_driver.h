@@ -13,8 +13,10 @@
 //     A task that finishes after its util::ExecutionGrant expired vouches
 //     for nothing, and errors surface as the serial loop would raise them;
 //   - the resumable immunity phase and the two-phase robustness check;
-//   - the frontier's per-column caps and winners, on_column streaming,
-//     checkpoint capture and per-cell `states` assembly;
+//   - the frontier as a loop of run_tasks_from searches under a
+//     descending cap (the highest open column), each hit closing a
+//     suffix of the open columns; on_column streaming, checkpoint
+//     capture and per-cell `states` assembly;
 //   - the max_kt boundary walk;
 //   - release-build validation of every resume checkpoint field.
 //

@@ -1,5 +1,5 @@
-// Fixture: a grant-aware raw run_blocks call with a documented waiver —
-// pool-loop must stay quiet.
+// Fixture: a grant-aware raw run_blocks call under a pool-ok comment —
+// pool-loop has no waiver, so it must fire anyway, and nothing else may.
 #include <cstddef>
 
 namespace bnash::util {

@@ -814,6 +814,16 @@ std::vector<std::pair<std::string, core::SweepCheckpoint>> invalid_variants(
     if (entry == Entry::kFrontier) {
         add("column_done lengthened", [](Checkpoint& v) { v.column_done.push_back(0); });
         add("column_done shortened", [](Checkpoint& v) { v.column_done.pop_back(); });
+        // Open columns form a t-prefix, and an unfinished run has column 0
+        // open: column_done is zeros, then ones.
+        if (c.column_done.size() >= 2) {
+            add("column_done not a suffix", [](Checkpoint& v) {
+                v.column_done.front() = 1;
+                v.column_done.back() = 0;
+            });
+        }
+        add("column_done all done",
+            [](Checkpoint& v) { std::fill(v.column_done.begin(), v.column_done.end(), 1); });
     }
     if (entry == Entry::kWalk) {
         add("walk_k_of_t longer than walk_t",
@@ -921,7 +931,8 @@ TEST(GrantFuzz, PerturbedCheckpointFieldsAreRejected) {
         for (const char* what :
              {"immunity_next beyond the task space", "next_task before immunity is done",
               "phase-(b) state with immunity not done", "column_done lengthened",
-              "column_done shortened", "walk_k_of_t longer than walk_t",
+              "column_done shortened", "column_done not a suffix", "column_done all done",
+              "walk_k_of_t longer than walk_t",
               "walk_k_of_t increasing", "walk_t beyond immunity_ok",
               "walk_cells_resolved beyond the grid", "column_done on a non-frontier checkpoint",
               "walk state on a non-walk checkpoint"}) {

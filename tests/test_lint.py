@@ -73,6 +73,13 @@ class BadTree(unittest.TestCase):
              and f["rule"] != "pool-loop"], [], self.out)
         self.assertEqual(len(self.hits("pool-loop", "bad_grant.cpp")), 1, self.out)
 
+    def test_pool_loop_ignores_waiver_comment(self):
+        # pool-loop has no waiver: a pool-ok comment does not silence it
+        self.assertEqual(len(self.hits("pool-loop", "waived_pool.cpp")), 1, self.out)
+        self.assertEqual(
+            [f for f in self.findings if "waived_pool.cpp" in f["path"]
+             and f["rule"] != "pool-loop"], [], self.out)
+
     def test_naked_thread_fires(self):
         hits = self.hits("naked-thread", "bad_thread.cpp")
         self.assertEqual(len(hits), 1, self.out)  # std::this_thread is quiet

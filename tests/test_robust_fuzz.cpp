@@ -13,9 +13,11 @@
 //     twins on random anonymous payoff tables.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/robust/anonymous.h"
@@ -493,6 +495,87 @@ TEST(RobustFuzz, SparseCoalitionScansMatchReferenceOnMixedCandidates) {
         expect_same(reference::find_immunity_violation(g, profile, std::max<std::size_t>(t, 1)),
                     find_immunity_violation(g, profile, std::max<std::size_t>(t, 1)),
                     label + " immunity");
+    }
+}
+
+// ------------------------------- streamed frontier columns, both modes
+
+// A 6-player, 3-action game immune to every faulty set, with one planted
+// coalition of k0 players that gains by jointly playing their last action
+// while everyone else plays a non-last one: cell (k, t) breaks iff
+// k >= 1 and k + t >= k0. Every non-last action pays the player a fixed
+// safe value, every last action pays less, and the coalition's planted
+// profile pays one member more.
+NormalFormGame planted_game(std::size_t planted_k0, std::uint64_t seed) {
+    constexpr std::size_t kPlayers = 6;
+    constexpr std::size_t kActions = 3;
+    util::Rng rng(seed);
+    NormalFormGame g(std::vector<std::size_t>(kPlayers, kActions));
+    std::vector<std::int64_t> safe(kPlayers);
+    for (std::int64_t& v : safe) v = rng.next_int(4, 12);
+    std::vector<std::size_t> players(kPlayers);
+    std::iota(players.begin(), players.end(), std::size_t{0});
+    rng.shuffle(players);
+    std::vector<bool> planted(kPlayers, false);
+    for (std::size_t i = 0; i < planted_k0; ++i) planted[players[i]] = true;
+    const std::size_t gainer = players[rng.next_below(planted_k0)];
+    const std::int64_t bump = rng.next_int(1, 3);
+    for (std::uint64_t rank = 0; rank < g.num_profiles(); ++rank) {
+        const PureProfile profile = g.profile_unrank(rank);
+        bool planted_cell = true;
+        for (std::size_t p = 0; p < kPlayers && planted_cell; ++p) {
+            planted_cell = planted[p] == (profile[p] + 1 == kActions);
+        }
+        for (std::size_t p = 0; p < kPlayers; ++p) {
+            std::int64_t value = safe[p];
+            if (profile[p] + 1 == kActions) value -= rng.next_int(1, 6);
+            if (planted_cell && p == gainer) value = safe[p] + bump;
+            g.set_payoff(profile, p, Rational{value});
+        }
+    }
+    return g;
+}
+
+// on_column reports a broken column the moment its winner is pinned and
+// the clean ones at sweep end, so a pooled sweep streams the same
+// (t, breaking_k, witness) sequence as a serial one — not merely the same
+// grid. Pooling only shows with more than one executor (BNASH_THREADS).
+TEST(RobustFuzz, PooledFrontierStreamsLikeSerial) {
+    using Column = std::tuple<std::size_t, std::size_t, std::optional<RobustnessViolation>>;
+    const auto stream = [](const CoalitionSweep& sweep, SweepMode mode) {
+        std::vector<Column> columns;
+        (void)sweep.batch_robustness_frontier(
+            5, 2, GainCriterion::kAnyMemberGains, mode, nullptr, nullptr,
+            [&](std::size_t t, std::size_t breaking_k, const RobustnessViolation* witness) {
+                columns.emplace_back(t, breaking_k,
+                                     witness != nullptr ? std::optional{*witness} : std::nullopt);
+            });
+        return columns;
+    };
+    util::Rng rng{2'718'281};
+    for (int seed = 0; seed < 20; ++seed) {
+        const std::size_t k0 = 3 + static_cast<std::size_t>(seed % 3);
+        const NormalFormGame g = planted_game(k0, rng.next_u64());
+        PureProfile candidate(g.num_players());
+        for (std::size_t& action : candidate) action = rng.next_below(2);  // never the last
+        const ExactMixedProfile profile = as_exact_profile(g, candidate);
+        const CoalitionSweep sweep(g, profile);
+        const std::string label = "seed " + std::to_string(seed) + " k0=" + std::to_string(k0);
+
+        const std::vector<Column> serial = stream(sweep, SweepMode::kSerial);
+        ASSERT_EQ(serial.size(), 3u) << label;
+        for (const auto& [t, breaking_k, witness] : serial) {
+            EXPECT_EQ(breaking_k, k0 - t) << label << " t=" << t;
+            EXPECT_TRUE(witness.has_value()) << label << " t=" << t;
+        }
+        const std::vector<Column> pooled = stream(sweep, SweepMode::kAuto);
+        ASSERT_EQ(pooled.size(), serial.size()) << label;
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            const std::string at = label + " column #" + std::to_string(i);
+            EXPECT_EQ(std::get<0>(pooled[i]), std::get<0>(serial[i])) << at;
+            EXPECT_EQ(std::get<1>(pooled[i]), std::get<1>(serial[i])) << at;
+            expect_same(std::get<2>(pooled[i]), std::get<2>(serial[i]), at);
+        }
     }
 }
 
