@@ -371,17 +371,7 @@ game::NormalFormGame own_action_chain_game(std::size_t players, std::size_t acti
     return g;
 }
 
-// RAII restore for the process-wide intra-split tuning.
-struct IntraSplitRestore final {
-    ~IntraSplitRestore() {
-        core::CoalitionSweep::set_intra_split_cells(
-            core::CoalitionSweep::kDefaultIntraSplitCells);
-        core::CoalitionSweep::set_intra_block_cells(core::CoalitionSweep::kIntraBlock);
-        core::CoalitionSweep::set_intra_split_force(false);
-    }
-};
-
-void print_intra_split_acceptance() {
+void print_intra_block_acceptance() {
     const std::size_t executors = util::global_pool().size();
     std::cout << "=== R-INTRA: k=4 resilience, 4p/12a own-action chain (single size-4 "
                  "coalition owns 73% of the scan) — intra-coalition ranged blocks vs "
@@ -392,17 +382,16 @@ void print_intra_split_acceptance() {
                                               game::SweepMode::kSerial};
     const core::RobustnessOptions auto_opts{core::GainCriterion::kAnyMemberGains,
                                             game::SweepMode::kAuto};
-    const IntraSplitRestore restore;
 
     // Verdicts: full-sweep (all-0, robust) and early-exit (all-11, the
-    // first task already gains) must be bit-identical across paths.
+    // first task already gains) must be bit-identical across modes; the
+    // size-4 coalition's 20736-cell scan splits into ranged blocks in
+    // kAuto mode.
     bool identical = true;
     for (const std::size_t base : {0u, 11u}) {
         const auto profile = core::as_exact_profile(g, game::PureProfile(4, base));
         const auto via_serial = core::find_resilience_violation(g, profile, 4, serial_opts);
-        core::CoalitionSweep::set_intra_split_force(true);
         const auto via_split = core::find_resilience_violation(g, profile, 4, auto_opts);
-        core::CoalitionSweep::set_intra_split_force(false);
         identical = identical && via_serial.has_value() == via_split.has_value() &&
                     (!via_serial || *via_serial == *via_split);
     }
@@ -410,25 +399,12 @@ void print_intra_split_acceptance() {
     const double serial_ns = measure_ns([&] {
         benchmark::DoNotOptimize(core::find_resilience_violation(g, all_zero, 4, serial_opts));
     });
-    // Task-level parallelism only: the split disabled by threshold.
-    core::CoalitionSweep::set_intra_split_cells(UINT64_MAX);
-    const double task_only_ns = measure_ns([&] {
-        benchmark::DoNotOptimize(core::find_resilience_violation(g, all_zero, 4, auto_opts));
-    });
-    core::CoalitionSweep::set_intra_split_cells(core::CoalitionSweep::kDefaultIntraSplitCells);
-    // Two-level: tasks x ranged blocks (forced so 1-executor hosts still
-    // time the split path instead of silently skipping it).
-    core::CoalitionSweep::set_intra_split_force(true);
     const double split_ns = measure_ns([&] {
         benchmark::DoNotOptimize(core::find_resilience_violation(g, all_zero, 4, auto_opts));
     });
-    core::CoalitionSweep::set_intra_split_force(false);
 
     util::Table table({"sweep", "ns/op", "speedup"});
     table.add_row({"single-task serial", util::Table::fmt(serial_ns), "1.00x"});
-    table.add_row({"tasks only (" + std::to_string(executors) + " executors)",
-                   util::Table::fmt(task_only_ns),
-                   util::Table::fmt(serial_ns / task_only_ns, 2) + "x"});
     table.add_row({"tasks x ranged blocks (" + std::to_string(executors) + " executors)",
                    util::Table::fmt(split_ns),
                    util::Table::fmt(serial_ns / split_ns, 2) + "x"});
@@ -648,7 +624,8 @@ void bench_max_kt(benchmark::State& state) {
 BENCHMARK(bench_max_kt)->DenseRange(5, 7)->Unit(benchmark::kMicrosecond);
 
 // R-INTRA trajectory rows: the coalition-dominated full sweep, serial
-// (CI-gated counters) and with the ranged-block split forced on.
+// (CI-gated counters) and kAuto, where the size-4 coalition's scan splits
+// into ranged blocks.
 void bench_intra_dominated_serial(benchmark::State& state) {
     const auto actions = static_cast<std::size_t>(state.range(0));
     const auto g = own_action_chain_game(4, actions);
@@ -668,8 +645,6 @@ void bench_intra_dominated_split(benchmark::State& state) {
     const auto profile = core::as_exact_profile(g, game::PureProfile(4, 0));
     const core::RobustnessOptions options{core::GainCriterion::kAnyMemberGains,
                                           game::SweepMode::kAuto};
-    const IntraSplitRestore restore;
-    core::CoalitionSweep::set_intra_split_force(true);
     for (auto _ : state) {
         benchmark::DoNotOptimize(core::find_resilience_violation(g, profile, 4, options));
     }
@@ -802,7 +777,7 @@ int main(int argc, char** argv) {
     print_coalition_sweep_acceptance();
     print_batch_resilience_acceptance();
     print_frontier_acceptance();
-    print_intra_split_acceptance();
+    print_intra_block_acceptance();
     print_max_kt_acceptance();
     print_view_elimination_comparison();
     bnash::bench::initialize_with_json_output(argc, argv, "BENCH_robustness.json");

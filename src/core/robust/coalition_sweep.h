@@ -20,12 +20,14 @@
 // witness reads its two exact payoffs once. The ranks are built on the
 // first pure sweep (or cache key) of a tensor and shared by its copies.
 //
-// TWO-LEVEL parallelism: above a split threshold of joint-deviation
-// cells, a single task splits ITS OWN scan into seek()-entered
-// util::OffsetWalker blocks over the combined faulty-then-coalition digit
-// space (run_ranked_blocks), so one large coalition on a big game no
-// longer serializes one core; the lowest-rank winner keeps the reported
-// violation the serial scan's.
+// ONE KERNEL per pure-candidate question scans a rank range of one
+// faulty set's combined faulty-then-coalition odometer. A task runs it
+// once, inline, over the whole scan — or, in kAuto mode when the scan
+// spans two or more kIntraBlock blocks (split_scan, sweep_driver.h), as
+// seek()-entered util::OffsetWalker blocks (run_ranked_blocks), so one
+// large coalition on a big game does not serialize one core. The
+// lowest-rank winner keeps the reported violation the in-order scan's,
+// and a split robust scan counts exactly the inline scan's work.
 //
 // The sweep is VIEW-NATIVE: it walks a game::GameView's cell-offset
 // tables, so the full game (an identity view), an iterated-elimination
@@ -55,51 +57,11 @@ namespace bnash::core {
 
 class CoalitionSweep final : public SweepDriver {
 public:
-    // Joint-deviation cells per ranged intra-task block, and the default
-    // per-faulty-set scan size above which a task splits. Fixed (not
-    // derived from worker count) so the block decomposition — and the
-    // lowest-rank winner — is machine-independent.
-    static constexpr std::uint64_t kIntraBlock = std::uint64_t{1} << 11;
-    static constexpr std::uint64_t kDefaultIntraSplitCells = std::uint64_t{1} << 13;
-
     // The profile must be a valid exact mixed profile in VIEW action space
     // (a NormalFormGame passes as its identity view); the sweep reads the
     // parent tensor through the view's cell offsets. The view's parent
     // game and the profile must outlive the sweep.
     CoalitionSweep(game::GameView view, const game::ExactMixedProfile& profile);
-
-    // --- intra-task split tuning / test hooks --------------------------------
-    // Per-faulty-set joint-scan size (in cells) above which a kAuto task
-    // splits into ranged blocks, and the block size used when it does.
-    // Process-wide; benches/tests lower them to exercise the split on
-    // small games. The block size is fixed per scan (read once at scan
-    // entry), so the decomposition stays machine-independent.
-    //
-    // By default the threshold ADAPTS per sweep: when a sweep already has
-    // enough coalition tasks to saturate the pool, splitting only adds
-    // seek() overhead, so the default threshold applies; when tasks are
-    // scarce (fewer than 2x the workers) the threshold scales DOWN
-    // proportionally so big per-task scans still fan out. Calling
-    // set_intra_split_cells PINS the given value for every sweep (the
-    // legacy behavior tests rely on); set_intra_split_adaptive restores
-    // the derivation. Thresholds never change verdicts — only which
-    // ranged-block decomposition computes them.
-    static void set_intra_split_cells(std::uint64_t cells) noexcept;
-    [[nodiscard]] static std::uint64_t intra_split_cells() noexcept;
-    static void set_intra_split_adaptive() noexcept;
-    [[nodiscard]] static bool intra_split_pinned() noexcept;
-    // The threshold a sweep with `num_tasks` top-level tasks whose largest
-    // task scans `max_task_cells` cells will use (the pinned value when
-    // pinned). Exposed so tests and the orbit engine share the policy.
-    [[nodiscard]] static std::uint64_t sweep_intra_split_cells(
-        std::size_t num_tasks, std::uint64_t max_task_cells) noexcept;
-    static void set_intra_block_cells(std::uint64_t cells) noexcept;
-    [[nodiscard]] static std::uint64_t intra_block_cells() noexcept;
-    // Split even when the pool has a single executor (the blocks then run
-    // inline, in order) — lets single-core hosts pin the ranged-block
-    // path's bit-identity.
-    static void set_intra_split_force(bool force) noexcept;
-    [[nodiscard]] static bool intra_split_force() noexcept;
 
 private:
     class ImmunityTasks;
@@ -112,18 +74,16 @@ private:
         game::SweepMode mode) const override;
 
     // One faulty-set / coalition task; nullopt when the task finds
-    // nothing. `mode` gates the intra-task ranged-block split (kAuto
-    // only); `split_cells` is the sweep's resolved split threshold,
-    // computed once per task space so every task decomposes consistently.
+    // nothing. `mode` gates the split of a pure candidate's scans
+    // (split_scan).
     [[nodiscard]] std::optional<RobustnessViolation> immunity_task(
         const std::vector<std::size_t>& faulty,
-        const std::vector<util::Rational>& baseline, game::SweepMode mode,
-        std::uint64_t split_cells) const;
+        const std::vector<util::Rational>& baseline, game::SweepMode mode) const;
     // Scans faulty sets with min_t <= |T| <= max_t (the empty set iff
     // min_t == 0); max_kt's boundary steps use min_t == max_t.
     [[nodiscard]] std::optional<RobustnessViolation> resilience_task(
         const std::vector<std::size_t>& coalition, std::size_t min_t, std::size_t max_t,
-        GainCriterion criterion, game::SweepMode mode, std::uint64_t split_cells) const;
+        GainCriterion criterion, game::SweepMode mode) const;
 
     // Mixed candidates' expected payoffs at the candidate (empty for a
     // pure candidate, whose kernels read the candidate row's ranks).

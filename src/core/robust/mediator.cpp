@@ -126,7 +126,7 @@ namespace {
 // Serial scans flush counters and poll the grant / first-hit state every
 // this many evaluated deviation maps (map evaluations are row-support
 // walks, far heavier than single cells — poll more often than the tensor
-// sweeps' kGrantCheckCells).
+// sweeps' util::kGrantCheckCells).
 constexpr std::uint64_t kGrantCheckEvals = 256;
 
 }  // namespace

@@ -5,10 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/robust/coalition_sweep.h"
 #include "util/execution_grant.h"
 #include "util/orbit_walker.h"
-#include "util/thread_pool.h"
 #include "util/work_counters.h"
 
 namespace bnash::core {
@@ -18,11 +16,6 @@ using game::QuotientGame;
 using game::SymmetryGroup;
 using util::OrbitWalker;
 using util::Rational;
-
-// Same polling cadence as the dense serial scans: flush the pending
-// counter chunk, then check the grant, so overshoot past a budget is
-// bounded by one chunk per executing scan.
-constexpr std::uint64_t kGrantCheckCells = 2048;
 
 // Enumerate (x_0..x_{m-1}) with sum x_i == total and x_i <= cap[i],
 // x_0-major descending lex (everything in the first class first). fn()
@@ -110,9 +103,9 @@ RobustnessViolation make_resilience_witness(const PairContext& ctx, const OrbitW
 // Per-class reference payoffs are refreshed only when the faulty digits
 // move (they are the SLOW digits, so refreshes are rare). Charges its own
 // cells and digit moves to util::work_counters — callers never re-charge
-// — and polls the grant every kGrantCheckCells cells, giving up once it
-// expired; `best`, when given, is the block sweep's winning-rank early
-// exit.
+// — and polls the grant every util::kGrantCheckCells cells, giving up
+// once it expired; `best`, when given, is the block sweep's winning-rank
+// early exit.
 std::optional<RankHit> scan_resilience_range(const PairContext& ctx, OrbitWalker& walker,
                                              std::uint64_t hi, util::ExecutionGrant* grant,
                                              const std::atomic<std::uint64_t>* best) {
@@ -153,7 +146,7 @@ std::optional<RankHit> scan_resilience_range(const PairContext& ctx, OrbitWalker
 
     for (std::uint64_t rank = walker.rank(); rank < hi; ++rank) {
         ++scanned;
-        if (grant != nullptr && (scanned % kGrantCheckCells) == 0) {
+        if (grant != nullptr && (scanned % util::kGrantCheckCells) == 0) {
             flush();
             if (grant->expired()) return std::nullopt;  // truncated
         }
@@ -210,17 +203,6 @@ std::optional<RankHit> scan_resilience_range(const PairContext& ctx, OrbitWalker
     }
     flush();
     return std::nullopt;
-}
-
-// Same gate as the dense per-faulty-set scans: kAuto, above the
-// sweep-resolved split threshold, and either a real pool or the force
-// hook. Orbit pair scans are the whole sweep's work (one scan at a
-// time), so the adaptive policy sees num_tasks = 1.
-bool should_split(game::SweepMode mode, std::uint64_t total) {
-    if (mode != game::SweepMode::kAuto) return false;
-    if (total < CoalitionSweep::sweep_intra_split_cells(1, total)) return false;
-    if (total < 2 * CoalitionSweep::intra_block_cells()) return false;
-    return util::global_pool().size() > 1 || CoalitionSweep::intra_split_force();
 }
 
 }  // namespace
@@ -313,7 +295,7 @@ std::optional<RobustnessViolation> OrbitSweep::immunity_scan(std::size_t faulty_
         bool more = true;
         while (more) {
             ++cells;
-            if (grant != nullptr && (cells % kGrantCheckCells) == 0) {
+            if (grant != nullptr && (cells % util::kGrantCheckCells) == 0) {
                 flush();
                 if (grant->expired()) return false;  // truncated
             }
@@ -376,14 +358,14 @@ std::optional<RobustnessViolation> OrbitSweep::resilience_scan(std::size_t coali
                 proto.add_class(ccounts[d], quotient_.class_actions[d]);
             }
             const std::uint64_t total = proto.num_orbits();
-            if (should_split(mode, total)) {
+            if (split_scan(mode, total)) {
                 const auto scan_block = [&](std::uint64_t lo, std::uint64_t hi,
                                             const std::atomic<std::uint64_t>& best) {
                     OrbitWalker walker = proto;
                     walker.seek(lo);
                     return scan_resilience_range(ctx, walker, hi, grant, &best);
                 };
-                out = run_ranked_blocks(total, CoalitionSweep::intra_block_cells(), scan_block);
+                out = run_ranked_blocks(total, scan_block);
             } else {
                 proto.reset();
                 if (auto hit = scan_resilience_range(ctx, proto, total, grant, nullptr)) {

@@ -29,8 +29,8 @@
 // task space and kernels. Phase (a) tasks are faulty sizes 1..t; phase
 // (b) tasks are (coalition size, faulty size) pairs, coalition-size-
 // major. Pair tasks run in order on the calling thread; a large pair
-// scan splits into seek()-entered ranged blocks on util::global_pool()
-// (run_ranked_blocks). Cells and walker digit-moves are charged to
+// scan splits (split_scan) into seek()-entered ranged blocks on
+// util::global_pool() (run_ranked_blocks). Cells and walker digit-moves are charged to
 // util::work_counters and through them to any active
 // util::ExecutionGrant.
 //

@@ -123,11 +123,9 @@ const SweepCheckpoint* validated(const SweepCheckpoint* resume, Entry entry, std
 }  // namespace
 
 std::optional<RobustnessViolation> run_ranked_blocks(std::uint64_t total,
-                                                     std::uint64_t block_cells,
                                                      const BlockScan& scan_block) {
     constexpr std::uint64_t kMaxBlocks = 4096;
-    const std::uint64_t block =
-        std::max({block_cells, std::uint64_t{1}, (total + kMaxBlocks - 1) / kMaxBlocks});
+    const std::uint64_t block = std::max(kIntraBlock, (total + kMaxBlocks - 1) / kMaxBlocks);
     const auto num_blocks = static_cast<std::size_t>((total + block - 1) / block);
     std::vector<std::optional<RobustnessViolation>> found(num_blocks);
     // lint: grant-ok(every scan_block charges its cells through

@@ -44,8 +44,8 @@ namespace bnash::core {
 class SweepTasks {
 public:
     // `mode` is how the driver dispatches the TASKS: kAuto claims them on
-    // the pool, kSerial runs them in order. A kernel may still split one
-    // task's scan onto the pool (see run_ranked_blocks).
+    // the pool, kSerial runs them in order. In kAuto a kernel also splits
+    // one task's large scan into ranged blocks (see split_scan).
     explicit SweepTasks(game::SweepMode mode) : mode_(mode) {}
     virtual ~SweepTasks() = default;
     SweepTasks(const SweepTasks&) = delete;
@@ -75,18 +75,30 @@ struct RankHit final {
     RobustnessViolation violation;
 };
 
-// Scans ranks [0, total) as fixed-size blocks through util::first_hit
+// Cells per ranged block of one task's scan. Fixed, not derived from the
+// worker count, so the block decomposition — and with it the lowest-rank
+// winner — is machine-independent.
+inline constexpr std::uint64_t kIntraBlock = std::uint64_t{1} << 11;
+
+// How every engine runs one task's scan of `total` cells through its
+// range kernel: split into ranged blocks (run_ranked_blocks) in kAuto
+// mode when the scan spans at least two blocks; otherwise one inline
+// kernel call over [0, total).
+[[nodiscard]] constexpr bool split_scan(game::SweepMode mode, std::uint64_t total) noexcept {
+    return mode == game::SweepMode::kAuto && total >= 2 * kIntraBlock;
+}
+
+// Scans ranks [0, total) as kIntraBlock blocks through util::first_hit
 // (block 0 inline, the rest on util::global_pool()) and returns the
 // LOWEST-rank hit — the violation the in-order scan reports.
 // `scan_block(lo, hi, best)` scans [lo, hi) in order and returns its
 // first hit; it may give up early once `best` (the lowest hit or error
-// rank so far) drops to or below its current rank. Block size is
-// `block_cells`, grown so that no scan has more than 4096 blocks. Errors
-// and grant expiry behave as in first_hit.
+// rank so far) drops to or below its current rank. Blocks grow so that no
+// scan has more than 4096 of them. Errors and grant expiry behave as in
+// first_hit.
 using BlockScan = std::function<std::optional<RankHit>(
     std::uint64_t lo, std::uint64_t hi, const std::atomic<std::uint64_t>& best)>;
 [[nodiscard]] std::optional<RobustnessViolation> run_ranked_blocks(std::uint64_t total,
-                                                                   std::uint64_t block_cells,
                                                                    const BlockScan& scan_block);
 
 // The questions, asked of any engine. Each verdict and witness is a pure

@@ -92,8 +92,8 @@ public:
         return cell_offsets_[player][action];
     }
     // One player's whole offset column (odometer loops — the robustness
-    // sweep's JointScan — borrow the table instead of calling cell_offset
-    // per step).
+    // sweep's range kernels — borrow the table instead of calling
+    // cell_offset per step).
     [[nodiscard]] const std::vector<std::uint64_t>& cell_offsets(
         std::size_t player) const noexcept {
         return cell_offsets_[player];

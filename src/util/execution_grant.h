@@ -40,6 +40,12 @@ enum class GrantState : std::uint8_t {
     kBudgetExhausted,
 };
 
+// Long serial scans poll their grant every this many cells, flushing
+// their pending counter chunk first so the budget sees the work already
+// done. Overshoot past a budget, deadline or cancel is therefore bounded
+// by one chunk per executing scan, matching the pool's one-block bound.
+inline constexpr std::uint64_t kGrantCheckCells = 2048;
+
 class ExecutionGrant final {
 public:
     using Clock = std::chrono::steady_clock;

@@ -77,6 +77,16 @@ public:
         tuple_.push_back(0);
     }
 
+    // Replaces digit d's table and radix in place (same contract as
+    // add_digit), so a scan that swaps a few columns between walks does not
+    // lay the walker out again. reset() or seek() before the next advance().
+    void set_digit(std::size_t d, const std::uint64_t* offsets, std::size_t radix) {
+        if (radix == 0) throw std::invalid_argument("OffsetWalker: zero radix");
+        offsets_[d] = offsets;
+        radices_[d] = radix;
+        tuple_[d] = 0;
+    }
+
     // Digit frozen at `value`: contributes offsets[value] to every row and
     // never advances (its tuple entry stays 0).
     void add_pinned_digit(const std::uint64_t* offsets, std::size_t value) {
@@ -113,7 +123,12 @@ public:
     }
 
     // Lands on the row-major `rank` (block entry for parallel sweeps).
+    // Rank 0 is reset(), without the per-digit divisions.
     void seek(std::uint64_t rank, std::uint64_t base = 0) {
+        if (rank == 0) {
+            reset(base);
+            return;
+        }
         std::uint64_t row = base;
         for (std::size_t d = radices_.size(); d-- > 0;) {
             const std::size_t a = static_cast<std::size_t>(rank % radices_[d]);

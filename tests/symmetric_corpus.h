@@ -93,4 +93,35 @@ inline game::SymmetryGroup random_group(util::Rng& rng, std::size_t n,
     return group;
 }
 
+// Two classes of two players, eight actions each. Every payoff is 0
+// except, for 1 <= lead <= 6, one gain for a class-1 player on action 7
+// whose class-0 opponents play `lead` and `lead + 1` and whose class-1
+// partner plays 7. Only four deviators reach it, so the first scan that
+// does is the (coalition 2, faulty 2) pair with one player of each class
+// in either role: 8^4 = 4096 orbits, two ranged blocks. There the hit
+// sits at rank lead * 512 + 7 * 64 + (lead + 1) * 8 + 7 — block 0 for
+// lead <= 3, block 1 above. lead == 0 plants nothing.
+inline game::SymmetryGroup planted_split_group() {
+    return game::SymmetryGroup::declared({{0, 1}, {2, 3}}, 4);
+}
+inline game::QuotientGame planted_split_quotient(std::size_t lead) {
+    game::QuotientGame quotient;
+    quotient.class_sizes = {2, 2};
+    quotient.class_actions = {8, 8};
+    quotient.finalize();
+    quotient.payoff.resize(2);
+    for (std::size_t c = 0; c < 2; ++c) {
+        quotient.payoff[c].assign(8 * quotient.others_orbits(c), util::Rational{0});
+    }
+    if (lead > 0) {
+        std::vector<std::vector<std::size_t>> others(2, std::vector<std::size_t>(8, 0));
+        others[0][lead] = 1;
+        others[0][lead + 1] = 1;
+        others[1][7] = 1;
+        quotient.payoff[1][7 * quotient.others_orbits(1) + quotient.rank_others(1, others)] =
+            util::Rational{1};
+    }
+    return quotient;
+}
+
 }  // namespace bnash::core

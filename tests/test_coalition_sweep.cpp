@@ -283,25 +283,10 @@ struct Digest final {
     }
 };
 
-// Restores the process-wide intra-split tuning.
-struct SplitTuningGuard final {
-    bool pinned = CoalitionSweep::intra_split_pinned();
-    std::uint64_t cells = CoalitionSweep::intra_split_cells();
-    ~SplitTuningGuard() {
-        CoalitionSweep::set_intra_block_cells(CoalitionSweep::kIntraBlock);
-        CoalitionSweep::set_intra_split_force(false);
-        if (pinned) {
-            CoalitionSweep::set_intra_split_cells(cells);
-        } else {
-            CoalitionSweep::set_intra_split_adaptive();
-        }
-    }
-};
-
 // Pure candidates on rational, near-tied and near-2^62 payoffs, on the
-// full game and on restricted and permuted views: the serial sweep, the
-// pool sweep and the forced ranged-block split all equal the reference
-// checker on the materialized game, and the serial verdicts, witnesses
+// full game and on restricted and permuted views: the serial sweep and
+// the pool sweep both equal the reference checker on the materialized
+// game, and the serial verdicts, witnesses
 // (before/after doubles included) and work counters hash to the value
 // the exact-Rational kernels produced.
 TEST(CoalitionSweep, PureKernelsMatchReferenceOnRationalPayoffs) {
@@ -362,15 +347,6 @@ TEST(CoalitionSweep, PureKernelsMatchReferenceOnRationalPayoffs) {
             expect_same_violation(serial, expected, what + " serial-vs-reference");
             expect_same_violation(sweep.robustness_violation(k, t, RobustnessOptions{criterion}),
                                   expected, what + " auto-vs-reference");
-            {
-                const SplitTuningGuard guard;
-                CoalitionSweep::set_intra_split_cells(1);
-                CoalitionSweep::set_intra_block_cells(2);
-                CoalitionSweep::set_intra_split_force(true);
-                expect_same_violation(
-                    sweep.robustness_violation(k, t, RobustnessOptions{criterion}), expected,
-                    what + " split-vs-reference");
-            }
             util::work_counters_reset();
             const auto immunity = sweep.immunity_violation(2, SweepMode::kSerial);
             const util::WorkCounters immunity_work = util::work_counters_snapshot();

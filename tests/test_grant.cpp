@@ -306,32 +306,46 @@ ExactMixedProfile fuzz_profile(const NormalFormGame& game, util::Rng& rng,
     return profile;
 }
 
-// The serving contract, fuzzed over ~100 seeded games, four budgets, both
+// Own-action chain on 4 players x 8 actions — each payoff falls with the
+// player's own action only, so the all-0 profile is robust — with one
+// gain planted where all four players deviate.
+NormalFormGame planted_chain_game(util::Rng& rng) {
+    NormalFormGame game(std::vector<std::size_t>(4, 8));
+    for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
+        const PureProfile cell = game.profile_unrank(rank);
+        for (std::size_t p = 0; p < 4; ++p) {
+            game.set_payoff(cell, p, -static_cast<std::int64_t>(cell[p]));
+        }
+    }
+    PureProfile planted(4);
+    for (auto& a : planted) a = 1 + static_cast<std::size_t>(rng.next_below(7));
+    game.set_payoff(planted, static_cast<std::size_t>(rng.next_below(4)), 1);
+    return game;
+}
+
+// The serving contract, fuzzed over ~100 seeded games, five budgets, both
 // sweep modes, and the intra-split path: a grant-limited run may leave
 // cells kUnknown but every cell it RESOLVES — verdict and stored witness
-// — matches the unbudgeted run bit for bit.
+// — matches the unbudgeted run bit for bit. Every fourth game is a
+// planted_chain_game, whose kAuto scans with k + t = 4 (4096 cells) split
+// into ranged blocks.
 TEST(GrantFuzz, BudgetedResultsAreSoundPrefixes) {
     util::Rng rng(20260807);
     const std::size_t kGames = 100;
     const std::size_t max_k = 2;
     const std::size_t max_t = 2;
-    const std::uint64_t saved_split = CoalitionSweep::intra_split_cells();
-    const std::uint64_t saved_block = CoalitionSweep::intra_block_cells();
     for (std::size_t trial = 0; trial < kGames; ++trial) {
         std::vector<std::size_t> counts(3, 0);
         for (auto& count : counts) count = 2 + static_cast<std::size_t>(rng.next_below(2));
-        const NormalFormGame game = NormalFormGame::random(counts, rng, -4, 4);
-        const ExactMixedProfile profile = fuzz_profile(game, rng, trial % 3 == 0);
+        const bool split = trial % 4 == 1;
+        const NormalFormGame game =
+            split ? planted_chain_game(rng) : NormalFormGame::random(counts, rng, -4, 4);
+        const ExactMixedProfile profile = split ? core::as_exact_profile(game, PureProfile(4, 0))
+                                                : fuzz_profile(game, rng, trial % 3 == 0);
         const GainCriterion criterion =
             trial % 5 == 0 ? GainCriterion::kAllMembersGain : GainCriterion::kAnyMemberGains;
         const SweepMode mode = trial % 2 == 0 ? SweepMode::kSerial : SweepMode::kAuto;
         const RobustnessOptions options{criterion, mode};
-        const bool force_split = trial % 4 == 0;
-        if (force_split) {
-            CoalitionSweep::set_intra_split_cells(4);
-            CoalitionSweep::set_intra_block_cells(2);
-            CoalitionSweep::set_intra_split_force(true);
-        }
 
         const FrontierVerdict full = core::batch_robustness_frontier(
             game, profile, max_k, max_t, {criterion, SweepMode::kSerial});
@@ -339,12 +353,14 @@ TEST(GrantFuzz, BudgetedResultsAreSoundPrefixes) {
         const BatchVerdict full_imm = core::batch_immunity(game, profile, max_t, mode);
         const MaxKtResult full_walk = core::max_kt(game, profile, max_k, max_t, options);
 
-        for (const std::uint64_t budget : {std::uint64_t{1}, std::uint64_t{9},
-                                           std::uint64_t{60}, std::uint64_t{100000}}) {
+        // 9000 cells run out in a planted_chain_game frontier's size-2
+        // coalitions, whose scans split.
+        for (const std::uint64_t budget : {std::uint64_t{1}, std::uint64_t{9}, std::uint64_t{60},
+                                           std::uint64_t{9000}, std::uint64_t{100000}}) {
             const std::string label = "trial=" + std::to_string(trial) +
                                       " budget=" + std::to_string(budget) +
                                       (mode == SweepMode::kSerial ? " serial" : " auto") +
-                                      (force_split ? " split" : "");
+                                      (split ? " split" : "");
             {
                 ExecutionGrant grant = ExecutionGrant::with_budget(budget);
                 GrantScope scope(&grant);
@@ -408,11 +424,6 @@ TEST(GrantFuzz, BudgetedResultsAreSoundPrefixes) {
                     EXPECT_LE(imm.max_ok, full_imm.max_ok) << label;
                 }
             }
-        }
-        if (force_split) {
-            CoalitionSweep::set_intra_split_cells(saved_split);
-            CoalitionSweep::set_intra_block_cells(saved_block);
-            CoalitionSweep::set_intra_split_force(false);
         }
         if (HasFatalFailure()) return;
     }
@@ -672,7 +683,8 @@ ChainEnds run_chains(const core::SweepDriver& sweep, std::size_t max_k, std::siz
 // The orbit engine's resume points (faulty-size / pair-rank / boundary
 // granular) satisfy the same contract: over the attack(6) game and a
 // seeded symmetric corpus — several class structures, both criteria,
-// serial and forced-split kAuto sweeps — every chain ends on the
+// serial and kAuto sweeps, and planted_split_quotient games whose largest
+// pair scan splits into ranged blocks — every chain ends on the
 // unbudgeted orbit result, which in turn matches the dense verdicts cell
 // for cell (and the dense boundary walk field for field).
 TEST(GrantFuzz, OrbitResumeChainsMatchUnbudgetedRuns) {
@@ -687,9 +699,17 @@ TEST(GrantFuzz, OrbitResumeChainsMatchUnbudgetedRuns) {
         std::size_t max_t = 2;
         GainCriterion criterion = GainCriterion::kAnyMemberGains;
         SweepMode mode = SweepMode::kSerial;
-        bool force_split = false;
+        const bool split = trial % 2 == 1 && trial % 3 != 0;
         if (trial == 0) {
             quotient = core::AnonymousBinaryGame::attack(6).quotient();
+        } else if (split) {
+            quotient = core::planted_split_quotient(static_cast<std::size_t>(rng.next_below(7)));
+            group = core::planted_split_group();
+            base_by_class = {0, 0};
+            max_k = 2;
+            criterion = trial % 4 == 1 ? GainCriterion::kAllMembersGain
+                                       : GainCriterion::kAnyMemberGains;
+            mode = SweepMode::kAuto;
         } else {
             const std::size_t n = 4 + trial % 3;
             std::vector<std::size_t> sizes;
@@ -706,12 +726,11 @@ TEST(GrantFuzz, OrbitResumeChainsMatchUnbudgetedRuns) {
             criterion = trial % 4 == 1 ? GainCriterion::kAllMembersGain
                                        : GainCriterion::kAnyMemberGains;
             mode = trial % 3 == 0 ? SweepMode::kSerial : SweepMode::kAuto;
-            force_split = mode == SweepMode::kAuto && trial % 2 == 1;
         }
         const std::string label = "trial=" + std::to_string(trial) +
                                   " classes=" + std::to_string(group.num_classes()) +
                                   (mode == SweepMode::kSerial ? " serial" : " auto") +
-                                  (force_split ? "+split" : "");
+                                  (split ? "+split" : "");
         const NormalFormGame dense_game = core::expand_quotient(quotient, group);
         PureProfile base(group.num_players());
         for (std::size_t i = 0; i < base.size(); ++i) base[i] = base_by_class[group.class_of(i)];
@@ -720,11 +739,6 @@ TEST(GrantFuzz, OrbitResumeChainsMatchUnbudgetedRuns) {
         const CoalitionSweep dense(dense_game, profile);
         const RobustnessOptions options{criterion, mode};
 
-        if (force_split) {
-            CoalitionSweep::set_intra_split_cells(4);
-            CoalitionSweep::set_intra_block_cells(2);
-            CoalitionSweep::set_intra_split_force(true);
-        }
         const auto full_cell = sweep.robustness_violation(max_k, max_t, options);
         const FrontierVerdict full_grid =
             sweep.batch_robustness_frontier(max_k, max_t, criterion, mode);
@@ -746,12 +760,6 @@ TEST(GrantFuzz, OrbitResumeChainsMatchUnbudgetedRuns) {
             EXPECT_TRUE(ends.grid == full_grid) << leg_label << " orbit grid differs";
             EXPECT_TRUE(ends.walk == full_walk) << leg_label << " orbit walk differs";
         }
-        if (force_split) {
-            CoalitionSweep::set_intra_split_force(false);
-            CoalitionSweep::set_intra_block_cells(CoalitionSweep::kIntraBlock);
-            CoalitionSweep::set_intra_split_adaptive();
-        }
-
         // The orbit results carry the dense verdicts.
         EXPECT_EQ(full_cell.has_value(),
                   dense.robustness_violation(max_k, max_t, options).has_value())

@@ -27,6 +27,7 @@
 #include "game/normal_form.h"
 #include "solver/iterated_elimination.h"
 #include "util/rng.h"
+#include "util/work_counters.h"
 
 namespace bnash::core {
 namespace {
@@ -372,52 +373,62 @@ TEST(RobustFuzz, SparseViewSweepsMatchDenseOnRandomRestrictions) {
 }
 
 // ------------------------- intra-coalition ranged blocks vs serial dense
+//
+// A kAuto scan of at least 2 x kIntraBlock cells splits into ranged
+// blocks on its own. Own-action chain games reach that size with few
+// players: each player's payoff falls with its OWN action only, so the
+// all-0 profile survives every deviation (full scans, no early exit)
+// until a cell planted on top of the chain breaks it.
 
-// Restores the intra-split tuning after a test (the hooks are
-// process-wide).
-struct IntraSplitGuard final {
-    ~IntraSplitGuard() {
-        CoalitionSweep::set_intra_split_cells(CoalitionSweep::kDefaultIntraSplitCells);
-        CoalitionSweep::set_intra_block_cells(CoalitionSweep::kIntraBlock);
-        CoalitionSweep::set_intra_split_force(false);
+NormalFormGame own_action_chain(const std::vector<std::size_t>& counts) {
+    NormalFormGame g(counts);
+    for (std::uint64_t rank = 0; rank < g.num_profiles(); ++rank) {
+        const auto profile = g.profile_unrank(rank);
+        for (std::size_t p = 0; p < counts.size(); ++p) {
+            g.set_payoff(profile, p, -static_cast<std::int64_t>(profile[p]));
+        }
     }
-};
+    return g;
+}
 
-// With the split forced down to toy sizes, every kAuto scan runs the
-// ranged-block path (combined faulty+coalition walker, seek() block
-// entry, lowest-rank winner) — and must still report the exact violation
-// the serial nested scan reports, on ~100 seeded games.
+// Chain games on 4 and 5 players with random planted gains and losses:
+// the scans where four players deviate (4096 cells) split — resilience
+// scans on both sizes, immunity scans of four faulty players on five —
+// and every kAuto verdict and witness must equal the serial nested
+// scan's.
 TEST(RobustFuzz, IntraRangedBlockScanBitIdenticalToSerial) {
-    const IntraSplitGuard guard;
-    CoalitionSweep::set_intra_split_cells(1);
-    CoalitionSweep::set_intra_block_cells(4);
-    CoalitionSweep::set_intra_split_force(true);
     util::Rng rng{1'290'731};
-    for (int trial = 0; trial < 100; ++trial) {
-        const std::size_t n = 2 + static_cast<std::size_t>(trial % 3);
-        std::vector<std::size_t> counts(n);
-        for (auto& c : counts) c = static_cast<std::size_t>(rng.next_int(2, 4));
-        const auto g = random_rational_game(rng, counts);
-        const auto profile = as_exact_profile(g, random_pure(rng, counts));
-        const std::size_t k = 1 + static_cast<std::size_t>(trial) % n;
-        const std::size_t t = static_cast<std::size_t>(trial % 3) % (n);
+    for (int trial = 0; trial < 24; ++trial) {
+        const std::size_t n = 4 + static_cast<std::size_t>(trial % 2);
+        std::vector<std::size_t> counts(n, 8);
+        if (n == 5) counts[4] = 2;
+        NormalFormGame g = own_action_chain(counts);
+        // Even plants pay one player more than its candidate payoff 0;
+        // odd ones hurt a player that still plays its candidate action.
+        for (int plant = 0; plant < 3; ++plant) {
+            PureProfile cell = random_pure(rng, counts);
+            const std::size_t p = rng.next_below(n);
+            if (plant % 2 == 1) cell[p] = 0;
+            g.set_payoff(cell, p, Rational{plant % 2 == 0 ? 1 : -100});
+        }
+        // Every fourth candidate is random: early exits in block 0.
+        const PureProfile candidate = trial % 4 == 3 ? random_pure(rng, counts) : PureProfile(n, 0);
+        const auto profile = as_exact_profile(g, candidate);
+        const std::size_t k = 2 + static_cast<std::size_t>(trial) % (n - 1);
+        const std::size_t t = n - k;
         const auto criterion = (trial % 3 == 0) ? GainCriterion::kAllMembersGain
                                                 : GainCriterion::kAnyMemberGains;
         const std::string label = "intra trial " + std::to_string(trial);
-
-        const auto serial = find_robustness_violation(
-            g, profile, k, t, RobustnessOptions{criterion, SweepMode::kSerial});
-        const auto split = find_robustness_violation(
-            g, profile, k, t, RobustnessOptions{criterion, SweepMode::kAuto});
-        expect_same(serial, split, label + " robustness");
-        expect_same(find_immunity_violation(g, profile, std::max<std::size_t>(t, 1)),
-                    CoalitionSweep(g, profile).immunity_violation(
-                        std::max<std::size_t>(t, 1), SweepMode::kAuto),
-                    label + " immunity");
-
-        // The batch probes drive the same tasks through the split path.
         const RobustnessOptions serial_opts{criterion, SweepMode::kSerial};
         const RobustnessOptions auto_opts{criterion, SweepMode::kAuto};
+
+        expect_same(find_robustness_violation(g, profile, k, t, serial_opts),
+                    find_robustness_violation(g, profile, k, t, auto_opts),
+                    label + " robustness");
+        const CoalitionSweep sweep(g, profile);
+        expect_same(sweep.immunity_violation(n - 1, SweepMode::kSerial),
+                    sweep.immunity_violation(n - 1, SweepMode::kAuto), label + " immunity");
+        // The batch probes drive the same tasks through the split path.
         EXPECT_EQ(batch_resilience(g, profile, n, serial_opts),
                   batch_resilience(g, profile, n, auto_opts))
             << label;
@@ -427,30 +438,57 @@ TEST(RobustFuzz, IntraRangedBlockScanBitIdenticalToSerial) {
     }
 }
 
-// A larger coalition-dominated game: one size-4 coalition owns most of
-// the scan, so the forced split actually spans many blocks, with the
-// violation landing mid-scan or nowhere.
+// The all-player coalition owns the largest scan of a 4-player, 9-action
+// chain game (6561 cells: four ranged blocks). One planted gain where
+// every player deviates is reachable only there, and lands in block 0, in
+// a later block, or nowhere: both modes report the planted cell.
 TEST(RobustFuzz, IntraRangedBlocksOnCoalitionDominatedGames) {
-    const IntraSplitGuard guard;
-    CoalitionSweep::set_intra_split_cells(64);
-    CoalitionSweep::set_intra_block_cells(32);
-    CoalitionSweep::set_intra_split_force(true);
+    const std::vector<std::size_t> counts(4, 9);
     util::Rng rng{552'200'731};
     for (int trial = 0; trial < 12; ++trial) {
-        const std::vector<std::size_t> counts(4, 5);  // 625-cell top coalition
-        const auto g = random_rational_game(rng, counts);
-        const auto profile = as_exact_profile(g, random_pure(rng, counts));
+        NormalFormGame g = own_action_chain(counts);
+        const int where = trial % 3;  // block 0, a later block, nowhere
+        PureProfile cell(4);
+        std::uint64_t rank = 0;
+        do {
+            for (auto& a : cell) a = 1 + rng.next_below(8);
+            rank = ((cell[0] * 9 + cell[1]) * 9 + cell[2]) * 9 + cell[3];
+        } while ((rank < kIntraBlock) != (where == 0));
+        const std::size_t gainer = rng.next_below(4);
+        if (where != 2) g.set_payoff(cell, gainer, Rational{1});
+        const auto profile = as_exact_profile(g, PureProfile(4, 0));
         const std::string label = "dominated trial " + std::to_string(trial);
-        for (const std::size_t t : {0u, 1u}) {
-            const auto serial = find_robustness_violation(
-                g, profile, 4, t,
-                RobustnessOptions{GainCriterion::kAnyMemberGains, SweepMode::kSerial});
-            const auto split = find_robustness_violation(
-                g, profile, 4, t,
-                RobustnessOptions{GainCriterion::kAnyMemberGains, SweepMode::kAuto});
-            expect_same(serial, split, label + " t=" + std::to_string(t));
+        const auto serial = find_resilience_violation(
+            g, profile, 4, RobustnessOptions{GainCriterion::kAnyMemberGains, SweepMode::kSerial});
+        const auto split = find_resilience_violation(
+            g, profile, 4, RobustnessOptions{GainCriterion::kAnyMemberGains, SweepMode::kAuto});
+        expect_same(serial, split, label);
+        ASSERT_EQ(serial.has_value(), where != 2) << label;
+        if (serial) {
+            EXPECT_EQ(serial->coalition, (std::vector<std::size_t>{0, 1, 2, 3})) << label;
+            EXPECT_EQ(serial->coalition_deviation, cell) << label;
+            EXPECT_EQ(serial->witness_player, gainer) << label;
         }
     }
+}
+
+// A robust scan that splits does the serial scan's work to the cell and
+// the digit move: every block advances past its last cell, as the nested
+// serial loop's wrap does.
+TEST(RobustFuzz, IntraRangedSplitCountsMatchSerial) {
+    const NormalFormGame g = own_action_chain(std::vector<std::size_t>(4, 12));
+    const auto profile = as_exact_profile(g, PureProfile(4, 0));
+    const auto run = [&](SweepMode mode) {
+        util::work_counters_reset();
+        EXPECT_FALSE(find_resilience_violation(
+                         g, profile, 4, RobustnessOptions{GainCriterion::kAnyMemberGains, mode})
+                         .has_value());
+        return util::work_counters_snapshot();
+    };
+    const util::WorkCounters serial = run(SweepMode::kSerial);
+    const util::WorkCounters split = run(SweepMode::kAuto);
+    EXPECT_EQ(split.cells_visited, serial.cells_visited);
+    EXPECT_EQ(split.offsets_advanced, serial.offsets_advanced);
 }
 
 // --------------------------- sparse coalition scans vs reference checkers

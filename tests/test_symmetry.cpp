@@ -30,7 +30,6 @@
 #include "symmetric_corpus.h"
 #include "util/orbit_walker.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace bnash::core {
 namespace {
@@ -511,59 +510,41 @@ TEST(OrbitSweepTest, LargeAnonymousFrontierMatchesClosedForms) {
     }
 }
 
-// ------------------------------------------- forced ranged-block split
+// ------------------------------------------------ ranged-block split
 
-TEST(OrbitSweepTest, ForcedSplitIsBitIdenticalToSerial) {
-    const auto abg = AnonymousBinaryGame::attack(12);
-    const OrbitSweep sweep(abg.quotient(), SymmetryGroup::single_class(12), {0});
-    const FrontierVerdict serial = sweep.batch_robustness_frontier(
-        6, 3, GainCriterion::kAnyMemberGains, SweepMode::kSerial);
-    const MaxKtResult serial_walk =
-        sweep.max_kt(6, 3, GainCriterion::kAnyMemberGains, SweepMode::kSerial);
+// planted_split_quotient's (coalition 2, faulty 2) pair scan spans two
+// ranged blocks, so a kAuto sweep splits it; with the planted gain in
+// block 0, in block 1 or nowhere, the split frontier and boundary walk
+// equal the serial ones and the dense engine's verdicts.
+TEST(OrbitSweepTest, SplitPairScanIsBitIdenticalToSerial) {
+    for (const std::size_t lead : {0u, 2u, 5u}) {
+        const QuotientGame quotient = planted_split_quotient(lead);
+        const SymmetryGroup group = planted_split_group();
+        const OrbitSweep sweep(quotient, group, {0, 0});
+        const std::string label = "lead " + std::to_string(lead);
+        const FrontierVerdict serial = sweep.batch_robustness_frontier(
+            2, 2, GainCriterion::kAnyMemberGains, SweepMode::kSerial);
+        const FrontierVerdict split = sweep.batch_robustness_frontier(
+            2, 2, GainCriterion::kAnyMemberGains, SweepMode::kAuto);
+        EXPECT_TRUE(serial == split) << label;
+        EXPECT_TRUE(sweep.max_kt(2, 2, GainCriterion::kAnyMemberGains, SweepMode::kSerial) ==
+                    sweep.max_kt(2, 2, GainCriterion::kAnyMemberGains, SweepMode::kAuto))
+            << label;
+        // Only the planted gain breaks a cell: (2, 2).
+        EXPECT_EQ(serial.robust(2, 2), lead == 0) << label;
+        EXPECT_TRUE(serial.robust(2, 1)) << label;
 
-    CoalitionSweep::set_intra_split_cells(4);
-    CoalitionSweep::set_intra_block_cells(2);
-    CoalitionSweep::set_intra_split_force(true);
-    const FrontierVerdict split = sweep.batch_robustness_frontier(
-        6, 3, GainCriterion::kAnyMemberGains, SweepMode::kAuto);
-    const MaxKtResult split_walk =
-        sweep.max_kt(6, 3, GainCriterion::kAnyMemberGains, SweepMode::kAuto);
-    CoalitionSweep::set_intra_split_force(false);
-    CoalitionSweep::set_intra_block_cells(CoalitionSweep::kIntraBlock);
-    CoalitionSweep::set_intra_split_adaptive();
-
-    EXPECT_TRUE(serial == split);
-    EXPECT_TRUE(serial_walk == split_walk);
-}
-
-// --------------------------------------------- adaptive split threshold
-
-TEST(IntraSplitTest, AdaptiveThresholdPolicy) {
-    CoalitionSweep::set_intra_split_adaptive();
-    EXPECT_FALSE(CoalitionSweep::intra_split_pinned());
-    const std::uint64_t def = CoalitionSweep::kDefaultIntraSplitCells;
-    const std::uint64_t floor_cells = 2 * CoalitionSweep::intra_block_cells();
-    const std::size_t workers = std::max<std::size_t>(1, util::global_pool().size());
-
-    // Saturated sweeps keep the default threshold.
-    EXPECT_EQ(CoalitionSweep::sweep_intra_split_cells(2 * workers, std::uint64_t{1} << 30), def);
-    // Tiny per-task scans never split regardless of task count.
-    EXPECT_EQ(CoalitionSweep::sweep_intra_split_cells(1, floor_cells - 1), def);
-    // Task-starved sweeps scale the threshold down, never below two
-    // blocks and never above the default.
-    const std::uint64_t starved =
-        CoalitionSweep::sweep_intra_split_cells(1, std::uint64_t{1} << 30);
-    EXPECT_LE(starved, def);
-    EXPECT_GE(starved, floor_cells);
-
-    // Pinning restores the legacy fixed threshold everywhere.
-    CoalitionSweep::set_intra_split_cells(192);
-    EXPECT_TRUE(CoalitionSweep::intra_split_pinned());
-    EXPECT_EQ(CoalitionSweep::sweep_intra_split_cells(2 * workers, std::uint64_t{1} << 30), 192u);
-    EXPECT_EQ(CoalitionSweep::sweep_intra_split_cells(1, 8), 192u);
-    CoalitionSweep::set_intra_split_adaptive();
-    EXPECT_FALSE(CoalitionSweep::intra_split_pinned());
-    EXPECT_EQ(CoalitionSweep::intra_split_cells(), def);
+        const NormalFormGame dense_game = expand_quotient(quotient, group);
+        const ExactMixedProfile profile = as_exact_profile(dense_game, PureProfile(4, 0));
+        const FrontierVerdict dense = CoalitionSweep(dense_game, profile)
+                                          .batch_robustness_frontier(2, 2);
+        for (std::size_t k = 0; k <= 2; ++k) {
+            for (std::size_t t = 0; t <= 2; ++t) {
+                EXPECT_EQ(split.verdict(k, t), dense.verdict(k, t))
+                    << label << " cell (" << k << "," << t << ")";
+            }
+        }
+    }
 }
 
 }  // namespace
