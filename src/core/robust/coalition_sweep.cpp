@@ -688,7 +688,7 @@ std::vector<Rational> CoalitionSweep::immunity_baseline() const {
     if (pure_) return {};
     // One shared support sweep for ALL players (the per-player fallback
     // ran n of them).
-    return game::expected_payoffs_exact_sparse(view_, *profile_);
+    return game::expected_payoffs_exact(view_, *profile_);
 }
 
 // Phase (a): the faulty sets of sizes 1..max_t, size-major.

@@ -101,17 +101,21 @@ RobustnessViolation make_resilience_witness(const PairContext& ctx, const OrbitW
 // Scan joint orbits [walker.rank(), hi) of a faulty-digits-then-
 // coalition-digits walker (m digits each) and return the first hit.
 // Per-class reference payoffs are refreshed only when the faulty digits
-// move (they are the SLOW digits, so refreshes are rare). Charges its own
-// cells and digit moves to util::work_counters — callers never re-charge
-// — and polls the grant every util::kGrantCheckCells cells, giving up
-// once it expired; `best`, when given, is the block sweep's winning-rank
-// early exit.
+// move (they are the SLOW digits, so refreshes are rare). Advances the
+// walker after every cell it checks without a hit, the last cell of the
+// range included, except the scan's final orbit, which has no successor:
+// the blocks of a split scan then count the digit moves of the inline
+// scan. Charges its own cells and digit moves to util::work_counters —
+// callers never re-charge — and polls the grant every
+// util::kGrantCheckCells cells, giving up once it expired; `best`, when
+// given, is the block sweep's winning-rank early exit.
 std::optional<RankHit> scan_resilience_range(const PairContext& ctx, OrbitWalker& walker,
                                              std::uint64_t hi, util::ExecutionGrant* grant,
                                              const std::atomic<std::uint64_t>* best) {
     const QuotientGame& q = *ctx.quotient;
     const std::vector<std::size_t>& base = *ctx.base;
     const std::size_t m = q.num_classes();
+    const std::uint64_t total = walker.num_orbits();
     const std::uint64_t moves_entry = walker.digit_moves();
     std::uint64_t scanned = 0;
     std::uint64_t flushed_cells = 0;
@@ -199,7 +203,7 @@ std::optional<RankHit> scan_resilience_range(const PairContext& ctx, OrbitWalker
                                                          witness_action, *witness_before,
                                                          witness_after)};
         }
-        if (rank + 1 < hi && !walker.advance()) break;
+        if (rank + 1 < total) (void)walker.advance();
     }
     flush();
     return std::nullopt;

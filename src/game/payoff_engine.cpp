@@ -1,6 +1,7 @@
 #include "game/payoff_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -25,30 +26,18 @@ inline bool sweep_zero(const util::Rational& value) { return value.is_zero(); }
 template <typename ProfileT>
 using ValueOf = typename ProfileT::value_type::value_type;
 
-// Tensor accessors: the sweep kernels are generic over how a view
-// player's payoff is read from a payoff row. `make_walker()` yields a
-// util::OffsetWalker over the view's per-digit cell-offset tables (the
-// ONE incremental odometer every kernel steps, straight into the parent
-// tensor: zero copy), and `at(row, i)` reads view player i's payoff from
-// the walker's current row.
-struct ViewRows {
-    const GameView* view;
-    [[nodiscard]] util::OffsetWalker make_walker() const {
-        util::OffsetWalker walker;
-        walker.reserve(view->num_players());
-        for (std::size_t p = 0; p < view->num_players(); ++p) {
-            const auto& column = view->cell_offsets(p);
-            walker.add_digit(column.data(), column.size());
-        }
-        return walker;
-    }
-};
+constexpr std::size_t kNoFullPlayer = SupportPlan::kNoFullPlayer;
 
+// Tensor accessors: the sweep kernels are generic over how a view
+// player's payoff is read from a payoff row. `at(row, i)` reads view
+// player i's payoff from a walker row (a cell offset into the parent
+// tensor: zero copy).
+//
 // The view's player map is the identity (the full game and its action
 // restrictions): view player i reads row + i, so a whole row is
 // contiguous and the all-player accumulation vectorizes (kContiguousRow).
 template <typename V>
-struct IdentityRows : ViewRows {
+struct IdentityRows {
     const V* data;  // the parent's flat tensor
     static constexpr bool kContiguousRow = true;
     [[nodiscard]] const V* row_ptr(std::uint64_t row) const noexcept { return data + row; }
@@ -59,7 +48,8 @@ struct IdentityRows : ViewRows {
 
 // A player-permuted view reads through its player column map.
 template <typename V>
-struct MappedRows : ViewRows {
+struct MappedRows {
+    const GameView* view;
     static constexpr bool kContiguousRow = false;
     [[nodiscard]] decltype(auto) at(std::uint64_t row, std::size_t i) const {
         if constexpr (std::is_same_v<V, double>) {
@@ -76,11 +66,11 @@ struct MappedRows : ViewRows {
 template <typename V, typename Sweep>
 void with_rows(const GameView& view, const Sweep& sweep) {
     if (!view.identity_player_map()) {
-        sweep(MappedRows<V>{{&view}});
+        sweep(MappedRows<V>{&view});
     } else if constexpr (std::is_same_v<V, double>) {
-        sweep(IdentityRows<V>{{&view}, view.parent().payoffs_d_flat().data()});
+        sweep(IdentityRows<V>{view.parent().payoffs_d_flat().data()});
     } else {
-        sweep(IdentityRows<V>{{&view}, view.parent().payoffs_flat().data()});
+        sweep(IdentityRows<V>{view.parent().payoffs_flat().data()});
     }
 }
 
@@ -102,99 +92,6 @@ inline void accumulate_all(const Acc& acc, std::uint64_t row, const V& weight,
     }
 }
 
-// Accumulates every player's deviation payoffs over ranks [begin, end).
-// Prefix/suffix probability products give weight_excluding(i) for all i
-// in O(players) per profile — the marginalization that replaces the
-// seed's one-full-sweep-per-(player, action).
-template <typename V, typename ProfileT, typename Acc>
-void deviation_block(const ProfileT& profile, const Acc& acc, std::uint64_t begin,
-                     std::uint64_t end, std::vector<std::vector<V>>& dev) {
-    const std::size_t n = profile.size();
-    util::OffsetWalker walker = acc.make_walker();
-    walker.seek(begin);
-    const auto& tuple = walker.tuple();
-    std::vector<V> prefix(n + 1, V{1});
-    std::vector<V> suffix(n + 1, V{1});
-    for (std::uint64_t rank = begin; rank < end; ++rank) {
-        for (std::size_t i = 0; i < n; ++i) {
-            prefix[i + 1] = prefix[i] * profile[i][tuple[i]];
-        }
-        for (std::size_t i = n; i-- > 0;) {
-            suffix[i] = suffix[i + 1] * profile[i][tuple[i]];
-        }
-        const std::uint64_t row = walker.row();
-        for (std::size_t i = 0; i < n; ++i) {
-            const V weight = prefix[i] * suffix[i + 1];
-            if (!sweep_zero(weight)) dev[i][tuple[i]] += weight * acc.at(row, i);
-        }
-        (void)walker.advance();
-    }
-    util::work_counters_add(end - begin, walker.digit_moves());
-}
-
-// One player's deviation row only (best_responses against a fixed rival
-// profile needs nothing else).
-template <typename V, typename ProfileT, typename Acc>
-void deviation_row_block(const ProfileT& profile, const Acc& acc, std::size_t player,
-                         std::uint64_t begin, std::uint64_t end, std::vector<V>& dev_row) {
-    const std::size_t n = profile.size();
-    util::OffsetWalker walker = acc.make_walker();
-    walker.seek(begin);
-    const auto& tuple = walker.tuple();
-    for (std::uint64_t rank = begin; rank < end; ++rank) {
-        V weight{1};
-        for (std::size_t i = 0; i < n && !sweep_zero(weight); ++i) {
-            if (i != player) weight *= profile[i][tuple[i]];
-        }
-        if (!sweep_zero(weight)) {
-            dev_row[tuple[player]] += weight * acc.at(walker.row(), player);
-        }
-        (void)walker.advance();
-    }
-    util::work_counters_add(end - begin, walker.digit_moves());
-}
-
-// One player's expected payoff: the weight product is still O(players)
-// per profile, but only a single accumulation — on the exact path each
-// accumulation is a Rational multiply-add, so single-player callers (the
-// robustness Evaluator's mixed fallback) skip n-1 of them.
-template <typename V, typename ProfileT, typename Acc>
-void expected_single_block(const ProfileT& profile, const Acc& acc, std::size_t player,
-                           std::uint64_t begin, std::uint64_t end, V& total) {
-    const std::size_t n = profile.size();
-    util::OffsetWalker walker = acc.make_walker();
-    walker.seek(begin);
-    const auto& tuple = walker.tuple();
-    for (std::uint64_t rank = begin; rank < end; ++rank) {
-        V weight{1};
-        for (std::size_t i = 0; i < n && !sweep_zero(weight); ++i) {
-            weight *= profile[i][tuple[i]];
-        }
-        if (!sweep_zero(weight)) total += weight * acc.at(walker.row(), player);
-        (void)walker.advance();
-    }
-    util::work_counters_add(end - begin, walker.digit_moves());
-}
-
-// All players' expected payoffs: one weight product per profile.
-template <typename V, typename ProfileT, typename Acc>
-void expected_block(const ProfileT& profile, const Acc& acc, std::uint64_t begin,
-                    std::uint64_t end, std::vector<V>& totals) {
-    const std::size_t n = profile.size();
-    util::OffsetWalker walker = acc.make_walker();
-    walker.seek(begin);
-    const auto& tuple = walker.tuple();
-    for (std::uint64_t rank = begin; rank < end; ++rank) {
-        V weight{1};
-        for (std::size_t i = 0; i < n && !sweep_zero(weight); ++i) {
-            weight *= profile[i][tuple[i]];
-        }
-        if (!sweep_zero(weight)) accumulate_all(acc, walker.row(), weight, totals);
-        (void)walker.advance();
-    }
-    util::work_counters_add(end - begin, walker.digit_moves());
-}
-
 using BlockRanges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
 // [0, num_profiles) in kParallelBlock-sized chunks.
@@ -208,177 +105,63 @@ BlockRanges uniform_blocks(std::uint64_t num_profiles) {
     return blocks;
 }
 
-// Elementwise into += part, recursing through nested tables.
-template <typename V>
-void add_into(V& into, const V& part) {
-    into += part;
-}
-template <typename V>
-void add_into(std::vector<V>& into, const std::vector<V>& part) {
-    for (std::size_t i = 0; i < into.size(); ++i) add_into(into[i], part[i]);
-}
-
-// Runs block_fn over the given rank ranges into per-block accumulators
-// (util::for_blocks: via the global pool in kAuto mode when it has
-// capacity) and merges in block order. `out` holds zeros on entry; each
-// block's accumulator starts as a copy of it. The decomposition is an
-// explicit input — the dense sweeps pass uniform kParallelBlock chunks
-// and the sparse sweeps pass the SAME dense boundaries mapped into
-// support-rank space — so kAuto and kSerial (and dense and sparse) agree
-// bit-for-bit. Blocks of an expired grant are skipped in both modes: a
-// truncated reduction yields partial sums, and grant users must discard
-// results when expired() after the call.
-template <typename Table, typename BlockFn>
-void blocked_sweep(const BlockRanges& blocks, SweepMode mode, Table& out,
-                   const BlockFn& block_fn) {
-    if (blocks.size() == 1) {
-        util::ExecutionGrant* const grant = util::active_grant();
-        if (grant != nullptr && grant->expired()) return;
-        block_fn(blocks[0].first, blocks[0].second, out);
-        return;
-    }
-    // Every accumulator starts as zeros, so a block the grant skipped
-    // merges as zeros.
-    std::vector<Table> partial(blocks.size(), out);
-    util::for_blocks(blocks.size(), mode == SweepMode::kAuto, [&](std::size_t block) {
-        block_fn(blocks[block].first, blocks[block].second, partial[block]);
-    });
-    for (const Table& part : partial) add_into(out, part);
-}
-
-template <typename V>
-std::vector<std::vector<V>> make_table(const std::vector<std::size_t>& counts) {
-    std::vector<std::vector<V>> table(counts.size());
-    for (std::size_t i = 0; i < counts.size(); ++i) table[i].assign(counts[i], V{0});
-    return table;
-}
-
-template <typename ProfileT>
-void validate_profile_shape(const GameView& view, const ProfileT& profile, const char* what) {
-    if (profile.size() != view.num_players()) {
-        throw std::invalid_argument(std::string(what) + ": width");
-    }
-    for (std::size_t i = 0; i < profile.size(); ++i) {
-        if (profile[i].size() != view.num_actions(i)) {
-            throw std::invalid_argument(std::string(what) + ": strategy size for player " +
-                                        std::to_string(i));
-        }
-    }
-}
-
-// --- dense sweeps: one per quantity ------------------------------------------
-
-template <typename ProfileT>
-auto deviation_sweep(const GameView& view, const ProfileT& profile, SweepMode mode,
-                     const char* what) {
-    using V = ValueOf<ProfileT>;
-    validate_profile_shape(view, profile, what);
-    auto dev = make_table<V>(view.action_counts());
-    with_rows<V>(view, [&](const auto& acc) {
-        blocked_sweep(uniform_blocks(view.num_profiles()), mode, dev,
-                      [&](std::uint64_t lo, std::uint64_t hi, std::vector<std::vector<V>>& table) {
-                          deviation_block<V>(profile, acc, lo, hi, table);
-                      });
-    });
-    return dev;
-}
-
-template <typename ProfileT>
-auto expected_sweep(const GameView& view, const ProfileT& profile, SweepMode mode,
-                    const char* what) {
-    using V = ValueOf<ProfileT>;
-    validate_profile_shape(view, profile, what);
-    std::vector<V> totals(view.num_players(), V{0});
-    with_rows<V>(view, [&](const auto& acc) {
-        blocked_sweep(uniform_blocks(view.num_profiles()), mode, totals,
-                      [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
-                          expected_block<V>(profile, acc, lo, hi, table);
-                      });
-    });
-    return totals;
-}
-
-template <typename ProfileT>
-auto expected_single_sweep(const GameView& view, const ProfileT& profile, std::size_t player,
-                           const char* what) {
-    using V = ValueOf<ProfileT>;
-    validate_profile_shape(view, profile, what);
-    V total{0};
-    with_rows<V>(view, [&](const auto& acc) {
-        blocked_sweep(uniform_blocks(view.num_profiles()), SweepMode::kAuto, total,
-                      [&](std::uint64_t lo, std::uint64_t hi, V& table) {
-                          expected_single_block<V>(profile, acc, player, lo, hi, table);
-                      });
-    });
-    return total;
-}
-
-template <typename ProfileT>
-auto row_sweep(const GameView& view, const ProfileT& profile, std::size_t player,
-               const char* what) {
-    using V = ValueOf<ProfileT>;
-    validate_profile_shape(view, profile, what);
-    std::vector<V> row(view.num_actions(player), V{0});
-    with_rows<V>(view, [&](const auto& acc) {
-        blocked_sweep(uniform_blocks(view.num_profiles()), SweepMode::kAuto, row,
-                      [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
-                          deviation_row_block<V>(profile, acc, player, lo, hi, table);
-                      });
-    });
-    return row;
-}
-
-// --- sparse-support machinery ------------------------------------------------
+// --- support plans -------------------------------------------------------------
 //
-// The shared game::SupportPlan (see payoff_engine.h) restricts each digit
-// to the profile's support (the actions with nonzero probability),
-// keeping the support actions in ascending order so the support walk
-// visits exactly the profiles the dense sweep would NOT have skipped, in
-// the same row-major order. A `full_player` digit (the deviating player
-// of a deviation-row sweep) keeps its whole action range. Offset tables
-// are materialized per plan (support-indexed slices of the view's
-// cell-offset columns).
+// A game::SupportPlan (see payoff_engine.h) restricts each digit to the
+// profile's support (the actions with nonzero probability), keeping the
+// support actions in ascending order so the support walk visits exactly
+// the profiles with nonzero weight, in row-major order. A `full_player`
+// digit (the deviating player of a deviation-row sweep) keeps its whole
+// action range. Offset tables are materialized per plan (support-indexed
+// slices of the view's cell-offset columns).
 
-constexpr std::size_t kNoFullPlayer = SupportPlan::kNoFullPlayer;
-
-template <typename ProfileT>
-SupportPlan support_plan(const GameView& view, const ProfileT& profile,
-                         std::size_t full_player) {
-    const std::size_t n = profile.size();
+// Plan over per-player weights: player p's support is the actions a with
+// keep(weights[p][a]), and offset(p, a) is action a's cell offset.
+// `full_player` keeps every action.
+template <typename Weights, typename Keep, typename Offset>
+SupportPlan plan_over(const Weights& weights, std::size_t full_player, const Keep& keep,
+                      const Offset& offset) {
+    const std::size_t n = weights.size();
     SupportPlan plan;
     plan.actions.resize(n);
     plan.offsets.resize(n);
     plan.radices.resize(n);
     for (std::size_t p = 0; p < n; ++p) {
-        const auto& column = view.cell_offsets(p);
-        if (p == full_player) {
-            plan.actions[p].resize(column.size());
-            for (std::size_t a = 0; a < column.size(); ++a) plan.actions[p][a] = a;
-            plan.offsets[p] = column;
-        } else {
-            for (std::size_t a = 0; a < profile[p].size(); ++a) {
-                if (!sweep_zero(profile[p][a])) {
-                    plan.actions[p].push_back(a);
-                    plan.offsets[p].push_back(column[a]);
-                }
-            }
-            if (plan.actions[p].empty()) {
-                plan.dead = true;
-                return plan;
-            }
+        const auto& row = weights[p];
+        const auto kept = [&](std::size_t a) { return p == full_player || keep(row[a]); };
+        std::size_t width = 0;
+        for (std::size_t a = 0; a < row.size(); ++a) width += kept(a) ? 1 : 0;
+        if (width == 0) {
+            plan.dead = true;
+            return plan;
         }
-        plan.radices[p] = plan.actions[p].size();
+        plan.actions[p].reserve(width);
+        plan.offsets[p].reserve(width);
+        for (std::size_t a = 0; a < row.size(); ++a) {
+            if (!kept(a)) continue;
+            plan.actions[p].push_back(a);
+            plan.offsets[p].push_back(offset(p, a));
+        }
+        plan.radices[p] = width;
     }
     plan.num_tuples = util::product_size(plan.radices);
     return plan;
 }
 
-// Support-space block boundaries aligned with the DENSE sweep's
-// kParallelBlock cuts in full-rank space: partial accumulators merge at
-// exactly the same summation boundaries as the dense sweep, which is
-// what makes sparse results bit-identical to dense in every mode. One
-// entry per NON-EMPTY dense block (adding an all-zero partial table is a
-// bitwise no-op: accumulators start at +0.0 and x + 0.0 == x for every
+template <typename ProfileT>
+SupportPlan support_plan(const GameView& view, const ProfileT& profile,
+                         std::size_t full_player) {
+    return plan_over(
+        profile, full_player, [](const auto& weight) { return !sweep_zero(weight); },
+        [&](std::size_t p, std::size_t a) { return view.cell_offsets(p)[a]; });
+}
+
+// Support-space block boundaries aligned with the DENSE kParallelBlock
+// cuts in full-rank space: partial accumulators merge at exactly the same
+// summation boundaries as a walk over the view's own columns, which is
+// what makes a support walk bit-identical to a full one in every mode.
+// One entry per NON-EMPTY dense block (adding an all-zero partial table is
+// a bitwise no-op: accumulators start at +0.0 and x + 0.0 == x for every
 // reachable x, so empty dense blocks are skipped).
 BlockRanges support_blocks(const GameView& view, const SupportPlan& plan) {
     constexpr std::uint64_t kBlock = PayoffEngine::kParallelBlock;
@@ -422,99 +205,163 @@ BlockRanges support_blocks(const GameView& view, const SupportPlan& plan) {
     return blocks;
 }
 
+// --- digit sources -------------------------------------------------------------
+//
+// The walker's digits and the block cuts come from one of two sources.
+// Both visit the profiles with nonzero weight in the same row-major order
+// and cut partial sums at the same dense boundaries, so the source never
+// changes a result bit; it only decides how many zero-weight cells are
+// walked past.
+
+// The view's own columns, in uniform kParallelBlock blocks. No plan is
+// built.
+struct FullDigits {
+    const GameView* view;
+    [[nodiscard]] util::OffsetWalker make_walker() const {
+        util::OffsetWalker walker;
+        walker.reserve(view->num_players());
+        for (std::size_t p = 0; p < view->num_players(); ++p) {
+            const auto& column = view->cell_offsets(p);
+            walker.add_digit(column.data(), column.size());
+        }
+        return walker;
+    }
+    [[nodiscard]] static std::size_t action(std::size_t /*player*/, std::size_t digit) noexcept {
+        return digit;
+    }
+    [[nodiscard]] BlockRanges blocks() const { return uniform_blocks(view->num_profiles()); }
+};
+
+// A support plan's columns, cut by support_blocks.
+struct PlanDigits {
+    const GameView* view;
+    const SupportPlan* plan;
+    [[nodiscard]] util::OffsetWalker make_walker() const { return plan->make_walker(); }
+    [[nodiscard]] std::size_t action(std::size_t player, std::size_t digit) const noexcept {
+        return plan->actions[player][digit];
+    }
+    [[nodiscard]] BlockRanges blocks() const { return support_blocks(*view, *plan); }
+};
+
+// Runs `sweep(digits)` over the source the profile's support calls for:
+// the view's own columns when no weight is zero (except `full_player`'s,
+// whose whole range is walked), otherwise a support plan. Nothing runs
+// when another player's support is empty: every weight would be zero.
+template <typename ProfileT, typename Sweep>
+void with_digits(const GameView& view, const ProfileT& profile, std::size_t full_player,
+                 const Sweep& sweep) {
+    bool full = true;
+    for (std::size_t p = 0; p < profile.size() && full; ++p) {
+        if (p == full_player) continue;
+        for (const auto& weight : profile[p]) full = full && !sweep_zero(weight);
+    }
+    if (full) {
+        sweep(FullDigits{&view});
+        return;
+    }
+    const SupportPlan plan = support_plan(view, profile, full_player);
+    if (!plan.dead) sweep(PlanDigits{&view, &plan});
+}
+
 #if BNASH_AUDIT_ENABLED
-// From-scratch left-fold of the support weights up to `upto`. The fold
+// From-scratch left-fold of the weights of digits [0, upto). The fold
 // order matches the incremental prefix exactly — ((1*x0)*x1)*... — so for
 // doubles the comparison is bit-identical, not approximate.
-template <typename V, typename ProfileT>
-[[nodiscard]] V audit_support_weight(const SupportPlan& plan, const ProfileT& profile,
-                                     const std::vector<std::size_t>& tuple,
-                                     std::size_t upto) {
+template <typename V, typename Digits, typename ProfileT>
+[[nodiscard]] V audit_left_fold(const Digits& digits, const ProfileT& profile,
+                                const std::vector<std::size_t>& tuple, std::size_t upto) {
     V full{1};
-    for (std::size_t j = 0; j < upto; ++j) {
-        full = full * profile[j][plan.actions[j][tuple[j]]];
-    }
+    for (std::size_t j = 0; j < upto; ++j) full = full * profile[j][digits.action(j, tuple[j])];
     return full;
 }
 #endif
 
-// Sparse expected sweep over one block: the weight is the same left-fold
-// product the dense kernel computes, but only digits at or above the
-// walker's lowest changed digit recompute (incremental prefix products).
-template <typename V, typename ProfileT, typename Acc>
-void sparse_expected_block(const SupportPlan& plan, const ProfileT& profile, const Acc& acc,
-                           std::uint64_t begin, std::uint64_t end, std::vector<V>& totals) {
-    const std::size_t n = plan.radices.size();
-    util::OffsetWalker walker = plan.make_walker();
+// --- the block kernels ---------------------------------------------------------
+
+// Per-block weight products, on the stack for up to kInline entries so
+// that a sweep of a small game allocates no scratch. Entries start
+// unset; a kernel seeds the boundary 1 it folds from.
+template <typename V>
+class Products final {
+public:
+    explicit Products(std::size_t size) {
+        if (size > kInline) heap_.resize(size);
+        data_ = heap_.empty() ? inline_.data() : heap_.data();
+    }
+    Products(const Products&) = delete;
+    Products& operator=(const Products&) = delete;
+    V& operator[](std::size_t i) noexcept { return data_[i]; }
+
+private:
+    static constexpr std::size_t kInline = 16;
+    std::array<V, kInline> inline_{};
+    std::vector<V> heap_;
+    V* data_;
+};
+
+// Expected payoffs over ranks [begin, end) of a digit source: every
+// player's into a vector `out`, or `player`'s alone into a scalar `out`
+// (on the exact path each accumulation is a Rational multiply-add, so
+// single-player callers skip n-1 of them). The weight is the left fold
+// ((1*x0)*x1)*..., kept as prefix products of which only digits at or
+// above the walker's lowest changed digit recompute.
+template <typename V, typename Digits, typename ProfileT, typename Acc, typename Out>
+void expected_block(const Digits& digits, const ProfileT& profile, const Acc& acc,
+                    std::size_t player, std::uint64_t begin, std::uint64_t end, Out& out) {
+    const std::size_t n = profile.size();
+    util::OffsetWalker walker = digits.make_walker();
     walker.seek(begin);
     const auto& tuple = walker.tuple();
-    std::vector<V> prefix(n + 1, V{1});
+    Products<V> prefix(n + 1);
+    prefix[0] = V{1};
     std::size_t from = 0;
     for (std::uint64_t rank = begin; rank < end; ++rank) {
         for (std::size_t j = from; j < n; ++j) {
-            prefix[j + 1] = prefix[j] * profile[j][plan.actions[j][tuple[j]]];
+            prefix[j + 1] = prefix[j] * profile[j][digits.action(j, tuple[j])];
         }
-        BNASH_AUDIT_CHECK(
-            prefix[n] == (audit_support_weight<V>(plan, profile, tuple, n)),
-            "sparse_expected_block: incremental prefix product drifted from a "
-            "from-scratch left-fold of the support weights");
-        if (!sweep_zero(prefix[n])) accumulate_all(acc, walker.row(), prefix[n], totals);
+        BNASH_AUDIT_CHECK(prefix[n] == (audit_left_fold<V>(digits, profile, tuple, n)),
+                          "expected_block: incremental prefix product drifted from a "
+                          "from-scratch left-fold of the weights");
+        if (!sweep_zero(prefix[n])) {
+            if constexpr (std::is_same_v<Out, V>) {
+                out += prefix[n] * acc.at(walker.row(), player);
+            } else {
+                accumulate_all(acc, walker.row(), prefix[n], out);
+            }
+        }
         (void)walker.advance();
         from = walker.lowest_changed();
     }
     util::work_counters_add(end - begin, walker.digit_moves());
 }
 
-template <typename V, typename ProfileT, typename Acc>
-void sparse_expected_single_block(const SupportPlan& plan, const ProfileT& profile,
-                                  const Acc& acc, std::size_t player, std::uint64_t begin,
-                                  std::uint64_t end, V& total) {
-    const std::size_t n = plan.radices.size();
-    util::OffsetWalker walker = plan.make_walker();
+// One player's deviation row over ranks [begin, end) of a digit source
+// that walks that player's whole action range (so its digit is its
+// action). weight = prefix[player] * tail is deviation_block's
+// prefix[i] * suffix[i+1] fold (same operand order), so the row is
+// bit-identical to the deviation table's.
+template <typename V, typename Digits, typename ProfileT, typename Acc>
+void row_block(const Digits& digits, const ProfileT& profile, const Acc& acc,
+               std::size_t player, std::uint64_t begin, std::uint64_t end,
+               std::vector<V>& dev_row) {
+    const std::size_t n = profile.size();
+    util::OffsetWalker walker = digits.make_walker();
     walker.seek(begin);
     const auto& tuple = walker.tuple();
-    std::vector<V> prefix(n + 1, V{1});
-    std::size_t from = 0;
-    for (std::uint64_t rank = begin; rank < end; ++rank) {
-        for (std::size_t j = from; j < n; ++j) {
-            prefix[j + 1] = prefix[j] * profile[j][plan.actions[j][tuple[j]]];
-        }
-        BNASH_AUDIT_CHECK(
-            prefix[n] == (audit_support_weight<V>(plan, profile, tuple, n)),
-            "sparse_expected_single_block: incremental prefix product drifted "
-            "from a from-scratch left-fold of the support weights");
-        if (!sweep_zero(prefix[n])) total += prefix[n] * acc.at(walker.row(), player);
-        (void)walker.advance();
-        from = walker.lowest_changed();
-    }
-    util::work_counters_add(end - begin, walker.digit_moves());
-}
-
-// One player's deviation row, walking that player's FULL action range and
-// everyone else's support. weight = prefix[player] * tail reproduces the
-// dense kernel's prefix[i] * suffix[i+1] fold exactly (same operand
-// order), so the row is bit-identical to the dense deviation table's.
-template <typename V, typename ProfileT, typename Acc>
-void sparse_row_block(const SupportPlan& plan, const ProfileT& profile, const Acc& acc,
-                      std::size_t player, std::uint64_t begin, std::uint64_t end,
-                      std::vector<V>& dev_row) {
-    const std::size_t n = plan.radices.size();
-    util::OffsetWalker walker = plan.make_walker();
-    walker.seek(begin);
-    const auto& tuple = walker.tuple();
-    std::vector<V> prefix(player + 1, V{1});
+    Products<V> prefix(player + 1);
+    prefix[0] = V{1};
     std::size_t from = 0;
     for (std::uint64_t rank = begin; rank < end; ++rank) {
         for (std::size_t j = from; j < player; ++j) {
-            prefix[j + 1] = prefix[j] * profile[j][plan.actions[j][tuple[j]]];
+            prefix[j + 1] = prefix[j] * profile[j][digits.action(j, tuple[j])];
         }
         BNASH_AUDIT_CHECK(
-            prefix[player] == (audit_support_weight<V>(plan, profile, tuple, player)),
-            "sparse_row_block: incremental prefix product drifted from a "
-            "from-scratch left-fold of the opponents' support weights");
+            prefix[player] == (audit_left_fold<V>(digits, profile, tuple, player)),
+            "row_block: incremental prefix product drifted from a from-scratch "
+            "left-fold of the opponents' weights");
         V tail{1};
         for (std::size_t j = n; j-- > player + 1;) {
-            tail = tail * profile[j][plan.actions[j][tuple[j]]];
+            tail = tail * profile[j][digits.action(j, tuple[j])];
         }
         const V weight = prefix[player] * tail;
         if (!sweep_zero(weight)) {
@@ -526,56 +373,183 @@ void sparse_row_block(const SupportPlan& plan, const ProfileT& profile, const Ac
     util::work_counters_add(end - begin, walker.digit_moves());
 }
 
-template <typename ProfileT>
-auto sparse_expected_sweep(const GameView& view, const ProfileT& profile, SweepMode mode,
-                           const char* what) {
-    using V = ValueOf<ProfileT>;
-    validate_profile_shape(view, profile, what);
-    std::vector<V> totals(view.num_players(), V{0});
-    const auto plan = support_plan(view, profile, kNoFullPlayer);
-    if (plan.dead) return totals;
-    with_rows<V>(view, [&](const auto& acc) {
-        blocked_sweep(support_blocks(view, plan), mode, totals,
-                      [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
-                          sparse_expected_block<V>(plan, profile, acc, lo, hi, table);
-                      });
-    });
-    return totals;
-}
-
-template <typename ProfileT>
-auto sparse_expected_single_sweep(const GameView& view, const ProfileT& profile,
-                                  std::size_t player, const char* what) {
-    using V = ValueOf<ProfileT>;
-    validate_profile_shape(view, profile, what);
-    V total{0};
-    const auto plan = support_plan(view, profile, kNoFullPlayer);
-    if (plan.dead) return total;
-    with_rows<V>(view, [&](const auto& acc) {
-        blocked_sweep(support_blocks(view, plan), SweepMode::kAuto, total,
-                      [&](std::uint64_t lo, std::uint64_t hi, V& table) {
-                          sparse_expected_single_block<V>(plan, profile, acc, player, lo, hi,
-                                                          table);
-                      });
-    });
-    return total;
-}
-
-template <typename ProfileT>
-auto sparse_deviation_sweep(const GameView& view, const ProfileT& profile, SweepMode mode,
-                            const char* what) {
-    using V = ValueOf<ProfileT>;
-    validate_profile_shape(view, profile, what);
-    auto dev = make_table<V>(view.action_counts());
-    with_rows<V>(view, [&](const auto& acc) {
-        for (std::size_t player = 0; player < dev.size(); ++player) {
-            const auto plan = support_plan(view, profile, player);
-            if (plan.dead) continue;  // a rival support is empty: all weights are zero
-            blocked_sweep(support_blocks(view, plan), mode, dev[player],
-                          [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
-                              sparse_row_block<V>(plan, profile, acc, player, lo, hi, table);
-                          });
+// Every player's deviation payoffs over ranks [begin, end) of the view's
+// own columns. Prefix/suffix probability products give weight_excluding(i)
+// for all i in O(players) per profile — the marginalization that replaces
+// the seed's one-full-sweep-per-(player, action).
+template <typename V, typename ProfileT, typename Acc>
+void deviation_block(const FullDigits& digits, const ProfileT& profile, const Acc& acc,
+                     std::uint64_t begin, std::uint64_t end, std::vector<std::vector<V>>& dev) {
+    const std::size_t n = profile.size();
+    util::OffsetWalker walker = digits.make_walker();
+    walker.seek(begin);
+    const auto& tuple = walker.tuple();
+    Products<V> prefix(n + 1);
+    Products<V> suffix(n + 1);
+    prefix[0] = V{1};
+    suffix[n] = V{1};
+    for (std::uint64_t rank = begin; rank < end; ++rank) {
+        for (std::size_t i = 0; i < n; ++i) {
+            prefix[i + 1] = prefix[i] * profile[i][tuple[i]];
         }
+        for (std::size_t i = n; i-- > 0;) {
+            suffix[i] = suffix[i + 1] * profile[i][tuple[i]];
+        }
+        const std::uint64_t row = walker.row();
+        for (std::size_t i = 0; i < n; ++i) {
+            const V weight = prefix[i] * suffix[i + 1];
+            if (!sweep_zero(weight)) dev[i][tuple[i]] += weight * acc.at(row, i);
+        }
+        (void)walker.advance();
+    }
+    util::work_counters_add(end - begin, walker.digit_moves());
+}
+
+// Elementwise into += part, recursing through nested tables.
+template <typename V>
+void add_into(V& into, const V& part) {
+    into += part;
+}
+template <typename V>
+void add_into(std::vector<V>& into, const std::vector<V>& part) {
+    for (std::size_t i = 0; i < into.size(); ++i) add_into(into[i], part[i]);
+}
+
+// Runs block_fn over the given rank ranges into per-block accumulators
+// (util::for_blocks: via the global pool in kAuto mode when it has
+// capacity) and merges in block order. `out` holds zeros on entry; each
+// block's accumulator starts as a copy of it. The decomposition is an
+// explicit input — FullDigits passes uniform kParallelBlock chunks and
+// PlanDigits the SAME dense boundaries mapped into support-rank space —
+// so kAuto and kSerial (and both digit sources) agree bit-for-bit.
+// Blocks of an expired grant are skipped in both modes: a truncated
+// reduction yields partial sums, and grant users must discard results
+// when expired() after the call.
+template <typename Table, typename BlockFn>
+void blocked_sweep(const BlockRanges& blocks, SweepMode mode, Table& out,
+                   const BlockFn& block_fn) {
+    if (blocks.size() == 1) {
+        util::ExecutionGrant* const grant = util::active_grant();
+        if (grant != nullptr && grant->expired()) return;
+        block_fn(blocks[0].first, blocks[0].second, out);
+        return;
+    }
+    // Every accumulator starts as zeros, so a block the grant skipped
+    // merges as zeros.
+    std::vector<Table> partial(blocks.size(), out);
+    util::for_blocks(blocks.size(), mode == SweepMode::kAuto, [&](std::size_t block) {
+        block_fn(blocks[block].first, blocks[block].second, partial[block]);
+    });
+    for (const Table& part : partial) add_into(out, part);
+}
+
+template <typename ProfileT>
+void validate_profile_shape(const GameView& view, const ProfileT& profile, const char* what) {
+    if (profile.size() != view.num_players()) {
+        throw std::invalid_argument(std::string(what) + ": width");
+    }
+    for (std::size_t i = 0; i < profile.size(); ++i) {
+        if (profile[i].size() != view.num_actions(i)) {
+            throw std::invalid_argument(std::string(what) + ": strategy size for player " +
+                                        std::to_string(i));
+        }
+    }
+}
+
+// --- the sweeps: one per quantity ----------------------------------------------
+
+// Every player's expected payoff (Out = std::vector<V>), or `player`'s
+// alone (Out = V).
+template <typename Out, typename ProfileT>
+Out expected_sweep(const GameView& view, const ProfileT& profile, std::size_t player,
+                   SweepMode mode, const char* what) {
+    using V = ValueOf<ProfileT>;
+    validate_profile_shape(view, profile, what);
+    Out out{};
+    if constexpr (std::is_same_v<Out, V>) {
+        if (player >= view.num_players()) throw std::out_of_range(std::string(what) + ": player");
+    } else {
+        out.assign(view.num_players(), V{0});
+    }
+    with_rows<V>(view, [&](const auto& acc) {
+        with_digits(view, profile, kNoFullPlayer, [&](const auto& digits) {
+            blocked_sweep(digits.blocks(), mode, out,
+                          [&](std::uint64_t lo, std::uint64_t hi, Out& table) {
+                              expected_block<V>(digits, profile, acc, player, lo, hi, table);
+                          });
+        });
+    });
+    return out;
+}
+
+// One player's deviation row into `row` (zeros on entry).
+template <typename V, typename ProfileT, typename Acc>
+void sweep_row(const GameView& view, const ProfileT& profile, const Acc& acc,
+               std::size_t player, SweepMode mode, std::vector<V>& row) {
+    with_digits(view, profile, player, [&](const auto& digits) {
+        blocked_sweep(digits.blocks(), mode, row,
+                      [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
+                          row_block<V>(digits, profile, acc, player, lo, hi, table);
+                      });
+    });
+}
+
+template <typename ProfileT>
+auto row_sweep(const GameView& view, const ProfileT& profile, std::size_t player,
+               const char* what) {
+    using V = ValueOf<ProfileT>;
+    validate_profile_shape(view, profile, what);
+    std::vector<V> row(view.num_actions(player), V{0});
+    with_rows<V>(view, [&](const auto& acc) {
+        sweep_row(view, profile, acc, player, SweepMode::kAuto, row);
+    });
+    return row;
+}
+
+// Whether one support row per player (sum_p |A_p| * prod_{i != p}
+// |supp_i| cells) walks fewer cells than one marginalization sweep
+// (prod |A_i|). Ties go to marginalization.
+template <typename ProfileT>
+bool support_rows_cheaper(const GameView& view, const ProfileT& profile) {
+    const std::size_t n = profile.size();
+    const auto support = [&](std::size_t p) {
+        std::uint64_t count = 0;
+        for (const auto& weight : profile[p]) count += sweep_zero(weight) ? 0 : 1;
+        return count;
+    };
+    const std::uint64_t dense = view.num_profiles();
+    std::uint64_t rows = 0;
+    for (std::size_t p = 0; p < n; ++p) {
+        std::uint64_t cells = view.num_actions(p);
+        for (std::size_t i = 0; i < n; ++i) cells *= i == p ? 1 : support(i);
+        rows += cells;
+        if (rows >= dense) return false;
+    }
+    return true;
+}
+
+// The deviation table, by whichever of its two walks is cheaper for the
+// profile; both accumulate every entry over the same cells in the same
+// order with the same fold and block cuts, so they give the same bits.
+template <typename ProfileT>
+auto deviation_sweep(const GameView& view, const ProfileT& profile, SweepMode mode,
+                     const char* what) {
+    using V = ValueOf<ProfileT>;
+    validate_profile_shape(view, profile, what);
+    std::vector<std::vector<V>> dev(view.num_players());
+    for (std::size_t p = 0; p < dev.size(); ++p) dev[p].assign(view.num_actions(p), V{0});
+    with_rows<V>(view, [&](const auto& acc) {
+        if (support_rows_cheaper(view, profile)) {
+            for (std::size_t p = 0; p < dev.size(); ++p) {
+                sweep_row(view, profile, acc, p, mode, dev[p]);
+            }
+            return;
+        }
+        const FullDigits digits{&view};
+        blocked_sweep(digits.blocks(), mode, dev,
+                      [&](std::uint64_t lo, std::uint64_t hi, std::vector<std::vector<V>>& table) {
+                          deviation_block<V>(digits, profile, acc, lo, hi, table);
+                      });
     });
     return dev;
 }
@@ -614,29 +588,12 @@ SupportPlan build_support_plan(const GameView& view, const ExactMixedProfile& pr
 
 SupportPlan build_support_plan_from_dists(const std::vector<std::vector<double>>& dists,
                                           const std::vector<std::uint64_t>& strides) {
-    const std::size_t n = dists.size();
-    if (strides.size() != n) {
+    if (strides.size() != dists.size()) {
         throw std::invalid_argument("build_support_plan_from_dists: stride width");
     }
-    SupportPlan plan;
-    plan.actions.resize(n);
-    plan.offsets.resize(n);
-    plan.radices.resize(n);
-    for (std::size_t p = 0; p < n; ++p) {
-        for (std::size_t a = 0; a < dists[p].size(); ++a) {
-            if (dists[p][a] > 0.0) {
-                plan.actions[p].push_back(a);
-                plan.offsets[p].push_back(static_cast<std::uint64_t>(a) * strides[p]);
-            }
-        }
-        if (plan.actions[p].empty()) {
-            plan.dead = true;
-            return plan;
-        }
-        plan.radices[p] = plan.actions[p].size();
-    }
-    plan.num_tuples = util::product_size(plan.radices);
-    return plan;
+    return plan_over(
+        dists, kNoFullPlayer, [](double weight) { return weight > 0.0; },
+        [&](std::size_t p, std::size_t a) { return static_cast<std::uint64_t>(a) * strides[p]; });
 }
 
 PayoffEngine::PayoffEngine(const NormalFormGame& game) {
@@ -684,11 +641,11 @@ std::vector<std::size_t> PayoffEngine::best_responses_from(const std::vector<dou
 
 std::vector<double> expected_payoffs(const GameView& view, const MixedProfile& profile,
                                      SweepMode mode) {
-    return expected_sweep(view, profile, mode, "expected_payoffs");
+    return expected_sweep<std::vector<double>>(view, profile, 0, mode, "expected_payoffs");
 }
 
 double expected_payoff(const GameView& view, const MixedProfile& profile, std::size_t player) {
-    return expected_single_sweep(view, profile, player, "expected_payoff");
+    return expected_sweep<double>(view, profile, player, SweepMode::kAuto, "expected_payoff");
 }
 
 DeviationTable deviation_payoffs_all(const GameView& view, const MixedProfile& profile,
@@ -704,12 +661,14 @@ std::vector<double> deviation_row(const GameView& view, const MixedProfile& prof
 std::vector<util::Rational> expected_payoffs_exact(const GameView& view,
                                                    const ExactMixedProfile& profile,
                                                    SweepMode mode) {
-    return expected_sweep(view, profile, mode, "expected_payoffs_exact");
+    return expected_sweep<std::vector<util::Rational>>(view, profile, 0, mode,
+                                                       "expected_payoffs_exact");
 }
 
 util::Rational expected_payoff_exact(const GameView& view, const ExactMixedProfile& profile,
                                      std::size_t player) {
-    return expected_single_sweep(view, profile, player, "expected_payoff_exact");
+    return expected_sweep<util::Rational>(view, profile, player, SweepMode::kAuto,
+                                          "expected_payoff_exact");
 }
 
 ExactDeviationTable deviation_payoffs_all_exact(const GameView& view,
@@ -722,39 +681,6 @@ std::vector<util::Rational> deviation_row_exact(const GameView& view,
                                                 const ExactMixedProfile& profile,
                                                 std::size_t player) {
     return row_sweep(view, profile, player, "deviation_row_exact");
-}
-
-std::vector<double> expected_payoffs_sparse(const GameView& view, const MixedProfile& profile,
-                                            SweepMode mode) {
-    return sparse_expected_sweep(view, profile, mode, "expected_payoffs_sparse");
-}
-
-double expected_payoff_sparse(const GameView& view, const MixedProfile& profile,
-                              std::size_t player) {
-    return sparse_expected_single_sweep(view, profile, player, "expected_payoff_sparse");
-}
-
-DeviationTable deviation_payoffs_all_sparse(const GameView& view, const MixedProfile& profile,
-                                            SweepMode mode) {
-    return sparse_deviation_sweep(view, profile, mode, "deviation_payoffs_all_sparse");
-}
-
-std::vector<util::Rational> expected_payoffs_exact_sparse(const GameView& view,
-                                                          const ExactMixedProfile& profile,
-                                                          SweepMode mode) {
-    return sparse_expected_sweep(view, profile, mode, "expected_payoffs_exact_sparse");
-}
-
-util::Rational expected_payoff_exact_sparse(const GameView& view,
-                                            const ExactMixedProfile& profile,
-                                            std::size_t player) {
-    return sparse_expected_single_sweep(view, profile, player, "expected_payoff_exact_sparse");
-}
-
-ExactDeviationTable deviation_payoffs_all_exact_sparse(const GameView& view,
-                                                       const ExactMixedProfile& profile,
-                                                       SweepMode mode) {
-    return sparse_deviation_sweep(view, profile, mode, "deviation_payoffs_all_exact_sparse");
 }
 
 namespace naive {

@@ -13,7 +13,8 @@
 //   - compute ALL deviation payoffs for ALL players in ONE sweep via
 //     marginalization: for each profile, prefix/suffix probability
 //     products give weight_excluding(i) for every i in O(players), and
-//     each accumulates into dev[i][a_i];
+//     each accumulates into dev[i][a_i] (or one support row per player
+//     when that walks fewer cells; see below);
 //   - run the same kernel over the double mirror and the exact Rational
 //     tensor (the robustness checkers must not see floating point);
 //   - above kParallelBlock profiles, split the sweep into fixed-size
@@ -32,19 +33,20 @@
 // permuted views read through the player map. The choice follows from the
 // input, and both paths accumulate in the same order.
 //
-// SPARSE-SUPPORT sweeps: the *_sparse entry points walk only the support
-// of the mixed profile (radix = |supp(sigma_i)| per digit), turning sweep
-// cost from prod |A_i| into prod |supp(sigma_i)| — with per-player
-// full-range digits for the deviation table, incremental prefix-product
-// weight updates (only digits at or above the walker's lowest changed
-// digit recompute), and partial accumulators cut at EXACTLY the dense
-// sweep's kParallelBlock boundaries. Dense sweeps skip zero-weight
-// profiles and the sparse walk enumerates precisely the non-skipped ones
-// in the same order with the same merge grouping, so sparse results are
-// BIT-IDENTICAL to the dense entry points in every mode (asserted by
-// test_payoff_engine and the robustness fuzz suite). They keep their own
-// names: the dense sweep over a sparse profile is the reference the
-// bit-identity tests and benches measure them against.
+// EVERY SWEEP WALKS ONLY THE PROFILE'S SUPPORT: a profile with zero
+// weights is walked over a SupportPlan (radix = |supp(sigma_i)| per
+// digit; the deviating player of a row keeps its whole range), turning
+// sweep cost from prod |A_i| into prod |supp(sigma_i)|. A profile with no
+// zero weight walks the view's own columns and builds no plan. Both
+// walks visit the nonzero-weight profiles in the same row-major order,
+// fold each weight the same way (incremental left-fold prefix products)
+// and cut partial sums at the same dense kParallelBlock boundaries, so
+// the support picks the work, never the bits. The deviation table runs
+// whichever of its two walks touches fewer cells: one marginalization
+// sweep over prod |A_i| cells, or one support row per player
+// (sum_p |A_p| * prod_{i != p} |supp_i| cells; ties go to
+// marginalization). Both give the same bits, and deviation_row equals
+// its row of the table bitwise.
 #pragma once
 
 #include <cstdint>
@@ -132,27 +134,9 @@ private:
 [[nodiscard]] std::vector<util::Rational> deviation_row_exact(
     const GameView& view, const ExactMixedProfile& profile, std::size_t player);
 
-// --- sparse-support sweeps (bit-identical to the dense siblings above;
-// the robustness engine's mixed fallback evaluates mostly point-mass
-// profiles through expected_payoffs_exact_sparse)
-[[nodiscard]] std::vector<double> expected_payoffs_sparse(
-    const GameView& view, const MixedProfile& profile, SweepMode mode = SweepMode::kAuto);
-[[nodiscard]] double expected_payoff_sparse(const GameView& view, const MixedProfile& profile,
-                                            std::size_t player);
-[[nodiscard]] DeviationTable deviation_payoffs_all_sparse(
-    const GameView& view, const MixedProfile& profile, SweepMode mode = SweepMode::kAuto);
-[[nodiscard]] std::vector<util::Rational> expected_payoffs_exact_sparse(
-    const GameView& view, const ExactMixedProfile& profile,
-    SweepMode mode = SweepMode::kAuto);
-[[nodiscard]] util::Rational expected_payoff_exact_sparse(const GameView& view,
-                                                          const ExactMixedProfile& profile,
-                                                          std::size_t player);
-[[nodiscard]] ExactDeviationTable deviation_payoffs_all_exact_sparse(
-    const GameView& view, const ExactMixedProfile& profile,
-    SweepMode mode = SweepMode::kAuto);
-
-// --- shared sparse-support plan ---------------------------------------------
-// The support restriction behind every *_sparse sweep, exposed so other
+// --- shared support plan -----------------------------------------------------
+// The support restriction the sweeps above walk for a profile with zero
+// weights, exposed so other
 // sweep engines (the robustness CoalitionSweep's sparse coalition scans)
 // build it ONCE per sweep instead of once per expected-payoff call: each
 // player's support actions in ascending order plus the matching slice of

@@ -359,18 +359,6 @@ namespace {
     return weight;
 }
 
-[[nodiscard]] double orbit_weight_double(const util::OrbitWalker& walker,
-                                         const std::vector<MixedStrategy>& sigma) {
-    double weight = static_cast<double>(walker.orbit_size());
-    for (std::size_t d = 0; d < walker.num_digits(); ++d) {
-        const std::vector<std::size_t>& counts = walker.counts(d);
-        for (std::size_t a = 0; a < counts.size(); ++a) {
-            for (std::size_t i = 0; i < counts[a]; ++i) weight *= sigma[d][a];
-        }
-    }
-    return weight;
-}
-
 template <typename Profile>
 [[nodiscard]] std::vector<typename Profile::value_type> class_strategies(
     const SymmetryGroup& group, const Profile& profile) {
@@ -454,50 +442,6 @@ ExactDeviationTable deviation_payoffs_all_exact_orbit(const GameView& view,
     ExactDeviationTable dev(view.num_players());
     for (std::size_t c = 0; c < group.num_classes(); ++c) {
         for (const std::size_t p : group.classes()[c]) dev[p] = by_class[c];
-    }
-    return dev;
-}
-
-std::vector<double> expected_payoffs_orbit(const GameView& view, const SymmetryGroup& group,
-                                           const MixedProfile& profile) {
-    const DeviationTable dev = deviation_payoffs_all_orbit(view, group, profile);
-    std::vector<double> expected(view.num_players(), 0.0);
-    for (std::size_t p = 0; p < view.num_players(); ++p) {
-        for (std::size_t a = 0; a < dev[p].size(); ++a) expected[p] += profile[p][a] * dev[p][a];
-    }
-    return expected;
-}
-
-DeviationTable deviation_payoffs_all_orbit(const GameView& view, const SymmetryGroup& group,
-                                           const MixedProfile& profile) {
-    for (const auto& cls : group.classes()) {
-        for (std::size_t i = 1; i < cls.size(); ++i) {
-            if (profile[cls[i]] != profile[cls.front()]) {
-                throw std::invalid_argument(
-                    "deviation_payoffs_all_orbit: profile not class-constant");
-            }
-        }
-    }
-    const QuotientGame quotient = build_quotient(view, group);
-    const std::vector<MixedStrategy> sigma = class_strategies(group, profile);
-    DeviationTable dev(view.num_players());
-    for (std::size_t c = 0; c < group.num_classes(); ++c) {
-        const std::size_t actions = quotient.class_actions[c];
-        std::vector<double> row(actions, 0.0);
-        util::OrbitWalker walker = quotient.others_walker(c);
-        std::uint64_t r = 0;
-        do {
-            const double weight = orbit_weight_double(walker, sigma);
-            if (weight != 0.0) {
-                for (std::size_t a = 0; a < actions; ++a) {
-                    row[a] += weight * quotient.at(c, a, r).to_double();
-                }
-            }
-            ++r;
-            // lint: no-charge(double mirror of the exact fold above; same
-            // accounting contract — OrbitSweep owns the gated counters)
-        } while (walker.advance());
-        for (const std::size_t p : group.classes()[c]) dev[p] = row;
     }
     return dev;
 }

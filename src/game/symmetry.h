@@ -141,22 +141,14 @@ struct QuotientGame final {
 // Expected and deviation payoffs of a class-constant profile on a
 // symmetric view, computed by ONE weighted quotient walk per class —
 // sum over orbits of multiplicity * prod sigma^h — instead of a
-// prod|A| dense sweep. Exact results EQUAL the dense engine's
-// (normalized rationals; order-independent); the double mirror agrees
-// to rounding only (summation order differs) and is cross-checked in
-// the tests, not bit-asserted. Throws std::invalid_argument when the
+// prod|A| dense sweep. Results EQUAL the dense engine's (normalized
+// rationals; order-independent). Throws std::invalid_argument when the
 // profile is not class-constant, std::overflow_error when an orbit
 // multiplicity exceeds 64 bits.
 [[nodiscard]] std::vector<util::Rational> expected_payoffs_exact_orbit(
     const GameView& view, const SymmetryGroup& group, const ExactMixedProfile& profile);
 [[nodiscard]] ExactDeviationTable deviation_payoffs_all_exact_orbit(
     const GameView& view, const SymmetryGroup& group, const ExactMixedProfile& profile);
-[[nodiscard]] std::vector<double> expected_payoffs_orbit(const GameView& view,
-                                                         const SymmetryGroup& group,
-                                                         const MixedProfile& profile);
-[[nodiscard]] DeviationTable deviation_payoffs_all_orbit(const GameView& view,
-                                                         const SymmetryGroup& group,
-                                                         const MixedProfile& profile);
 
 // Quotient-direct variants for games with no tensor (large-n declared
 // groups): per-CLASS expected payoffs / deviation rows, weights from

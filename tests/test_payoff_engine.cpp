@@ -7,10 +7,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "game/payoff_engine.h"
 #include "solver/verification.h"
+#include "support_restriction.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/work_counters.h"
@@ -146,16 +149,47 @@ TEST(PayoffEngine, ExpectedPayoffIsTableContraction) {
     }
 }
 
+// Support-k profile: exactly `support` actions per player get mass.
+MixedProfile random_support_profile(const NormalFormGame& game, util::Rng& rng,
+                                    std::size_t support) {
+    MixedProfile profile(game.num_players());
+    for (std::size_t i = 0; i < game.num_players(); ++i) {
+        MixedStrategy s(game.num_actions(i), 0.0);
+        std::vector<std::size_t> actions(game.num_actions(i));
+        for (std::size_t a = 0; a < actions.size(); ++a) actions[a] = a;
+        rng.shuffle(actions);
+        const std::size_t width = std::min(support, actions.size());
+        double total = 0.0;
+        for (std::size_t j = 0; j < width; ++j) {
+            s[actions[j]] = rng.next_double() + 0.1;
+            total += s[actions[j]];
+        }
+        for (auto& p : s) p /= total;
+        profile[i] = std::move(s);
+    }
+    return profile;
+}
+
 TEST(PayoffEngine, DeviationRowMatchesFullTable) {
+    // deviation_row folds each weight as the table does (prefix[i] *
+    // suffix[i+1]), so a row equals the table's BITWISE: on every player
+    // count, at every support width, whichever walk the table takes and
+    // in both sweep modes.
     util::Rng rng{19};
-    const auto g = NormalFormGame::random({4, 3, 4}, rng);
-    const auto profile = random_mixed(g, rng, true);
-    const auto dev = deviation_payoffs_all(g, profile);
-    for (std::size_t i = 0; i < g.num_players(); ++i) {
-        const auto row = deviation_row(g, profile, i);
-        ASSERT_EQ(row.size(), dev[i].size());
-        for (std::size_t a = 0; a < row.size(); ++a) {
-            EXPECT_NEAR(row[a], dev[i][a], 1e-12);
+    for (std::size_t players = 2; players <= 6; ++players) {
+        for (std::size_t support = 1; support <= 4; ++support) {
+            for (int trial = 0; trial < 3; ++trial) {
+                const auto g = NormalFormGame::random(random_shape(rng, players), rng);
+                const auto profile = random_support_profile(g, rng, support);
+                for (const auto mode : {SweepMode::kSerial, SweepMode::kAuto}) {
+                    const auto dev = deviation_payoffs_all(g, profile, mode);
+                    for (std::size_t i = 0; i < players; ++i) {
+                        EXPECT_EQ(deviation_row(g, profile, i), dev[i])
+                            << "players=" << players << " support=" << support
+                            << " trial=" << trial << " i=" << i;
+                    }
+                }
+            }
         }
     }
 }
@@ -204,59 +238,43 @@ TEST(PayoffEngine, ThreadedAndSerialSweepsAreBitIdentical) {
 
 // --------------------------------------------------- sparse-support sweeps
 
-// Support-k profile: exactly `support` actions per player get mass.
-MixedProfile random_support_profile(const NormalFormGame& game, util::Rng& rng,
-                                    std::size_t support) {
-    MixedProfile profile(game.num_players());
-    for (std::size_t i = 0; i < game.num_players(); ++i) {
-        MixedStrategy s(game.num_actions(i), 0.0);
-        std::vector<std::size_t> actions(game.num_actions(i));
-        for (std::size_t a = 0; a < actions.size(); ++a) actions[a] = a;
-        rng.shuffle(actions);
-        const std::size_t width = std::min(support, actions.size());
-        double total = 0.0;
-        for (std::size_t j = 0; j < width; ++j) {
-            s[actions[j]] = rng.next_double() + 0.1;
-            total += s[actions[j]];
-        }
-        for (auto& p : s) p /= total;
-        profile[i] = std::move(s);
-    }
-    return profile;
-}
-
 TEST(PayoffEngine, SparseSweepsAreBitIdenticalToDense) {
-    // The sparse walk enumerates exactly the profiles the dense sweep
-    // would not have skipped, in the same order, with partial sums cut at
-    // the same dense block boundaries — so doubles match BITWISE, not
-    // just to tolerance, in both sweep modes and at every support width
-    // (including degenerate single-support point masses).
+    // A profile with zero weights walks only its support. The reference
+    // sweeps the support-restricted view with the restricted profile,
+    // which walks that view's own columns: the same cells in the same
+    // order, so on these single-block games doubles match BITWISE in both
+    // sweep modes and at every support width (point masses included).
     util::Rng rng{41};
-    for (int trial = 0; trial < 12; ++trial) {
-        const std::size_t players = 2 + static_cast<std::size_t>(trial % 3);
+    for (int trial = 0; trial < 24; ++trial) {
+        const std::size_t players = 2 + static_cast<std::size_t>(trial % 5);
         const auto g = NormalFormGame::random(random_shape(rng, players), rng);
-        const std::size_t support = 1 + static_cast<std::size_t>(trial % 3);
+        ASSERT_LE(g.num_profiles(), PayoffEngine::kParallelBlock);
+        const std::size_t support = 1 + static_cast<std::size_t>(trial % 4);
         const auto profile = random_support_profile(g, rng, support);
+        const std::string label = "trial " + std::to_string(trial);
+        const auto cut = restrict_to_support(g, profile);
         for (const auto mode : {SweepMode::kSerial, SweepMode::kAuto}) {
-            EXPECT_EQ(expected_payoffs_sparse(g, profile, mode),
-                      expected_payoffs(g, profile, mode))
-                << "trial " << trial;
-            EXPECT_EQ(deviation_payoffs_all_sparse(g, profile, mode),
-                      deviation_payoffs_all(g, profile, mode))
-                << "trial " << trial;
+            EXPECT_EQ(expected_payoffs(g, profile, mode),
+                      expected_payoffs(cut.view, cut.profile, mode))
+                << label;
+            const auto dev = deviation_payoffs_all(g, profile, mode);
+            for (std::size_t i = 0; i < players; ++i) {
+                const auto row_cut = restrict_to_support(g, profile, i);
+                EXPECT_EQ(dev[i], deviation_row(row_cut.view, row_cut.profile, i))
+                    << label << " player " << i;
+            }
         }
         for (std::size_t i = 0; i < players; ++i) {
-            EXPECT_EQ(expected_payoff_sparse(g, profile, i),
-                      expected_payoff(g, profile, i))
-                << "trial " << trial;
+            EXPECT_EQ(expected_payoff(g, profile, i), expected_payoff(cut.view, cut.profile, i))
+                << label << " player " << i;
         }
     }
 }
 
 TEST(PayoffEngine, SparseExactSweepsMatchDense) {
     util::Rng rng{43};
-    for (int trial = 0; trial < 8; ++trial) {
-        const std::size_t players = 2 + static_cast<std::size_t>(trial % 2);
+    for (int trial = 0; trial < 12; ++trial) {
+        const std::size_t players = 2 + static_cast<std::size_t>(trial % 3);
         const auto g = NormalFormGame::random(random_shape(rng, players), rng);
         // random_exact draws weight 0 with probability 1/5 per action, so
         // sparse supports occur naturally; force a point mass sometimes.
@@ -267,51 +285,72 @@ TEST(PayoffEngine, SparseExactSweepsMatchDense) {
                 s[0] = Rational{1};
             }
         }
-        EXPECT_EQ(expected_payoffs_exact_sparse(g, profile),
-                  expected_payoffs_exact(g, profile));
-        EXPECT_EQ(deviation_payoffs_all_exact_sparse(g, profile),
-                  deviation_payoffs_all_exact(g, profile));
+        const auto cut = restrict_to_support(g, profile);
+        EXPECT_EQ(expected_payoffs_exact(g, profile),
+                  expected_payoffs_exact(cut.view, cut.profile));
+        const auto dev = deviation_payoffs_all_exact(g, profile);
         for (std::size_t i = 0; i < players; ++i) {
-            EXPECT_EQ(expected_payoff_exact_sparse(g, profile, i),
-                      expected_payoff_exact(g, profile, i));
+            EXPECT_EQ(expected_payoff_exact(g, profile, i),
+                      expected_payoff_exact(cut.view, cut.profile, i));
+            const auto row_cut = restrict_to_support(g, profile, i);
+            EXPECT_EQ(dev[i], deviation_row_exact(row_cut.view, row_cut.profile, i));
+            EXPECT_EQ(dev[i], deviation_row_exact(g, profile, i));
         }
     }
 }
 
 TEST(PayoffEngine, SparseMultiBlockMatchesDenseBitwise) {
-    // > kParallelBlock dense profiles with a support-2 profile: the
-    // sparse sweep's support-space blocks are cut at the DENSE block
-    // boundaries, so threaded partial-sum merges group identically and
-    // doubles still match bitwise.
+    // 8^6 = 2^18 profiles, sixteen parallel blocks. The deviation table
+    // takes one support row per player when those rows walk fewer cells
+    // (6 * 8 * s^5 for support s) than marginalization (8^6): at support
+    // 2 it takes the rows, at supports 7 and 8 marginalization. Support
+    // blocks are cut at the dense block boundaries, so either way the
+    // table equals the per-player rows BITWISE, in both modes.
     util::Rng rng{47};
-    const auto g = NormalFormGame::random({8, 8, 8, 8, 8, 8}, rng);  // 2^18 profiles
+    const auto g = NormalFormGame::random({8, 8, 8, 8, 8, 8}, rng);
     ASSERT_GT(g.num_profiles(), PayoffEngine::kParallelBlock);
-    const auto profile = random_support_profile(g, rng, 2);
-    for (const auto mode : {SweepMode::kSerial, SweepMode::kAuto}) {
-        EXPECT_EQ(deviation_payoffs_all_sparse(g, profile, mode),
-                  deviation_payoffs_all(g, profile, mode));
-        EXPECT_EQ(expected_payoffs_sparse(g, profile, mode),
-                  expected_payoffs(g, profile, mode));
+    for (const std::uint64_t support : {2u, 7u, 8u}) {
+        const auto profile = random_support_profile(g, rng, support);
+        std::uint64_t rows = 6 * 8;
+        for (int i = 0; i < 5; ++i) rows *= support;
+        const std::uint64_t cells = std::min(rows, g.num_profiles());
+        for (const auto mode : {SweepMode::kSerial, SweepMode::kAuto}) {
+            util::work_counters_reset();
+            const auto dev = deviation_payoffs_all(g, profile, mode);
+            EXPECT_EQ(util::work_counters_snapshot().cells_visited, cells)
+                << "support " << support;
+            for (std::size_t i = 0; i < g.num_players(); ++i) {
+                EXPECT_EQ(deviation_row(g, profile, i), dev[i])
+                    << "support " << support << " player " << i;
+            }
+        }
+        EXPECT_EQ(expected_payoffs(g, profile, SweepMode::kSerial),
+                  expected_payoffs(g, profile, SweepMode::kAuto))
+            << "support " << support;
     }
 }
 
 TEST(PayoffEngine, SparseSweepVisitsOnlyTheSupport) {
-    // The work counters certify the claimed asymptotics: a support-1
-    // profile on a 3x3x3 game costs the dense expected sweep 27 rows and
-    // the sparse sweep exactly 1.
+    // The work counters certify the claimed asymptotics: on a 3x3x3 game
+    // the expected sweep of a point mass visits 1 row and of a
+    // full-support profile all 27; the point mass's deviation table takes
+    // one support row per player, 3 rows each.
     util::Rng rng{53};
     const auto g = NormalFormGame::random({3, 3, 3}, rng);
     MixedProfile point(3, MixedStrategy(3, 0.0));
     for (auto& s : point) s[1] = 1.0;
-    util::work_counters_reset();
-    (void)expected_payoffs(g, point, SweepMode::kSerial);
-    const auto dense = util::work_counters_snapshot();
-    util::work_counters_reset();
-    (void)expected_payoffs_sparse(g, point, SweepMode::kSerial);
-    const auto sparse = util::work_counters_snapshot();
-    EXPECT_EQ(dense.cells_visited, 27u);
-    EXPECT_EQ(sparse.cells_visited, 1u);
-    EXPECT_LT(sparse.offsets_advanced, dense.offsets_advanced);
+    const auto cells_of = [](const auto& sweep) {
+        util::work_counters_reset();
+        (void)sweep();
+        return util::work_counters_snapshot().cells_visited;
+    };
+    EXPECT_EQ(cells_of([&] { return expected_payoffs(g, point, SweepMode::kSerial); }), 1u);
+    EXPECT_EQ(cells_of([&] { return deviation_payoffs_all(g, point, SweepMode::kSerial); }),
+              9u);
+    const auto interior = random_mixed(g, rng, false);
+    EXPECT_EQ(cells_of([&] { return expected_payoffs(g, interior, SweepMode::kSerial); }), 27u);
+    EXPECT_EQ(cells_of([&] { return deviation_payoffs_all(g, interior, SweepMode::kSerial); }),
+              27u);
 }
 
 TEST(PayoffEngine, ValidatesProfileShape) {
@@ -320,6 +359,10 @@ TEST(PayoffEngine, ValidatesProfileShape) {
     EXPECT_THROW((void)deviation_payoffs_all(g, {{0.5, 0.5}}), std::invalid_argument);
     EXPECT_THROW((void)deviation_payoffs_all(g, {{0.5, 0.5}, {1.0}}),
                  std::invalid_argument);
+    // A player index past the view reads no payoff.
+    const MixedProfile uniform{{0.5, 0.5}, {1.0 / 3, 1.0 / 3, 1.0 / 3}};
+    EXPECT_THROW((void)expected_payoff(g, uniform, 2), std::out_of_range);
+    EXPECT_THROW((void)deviation_row(g, uniform, 2), std::out_of_range);
 }
 
 TEST(PayoffEngine, VerificationAgreesWithEngine) {

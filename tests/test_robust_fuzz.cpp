@@ -22,10 +22,13 @@
 
 #include "core/robust/anonymous.h"
 #include "core/robust/coalition_sweep.h"
+#include "core/robust/orbit_sweep.h"
 #include "core/robust/robustness.h"
 #include "game/game_view.h"
 #include "game/normal_form.h"
 #include "solver/iterated_elimination.h"
+#include "support_restriction.h"
+#include "symmetric_corpus.h"
 #include "util/rng.h"
 #include "util/work_counters.h"
 
@@ -350,25 +353,35 @@ TEST(RobustFuzz, SparseViewSweepsMatchDenseOnRandomRestrictions) {
         }
         const std::string label = "sparse view trial " + std::to_string(trial);
 
-        EXPECT_EQ(game::expected_payoffs_exact_sparse(view, profile),
-                  game::expected_payoffs_exact(view, profile))
+        // Reference: the same sweeps over the view cut down to the
+        // support (a row keeps its deviator's whole range), which walk
+        // that view's own columns instead of a support plan.
+        const auto cut = game::restrict_to_support(view, profile);
+        EXPECT_EQ(game::expected_payoffs_exact(view, profile),
+                  game::expected_payoffs_exact(cut.view, cut.profile))
             << label;
-        EXPECT_EQ(game::deviation_payoffs_all_exact_sparse(view, profile),
-                  game::deviation_payoffs_all_exact(view, profile))
-            << label;
+        const auto dev = game::deviation_payoffs_all_exact(view, profile);
         for (std::size_t p = 0; p < n; ++p) {
-            EXPECT_EQ(game::expected_payoff_exact_sparse(view, profile, p),
-                      game::expected_payoff_exact(view, profile, p))
+            EXPECT_EQ(game::expected_payoff_exact(view, profile, p),
+                      game::expected_payoff_exact(cut.view, cut.profile, p))
+                << label << " player " << p;
+            const auto row_cut = game::restrict_to_support(view, profile, p);
+            EXPECT_EQ(dev[p], game::deviation_row_exact(row_cut.view, row_cut.profile, p))
                 << label << " player " << p;
         }
-        // Double mirror: bitwise equality (same walk, same block cuts).
+        // Double mirror: bitwise equality (same cells, same order, one
+        // block).
         const auto mixed = game::to_double(profile);
-        EXPECT_EQ(game::expected_payoffs_sparse(view, mixed),
-                  game::expected_payoffs(view, mixed))
+        const auto mixed_cut = game::restrict_to_support(view, mixed);
+        EXPECT_EQ(game::expected_payoffs(view, mixed),
+                  game::expected_payoffs(mixed_cut.view, mixed_cut.profile))
             << label;
-        EXPECT_EQ(game::deviation_payoffs_all_sparse(view, mixed),
-                  game::deviation_payoffs_all(view, mixed))
-            << label;
+        const auto dev_d = game::deviation_payoffs_all(view, mixed);
+        for (std::size_t p = 0; p < n; ++p) {
+            const auto row_cut = game::restrict_to_support(view, mixed, p);
+            EXPECT_EQ(dev_d[p], game::deviation_row(row_cut.view, row_cut.profile, p))
+                << label << " player " << p;
+        }
     }
 }
 
@@ -483,6 +496,26 @@ TEST(RobustFuzz, IntraRangedSplitCountsMatchSerial) {
         EXPECT_FALSE(find_resilience_violation(
                          g, profile, 4, RobustnessOptions{GainCriterion::kAnyMemberGains, mode})
                          .has_value());
+        return util::work_counters_snapshot();
+    };
+    const util::WorkCounters serial = run(SweepMode::kSerial);
+    const util::WorkCounters split = run(SweepMode::kAuto);
+    EXPECT_EQ(split.cells_visited, serial.cells_visited);
+    EXPECT_EQ(split.offsets_advanced, serial.offsets_advanced);
+}
+
+// The orbit engine's twin: planted_split_quotient(0)'s (coalition 2,
+// faulty 2) pair scan spans two ranged blocks and holds no gain, so a
+// kAuto frontier splits it and scans every orbit of both blocks. The
+// blocks advance after their last cell as the inline scan does, so the
+// counters match.
+TEST(RobustFuzz, OrbitIntraRangedSplitCountsMatchSerial) {
+    const OrbitSweep sweep(planted_split_quotient(0), planted_split_group(), {0, 0});
+    const auto run = [&](SweepMode mode) {
+        util::work_counters_reset();
+        const FrontierVerdict frontier =
+            sweep.batch_robustness_frontier(2, 2, GainCriterion::kAnyMemberGains, mode);
+        EXPECT_TRUE(frontier.robust(2, 2));
         return util::work_counters_snapshot();
     };
     const util::WorkCounters serial = run(SweepMode::kSerial);
