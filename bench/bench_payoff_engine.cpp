@@ -170,21 +170,7 @@ BENCHMARK(bench_deviation_engine_4p6a)->Unit(benchmark::kMicrosecond);
 
 // PE-SPARSE trajectory rows on one support-2 profile (serial blocks; the
 // counters are the gated metric). Every sweep walks only the profile's
-// support, so the dense and sparse rows now run the same call; both
-// names stay so their baselines keep gating it.
-void bench_deviation_dense_6p8a_support2(benchmark::State& state) {
-    util::Rng rng{42};
-    const auto g = game::NormalFormGame::random({8, 8, 8, 8, 8, 8}, rng);
-    const auto profile = support2_profile(g, rng);
-    const game::GameView view(g);
-    const CounterScope counters(state);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            game::deviation_payoffs_all(view, profile, game::SweepMode::kSerial));
-    }
-}
-BENCHMARK(bench_deviation_dense_6p8a_support2)->Unit(benchmark::kMillisecond);
-
+// support.
 void bench_deviation_sparse_6p8a_support2(benchmark::State& state) {
     util::Rng rng{42};
     const auto g = game::NormalFormGame::random({8, 8, 8, 8, 8, 8}, rng);

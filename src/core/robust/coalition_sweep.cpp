@@ -8,7 +8,6 @@
 #include "util/combinatorics.h"
 #include "util/execution_grant.h"
 #include "util/offset_walker.h"
-#include "util/work_counters.h"
 
 namespace bnash::core {
 namespace {
@@ -35,67 +34,18 @@ struct Cursor final {
     std::vector<std::uint32_t> reference;
 };
 
-// A task's work so far, charged in chunks: at each grant poll — every
-// kGrantCheckCells cells of the TASK, across its faulty sets — and once
-// at task end, never at a range's end, so where a budgeted run stops does
-// not depend on how the task's scans were cut into ranges. A pooled block
-// keeps its own.
-class Tally final {
-public:
-    util::ExecutionGrant* const grant = util::active_grant();
-
-    // Books `scanned` cells and `moved` digit moves more, then charges
-    // everything booked.
-    void flush(std::uint64_t scanned = 0, std::uint64_t moved = 0) {
-        add(scanned, moved);
-        flush_at(cells_, moves_);
+// The players of 0..n-1 in neither `a` nor `b`, ascending.
+std::vector<std::size_t> players_outside(std::size_t n, const std::vector<std::size_t>& a,
+                                         const std::vector<std::size_t>& b = {}) {
+    std::vector<std::size_t> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (std::find(a.begin(), a.end(), i) == a.end() &&
+            std::find(b.begin(), b.end(), i) == b.end()) {
+            out.push_back(i);
+        }
     }
-    // The poll under a grant after a range's `scanned`-th cell, `moved`
-    // digit moves in: on the task's every kGrantCheckCells-th cell,
-    // charges the pending chunk and reports whether the grant has expired.
-    [[nodiscard]] bool expired_at(std::uint64_t scanned, std::uint64_t moved) {
-        if ((cells_ + scanned) % util::kGrantCheckCells != 0) return false;
-        flush_at(cells_ + scanned, moves_ + moved);
-        return grant->expired();
-    }
-    // Books a finished range.
-    void add(std::uint64_t scanned, std::uint64_t moved) {
-        cells_ += scanned;
-        moves_ += moved;
-    }
-
-private:
-    void flush_at(std::uint64_t cells, std::uint64_t moves) {
-        util::work_counters_add(cells - flushed_cells_, moves - flushed_moves_);
-        flushed_cells_ = cells;
-        flushed_moves_ = moves;
-    }
-
-    std::uint64_t cells_ = 0;
-    std::uint64_t moves_ = 0;
-    std::uint64_t flushed_cells_ = 0;
-    std::uint64_t flushed_moves_ = 0;
-};
-
-// One faulty set's scan by the rule every engine shares (split_scan): the
-// task's own cursor inline over [0, total), or ranged blocks that each
-// scan a copy and charge their own tally as they retire.
-template <typename Scan>
-std::optional<RobustnessViolation> run_scan(Scan& scan, game::SweepMode mode, Tally& tally) {
-    const std::uint64_t total = scan.total();
-    if (!split_scan(mode, total)) {
-        std::optional<RankHit> hit = scan.range(scan.cursor, 0, total, tally, nullptr);
-        if (!hit) return std::nullopt;
-        return std::move(hit->violation);
-    }
-    return run_ranked_blocks(total, [&](std::uint64_t lo, std::uint64_t hi,
-                                        const std::atomic<std::uint64_t>& best) {
-        Cursor cursor = scan.cursor;
-        Tally block;
-        std::optional<RankHit> hit = scan.range(cursor, lo, hi, block, &best);
-        block.flush();
-        return hit;
-    });
+    return out;
 }
 
 // Part (a) for one faulty set T: the outsiders' ranks against the
@@ -113,8 +63,7 @@ public:
             total_ *= column.size();
         }
         outsiders_.reserve(view.num_players() - faulty.size());
-        for (std::size_t i = 0; i < view.num_players(); ++i) {
-            if (std::find(faulty.begin(), faulty.end(), i) != faulty.end()) continue;
+        for (const std::size_t i : players_outside(view.num_players(), faulty)) {
             const std::size_t col = view.parent_player(i);
             outsiders_.push_back({i, col, ranks[base_row + col]});
         }
@@ -123,7 +72,7 @@ public:
     [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
 
     [[nodiscard]] std::optional<RankHit> range(Cursor& cursor, std::uint64_t lo, std::uint64_t hi,
-                                               Tally& tally,
+                                               ScanTally& tally,
                                                const std::atomic<std::uint64_t>* best) const {
         util::OffsetWalker& walker = cursor.walker;
         walker.seek(lo, rebase_);
@@ -237,7 +186,7 @@ public:
     [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
 
     [[nodiscard]] std::optional<RankHit> range(Cursor& cursor, std::uint64_t lo, std::uint64_t hi,
-                                               Tally& tally,
+                                               ScanTally& tally,
                                                const std::atomic<std::uint64_t>* best) const {
         const std::vector<std::size_t>& faulty = *faulty_;
         const std::size_t fw = faulty.size();
@@ -330,6 +279,86 @@ private:
     std::uint64_t total_ = 1;
 };
 
+// --- the support walk (mixed candidates) ------------------------------------
+//
+// One walk serves every mixed-candidate question. Its digits are the
+// DEVIATORS' full action ranges (in the serial enumeration order), then
+// the WEIGHTED players' support actions. The cells of one joint deviation
+// are then a contiguous row-major run: a cell's weight — the weighted
+// players' joint probability — is a prefix product recomputed from the
+// walker's lowest changed digit only, and sums[j] accumulates
+// weight * u_{targets[j]}. When the walk carries out of the support
+// digits, done(group, deviation, sums) judges the group-th joint
+// deviation (`deviation` holds the deviators' actions) and returns true
+// to stop the walk. Exact arithmetic makes every sum — hence every
+// verdict and witness — that of one expected-payoff sweep per deviation.
+// Polls the grant through `tally` and books its cells and digit moves
+// there. Returns true when the walk ran to its end.
+template <typename Done>
+bool support_walk(const GameView& view, const ExactMixedProfile& profile,
+                  const game::SupportPlan& plan, const std::vector<std::size_t>& deviators,
+                  const std::vector<std::size_t>& weighted,
+                  const std::vector<std::size_t>& targets, ScanTally& tally, const Done& done) {
+    const std::size_t dw = deviators.size();
+    const std::size_t ww = weighted.size();
+    util::OffsetWalker walker;
+    walker.reserve(dw + ww);
+    for (const std::size_t p : deviators) {
+        const auto& column = view.cell_offsets(p);
+        walker.add_digit(column.data(), column.size());
+    }
+    for (const std::size_t p : weighted) {
+        walker.add_digit(plan.offsets[p].data(), plan.offsets[p].size());
+    }
+    walker.reset();
+    const auto& tuple = walker.tuple();
+    const auto probability = [&](std::size_t j) -> const Rational& {
+        const std::size_t p = weighted[j];
+        return profile[p][plan.actions[p][tuple[dw + j]]];
+    };
+    std::vector<Rational> prefix(ww + 1, Rational{1});
+    std::vector<Rational> sums(targets.size(), Rational{0});
+    PureProfile deviation(dw, 0);
+    std::uint64_t group = 0;
+    std::uint64_t cells = 0;
+    std::size_t from = 0;
+    bool finished = false;
+    for (;;) {
+        ++cells;
+        if (tally.grant != nullptr && tally.expired_at(cells, walker.digit_moves())) {
+            break;  // truncated: the caller observes the expired grant
+        }
+        for (std::size_t j = from; j < ww; ++j) prefix[j + 1] = prefix[j] * probability(j);
+        const Rational& weight = prefix[ww];
+#if BNASH_AUDIT_ENABLED
+        Rational full{1};
+        for (std::size_t j = 0; j < ww; ++j) full = full * probability(j);
+        BNASH_AUDIT_CHECK(full == weight,
+                          "support_walk: incremental weight prefix drifted from a "
+                          "from-scratch product");
+#endif
+        for (std::size_t j = 0; j < targets.size(); ++j) {
+            sums[j] += weight * view.payoff_from(walker.row(), targets[j]);
+        }
+        const bool more = walker.advance();
+        if (more && walker.lowest_changed() >= dw) {
+            from = walker.lowest_changed() - dw;
+            continue;
+        }
+        if (done(group, deviation, sums)) break;
+        if (!more) {
+            finished = true;
+            break;
+        }
+        ++group;
+        std::copy_n(tuple.begin(), dw, deviation.begin());
+        std::fill(sums.begin(), sums.end(), Rational{0});
+        from = 0;
+    }
+    tally.add(cells, walker.digit_moves());
+    return finished;
+}
+
 }  // namespace
 
 CoalitionSweep::CoalitionSweep(GameView view, const ExactMixedProfile& profile)
@@ -343,298 +372,94 @@ CoalitionSweep::CoalitionSweep(GameView view, const ExactMixedProfile& profile)
     }
 }
 
-// --- support-sparse fused scans (mixed candidates) ---------------------------
-//
-// Digit layout per scan: the deviators' FULL action ranges first (faulty
-// then coalition — the serial enumeration order), then the remaining
-// players' SUPPORT actions. The cells of one joint deviation are then a
-// contiguous row-major run, so each deviation's expected utilities
-// accumulate with incremental prefix-product weights (recomputed from the
-// walker's lowest changed digit only) and finalize exactly when the walk
-// carries out of the support digits. Exact arithmetic makes the
-// accumulated values — hence verdicts and witnesses — identical to the
-// per-evaluation expected sweeps this replaces.
-
-std::optional<RobustnessViolation> CoalitionSweep::sparse_immunity_task(
-    const std::vector<std::size_t>& faulty, const std::vector<Rational>& baseline) const {
-    const std::size_t n = view_.num_players();
-    const game::SupportPlan& plan = *support_;
-    std::vector<std::size_t> outsiders;
-    outsiders.reserve(n - faulty.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        if (std::find(faulty.begin(), faulty.end(), i) == faulty.end()) {
-            outsiders.push_back(i);
-        }
-    }
-    const std::size_t fw = faulty.size();
-    util::OffsetWalker walker;
-    walker.reserve(fw + outsiders.size());
-    for (const std::size_t p : faulty) {
-        const auto& column = view_.cell_offsets(p);
-        walker.add_digit(column.data(), column.size());
-    }
-    for (const std::size_t p : outsiders) {
-        walker.add_digit(plan.offsets[p].data(), plan.offsets[p].size());
-    }
-    walker.reset();
-    const auto& tuple = walker.tuple();
-    std::vector<Rational> prefix(outsiders.size() + 1, Rational{1});
-    std::vector<Rational> acc(outsiders.size(), Rational{0});
-    PureProfile tau(fw, 0);
-    std::size_t from = 0;
-    std::uint64_t cells = 0;
-    Tally tally;
-    bool more = true;
-    while (more) {
-        ++cells;
-        if (tally.grant != nullptr && tally.expired_at(cells, walker.digit_moves())) {
-            return std::nullopt;  // truncated
-        }
-        for (std::size_t j = from; j < outsiders.size(); ++j) {
-            const std::size_t p = outsiders[j];
-            prefix[j + 1] = prefix[j] * (*profile_)[p][plan.actions[p][tuple[fw + j]]];
-        }
-        const Rational& weight = prefix[outsiders.size()];
-#if BNASH_AUDIT_ENABLED
-        {
-            Rational full{1};
-            for (std::size_t j = 0; j < outsiders.size(); ++j) {
-                const std::size_t p = outsiders[j];
-                full = full * (*profile_)[p][plan.actions[p][tuple[fw + j]]];
-            }
-            BNASH_AUDIT_CHECK(full == weight,
-                              "sparse_immunity_task: incremental outsider-weight "
-                              "prefix drifted from a from-scratch product");
-        }
-#endif
-        for (std::size_t i = 0; i < outsiders.size(); ++i) {
-            acc[i] += weight * view_.payoff_from(walker.row(), outsiders[i]);
-        }
-        more = walker.advance();
-        if (!more || walker.lowest_changed() < fw) {
-            // Joint deviation `tau` complete: check the outsiders in
-            // player order (the fallback's order).
-            for (std::size_t i = 0; i < outsiders.size(); ++i) {
-                if (acc[i] < baseline[outsiders[i]]) {
-                    tally.flush(cells, walker.digit_moves());
-                    return RobustnessViolation{{},
-                                               faulty,
-                                               {},
-                                               tau,
-                                               outsiders[i],
-                                               baseline[outsiders[i]].to_double(),
-                                               acc[i].to_double()};
-                }
-            }
-            if (!more) break;
-            std::fill(acc.begin(), acc.end(), Rational{0});
-            for (std::size_t d = 0; d < fw; ++d) tau[d] = tuple[d];
-            from = 0;
-        } else {
-            from = walker.lowest_changed() - fw;
-        }
-    }
-    tally.flush(cells, walker.digit_moves());
-    return std::nullopt;
-}
-
 std::optional<RobustnessViolation> CoalitionSweep::sparse_resilience_scan(
     const std::vector<std::size_t>& coalition, const std::vector<std::size_t>& faulty,
     GainCriterion criterion) const {
     const std::size_t n = view_.num_players();
-    const game::SupportPlan& plan = *support_;
     const std::size_t width = coalition.size();
     const std::size_t fw = faulty.size();
-    const auto member_of = [](const std::vector<std::size_t>& set, std::size_t p) {
-        return std::find(set.begin(), set.end(), p) != set.end();
-    };
-    std::vector<std::size_t> rest;       // outside C u T, ascending
-    std::vector<std::size_t> non_faulty; // outside T (coalition included)
-    for (std::size_t i = 0; i < n; ++i) {
-        if (member_of(faulty, i)) continue;
-        non_faulty.push_back(i);
-        if (!member_of(coalition, i)) rest.push_back(i);
-    }
     std::uint64_t faulty_tuples = 1;
     for (const std::size_t p : faulty) faulty_tuples *= view_.num_actions(p);
-    // `digit_moves` counts the phases already walked.
-    std::uint64_t cells = 0;
-    std::uint64_t digit_moves = 0;
-    Tally tally;
+    std::uint64_t coalition_tuples = 1;
+    for (const std::size_t p : coalition) coalition_tuples *= view_.num_actions(p);
+    // One tally spans both phases.
+    ScanTally tally;
+    std::optional<RobustnessViolation> found;
 
     // Phase A — references: u_i(sigma_C, tau_T, sigma_-T) for every
-    // coalition member i and every tau_T, in ONE support walk.
-    std::vector<Rational> ref(static_cast<std::size_t>(faulty_tuples) * width,
-                              Rational{0});
-    {
-        util::OffsetWalker walker;
-        walker.reserve(fw + non_faulty.size());
-        for (const std::size_t p : faulty) {
-            const auto& column = view_.cell_offsets(p);
-            walker.add_digit(column.data(), column.size());
-        }
-        for (const std::size_t p : non_faulty) {
-            walker.add_digit(plan.offsets[p].data(), plan.offsets[p].size());
-        }
-        walker.reset();
-        const auto& tuple = walker.tuple();
-        std::vector<Rational> prefix(non_faulty.size() + 1, Rational{1});
-        std::vector<Rational> acc(width, Rational{0});
-        std::size_t from = 0;
-        std::size_t tau_rank = 0;
-        bool more = true;
-        while (more) {
-            ++cells;
-            if (tally.grant != nullptr &&
-                tally.expired_at(cells, digit_moves + walker.digit_moves())) {
-                return std::nullopt;  // truncated
-            }
-            for (std::size_t j = from; j < non_faulty.size(); ++j) {
-                const std::size_t p = non_faulty[j];
-                prefix[j + 1] = prefix[j] * (*profile_)[p][plan.actions[p][tuple[fw + j]]];
-            }
-            const Rational& weight = prefix[non_faulty.size()];
-#if BNASH_AUDIT_ENABLED
-            {
-                Rational full{1};
-                for (std::size_t j = 0; j < non_faulty.size(); ++j) {
-                    const std::size_t p = non_faulty[j];
-                    full = full * (*profile_)[p][plan.actions[p][tuple[fw + j]]];
-                }
-                BNASH_AUDIT_CHECK(full == weight,
-                                  "sparse_resilience_scan phase A: incremental "
-                                  "non-faulty-weight prefix drifted from a "
-                                  "from-scratch product");
-            }
-#endif
-            for (std::size_t idx = 0; idx < width; ++idx) {
-                acc[idx] += weight * view_.payoff_from(walker.row(), coalition[idx]);
-            }
-            more = walker.advance();
-            if (!more || walker.lowest_changed() < fw) {
-                for (std::size_t idx = 0; idx < width; ++idx) {
-                    ref[tau_rank * width + idx] = std::move(acc[idx]);
-                    acc[idx] = Rational{0};
-                }
-                ++tau_rank;
-                from = 0;
-            } else {
-                from = walker.lowest_changed() - fw;
-            }
-        }
-        digit_moves += walker.digit_moves();
-    }
+    // coalition member i and every tau_T.
+    std::vector<Rational> ref(static_cast<std::size_t>(faulty_tuples) * width);
+    const bool referenced = support_walk(
+        view_, *profile_, *support_, faulty, players_outside(n, faulty), coalition, tally,
+        [&](std::uint64_t group, const PureProfile&, std::vector<Rational>& sums) {
+            std::move(sums.begin(), sums.end(),
+                      ref.begin() + static_cast<std::ptrdiff_t>(group * width));
+            return false;
+        });
 
-    // Phase B — joint deviations: (tau_T, tau_C) cells in the serial
-    // enumeration order (faulty outer, coalition inner), each accumulated
-    // over the remaining players' support and judged on completion.
-    {
-        const std::size_t dw = fw + width;
-        util::OffsetWalker walker;
-        walker.reserve(dw + rest.size());
-        for (const std::size_t p : faulty) {
-            const auto& column = view_.cell_offsets(p);
-            walker.add_digit(column.data(), column.size());
-        }
-        for (const std::size_t p : coalition) {
-            const auto& column = view_.cell_offsets(p);
-            walker.add_digit(column.data(), column.size());
-        }
-        for (const std::size_t p : rest) {
-            walker.add_digit(plan.offsets[p].data(), plan.offsets[p].size());
-        }
-        walker.reset();
-        const auto& tuple = walker.tuple();
-        std::vector<Rational> prefix(rest.size() + 1, Rational{1});
-        std::vector<Rational> acc(width, Rational{0});
-        PureProfile tau_t(fw, 0);
-        PureProfile tau_c(width, 0);
-        std::size_t from = 0;
-        std::size_t tau_rank = 0;
-        bool more = true;
-        while (more) {
-            ++cells;
-            if (tally.grant != nullptr &&
-                tally.expired_at(cells, digit_moves + walker.digit_moves())) {
-                return std::nullopt;  // truncated
-            }
-            for (std::size_t j = from; j < rest.size(); ++j) {
-                const std::size_t p = rest[j];
-                prefix[j + 1] = prefix[j] * (*profile_)[p][plan.actions[p][tuple[dw + j]]];
-            }
-            const Rational& weight = prefix[rest.size()];
-#if BNASH_AUDIT_ENABLED
-            {
-                Rational full{1};
-                for (std::size_t j = 0; j < rest.size(); ++j) {
-                    const std::size_t p = rest[j];
-                    full = full * (*profile_)[p][plan.actions[p][tuple[dw + j]]];
-                }
-                BNASH_AUDIT_CHECK(full == weight,
-                                  "sparse_resilience_scan phase B: incremental "
-                                  "rest-weight prefix drifted from a from-scratch "
-                                  "product");
-            }
-#endif
-            for (std::size_t idx = 0; idx < width; ++idx) {
-                acc[idx] += weight * view_.payoff_from(walker.row(), coalition[idx]);
-            }
-            more = walker.advance();
-            if (!more || walker.lowest_changed() < dw) {
-                const Rational* base = &ref[tau_rank * width];
-                bool any_gain = false;
+    // Phase B — joint deviations (tau_T, tau_C) in the serial enumeration
+    // order, each judged against its tau_T's references.
+    if (referenced) {
+        std::vector<std::size_t> deviators = faulty;
+        deviators.insert(deviators.end(), coalition.begin(), coalition.end());
+        (void)support_walk(
+            view_, *profile_, *support_, deviators, players_outside(n, faulty, coalition),
+            coalition, tally,
+            [&](std::uint64_t group, const PureProfile& tau, std::vector<Rational>& sums) {
+                const Rational* base = &ref[(group / coalition_tuples) * width];
+                std::size_t first = width;  // first gainer
                 bool all_gain = true;
-                std::size_t witness = coalition[0];
-                Rational witness_before;
-                Rational witness_after;
                 for (std::size_t idx = 0; idx < width; ++idx) {
-                    if (acc[idx] > base[idx]) {
-                        if (!any_gain) {
-                            witness = coalition[idx];
-                            witness_before = base[idx];
-                            witness_after = acc[idx];
-                        }
-                        any_gain = true;
+                    if (sums[idx] > base[idx]) {
+                        if (first == width) first = idx;
                     } else {
                         all_gain = false;
                     }
                 }
                 const bool violated = criterion == GainCriterion::kAnyMemberGains
-                                          ? any_gain
-                                          : (all_gain && !coalition.empty());
-                if (violated) {
-                    tally.flush(cells, digit_moves + walker.digit_moves());
-                    return RobustnessViolation{coalition,
-                                               faulty,
-                                               tau_c,
-                                               tau_t,
-                                               witness,
-                                               witness_before.to_double(),
-                                               witness_after.to_double()};
-                }
-                if (!more) break;
-                if (walker.lowest_changed() < fw) ++tau_rank;
-                for (std::size_t d = 0; d < fw; ++d) tau_t[d] = tuple[d];
-                for (std::size_t d = 0; d < width; ++d) tau_c[d] = tuple[fw + d];
-                std::fill(acc.begin(), acc.end(), Rational{0});
-                from = 0;
-            } else {
-                from = walker.lowest_changed() - dw;
-            }
-        }
-        digit_moves += walker.digit_moves();
+                                          ? first < width
+                                          : (all_gain && width != 0);
+                if (!violated) return false;
+                const auto split = tau.begin() + static_cast<std::ptrdiff_t>(fw);
+                found = RobustnessViolation{coalition,
+                                            faulty,
+                                            PureProfile(split, tau.end()),
+                                            PureProfile(tau.begin(), split),
+                                            coalition[first],
+                                            base[first].to_double(),
+                                            sums[first].to_double()};
+                return true;
+            });
     }
-    tally.flush(cells, digit_moves);
-    return std::nullopt;
+    tally.flush();
+    return found;
 }
 
 std::optional<RobustnessViolation> CoalitionSweep::immunity_task(
     const std::vector<std::size_t>& faulty, const std::vector<Rational>& baseline,
     game::SweepMode mode) const {
-    if (!pure_) return sparse_immunity_task(faulty, baseline);
-    ImmunityScan scan(view_, ranks_, *pure_, base_row_, faulty);
-    Tally tally;
-    std::optional<RobustnessViolation> found = run_scan(scan, mode, tally);
+    ScanTally tally;  // one per task
+    std::optional<RobustnessViolation> found;
+    if (pure_) {
+        ImmunityScan scan(view_, ranks_, *pure_, base_row_, faulty);
+        found = run_scan(scan, mode, tally);
+    } else {
+        // The outsiders' expected payoffs under each tau_T, checked in
+        // player order (the reference checker's order).
+        const std::vector<std::size_t> outsiders = players_outside(view_.num_players(), faulty);
+        (void)support_walk(
+            view_, *profile_, *support_, faulty, outsiders, outsiders, tally,
+            [&](std::uint64_t, const PureProfile& tau, std::vector<Rational>& sums) {
+                for (std::size_t j = 0; j < outsiders.size(); ++j) {
+                    const std::size_t i = outsiders[j];
+                    if (!(sums[j] < baseline[i])) continue;
+                    found = RobustnessViolation{{}, faulty, {}, tau, i, baseline[i].to_double(),
+                                                sums[j].to_double()};
+                    return true;
+                }
+                return false;
+            });
+    }
     tally.flush();
     return found;
 }
@@ -642,20 +467,13 @@ std::optional<RobustnessViolation> CoalitionSweep::immunity_task(
 std::optional<RobustnessViolation> CoalitionSweep::resilience_task(
     const std::vector<std::size_t>& coalition, std::size_t min_t, std::size_t max_t,
     GainCriterion criterion, game::SweepMode mode) const {
-    const std::size_t n = view_.num_players();
-    std::vector<std::size_t> others;
-    others.reserve(n - coalition.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        if (std::find(coalition.begin(), coalition.end(), i) == coalition.end()) {
-            others.push_back(i);
-        }
-    }
+    const std::vector<std::size_t> others = players_outside(view_.num_players(), coalition);
     // A pure candidate runs its range kernel over each faulty set, with
     // one scan state for the whole task; a mixed one runs a fused
     // support-sparse scan per faulty set.
     std::optional<ResilienceScan> pure_scan;
     if (pure_) pure_scan.emplace(view_, ranks_, *pure_, base_row_, coalition, criterion);
-    Tally tally;
+    ScanTally tally;
     const auto scan = [&](const std::vector<std::size_t>& faulty) {
         if (!pure_scan) return sparse_resilience_scan(coalition, faulty, criterion);
         pure_scan->set_faulty(faulty);

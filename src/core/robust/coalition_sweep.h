@@ -22,9 +22,9 @@
 //
 // ONE KERNEL per pure-candidate question scans a rank range of one
 // faulty set's combined faulty-then-coalition odometer. A task runs it
-// once, inline, over the whole scan — or, in kAuto mode when the scan
-// spans two or more kIntraBlock blocks (split_scan, sweep_driver.h), as
-// seek()-entered util::OffsetWalker blocks (run_ranked_blocks), so one
+// through run_scan (sweep_driver.h): once, inline, over the whole scan —
+// or, in kAuto mode when the scan spans two or more kIntraBlock blocks
+// (split_scan), as seek()-entered util::OffsetWalker blocks, so one
 // large coalition on a big game does not serialize one core. The
 // lowest-rank winner keeps the reported violation the in-order scan's,
 // and a split robust scan counts exactly the inline scan's work.
@@ -33,12 +33,23 @@
 // tables, so the full game (an identity view), an iterated-elimination
 // reduction, or an awareness-restricted slice are all checked zero-copy.
 //
-// Mixed (non-point-mass) candidates run SUPPORT-SPARSE scans: a
-// game::SupportPlan over the candidate is built once per sweep, and each
-// task walks only prod |supp| joint-deviation cells with incremental
-// prefix-product weights (one fused walk per faulty set). Exact
-// arithmetic makes every verdict and witness identical to evaluating each
-// deviation's expected payoffs separately.
+// Mixed (non-point-mass) candidates run SUPPORT-SPARSE scans through ONE
+// support walk: its digits are the deviators' full action ranges, then
+// the weighted players' support actions (a game::SupportPlan over the
+// candidate, built once per sweep), and it sums weight * u_p for every
+// target p with incremental prefix-product weights, handing each finished
+// joint deviation to a callback. It is used three ways: an immunity task
+// walks deviators T with the outsiders weighted and targeted; a
+// resilience scan of one faulty set walks deviators T with everyone
+// outside T weighted and C targeted (phase A: C's references per tau_T),
+// then deviators T and C with the rest weighted (phase B: each joint
+// deviation against its tau_T's references). Exact arithmetic makes every
+// verdict and witness identical to evaluating each deviation's expected
+// payoffs separately.
+//
+// Work is charged through ScanTally (sweep_driver.h): a pure-candidate
+// task keeps one tally, a mixed immunity task one, and a mixed resilience
+// scan one per faulty set, spanning its two phases.
 #pragma once
 
 #include <cstddef>
@@ -89,11 +100,8 @@ private:
     // pure candidate, whose kernels read the candidate row's ranks).
     [[nodiscard]] std::vector<util::Rational> immunity_baseline() const;
 
-    // Support-sparse fused scans for mixed candidates (one walk per
-    // faulty set over deviator ranges x everyone else's support).
-    [[nodiscard]] std::optional<RobustnessViolation> sparse_immunity_task(
-        const std::vector<std::size_t>& faulty,
-        const std::vector<util::Rational>& baseline) const;
+    // A mixed candidate's scan of one faulty set for one coalition: the
+    // support walk's phases A (references) and B (joint deviations).
     [[nodiscard]] std::optional<RobustnessViolation> sparse_resilience_scan(
         const std::vector<std::size_t>& coalition, const std::vector<std::size_t>& faulty,
         GainCriterion criterion) const;

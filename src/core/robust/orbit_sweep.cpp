@@ -7,7 +7,6 @@
 
 #include "util/execution_grant.h"
 #include "util/orbit_walker.h"
-#include "util/work_counters.h"
 
 namespace bnash::core {
 namespace {
@@ -45,169 +44,184 @@ bool for_each_bounded_composition(std::size_t total, const std::vector<std::size
     return bounded_compositions_rec(x, cap, 0, total, fn);
 }
 
-// Everything one (ccounts, tcounts) resilience scan needs; `cls` lists
-// the classes with coalition members.
-struct PairContext final {
-    const QuotientGame* quotient = nullptr;
-    const SymmetryGroup* group = nullptr;
-    const std::vector<std::size_t>* base = nullptr;
-    std::vector<std::size_t> ccounts;
-    std::vector<std::size_t> tcounts;
-    std::vector<std::size_t> cls;
-    GainCriterion criterion = GainCriterion::kAnyMemberGains;
-};
+// One (coalition counts, faulty counts) pair's scan for run_scan
+// (sweep_driver.h): the joint orbits of a walker with m faulty digits,
+// then m coalition digits. `cls` lists the classes with coalition members.
+class PairScan final {
+public:
+    PairScan(const QuotientGame& quotient, const SymmetryGroup& group,
+             const std::vector<std::size_t>& base, GainCriterion criterion)
+        : q_(quotient), group_(group), base_(base), criterion_(criterion) {}
 
-// Expand a representative tuple back to a CONCRETE violation: per class,
-// the first t_c members are faulty and the next c_c form the coalition,
-// each block taking its histogram's actions in ascending order. The
-// payoffs at this concrete tuple equal the representative's by symmetry,
-// so the dense checker validates the witness as-is.
-RobustnessViolation make_resilience_witness(const PairContext& ctx, const OrbitWalker& walker,
-                                            std::size_t witness_class,
-                                            std::size_t witness_action, const Rational& before,
-                                            const Rational& after) {
-    const auto& classes = ctx.group->classes();
-    const std::size_t m = ctx.quotient->num_classes();
-    RobustnessViolation v;
-    for (std::size_t c = 0; c < m; ++c) {
-        const auto& members = classes[c];
-        std::size_t next = 0;
-        const auto& fh = walker.counts(c);
-        for (std::size_t a = 0; a < fh.size(); ++a) {
-            for (std::size_t r = 0; r < fh[a]; ++r) {
-                v.faulty.push_back(members[next++]);
-                v.faulty_deviation.push_back(a);
-            }
+    // Lays the cursor out for a new pair at rank 0.
+    void set_counts(const std::vector<std::size_t>& ccounts,
+                    const std::vector<std::size_t>& tcounts) {
+        const std::size_t m = q_.num_classes();
+        ccounts_ = ccounts;
+        tcounts_ = tcounts;
+        cls_.clear();
+        for (std::size_t d = 0; d < m; ++d) {
+            if (ccounts[d] > 0) cls_.push_back(d);
         }
-        const auto& ch = walker.counts(m + c);
-        for (std::size_t a = 0; a < ch.size(); ++a) {
-            for (std::size_t r = 0; r < ch[a]; ++r) {
-                v.coalition.push_back(members[next++]);
-                v.coalition_deviation.push_back(a);
-            }
-        }
+        cursor.clear();
+        cursor.reserve(2 * m);
+        for (std::size_t d = 0; d < m; ++d) cursor.add_class(tcounts[d], q_.class_actions[d]);
+        for (std::size_t d = 0; d < m; ++d) cursor.add_class(ccounts[d], q_.class_actions[d]);
+        total_ = cursor.num_orbits();
     }
-    // The coalition member of witness_class assigned witness_action: its
-    // class block starts after the faulty members, actions ascending.
-    std::size_t offset = ctx.tcounts[witness_class];
-    const auto& ch = walker.counts(m + witness_class);
-    for (std::size_t a = 0; a < witness_action; ++a) offset += ch[a];
-    v.witness_player = classes[witness_class][offset];
-    v.payoff_before = before.to_double();
-    v.payoff_after = after.to_double();
-    return v;
-}
 
-// Scan joint orbits [walker.rank(), hi) of a faulty-digits-then-
-// coalition-digits walker (m digits each) and return the first hit.
-// Per-class reference payoffs are refreshed only when the faulty digits
-// move (they are the SLOW digits, so refreshes are rare). Advances the
-// walker after every cell it checks without a hit, the last cell of the
-// range included, except the scan's final orbit, which has no successor:
-// the blocks of a split scan then count the digit moves of the inline
-// scan. Charges its own cells and digit moves to util::work_counters —
-// callers never re-charge — and polls the grant every
-// util::kGrantCheckCells cells, giving up once it expired; `best`, when
-// given, is the block sweep's winning-rank early exit.
-std::optional<RankHit> scan_resilience_range(const PairContext& ctx, OrbitWalker& walker,
-                                             std::uint64_t hi, util::ExecutionGrant* grant,
-                                             const std::atomic<std::uint64_t>* best) {
-    const QuotientGame& q = *ctx.quotient;
-    const std::vector<std::size_t>& base = *ctx.base;
-    const std::size_t m = q.num_classes();
-    const std::uint64_t total = walker.num_orbits();
-    const std::uint64_t moves_entry = walker.digit_moves();
-    std::uint64_t scanned = 0;
-    std::uint64_t flushed_cells = 0;
-    std::uint64_t flushed_moves = 0;
-    const auto flush = [&] {
-        const std::uint64_t moves = walker.digit_moves() - moves_entry;
-        util::work_counters_add(scanned - flushed_cells, moves - flushed_moves);
-        flushed_cells = scanned;
-        flushed_moves = moves;
-    };
+    [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
 
-    std::vector<std::vector<std::size_t>> others(m);
-    for (std::size_t d = 0; d < m; ++d) others[d].assign(q.class_actions[d], 0);
-    std::vector<Rational> ref(m);
-    bool ref_valid = false;
-    // Reference payoff of a class-c coalition member when the whole
-    // coalition still plays the candidate against the same faulty
-    // deviation: others = fh_d + (n_d - t_d) at base_d, minus itself.
-    const auto refresh_ref = [&] {
-        for (const std::size_t c : ctx.cls) {
+    // Scans joint orbits [lo, hi) and returns the first hit. Per-class
+    // reference payoffs are refreshed only when the faulty digits move
+    // (they are the SLOW digits, so refreshes are rare). Advances the
+    // walker after every cell it checks without a hit, the last cell of
+    // the range included, except the scan's final orbit, which has no
+    // successor: the blocks of a split scan then count the digit moves of
+    // the inline scan. Polls the grant before each cell; `best`, when
+    // given, is the block sweep's winning-rank early exit.
+    [[nodiscard]] std::optional<RankHit> range(OrbitWalker& walker, std::uint64_t lo,
+                                               std::uint64_t hi, ScanTally& tally,
+                                               const std::atomic<std::uint64_t>* best) const {
+        if (lo != 0) walker.seek(lo);  // a cursor laid out by set_counts sits at 0
+        const std::vector<std::size_t>& base = base_;
+        const std::size_t m = q_.num_classes();
+        const std::uint64_t moves_entry = walker.digit_moves();
+        std::vector<std::vector<std::size_t>> others(m);
+        for (std::size_t d = 0; d < m; ++d) others[d].assign(q_.class_actions[d], 0);
+        std::vector<Rational> ref(m);
+        bool ref_valid = false;
+        // Reference payoff of a class-c coalition member when the whole
+        // coalition still plays the candidate against the same faulty
+        // deviation: others = fh_d + (n_d - t_d) at base_d, minus itself.
+        const auto refresh_ref = [&] {
+            for (const std::size_t c : cls_) {
+                for (std::size_t d = 0; d < m; ++d) {
+                    const auto& fh = walker.counts(d);
+                    auto& h = others[d];
+                    for (std::size_t a = 0; a < h.size(); ++a) h[a] = fh[a];
+                    h[base[d]] += q_.class_sizes[d] - tcounts_[d];
+                }
+                others[c][base[c]] -= 1;
+                ref[c] = q_.at(c, base[c], q_.rank_others(c, others));
+            }
+            ref_valid = true;
+        };
+
+        std::optional<RankHit> hit;
+        std::uint64_t scanned = 0;
+        for (std::uint64_t rank = lo; rank < hi; ++rank) {
+            ++scanned;
+            // Truncated: the caller observes the expired grant.
+            if (tally.grant != nullptr &&
+                tally.expired_at(scanned, walker.digit_moves() - moves_entry)) {
+                break;
+            }
+            // A lower rank already won: yield.
+            if (best != nullptr && (scanned & 255) == 0 &&
+                rank >= best->load(std::memory_order_acquire)) {
+                break;
+            }
+            if (!ref_valid || walker.lowest_changed() < m) refresh_ref();
+            // Deviated-profile template: faulty histogram + coalition
+            // histogram + everyone else on the candidate.
             for (std::size_t d = 0; d < m; ++d) {
                 const auto& fh = walker.counts(d);
+                const auto& ch = walker.counts(m + d);
                 auto& h = others[d];
-                for (std::size_t a = 0; a < h.size(); ++a) h[a] = fh[a];
-                h[base[d]] += q.class_sizes[d] - ctx.tcounts[d];
+                for (std::size_t a = 0; a < h.size(); ++a) h[a] = fh[a] + ch[a];
+                h[base[d]] += q_.class_sizes[d] - tcounts_[d] - ccounts_[d];
             }
-            others[c][base[c]] -= 1;
-            ref[c] = q.at(c, base[c], q.rank_others(c, others));
+            bool any_gain = false;
+            bool all_gain = true;
+            std::size_t witness_class = 0;
+            std::size_t witness_action = 0;
+            Rational witness_after;
+            for (const std::size_t c : cls_) {
+                const auto& ch = walker.counts(m + c);
+                for (std::size_t a = 0; a < ch.size(); ++a) {
+                    if (ch[a] == 0) continue;
+                    others[c][a] -= 1;
+                    const Rational& after = q_.at(c, a, q_.rank_others(c, others));
+                    others[c][a] += 1;
+                    if (after > ref[c]) {
+                        if (!any_gain) {
+                            witness_class = c;
+                            witness_action = a;
+                            witness_after = after;
+                        }
+                        any_gain = true;
+                    } else {
+                        all_gain = false;
+                    }
+                }
+            }
+            if (criterion_ == GainCriterion::kAnyMemberGains ? any_gain : all_gain) {
+                hit = RankHit{rank, witness(walker, witness_class, witness_action,
+                                            ref[witness_class], witness_after)};
+                break;
+            }
+            if (rank + 1 < total_) (void)walker.advance();
         }
-        ref_valid = true;
-    };
+        tally.add(scanned, walker.digit_moves() - moves_entry);
+        return hit;
+    }
 
-    for (std::uint64_t rank = walker.rank(); rank < hi; ++rank) {
-        ++scanned;
-        if (grant != nullptr && (scanned % util::kGrantCheckCells) == 0) {
-            flush();
-            if (grant->expired()) return std::nullopt;  // truncated
-        }
-        if (best != nullptr && (scanned & 255) == 0 &&
-            rank >= best->load(std::memory_order_acquire)) {
-            flush();
-            return std::nullopt;  // a lower rank already won; yield
-        }
-        if (!ref_valid || walker.lowest_changed() < m) refresh_ref();
-        // Deviated-profile template: faulty histogram + coalition
-        // histogram + everyone else on the candidate.
-        for (std::size_t d = 0; d < m; ++d) {
-            const auto& fh = walker.counts(d);
-            const auto& ch = walker.counts(m + d);
-            auto& h = others[d];
-            for (std::size_t a = 0; a < h.size(); ++a) h[a] = fh[a] + ch[a];
-            h[base[d]] += q.class_sizes[d] - ctx.tcounts[d] - ctx.ccounts[d];
-        }
-        bool any_gain = false;
-        bool all_gain = true;
-        std::size_t witness_class = 0;
-        std::size_t witness_action = 0;
-        const Rational* witness_before = nullptr;
-        Rational witness_after;
-        for (const std::size_t c : ctx.cls) {
+    OrbitWalker cursor;
+
+private:
+    // Expands a representative tuple back to a CONCRETE violation: per
+    // class, the first t_c members are faulty and the next c_c form the
+    // coalition, each block taking its histogram's actions in ascending
+    // order. The payoffs at this concrete tuple equal the
+    // representative's by symmetry, so the dense checker validates the
+    // witness as-is.
+    [[nodiscard]] RobustnessViolation witness(const OrbitWalker& walker,
+                                              std::size_t witness_class,
+                                              std::size_t witness_action, const Rational& before,
+                                              const Rational& after) const {
+        const auto& classes = group_.classes();
+        const std::size_t m = q_.num_classes();
+        RobustnessViolation v;
+        for (std::size_t c = 0; c < m; ++c) {
+            const auto& members = classes[c];
+            std::size_t next = 0;
+            const auto& fh = walker.counts(c);
+            for (std::size_t a = 0; a < fh.size(); ++a) {
+                for (std::size_t r = 0; r < fh[a]; ++r) {
+                    v.faulty.push_back(members[next++]);
+                    v.faulty_deviation.push_back(a);
+                }
+            }
             const auto& ch = walker.counts(m + c);
             for (std::size_t a = 0; a < ch.size(); ++a) {
-                if (ch[a] == 0) continue;
-                others[c][a] -= 1;
-                const Rational& after = q.at(c, a, q.rank_others(c, others));
-                others[c][a] += 1;
-                if (after > ref[c]) {
-                    if (!any_gain) {
-                        witness_class = c;
-                        witness_action = a;
-                        witness_before = &ref[c];
-                        witness_after = after;
-                    }
-                    any_gain = true;
-                } else {
-                    all_gain = false;
+                for (std::size_t r = 0; r < ch[a]; ++r) {
+                    v.coalition.push_back(members[next++]);
+                    v.coalition_deviation.push_back(a);
                 }
             }
         }
-        const bool violated =
-            ctx.criterion == GainCriterion::kAnyMemberGains ? any_gain : all_gain;
-        if (violated) {
-            flush();
-            return RankHit{rank, make_resilience_witness(ctx, walker, witness_class,
-                                                         witness_action, *witness_before,
-                                                         witness_after)};
-        }
-        if (rank + 1 < total) (void)walker.advance();
+        // The coalition member of witness_class assigned witness_action:
+        // its class block starts after the faulty members, actions
+        // ascending.
+        std::size_t offset = tcounts_[witness_class];
+        const auto& ch = walker.counts(m + witness_class);
+        for (std::size_t a = 0; a < witness_action; ++a) offset += ch[a];
+        v.witness_player = classes[witness_class][offset];
+        v.payoff_before = before.to_double();
+        v.payoff_after = after.to_double();
+        return v;
     }
-    flush();
-    return std::nullopt;
-}
+
+    const QuotientGame& q_;
+    const SymmetryGroup& group_;
+    const std::vector<std::size_t>& base_;
+    GainCriterion criterion_;
+    std::vector<std::size_t> ccounts_;
+    std::vector<std::size_t> tcounts_;
+    std::vector<std::size_t> cls_;
+    std::uint64_t total_ = 1;
+};
 
 }  // namespace
 
@@ -273,39 +287,27 @@ RobustnessViolation OrbitSweep::make_immunity_witness(const std::vector<std::siz
 
 std::optional<RobustnessViolation> OrbitSweep::immunity_scan(std::size_t faulty_size) const {
     const std::size_t m = quotient_.num_classes();
-    util::ExecutionGrant* const grant = util::active_grant();
+    ScanTally tally;  // one across the faulty compositions
     std::optional<RobustnessViolation> out;
-    std::uint64_t cells = 0;
-    std::uint64_t carried_moves = 0;
-    std::uint64_t flushed_cells = 0;
-    std::uint64_t flushed_moves = 0;
     OrbitWalker walker;
-    const auto flush = [&] {
-        const std::uint64_t moves = carried_moves + walker.digit_moves();
-        util::work_counters_add(cells - flushed_cells, moves - flushed_moves);
-        flushed_cells = cells;
-        flushed_moves = moves;
-    };
     std::vector<std::vector<std::size_t>> others(m);
     for (std::size_t d = 0; d < m; ++d) others[d].assign(quotient_.class_actions[d], 0);
     std::vector<std::size_t> tcounts;
     for_each_bounded_composition(faulty_size, quotient_.class_sizes, tcounts, [&] {
-        carried_moves += walker.digit_moves();
         walker.clear();
         walker.reserve(m);
         for (std::size_t d = 0; d < m; ++d) {
             walker.add_class(tcounts[d], quotient_.class_actions[d]);
         }
-        bool more = true;
-        while (more) {
-            ++cells;
-            if (grant != nullptr && (cells % util::kGrantCheckCells) == 0) {
-                flush();
-                if (grant->expired()) return false;  // truncated
-            }
+        std::uint64_t scanned = 0;
+        bool walking = true;
+        while (walking) {
+            ++scanned;
+            // Truncated: the caller observes the expired grant.
+            if (tally.grant != nullptr && tally.expired_at(scanned, walker.digit_moves())) break;
             // Every class with an outsider left checks its candidate
             // payoff against the faulty deviation.
-            for (std::size_t c = 0; c < m; ++c) {
+            for (std::size_t c = 0; c < m && !out; ++c) {
                 if (tcounts[c] >= quotient_.class_sizes[c]) continue;
                 for (std::size_t d = 0; d < m; ++d) {
                     const auto& fh = walker.counts(d);
@@ -316,16 +318,14 @@ std::optional<RobustnessViolation> OrbitSweep::immunity_scan(std::size_t faulty_
                 others[c][base_[c]] -= 1;
                 const Rational& after =
                     quotient_.at(c, base_[c], quotient_.rank_others(c, others));
-                if (after < baseline_[c]) {
-                    out = make_immunity_witness(tcounts, walker, c, after);
-                    return false;
-                }
+                if (after < baseline_[c]) out = make_immunity_witness(tcounts, walker, c, after);
             }
-            more = walker.advance();
+            walking = !out && walker.advance();
         }
-        return true;
+        tally.add(scanned, walker.digit_moves());
+        return !walking && !out;
     });
-    flush();
+    tally.flush();
     return out;
 }
 
@@ -334,51 +334,21 @@ std::optional<RobustnessViolation> OrbitSweep::resilience_scan(std::size_t coali
                                                                 GainCriterion criterion,
                                                                 game::SweepMode mode) const {
     const std::size_t m = quotient_.num_classes();
-    util::ExecutionGrant* const grant = util::active_grant();
     std::optional<RobustnessViolation> out;
-    PairContext ctx;
-    ctx.quotient = &quotient_;
-    ctx.group = &group_;
-    ctx.base = &base_;
-    ctx.criterion = criterion;
+    PairScan scan(quotient_, group_, base_, criterion);
     std::vector<std::size_t> ccounts;
     std::vector<std::size_t> tcounts;
     std::vector<std::size_t> fcap(m);
     for_each_bounded_composition(coalition_size, quotient_.class_sizes, ccounts, [&] {
-        ctx.ccounts = ccounts;
-        ctx.cls.clear();
-        for (std::size_t d = 0; d < m; ++d) {
-            if (ccounts[d] > 0) ctx.cls.push_back(d);
-            fcap[d] = quotient_.class_sizes[d] - ccounts[d];
-        }
+        for (std::size_t d = 0; d < m; ++d) fcap[d] = quotient_.class_sizes[d] - ccounts[d];
         return for_each_bounded_composition(faulty_size, fcap, tcounts, [&] {
-            ctx.tcounts = tcounts;
-            OrbitWalker proto;
-            proto.reserve(2 * m);
-            for (std::size_t d = 0; d < m; ++d) {
-                proto.add_class(tcounts[d], quotient_.class_actions[d]);
-            }
-            for (std::size_t d = 0; d < m; ++d) {
-                proto.add_class(ccounts[d], quotient_.class_actions[d]);
-            }
-            const std::uint64_t total = proto.num_orbits();
-            if (split_scan(mode, total)) {
-                const auto scan_block = [&](std::uint64_t lo, std::uint64_t hi,
-                                            const std::atomic<std::uint64_t>& best) {
-                    OrbitWalker walker = proto;
-                    walker.seek(lo);
-                    return scan_resilience_range(ctx, walker, hi, grant, &best);
-                };
-                out = run_ranked_blocks(total, scan_block);
-            } else {
-                proto.reset();
-                if (auto hit = scan_resilience_range(ctx, proto, total, grant, nullptr)) {
-                    out = std::move(hit->violation);
-                }
-            }
+            scan.set_counts(ccounts, tcounts);
+            ScanTally tally;  // one per composition scan
+            out = run_scan(scan, mode, tally);
+            tally.flush();
             // Stop at the first hit, or once the grant expired: the
             // driver discards a truncated task.
-            return !out && !(grant != nullptr && grant->expired());
+            return !out && !(tally.grant != nullptr && tally.grant->expired());
         });
     });
     return out;

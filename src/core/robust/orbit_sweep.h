@@ -28,11 +28,17 @@
 // As an ENGINE for SweepDriver (sweep_driver.h) it supplies only the
 // task space and kernels. Phase (a) tasks are faulty sizes 1..t; phase
 // (b) tasks are (coalition size, faulty size) pairs, coalition-size-
-// major. Pair tasks run in order on the calling thread; a large pair
-// scan splits (split_scan) into seek()-entered ranged blocks on
-// util::global_pool() (run_ranked_blocks). Cells and walker digit-moves are charged to
-// util::work_counters and through them to any active
+// major. Pair tasks run in order on the calling thread; each pair's
+// composition scan goes through run_scan, so a large one splits into
+// seek()-entered ranged blocks on util::global_pool(). Cells and walker
+// digit-moves are charged through a ScanTally — one per immunity task,
+// one per composition scan — to util::work_counters and any active
 // util::ExecutionGrant.
+//
+// The quotient serves these sweeps only: there is no orbit-native
+// expected- or deviation-payoff entry. A class-constant mixed profile's
+// payoffs come from the view's support-sparse sweeps
+// (game/payoff_engine.h), and a mixed candidate runs the dense engine.
 //
 // Callers reach it through the `symmetry` argument of the robustness.h
 // (k,t) questions: the one router in robustness.cpp validates the candidate,

@@ -48,7 +48,7 @@ TaskRun run_tasks_from(const SweepTasks& tasks, std::uint64_t start, std::size_t
     const auto first = static_cast<std::size_t>(start);
     std::vector<std::optional<RobustnessViolation>> found(tasks.size() - first);
     // lint: grant-ok(the engines' task kernels charge the active grant
-    // through work_counters_add)
+    // through their ScanTally)
     const util::FirstHit run = util::first_hit(
         found.size(), 1, tasks.mode() == game::SweepMode::kAuto,
         [&](std::size_t index, const std::atomic<std::uint64_t>&) -> std::optional<std::uint64_t> {
@@ -128,8 +128,8 @@ std::optional<RobustnessViolation> run_ranked_blocks(std::uint64_t total,
     const std::uint64_t block = std::max(kIntraBlock, (total + kMaxBlocks - 1) / kMaxBlocks);
     const auto num_blocks = static_cast<std::size_t>((total + block - 1) / block);
     std::vector<std::optional<RobustnessViolation>> found(num_blocks);
-    // lint: grant-ok(every scan_block charges its cells through
-    // work_counters_add as the block retires)
+    // lint: grant-ok(every scan_block charges its cells through its own
+    // ScanTally as the block retires)
     const util::FirstHit run = util::first_hit(
         num_blocks, block, true,
         [&](std::size_t index,

@@ -18,7 +18,12 @@
 //     suffix of the open columns; on_column streaming, checkpoint
 //     capture and per-cell `states` assembly;
 //   - the max_kt boundary walk;
-//   - release-build validation of every resume checkpoint field.
+//   - release-build validation of every resume checkpoint field;
+//   - the scan protocol both engines' kernels follow: a ScanTally charges
+//     one scan's cells and digit moves at its grant polls and flushes,
+//     and run_scan runs one scan inline or as ranged blocks (split_scan,
+//     run_ranked_blocks). The engines' .cpp files never charge or split
+//     a scan themselves.
 //
 // The invariant every prefix argument rests on: task sizes (faulty size
 // in phase (a), coalition size in phase (b)) never decrease along the
@@ -34,9 +39,12 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "core/robust/robustness.h"
 #include "game/payoff_engine.h"
+#include "util/execution_grant.h"
+#include "util/work_counters.h"
 
 namespace bnash::core {
 
@@ -100,6 +108,70 @@ using BlockScan = std::function<std::optional<RankHit>(
     std::uint64_t lo, std::uint64_t hi, const std::atomic<std::uint64_t>& best)>;
 [[nodiscard]] std::optional<RobustnessViolation> run_ranked_blocks(std::uint64_t total,
                                                                    const BlockScan& scan_block);
+
+// A scan's work so far, charged to util::work_counters (and through them
+// to the active grant) in chunks: at each grant poll — every
+// kGrantCheckCells cells the tally has seen — and at flush(), never at a
+// range's end, so where a budgeted run stops does not depend on how its
+// scans were cut into ranges. The engine picks a tally's span (a task, a
+// faulty set, a composition scan); a ranged block keeps its own.
+class ScanTally final {
+public:
+    util::ExecutionGrant* const grant = util::active_grant();
+
+    // Charges everything booked.
+    void flush() { flush_at(cells_, moves_); }
+    // The poll under a grant at a range's `scanned`-th cell, `moved` digit
+    // moves in: on the tally's every kGrantCheckCells-th cell, charges the
+    // pending chunk and reports whether the grant has expired.
+    [[nodiscard]] bool expired_at(std::uint64_t scanned, std::uint64_t moved) {
+        if ((cells_ + scanned) % util::kGrantCheckCells != 0) return false;
+        flush_at(cells_ + scanned, moves_ + moved);
+        return grant->expired();
+    }
+    // Books a finished range.
+    void add(std::uint64_t scanned, std::uint64_t moved) {
+        cells_ += scanned;
+        moves_ += moved;
+    }
+
+private:
+    void flush_at(std::uint64_t cells, std::uint64_t moves) {
+        util::work_counters_add(cells - flushed_cells_, moves - flushed_moves_);
+        flushed_cells_ = cells;
+        flushed_moves_ = moves;
+    }
+
+    std::uint64_t cells_ = 0;
+    std::uint64_t moves_ = 0;
+    std::uint64_t flushed_cells_ = 0;
+    std::uint64_t flushed_moves_ = 0;
+};
+
+// One scan of `scan.total()` cells by the rule every engine shares
+// (split_scan): `scan.range(cursor, lo, hi, tally, best)` over [0, total)
+// on the scan's own `cursor`, booking into `tally`; or ranged blocks that
+// each scan a copy of the cursor and charge their own tally as they
+// retire. `range` returns its first hit and books the cells and digit
+// moves it walked; `best` (null inline) is run_ranked_blocks' winner.
+template <typename Scan>
+[[nodiscard]] std::optional<RobustnessViolation> run_scan(Scan& scan, game::SweepMode mode,
+                                                          ScanTally& tally) {
+    const std::uint64_t total = scan.total();
+    if (!split_scan(mode, total)) {
+        std::optional<RankHit> hit = scan.range(scan.cursor, 0, total, tally, nullptr);
+        if (!hit) return std::nullopt;
+        return std::move(hit->violation);
+    }
+    return run_ranked_blocks(total, [&](std::uint64_t lo, std::uint64_t hi,
+                                        const std::atomic<std::uint64_t>& best) {
+        auto cursor = scan.cursor;
+        ScanTally block;
+        std::optional<RankHit> hit = scan.range(cursor, lo, hi, block, &best);
+        block.flush();
+        return hit;
+    });
+}
 
 // The questions, asked of any engine. Each verdict and witness is a pure
 // function of the engine's enumeration order, so serial, parallel and

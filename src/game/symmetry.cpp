@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -331,119 +330,6 @@ QuotientGame build_quotient(const GameView& view, const SymmetryGroup& group) {
         } while (walker.advance());
     }
     return quotient;
-}
-
-// --- orbit-native payoff sweeps ---------------------------------------------
-
-namespace {
-
-[[nodiscard]] Rational rational_multiplicity(std::uint64_t mult) {
-    if (mult > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
-        throw std::overflow_error("orbit multiplicity exceeds exact range");
-    }
-    return Rational{static_cast<std::int64_t>(mult)};
-}
-
-// weight of one orbit under sigma: multiplicity * prod_d prod_a
-// sigma_d[a]^{h_d[a]}; Rational and double flavors share the shape.
-[[nodiscard]] Rational orbit_weight_exact(const util::OrbitWalker& walker,
-                                          const std::vector<ExactMixedStrategy>& sigma) {
-    Rational weight = rational_multiplicity(walker.orbit_size());
-    for (std::size_t d = 0; d < walker.num_digits(); ++d) {
-        const std::vector<std::size_t>& counts = walker.counts(d);
-        for (std::size_t a = 0; a < counts.size(); ++a) {
-            for (std::size_t i = 0; i < counts[a]; ++i) weight = weight * sigma[d][a];
-            if (counts[a] > 0 && sigma[d][a].is_zero()) return Rational{};
-        }
-    }
-    return weight;
-}
-
-template <typename Profile>
-[[nodiscard]] std::vector<typename Profile::value_type> class_strategies(
-    const SymmetryGroup& group, const Profile& profile) {
-    std::vector<typename Profile::value_type> sigma;
-    sigma.reserve(group.num_classes());
-    for (const auto& cls : group.classes()) sigma.push_back(profile[cls.front()]);
-    return sigma;
-}
-
-}  // namespace
-
-std::vector<Rational> class_expected_payoffs_exact(
-    const QuotientGame& quotient, const std::vector<ExactMixedStrategy>& sigma) {
-    const ExactDeviationTable dev = class_deviation_payoffs_exact(quotient, sigma);
-    std::vector<Rational> expected(quotient.num_classes());
-    for (std::size_t c = 0; c < quotient.num_classes(); ++c) {
-        Rational total;
-        for (std::size_t a = 0; a < quotient.class_actions[c]; ++a) {
-            total = total + sigma[c][a] * dev[c][a];
-        }
-        expected[c] = total;
-    }
-    return expected;
-}
-
-ExactDeviationTable class_deviation_payoffs_exact(const QuotientGame& quotient,
-                                                  const std::vector<ExactMixedStrategy>& sigma) {
-    if (sigma.size() != quotient.num_classes()) {
-        throw std::invalid_argument("class_deviation_payoffs_exact: sigma size mismatch");
-    }
-    ExactDeviationTable dev(quotient.num_classes());
-    for (std::size_t c = 0; c < quotient.num_classes(); ++c) {
-        const std::size_t actions = quotient.class_actions[c];
-        dev[c].assign(actions, Rational{});
-        util::OrbitWalker walker = quotient.others_walker(c);
-        std::uint64_t r = 0;
-        do {
-            const Rational weight = orbit_weight_exact(walker, sigma);
-            if (!weight.is_zero()) {
-                // The others-orbit is independent of the deviator's own
-                // action: one weighted walk fills the whole row.
-                for (std::size_t a = 0; a < actions; ++a) {
-                    dev[c][a] = dev[c][a] + weight * quotient.at(c, a, r);
-                }
-            }
-            ++r;
-            // lint: no-charge(orbit payoff folds are O(orbits) per call and
-            // deliberately uncounted — OrbitSweep charges its own scan loops,
-            // and double-charging here would skew the symmetry bench parity)
-        } while (walker.advance());
-    }
-    return dev;
-}
-
-std::vector<Rational> expected_payoffs_exact_orbit(const GameView& view,
-                                                   const SymmetryGroup& group,
-                                                   const ExactMixedProfile& profile) {
-    if (!group.class_constant(profile)) {
-        throw std::invalid_argument("expected_payoffs_exact_orbit: profile not class-constant");
-    }
-    const QuotientGame quotient = build_quotient(view, group);
-    const std::vector<Rational> by_class =
-        class_expected_payoffs_exact(quotient, class_strategies(group, profile));
-    std::vector<Rational> expected(view.num_players());
-    for (std::size_t c = 0; c < group.num_classes(); ++c) {
-        for (const std::size_t p : group.classes()[c]) expected[p] = by_class[c];
-    }
-    return expected;
-}
-
-ExactDeviationTable deviation_payoffs_all_exact_orbit(const GameView& view,
-                                                      const SymmetryGroup& group,
-                                                      const ExactMixedProfile& profile) {
-    if (!group.class_constant(profile)) {
-        throw std::invalid_argument(
-            "deviation_payoffs_all_exact_orbit: profile not class-constant");
-    }
-    const QuotientGame quotient = build_quotient(view, group);
-    const ExactDeviationTable by_class =
-        class_deviation_payoffs_exact(quotient, class_strategies(group, profile));
-    ExactDeviationTable dev(view.num_players());
-    for (std::size_t c = 0; c < group.num_classes(); ++c) {
-        for (const std::size_t p : group.classes()[c]) dev[p] = by_class[c];
-    }
-    return dev;
 }
 
 }  // namespace bnash::game

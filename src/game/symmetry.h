@@ -18,7 +18,9 @@
 // robustness sweeps (core/robust/orbit_sweep.h) and a canonicalization
 // hook: serve/canonical.h folds the quotient bytes into its cache key so
 // uploads differing by a player relabeling inside symmetry classes hit
-// one cache entry.
+// one cache entry. Payoffs of a class-constant mixed profile have no
+// orbit-native entry here: the view's support-sparse payoff sweeps
+// (game/payoff_engine.h) answer them.
 //
 // detect() is for small tensor-backed views (it compares payoffs across
 // the whole tensor); constructed games at large n — where no tensor
@@ -31,7 +33,6 @@
 #include <vector>
 
 #include "game/game_view.h"
-#include "game/payoff_engine.h"
 #include "game/strategy.h"
 #include "util/audit.h"
 #include "util/orbit_walker.h"
@@ -136,27 +137,5 @@ struct QuotientGame final {
 // read at representatives, so a non-symmetric view yields a quotient
 // that silently misrepresents it.
 [[nodiscard]] QuotientGame build_quotient(const GameView& view, const SymmetryGroup& group);
-
-// --- orbit-native PayoffEngine entry points ---------------------------------
-// Expected and deviation payoffs of a class-constant profile on a
-// symmetric view, computed by ONE weighted quotient walk per class —
-// sum over orbits of multiplicity * prod sigma^h — instead of a
-// prod|A| dense sweep. Results EQUAL the dense engine's (normalized
-// rationals; order-independent). Throws std::invalid_argument when the
-// profile is not class-constant, std::overflow_error when an orbit
-// multiplicity exceeds 64 bits.
-[[nodiscard]] std::vector<util::Rational> expected_payoffs_exact_orbit(
-    const GameView& view, const SymmetryGroup& group, const ExactMixedProfile& profile);
-[[nodiscard]] ExactDeviationTable deviation_payoffs_all_exact_orbit(
-    const GameView& view, const SymmetryGroup& group, const ExactMixedProfile& profile);
-
-// Quotient-direct variants for games with no tensor (large-n declared
-// groups): per-CLASS expected payoffs / deviation rows, weights from
-// orbit multiplicities. sigma[c] is the strategy every class-c member
-// plays.
-[[nodiscard]] std::vector<util::Rational> class_expected_payoffs_exact(
-    const QuotientGame& quotient, const std::vector<ExactMixedStrategy>& sigma);
-[[nodiscard]] ExactDeviationTable class_deviation_payoffs_exact(
-    const QuotientGame& quotient, const std::vector<ExactMixedStrategy>& sigma);
 
 }  // namespace bnash::game

@@ -291,6 +291,23 @@ void RobustnessServer::worker_loop() {
     }
 }
 
+template <typename Response>
+void RobustnessServer::fail(Response& response, const std::string& presented_token) {
+    response.status = QueryStatus::kError;
+    response.resume_token.clear();
+    try {
+        throw;
+    } catch (const std::exception& error) {
+        if (refuses_token(presented_token, error)) {
+            tokens_rejected_.fetch_add(1, std::memory_order_relaxed);
+        }
+        response.error = error.what();
+    } catch (...) {
+        response.error = "unknown exception";
+    }
+    errors_.fetch_add(1, std::memory_order_relaxed);
+}
+
 QueryResponse RobustnessServer::process(const QueryRequest& request,
                                         const std::shared_ptr<util::ExecutionGrant>& grant) {
     QueryResponse response;
@@ -390,23 +407,10 @@ QueryResponse RobustnessServer::process(const QueryRequest& request,
             response.status = QueryStatus::kResolved;
             resolved_.fetch_add(1, std::memory_order_relaxed);
         }
-    } catch (const std::exception& error) {
-        if (refuses_token(request.resume_token, error)) {
-            tokens_rejected_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (leader) cache_.fail(key, std::current_exception());
-        response.status = QueryStatus::kError;
-        response.verdict = core::CellVerdict::kUnknown;
-        response.resume_token.clear();
-        response.error = error.what();
-        errors_.fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
         if (leader) cache_.fail(key, std::current_exception());
-        response.status = QueryStatus::kError;
         response.verdict = core::CellVerdict::kUnknown;
-        response.resume_token.clear();
-        response.error = "unknown exception";
-        errors_.fetch_add(1, std::memory_order_relaxed);
+        fail(response, request.resume_token);
     }
     response.cells_charged = grant->charged();
     return response;
@@ -460,19 +464,8 @@ FrontierResponse RobustnessServer::frontier(const FrontierRequest& request,
             response.resume_token = encode_token('f', fingerprint(), checkpoint);
             degraded_.fetch_add(1, std::memory_order_relaxed);
         }
-    } catch (const std::exception& error) {
-        if (refuses_token(request.resume_token, error)) {
-            tokens_rejected_.fetch_add(1, std::memory_order_relaxed);
-        }
-        response.status = QueryStatus::kError;
-        response.resume_token.clear();
-        response.error = error.what();
-        errors_.fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
-        response.status = QueryStatus::kError;
-        response.resume_token.clear();
-        response.error = "unknown exception";
-        errors_.fetch_add(1, std::memory_order_relaxed);
+        fail(response, request.resume_token);
     }
     response.cells_charged = grant->charged();
     return response;
@@ -493,15 +486,6 @@ ServerStats RobustnessServer::stats() const {
     out.cache_evictions = cache.evictions;
     out.cache_promotions = cache.promotions;
     return out;
-}
-
-void RobustnessServer::set_fault_hook(std::function<void(const QueryRequest&)> hook) {
-    if (!hook) {
-        fault_hook_ = nullptr;
-        return;
-    }
-    fault_hook_ = [wrapped = std::move(hook)](const QueryRequest& request,
-                                              util::ExecutionGrant&) { wrapped(request); };
 }
 
 void RobustnessServer::set_fault_hook(

@@ -215,9 +215,8 @@ public:
     // Fault-injection hooks (tests): run on the serving thread, under the
     // request's grant, before the sweep. Exceptions they throw follow the
     // normal error path (kError + cache drop). Not thread-safe against
-    // in-flight requests; install before serving. The two-argument form
-    // also sees the grant (so a schedule can cancel or starve it).
-    void set_fault_hook(std::function<void(const QueryRequest&)> hook);
+    // in-flight requests; install before serving. A hook also sees the
+    // grant (so a schedule can cancel or starve it).
     void set_fault_hook(std::function<void(const QueryRequest&, util::ExecutionGrant&)> hook);
     void set_frontier_fault_hook(
         std::function<void(const FrontierRequest&, util::ExecutionGrant&)> hook);
@@ -231,6 +230,12 @@ private:
 
     [[nodiscard]] QueryResponse process(const QueryRequest& request,
                                         const std::shared_ptr<util::ExecutionGrant>& grant);
+    // The error path of process() and frontier(), run inside their
+    // catch (...): marks `response` kError with the in-flight exception's
+    // message, drops its resume token and counts the error (and a refused
+    // `presented_token`).
+    template <typename Response>
+    void fail(Response& response, const std::string& presented_token);
     [[nodiscard]] static std::shared_ptr<util::ExecutionGrant> make_grant(
         std::uint64_t budget_cells, const std::optional<std::chrono::nanoseconds>& deadline);
     void worker_loop();

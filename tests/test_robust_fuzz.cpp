@@ -29,6 +29,7 @@
 #include "solver/iterated_elimination.h"
 #include "support_restriction.h"
 #include "symmetric_corpus.h"
+#include "util/execution_grant.h"
 #include "util/rng.h"
 #include "util/work_counters.h"
 
@@ -566,6 +567,96 @@ TEST(RobustFuzz, SparseCoalitionScansMatchReferenceOnMixedCandidates) {
         expect_same(reference::find_immunity_violation(g, profile, std::max<std::size_t>(t, 1)),
                     find_immunity_violation(g, profile, std::max<std::size_t>(t, 1)),
                     label + " immunity");
+    }
+}
+
+// A nearly flat game: every payoff is 0 except that a player on its last
+// action gets 1 when at least `quorum` players are on theirs. A candidate
+// off every last action is immune to any faulty set, and a coalition C
+// gains against T exactly when |C| + |T| >= quorum.
+NormalFormGame quorum_game(const std::vector<std::size_t>& counts, std::size_t quorum) {
+    NormalFormGame g(counts);
+    for (std::uint64_t rank = 0; rank < g.num_profiles(); ++rank) {
+        const PureProfile cell = g.profile_unrank(rank);
+        std::size_t on_last = 0;
+        for (std::size_t p = 0; p < counts.size(); ++p) on_last += cell[p] + 1 == counts[p];
+        for (std::size_t p = 0; p < counts.size(); ++p) {
+            const bool paid = cell[p] + 1 == counts[p] && on_last >= quorum;
+            g.set_payoff(cell, p, Rational{paid ? 1 : 0});
+        }
+    }
+    return g;
+}
+
+// The mixed-candidate scans' bookkeeping, pinned: the support walk's
+// cells and digit moves for a serial frontier and max_kt on three games,
+// and the per-leg charge of one budgeted serial frontier chain. Game 0 is
+// a seeded random game (its scans stop at early hits); games 1 and 2 are
+// quorum games, one under a near point mass and one under a full
+// four-action mix on 5^5 cells, where a faulty set's two phases pass a
+// grant poll (every util::kGrantCheckCells cells of an immunity task, or
+// of one faulty set's phases A and B). A change to a walk's digits, to
+// its poll points or to a tally's span moves these numbers.
+TEST(RobustFuzz, SparseScanCountsArePinned) {
+    struct Counts final {
+        std::uint64_t frontier_cells, frontier_moves, max_kt_cells, max_kt_moves;
+    };
+    const Counts pinned[3] = {
+        {72, 114, 72, 114}, {657, 2523, 657, 2523}, {128688, 171338, 128688, 171338}};
+    const std::vector<std::uint64_t> pinned_legs = {20416, 21056, 21056, 21056,
+                                                    21056, 21776, 20416, 5248};
+
+    util::Rng rng{61'803'398};
+    const std::vector<std::size_t> random_counts = {3, 3, 2, 3};
+    const NormalFormGame games[3] = {random_rational_game(rng, random_counts),
+                                     quorum_game({2, 3, 3, 2, 3}, 3),
+                                     quorum_game(std::vector<std::size_t>(5, 5), 3)};
+    const Rational quarter{1, 4};
+    ExactMixedProfile profiles[3] = {
+        random_mixed_exact(rng, random_counts), as_exact_profile(games[1], PureProfile(5, 0)),
+        ExactMixedProfile(5, {quarter, quarter, quarter, quarter, Rational{0}})};
+    profiles[1][1] = {Rational{1, 3}, Rational{2, 3}, Rational{0}};
+    for (std::size_t index = 0; index < 3; ++index) {
+        const CoalitionSweep sweep(games[index], profiles[index]);
+        const std::string label = "game " + std::to_string(index);
+        util::work_counters_reset();
+        (void)sweep.batch_robustness_frontier(3, 2, GainCriterion::kAnyMemberGains,
+                                              SweepMode::kSerial);
+        const util::WorkCounters frontier = util::work_counters_snapshot();
+        util::work_counters_reset();
+        (void)sweep.max_kt(3, 2, GainCriterion::kAnyMemberGains, SweepMode::kSerial);
+        const util::WorkCounters walk = util::work_counters_snapshot();
+        EXPECT_EQ(frontier.cells_visited, pinned[index].frontier_cells) << label;
+        EXPECT_EQ(frontier.offsets_advanced, pinned[index].frontier_moves) << label;
+        EXPECT_EQ(walk.cells_visited, pinned[index].max_kt_cells) << label;
+        EXPECT_EQ(walk.offsets_advanced, pinned[index].max_kt_moves) << label;
+        if (index != 2) continue;
+
+        const FrontierVerdict unbudgeted = sweep.batch_robustness_frontier(
+            2, 1, GainCriterion::kAnyMemberGains, SweepMode::kSerial);
+        std::vector<std::uint64_t> legs;
+        FrontierVerdict assembled;
+        SweepCheckpoint checkpoint;
+        for (std::size_t leg = 0; leg < 64 && !checkpoint.finished; ++leg) {
+            util::ExecutionGrant grant(20'000);
+            SweepCheckpoint next;
+            FrontierVerdict part;
+            {
+                util::GrantScope scope(&grant);
+                part = sweep.batch_robustness_frontier(2, 1, GainCriterion::kAnyMemberGains,
+                                                       SweepMode::kSerial,
+                                                       leg == 0 ? nullptr : &checkpoint, &next);
+            }
+            legs.push_back(grant.charged());
+            if (leg == 0) {
+                assembled = part;
+            } else {
+                merge_frontier(assembled, part);
+            }
+            checkpoint = next;
+        }
+        EXPECT_EQ(legs, pinned_legs);
+        EXPECT_TRUE(assembled == unbudgeted);
     }
 }
 

@@ -731,7 +731,7 @@ TEST(Server, BoundedCacheEvictsAndReports) {
 
 TEST(Server, SlowTaskAgainstDeadlineDegrades) {
     RobustnessServer server;
-    server.set_fault_hook([](const QueryRequest&) {
+    server.set_fault_hook([](const QueryRequest&, util::ExecutionGrant&) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     });
     QueryRequest request = pd_request(1);
@@ -743,13 +743,14 @@ TEST(Server, SlowTaskAgainstDeadlineDegrades) {
 
 TEST(Server, PoisonedTaskErrorsAndRetrySucceeds) {
     RobustnessServer server;
-    server.set_fault_hook(
-        [](const QueryRequest&) { throw std::runtime_error("injected fault"); });
+    server.set_fault_hook([](const QueryRequest&, util::ExecutionGrant&) {
+        throw std::runtime_error("injected fault");
+    });
     const QueryResponse poisoned = server.query(pd_request(1));
     EXPECT_EQ(poisoned.status, QueryStatus::kError);
     EXPECT_NE(poisoned.error.find("injected fault"), std::string::npos);
     // The failure dropped the in-flight cache entry: a clean retry works.
-    server.set_fault_hook(std::function<void(const QueryRequest&)>{});
+    server.set_fault_hook(nullptr);
     const QueryResponse retry = server.query(pd_request(1));
     EXPECT_EQ(retry.status, QueryStatus::kResolved);
     EXPECT_EQ(retry.verdict, CellVerdict::kRobust);
@@ -765,7 +766,7 @@ TEST(Server, CancelInFlightDegradesInsteadOfBlocking) {
     std::condition_variable cv;
     bool started = false;
     bool release = false;
-    server.set_fault_hook([&](const QueryRequest&) {
+    server.set_fault_hook([&](const QueryRequest&, util::ExecutionGrant&) {
         std::unique_lock<std::mutex> lock(mutex);
         started = true;
         cv.notify_all();
@@ -798,7 +799,7 @@ TEST(Server, FullQueueShedsWithRetryAfter) {
     std::condition_variable cv;
     bool started = false;
     bool release = false;
-    server.set_fault_hook([&](const QueryRequest&) {
+    server.set_fault_hook([&](const QueryRequest&, util::ExecutionGrant&) {
         std::unique_lock<std::mutex> lock(mutex);
         started = true;
         cv.notify_all();
@@ -837,7 +838,7 @@ TEST(Server, ConsecutiveShedsBackOffExponentiallyAndResetOnAdmit) {
     RobustnessServer server(options);
     std::atomic<int> entered{0};
     std::atomic<bool> gate{false};
-    server.set_fault_hook([&](const QueryRequest&) {
+    server.set_fault_hook([&](const QueryRequest&, util::ExecutionGrant&) {
         entered.fetch_add(1);
         while (!gate.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
     });
@@ -896,7 +897,7 @@ TEST(Server, CacheStampedeIsSingleFlight) {
     std::condition_variable cv;
     bool release = false;
     std::atomic<int> leaders{0};
-    server.set_fault_hook([&](const QueryRequest&) {
+    server.set_fault_hook([&](const QueryRequest&, util::ExecutionGrant&) {
         leaders.fetch_add(1);  // only cache leaders reach the hook
         std::unique_lock<std::mutex> lock(mutex);
         cv.wait(lock, [&] { return release; });
@@ -939,7 +940,7 @@ TEST(Server, ShutdownRejectsQueuedRequests) {
         options.num_workers = 1;
         options.queue_capacity = 8;
         RobustnessServer server(options);
-        server.set_fault_hook([&](const QueryRequest&) {
+        server.set_fault_hook([&](const QueryRequest&, util::ExecutionGrant&) {
             std::unique_lock<std::mutex> lock(mutex);
             started = true;
             cv.notify_all();

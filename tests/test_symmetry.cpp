@@ -243,53 +243,6 @@ TEST(SymmetryGroupTest, RefinedBySplitsOnStrategies) {
     EXPECT_NE(refined.class_of(0), refined.class_of(2));
 }
 
-// -------------------------------------------- orbit payoff entry points
-
-TEST(SymmetryPayoffs, OrbitEntryPointsMatchDenseExact) {
-    util::Rng rng{41200};
-    for (int trial = 0; trial < 20; ++trial) {
-        const std::size_t n = 4 + static_cast<std::size_t>(trial % 2);
-        std::vector<std::size_t> sizes;
-        const SymmetryGroup group = random_group(rng, n, sizes);
-        std::vector<std::size_t> actions(sizes.size());
-        for (auto& a : actions) a = 2 + static_cast<std::size_t>(rng.next_int(0, 1));
-        const QuotientGame quotient = random_quotient(rng, sizes, actions);
-        const NormalFormGame g = expand_quotient(quotient, group);
-        const GameView view = GameView::full(g);
-        ASSERT_TRUE(group.verify(view));
-
-        // Class-constant mixed candidate.
-        ExactMixedProfile profile(n);
-        std::vector<game::ExactMixedStrategy> sigma(sizes.size());
-        for (std::size_t c = 0; c < sizes.size(); ++c) {
-            game::ExactMixedStrategy s(actions[c], Rational{0});
-            std::int64_t total = 0;
-            std::vector<std::int64_t> w(actions[c]);
-            for (auto& x : w) {
-                x = rng.next_int(0, 3);
-                total += x;
-            }
-            if (total == 0) {
-                w[0] = 1;
-                total = 1;
-            }
-            for (std::size_t a = 0; a < actions[c]; ++a) s[a] = Rational{w[a], total};
-            sigma[c] = s;
-        }
-        for (std::size_t i = 0; i < n; ++i) profile[i] = sigma[group.class_of(i)];
-
-        const auto dense = game::expected_payoffs_exact(view, profile);
-        const auto orbit = game::expected_payoffs_exact_orbit(view, group, profile);
-        ASSERT_EQ(dense.size(), orbit.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(dense[i], orbit[i]) << "trial " << trial << " player " << i;
-        }
-        const auto dense_dev = game::deviation_payoffs_all_exact(view, profile);
-        const auto orbit_dev = game::deviation_payoffs_all_exact_orbit(view, group, profile);
-        EXPECT_EQ(dense_dev, orbit_dev) << "trial " << trial;
-    }
-}
-
 // ------------------------------------- orbit-vs-dense robustness fuzzing
 
 TEST(OrbitSweepFuzz, VerdictsMatchDenseOnSeededSymmetricGames) {
