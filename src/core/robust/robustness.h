@@ -145,25 +145,27 @@ struct FrontierVerdict final {
 // Compact resume state of a budgeted sweep, captured when an active
 // util::ExecutionGrant expires mid-run and handed back to a later retry,
 // which seek()s past everything already resolved: N budgeted retries
-// then cost ~one full sweep instead of N. The fields cover the three
-// resumable entry points of SweepDriver (robustness_violation, the
-// frontier, and the max_kt walk); unused fields keep their defaults.
-// Positions are ranks in the engine's task enumeration order:
+// then cost ~one full sweep instead of N. It keeps only what a retry
+// cannot derive, for the three resumable entry points of SweepDriver
+// (robustness_violation, the frontier, and the max_kt walk); unused
+// fields keep their defaults. Positions are ranks in the engine's task
+// enumeration order:
 //   - dense CoalitionSweep: faulty-set ranks (phase a) and coalition
 //     ranks (phase b) in util::SubsetEnumerator's size-major order;
 //   - orbit OrbitSweep: faulty SIZES minus one (phase a) and
 //     (coalition size, faulty size) pair ranks, coalition-size-major
 //     (phase b).
-// Soundness rests on those orders being fixed: tasks [0, immunity_next) /
-// [0, next_task) were verified clean by the earlier runs, so re-entering
-// at those ranks reproduces the unbudgeted run's verdicts and witnesses
-// bit for bit. Cells already resolved by earlier runs stay kUnknown in a
-// resumed run's own grid — their witnesses were delivered earlier — and
-// merge_frontier reassembles the full grid from the run sequence.
+// Soundness rests on those orders being fixed: tasks [0, next_task) of
+// the phase the run stopped in were verified clean by the earlier runs,
+// so re-entering at that rank reproduces the unbudgeted run's verdicts
+// and witnesses bit for bit. Cells already resolved by earlier runs stay
+// kUnknown in a resumed run's own grid — their witnesses were delivered
+// earlier — and merge_frontier reassembles the full grid from the run
+// sequence.
 //
 // Checkpoints are untrusted input (they travel in client tokens). Every
-// entry point validates them in release builds and throws
-// InvalidCheckpoint for state it could not have written itself; an
+// entry point range-checks each field in release builds and throws
+// InvalidCheckpoint for a value it could not have written itself; an
 // in-range position, though, is still taken on trust.
 //
 // PROGRESS FLOOR: a run can only vouch for a task it completed with the
@@ -176,25 +178,22 @@ struct SweepCheckpoint final {
     // True when nothing is left to resume: the run that produced this
     // checkpoint (together with its predecessors) resolved everything.
     bool finished = false;
-    // Phase (a): shared immunity sweep. When done, immunity_ok is the
-    // exact boundary; otherwise immunity_next is the first unverified
-    // immunity task.
+    // Phase (a), the shared immunity sweep, finished; immunity_ok is then
+    // its exact boundary (the frontier and the walk record it).
     bool immunity_done = false;
-    std::uint64_t immunity_next = 0;
     std::size_t immunity_ok = 0;
-    // Phase (b): first unverified resilience task (for the max_kt walk,
-    // within its current column).
+    // First unverified task of the phase the run stopped in: an immunity
+    // task before immunity_done, a resilience task after (for the max_kt
+    // walk, within its current column).
     std::uint64_t next_task = 0;
-    // Frontier: columns t <= t_res fully resolved by earlier runs (their
-    // verdicts and witnesses were already delivered).
-    std::vector<std::uint8_t> column_done;
-    // max_kt walk: next column, its coalition-size budget, the per-column
-    // results accumulated so far, and the resolution tally carried across
-    // retries so the final result equals the unbudgeted walk's.
-    std::size_t walk_t = 0;
-    std::size_t walk_k_prev = 0;
+    // Frontier: columns [0, open_columns) were still open; the columns up
+    // to min(max_t, immunity_ok) above them were resolved, and their
+    // verdicts and witnesses delivered, by earlier runs.
+    std::size_t open_columns = 0;
+    // max_kt walk: kmax of the columns resolved so far. The walk resumes
+    // in column walk_k_of_t.size() with the last entry (max_k when empty)
+    // as its coalition-size budget.
     std::vector<std::size_t> walk_k_of_t;
-    std::uint64_t walk_cells_resolved = 0;
     friend bool operator==(const SweepCheckpoint&, const SweepCheckpoint&) = default;
 };
 

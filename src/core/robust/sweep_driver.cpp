@@ -67,57 +67,60 @@ enum class Entry { kCell, kFrontier, kWalk };
 }
 
 // Release-build validation of a resume checkpoint against the entry point
-// and budget it is presented to: every field must be one this entry point
-// could have written itself. Positions are range-checked where they seek
-// (check_resume_position). Returns nullptr for an empty checkpoint (no
-// progress recorded), which is a fresh run. In-range values are still
+// and budget it is presented to: every field must lie in the range this
+// entry point could have written. next_task is range-checked where it
+// seeks (check_resume_position). Returns nullptr for an empty checkpoint
+// (no progress recorded), which is a fresh run. In-range values are still
 // taken on trust: only an authenticated token proves the earlier runs
 // really verified the prefix a checkpoint claims.
 const SweepCheckpoint* validated(const SweepCheckpoint* resume, Entry entry, std::size_t max_k,
                                  std::size_t max_t) {
     if (resume == nullptr) return nullptr;
     const SweepCheckpoint& r = *resume;
-    const bool walk_state = r.walk_t != 0 || r.walk_k_prev != 0 || !r.walk_k_of_t.empty() ||
-                            r.walk_cells_resolved != 0;
     if (r.immunity_ok > max_t) reject("immunity boundary beyond the probed t");
+    if (entry != Entry::kFrontier && r.open_columns != 0) reject("stray open_columns");
+    if (entry != Entry::kWalk && !r.walk_k_of_t.empty()) reject("stray boundary-walk state");
     if (!r.immunity_done) {
-        if (r.next_task != 0 || !r.column_done.empty() || walk_state) {
+        if (r.open_columns != 0 || !r.walk_k_of_t.empty()) {
             reject("resilience-phase state before the immunity phase finished");
         }
-        return r.immunity_next == 0 ? nullptr : resume;
+        return r.next_task == 0 ? nullptr : resume;
     }
-    if (entry != Entry::kFrontier && !r.column_done.empty()) reject("stray column_done");
-    if (entry != Entry::kWalk && walk_state) reject("stray boundary-walk state");
-    if (entry == Entry::kFrontier) {
-        const std::size_t columns = r.finished ? 0 : std::min(max_t, r.immunity_ok) + 1;
-        if (r.column_done.size() != columns) reject("column_done does not match the grid");
-        // The open columns always form a t-prefix, and a run that stopped
-        // before finishing still had column 0 open: zeros, then ones.
-        const std::vector<std::uint8_t>& done = r.column_done;
-        if (!done.empty() &&
-            (done.front() != 0 || done.back() > 1 || !std::is_sorted(done.begin(), done.end()))) {
-            reject("column_done is not open columns followed by done ones");
-        }
+    // A frontier run that stopped early still had column 0 open.
+    if (entry == Entry::kFrontier &&
+        (r.open_columns == 0 || r.open_columns > std::min(max_t, r.immunity_ok) + 1)) {
+        reject("open_columns outside the grid");
     }
     if (entry == Entry::kWalk) {
-        const std::vector<std::size_t>& k_of_t = r.walk_k_of_t;
-        if (k_of_t.size() != r.walk_t) reject("walk_k_of_t length differs from walk_t");
-        for (std::size_t t = 0; t < k_of_t.size(); ++t) {
-            if (k_of_t[t] > (t == 0 ? max_k : k_of_t[t - 1])) {
-                reject("walk_k_of_t increases or exceeds max_k");
-            }
-        }
-        if (r.walk_k_prev != (k_of_t.empty() ? max_k : k_of_t.back())) {
-            reject("walk_k_prev differs from the last resolved column");
-        }
         // A walk only ever stops inside an immune column it still has
-        // coalitions to scan in.
-        if (r.walk_t > r.immunity_ok || r.walk_k_prev == 0) reject("walk column out of range");
-        if (r.walk_cells_resolved > (max_k + 1) * (max_t + 1)) {
-            reject("walk_cells_resolved exceeds the grid");
+        // coalitions to scan in, and kmax never grows with t.
+        std::size_t k_prev = max_k;
+        for (const std::size_t k : r.walk_k_of_t) {
+            if (k > k_prev) reject("walk_k_of_t increases or exceeds max_k");
+            k_prev = k;
+        }
+        if (r.walk_k_of_t.size() > r.immunity_ok || k_prev == 0) {
+            reject("walk column out of range");
         }
     }
     return resume;
+}
+
+// The cells a boundary walk resolved and its Pareto-maximal cells, from
+// its boundary and k_of_t alone, so fresh, truncated and resumed runs
+// count alike: (0, immunity_ok); (0, immunity_ok + 1) when the boundary
+// is exact and interior; and per resolved column t with coalitions left
+// to scan, the confirmed (kmax(t), t) plus the broken (kmax(t) + 1, t)
+// when kmax dropped there.
+void tally_walk(MaxKtResult& out) {
+    out.cells_resolved = 1 + (out.immunity_exact && out.immunity_ok < out.max_t ? 1 : 0);
+    std::size_t k_prev = out.max_k;
+    for (std::size_t t = 0; t < out.k_of_t.size(); ++t) {
+        const std::size_t kt = out.k_of_t[t];
+        out.cells_resolved += (k_prev > 0 ? 1 : 0) + (kt < k_prev ? 1 : 0);
+        k_prev = kt;
+        if (t + 1 == out.k_of_t.size() || out.k_of_t[t + 1] < kt) out.maximal.emplace_back(kt, t);
+    }
 }
 
 }  // namespace
@@ -211,11 +214,11 @@ std::optional<RobustnessViolation> SweepDriver::robustness_violation(
     // runs, so any hit found here is the global-first witness.
     if (!resumed_b) {
         ImmunityPhase phase =
-            immunity_phase(t, options.mode, resume != nullptr ? resume->immunity_next : 0);
+            immunity_phase(t, options.mode, resume != nullptr ? resume->next_task : 0);
         if (!phase.done) {
             // Truncated: the caller observes the expired grant and treats
             // the nullopt as kUnknown; the checkpoint seeks the retry.
-            if (checkpoint != nullptr) checkpoint->immunity_next = phase.next_task;
+            if (checkpoint != nullptr) checkpoint->next_task = phase.next_task;
             return std::nullopt;
         }
         if (phase.verdict.max_ok < t) {
@@ -303,13 +306,13 @@ FrontierVerdict SweepDriver::batch_robustness_frontier(std::size_t max_k, std::s
     bool immunity_done = false;
     bool immunity_exact_now = false;  // phase finished THIS run: witnesses in hand
     std::size_t immunity_ok = 0;
-    std::uint64_t immunity_next = 0;
+    std::uint64_t immunity_next = 0;  // first unverified immunity task, for the checkpoint
     if (resumed_b) {
         immunity_done = true;
         immunity_ok = resume->immunity_ok;
     } else {
         const ImmunityPhase phase =
-            immunity_phase(max_t, mode, resume != nullptr ? resume->immunity_next : 0);
+            immunity_phase(max_t, mode, resume != nullptr ? resume->next_task : 0);
         immunity_done = phase.done;
         immunity_next = phase.next_task;
         immunity_ok = phase.verdict.max_ok;
@@ -326,25 +329,21 @@ FrontierVerdict SweepDriver::batch_robustness_frontier(std::size_t max_k, std::s
     // Part (b): the size-major task sweep resolves the surviving columns.
     // The open columns always form a t-prefix [0, open): every hit closes
     // a suffix, and columns closed by EARLIER resumed runs were a suffix
-    // then (validated() refuses any other column_done). Columns [live,
+    // then, so a checkpoint records only their count. Columns [live,
     // t_res] had their verdicts and witnesses delivered by an earlier run:
     // out of play here, and kUnknown in this grid. Resume soundness: a
     // column still open now was open during every earlier run too, so
     // every task in [0, start_b) ran with a cap covering it — the seek
     // changes no cap, winner, or scan.
     const std::size_t t_res = std::min(max_t, immunity_ok);
-    const std::size_t live =
-        resumed_b && !resume->column_done.empty()
-            ? static_cast<std::size_t>(
-                  std::count(resume->column_done.begin(), resume->column_done.end(), 0))
-            : t_res + 1;
+    const std::size_t live = resumed_b ? resume->open_columns : t_res + 1;
     // The columns [open, live) were won by a task this run. The columns
     // [0, open) no task won are clean, or — when the grant expired —
     // clean only for k <= verified_k, unknown above.
     std::size_t open = live;
     bool truncated = false;
     std::size_t verified_k = max_k;
-    std::uint64_t next_task = 0;  // first unverified task rank, for the checkpoint
+    std::uint64_t next_task = 0;  // first unverified resilience task, for the checkpoint
     const std::uint64_t start_b = resumed_b ? resume->next_task : 0;
     if (max_k == 0) {  // k = 0 row: resilience is vacuous
         check_resume_position(start_b, 0);
@@ -383,18 +382,13 @@ FrontierVerdict SweepDriver::batch_robustness_frontier(std::size_t max_k, std::s
 
     // Checkpoint capture: enough to seek a later run past every verified
     // task and every column whose verdict has already been delivered.
-    const bool sweep_finished = immunity_done && !truncated;
     if (checkpoint != nullptr) {
-        *checkpoint = SweepCheckpoint{};
-        checkpoint->finished = sweep_finished;
-        checkpoint->immunity_done = immunity_done;
-        checkpoint->immunity_next = immunity_next;
-        checkpoint->immunity_ok = immunity_ok;
-        if (immunity_done && !sweep_finished) {
-            checkpoint->next_task = next_task;
-            checkpoint->column_done.assign(t_res + 1, 1);
-            std::fill_n(checkpoint->column_done.begin(), open, 0);
-        }
+        *checkpoint = {.finished = immunity_done && !truncated,
+                       .immunity_done = immunity_done,
+                       .immunity_ok = immunity_done ? immunity_ok : 0,
+                       .next_task = immunity_done ? next_task : immunity_next,
+                       .open_columns = immunity_done && truncated ? open : 0,
+                       .walk_k_of_t = {}};
     }
 
     // Resolution bookkeeping: a fresh untruncated run resolves every cell
@@ -448,41 +442,32 @@ MaxKtResult SweepDriver::max_kt(std::size_t max_k, std::size_t max_t, GainCriter
     // boundary is interior and the sweep untruncated — (0, immunity_ok+1)
     // broken. A resumed run restores the recorded boundary and walk
     // prefix, so the run that finally completes returns a result
-    // bit-identical to one unbudgeted run (cells_resolved included: the
-    // checkpoint carries the cumulative count).
-    std::size_t t0 = 0;
-    std::size_t k_prev = max_k;
+    // bit-identical to one unbudgeted run.
     std::uint64_t col_start = 0;
     if (resume != nullptr && resume->immunity_done) {
         out.immunity_ok = resume->immunity_ok;
-        out.immunity_exact = true;
-        out.complete = true;
-        out.cells_resolved = resume->walk_cells_resolved;
         out.k_of_t = resume->walk_k_of_t;
-        t0 = resume->walk_t;
-        k_prev = resume->walk_k_prev;
         col_start = resume->next_task;
     } else {
         const ImmunityPhase phase =
-            immunity_phase(max_t, mode, resume != nullptr ? resume->immunity_next : 0);
+            immunity_phase(max_t, mode, resume != nullptr ? resume->next_task : 0);
         out.immunity_ok = phase.verdict.max_ok;
         out.immunity_exact = phase.done;
         out.complete = phase.done;
-        out.cells_resolved = 1 + (out.immunity_ok < max_t && phase.done ? 1 : 0);
         if (!phase.done && checkpoint != nullptr) {
             // A resumable run truncated mid-immunity reports no columns:
             // the retry re-derives the walk from the exact boundary more
             // cheaply than re-walking a provisional one.
             *checkpoint = SweepCheckpoint{};
-            checkpoint->immunity_next = phase.next_task;
+            checkpoint->next_task = phase.next_task;
+            tally_walk(out);
             return out;
         }
     }
     out.k_of_t.reserve(out.immunity_ok + 1);
 
-    bool truncated_walk = false;
-    std::uint64_t walk_next = 0;
-    for (std::size_t t = t0; t <= out.immunity_ok; ++t) {
+    std::size_t k_prev = out.k_of_t.empty() ? max_k : out.k_of_t.back();
+    for (std::size_t t = out.k_of_t.size(); t <= out.immunity_ok; ++t) {
         // Every coalition of size <= k_prev is clean for faulty sizes
         // < t (that is what k_of_t[t-1] = k_prev certifies), so this
         // step scans ONLY faulty size exactly t — nothing below the
@@ -490,7 +475,6 @@ MaxKtResult SweepDriver::max_kt(std::size_t max_k, std::size_t max_t, GainCriter
         // violating task's coalition size s pin kmax(t) = s - 1.
         if (k_prev == 0) {
             out.k_of_t.push_back(0);  // column survives on immunity alone
-            col_start = 0;
             continue;
         }
         const auto tasks = resilience_tasks(k_prev, t, criterion, mode);
@@ -501,33 +485,20 @@ MaxKtResult SweepDriver::max_kt(std::size_t max_k, std::size_t max_t, GainCriter
             // and nothing beyond it can be certified — the walk stops at
             // the last fully resolved column.
             out.complete = false;
-            truncated_walk = true;
-            walk_next = run.verified;
+            col_start = run.verified;
             break;
         }
-        const std::size_t kt = run.hit ? tasks->set_size(run.verified) - 1 : k_prev;
-        out.k_of_t.push_back(kt);
-        out.cells_resolved += 1 + (run.hit ? 1 : 0);
-        k_prev = kt;
+        k_prev = run.hit ? tasks->set_size(run.verified) - 1 : k_prev;
+        out.k_of_t.push_back(k_prev);
     }
     if (checkpoint != nullptr) {
-        *checkpoint = SweepCheckpoint{};
-        checkpoint->immunity_done = true;
-        checkpoint->immunity_ok = out.immunity_ok;
-        checkpoint->finished = !truncated_walk;
-        if (truncated_walk) {
-            checkpoint->walk_t = out.k_of_t.size();
-            checkpoint->walk_k_prev = k_prev;
-            checkpoint->walk_k_of_t = out.k_of_t;
-            checkpoint->walk_cells_resolved = out.cells_resolved;
-            checkpoint->next_task = walk_next;
-        }
+        *checkpoint = {.finished = out.complete,
+                       .immunity_done = true,
+                       .immunity_ok = out.immunity_ok,
+                       .next_task = col_start,  // 0 once the walk completed
+                       .walk_k_of_t = out.complete ? std::vector<std::size_t>{} : out.k_of_t};
     }
-    for (std::size_t t = 0; t < out.k_of_t.size(); ++t) {
-        if (t + 1 == out.k_of_t.size() || out.k_of_t[t + 1] < out.k_of_t[t]) {
-            out.maximal.emplace_back(out.k_of_t[t], t);
-        }
-    }
+    tally_walk(out);
     return out;
 }
 

@@ -11,7 +11,6 @@
 
 #include "game/game_view.h"
 #include "game/symmetry.h"
-#include "util/orbit_walker.h"
 #include "util/rational.h"
 
 namespace bnash::serve {
@@ -207,44 +206,6 @@ template <class Value>
     return key;
 }
 
-// `quotient` with its classes permuted into order[0], order[1], ...:
-// sizes/actions move directly, and every payoff row is re-ranked by
-// walking the REORDERED others-orbit space and looking each histogram
-// up at its old rank. The result is the quotient the reordered group
-// would have produced, so keys never depend on detection's class order.
-[[nodiscard]] game::QuotientGame reorder_quotient(const game::QuotientGame& quotient,
-                                                  const std::vector<std::size_t>& order) {
-    const std::size_t m = order.size();
-    game::QuotientGame out;
-    out.class_sizes.resize(m);
-    out.class_actions.resize(m);
-    for (std::size_t j = 0; j < m; ++j) {
-        out.class_sizes[j] = quotient.class_sizes[order[j]];
-        out.class_actions[j] = quotient.class_actions[order[j]];
-    }
-    out.finalize();
-    out.payoff.resize(m);
-    std::vector<std::vector<std::size_t>> others(m);
-    for (std::size_t j = 0; j < m; ++j) {
-        const std::size_t cls = order[j];
-        const std::size_t actions = out.class_actions[j];
-        const std::uint64_t orbits = out.others_orbits(j);
-        out.payoff[j].assign(actions * orbits, util::Rational());
-        util::OrbitWalker walker = out.others_walker(j);
-        walker.reset();
-        std::uint64_t rank_new = 0;
-        do {
-            for (std::size_t d = 0; d < m; ++d) others[order[d]] = walker.counts(d);
-            const std::uint64_t rank_old = quotient.rank_others(cls, others);
-            for (std::size_t action = 0; action < actions; ++action) {
-                out.payoff[j][action * orbits + rank_new] = quotient.at(cls, action, rank_old);
-            }
-            ++rank_new;
-        } while (walker.advance());
-    }
-    return out;
-}
-
 // Symmetry-folded signature: detect the (finest, verified) symmetry of
 // the normalized or rank tensor, refine it by the candidate, and — when
 // any class is non-singleton — key on the QUOTIENT bytes plus per-class
@@ -267,8 +228,21 @@ template <class Value>
     }
     const std::vector<std::size_t> order = canonical_order(keys);
 
-    const game::QuotientGame quotient =
-        reorder_quotient(game::build_quotient(view, refined), order);
+    // The quotient of the game with its players listed class by class in
+    // canonical class order, so keys never depend on detection's class
+    // order: on that view the classes are contiguous and in key order.
+    std::vector<std::size_t> players;
+    std::vector<std::vector<std::size_t>> contiguous(order.size());
+    players.reserve(norm.num_players());
+    for (std::size_t j = 0; j < order.size(); ++j) {
+        for (const std::size_t player : classes[order[j]]) {
+            contiguous[j].push_back(players.size());
+            players.push_back(player);
+        }
+    }
+    const game::QuotientGame quotient = game::build_quotient(
+        game::GameView::permute(norm, players),
+        game::SymmetryGroup::declared(std::move(contiguous), players.size()));
 
     std::string bytes(tag);
     append_size(bytes, quotient.num_classes());

@@ -44,10 +44,7 @@ void FaultSchedule::fire(util::ExecutionGrant& grant) {
 }
 
 void FaultSchedule::install(RobustnessServer& server) {
-    server.set_fault_hook(
-        [this](const QueryRequest&, util::ExecutionGrant& grant) { fire(grant); });
-    server.set_frontier_fault_hook(
-        [this](const FrontierRequest&, util::ExecutionGrant& grant) { fire(grant); });
+    server.set_fault_hook([this](util::ExecutionGrant& grant) { fire(grant); });
 }
 
 }  // namespace bnash::serve

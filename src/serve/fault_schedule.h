@@ -3,7 +3,7 @@
 // A FaultSchedule is a script of faults keyed by QUERY ARRIVAL ORDER —
 // "on the 3rd query, cancel its grant"; "on the 5th, restrict its
 // budget to 12 cells"; "on the 2nd, throw" — installed into a
-// RobustnessServer through its fault hooks. Because the trigger is the
+// RobustnessServer through its one fault hook. Because the trigger is the
 // arrival index, not wall-clock time, a scheduled test replays the same
 // degradation path on every run: leader death at a chosen checkpoint,
 // grant expiry mid-sweep at a chosen cell count, a poisoned task, a
@@ -41,10 +41,11 @@ public:
         kRestrictBudget,   // starve the grant to `value` cells pre-sweep
     };
 
-    // Fire `action` on the query whose 0-based arrival index (across
-    // BOTH the cell and frontier paths, in hook-invocation order) is
-    // `arrival`. Multiple steps may share an arrival; they fire in the
-    // order scheduled.
+    // Fire `action` on the query whose 0-based arrival index is
+    // `arrival`. Arrivals are numbered in fault-hook invocation order,
+    // one sequence across the cell and frontier paths (the server runs
+    // both through its one hook). Multiple steps may share an arrival;
+    // they fire in the order scheduled.
     void at_query(std::uint64_t arrival, Action action, std::uint64_t value = 0,
                   std::string message = "injected fault");
 
@@ -65,11 +66,11 @@ public:
     // stream before the drop? nullopt = never drop.
     [[nodiscard]] std::optional<std::uint64_t> stream_drop_for(std::uint64_t conn) const;
 
-    // Installs the schedule as the server's query AND frontier fault
-    // hooks (replacing any previous hooks).
+    // Installs the schedule as the server's fault hook, which every cell
+    // and frontier leg runs (replacing any previous hook).
     void install(RobustnessServer& server);
 
-    // Queries that have passed through the installed hooks so far.
+    // Legs that have passed through the installed hook so far.
     [[nodiscard]] std::uint64_t queries_seen() const noexcept {
         return arrivals_.load(std::memory_order_relaxed);
     }

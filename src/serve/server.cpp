@@ -130,18 +130,12 @@ std::string RobustnessServer::encode_token(char kind, std::uint64_t request_hash
     std::string out(1, kind);
     append_field(out, token_generation_.load(std::memory_order_relaxed));
     append_field(out, request_hash);
-    append_field(out, checkpoint.finished ? 1 : 0);
     append_field(out, checkpoint.immunity_done ? 1 : 0);
-    append_field(out, checkpoint.immunity_next);
     append_field(out, checkpoint.immunity_ok);
     append_field(out, checkpoint.next_task);
-    append_field(out, checkpoint.column_done.size());
-    for (const std::uint8_t done : checkpoint.column_done) append_field(out, done ? 1 : 0);
-    append_field(out, checkpoint.walk_t);
-    append_field(out, checkpoint.walk_k_prev);
+    append_field(out, checkpoint.open_columns);
     append_field(out, checkpoint.walk_k_of_t.size());
     for (const std::size_t k : checkpoint.walk_k_of_t) append_field(out, k);
-    append_field(out, checkpoint.walk_cells_resolved);
     return out;
 }
 
@@ -160,32 +154,86 @@ core::SweepCheckpoint RobustnessServer::decode_token(const std::string& token, c
         throw core::InvalidCheckpoint("resume token does not match request");
     }
     core::SweepCheckpoint checkpoint;
-    checkpoint.finished = cursor.next() != 0;
     checkpoint.immunity_done = cursor.next() != 0;
-    checkpoint.immunity_next = cursor.next();
     checkpoint.immunity_ok = static_cast<std::size_t>(cursor.next());
     checkpoint.next_task = cursor.next();
-    checkpoint.column_done.resize(checked_length(cursor.next()));
-    for (std::uint8_t& done : checkpoint.column_done) {
-        done = cursor.next() != 0 ? std::uint8_t{1} : std::uint8_t{0};
-    }
-    checkpoint.walk_t = static_cast<std::size_t>(cursor.next());
-    checkpoint.walk_k_prev = static_cast<std::size_t>(cursor.next());
+    checkpoint.open_columns = static_cast<std::size_t>(cursor.next());
     checkpoint.walk_k_of_t.resize(checked_length(cursor.next()));
     for (std::size_t& k : checkpoint.walk_k_of_t) k = static_cast<std::size_t>(cursor.next());
-    checkpoint.walk_cells_resolved = cursor.next();
     if (!cursor.exhausted()) throw core::InvalidCheckpoint("malformed resume token");
     return checkpoint;
 }
 
-std::optional<core::SweepCheckpoint> RobustnessServer::try_decode_token(
-    const std::string& token, char kind, std::uint64_t request_hash) const {
-    try {
-        return decode_token(token, kind, request_hash);
-    } catch (const std::invalid_argument&) {
-        return std::nullopt;
+// One sweep leg of a request, bound to its resume token: the presented
+// token is decoded strictly on construction (a bad token is the caller's
+// error, refused before the cache sees the request), a token a cache
+// leader handed over is re-bound through rebind(), and run() sweeps under
+// the grant and the fault hook, then mints the token of an unfinished
+// leg. `kind` is 'c' for a cell query, 'f' for a frontier; (k, t) are its
+// sizes. The request fingerprint is computed at most once, and only on
+// these token paths.
+class RobustnessServer::Leg final {
+public:
+    Leg(RobustnessServer& server, const SweepRequest& request, char kind, std::size_t k,
+        std::size_t t)
+        : server_(server), request_(request), kind_(kind), k_(k), t_(t) {
+        if (!request.resume_token.empty()) {
+            resume_ = server_.decode_token(request.resume_token, kind_, fingerprint());
+        }
     }
-}
+
+    // Re-binds `handed`, a token minted for the request that led the
+    // cache entry, to THIS request. An equivalent follower (same
+    // canonical key, other bytes) gives the same task ranks other
+    // meanings, so a token that does not decode for our own fingerprint
+    // is dropped and the leg runs fresh. Returns the token this request
+    // retries with: `handed` when kept, else one that starts it fresh.
+    std::string rebind(std::string handed) {
+        try {
+            resume_ = server_.decode_token(handed, kind_, fingerprint());
+            return handed;
+        } catch (const core::InvalidCheckpoint&) {
+            resume_.reset();
+            return mint(core::SweepCheckpoint{});
+        }
+    }
+
+    // `sweep(engine, resume, checkpoint)` runs the question on a fresh
+    // CoalitionSweep under `grant`. Returns the token to retry with, or
+    // "" when the leg finished.
+    template <typename Sweep>
+    std::string run(util::ExecutionGrant& grant, const Sweep& sweep) {
+        core::SweepCheckpoint checkpoint;
+        {
+            util::GrantScope scope(&grant);
+            if (server_.fault_hook_) server_.fault_hook_(grant);
+            const core::CoalitionSweep engine(request_.game, request_.profile);
+            sweep(engine, resume_ ? &*resume_ : nullptr, checkpoint);
+        }
+        return checkpoint.finished ? std::string() : mint(checkpoint);
+    }
+
+private:
+    std::string mint(const core::SweepCheckpoint& checkpoint) {
+        return server_.encode_token(kind_, fingerprint(), checkpoint);
+    }
+
+    std::uint64_t fingerprint() {
+        if (!fingerprint_) {
+            fingerprint_ = request_fingerprint(request_.game, request_.profile, k_, t_,
+                                               request_.criterion, request_.mode);
+        }
+        return *fingerprint_;
+    }
+
+    RobustnessServer& server_;
+    const SweepRequest& request_;
+    char kind_;
+    std::size_t k_;
+    std::size_t t_;
+    std::optional<std::uint64_t> fingerprint_;
+    std::optional<core::SweepCheckpoint> resume_;
+};
 
 RobustnessServer::RobustnessServer() : RobustnessServer(Options{}) {}
 
@@ -314,26 +362,11 @@ QueryResponse RobustnessServer::process(const QueryRequest& request,
     std::string key;
     bool leader = false;
     try {
-        // Only token paths need the fingerprint (see request_fingerprint).
-        std::optional<std::uint64_t> memo_fingerprint;
-        const auto fingerprint = [&] {
-            if (!memo_fingerprint) {
-                memo_fingerprint = request_fingerprint(request.game, request.profile, request.k,
-                                                       request.t, request.criterion,
-                                                       request.mode);
-            }
-            return *memo_fingerprint;
-        };
-        // A user-presented token is validated STRICTLY before the cache
-        // sees the request: a bad token is the caller's error and must
-        // not leave a leader obligation behind.
-        std::optional<core::SweepCheckpoint> resume;
-        if (!request.resume_token.empty()) {
-            resume = decode_token(request.resume_token, 'c', fingerprint());
-        }
+        Leg leg(*this, request, 'c', request.k, request.t);
         key = canonical_key(request.game, request.profile, request.k, request.t,
                             request.criterion);
         VerdictCache::Admission admission = cache_.admit(key, grant);
+        leader = admission.role == VerdictCache::Role::kLeader;
         if (admission.role == VerdictCache::Role::kHit) {
             response.status = QueryStatus::kResolved;
             response.verdict = admission.verdict;
@@ -342,14 +375,13 @@ QueryResponse RobustnessServer::process(const QueryRequest& request,
             return response;
         }
         if (admission.role == VerdictCache::Role::kFollower) {
-            stampede_waits_.fetch_add(1, std::memory_order_relaxed);
             VerdictCache::Resolution handed = admission.pending.get();  // rethrows a failure
             if (!handed.promoted) {
                 response.verdict = handed.verdict;
                 response.cache_hit = true;
                 if (handed.verdict == core::CellVerdict::kUnknown) {
                     response.status = QueryStatus::kDegraded;
-                    response.resume_token = handed.checkpoint;
+                    response.resume_token = leg.rebind(std::move(handed.checkpoint));
                     degraded_.fetch_add(1, std::memory_order_relaxed);
                 } else {
                     response.status = QueryStatus::kResolved;
@@ -358,52 +390,35 @@ QueryResponse RobustnessServer::process(const QueryRequest& request,
                 response.cells_charged = grant->charged();
                 return response;
             }
-            // Promoted: this follower now owns the sweep. The handed
-            // checkpoint binds to the dead leader's exact request bytes;
-            // ours may be a permuted equivalent (same canonical key), in
-            // which case its task ranks mean something else entirely and
-            // the only sound move is a fresh sweep.
+            // Promoted: this follower now owns the sweep, continuing from
+            // the dead leader's checkpoint when it binds to our request.
             leader = true;
-            if (!handed.checkpoint.empty()) {
-                if (std::optional<core::SweepCheckpoint> inherited =
-                        try_decode_token(handed.checkpoint, 'c', fingerprint())) {
-                    resume = std::move(inherited);
-                }
-            }
-        } else {
-            leader = true;
+            (void)leg.rebind(std::move(handed.checkpoint));
         }
-        core::CellVerdict verdict;
-        core::SweepCheckpoint checkpoint;
-        {
-            util::GrantScope scope(grant.get());
-            if (fault_hook_) fault_hook_(request, *grant);
-            const core::CoalitionSweep sweep(request.game, request.profile);
-            const std::optional<core::RobustnessViolation> violation =
-                sweep.robustness_violation(request.k, request.t,
-                                           {request.criterion, request.mode},
-                                           resume ? &*resume : nullptr, &checkpoint);
-            // A found violation is exact even under an expired grant (the
-            // kernels report only untruncated-prefix witnesses); absence
-            // of one proves robustness only when the sweep finished.
-            if (violation) {
-                verdict = core::CellVerdict::kBroken;
-            } else {
-                verdict = checkpoint.finished ? core::CellVerdict::kRobust
-                                              : core::CellVerdict::kUnknown;
-            }
-        }
-        response.verdict = verdict;
-        if (verdict == core::CellVerdict::kUnknown) {
+        bool broken = false;
+        response.resume_token =
+            leg.run(*grant, [&](const core::CoalitionSweep& sweep,
+                                const core::SweepCheckpoint* resume,
+                                core::SweepCheckpoint& checkpoint) {
+                broken = sweep.robustness_violation(request.k, request.t,
+                                                    {request.criterion, request.mode}, resume,
+                                                    &checkpoint)
+                             .has_value();
+            });
+        // A found violation is exact even under an expired grant (the
+        // kernels report only untruncated-prefix witnesses) and finishes
+        // the leg; absence of one proves robustness only when the sweep
+        // finished.
+        if (!response.resume_token.empty()) {
             response.status = QueryStatus::kDegraded;
-            response.resume_token = encode_token('c', fingerprint(), checkpoint);
             degraded_.fetch_add(1, std::memory_order_relaxed);
-            // Hand the checkpoint to the longest-deadline live follower
+            // Hand the token to the longest-deadline live follower
             // instead of degrading the whole burst; that follower's
             // process() continues the sweep (and may hand off again).
             cache_.degrade(key, response.resume_token);
         } else {
-            cache_.fulfill(key, verdict);
+            response.verdict = broken ? core::CellVerdict::kBroken : core::CellVerdict::kRobust;
+            cache_.fulfill(key, response.verdict);
             response.status = QueryStatus::kResolved;
             resolved_.fetch_add(1, std::memory_order_relaxed);
         }
@@ -423,20 +438,7 @@ FrontierResponse RobustnessServer::frontier(const FrontierRequest& request,
     const std::shared_ptr<util::ExecutionGrant> grant =
         make_grant(request.budget_cells, request.deadline);
     try {
-        // Only token paths need the fingerprint (see request_fingerprint).
-        std::optional<std::uint64_t> memo_fingerprint;
-        const auto fingerprint = [&] {
-            if (!memo_fingerprint) {
-                memo_fingerprint = request_fingerprint(request.game, request.profile,
-                                                       request.max_k, request.max_t,
-                                                       request.criterion, request.mode);
-            }
-            return *memo_fingerprint;
-        };
-        std::optional<core::SweepCheckpoint> resume;
-        if (!request.resume_token.empty()) {
-            resume = decode_token(request.resume_token, 'f', fingerprint());
-        }
+        Leg leg(*this, request, 'f', request.max_k, request.max_t);
         std::uint64_t streamed = 0;
         core::FrontierColumnSink sink;
         if (on_column) {
@@ -446,22 +448,20 @@ FrontierResponse RobustnessServer::frontier(const FrontierRequest& request,
                 on_column(t, breaking_k, witness);
             };
         }
-        core::SweepCheckpoint checkpoint;
-        {
-            util::GrantScope scope(grant.get());
-            if (frontier_fault_hook_) frontier_fault_hook_(request, *grant);
-            const core::CoalitionSweep sweep(request.game, request.profile);
-            response.frontier = sweep.batch_robustness_frontier(
-                request.max_k, request.max_t, request.criterion, request.mode,
-                resume ? &*resume : nullptr, &checkpoint, sink);
-        }
+        response.resume_token =
+            leg.run(*grant, [&](const core::CoalitionSweep& sweep,
+                                const core::SweepCheckpoint* resume,
+                                core::SweepCheckpoint& checkpoint) {
+                response.frontier = sweep.batch_robustness_frontier(
+                    request.max_k, request.max_t, request.criterion, request.mode, resume,
+                    &checkpoint, sink);
+            });
         response.stream_columns = streamed;
-        if (checkpoint.finished) {
+        if (response.resume_token.empty()) {
             response.status = QueryStatus::kResolved;
             resolved_.fetch_add(1, std::memory_order_relaxed);
         } else {
             response.status = QueryStatus::kDegraded;
-            response.resume_token = encode_token('f', fingerprint(), checkpoint);
             degraded_.fetch_add(1, std::memory_order_relaxed);
         }
     } catch (...) {
@@ -478,24 +478,18 @@ ServerStats RobustnessServer::stats() const {
     out.resolved = resolved_.load(std::memory_order_relaxed);
     out.degraded = degraded_.load(std::memory_order_relaxed);
     out.errors = errors_.load(std::memory_order_relaxed);
-    out.stampede_waits = stampede_waits_.load(std::memory_order_relaxed);
     out.tokens_rejected = tokens_rejected_.load(std::memory_order_relaxed);
     const VerdictCache::Stats cache = cache_.stats();
     out.cache_hits = cache.hits;
     out.cache_misses = cache.misses;
     out.cache_evictions = cache.evictions;
     out.cache_promotions = cache.promotions;
+    out.stampede_waits = cache.waits;
     return out;
 }
 
-void RobustnessServer::set_fault_hook(
-    std::function<void(const QueryRequest&, util::ExecutionGrant&)> hook) {
+void RobustnessServer::set_fault_hook(std::function<void(util::ExecutionGrant&)> hook) {
     fault_hook_ = std::move(hook);
-}
-
-void RobustnessServer::set_frontier_fault_hook(
-    std::function<void(const FrontierRequest&, util::ExecutionGrant&)> hook) {
-    frontier_fault_hook_ = std::move(hook);
 }
 
 }  // namespace bnash::serve

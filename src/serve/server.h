@@ -39,12 +39,16 @@
 // promotes the longest-deadline live follower, which picks the sweep up
 // from the leader's checkpoint instead of the whole burst degrading.
 // Only exact verdicts are cached; degraded answers are never served
-// from memory.
+// from memory. A follower may be a disguised equivalent of the leader
+// (same canonical key, other bytes), so a token handed over by the cache
+// is re-bound to the follower's own request: kept when it decodes for
+// that request, else replaced by a fresh sweep (promoted) or by a token
+// for one (degraded).
 //
 // frontier() runs the full batch grid query synchronously (uncached —
 // grids are request-shaped, not cell-shaped), streaming each t-column
 // through the optional ColumnSink as it resolves and degrading to a
-// resume token exactly like query().
+// resume token exactly like query(): both run one token-bound leg.
 #pragma once
 
 #include <atomic>
@@ -82,11 +86,11 @@ enum class QueryStatus : std::uint8_t {
 [[nodiscard]] const char* to_string(QueryStatus status) noexcept;
 [[nodiscard]] const char* to_string(core::CellVerdict verdict) noexcept;
 
-struct QueryRequest final {
+// What a cell query and a frontier query share: the game, the candidate,
+// how to sweep, the grant limits, and the token to resume from.
+struct SweepRequest {
     game::NormalFormGame game{std::vector<std::size_t>{1}};
     game::ExactMixedProfile profile;
-    std::size_t k = 1;
-    std::size_t t = 0;
     core::GainCriterion criterion = core::GainCriterion::kAnyMemberGains;
     game::SweepMode mode = game::SweepMode::kAuto;
     // Per-request grant limits. kUnlimited budget + no deadline = the
@@ -97,6 +101,11 @@ struct QueryRequest final {
     // request. Tokens bind to the request bytes and the server's token
     // generation; anything else is answered kError.
     std::string resume_token;
+};
+
+struct QueryRequest final : SweepRequest {
+    std::size_t k = 1;
+    std::size_t t = 0;
     // Load-shedding identity: consecutive sheds from one source grow the
     // backoff hint exponentially. Empty = one shared anonymous source.
     std::string source;
@@ -114,16 +123,9 @@ struct QueryResponse final {
     std::string error;                 // kError only
 };
 
-struct FrontierRequest final {
-    game::NormalFormGame game{std::vector<std::size_t>{1}};
-    game::ExactMixedProfile profile;
+struct FrontierRequest final : SweepRequest {
     std::size_t max_k = 1;
     std::size_t max_t = 0;
-    core::GainCriterion criterion = core::GainCriterion::kAnyMemberGains;
-    game::SweepMode mode = game::SweepMode::kAuto;
-    std::uint64_t budget_cells = util::ExecutionGrant::kUnlimited;
-    std::optional<std::chrono::nanoseconds> deadline;
-    std::string resume_token;
 };
 
 struct FrontierResponse final {
@@ -153,7 +155,7 @@ struct ServerStats final {
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_evictions = 0;
     std::uint64_t cache_promotions = 0;
-    std::uint64_t stampede_waits = 0;
+    std::uint64_t stampede_waits = 0;  // admissions that waited on a leader
     // Requests whose presented resume token was refused: undecodable,
     // stale, minted for another request, or carrying a checkpoint the
     // sweep rejects (core::InvalidCheckpoint). Each also counts in errors.
@@ -212,14 +214,13 @@ public:
     [[nodiscard]] ServerStats stats() const;
     [[nodiscard]] VerdictCache& cache() noexcept { return cache_; }
 
-    // Fault-injection hooks (tests): run on the serving thread, under the
-    // request's grant, before the sweep. Exceptions they throw follow the
-    // normal error path (kError + cache drop). Not thread-safe against
-    // in-flight requests; install before serving. A hook also sees the
-    // grant (so a schedule can cancel or starve it).
-    void set_fault_hook(std::function<void(const QueryRequest&, util::ExecutionGrant&)> hook);
-    void set_frontier_fault_hook(
-        std::function<void(const FrontierRequest&, util::ExecutionGrant&)> hook);
+    // Fault-injection hook (tests): runs on the serving thread, under the
+    // request's grant, before every sweep leg — query() and submit()
+    // leaders and frontier() calls alike, in arrival order. Exceptions it
+    // throws follow the normal error path (kError + cache drop). Not
+    // thread-safe against in-flight requests; install before serving. The
+    // hook sees the grant (so a schedule can cancel or starve it).
+    void set_fault_hook(std::function<void(util::ExecutionGrant&)> hook);
 
 private:
     struct Item final {
@@ -227,6 +228,10 @@ private:
         std::promise<QueryResponse> promise;
         std::shared_ptr<util::ExecutionGrant> grant;
     };
+
+    // One token-bound sweep leg of a request, shared by process() and
+    // frontier(); see server.cpp.
+    class Leg;
 
     [[nodiscard]] QueryResponse process(const QueryRequest& request,
                                         const std::shared_ptr<util::ExecutionGrant>& grant);
@@ -240,28 +245,24 @@ private:
         std::uint64_t budget_cells, const std::optional<std::chrono::nanoseconds>& deadline);
     void worker_loop();
 
-    // Resume-token codec. Tokens are '.'-joined decimal fields:
-    // kind, generation, request hash, then the SweepCheckpoint payload.
+    // Resume-token codec. Tokens are '.'-joined decimal fields: kind,
+    // generation, request hash, then the SweepCheckpoint payload a retry
+    // reads (every minted token is unfinished, so `finished` is left out
+    // and decodes as false).
     [[nodiscard]] std::string encode_token(char kind, std::uint64_t request_hash,
                                            const core::SweepCheckpoint& checkpoint) const;
-    // Strict decode for user-presented tokens: throws core::InvalidCheckpoint
-    // on malformed input, wrong kind, stale generation, or a hash that
-    // does not match `request_hash`.
+    // Strict decode: throws core::InvalidCheckpoint on malformed input,
+    // wrong kind, stale generation, or a hash that does not match
+    // `request_hash`.
     [[nodiscard]] core::SweepCheckpoint decode_token(const std::string& token, char kind,
                                                      std::uint64_t request_hash) const;
-    // Lenient decode for cache hand-off: a token minted for a permuted-
-    // equivalent request (different exact bytes, same canonical key) is
-    // not safe to seek with, so mismatches fall back to a fresh sweep.
-    [[nodiscard]] std::optional<core::SweepCheckpoint> try_decode_token(
-        const std::string& token, char kind, std::uint64_t request_hash) const;
 
     [[nodiscard]] std::uint64_t shed_backoff_ms(const std::string& source, std::size_t depth);
     void reset_backoff(const std::string& source);
 
     Options options_;
     VerdictCache cache_;
-    std::function<void(const QueryRequest&, util::ExecutionGrant&)> fault_hook_;
-    std::function<void(const FrontierRequest&, util::ExecutionGrant&)> frontier_fault_hook_;
+    std::function<void(util::ExecutionGrant&)> fault_hook_;
 
     std::mutex mutex_;
     std::condition_variable queue_ready_;
@@ -276,7 +277,6 @@ private:
     std::atomic<std::uint64_t> resolved_{0};
     std::atomic<std::uint64_t> degraded_{0};
     std::atomic<std::uint64_t> errors_{0};
-    std::atomic<std::uint64_t> stampede_waits_{0};
     std::atomic<std::uint64_t> tokens_rejected_{0};
 };
 
@@ -285,7 +285,7 @@ private:
 // because checkpoints are task-rank based and two permuted-equivalent
 // games give the same ranks different meanings. It reads every payoff, so
 // the server computes it only on token paths — decoding a presented
-// token, re-checking a checkpoint handed to a promoted follower, minting
+// token, re-binding a token a cache leader handed to a follower, minting
 // a degraded response's token — and at most once per request; a request
 // that never touches a token never pays for it.
 [[nodiscard]] std::uint64_t request_fingerprint(const game::NormalFormGame& game,

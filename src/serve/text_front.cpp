@@ -185,22 +185,25 @@ void LineSession::handle_mode(Args args) {
     }
 }
 
+void LineSession::fill_request(SweepRequest& request, Args args) {
+    request.game = require_game();
+    request.profile = profile_;
+    request.mode = mode_;
+    request.resume_token = std::exchange(resume_token_, std::string());
+    if (args.size() >= 3) request.budget_cells = static_cast<std::uint64_t>(parse_size(args[2]));
+    if (args.size() >= 4) request.deadline = std::chrono::milliseconds(parse_size(args[3]));
+}
+
 bool LineSession::handle_ask(Args args, const LineSink& emit) {
-    game::NormalFormGame& game = require_game();
+    (void)require_game();
     if (args.size() < 2 || args.size() > 4) {
         throw std::invalid_argument("usage: ask <k> <t> [budget_cells] [deadline_ms]");
     }
     QueryRequest request;
-    request.game = game;
-    request.profile = profile_;
     request.k = parse_size(args[0]);
     request.t = parse_size(args[1]);
-    request.criterion = core::GainCriterion::kAnyMemberGains;
-    request.mode = mode_;
     request.source = source_;
-    request.resume_token = std::exchange(resume_token_, std::string());
-    if (args.size() >= 3) request.budget_cells = static_cast<std::uint64_t>(parse_size(args[2]));
-    if (args.size() >= 4) request.deadline = std::chrono::milliseconds(parse_size(args[3]));
+    fill_request(request, args);
 
     const QueryResponse response = server_->query(request);
     ++asks_;
@@ -215,20 +218,14 @@ bool LineSession::handle_ask(Args args, const LineSink& emit) {
 }
 
 bool LineSession::handle_frontier(Args args, const LineSink& emit) {
-    game::NormalFormGame& game = require_game();
+    (void)require_game();
     if (args.size() < 2 || args.size() > 4) {
         throw std::invalid_argument("usage: frontier <max_k> <max_t> [budget_cells] [deadline_ms]");
     }
     FrontierRequest request;
-    request.game = game;
-    request.profile = profile_;
     request.max_k = parse_size(args[0]);
     request.max_t = parse_size(args[1]);
-    request.criterion = core::GainCriterion::kAnyMemberGains;
-    request.mode = mode_;
-    request.resume_token = std::exchange(resume_token_, std::string());
-    if (args.size() >= 3) request.budget_cells = static_cast<std::uint64_t>(parse_size(args[2]));
-    if (args.size() >= 4) request.deadline = std::chrono::milliseconds(parse_size(args[3]));
+    fill_request(request, args);
 
     // Columns stream as the sweep resolves them. A dead peer mid-stream
     // cannot abort the sweep (the sink has no back-channel), so the

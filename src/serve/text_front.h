@@ -96,6 +96,10 @@ private:
     void handle_profile(Args args);
     void handle_mixed(Args args);
     void handle_mode(Args args);
+    // The session's share of an ask or frontier request: the game, the
+    // candidate, the mode, the one-shot resume token, and the optional
+    // [budget_cells] [deadline_ms] that follow the two sizes in `args`.
+    void fill_request(SweepRequest& request, Args args);
     [[nodiscard]] bool handle_ask(Args args, const LineSink& emit);
     [[nodiscard]] bool handle_frontier(Args args, const LineSink& emit);
     [[nodiscard]] bool handle_stats(const LineSink& emit);

@@ -28,8 +28,9 @@ void expect_same_violation(const std::optional<RobustnessViolation>& a,
                            const std::optional<RobustnessViolation>& b,
                            const std::string& what) {
     ASSERT_EQ(a.has_value(), b.has_value()) << what;
-    if (a && b) EXPECT_TRUE(*a == *b) << what << ": " << a->to_string() << " vs "
-                                      << b->to_string();
+    if (a && b) {
+        EXPECT_TRUE(*a == *b) << what << ": " << a->to_string() << " vs " << b->to_string();
+    }
 }
 
 void expect_all_checkers_agree(const NormalFormGame& g, const ExactMixedProfile& profile,
@@ -212,7 +213,9 @@ TEST(CoalitionSweep, DegenerateSingleProfileAndOnePlayerGames) {
     // Every player has ONE action: no deviation exists, so every cell of
     // every frontier is robust and every boundary sits at its budget.
     NormalFormGame single({1, 1, 1});
-    for (std::size_t p = 0; p < 3; ++p) single.set_payoff({0, 0, 0}, p, Rational{p + 1});
+    for (std::int64_t p = 0; p < 3; ++p) {
+        single.set_payoff({0, 0, 0}, static_cast<std::size_t>(p), Rational{p + 1});
+    }
     const auto single_profile = as_exact_profile(single, PureProfile(3, 0));
     expect_frontier_matches_probes(single, single_profile, 3, 2, "single-profile");
     const auto walk = max_kt(single, single_profile, 3, 2);

@@ -148,7 +148,7 @@ TEST(EdgeDist, CrashAtRoundZeroWithNoPartialSendsIsSilent) {
 }
 
 TEST(EdgeDist, OutboxRejectsUnknownRecipient) {
-    dist::Outbox outbox{0, 3, 0};
+    dist::Outbox outbox{0, 3, 0, {}};
     EXPECT_THROW(outbox.send(3, "x", {}), std::out_of_range);
 }
 

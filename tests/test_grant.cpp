@@ -756,7 +756,9 @@ TEST(GrantFuzz, OrbitResumeChainsMatchUnbudgetedRuns) {
             const ChainEnds ends = run_chains(sweep, max_k, max_t, criterion, mode, budget);
             const std::string leg_label = label + " budget=" + std::to_string(budget);
             ASSERT_EQ(ends.cell.has_value(), full_cell.has_value()) << leg_label;
-            if (ends.cell) EXPECT_TRUE(*ends.cell == *full_cell) << leg_label;
+            if (ends.cell) {
+                EXPECT_TRUE(*ends.cell == *full_cell) << leg_label;
+            }
             EXPECT_TRUE(ends.grid == full_grid) << leg_label << " orbit grid differs";
             EXPECT_TRUE(ends.walk == full_walk) << leg_label << " orbit walk differs";
         }
@@ -792,71 +794,44 @@ std::vector<std::pair<std::string, core::SweepCheckpoint>> invalid_variants(
     using Checkpoint = core::SweepCheckpoint;
     constexpr std::uint64_t kFar = std::uint64_t{1} << 40;
     add("immunity_ok beyond max_t", [&](Checkpoint& v) { v.immunity_ok = max_t + 1; });
-    if (!c.immunity_done) {
-        add("immunity_next beyond the task space", [&](Checkpoint& v) { v.immunity_next = kFar; });
-        add("next_task before immunity is done", [](Checkpoint& v) { v.next_task = 1; });
-        add("column_done before immunity is done", [](Checkpoint& v) { v.column_done = {0}; });
-        add("walk state before immunity is done", [&](Checkpoint& v) {
-            v.walk_t = 1;
-            v.walk_k_of_t = {max_k};
-            v.walk_k_prev = max_k;
-        });
-        add("walk_cells_resolved before immunity is done",
-            [](Checkpoint& v) { v.walk_cells_resolved = 1; });
-        return out;
-    }
     add("next_task beyond the task space", [&](Checkpoint& v) { v.next_task = kFar; });
-    if (c.next_task != 0 || !c.column_done.empty() || c.walk_t != 0) {
-        add("phase-(b) state with immunity not done", [](Checkpoint& v) {
-            v.immunity_done = false;
-            v.immunity_next = 1;
-        });
-    }
     if (entry != Entry::kFrontier) {
-        add("column_done on a non-frontier checkpoint", [](Checkpoint& v) { v.column_done = {0}; });
+        add("open_columns on a cell or walk checkpoint", [](Checkpoint& v) { v.open_columns = 1; });
     }
     if (entry != Entry::kWalk) {
-        add("walk state on a non-walk checkpoint",
-            [](Checkpoint& v) { v.walk_cells_resolved = 1; });
+        add("walk_k_of_t on a non-walk checkpoint",
+            [&](Checkpoint& v) { v.walk_k_of_t = {max_k}; });
+    }
+    if (!c.immunity_done) {
+        if (entry == Entry::kFrontier) {
+            add("open_columns before immunity is done", [](Checkpoint& v) { v.open_columns = 1; });
+        }
+        if (entry == Entry::kWalk) {
+            add("walk_k_of_t before immunity is done",
+                [&](Checkpoint& v) { v.walk_k_of_t = {max_k}; });
+        }
+        return out;
+    }
+    if (c.open_columns != 0 || !c.walk_k_of_t.empty()) {
+        add("phase-(b) state with immunity not done",
+            [](Checkpoint& v) { v.immunity_done = false; });
     }
     if (entry == Entry::kFrontier) {
-        add("column_done lengthened", [](Checkpoint& v) { v.column_done.push_back(0); });
-        add("column_done shortened", [](Checkpoint& v) { v.column_done.pop_back(); });
-        // Open columns form a t-prefix, and an unfinished run has column 0
-        // open: column_done is zeros, then ones.
-        if (c.column_done.size() >= 2) {
-            add("column_done not a suffix", [](Checkpoint& v) {
-                v.column_done.front() = 1;
-                v.column_done.back() = 0;
-            });
-        }
-        add("column_done all done",
-            [](Checkpoint& v) { std::fill(v.column_done.begin(), v.column_done.end(), 1); });
+        add("open_columns zero", [](Checkpoint& v) { v.open_columns = 0; });
+        add("open_columns past the grid",
+            [&](Checkpoint& v) { v.open_columns = std::min(max_t, v.immunity_ok) + 2; });
     }
     if (entry == Entry::kWalk) {
-        add("walk_k_of_t longer than walk_t",
-            [](Checkpoint& v) { v.walk_k_of_t.push_back(v.walk_k_prev); });
-        add("walk_t past walk_k_of_t", [](Checkpoint& v) { ++v.walk_t; });
-        add("walk_k_prev off the last column", [](Checkpoint& v) { ++v.walk_k_prev; });
-        add("walk_k_of_t above max_k", [&](Checkpoint& v) {
-            v.walk_t = 1;
-            v.walk_k_of_t = {max_k + 1};
-            v.walk_k_prev = max_k + 1;
-        });
-        if (c.walk_t >= 1) {
-            add("walk_k_of_t increasing", [](Checkpoint& v) {
-                v.walk_k_of_t.push_back(v.walk_k_prev + 1);
-                ++v.walk_t;
-                ++v.walk_k_prev;
-            });
+        add("walk_k_of_t above max_k", [&](Checkpoint& v) { v.walk_k_of_t = {max_k + 1}; });
+        add("walk_k_of_t longer than immunity_ok",
+            [&](Checkpoint& v) { v.walk_k_of_t.assign(v.immunity_ok + 1, max_k); });
+        if (c.immunity_ok >= 2) {
+            add("walk_k_of_t increasing", [](Checkpoint& v) { v.walk_k_of_t = {0, 1}; });
         }
-        add("walk_t beyond immunity_ok", [](Checkpoint& v) {
-            v.walk_t = v.immunity_ok + 1;
-            v.walk_k_of_t.resize(v.walk_t, v.walk_k_prev);
-        });
-        add("walk_cells_resolved beyond the grid", [&](Checkpoint& v) {
-            v.walk_cells_resolved = (max_k + 1) * (max_t + 1) + 1;
-        });
+        if (c.immunity_ok >= 1) {
+            add("walk_k_of_t ending in a column with no coalition to scan",
+                [](Checkpoint& v) { v.walk_k_of_t = {0}; });
+        }
     }
     return out;
 }
@@ -937,13 +912,13 @@ TEST(GrantFuzz, PerturbedCheckpointFieldsAreRejected) {
         }
         // Both phases of every entry point were perturbed.
         for (const char* what :
-             {"immunity_next beyond the task space", "next_task before immunity is done",
-              "phase-(b) state with immunity not done", "column_done lengthened",
-              "column_done shortened", "column_done not a suffix", "column_done all done",
-              "walk_k_of_t longer than walk_t",
-              "walk_k_of_t increasing", "walk_t beyond immunity_ok",
-              "walk_cells_resolved beyond the grid", "column_done on a non-frontier checkpoint",
-              "walk state on a non-walk checkpoint"}) {
+             {"immunity_ok beyond max_t", "next_task beyond the task space",
+              "open_columns on a cell or walk checkpoint", "walk_k_of_t on a non-walk checkpoint",
+              "open_columns before immunity is done", "walk_k_of_t before immunity is done",
+              "phase-(b) state with immunity not done", "open_columns zero",
+              "open_columns past the grid", "walk_k_of_t above max_k",
+              "walk_k_of_t longer than immunity_ok", "walk_k_of_t increasing",
+              "walk_k_of_t ending in a column with no coalition to scan"}) {
             EXPECT_TRUE(rejected.count(what) == 1) << engine << " never exercised: " << what;
         }
     }

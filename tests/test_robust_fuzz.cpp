@@ -745,6 +745,7 @@ TEST(RobustFuzz, PooledFrontierStreamsLikeSerial) {
 
 TEST(RobustFuzz, MaxKtMatchesFrontierOnRandomGames) {
     util::Rng rng{40'220'731};
+    std::uint64_t total_resolved = 0;
     for (int trial = 0; trial < 60; ++trial) {
         const std::size_t n = 2 + static_cast<std::size_t>(trial % 3);
         const auto counts = random_counts(rng, n);
@@ -775,10 +776,15 @@ TEST(RobustFuzz, MaxKtMatchesFrontierOnRandomGames) {
         // The maximal set IS the Pareto frontier of the grid.
         for (const auto& [k, t] : walk.maximal) {
             EXPECT_TRUE(frontier.robust(k, t)) << label;
-            if (k < max_k) EXPECT_FALSE(frontier.robust(k + 1, t)) << label;
-            if (t < max_t) EXPECT_FALSE(frontier.robust(k, t + 1)) << label;
+            if (k < max_k) {
+                EXPECT_FALSE(frontier.robust(k + 1, t)) << label;
+            }
+            if (t < max_t) {
+                EXPECT_FALSE(frontier.robust(k, t + 1)) << label;
+            }
         }
         EXPECT_LE(walk.cells_resolved, (max_k + 1) * (max_t + 1)) << label;
+        total_resolved += walk.cells_resolved;
 
         // Zero-copy view overload agrees with the materialized walk.
         if (trial % 4 == 0) {
@@ -789,6 +795,9 @@ TEST(RobustFuzz, MaxKtMatchesFrontierOnRandomGames) {
             EXPECT_EQ(via_view, walk) << label << " view-vs-dense";
         }
     }
+    // The corpus total of the walks' resolved cells, pinned: each walk
+    // derives its count from its boundary and k_of_t.
+    EXPECT_EQ(total_resolved, 232u);
 }
 
 // -------------------------------------- anonymous games vs tensor twins

@@ -731,7 +731,7 @@ TEST(Server, BoundedCacheEvictsAndReports) {
 
 TEST(Server, SlowTaskAgainstDeadlineDegrades) {
     RobustnessServer server;
-    server.set_fault_hook([](const QueryRequest&, util::ExecutionGrant&) {
+    server.set_fault_hook([](util::ExecutionGrant&) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     });
     QueryRequest request = pd_request(1);
@@ -743,7 +743,7 @@ TEST(Server, SlowTaskAgainstDeadlineDegrades) {
 
 TEST(Server, PoisonedTaskErrorsAndRetrySucceeds) {
     RobustnessServer server;
-    server.set_fault_hook([](const QueryRequest&, util::ExecutionGrant&) {
+    server.set_fault_hook([](util::ExecutionGrant&) {
         throw std::runtime_error("injected fault");
     });
     const QueryResponse poisoned = server.query(pd_request(1));
@@ -766,7 +766,7 @@ TEST(Server, CancelInFlightDegradesInsteadOfBlocking) {
     std::condition_variable cv;
     bool started = false;
     bool release = false;
-    server.set_fault_hook([&](const QueryRequest&, util::ExecutionGrant&) {
+    server.set_fault_hook([&](util::ExecutionGrant&) {
         std::unique_lock<std::mutex> lock(mutex);
         started = true;
         cv.notify_all();
@@ -799,7 +799,7 @@ TEST(Server, FullQueueShedsWithRetryAfter) {
     std::condition_variable cv;
     bool started = false;
     bool release = false;
-    server.set_fault_hook([&](const QueryRequest&, util::ExecutionGrant&) {
+    server.set_fault_hook([&](util::ExecutionGrant&) {
         std::unique_lock<std::mutex> lock(mutex);
         started = true;
         cv.notify_all();
@@ -838,7 +838,7 @@ TEST(Server, ConsecutiveShedsBackOffExponentiallyAndResetOnAdmit) {
     RobustnessServer server(options);
     std::atomic<int> entered{0};
     std::atomic<bool> gate{false};
-    server.set_fault_hook([&](const QueryRequest&, util::ExecutionGrant&) {
+    server.set_fault_hook([&](util::ExecutionGrant&) {
         entered.fetch_add(1);
         while (!gate.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
     });
@@ -897,7 +897,7 @@ TEST(Server, CacheStampedeIsSingleFlight) {
     std::condition_variable cv;
     bool release = false;
     std::atomic<int> leaders{0};
-    server.set_fault_hook([&](const QueryRequest&, util::ExecutionGrant&) {
+    server.set_fault_hook([&](util::ExecutionGrant&) {
         leaders.fetch_add(1);  // only cache leaders reach the hook
         std::unique_lock<std::mutex> lock(mutex);
         cv.wait(lock, [&] { return release; });
@@ -940,7 +940,7 @@ TEST(Server, ShutdownRejectsQueuedRequests) {
         options.num_workers = 1;
         options.queue_capacity = 8;
         RobustnessServer server(options);
-        server.set_fault_hook([&](const QueryRequest&, util::ExecutionGrant&) {
+        server.set_fault_hook([&](util::ExecutionGrant&) {
             std::unique_lock<std::mutex> lock(mutex);
             started = true;
             cv.notify_all();
@@ -1089,7 +1089,7 @@ TEST(ServerResume, OutOfRangeForgedTokenErrorsAndPoisonsNothing) {
     QueryRequest forged = pd_request(0);
     const std::uint64_t fingerprint = request_fingerprint(
         forged.game, forged.profile, forged.k, forged.t, forged.criterion, forged.mode);
-    forged.resume_token = "c.0." + std::to_string(fingerprint) + ".0.1.0.0.999999.0.0.0.0.0";
+    forged.resume_token = "c.0." + std::to_string(fingerprint) + ".1.0.999999.0.0";
     const QueryResponse rejected = server.query(forged);
     EXPECT_EQ(rejected.status, QueryStatus::kError);
     EXPECT_EQ(rejected.verdict, CellVerdict::kUnknown);
@@ -1109,8 +1109,7 @@ TEST(ServerResume, OutOfRangeForgedTokenErrorsAndPoisonsNothing) {
     grid.max_t = 0;
     const std::uint64_t grid_fingerprint = request_fingerprint(
         grid.game, grid.profile, grid.max_k, grid.max_t, grid.criterion, grid.mode);
-    grid.resume_token =
-        "f.0." + std::to_string(grid_fingerprint) + ".0.1.0.0.999999.1.0.0.0.0.0";
+    grid.resume_token = "f.0." + std::to_string(grid_fingerprint) + ".1.0.999999.1.0";
     EXPECT_EQ(server.frontier(grid).status, QueryStatus::kError);
     EXPECT_EQ(server.stats().tokens_rejected, 2u);
 }
@@ -1122,7 +1121,7 @@ TEST(Server, LeaderDeathPromotesFollowerWhichFinishesTheSweep) {
     options.num_workers = 2;
     RobustnessServer server(options);
     std::atomic<int> arrivals{0};
-    server.set_fault_hook([&](const QueryRequest&, util::ExecutionGrant& grant) {
+    server.set_fault_hook([&](util::ExecutionGrant& grant) {
         if (arrivals.fetch_add(1) != 0) return;  // only the first leader dies
         // Wait for a follower to park on us, then starve our grant so the
         // sweep truncates at its first checkpoint.
@@ -1154,6 +1153,62 @@ TEST(Server, LeaderDeathPromotesFollowerWhichFinishesTheSweep) {
     // The promoted run resumed rather than restarting: both runs
     // together cost about one sweep, not two.
     EXPECT_EQ(arrivals.load(), 2);
+}
+
+// A stampede follower may be a disguised equivalent of the leader: the
+// same canonical key from other bytes (payoffs cubed here, an ordinal
+// transform). When the leader starves after the follower's own deadline
+// passed, the follower resolves degraded. The token it gets must resume
+// ITS request, not only the leader's, whose bytes the leader's token
+// binds to.
+TEST(Server, DisguisedDegradedFollowerGetsATokenItCanUse) {
+    RobustnessServer::Options options;
+    options.num_workers = 2;
+    RobustnessServer server(options);
+    QueryRequest cubed = attack_request();
+    for (std::uint64_t rank = 0; rank < cubed.game.num_profiles(); ++rank) {
+        const PureProfile cell = cubed.game.profile_unrank(rank);
+        for (std::size_t player = 0; player < cubed.game.num_players(); ++player) {
+            const Rational payoff = cubed.game.payoff_at(rank, player);
+            cubed.game.set_payoff(cell, player, payoff * payoff * payoff);
+        }
+    }
+    const QueryRequest plain = attack_request();
+    ASSERT_EQ(canonical_key(cubed.game, cubed.profile, cubed.k, cubed.t, cubed.criterion),
+              canonical_key(plain.game, plain.profile, plain.k, plain.t, plain.criterion));
+
+    std::atomic<int> arrivals{0};
+    const auto wait_for = [](const auto& done) {
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!done() && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    };
+    server.set_fault_hook([&](util::ExecutionGrant& grant) {
+        if (arrivals.fetch_add(1) != 0) return;  // only the first leader starves
+        // Let the follower park and outlive its 5 ms deadline, so the
+        // hand-off finds no live follower to promote.
+        wait_for([&] { return server.stats().stampede_waits >= 1; });
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        grant.restrict_budget(1);
+    });
+    RobustnessServer::Submission leader = server.submit(plain);
+    wait_for([&] { return arrivals.load() >= 1; });
+    QueryRequest follower = cubed;
+    follower.deadline = std::chrono::milliseconds(5);
+    RobustnessServer::Submission parked = server.submit(follower);
+    EXPECT_EQ(leader.result.get().status, QueryStatus::kDegraded);
+    const QueryResponse degraded = parked.result.get();
+    ASSERT_EQ(degraded.status, QueryStatus::kDegraded);
+    EXPECT_TRUE(degraded.cache_hit);
+    ASSERT_FALSE(degraded.resume_token.empty());
+    EXPECT_EQ(server.stats().cache_promotions, 0u);
+
+    cubed.resume_token = degraded.resume_token;
+    const QueryResponse retry = server.query(cubed);
+    EXPECT_EQ(retry.status, QueryStatus::kResolved) << retry.error;
+    EXPECT_EQ(retry.verdict, CellVerdict::kRobust);
+    EXPECT_EQ(server.stats().tokens_rejected, 0u);
 }
 
 // ---------------------------------------------------------- fault schedule
@@ -1287,7 +1342,7 @@ TEST(ServerResume, StarvedTokensMatchGoldenBytes) {
     ask.budget_cells = 200;
     const QueryResponse degraded = server.query(ask);
     ASSERT_EQ(degraded.status, QueryStatus::kDegraded);
-    EXPECT_EQ(degraded.resume_token, "c.0.11474610264568175207.0.1.0.0.8.0.0.0.0.0");
+    EXPECT_EQ(degraded.resume_token, "c.0.11474610264568175207.1.0.8.0.0");
     ask.budget_cells = util::ExecutionGrant::kUnlimited;
     ask.resume_token = degraded.resume_token;
     const QueryResponse resumed = server.query(ask);
@@ -1300,7 +1355,7 @@ TEST(ServerResume, StarvedTokensMatchGoldenBytes) {
     grid.budget_cells = 200;
     const FrontierResponse partial = server.frontier(grid);
     ASSERT_EQ(partial.status, QueryStatus::kDegraded);
-    EXPECT_EQ(partial.resume_token, "f.0.4224598482035055556.0.1.15.2.2.3.0.0.0.0.0.0.0");
+    EXPECT_EQ(partial.resume_token, "f.0.4224598482035055556.1.2.2.3.0");
     grid.budget_cells = util::ExecutionGrant::kUnlimited;
     grid.resume_token = partial.resume_token;
     const FrontierResponse rest = server.frontier(grid);
@@ -1311,30 +1366,30 @@ TEST(ServerResume, StarvedTokensMatchGoldenBytes) {
 }
 
 // A frontier token is validated field by field, not only by its
-// positions: a real starved token whose column_done list has been
-// lengthened by one column is refused (kError) and counted.
-TEST(ServerResume, LengthenedColumnDoneTokenIsRejected) {
+// positions: a real starved token whose open_columns count has been
+// raised past the grid's columns is refused (kError) and counted.
+TEST(ServerResume, OpenColumnsPastTheGridTokenIsRejected) {
     RobustnessServer server;
     FrontierRequest grid = frontier_request(2, 2);
     grid.budget_cells = 200;
     const FrontierResponse partial = server.frontier(grid);
     ASSERT_EQ(partial.status, QueryStatus::kDegraded);
-    // Fields: kind, generation, fingerprint, finished, immunity_done,
-    // immunity_next, immunity_ok, next_task, then the column_done count.
+    // Fields: kind, generation, fingerprint, immunity_done, immunity_ok,
+    // next_task, open_columns, then the walk_k_of_t count. The grid has
+    // max_t + 1 = 3 columns.
     std::vector<std::string> fields;
     std::istringstream split(partial.resume_token);
     for (std::string field; std::getline(split, field, '.');) fields.push_back(field);
-    ASSERT_GT(fields.size(), 9u);
-    fields[8] = std::to_string(std::stoull(fields[8]) + 1);
-    fields.insert(fields.begin() + 9, "0");
-    std::string lengthened = fields[0];
-    for (std::size_t i = 1; i < fields.size(); ++i) lengthened += "." + fields[i];
+    ASSERT_EQ(fields.size(), 8u);
+    fields[6] = "4";
+    std::string widened = fields[0];
+    for (std::size_t i = 1; i < fields.size(); ++i) widened += "." + fields[i];
 
     grid.budget_cells = util::ExecutionGrant::kUnlimited;
-    grid.resume_token = lengthened;
+    grid.resume_token = widened;
     const FrontierResponse rejected = server.frontier(grid);
     EXPECT_EQ(rejected.status, QueryStatus::kError);
-    EXPECT_NE(rejected.error.find("column_done"), std::string::npos) << rejected.error;
+    EXPECT_NE(rejected.error.find("open_columns"), std::string::npos) << rejected.error;
     EXPECT_EQ(server.stats().tokens_rejected, 1u);
     // The genuine token still resumes.
     grid.resume_token = partial.resume_token;

@@ -383,7 +383,9 @@ TEST(OrbitSweepTest, DegenerateGroupRoutesToDenseUnchanged) {
         const auto routed_find =
             core::find_robustness_violation(view, profile, 2, 1, options, &trivial);
         ASSERT_EQ(dense_find.has_value(), routed_find.has_value());
-        if (dense_find) EXPECT_TRUE(*dense_find == *routed_find);
+        if (dense_find) {
+            EXPECT_TRUE(*dense_find == *routed_find);
+        }
     }
 }
 

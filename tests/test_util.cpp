@@ -898,7 +898,9 @@ TEST(BlockRunner, FirstHitMatchesSerialLoopOnRandomPatterns) {
             std::size_t verified = 0;
             EXPECT_EQ(observe(num_blocks, block_ranks, pooled, pattern, &verified), expected)
                 << "trial " << trial << " pooled " << pooled;
-            if (expected.outcome == Outcome::kNone) EXPECT_EQ(verified, num_blocks);
+            if (expected.outcome == Outcome::kNone) {
+                EXPECT_EQ(verified, num_blocks);
+            }
         }
     }
 }
