@@ -279,9 +279,8 @@ BENCHMARK(bench_serve_resume)->Unit(benchmark::kMillisecond);
 
 // Canonicalization on its own (a pure candidate: the ordinal path): the
 // fixed per-request cost every cached answer still pays. This is the WARM
-// row: one game object serves every iteration, so its ordinal ranks are
-// built once and every later key reads them (a rank-cache hit, like a
-// repeat ask on one upload).
+// row: one game object serves every iteration, so its store is built
+// once and every key reads its ranks (like a repeat ask on one upload).
 void bench_canonical_key(benchmark::State& state) {
     const auto players = static_cast<std::size_t>(state.range(0));
     const game::NormalFormGame game = game::catalog::attack_coordination_game(players);
@@ -295,8 +294,8 @@ void bench_canonical_key(benchmark::State& state) {
 BENCHMARK(bench_canonical_key)->Arg(4)->Arg(6)->Unit(benchmark::kMicrosecond);
 
 // The COLD row: every iteration re-assigns the payoffs, as a fresh upload
-// does, so every key pays the rank build. The time includes that
-// assign_payoffs (one tensor copy plus its double mirror).
+// does, so every key pays the store build. The time includes that
+// assign_payoffs (one index sort per player plus the double mirror).
 void bench_canonical_key_cold(benchmark::State& state) {
     const auto players = static_cast<std::size_t>(state.range(0));
     game::NormalFormGame game = game::catalog::attack_coordination_game(players);
@@ -331,7 +330,7 @@ BENCHMARK(bench_canonical_key_mixed)->Arg(6)->Unit(benchmark::kMicrosecond);
 void bench_serve_upload(benchmark::State& state) {
     const auto players = static_cast<std::size_t>(state.range(0));
     const game::NormalFormGame shape(std::vector<std::size_t>(players, 3));
-    const std::size_t entries = shape.payoffs_flat().size();
+    const std::size_t entries = shape.num_profiles() * shape.num_players();
     util::Rng rng(15);
     std::string game_line = "game " + std::to_string(players);
     std::string payoffs_line = "payoffs";

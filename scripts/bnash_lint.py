@@ -45,6 +45,10 @@ Rules (ids are stable; waivers reference them):
   include-hygiene    No "../" relative-up includes, no <bits/...>, every
                      quoted include resolves under src/, and foo.cpp's
                      first include is its own header when one exists.
+  no-decode          No payoffs_flat() member call in library code: it
+                     decodes the whole exact tensor into a new vector,
+                     while library code reads the payoff store (payoff_at,
+                     levels, ordinal_ranks). No waiver.
   identity-forward   No function that takes a NormalFormGame and whose
                      whole body is `return f(... GameView::full(...) ...);`
                      (or GameView(...) / GameView{...}).
@@ -82,6 +86,7 @@ RULE_DOCS = {
     "header-guard": "headers open with #pragma once",
     "include-hygiene": "includes resolve under src/, no ../ or <bits/>",
     "identity-forward": "no NormalFormGame twin that only forwards its identity view (no waiver)",
+    "no-decode": "no payoffs_flat() call in library code; read the payoff store (no waiver)",
 }
 
 WAIVER_OF_RULE = {
@@ -355,6 +360,10 @@ STDOUT_RE = re.compile(
     r"|(?<![\w:])(?:printf|puts|putchar)\s*\("
     r"|\b(?:std\s*::\s*)?fprintf\s*\(\s*stdout\b")
 
+# Member-call syntax only: the declaration and the out-of-line definition
+# (`NormalFormGame::payoffs_flat()`) are not call sites.
+DECODE_RE = re.compile(r"(?:\.|->)\s*payoffs_flat\s*\(")
+
 WALKER_CHARGE_DIRS = ("core/", "game/")
 THREAD_EXEMPT = ("util/thread_pool.h", "util/thread_pool.cpp", "serve/")
 
@@ -414,6 +423,16 @@ def check_pool_loop(unit, findings):
             "raw run_blocks call outside src/util; a first-violation search "
             "goes through util::first_hit and an ordered reduction through "
             "util::for_blocks (the rule has no waiver)",
+            unit.context_at(match.start())))
+
+
+def check_no_decode(unit, findings):
+    for match in DECODE_RE.finditer(unit.stripped):
+        findings.append(Finding(
+            "no-decode", unit.rel, line_of(unit.stripped, match.start()),
+            "payoffs_flat() decodes the whole exact tensor into a new vector; "
+            "read the payoff store instead (payoff_at, levels, "
+            "ordinal_ranks; the rule has no waiver)",
             unit.context_at(match.start())))
 
 
@@ -554,6 +573,7 @@ def lint_tree(src_root):
         check_walker_charge(unit, findings)
         check_grant_propagation(unit, findings)
         check_pool_loop(unit, findings)
+        check_no_decode(unit, findings)
         check_naked_thread(unit, findings)
         check_no_rand(unit, findings)
         check_no_stdout(unit, findings)

@@ -170,14 +170,17 @@ std::size_t AnonymousBinaryGame::max_immunity(std::size_t base_action, std::size
 game::NormalFormGame AnonymousBinaryGame::to_normal_form() const {
     if (n_ > 16) throw std::logic_error("AnonymousBinaryGame::to_normal_form: n too large");
     game::NormalFormGame out(std::vector<std::size_t>(n_, 2));
+    std::vector<util::Rational> values;
+    values.reserve(out.num_profiles() * n_);
     util::product_for_each(out.action_counts(), [&](const game::PureProfile& profile) {
         std::size_t ones = 0;
         for (const std::size_t a : profile) ones += a;
         for (std::size_t player = 0; player < n_; ++player) {
-            out.set_payoff(profile, player, payoff_(profile[player], ones, n_));
+            values.push_back(payoff_(profile[player], ones, n_));
         }
         return true;
     });
+    out.assign_payoffs(values);
     return out;
 }
 

@@ -17,8 +17,8 @@
 // compares two payoffs of ONE player, where ranks order exactly like
 // the payoffs (serve/canonical.h, ORDINAL INVARIANCE), so verdicts,
 // witness cells and work counters are those of the exact compare. A
-// witness reads its two exact payoffs once. The ranks are built on the
-// first pure sweep (or cache key) of a tensor and shared by its copies.
+// witness reads its two exact payoffs once. The ranks are the game's
+// exact storage, so a sweep builds nothing.
 //
 // ONE KERNEL per pure-candidate question scans a rank range of one
 // faulty set's combined faulty-then-coalition odometer. A task runs it

@@ -162,17 +162,20 @@ NormalFormGame BayesianGame::to_strategic_form() const {
     for (std::size_t i = 0; i < num_players(); ++i) {
         counts[i] = static_cast<std::size_t>(num_pure_strategies(i));
     }
-    NormalFormGame out(counts);
+    std::vector<util::Rational> values;
+    values.reserve(util::product_size(counts) * num_players());
     util::product_for_each(counts, [&](const std::vector<std::size_t>& ranks) {
         BayesianPureProfile profile(num_players());
         for (std::size_t i = 0; i < num_players(); ++i) {
             profile[i] = strategy_unrank(i, ranks[i]);
         }
         for (std::size_t player = 0; player < num_players(); ++player) {
-            out.set_payoff(ranks, player, expected_payoff(profile, player));
+            values.push_back(expected_payoff(profile, player));
         }
         return true;
     });
+    NormalFormGame out(counts);
+    out.assign_payoffs(values);
     return out;
 }
 

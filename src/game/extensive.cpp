@@ -338,7 +338,8 @@ NormalFormGame ExtensiveGame::to_normal_form() const {
     for (std::size_t player = 0; player < num_players_; ++player) {
         counts[player] = static_cast<std::size_t>(num_pure_strategies(player));
     }
-    NormalFormGame out(counts);
+    std::vector<util::Rational> values;
+    values.reserve(util::product_size(counts) * num_players_);
     util::product_for_each(counts, [&](const std::vector<std::size_t>& ranks) {
         PureStrategyProfile pure(info_sets_.size(), 0);
         for (std::size_t player = 0; player < num_players_; ++player) {
@@ -347,11 +348,11 @@ NormalFormGame ExtensiveGame::to_normal_form() const {
             for (std::size_t i = 0; i < sets.size(); ++i) pure[sets[i]] = choices[i];
         }
         const auto payoffs = pure_expected_payoffs_exact(pure);
-        for (std::size_t player = 0; player < num_players_; ++player) {
-            out.set_payoff(ranks, player, payoffs[player]);
-        }
+        values.insert(values.end(), payoffs.begin(), payoffs.end());
         return true;
     });
+    NormalFormGame out(counts);
+    out.assign_payoffs(values);
     return out;
 }
 

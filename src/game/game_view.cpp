@@ -1,5 +1,6 @@
 #include "game/game_view.h"
 
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,7 +13,8 @@ namespace bnash::game {
 GameView::GameView(const NormalFormGame& parent, std::vector<std::size_t> player_map,
                    std::vector<std::vector<std::size_t>> kept)
     : parent_(&parent),
-      exact_(parent.payoffs_flat().data()),
+      ranks_(parent.ordinal_ranks().data()),
+      levels_(&parent.levels(0)),
       mirror_(parent.payoffs_d_flat().data()),
       player_map_(std::move(player_map)),
       kept_(std::move(kept)) {
@@ -45,18 +47,11 @@ void GameView::rebuild_tables() {
 }
 
 GameView::GameView(const NormalFormGame& game)
-    : parent_(&game),
-      exact_(game.payoffs_flat().data()),
-      mirror_(game.payoffs_d_flat().data()),
-      player_map_(game.num_players()),
-      kept_(game.num_players()) {
-    for (std::size_t p = 0; p < game.num_players(); ++p) {
-        player_map_[p] = p;
-        kept_[p].resize(game.num_actions(p));
-        for (std::size_t a = 0; a < game.num_actions(p); ++a) kept_[p][a] = a;
-    }
-    rebuild_tables();
-}
+    : GameView(permute(game, [&game] {
+          std::vector<std::size_t> order(game.num_players());
+          std::iota(order.begin(), order.end(), std::size_t{0});
+          return order;
+      }())) {}
 
 GameView GameView::restrict(const NormalFormGame& game,
                             const std::vector<std::vector<std::size_t>>& kept_actions) {
@@ -122,8 +117,9 @@ util::MatrixQ GameView::payoff_matrix(std::size_t player) const {
 }
 
 NormalFormGame GameView::materialize() const {
-    NormalFormGame out(action_counts_);
     const std::size_t n = num_players();
+    std::vector<util::Rational> values;
+    values.reserve(num_profiles_ * n);
     util::OffsetWalker walker;
     walker.reserve(n);
     for (std::size_t p = 0; p < n; ++p) {
@@ -131,13 +127,13 @@ NormalFormGame GameView::materialize() const {
     }
     walker.reset();
     for (std::uint64_t rank = 0; rank < num_profiles_; ++rank) {
-        for (std::size_t p = 0; p < n; ++p) {
-            out.set_payoff(walker.tuple(), p, payoff_from(walker.row(), p));
-        }
+        for (std::size_t p = 0; p < n; ++p) values.push_back(payoff_from(walker.row(), p));
         // lint: no-charge(one-shot tensor copy, not sweep work; the CI
         // counters gate the sweep kernels and materialize predates them)
         (void)walker.advance();
     }
+    NormalFormGame out(action_counts_);
+    out.assign_payoffs(values);
     for (std::size_t p = 0; p < n; ++p) {
         const std::size_t parent_player = player_map_[p];
         if (!parent_->has_action_labels(parent_player)) continue;

@@ -1,7 +1,7 @@
-// Zero-copy views over a NormalFormGame's payoff tensors.
+// Zero-copy views over a NormalFormGame's payoff store.
 //
 // A GameView is a non-owning, stride-indexed window onto a parent game's
-// flat payoff storage: the full game, an action-restricted subgame, a
+// flat payoff store: the full game, an action-restricted subgame, a
 // player-permuted slice, or any composition of those. It exposes the same
 // payoff_at(rank, player) / action_counts() contract the payoff sweeps and
 // the dominance scanners consume, so consumers sweep a subgame without
@@ -9,16 +9,18 @@
 // reduction loop on views and materializes only the final reduced game.
 //
 // Representation: every view cell (view player p, view action a)
-// contributes a precomputed flat offset into the parent tensor
+// contributes a precomputed flat offset into the parent's flat tensors
 // (cell_offset, premultiplied by the parent's player count), and every
 // view player maps to a parent column (player_map). A profile's payoff
 // row is then the SUM of its digits' cell offsets — O(players) adds, no
 // division — and odometer walks update the row incrementally per digit.
+// An exact payoff is two loads, the parent column's rank at the row and
+// that rank's level; a double is one load from the mirror.
 // Views are cheap value types (a pointer plus small index tables); they
-// must not outlive their parent game, and the view caches the parent's
-// flat-tensor data pointers, so MUTATING the parent (copy-assigning over
-// it, or anything else that reallocates its tensors) invalidates every
-// view of it even while the parent object stays alive.
+// must not outlive their parent game, and the view caches pointers into
+// the parent's store, so MUTATING the parent (set_payoff, assign_payoffs,
+// copy-assigning over it) invalidates every view of it even while the
+// parent object stays alive.
 //
 // A dense game IS its identity view: a NormalFormGame converts to
 // GameView implicitly, so every checker and payoff sweep takes a view and
@@ -105,7 +107,8 @@ public:
     }
     [[nodiscard]] const util::Rational& payoff_from(std::uint64_t row,
                                                     std::size_t player) const {
-        return exact_[row + player_map_[player]];
+        const std::size_t column = player_map_[player];
+        return levels_[column][ranks_[row + column]];
     }
     [[nodiscard]] double payoff_d_from(std::uint64_t row, std::size_t player) const {
         return mirror_[row + player_map_[player]];
@@ -144,7 +147,10 @@ private:
     void rebuild_tables();
 
     const NormalFormGame* parent_ = nullptr;
-    const util::Rational* exact_ = nullptr;
+    // The parent's ordinal ranks, its levels (indexed by parent player)
+    // and its mirror.
+    const std::uint32_t* ranks_ = nullptr;
+    const std::vector<util::Rational>* levels_ = nullptr;
     const double* mirror_ = nullptr;
     // View player p reads parent column player_map_[p]; its action a is
     // parent action kept_[p][a] of that same parent player.

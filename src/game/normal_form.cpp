@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <limits>
-#include <mutex>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -16,73 +16,18 @@ namespace bnash::game {
 
 namespace {
 std::atomic<std::uint64_t> g_tensor_allocations{0};
-std::atomic<std::uint64_t> g_rank_builds{0};
 
-// Dense per-player ranks of a flat [rank * num_players + player] tensor:
-// one index sort per player over a contiguous copy of its column.
-std::vector<std::uint32_t> dense_ranks(const std::vector<util::Rational>& flat,
-                                       std::size_t num_players) {
-    const std::size_t profiles = num_players == 0 ? 0 : flat.size() / num_players;
-    if (profiles > std::numeric_limits<std::uint32_t>::max()) {
-        throw std::length_error("ordinal_ranks: more profiles than 32-bit ranks can index");
+// Shifts by `delta` every rank of `player` at or above `from`.
+void shift_ranks(std::vector<std::uint32_t>& ranks, std::size_t num_players, std::size_t player,
+                 std::uint32_t from, std::int32_t delta) {
+    for (std::size_t i = player; i < ranks.size(); i += num_players) {
+        if (ranks[i] >= from) ranks[i] = static_cast<std::uint32_t>(ranks[i] + delta);
     }
-    std::vector<std::uint32_t> ranks(flat.size());
-    std::vector<util::Rational> values(profiles);
-    std::vector<std::uint32_t> order(profiles);
-    for (std::size_t player = 0; player < num_players; ++player) {
-        for (std::size_t rank = 0; rank < profiles; ++rank) {
-            values[rank] = flat[rank * num_players + player];
-        }
-        std::iota(order.begin(), order.end(), std::uint32_t{0});
-        std::sort(order.begin(), order.end(), [&values](std::uint32_t a, std::uint32_t b) {
-            return values[a] < values[b];
-        });
-        std::uint32_t level = 0;
-        for (std::size_t i = 0; i < profiles; ++i) {
-            if (i > 0 && values[order[i]] != values[order[i - 1]]) ++level;
-            ranks[order[i] * num_players + player] = level;
-        }
-    }
-    return ranks;
 }
 }  // namespace
 
-// The lazily built rank tensor. `built` lets release_ordinal tell a
-// pristine holder (keep it) from one whose ranks may already be read.
-struct NormalFormGame::OrdinalRanks final {
-    std::once_flag once;
-    std::atomic<bool> built{false};
-    std::vector<std::uint32_t> ranks;
-};
-
 std::uint64_t NormalFormGame::tensor_allocations() noexcept {
     return g_tensor_allocations.load(std::memory_order_relaxed);
-}
-
-std::uint64_t NormalFormGame::rank_builds() noexcept {
-    return g_rank_builds.load(std::memory_order_relaxed);
-}
-
-const std::vector<std::uint32_t>& NormalFormGame::ordinal_ranks() const {
-    if (!ordinal_) {  // moved-from: its tensors are gone too
-        static const std::vector<std::uint32_t> kNone;
-        return kNone;
-    }
-    OrdinalRanks& holder = *ordinal_;
-    std::call_once(holder.once, [&] {
-        holder.ranks = dense_ranks(payoffs_, num_players());
-        g_rank_builds.fetch_add(1, std::memory_order_relaxed);
-        holder.built.store(true);
-    });
-    return holder.ranks;
-}
-
-void NormalFormGame::release_ordinal() {
-    if (ordinal_ && ordinal_.use_count() == 1 &&
-        !ordinal_->built.load()) {
-        return;
-    }
-    ordinal_ = std::make_shared<OrdinalRanks>();
 }
 
 NormalFormGame::NormalFormGame(std::vector<std::size_t> action_counts)
@@ -92,34 +37,25 @@ NormalFormGame::NormalFormGame(std::vector<std::size_t> action_counts)
         if (count == 0) throw std::invalid_argument("NormalFormGame: player with no actions");
     }
     num_profiles_ = util::product_size(action_counts_);
-    payoffs_.assign(num_profiles_ * num_players(), util::Rational{0});
-    payoffs_d_.assign(num_profiles_ * num_players(), 0.0);
-    ordinal_ = std::make_shared<OrdinalRanks>();
-    action_labels_.resize(num_players());
+    if (num_profiles_ > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::length_error("NormalFormGame: more profiles than 32-bit counts can hold");
+    }
+    const std::size_t n = num_players();
+    store_ = std::make_shared<Store>();
+    store_->ranks.assign(num_profiles_ * n, 0);
+    store_->levels.assign(n, {util::Rational{0}});
+    store_->counts.assign(n, {static_cast<std::uint32_t>(num_profiles_)});
+    store_->mirror.assign(num_profiles_ * n, 0.0);
+    action_labels_.resize(n);
     g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
 }
 
-NormalFormGame::NormalFormGame(const NormalFormGame& other)
-    : action_counts_(other.action_counts_),
-      num_profiles_(other.num_profiles_),
-      payoffs_(other.payoffs_),
-      payoffs_d_(other.payoffs_d_),
-      ordinal_(other.ordinal_),
-      action_labels_(other.action_labels_) {
-    g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
-}
-
-NormalFormGame& NormalFormGame::operator=(const NormalFormGame& other) {
-    if (this != &other) {
-        action_counts_ = other.action_counts_;
-        num_profiles_ = other.num_profiles_;
-        payoffs_ = other.payoffs_;
-        payoffs_d_ = other.payoffs_d_;
-        ordinal_ = other.ordinal_;
-        action_labels_ = other.action_labels_;
+NormalFormGame::Store& NormalFormGame::writable_store() {
+    if (store_.use_count() != 1) {
+        store_ = std::make_shared<Store>(*store_);
         g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
     }
-    return *this;
+    return *store_;
 }
 
 NormalFormGame NormalFormGame::from_bimatrix(const util::MatrixQ& row_payoffs,
@@ -149,23 +85,37 @@ NormalFormGame NormalFormGame::zero_sum(const util::MatrixQ& row_payoffs) {
 NormalFormGame NormalFormGame::random(std::vector<std::size_t> action_counts, util::Rng& rng,
                                       std::int64_t lo, std::int64_t hi) {
     NormalFormGame game(std::move(action_counts));
-    for (std::uint64_t rank = 0; rank < game.num_profiles_; ++rank) {
-        for (std::size_t player = 0; player < game.num_players(); ++player) {
-            const auto index = rank * game.num_players() + player;
-            game.payoffs_[index] = util::Rational{rng.next_int(lo, hi)};
-            game.payoffs_d_[index] = game.payoffs_[index].to_double();
-        }
-    }
+    std::vector<util::Rational> values(game.num_profiles_ * game.num_players());
+    for (util::Rational& value : values) value = util::Rational{rng.next_int(lo, hi)};
+    game.assign_payoffs(values);
     return game;
 }
 
 void NormalFormGame::set_payoff(const PureProfile& profile, std::size_t player,
                                 util::Rational value) {
     if (player >= num_players()) throw std::out_of_range("set_payoff: bad player");
-    const auto index = profile_rank(profile) * num_players() + player;
-    release_ordinal();
-    payoffs_d_[index] = value.to_double();
-    payoffs_[index] = std::move(value);
+    const std::uint64_t rank = profile_rank(profile);
+    if (payoff_at(rank, player) == value) return;
+    const std::uint64_t index = rank * num_players() + player;
+    Store& store = writable_store();
+    std::vector<util::Rational>& levels = store.levels[player];
+    std::vector<std::uint32_t>& counts = store.counts[player];
+    const auto at = std::lower_bound(levels.begin(), levels.end(), value);
+    const auto to = static_cast<std::uint32_t>(at - levels.begin());
+    if (at == levels.end() || *at != value) {
+        levels.insert(at, std::move(value));
+        counts.insert(counts.begin() + to, 0);
+        shift_ranks(store.ranks, num_players(), player, to, 1);
+    }
+    const std::uint32_t from = store.ranks[index];
+    store.ranks[index] = to;
+    store.mirror[index] = levels[to].to_double();
+    ++counts[to];
+    if (--counts[from] == 0) {
+        levels.erase(levels.begin() + from);
+        counts.erase(counts.begin() + from);
+        shift_ranks(store.ranks, num_players(), player, from + 1, -1);
+    }
 }
 
 void NormalFormGame::set_payoffs(const PureProfile& profile,
@@ -176,24 +126,79 @@ void NormalFormGame::set_payoffs(const PureProfile& profile,
     }
 }
 
-void NormalFormGame::assign_payoffs(std::vector<util::Rational> values) {
-    if (values.size() != payoffs_.size()) {
+void NormalFormGame::assign_payoffs(const std::vector<util::Rational>& values) {
+    const std::size_t n = num_players();
+    if (values.size() != num_profiles_ * n) {
         throw std::invalid_argument("assign_payoffs: expected " +
-                                    std::to_string(payoffs_.size()) + " values, got " +
+                                    std::to_string(num_profiles_ * n) + " values, got " +
                                     std::to_string(values.size()));
     }
-    release_ordinal();
-    payoffs_ = std::move(values);
-    for (std::size_t i = 0; i < payoffs_.size(); ++i) payoffs_d_[i] = payoffs_[i].to_double();
+    // One index sort per player over a contiguous copy of its column; each
+    // new value met in sorted order opens a level.
+    Store built;
+    built.ranks.resize(values.size());
+    built.levels.resize(n);
+    built.counts.resize(n);
+    built.mirror.resize(values.size());
+    std::vector<util::Rational> column(num_profiles_);
+    std::vector<std::uint32_t> order(num_profiles_);
+    for (std::size_t player = 0; player < n; ++player) {
+        for (std::size_t rank = 0; rank < num_profiles_; ++rank) {
+            column[rank] = values[rank * n + player];
+        }
+        std::iota(order.begin(), order.end(), std::uint32_t{0});
+        std::sort(order.begin(), order.end(), [&column](std::uint32_t a, std::uint32_t b) {
+            return column[a] < column[b];
+        });
+        std::vector<util::Rational>& levels = built.levels[player];
+        std::vector<std::uint32_t>& counts = built.counts[player];
+        for (const std::uint32_t rank : order) {
+            if (levels.empty() || levels.back() != column[rank]) {
+                levels.push_back(column[rank]);
+                counts.push_back(0);
+            }
+            ++counts.back();
+            built.ranks[rank * n + player] = static_cast<std::uint32_t>(levels.size() - 1);
+        }
+    }
+    for (std::size_t i = 0; i < values.size(); ++i) built.mirror[i] = values[i].to_double();
+    if (store_.use_count() == 1) {
+        *store_ = std::move(built);
+    } else {
+        store_ = std::make_shared<Store>(std::move(built));
+        g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
+    }
 }
 
-const util::Rational& NormalFormGame::payoff(const PureProfile& profile,
-                                             std::size_t player) const {
-    return payoffs_[profile_rank(profile) * num_players() + player];
+std::vector<util::Rational> NormalFormGame::payoffs_flat() const {
+    const std::size_t n = num_players();
+    std::vector<util::Rational> out;
+    out.reserve(store_->ranks.size());
+    for (std::size_t i = 0; i < store_->ranks.size(); ++i) {
+        out.push_back(store_->levels[i % n][store_->ranks[i]]);
+    }
+    return out;
 }
 
-double NormalFormGame::payoff_d(const PureProfile& profile, std::size_t player) const {
-    return payoffs_d_[profile_rank(profile) * num_players() + player];
+NormalFormGame NormalFormGame::with_levels(
+    std::vector<std::vector<util::Rational>> levels) const {
+    const std::size_t n = num_players();
+    bool fits = levels.size() == n;
+    for (std::size_t player = 0; fits && player < n; ++player) {
+        const std::vector<util::Rational>& row = levels[player];
+        fits = row.size() == store_->levels[player].size() &&
+               std::adjacent_find(row.begin(), row.end(), std::greater_equal<>()) == row.end();
+    }
+    if (!fits) throw std::invalid_argument("with_levels: levels must match, strictly increasing");
+    NormalFormGame out = *this;
+    Store built{store_->ranks, std::move(levels), store_->counts,
+                std::vector<double>(store_->ranks.size())};
+    for (std::size_t i = 0; i < built.ranks.size(); ++i) {
+        built.mirror[i] = built.levels[i % n][built.ranks[i]].to_double();
+    }
+    out.store_ = std::make_shared<Store>(std::move(built));
+    g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
+    return out;
 }
 
 // The mixed-profile evaluations are the payoff-engine sweeps on this
@@ -240,51 +245,12 @@ double NormalFormGame::regret(const MixedProfile& profile) const {
 }
 
 util::MatrixQ NormalFormGame::payoff_matrix(std::size_t player) const {
-    if (num_players() != 2) throw std::logic_error("payoff_matrix: 2-player games only");
-    util::MatrixQ out(action_counts_[0], action_counts_[1]);
-    for (std::size_t r = 0; r < action_counts_[0]; ++r) {
-        for (std::size_t c = 0; c < action_counts_[1]; ++c) {
-            out(r, c) = payoff({r, c}, player);
-        }
-    }
-    return out;
+    return GameView(*this).payoff_matrix(player);
 }
 
 NormalFormGame NormalFormGame::restrict(
     const std::vector<std::vector<std::size_t>>& kept_actions) const {
-    if (kept_actions.size() != num_players()) throw std::invalid_argument("restrict: width");
-    std::vector<std::size_t> new_counts;
-    new_counts.reserve(num_players());
-    for (std::size_t player = 0; player < num_players(); ++player) {
-        if (kept_actions[player].empty()) {
-            throw std::invalid_argument("restrict: player left with no actions");
-        }
-        for (const std::size_t action : kept_actions[player]) {
-            if (action >= num_actions(player)) throw std::out_of_range("restrict: bad action");
-        }
-        new_counts.push_back(kept_actions[player].size());
-    }
-    NormalFormGame out(new_counts);
-    util::product_for_each(new_counts, [&](const std::vector<std::size_t>& tuple) {
-        PureProfile original(num_players());
-        for (std::size_t player = 0; player < num_players(); ++player) {
-            original[player] = kept_actions[player][tuple[player]];
-        }
-        for (std::size_t player = 0; player < num_players(); ++player) {
-            out.set_payoff(tuple, player, payoff(original, player));
-        }
-        return true;
-    });
-    for (std::size_t player = 0; player < num_players(); ++player) {
-        if (action_labels_[player].empty()) continue;
-        std::vector<std::string> labels;
-        labels.reserve(kept_actions[player].size());
-        for (const std::size_t action : kept_actions[player]) {
-            labels.push_back(action_labels_[player][action]);
-        }
-        out.set_action_labels(player, std::move(labels));
-    }
-    return out;
+    return restrict_view(kept_actions).materialize();
 }
 
 GameView NormalFormGame::restrict_view(

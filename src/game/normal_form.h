@@ -1,22 +1,21 @@
 // Normal-form (strategic-form) games with exact rational payoffs.
 //
-// The payoff tensor has three representations:
-//   - EXACT (Rational): consumed by the exact solvers and the robustness
-//     checkers' mixed-candidate scans, where tie classification must not
-//     depend on floating point;
-//   - a DOUBLE mirror: consumed by the iterative dynamics and simulators
-//     on their hot paths;
-//   - ORDINAL (ordinal_ranks): per-player dense payoff ranks, all that a
-//     pure-candidate robustness check or its cache key can observe (see
-//     serve/canonical.h, ORDINAL INVARIANCE). It is derived lazily, once,
-//     and held behind a pointer that copies of an unmodified game share;
-//     every payoff mutation gives the mutated game a fresh holder, so a
-//     copy's ranks are never cleared under it.
+// Each game keeps ONE payoff store, shared by its copies; a mutator clones
+// a shared store first and writes in place otherwise. The store holds
+//   - the ORDINAL RANKS (ordinal_ranks), the exact storage: per (profile,
+//     player), the index of the payoff among the player's sorted distinct
+//     payoffs. They are all that a pure-candidate robustness check or its
+//     cache key can observe (serve/canonical.h, ORDINAL INVARIANCE);
+//   - per player, the LEVELS: those sorted distinct Rationals, each with
+//     its cell count. An exact payoff is levels(player)[rank];
+//   - a DOUBLE mirror for the iterative dynamics and the simulators.
+// References into the store (payoff, payoff_at, ordinal_ranks, levels,
+// payoffs_d_flat, every GameView over the game) stay valid until the next
+// mutation of this game. Copies may be read on other threads meanwhile.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,23 +30,16 @@ class GameView;
 
 class NormalFormGame final {
 public:
-    // Creates a game with all payoffs zero; fill via set_payoff.
+    // Creates a game with all payoffs zero; fill via assign_payoffs (or
+    // set_payoff for a few cells).
     explicit NormalFormGame(std::vector<std::size_t> action_counts);
 
-    // Copies count as tensor allocations (below); moves do not.
-    NormalFormGame(const NormalFormGame& other);
-    NormalFormGame& operator=(const NormalFormGame& other);
-    NormalFormGame(NormalFormGame&&) noexcept = default;
-    NormalFormGame& operator=(NormalFormGame&&) noexcept = default;
-
-    // Number of payoff tensors allocated (explicit constructions AND
-    // copies) since process start. Lets tests assert that zero-copy
-    // pipelines — view sweeps, view-based iterated elimination — really
-    // allocate only their final materialization.
+    // Number of payoff stores built (constructions and the clones a
+    // mutation of a shared store makes) since process start. Copies share
+    // their store and do not count. Lets tests assert that zero-copy
+    // pipelines — view sweeps, view-based iterated elimination, server
+    // requests — really allocate only what they must.
     [[nodiscard]] static std::uint64_t tensor_allocations() noexcept;
-    // Number of ordinal_ranks() builds since process start (copies that
-    // share a build count once). Lets tests pin one build per upload.
-    [[nodiscard]] static std::uint64_t rank_builds() noexcept;
 
     // 2-player convenience: row player's and column player's payoff matrices.
     static NormalFormGame from_bimatrix(const util::MatrixQ& row_payoffs,
@@ -69,41 +61,64 @@ public:
     }
     [[nodiscard]] std::uint64_t num_profiles() const noexcept { return num_profiles_; }
 
+    // One cell. Keeps the player's levels dense: a value that is not yet
+    // a level inserts one, and a level whose last cell leaves is erased;
+    // either shifts that player's ranks, in O(num_profiles). Builders that
+    // fill a whole tensor stage it and call assign_payoffs once.
     void set_payoff(const PureProfile& profile, std::size_t player, util::Rational value);
     void set_payoffs(const PureProfile& profile, const std::vector<util::Rational>& values);
     // Replaces the whole tensor in one step. `values` is in the flat order
     // [rank * num_players + player] and must hold exactly num_profiles *
     // num_players entries; on a size mismatch it throws and the game is
     // left unchanged.
-    void assign_payoffs(std::vector<util::Rational> values);
+    void assign_payoffs(const std::vector<util::Rational>& values);
 
     [[nodiscard]] const util::Rational& payoff(const PureProfile& profile,
-                                               std::size_t player) const;
-    [[nodiscard]] double payoff_d(const PureProfile& profile, std::size_t player) const;
+                                               std::size_t player) const {
+        return payoff_at(profile_rank(profile), player);
+    }
+    [[nodiscard]] double payoff_d(const PureProfile& profile, std::size_t player) const {
+        return payoff_d_at(profile_rank(profile), player);
+    }
 
     // Rank-indexed lookups for stride-based hot paths (PayoffEngine, the
     // robustness Evaluator): no profile materialization, no re-ranking.
     [[nodiscard]] const util::Rational& payoff_at(std::uint64_t rank,
                                                   std::size_t player) const {
-        return payoffs_[rank * num_players() + player];
+        return store_->levels[player][store_->ranks[rank * num_players() + player]];
     }
     [[nodiscard]] double payoff_d_at(std::uint64_t rank, std::size_t player) const {
-        return payoffs_d_[rank * num_players() + player];
+        return store_->mirror[rank * num_players() + player];
     }
-    // Flat tensor views, indexed [rank * num_players + player].
-    [[nodiscard]] const std::vector<util::Rational>& payoffs_flat() const noexcept {
-        return payoffs_;
-    }
+    // The exact tensor decoded into a new flat vector [rank * num_players +
+    // player], for callers outside the library; library code reads the store.
+    [[nodiscard]] std::vector<util::Rational> payoffs_flat() const;
+    // The double mirror in the same flat layout.
     [[nodiscard]] const std::vector<double>& payoffs_d_flat() const noexcept {
-        return payoffs_d_;
+        return store_->mirror;
     }
     // Per-player dense payoff ranks in the same flat layout:
     // ordinal_ranks()[rank * num_players + player] is the number of
     // distinct payoffs of `player` strictly below its payoff at that
     // profile, so two cells of ONE player compare exactly like their
-    // Rationals. Built on first use (thread-safe) and shared by unmodified
-    // copies; the reference stays valid until this game's payoffs change.
-    [[nodiscard]] const std::vector<std::uint32_t>& ordinal_ranks() const;
+    // Rationals.
+    [[nodiscard]] const std::vector<std::uint32_t>& ordinal_ranks() const noexcept {
+        return store_->ranks;
+    }
+    // The player's distinct payoffs in increasing order, and how many
+    // profiles pay each one (every count is positive; they sum to
+    // num_profiles).
+    [[nodiscard]] const std::vector<util::Rational>& levels(std::size_t player) const {
+        return store_->levels.at(player);
+    }
+    [[nodiscard]] const std::vector<std::uint32_t>& level_counts(std::size_t player) const {
+        return store_->counts.at(player);
+    }
+    // This game with each player's levels replaced by `levels[player]`,
+    // which must be strictly increasing and as many (else it throws
+    // std::invalid_argument): same ranks and counts, new values and mirror.
+    [[nodiscard]] NormalFormGame with_levels(
+        std::vector<std::vector<util::Rational>> levels) const;
 
     // Expected utility of `player` under an independent mixed profile.
     [[nodiscard]] double expected_payoff(const MixedProfile& profile, std::size_t player) const;
@@ -134,7 +149,8 @@ public:
     // Payoff matrix of one player in a 2-player game (rows: player 0).
     [[nodiscard]] util::MatrixQ payoff_matrix(std::size_t player) const;
 
-    // Restriction of the game to subsets of actions (iterated elimination).
+    // Restriction of the game to subsets of actions (iterated elimination):
+    // restrict_view's subgame, materialized.
     [[nodiscard]] NormalFormGame restrict(
         const std::vector<std::vector<std::size_t>>& kept_actions) const;
 
@@ -157,18 +173,21 @@ public:
     [[nodiscard]] std::string to_string() const;  // 2-player matrix rendering
 
 private:
-    struct OrdinalRanks;
+    // The payoff store (see the file comment). ranks and mirror are
+    // indexed [profile_rank * num_players + player].
+    struct Store final {
+        std::vector<std::uint32_t> ranks;
+        std::vector<std::vector<util::Rational>> levels;
+        std::vector<std::vector<std::uint32_t>> counts;
+        std::vector<double> mirror;
+    };
 
-    // Called before every payoff mutation: a holder that is shared or
-    // already built is replaced (never cleared), a pristine one is kept.
-    void release_ordinal();
+    // The store, cloned first when a copy shares it.
+    [[nodiscard]] Store& writable_store();
 
     std::vector<std::size_t> action_counts_;
     std::uint64_t num_profiles_ = 0;
-    // Indexed [profile_rank * num_players + player].
-    std::vector<util::Rational> payoffs_;
-    std::vector<double> payoffs_d_;
-    std::shared_ptr<OrdinalRanks> ordinal_;
+    std::shared_ptr<Store> store_;
     std::vector<std::vector<std::string>> action_labels_;
 };
 

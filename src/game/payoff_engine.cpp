@@ -33,20 +33,21 @@ constexpr std::size_t kNoFullPlayer = SupportPlan::kNoFullPlayer;
 // player i's payoff from a walker row (a cell offset into the parent
 // tensor: zero copy).
 //
-// The view's player map is the identity (the full game and its action
-// restrictions): view player i reads row + i, so a whole row is
-// contiguous and the all-player accumulation vectorizes (kContiguousRow).
-template <typename V>
-struct IdentityRows {
-    const V* data;  // the parent's flat tensor
+// The double mirror of a view whose player map is the identity (the full
+// game and its action restrictions): view player i reads row + i, so a
+// whole row is contiguous and the all-player accumulation vectorizes
+// (kContiguousRow).
+struct MirrorRows {
+    const double* data;  // the parent's double mirror
     static constexpr bool kContiguousRow = true;
-    [[nodiscard]] const V* row_ptr(std::uint64_t row) const noexcept { return data + row; }
-    [[nodiscard]] const V& at(std::uint64_t row, std::size_t i) const noexcept {
+    [[nodiscard]] const double* row_ptr(std::uint64_t row) const noexcept { return data + row; }
+    [[nodiscard]] double at(std::uint64_t row, std::size_t i) const noexcept {
         return data[row + i];
     }
 };
 
-// A player-permuted view reads through its player column map.
+// Every other case reads through the view: exact payoffs as rank then
+// level, and a player-permuted view through its player column map.
 template <typename V>
 struct MappedRows {
     const GameView* view;
@@ -65,13 +66,13 @@ struct MappedRows {
 // same order, so results are bit-identical either way.
 template <typename V, typename Sweep>
 void with_rows(const GameView& view, const Sweep& sweep) {
-    if (!view.identity_player_map()) {
-        sweep(MappedRows<V>{&view});
-    } else if constexpr (std::is_same_v<V, double>) {
-        sweep(IdentityRows<V>{view.parent().payoffs_d_flat().data()});
-    } else {
-        sweep(IdentityRows<V>{view.parent().payoffs_flat().data()});
+    if constexpr (std::is_same_v<V, double>) {
+        if (view.identity_player_map()) {
+            sweep(MirrorRows{view.parent().payoffs_d_flat().data()});
+            return;
+        }
     }
+    sweep(MappedRows<V>{&view});
 }
 
 // totals[i] += weight * row[i] for every player. On contiguous rows the

@@ -15,8 +15,9 @@
 //     products give weight_excluding(i) for every i in O(players), and
 //     each accumulates into dev[i][a_i] (or one support row per player
 //     when that walks fewer cells; see below);
-//   - run the same kernel over the double mirror and the exact Rational
-//     tensor (the robustness checkers must not see floating point);
+//   - run the same kernel over the double mirror and the exact payoffs,
+//     read as rank then level from the game's store (the robustness
+//     checkers must not see floating point);
 //   - above kParallelBlock profiles, split the sweep into fixed-size
 //     contiguous blocks dispatched to util::global_pool(). Block
 //     decomposition is independent of worker count and partial tables are
@@ -26,12 +27,12 @@
 // A DENSE GAME IS THE IDENTITY VIEW: every sweep takes a GameView, and a
 // NormalFormGame converts to its identity view implicitly, so each
 // quantity has exactly one entry. Restricted and permuted views sweep
-// zero-copy through the view's offsets into the parent tensor. When the
+// zero-copy through the view's offsets into the parent's store. When the
 // view's player map is the identity (the full game and its action
-// restrictions) a profile's payoffs are one contiguous row, and the
-// all-player accumulation runs the vectorized contiguous-row path;
-// permuted views read through the player map. The choice follows from the
-// input, and both paths accumulate in the same order.
+// restrictions) a profile's doubles are one contiguous mirror row, and
+// the all-player accumulation runs the vectorized contiguous-row path;
+// exact payoffs and permuted views read through the view. The choice
+// follows from the input, and both paths accumulate in the same order.
 //
 // EVERY SWEEP WALKS ONLY THE PROFILE'S SUPPORT: a profile with zero
 // weights is walked over a SupportPlan (radix = |supp(sigma_i)| per
@@ -121,7 +122,7 @@ private:
                                                 const MixedProfile& profile,
                                                 std::size_t player);
 
-// --- exact tensor
+// --- exact payoffs
 [[nodiscard]] std::vector<util::Rational> expected_payoffs_exact(
     const GameView& view, const ExactMixedProfile& profile,
     SweepMode mode = SweepMode::kAuto);

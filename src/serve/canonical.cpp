@@ -79,116 +79,74 @@ void for_each_canonical_rank(const game::NormalFormGame& game,
     }
 }
 
-// --- affine path (mixed candidates) ------------------------------------
+// --- level tables (both paths) ----------------------------------------
 
-// Per-player positive affine map sending [min, max] to [0, 1] (identity
-// on the offset when the payoffs are constant). Throws RationalOverflow
-// when the exact scaled values do not fit.
-struct AffineMap final {
-    util::Rational offset;  // min payoff
-    util::Rational scale;   // 1 / (max - min), or 1 when constant
-    [[nodiscard]] util::Rational apply(const util::Rational& value) const {
-        return (value - offset) * scale;
+// A game's payoffs with each player's levels replaced: cell (rank,
+// player) reads levels[player] at the game's ordinal rank. Every
+// replacement is strictly increasing, so the game's ranks and level
+// counts describe the table too.
+struct LevelTable final {
+    const game::NormalFormGame& game;
+    std::vector<std::vector<util::Rational>> levels;
+    [[nodiscard]] const util::Rational& at(std::uint64_t rank, std::size_t player) const {
+        return levels[player][game.ordinal_ranks()[rank * game.num_players() + player]];
     }
 };
 
-[[nodiscard]] std::vector<AffineMap> build_affine_maps(const game::NormalFormGame& game) {
-    const std::size_t num_players = game.num_players();
-    std::vector<AffineMap> maps(num_players);
-    for (std::size_t player = 0; player < num_players; ++player) {
-        util::Rational lo = game.payoff_at(0, player);
-        util::Rational hi = lo;
-        for (std::uint64_t rank = 1; rank < game.num_profiles(); ++rank) {
-            const util::Rational& value = game.payoff_at(rank, player);
-            if (value < lo) lo = value;
-            if (hi < value) hi = value;
-        }
-        maps[player].offset = lo;
-        const util::Rational span = hi - lo;
-        maps[player].scale = span.is_zero() ? util::Rational(1) : span.reciprocal();
+// The table whose levels for each player are relevel(its levels).
+template <class Relevel>
+[[nodiscard]] LevelTable level_table(const game::NormalFormGame& game, const Relevel& relevel) {
+    LevelTable table{game, {}};
+    for (std::size_t player = 0; player < game.num_players(); ++player) {
+        table.levels.push_back(relevel(game.levels(player)));
     }
-    return maps;
+    return table;
 }
 
-// A game shaped like `game` whose payoff for `player` at profile rank r
-// is value(r, player): the normalized or rank tensor that serialization
-// and symmetry detection read.
-template <class Value>
-[[nodiscard]] game::NormalFormGame tabulate(const game::NormalFormGame& game, Value&& value) {
-    const std::size_t num_players = game.num_players();
-    game::NormalFormGame out(game.action_counts());
-    game::PureProfile cell(num_players, 0);
-    for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
-        for (std::size_t player = 0; player < num_players; ++player) {
-            out.set_payoff(cell, player, value(rank, player));
-        }
-        for (std::size_t j = num_players; j-- > 0;) {
-            if (++cell[j] < game.num_actions(j)) break;
-            cell[j] = 0;
-        }
-    }
+// True when two entries of `keys` are equal (`perm` sorts them).
+template <class Key>
+[[nodiscard]] bool has_tie(const std::vector<Key>& keys, const std::vector<std::size_t>& perm) {
+    return std::adjacent_find(perm.begin(), perm.end(), [&keys](std::size_t a, std::size_t b) {
+               return keys[a] == keys[b];
+           }) != perm.end();
+}
+
+// --- affine path (mixed candidates) ------------------------------------
+
+// One player's levels pushed through the positive affine map sending
+// [min, max] to [0, 1] (the offset alone when the payoffs are constant),
+// so that players equivalent only up to rescaling still land in one
+// class. Throws RationalOverflow when the exact values do not fit.
+[[nodiscard]] std::vector<util::Rational> normalized(const std::vector<util::Rational>& levels) {
+    const util::Rational& lo = levels.front();
+    const util::Rational span = levels.back() - lo;
+    const util::Rational scale = span.is_zero() ? util::Rational(1) : span.reciprocal();
+    std::vector<util::Rational> out;
+    out.reserve(levels.size());
+    for (const util::Rational& value : levels) out.push_back((value - lo) * scale);
     return out;
 }
 
-// The game with every payoff pushed through its player's affine map, so
-// that players equivalent only up to rescaling still land in one class.
-// Throws RationalOverflow like any map application.
-[[nodiscard]] game::NormalFormGame apply_maps(const game::NormalFormGame& game,
-                                              const std::vector<AffineMap>& maps) {
-    return tabulate(game, [&](std::uint64_t rank, std::size_t player) {
-        return maps[player].apply(game.payoff_at(rank, player));
-    });
-}
-
 // Invariant per-player sort key: action count, then the candidate
-// strategy, then the sorted multiset of (normalized) payoffs. Every
-// component is preserved when players are relabeled.
-[[nodiscard]] std::string player_sort_key(const game::NormalFormGame& norm,
+// strategy, then the sorted multiset of the table's payoffs (each level
+// repeated by its count). Every component is preserved when players are
+// relabeled.
+[[nodiscard]] std::string player_sort_key(const LevelTable& table,
                                           const game::ExactMixedProfile& profile,
                                           std::size_t player) {
     std::string key;
-    append_size(key, norm.num_actions(player));
+    append_size(key, table.game.num_actions(player));
     key += '|';
     for (const util::Rational& mass : profile[player]) append_rational(key, mass);
     key += '|';
-    std::vector<util::Rational> values;
-    values.reserve(norm.num_profiles());
-    for (std::uint64_t rank = 0; rank < norm.num_profiles(); ++rank) {
-        values.push_back(norm.payoff_at(rank, player));
+    const std::vector<std::uint32_t>& counts = table.game.level_counts(player);
+    std::string value;
+    for (std::size_t level = 0; level < counts.size(); ++level) {
+        value.clear();
+        append_rational(value, table.levels[player][level]);
+        for (std::uint32_t i = 0; i < counts[level]; ++i) key += value;
     }
-    std::sort(values.begin(), values.end());
-    for (const util::Rational& value : values) append_rational(key, value);
     return key;
-}
-
-// Dense serialization of an already-normalized (or raw-fallback) game:
-// `tag`, the canonical action counts, the decimal payoff tensor in
-// canonical rank order, then the per-player strategies.
-[[nodiscard]] std::string serialize(const game::NormalFormGame& norm,
-                                    const game::ExactMixedProfile& profile,
-                                    std::string_view tag) {
-    const std::size_t num_players = norm.num_players();
-    std::vector<std::string> keys(num_players);
-    for (std::size_t player = 0; player < num_players; ++player) {
-        keys[player] = player_sort_key(norm, profile, player);
-    }
-    const std::vector<std::size_t> perm = canonical_order(keys);
-
-    std::string bytes(tag);
-    append_size(bytes, num_players);
-    for (std::size_t j = 0; j < num_players; ++j) append_size(bytes, norm.num_actions(perm[j]));
-    bytes += "|u:";
-    for_each_canonical_rank(norm, perm, [&](std::uint64_t rank) {
-        for (std::size_t j = 0; j < num_players; ++j) {
-            append_rational(bytes, norm.payoff_at(rank, perm[j]));
-        }
-    });
-    bytes += "|s:";
-    for (std::size_t j = 0; j < num_players; ++j) {
-        append_size(bytes, profile[perm[j]].size());
-        for (const util::Rational& mass : profile[perm[j]]) append_rational(bytes, mass);
-    }
-    return bytes;
 }
 
 // --- symmetry folding (both paths) -------------------------------------
@@ -197,17 +155,18 @@ template <class Value>
 // representative's player sort key. Equivalent uploads order their
 // classes identically (ties keep detection order — a cache miss, never
 // an unsoundness).
-[[nodiscard]] std::string class_sort_key(const game::NormalFormGame& norm,
+[[nodiscard]] std::string class_sort_key(const LevelTable& table,
                                          const game::ExactMixedProfile& profile,
                                          const std::vector<std::size_t>& members) {
     std::string key;
     append_size(key, members.size());
-    key += player_sort_key(norm, profile, members.front());
+    key += player_sort_key(table, profile, members.front());
     return key;
 }
 
 // Symmetry-folded signature: detect the (finest, verified) symmetry of
-// the normalized or rank tensor, refine it by the candidate, and — when
+// the normalized or rank table (materialized as a game, since detection
+// reads a view), refine it by the candidate, and — when
 // any class is non-singleton — key on the QUOTIENT bytes plus per-class
 // strategies instead of the full tensor. Equal keys imply isomorphic
 // tensors with corresponding class-constant candidates, and the quotient
@@ -215,8 +174,8 @@ template <class Value>
 // every verdict (the orbit-sweep reduction) — so folding is as sound as
 // the dense key. nullopt routes the caller to the dense serialization.
 [[nodiscard]] std::optional<std::string> symmetric_signature(
-    const game::NormalFormGame& norm, const game::ExactMixedProfile& profile,
-    std::string_view tag) {
+    const LevelTable& table, const game::ExactMixedProfile& profile, std::string_view tag) {
+    const game::NormalFormGame norm = table.game.with_levels(table.levels);
     const game::GameView view = game::GameView::full(norm);
     const game::SymmetryGroup refined = game::SymmetryGroup::detect(view).refined_by(profile);
     if (refined.is_trivial()) return std::nullopt;
@@ -224,7 +183,7 @@ template <class Value>
     const auto& classes = refined.classes();
     std::vector<std::string> keys(classes.size());
     for (std::size_t cls = 0; cls < classes.size(); ++cls) {
-        keys[cls] = class_sort_key(norm, profile, classes[cls]);
+        keys[cls] = class_sort_key(table, profile, classes[cls]);
     }
     const std::vector<std::size_t> order = canonical_order(keys);
 
@@ -267,63 +226,56 @@ template <class Value>
 // Folding is best-effort: rank arithmetic on degenerate shapes may
 // overflow 64 bits, and that must cost dedup, not the request.
 [[nodiscard]] std::optional<std::string> try_symmetric_signature(
-    const game::NormalFormGame& norm, const game::ExactMixedProfile& profile,
-    std::string_view tag) {
+    const LevelTable& table, const game::ExactMixedProfile& profile, std::string_view tag) {
     try {
-        return symmetric_signature(norm, profile, tag);
+        return symmetric_signature(table, profile, tag);
     } catch (const std::overflow_error&) {
         return std::nullopt;
     }
 }
 
-// The folded key when the tensor has a candidate-compatible symmetry,
-// else the dense one. `kind` is "nrm:" or "raw:".
-[[nodiscard]] std::string affine_signature(const game::NormalFormGame& norm,
+// The folded key when the table has a candidate-compatible symmetry,
+// else the dense one: the tag, the canonical action counts, the decimal
+// payoff tensor in canonical rank order, then the per-player strategies.
+// `kind` is "nrm:" or "raw:".
+[[nodiscard]] std::string affine_signature(const LevelTable& table,
                                            const game::ExactMixedProfile& profile,
                                            std::string_view kind) {
-    if (auto sym = try_symmetric_signature(norm, profile, "bnashQ1:sym:" + std::string(kind))) {
-        return *std::move(sym);
+    const game::NormalFormGame& game = table.game;
+    const std::size_t num_players = game.num_players();
+    std::vector<std::string> keys(num_players);
+    for (std::size_t player = 0; player < num_players; ++player) {
+        keys[player] = player_sort_key(table, profile, player);
     }
-    return serialize(norm, profile, "bnashQ1:" + std::string(kind));
+    const std::vector<std::size_t> perm = canonical_order(keys);
+    // detect() only groups players with equal action counts and payoff
+    // multisets, and refined_by() then splits them by strategy: unless two
+    // players share their whole sort key, the refined group is provably
+    // trivial.
+    if (has_tie(keys, perm)) {
+        if (auto sym =
+                try_symmetric_signature(table, profile, "bnashQ1:sym:" + std::string(kind))) {
+            return *std::move(sym);
+        }
+    }
+    std::string bytes = "bnashQ1:" + std::string(kind);
+    append_size(bytes, num_players);
+    for (std::size_t j = 0; j < num_players; ++j) append_size(bytes, game.num_actions(perm[j]));
+    bytes += "|u:";
+    for_each_canonical_rank(game, perm, [&](std::uint64_t rank) {
+        for (std::size_t j = 0; j < num_players; ++j) {
+            append_rational(bytes, table.at(rank, perm[j]));
+        }
+    });
+    bytes += "|s:";
+    for (std::size_t j = 0; j < num_players; ++j) {
+        append_size(bytes, profile[perm[j]].size());
+        for (const util::Rational& mass : profile[perm[j]]) append_rational(bytes, mass);
+    }
+    return bytes;
 }
 
 // --- ordinal path (pure candidates) ------------------------------------
-
-// Label-invariant per-player sort keys over the game's ordinal ranks
-// (NormalFormGame::ordinal_ranks, shared with the sweep kernels):
-// keys[player] is the action count, the candidate action, the rank at
-// the candidate profile, then the rank histogram (how many profiles sit
-// at each rank level).
-struct OrdinalKeys final {
-    std::vector<std::vector<std::uint32_t>> keys;
-    std::size_t max_levels = 0;
-};
-
-[[nodiscard]] OrdinalKeys ordinal_keys(const game::NormalFormGame& game,
-                                       const std::vector<std::uint32_t>& ranks,
-                                       const game::PureProfile& candidate) {
-    const std::size_t num_players = game.num_players();
-    const std::size_t profiles = game.num_profiles();
-    const std::uint64_t at_candidate = game.profile_rank(candidate);
-    OrdinalKeys out;
-    out.keys.resize(num_players);
-    std::vector<std::uint32_t> histogram;
-    for (std::size_t player = 0; player < num_players; ++player) {
-        histogram.clear();
-        for (std::size_t rank = 0; rank < profiles; ++rank) {
-            const std::uint32_t level = ranks[rank * num_players + player];
-            if (level >= histogram.size()) histogram.resize(level + 1, 0);
-            ++histogram[level];
-        }
-        std::vector<std::uint32_t>& key = out.keys[player];
-        key = {static_cast<std::uint32_t>(game.num_actions(player)),
-               static_cast<std::uint32_t>(candidate[player]),
-               ranks[at_candidate * num_players + player]};
-        key.insert(key.end(), histogram.begin(), histogram.end());
-        out.max_levels = std::max(out.max_levels, histogram.size());
-    }
-    return out;
-}
 
 // Ordinal key of a pure-candidate upload: the rank tensor in canonical
 // player order as fixed-width binary ranks, then the candidate actions,
@@ -332,29 +284,44 @@ struct OrdinalKeys final {
                                             const game::ExactMixedProfile& profile,
                                             const game::PureProfile& candidate) {
     const std::vector<std::uint32_t>& ranks = game.ordinal_ranks();
-    const OrdinalKeys ord = ordinal_keys(game, ranks, candidate);
     const std::size_t num_players = game.num_players();
-    const std::vector<std::size_t> perm = canonical_order(ord.keys);
+    const std::uint64_t at_candidate = game.profile_rank(candidate);
+    // Label-invariant per-player sort keys over the ranks the sweep
+    // kernels read: the action count, the candidate action, the rank at
+    // the candidate profile, then the level counts (how many profiles sit
+    // at each rank).
+    std::vector<std::vector<std::uint32_t>> keys(num_players);
+    std::size_t max_levels = 0;
+    for (std::size_t player = 0; player < num_players; ++player) {
+        const std::vector<std::uint32_t>& counts = game.level_counts(player);
+        keys[player] = {static_cast<std::uint32_t>(game.num_actions(player)),
+                        static_cast<std::uint32_t>(candidate[player]),
+                        ranks[at_candidate * num_players + player]};
+        keys[player].insert(keys[player].end(), counts.begin(), counts.end());
+        max_levels = std::max(max_levels, counts.size());
+    }
+    const std::vector<std::size_t> perm = canonical_order(keys);
     // detect() only groups players with equal action counts and payoff
-    // multisets (on ranks: equal histograms), and refined_by() then
+    // multisets (on ranks: equal level counts), and refined_by() then
     // splits them by candidate action; exchangeable players with one
     // candidate action also share their payoff at the candidate. Unless
     // two players share their whole sort key, the refined group is
     // provably trivial.
-    const bool tied = std::adjacent_find(perm.begin(), perm.end(),
-                                         [&ord](std::size_t a, std::size_t b) {
-                                             return ord.keys[a] == ord.keys[b];
-                                         }) != perm.end();
-    if (tied) {
-        const game::NormalFormGame rank_game =
-            tabulate(game, [&](std::uint64_t rank, std::size_t player) {
-                return util::Rational(ranks[rank * num_players + player]);
+    if (has_tie(keys, perm)) {
+        // The rank game: the same ranks, with levels 0..L-1.
+        const LevelTable rank_game =
+            level_table(game, [](const std::vector<util::Rational>& levels) {
+                std::vector<util::Rational> indices;
+                for (std::size_t level = 0; level < levels.size(); ++level) {
+                    indices.emplace_back(static_cast<std::int64_t>(level));
+                }
+                return indices;
             });
         if (auto sym = try_symmetric_signature(rank_game, profile, "bnashQ1:sym:ord:")) {
             return *std::move(sym);
         }
     }
-    const std::size_t width = ord.max_levels <= 0x100U ? 1 : (ord.max_levels <= 0x10000U ? 2 : 4);
+    const std::size_t width = max_levels <= 0x100U ? 1 : (max_levels <= 0x10000U ? 2 : 4);
 
     std::string bytes = "bnashQ1:ord:";
     append_size(bytes, num_players);
@@ -380,13 +347,13 @@ CanonicalSignature canonical_signature(const game::NormalFormGame& game,
         return {ordinal_signature(game, profile, *candidate), true};
     }
     try {
-        return {affine_signature(apply_maps(game, build_affine_maps(game)), profile, "nrm:"),
-                true};
+        return {affine_signature(level_table(game, normalized), profile, "nrm:"), true};
     } catch (const util::RationalOverflow&) {
         // Exact normalization does not fit in 64-bit rationals: fall back
         // to the identity map. The "raw:" tag keeps the two key spaces
         // disjoint, so the fallback only costs dedup, never soundness.
-        return {affine_signature(game, profile, "raw:"), false};
+        const auto raw = [](const std::vector<util::Rational>& levels) { return levels; };
+        return {affine_signature(level_table(game, raw), profile, "raw:"), false};
     }
 }
 

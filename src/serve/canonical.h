@@ -18,16 +18,18 @@
 //     rank histogram), then the rank tensor in canonical order as
 //     fixed-width binary ranks, then the candidate actions. Ranking only
 //     compares payoffs, so this path never overflows. The ranks are the
-//     game's own NormalFormGame::ordinal_ranks(), built once per tensor
-//     and shared with core::CoalitionSweep, whose pure-candidate kernels
-//     compare those ranks instead of Rationals: the same argument is the
+//     game's stored NormalFormGame::ordinal_ranks(), the histogram its
+//     level counts; core::CoalitionSweep's pure-candidate kernels compare
+//     the same ranks instead of Rationals, so the same argument is the
 //     kernels' correctness contract.
 //   - AFFINE INVARIANCE (mixed candidates). Expected payoffs are only
 //     invariant under positive affine maps u_i -> a_i * u_i + b_i, so
 //     each player's payoffs go through the map sending [min_i, max_i] to
 //     [0, 1] (constant payoffs map to 0), the unique such normal form
 //     ("nrm:" tag), and players sort by (action count, candidate
-//     strategy, sorted multiset of normalized payoffs).
+//     strategy, sorted multiset of normalized payoffs). The map is
+//     strictly increasing, so it maps each player's L distinct levels,
+//     not every cell, and the game's ranks and level counts still hold.
 //   - PERMUTATION INVARIANCE (both): relabeling players (carrying the
 //     payoff tensor, the candidate profile, and the action counts along)
 //     permutes coalitions/faulty sets bijectively, so the quantified

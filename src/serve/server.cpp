@@ -99,6 +99,11 @@ constexpr std::uint64_t kMaxTokenVector = 1ULL << 20;
 
 }  // namespace
 
+const game::NormalFormGame& placeholder_game() {
+    static const game::NormalFormGame placeholder(std::vector<std::size_t>{1});
+    return placeholder;
+}
+
 std::uint64_t request_fingerprint(const game::NormalFormGame& game,
                                   const game::ExactMixedProfile& profile,
                                   std::size_t k_or_max_k, std::size_t t_or_max_t,
@@ -106,9 +111,12 @@ std::uint64_t request_fingerprint(const game::NormalFormGame& game,
     Fnv64 fnv;
     fnv.mix(game.num_players());
     for (const std::size_t actions : game.action_counts()) fnv.mix(actions);
-    for (const util::Rational& payoff : game.payoffs_flat()) {
-        fnv.mix_signed(payoff.num());
-        fnv.mix_signed(payoff.den());
+    for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
+        for (std::size_t player = 0; player < game.num_players(); ++player) {
+            const util::Rational& payoff = game.payoff_at(rank, player);
+            fnv.mix_signed(payoff.num());
+            fnv.mix_signed(payoff.den());
+        }
     }
     fnv.mix(profile.size());
     for (const game::ExactMixedStrategy& strategy : profile) {

@@ -86,10 +86,15 @@ enum class QueryStatus : std::uint8_t {
 [[nodiscard]] const char* to_string(QueryStatus status) noexcept;
 [[nodiscard]] const char* to_string(core::CellVerdict verdict) noexcept;
 
+// The game a request holds until the caller assigns one: a one-cell
+// game built once per process, whose store every such request shares.
+[[nodiscard]] const game::NormalFormGame& placeholder_game();
+
 // What a cell query and a frontier query share: the game, the candidate,
-// how to sweep, the grant limits, and the token to resume from.
+// how to sweep, the grant limits, and the token to resume from. Copying
+// a game into a request shares its payoff store.
 struct SweepRequest {
-    game::NormalFormGame game{std::vector<std::size_t>{1}};
+    game::NormalFormGame game = placeholder_game();
     game::ExactMixedProfile profile;
     core::GainCriterion criterion = core::GainCriterion::kAnyMemberGains;
     game::SweepMode mode = game::SweepMode::kAuto;

@@ -186,12 +186,14 @@ void LineSession::handle_mode(Args args) {
 }
 
 void LineSession::fill_request(SweepRequest& request, Args args) {
+    // Both numbers parse before the token is taken, so a malformed line
+    // leaves the armed token for the next request.
+    if (args.size() >= 3) request.budget_cells = static_cast<std::uint64_t>(parse_size(args[2]));
+    if (args.size() >= 4) request.deadline = std::chrono::milliseconds(parse_size(args[3]));
     request.game = require_game();
     request.profile = profile_;
     request.mode = mode_;
     request.resume_token = std::exchange(resume_token_, std::string());
-    if (args.size() >= 3) request.budget_cells = static_cast<std::uint64_t>(parse_size(args[2]));
-    if (args.size() >= 4) request.deadline = std::chrono::milliseconds(parse_size(args[3]));
 }
 
 bool LineSession::handle_ask(Args args, const LineSink& emit) {

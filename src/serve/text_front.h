@@ -20,7 +20,8 @@
 //   mode <auto|serial>                sweep mode for later ask/frontier
 //   source <name>                     load-shedding identity (backoff key)
 //   resume <token>                    arm a resume token; the NEXT ask or
-//                                     frontier presents it (one-shot)
+//                                     frontier that parses presents it
+//                                     (one-shot)
 //   ask <k> <t> [budget_cells] [deadline_ms]
 //   frontier <max_k> <max_t> [budget_cells] [deadline_ms]
 //   stats                             print server counters

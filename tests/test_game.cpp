@@ -2,8 +2,13 @@
 // extensive-form, and the paper's game catalog.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <latch>
+#include <numeric>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "game/bayesian.h"
@@ -185,7 +190,7 @@ TEST_P(NormalFormEmbeddingProperty, PureEmbedsIntoMixed) {
 INSTANTIATE_TEST_SUITE_P(Seeds, NormalFormEmbeddingProperty,
                          ::testing::Range<std::uint64_t>(1, 21));
 
-// ---------------------------------------------------- NormalForm ordinal ranks
+// ---------------------------------------------------- NormalForm payoff store
 
 // Brute-force dense rank: distinct payoffs of `player` strictly below.
 std::uint32_t brute_rank(const NormalFormGame& g, std::uint64_t rank, std::size_t player) {
@@ -200,101 +205,178 @@ std::uint32_t brute_rank(const NormalFormGame& g, std::uint64_t rank, std::size_
     return static_cast<std::uint32_t>(below.size());
 }
 
-void expect_ranks_match_payoffs(const NormalFormGame& g) {
+// Every invariant of the store: each player's levels sorted and
+// distinct with positive counts summing to the profile count, each rank
+// the brute-force one, and the mirror the exact payoff's double.
+void expect_store_invariants(const NormalFormGame& g, const std::string& label = "") {
     const std::vector<std::uint32_t>& ranks = g.ordinal_ranks();
-    ASSERT_EQ(ranks.size(), g.payoffs_flat().size());
+    ASSERT_EQ(ranks.size(), g.num_profiles() * g.num_players()) << label;
+    for (std::size_t player = 0; player < g.num_players(); ++player) {
+        const std::vector<Rational>& levels = g.levels(player);
+        const std::vector<std::uint32_t>& counts = g.level_counts(player);
+        ASSERT_EQ(levels.size(), counts.size()) << label << " player " << player;
+        EXPECT_EQ(std::adjacent_find(levels.begin(), levels.end(), std::greater_equal<>()),
+                  levels.end())
+            << label << " player " << player;
+        EXPECT_EQ(std::count(counts.begin(), counts.end(), 0u), 0) << label;
+        EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}),
+                  g.num_profiles())
+            << label << " player " << player;
+    }
     for (std::uint64_t rank = 0; rank < g.num_profiles(); ++rank) {
         for (std::size_t player = 0; player < g.num_players(); ++player) {
             EXPECT_EQ(ranks[rank * g.num_players() + player], brute_rank(g, rank, player))
-                << "rank " << rank << " player " << player;
+                << label << " rank " << rank << " player " << player;
+            EXPECT_EQ(g.payoff_d_at(rank, player), g.payoff_at(rank, player).to_double())
+                << label << " rank " << rank << " player " << player;
         }
     }
 }
 
-TEST(NormalFormOrdinal, RanksAreDensePerPlayerOrder) {
+TEST(NormalFormStore, RanksAreDensePerPlayerOrder) {
     NormalFormGame g({2, 3});
     const std::vector<Rational> values{Rational{1, 3},  Rational{7},        Rational{333333, 1000000},
                                        Rational{7},     Rational{1, 3},     Rational{-2},
                                        Rational{2, 6},  Rational{14, 2},    Rational{-1, 3},
                                        Rational{0},     Rational{1, 3},     Rational{-2}};
     g.assign_payoffs(values);
-    expect_ranks_match_payoffs(g);
+    expect_store_invariants(g);
+    EXPECT_EQ(g.payoffs_flat(), values);
+    EXPECT_EQ(g.levels(0),
+              (std::vector<Rational>{Rational{-1, 3}, Rational{333333, 1000000}, Rational{1, 3}}));
+    EXPECT_EQ(g.level_counts(0), (std::vector<std::uint32_t>{1, 1, 4}));
+    EXPECT_EQ(g.levels(1), (std::vector<Rational>{Rational{-2}, Rational{0}, Rational{7}}));
+    EXPECT_EQ(g.level_counts(1), (std::vector<std::uint32_t>{2, 1, 3}));
     util::Rng rng{31};
-    expect_ranks_match_payoffs(NormalFormGame::random({3, 2, 3}, rng, -3, 3));
+    expect_store_invariants(NormalFormGame::random({3, 2, 3}, rng, -3, 3));
 }
 
-// Copies of an unmodified game share one build; each payoff mutator gives
-// the mutated copy a fresh build and leaves the other copy's ranks intact.
-TEST(NormalFormOrdinal, CopiesShareOneBuildAndMutationsRebuildOnlyTheMutatedCopy) {
+// Random sequences of every payoff mutator and of copies, on 2-4 player
+// games with values from a narrow range (levels met again, emptied and
+// erased) or a wide one (mostly new levels). After every step the
+// mutated game holds its invariants and the payoffs of a shadow tensor,
+// and every earlier copy still reads what it read when it was taken.
+TEST(NormalFormStore, MutationFuzzKeepsLevelsDenseAndCopiesIntact) {
+    util::Rng rng{2027};
+    for (std::size_t trial = 0; trial < 24; ++trial) {
+        const bool narrow = trial % 2 == 0;
+        const auto draw = [&] {
+            return narrow ? Rational{rng.next_int(-2, 2)}
+                          : Rational{rng.next_int(-1000000, 1000000), rng.next_int(1, 997)};
+        };
+        const std::size_t n = 2 + rng.next_below(3);
+        std::vector<std::size_t> counts(n);
+        for (std::size_t& count : counts) count = n == 4 ? 2 : 2 + rng.next_below(2);
+        NormalFormGame g(counts);
+        std::vector<Rational> shadow(g.num_profiles() * n, Rational{0});
+        std::vector<std::pair<NormalFormGame, std::vector<Rational>>> copies;
+        for (std::size_t step = 0; step < 30; ++step) {
+            const std::string label = "trial " + std::to_string(trial) + " step " +
+                                      std::to_string(step);
+            const PureProfile cell = g.profile_unrank(rng.next_below(g.num_profiles()));
+            const std::uint64_t at = g.profile_rank(cell) * n;
+            switch (rng.next_below(6)) {
+                case 0:
+                case 1: {
+                    const std::size_t player = rng.next_below(n);
+                    const Rational value = draw();
+                    g.set_payoff(cell, player, value);
+                    shadow[at + player] = value;
+                    break;
+                }
+                case 2: {
+                    std::vector<Rational> values(n);
+                    for (Rational& value : values) value = draw();
+                    g.set_payoffs(cell, values);
+                    std::copy(values.begin(), values.end(), shadow.begin() + at);
+                    break;
+                }
+                case 3:
+                    for (Rational& value : shadow) value = draw();
+                    g.assign_payoffs(shadow);
+                    break;
+                case 4:
+                    copies.emplace_back(g, shadow);
+                    break;
+                default:
+                    if (copies.empty()) {
+                        NormalFormGame assigned({1});
+                        assigned = g;
+                        copies.emplace_back(std::move(assigned), shadow);
+                    } else {
+                        const auto& [from, values] = copies[rng.next_below(copies.size())];
+                        g = from;
+                        shadow = values;
+                    }
+                    break;
+            }
+            expect_store_invariants(g, label);
+            EXPECT_EQ(g.payoffs_flat(), shadow) << label;
+            for (std::size_t i = 0; i < copies.size(); ++i) {
+                EXPECT_EQ(copies[i].first.payoffs_flat(), copies[i].second)
+                    << label << " copy " << i;
+            }
+            if (::testing::Test::HasFailure()) return;
+        }
+    }
+}
+
+// Copies share their store, and a mutation clones a shared store before
+// writing: one construction per clone, none per copy.
+TEST(NormalFormStore, CopiesShareTheStoreUntilOneIsMutated) {
     util::Rng rng{7};
     const NormalFormGame original = NormalFormGame::random({3, 3, 2}, rng, -5, 5);
-    const std::uint64_t before = NormalFormGame::rank_builds();
-    const std::vector<std::uint32_t>& ranks = original.ordinal_ranks();
-    const std::vector<std::uint32_t> snapshot = ranks;
-    const NormalFormGame copy = original;
+    const std::uint64_t before = NormalFormGame::tensor_allocations();
+    NormalFormGame copy = original;
     NormalFormGame assigned({1});
+    const std::uint64_t after_construct = NormalFormGame::tensor_allocations();
     assigned = original;
-    EXPECT_EQ(&copy.ordinal_ranks(), &ranks);
-    EXPECT_EQ(&assigned.ordinal_ranks(), &ranks);
-    EXPECT_EQ(NormalFormGame::rank_builds(), before + 1);
+    EXPECT_EQ(after_construct, before + 1);
+    EXPECT_EQ(NormalFormGame::tensor_allocations(), after_construct);
+    EXPECT_EQ(&copy.ordinal_ranks(), &original.ordinal_ranks());
+    EXPECT_EQ(&assigned.ordinal_ranks(), &original.ordinal_ranks());
 
-    const NormalFormGame other = NormalFormGame::random({3, 3, 2}, rng, -5, 5);
-    const std::vector<std::pair<const char*, void (*)(NormalFormGame&, const NormalFormGame&)>>
-        mutators{
-            {"set_payoff",
-             [](NormalFormGame& g, const NormalFormGame&) {
-                 g.set_payoff({2, 1, 0}, 1, Rational{99});
-             }},
-            {"set_payoffs",
-             [](NormalFormGame& g, const NormalFormGame&) {
-                 g.set_payoffs({0, 0, 1}, {Rational{-9}, Rational{1, 2}, Rational{9}});
-             }},
-            {"assign_payoffs",
-             [](NormalFormGame& g, const NormalFormGame& from) {
-                 g.assign_payoffs(from.payoffs_flat());
-             }},
-            {"copy-assign", [](NormalFormGame& g, const NormalFormGame& from) { g = from; }},
-        };
-    for (const auto& [name, mutate] : mutators) {
-        NormalFormGame mutated = original;
-        EXPECT_EQ(&mutated.ordinal_ranks(), &ranks) << name;
-        const std::uint64_t builds = NormalFormGame::rank_builds();
-        mutate(mutated, other);
-        EXPECT_NE(&mutated.ordinal_ranks(), &ranks) << name;
-        expect_ranks_match_payoffs(mutated);
-        EXPECT_EQ(NormalFormGame::rank_builds(), builds + 1) << name;
-        // The shared build is untouched: same storage, same contents.
-        EXPECT_EQ(&original.ordinal_ranks(), &ranks) << name;
-        EXPECT_EQ(ranks, snapshot) << name;
-        EXPECT_EQ(&copy.ordinal_ranks(), &ranks) << name;
-    }
-    // Repeated writes to a game whose ranks were never read cost no build.
-    NormalFormGame fresh({2, 2});
-    const std::uint64_t builds = NormalFormGame::rank_builds();
-    for (std::size_t a = 0; a < 2; ++a) fresh.set_payoffs({a, a}, {Rational{1}, Rational{2}});
-    EXPECT_EQ(NormalFormGame::rank_builds(), builds);
+    copy.set_payoff({2, 1, 0}, 1, Rational{99});
+    EXPECT_EQ(NormalFormGame::tensor_allocations(), after_construct + 1);
+    EXPECT_NE(&copy.ordinal_ranks(), &original.ordinal_ranks());
+    copy.set_payoff({0, 1, 0}, 1, Rational{98});  // unshared now: in place
+    EXPECT_EQ(NormalFormGame::tensor_allocations(), after_construct + 1);
+    expect_store_invariants(copy);
+    expect_store_invariants(original);
+    EXPECT_EQ(original.payoff({2, 1, 0}, 1), assigned.payoff({2, 1, 0}, 1));
 }
 
-// Four threads reading the ranks of copies of one game for the first time
-// at once: exactly one build, and every thread sees it.
-TEST(NormalFormOrdinal, ConcurrentFirstUseBuildsOnce) {
+// Four threads read copies while the original is mutated: the first
+// write clones the shared store, so no reader ever sees a write.
+TEST(NormalFormStore, CopiesReadOnThreadsWhileTheOriginalIsMutated) {
     util::Rng rng{11};
-    const NormalFormGame game = NormalFormGame::random({4, 4, 4, 4}, rng, -20, 20);
+    NormalFormGame game = NormalFormGame::random({4, 4, 4}, rng, -20, 20);
+    const std::vector<Rational> snapshot = game.payoffs_flat();
+    const std::vector<std::uint32_t> ranks = game.ordinal_ranks();
     const std::vector<NormalFormGame> copies(4, game);
-    const std::uint64_t before = NormalFormGame::rank_builds();
-    std::vector<const std::vector<std::uint32_t>*> seen(4, nullptr);
-    std::latch start(4);
-    std::vector<std::thread> threads;
-    for (std::size_t i = 0; i < 4; ++i) {
-        threads.emplace_back([&, i] {
+    std::vector<int> intact(copies.size(), 0);
+    std::latch start(static_cast<std::ptrdiff_t>(copies.size() + 1));
+    std::vector<std::thread> readers;
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+        readers.emplace_back([&, i] {
             start.arrive_and_wait();
-            seen[i] = &copies[i].ordinal_ranks();
+            bool same = true;
+            for (int round = 0; round < 16; ++round) {
+                same = same && copies[i].payoffs_flat() == snapshot &&
+                       copies[i].ordinal_ranks() == ranks;
+            }
+            intact[i] = same ? 1 : 0;
         });
     }
-    for (std::thread& thread : threads) thread.join();
-    EXPECT_EQ(NormalFormGame::rank_builds(), before + 1);
-    for (const auto* ranks : seen) EXPECT_EQ(ranks, &game.ordinal_ranks());
-    expect_ranks_match_payoffs(game);
+    start.arrive_and_wait();
+    for (std::uint64_t step = 0; step < 256; ++step) {
+        game.set_payoff(game.profile_unrank(step % game.num_profiles()), step % 3,
+                        Rational{static_cast<std::int64_t>(step % 41) - 20});
+    }
+    game.assign_payoffs(std::vector<Rational>(snapshot.rbegin(), snapshot.rend()));
+    for (std::thread& reader : readers) reader.join();
+    for (std::size_t i = 0; i < copies.size(); ++i) EXPECT_EQ(intact[i], 1) << "copy " << i;
+    expect_store_invariants(game);
 }
 
 // ---------------------------------------------------------------- Bayesian

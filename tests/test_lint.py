@@ -117,6 +117,15 @@ class BadTree(unittest.TestCase):
         # GameView{...} alike; the rule accepts no waiver
         self.assertEqual(len(hits), 4, self.out)
 
+    def test_no_decode_fires_without_waiver(self):
+        hits = self.hits("no-decode", "bad_decode.cpp")
+        # `.payoffs_flat()` and `->payoffs_flat()`; the decode-ok comment
+        # does not silence the second, and the declaration is quiet
+        self.assertEqual(len(hits), 2, self.out)
+        self.assertEqual(
+            [f for f in self.findings if "bad_decode.cpp" in f["path"]
+             and f["rule"] != "no-decode"], [], self.out)
+
     def test_empty_waiver_reason_does_not_suppress(self):
         self.assertTrue(self.hits("no-rand", "bad_waiver.cpp"), self.out)
 

@@ -1768,11 +1768,10 @@ TEST(TextFront, SessionKeepsWorkingAfterAVeryLongLine) {
     EXPECT_EQ(session.reply("ask 1 0").rfind("verdict=broken status=resolved", 0), 0u);
 }
 
-// One ordinal rank build per uploaded tensor, shared by the cache key and
-// every sweep of the session's copies: eight frontier requests cost one
-// build, a pure ask and its three resume legs one, a mixed ask none, and
-// every re-upload one more.
-TEST(TextFront, OneRankBuildPerUpload) {
+// Requests share the session's game: after one upload, eight frontier
+// requests, a pure ask with three resume legs and a mixed ask build no
+// payoff store (copying the game into each request used to build one).
+TEST(TextFront, RequestsShareTheUploadedGame) {
     util::Rng rng(16);
     NormalFormGame source = NormalFormGame::random(std::vector<std::size_t>(5, 3), rng, -4, 4);
     // The all-zeros candidate pays everyone the maximum: no coalition
@@ -1784,14 +1783,12 @@ TEST(TextFront, OneRankBuildPerUpload) {
 
     RobustnessServer server;
     ScriptedSession session(server);
-    const auto upload = [&] {
-        ASSERT_EQ(session.reply("game 5 3 3 3 3 3"), "ok");
-        ASSERT_EQ(session.reply(payoffs), "ok");
-    };
-    const auto builds = [] { return NormalFormGame::rank_builds(); };
+    ASSERT_EQ(session.reply("game 5 3 3 3 3 3"), "ok");
+    ASSERT_EQ(session.reply(payoffs), "ok");
+    // Built once per process, by the first request.
+    (void)placeholder_game();
+    const std::uint64_t before = NormalFormGame::tensor_allocations();
 
-    upload();
-    std::uint64_t before = builds();
     for (std::size_t i = 0; i < 8; ++i) {
         const std::string a = std::to_string(i % 3);
         ASSERT_EQ(session.reply("profile " + a + " 0 " + a + " 1 2"), "ok");
@@ -1799,14 +1796,7 @@ TEST(TextFront, OneRankBuildPerUpload) {
         ASSERT_FALSE(replies.empty());
         EXPECT_EQ(replies.back().rfind("done cells=", 0), 0u) << replies.back();
     }
-    EXPECT_EQ(builds(), before + 1);
-
-    upload();
-    before = builds();
-    ASSERT_EQ(session.reply("profile 0 0 0 0 0"), "ok");
-    ASSERT_EQ(session.reply("mixed 1 1/2 1/4 1/4"), "ok");
-    EXPECT_EQ(session.reply("ask 1 0").rfind("verdict=", 0), 0u);
-    EXPECT_EQ(builds(), before);
+    EXPECT_EQ(NormalFormGame::tensor_allocations(), before);
 
     ASSERT_EQ(session.reply("profile 0 0 0 0 0"), "ok");
     std::string reply = session.reply("ask 2 0 20");
@@ -1818,13 +1808,52 @@ TEST(TextFront, OneRankBuildPerUpload) {
         reply = session.reply("ask 2 0 20");
     }
     EXPECT_EQ(reply.rfind("verdict=", 0), 0u) << reply;
-    EXPECT_EQ(builds(), before + 1);
+    EXPECT_EQ(NormalFormGame::tensor_allocations(), before);
 
-    // Re-uploading the same tensor is a new game: one more build.
-    upload();
-    ASSERT_EQ(session.reply("profile 0 0 0 0 0"), "ok");
-    EXPECT_EQ(session.reply("ask 2 0").rfind("verdict=robust status=resolved", 0), 0u);
-    EXPECT_EQ(builds(), before + 2);
+    ASSERT_EQ(session.reply("mixed 1 1/2 1/4 1/4"), "ok");
+    EXPECT_EQ(session.reply("ask 1 0").rfind("verdict=", 0), 0u);
+    EXPECT_EQ(NormalFormGame::tensor_allocations(), before);
+}
+
+// A malformed retry must not drop the token armed for it. `command` with a
+// 200-cell budget degrades on an all-zero game (nobody ever gains, so the
+// whole sweep runs); the well-formed retry after a rejected
+// `<command> 2 1 abc` must charge what a retry right after `resume` does,
+// which is less than a fresh unbudgeted run.
+TEST(TextFront, MalformedRetryKeepsTheArmedToken) {
+    const auto field = [](const std::string& reply, const std::string& name) {
+        const std::size_t at = reply.find(name + "=");
+        if (at == std::string::npos) return std::string();
+        const std::size_t begin = at + name.size() + 1;
+        return reply.substr(begin, reply.find(' ', begin) - begin);
+    };
+    for (const std::string command : {"ask 2 1", "frontier 2 1"}) {
+        // Cells charged by the last `command` of: upload, then (when
+        // resuming) a degraded run, `resume`, an optional malformed retry.
+        const auto final_cells = [&](bool resume, bool malformed) {
+            RobustnessServer server;
+            ScriptedSession session(server);
+            EXPECT_EQ(session.reply("game 5 2 2 2 2 2"), "ok");
+            // Serial sweeps, so that a budget stops at one fixed task.
+            EXPECT_EQ(session.reply("mode serial"), "ok");
+            if (resume) {
+                const std::string degraded = session.send(command + " 200").back();
+                const std::string token = field(degraded, "token");
+                EXPECT_FALSE(token.empty()) << command << ": " << degraded;
+                EXPECT_EQ(session.reply("resume " + token), "ok");
+                if (malformed) {
+                    EXPECT_EQ(session.reply(command + " abc").rfind("error: ", 0), 0u)
+                        << command;
+                }
+            }
+            const std::string done = session.send(command).back();
+            EXPECT_EQ(done.find("token="), std::string::npos) << command << ": " << done;
+            return std::stoull(field(done, "cells"));
+        };
+        const std::uint64_t kept = final_cells(true, true);
+        EXPECT_EQ(kept, final_cells(true, false)) << command;
+        EXPECT_LT(kept, final_cells(false, false)) << command;
+    }
 }
 
 // ------------------------------------------------------------ socket front
