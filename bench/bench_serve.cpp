@@ -295,7 +295,8 @@ BENCHMARK(bench_canonical_key)->Arg(4)->Arg(6)->Unit(benchmark::kMicrosecond);
 
 // The COLD row: every iteration re-assigns the payoffs, as a fresh upload
 // does, so every key pays the store build. The time includes that
-// assign_payoffs (one index sort per player plus the double mirror).
+// assign_payoffs (one hashing pass, a sort of each player's levels, and
+// the double mirror).
 void bench_canonical_key_cold(benchmark::State& state) {
     const auto players = static_cast<std::size_t>(state.range(0));
     game::NormalFormGame game = game::catalog::attack_coordination_game(players);
@@ -325,13 +326,12 @@ BENCHMARK(bench_canonical_key_mixed)->Arg(6)->Unit(benchmark::kMicrosecond);
 
 // The line-protocol upload on its own: `game`, `payoffs` and `profile`
 // for an n-player, 3-action game through LineSession::handle_line, the
-// parse every uploaded request pays before any game theory. Every other
-// player's payoffs are quarters, so half the tokens take the "a/b" form.
-void bench_serve_upload(benchmark::State& state) {
+// parse every uploaded request pays before any game theory.
+// `payoff(profile, player)` gives each entry, called in flat order.
+template <typename Payoff>
+void run_upload(benchmark::State& state, Payoff payoff) {
     const auto players = static_cast<std::size_t>(state.range(0));
     const game::NormalFormGame shape(std::vector<std::size_t>(players, 3));
-    const std::size_t entries = shape.num_profiles() * shape.num_players();
-    util::Rng rng(15);
     std::string game_line = "game " + std::to_string(players);
     std::string payoffs_line = "payoffs";
     std::string profile_line = "profile";
@@ -339,9 +339,11 @@ void bench_serve_upload(benchmark::State& state) {
         game_line += " 3";
         profile_line += " 0";
     }
-    for (std::size_t i = 0; i < entries; ++i) {
-        const std::int64_t den = (i % players) % 2 == 0 ? 1 : 4;
-        (payoffs_line += ' ') += util::Rational(rng.next_int(-99, 99), den).to_string();
+    for (std::uint64_t rank = 0; rank < shape.num_profiles(); ++rank) {
+        const game::PureProfile profile = shape.profile_unrank(rank);
+        for (std::size_t player = 0; player < players; ++player) {
+            (payoffs_line += ' ') += payoff(profile, player).to_string();
+        }
     }
 
     serve::RobustnessServer server;
@@ -360,7 +362,31 @@ void bench_serve_upload(benchmark::State& state) {
     state.SetBytesProcessed(static_cast<std::int64_t>(
         state.iterations() * (game_line.size() + payoffs_line.size() + profile_line.size())));
 }
+
+// The WIDE row: uniform payoffs in [-99, 99], every other player's in
+// quarters, so half the tokens take the "a/b" form and each player has
+// about 194 distinct payoffs.
+void bench_serve_upload(benchmark::State& state) {
+    util::Rng rng(15);
+    run_upload(state, [&rng](const game::PureProfile&, std::size_t player) {
+        return util::Rational(rng.next_int(-99, 99), player % 2 == 0 ? 1 : 4);
+    });
+}
 BENCHMARK(bench_serve_upload)->Arg(6)->Unit(benchmark::kMicrosecond);
+
+// The NARROW row, shaped like the serving benchmark's cold uploads:
+// integer payoffs, each player's a safe value in [4, 12] lowered by 1-6
+// when it plays its last action, so about 7 distinct payoffs per player.
+void bench_serve_upload_planted(benchmark::State& state) {
+    util::Rng rng(15);
+    std::vector<std::int64_t> safe(static_cast<std::size_t>(state.range(0)));
+    for (std::int64_t& value : safe) value = rng.next_int(4, 12);
+    run_upload(state, [&rng, &safe](const game::PureProfile& profile, std::size_t player) {
+        const std::int64_t drop = profile[player] == 2 ? rng.next_int(1, 6) : 0;
+        return util::Rational(safe[player] - drop);
+    });
+}
+BENCHMARK(bench_serve_upload_planted)->Arg(6)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

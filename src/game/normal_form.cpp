@@ -4,7 +4,6 @@
 #include <atomic>
 #include <functional>
 #include <limits>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -24,6 +23,99 @@ void shift_ranks(std::vector<std::uint32_t>& ranks, std::size_t num_players, std
         if (ranks[i] >= from) ranks[i] = static_cast<std::uint32_t>(ranks[i] + delta);
     }
 }
+
+// splitmix64's output function: a bijection of 64 bits in which every
+// input bit moves every output bit.
+std::uint64_t mix64(std::uint64_t z) noexcept {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+// Where a value's probes start. Keying on (num, den) is exact because
+// Rationals stay gcd-reduced with den > 0. The seed is a static's
+// address, which address-space randomization moves between runs of a
+// position-independent build, so an upload cannot be prepared whose
+// payoffs all collide and turn the build quadratic; the store never
+// depends on it (ids are first-seen and the levels are sorted after).
+std::uint64_t level_hash(const util::Rational& value) noexcept {
+    static const std::uint64_t seed =
+        mix64(reinterpret_cast<std::uintptr_t>(&g_tensor_allocations));
+    return mix64(static_cast<std::uint64_t>(value.num()) ^ seed) +
+           mix64(static_cast<std::uint64_t>(value.den()));
+}
+
+// One player's distinct payoffs while assign_payoffs runs: each value by
+// first-seen id with its cell count, and an open-addressing table of the
+// ids (linear probing, at most half full). The table grows with the
+// number of levels, not of profiles, so a narrow column stays in L1.
+class LevelIds final {
+public:
+    // A first-seen id's place among the sorted levels, and its double.
+    struct Placed final {
+        std::uint32_t rank;
+        double value;
+    };
+
+    std::uint32_t id(const util::Rational& value) {
+        std::size_t mask = slots_.size() - 1;
+        std::size_t slot = level_hash(value) & mask;
+        for (; slots_[slot] != kEmpty; slot = (slot + 1) & mask) {
+            Entry& seen = entries_[slots_[slot]];
+            if (seen.exact == value) {
+                ++seen.count;
+                return seen.id;
+            }
+        }
+        const auto fresh = static_cast<std::uint32_t>(entries_.size());
+        entries_.push_back({value, 1, fresh});
+        if (2 * entries_.size() <= slots_.size()) {
+            slots_[slot] = fresh;
+            return fresh;
+        }
+        slots_.assign(2 * slots_.size(), kEmpty);
+        mask = slots_.size() - 1;
+        for (const Entry& entry : entries_) {
+            slot = level_hash(entry.exact) & mask;
+            while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
+            slots_[slot] = entry.id;
+        }
+        return fresh;
+    }
+
+    // Once every cell has its id: the levels in increasing order with
+    // their counts, after which placed(id) holds. Equal reduced Rationals
+    // convert to equal doubles, so one to_double per level gives every
+    // cell's mirror bits.
+    void sort(std::vector<util::Rational>& levels, std::vector<std::uint32_t>& counts) {
+        std::sort(entries_.begin(), entries_.end(),
+                  [](const Entry& a, const Entry& b) { return a.exact < b.exact; });
+        levels.reserve(entries_.size());
+        counts.reserve(entries_.size());
+        placed_.resize(entries_.size());
+        for (const Entry& entry : entries_) {
+            placed_[entry.id] = {static_cast<std::uint32_t>(levels.size()),
+                                 entry.exact.to_double()};
+            levels.push_back(entry.exact);
+            counts.push_back(entry.count);
+        }
+    }
+
+    [[nodiscard]] const Placed& placed(std::uint32_t id) const { return placed_[id]; }
+
+private:
+    static constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
+
+    struct Entry final {
+        util::Rational exact;
+        std::uint32_t count;
+        std::uint32_t id;
+    };
+
+    std::vector<Entry> entries_;  // by id during the pass, by rank once sorted
+    std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(16, kEmpty);
+    std::vector<Placed> placed_;
+};
 }  // namespace
 
 std::uint64_t NormalFormGame::tensor_allocations() noexcept {
@@ -133,41 +225,37 @@ void NormalFormGame::assign_payoffs(const std::vector<util::Rational>& values) {
                                     std::to_string(num_profiles_ * n) + " values, got " +
                                     std::to_string(values.size()));
     }
-    // One index sort per player over a contiguous copy of its column; each
-    // new value met in sorted order opens a level.
-    Store built;
-    built.ranks.resize(values.size());
-    built.levels.resize(n);
-    built.counts.resize(n);
-    built.mirror.resize(values.size());
-    std::vector<util::Rational> column(num_profiles_);
-    std::vector<std::uint32_t> order(num_profiles_);
-    for (std::size_t player = 0; player < n; ++player) {
-        for (std::size_t rank = 0; rank < num_profiles_; ++rank) {
-            column[rank] = values[rank * n + player];
-        }
-        std::iota(order.begin(), order.end(), std::uint32_t{0});
-        std::sort(order.begin(), order.end(), [&column](std::uint32_t a, std::uint32_t b) {
-            return column[a] < column[b];
-        });
-        std::vector<util::Rational>& levels = built.levels[player];
-        std::vector<std::uint32_t>& counts = built.counts[player];
-        for (const std::uint32_t rank : order) {
-            if (levels.empty() || levels.back() != column[rank]) {
-                levels.push_back(column[rank]);
-                counts.push_back(0);
-            }
-            ++counts.back();
-            built.ranks[rank * n + player] = static_cast<std::uint32_t>(levels.size() - 1);
+    // One pass in flat order gives every cell its player's first-seen
+    // level id; then each player sorts only its L levels. Everything that
+    // allocates runs before the store is touched, so a throw leaves the
+    // game unchanged.
+    std::vector<LevelIds> tables(n);
+    std::vector<std::uint32_t> ids(values.size());
+    for (std::size_t i = 0; i < values.size();) {
+        for (std::size_t player = 0; player < n; ++player, ++i) {
+            ids[i] = tables[player].id(values[i]);
         }
     }
-    for (std::size_t i = 0; i < values.size(); ++i) built.mirror[i] = values[i].to_double();
-    if (store_.use_count() == 1) {
-        *store_ = std::move(built);
-    } else {
-        store_ = std::make_shared<Store>(std::move(built));
+    std::vector<std::vector<util::Rational>> levels(n);
+    std::vector<std::vector<std::uint32_t>> counts(n);
+    for (std::size_t player = 0; player < n; ++player) {
+        tables[player].sort(levels[player], counts[player]);
+    }
+    if (store_.use_count() != 1) {
+        store_ = std::make_shared<Store>(Store{std::vector<std::uint32_t>(values.size()), {}, {},
+                                               std::vector<double>(values.size())});
         g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
     }
+    Store& store = *store_;
+    for (std::size_t i = 0; i < values.size();) {
+        for (std::size_t player = 0; player < n; ++player, ++i) {
+            const LevelIds::Placed& at = tables[player].placed(ids[i]);
+            store.ranks[i] = at.rank;
+            store.mirror[i] = at.value;
+        }
+    }
+    store.levels = std::move(levels);
+    store.counts = std::move(counts);
 }
 
 std::vector<util::Rational> NormalFormGame::payoffs_flat() const {

@@ -9,6 +9,9 @@
 //   - per player, the LEVELS: those sorted distinct Rationals, each with
 //     its cell count. An exact payoff is levels(player)[rank];
 //   - a DOUBLE mirror for the iterative dynamics and the simulators.
+// A bulk build (assign_payoffs) costs O(cells + L log L) per player, L
+// being the player's number of distinct payoffs: one hashing pass over
+// the cells, then a sort of the levels only.
 // References into the store (payoff, payoff_at, ordinal_ranks, levels,
 // payoffs_d_flat, every GameView over the game) stay valid until the next
 // mutation of this game. Copies may be read on other threads meanwhile.
@@ -70,7 +73,10 @@ public:
     // Replaces the whole tensor in one step. `values` is in the flat order
     // [rank * num_players + player] and must hold exactly num_profiles *
     // num_players entries; on a size mismatch it throws and the game is
-    // left unchanged.
+    // left unchanged. One pass hashes each player's payoffs into a table
+    // sized by its distinct values L, then only the L levels are sorted:
+    // O(num_profiles * num_players + sum of L log L). An unshared store is
+    // rewritten in place.
     void assign_payoffs(const std::vector<util::Rational>& values);
 
     [[nodiscard]] const util::Rational& payoff(const PureProfile& profile,

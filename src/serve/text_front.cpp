@@ -133,7 +133,7 @@ void LineSession::handle_payoffs(Args args) {
     std::vector<util::Rational> values;
     values.reserve(expected);
     for (const std::string_view token : args) values.push_back(parse_rational(token));
-    game.assign_payoffs(std::move(values));
+    game.assign_payoffs(values);
 }
 
 void LineSession::handle_profile(Args args) {

@@ -1,11 +1,13 @@
 #include "util/rational.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 namespace bnash::util {
 namespace {
@@ -22,6 +24,31 @@ std::int64_t narrow_checked(Int128 value) {
 
 Int128 abs128(Int128 value) { return value < 0 ? -value : value; }
 
+// Magnitudes below 2^62: their negation, quotient and gcd all fit in 64
+// bits, so such values reduce without 128-bit division.
+constexpr std::int64_t kSmallLimit = std::int64_t{1} << 62;
+
+constexpr bool is_small(Int128 value) { return value > -kSmallLimit && value < kSmallLimit; }
+
+constexpr std::uint64_t magnitude(std::int64_t value) {
+    return value < 0 ? std::uint64_t{0} - static_cast<std::uint64_t>(value)
+                     : static_cast<std::uint64_t>(value);
+}
+
+// Stein's binary gcd; gcd64(0, b) == b.
+std::uint64_t gcd64(std::uint64_t a, std::uint64_t b) {
+    if (a == 0) return b;
+    if (b == 0) return a;
+    const int shift = std::countr_zero(a | b);
+    a >>= std::countr_zero(a);
+    do {
+        b >>= std::countr_zero(b);
+        if (a > b) std::swap(a, b);
+        b -= a;
+    } while (b != 0);
+    return a << shift;
+}
+
 Int128 gcd128(Int128 a, Int128 b) {
     a = abs128(a);
     b = abs128(b);
@@ -37,6 +64,28 @@ Int128 gcd128(Int128 a, Int128 b) {
 
 Rational::Rational(std::int64_t num, std::int64_t den) {
     if (den == 0) throw std::invalid_argument("Rational: zero denominator");
+    if (den == 1) {
+        num_ = num;
+        return;
+    }
+    if (is_small(num) && is_small(den)) {
+        if (den < 0) {
+            num = -num;
+            den = -den;
+        }
+        num_ = num;
+        den_ = den;
+        // A common factor is divided out in unsigned arithmetic, and only
+        // when there is one: most payoff fractions are already reduced.
+        const std::uint64_t top = magnitude(num);
+        const std::uint64_t g = gcd64(top, static_cast<std::uint64_t>(den));
+        if (g > 1) {
+            const auto reduced = static_cast<std::int64_t>(top / g);
+            num_ = num < 0 ? -reduced : reduced;
+            den_ = static_cast<std::int64_t>(static_cast<std::uint64_t>(den) / g);
+        }
+        return;
+    }
     Int128 n = num;
     Int128 d = den;
     if (d < 0) {
@@ -99,7 +148,12 @@ Rational Rational::reciprocal() const {
 
 namespace {
 
+// Below 2^62 in magnitude the constructor reduces in 64 bits; wider
+// values take the 128-bit loop first and are then already coprime.
 Rational make_reduced(Int128 num, Int128 den) {
+    if (is_small(num) && is_small(den)) {
+        return Rational{static_cast<std::int64_t>(num), static_cast<std::int64_t>(den)};
+    }
     if (den < 0) {
         num = -num;
         den = -den;

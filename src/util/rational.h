@@ -5,6 +5,8 @@
 // degenerate best-response ties. Rational keeps values normalized
 // (gcd-reduced, denominator > 0) and computes through __int128 so that any
 // product of in-range values is detected before silent wrap-around.
+// Reduction takes a 64-bit binary gcd when both parts are below 2^62 in
+// magnitude and a 128-bit Euclid loop otherwise.
 #pragma once
 
 #include <compare>

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <latch>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -377,6 +380,154 @@ TEST(NormalFormStore, CopiesReadOnThreadsWhileTheOriginalIsMutated) {
     for (std::thread& reader : readers) reader.join();
     for (std::size_t i = 0; i < copies.size(); ++i) EXPECT_EQ(intact[i], 1) << "copy " << i;
     expect_store_invariants(game);
+}
+
+// The store a flat payoff vector must build, by the obvious route: sort
+// and dedupe each player's column, rank every cell by binary search.
+struct ReferenceStore {
+    std::vector<std::uint32_t> ranks;
+    std::vector<std::vector<Rational>> levels;
+    std::vector<std::vector<std::uint32_t>> counts;
+    std::vector<double> mirror;
+};
+
+ReferenceStore sort_reference(std::size_t n, const std::vector<Rational>& values) {
+    ReferenceStore out{std::vector<std::uint32_t>(values.size()), {}, {}, {}};
+    for (std::size_t player = 0; player < n; ++player) {
+        std::vector<Rational> column;
+        for (std::size_t i = player; i < values.size(); i += n) column.push_back(values[i]);
+        std::sort(column.begin(), column.end());
+        column.erase(std::unique(column.begin(), column.end()), column.end());
+        std::vector<std::uint32_t> counts(column.size(), 0);
+        for (std::size_t i = player; i < values.size(); i += n) {
+            const auto at = static_cast<std::uint32_t>(
+                std::lower_bound(column.begin(), column.end(), values[i]) - column.begin());
+            out.ranks[i] = at;
+            ++counts[at];
+        }
+        out.levels.push_back(std::move(column));
+        out.counts.push_back(std::move(counts));
+    }
+    for (const Rational& value : values) out.mirror.push_back(value.to_double());
+    return out;
+}
+
+// Ranks, levels, counts and the mirror (bit for bit) against the reference.
+void expect_store_matches(const NormalFormGame& g, const ReferenceStore& want,
+                          const std::string& label) {
+    EXPECT_EQ(g.ordinal_ranks(), want.ranks) << label;
+    for (std::size_t player = 0; player < g.num_players(); ++player) {
+        EXPECT_EQ(g.levels(player), want.levels[player]) << label << " player " << player;
+        EXPECT_EQ(g.level_counts(player), want.counts[player]) << label << " player " << player;
+    }
+    const std::vector<double>& mirror = g.payoffs_d_flat();
+    ASSERT_EQ(mirror.size(), want.mirror.size()) << label;
+    for (std::size_t i = 0; i < mirror.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(mirror[i]), std::bit_cast<std::uint64_t>(want.mirror[i]))
+            << label << " entry " << i;
+    }
+}
+
+// assign_payoffs hashes each player's distinct payoffs and sorts only
+// those; the store it builds must be the sort-based one in every corner.
+TEST(NormalFormStore, HashBuildMatchesSortReference) {
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t k53 = std::int64_t{1} << 53;
+    util::Rng rng{4049};
+    const auto check = [](std::vector<std::size_t> counts, const std::vector<Rational>& values,
+                          const std::string& label) {
+        NormalFormGame g(std::move(counts));
+        g.assign_payoffs(values);
+        expect_store_matches(g, sort_reference(g.num_players(), values), label);
+    };
+
+    // L = 1: one level per player.
+    check({3, 3, 3}, std::vector<Rational>(81, Rational{5, 3}), "one level");
+
+    // L = P: every cell distinct, 625 levels per player, so each table
+    // grows from 16 slots to 2048.
+    std::vector<Rational> distinct(625 * 4);
+    for (std::size_t i = 0; i < distinct.size(); ++i) {
+        const auto k = static_cast<std::int64_t>(i);
+        distinct[i] = Rational{(k * 7919) % 100003 - 50000, 1 + k % 4};
+    }
+    rng.shuffle(distinct);
+    check({5, 5, 5, 5}, distinct, "all distinct");
+
+    // int64 extremes, parts past 2^53, and levels that a sort by the
+    // mirror would misorder: two whose doubles tie (1/3 and p/q with p,
+    // q < 2^53) and two whose doubles are in the wrong order.
+    const Rational third_twin{3002399751580330, k53 - 1};
+    ASSERT_EQ(third_twin.to_double(), Rational(1, 3).to_double());
+    const Rational below{864692194070351345, 3};
+    const Rational above{1441153656783918909, 5};
+    ASSERT_LT(below, above);
+    ASSERT_GT(below.to_double(), above.to_double());
+    const std::vector<Rational> extremes{
+        Rational{kMin},         Rational{kMax},           Rational{kMin + 1},
+        Rational{1, kMax},      Rational{-1, kMax},       Rational{kMax, kMax - 1},
+        Rational{kMax - 1, kMax}, Rational{kMin, kMax},   Rational{kMax, 3},
+        Rational{0},            Rational{k53 + 1},        Rational{k53},
+        Rational{1, 3},         third_twin,               below,
+        above};
+    std::vector<Rational> wide(64 * 3);
+    for (Rational& value : wide) value = extremes[rng.next_below(extremes.size())];
+    check({4, 4, 4}, wide, "extremes");
+    check({extremes.size()}, extremes, "extremes in one column");
+    check({4}, {Rational{1, 3}, third_twin, Rational{-1}, Rational{1, 3}}, "tied doubles");
+
+    // A shared numerator over different denominators (and one
+    // denominator over different numerators).
+    const std::vector<Rational> fractions{Rational{1, 2},  Rational{1, 3},  Rational{1, 4},
+                                          Rational{-1, 2}, Rational{-1, 3}, Rational{3, 2},
+                                          Rational{3, 4},  Rational{3, 5},  Rational{1}};
+    std::vector<Rational> shared_num(81 * 4);
+    for (Rational& value : shared_num) value = fractions[rng.next_below(fractions.size())];
+    check({3, 3, 3, 3}, shared_num, "shared numerators");
+
+    // Random narrow and wide columns on 2-5 player games.
+    for (std::size_t trial = 0; trial < 16; ++trial) {
+        const std::size_t n = 2 + trial % 4;
+        std::vector<std::size_t> counts(n);
+        for (std::size_t& count : counts) count = 2 + rng.next_below(2);
+        std::uint64_t profiles = 1;
+        for (const std::size_t count : counts) profiles *= count;
+        std::vector<Rational> values(profiles * n);
+        for (Rational& value : values) {
+            value = trial % 2 == 0 ? Rational{rng.next_int(-3, 3)}
+                                   : Rational{rng.next_int(-1000, 1000), rng.next_int(1, 12)};
+        }
+        check(counts, values, "random trial " + std::to_string(trial));
+    }
+}
+
+// A rebuild of a shared store leaves the copy's store as it was, and an
+// unshared store is rebuilt in place.
+TEST(NormalFormStore, HashBuildOfASharedStoreLeavesTheCopyIntact) {
+    util::Rng rng{77};
+    NormalFormGame g({3, 4, 2});
+    std::vector<Rational> first(g.num_profiles() * 3);
+    for (Rational& value : first) value = Rational{rng.next_int(-6, 6), rng.next_int(1, 3)};
+    g.assign_payoffs(first);
+    const NormalFormGame copy = g;
+    const std::vector<std::uint32_t>* copy_ranks = &copy.ordinal_ranks();
+
+    std::vector<Rational> second(first.rbegin(), first.rend());
+    second[5] = Rational{99};
+    const std::uint64_t before = NormalFormGame::tensor_allocations();
+    g.assign_payoffs(second);
+    EXPECT_EQ(NormalFormGame::tensor_allocations(), before + 1);
+    EXPECT_NE(&g.ordinal_ranks(), copy_ranks);
+    expect_store_matches(copy, sort_reference(3, first), "copy");
+    expect_store_matches(g, sort_reference(3, second), "rebuilt");
+
+    const std::vector<std::uint32_t>* own = &g.ordinal_ranks();
+    g.assign_payoffs(first);
+    EXPECT_EQ(NormalFormGame::tensor_allocations(), before + 1);
+    EXPECT_EQ(&g.ordinal_ranks(), own);
+    expect_store_matches(g, sort_reference(3, first), "in place");
+    expect_store_matches(copy, sort_reference(3, first), "copy after");
 }
 
 // ---------------------------------------------------------------- Bayesian

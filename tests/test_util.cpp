@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/combinatorics.h"
@@ -179,6 +180,103 @@ TEST(Rational, OrderingMatchesWideCrossMultiplication) {
     }
     for (const Rational& a : edge) {
         for (const Rational& b : edge) expect_order_matches_reference(a, b);
+    }
+}
+
+__extension__ typedef __int128 Int128;  // GCC/Clang extension, pedantic-safe
+
+// Independent reference reduction: sign to the numerator, Euclid's loop
+// in 128 bits, then the int64 range check; nullopt where the value does
+// not fit (RationalOverflow).
+std::optional<std::pair<std::int64_t, std::int64_t>> reference_reduce(Int128 num,
+                                                                      Int128 den) {
+    if (den < 0) {
+        num = -num;
+        den = -den;
+    }
+    Int128 a = num < 0 ? -num : num;
+    Int128 b = den;
+    while (b != 0) {
+        const Int128 r = a % b;
+        a = b;
+        b = r;
+    }
+    num /= a;
+    den /= a;
+    const Int128 lo = std::numeric_limits<std::int64_t>::min();
+    const Int128 hi = std::numeric_limits<std::int64_t>::max();
+    if (num < lo || num > hi || den > hi) return std::nullopt;
+    return std::pair{static_cast<std::int64_t>(num), static_cast<std::int64_t>(den)};
+}
+
+// `make` must yield the reference value, or throw RationalOverflow
+// exactly when the reference does not fit.
+template <typename Make>
+void expect_reduces_like_reference(Make make, Int128 num, Int128 den,
+                                   const std::string& label) {
+    const auto want = reference_reduce(num, den);
+    if (!want) {
+        EXPECT_THROW((void)make(), RationalOverflow) << label;
+        return;
+    }
+    const Rational got = make();
+    EXPECT_EQ(got.num(), want->first) << label;
+    EXPECT_EQ(got.den(), want->second) << label;
+}
+
+// Below 2^62 in magnitude the constructor and the arithmetic operators
+// reduce with a 64-bit binary gcd; wider values keep the 128-bit loop.
+// Both must give the reference's value and throw where it overflows.
+TEST(Rational, ReductionMatchesWideReference) {
+    const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+    const std::int64_t two62 = std::int64_t{1} << 62;
+    std::vector<std::int64_t> parts{0,         1,          -1,        2,          -2,
+                                    3,         6,          -12,       1 << 20,    3 << 20,
+                                    two62 - 1, two62,      two62 + 1, -two62 + 1, -two62,
+                                    -two62 - 1, two62 / 3 * 2, max,   max - 1,    min,
+                                    min + 1,   min / 2,    max / 7 * 5};
+    Rng rng{62};
+    for (int draw = 0; draw < 40; ++draw) {
+        const std::int64_t factor = rng.next_int(1, 1 << 16);
+        parts.push_back(factor * rng.next_int(-(1 << 30), 1 << 30));
+        parts.push_back(rng.next_int(min, max));
+        parts.push_back(rng.next_int(-two62 + 1, two62 - 1) / factor * factor);
+    }
+    std::vector<Rational> built;
+    for (const std::int64_t num : parts) {
+        for (const std::int64_t den : parts) {
+            if (den == 0) continue;
+            const std::string label = std::to_string(num) + "/" + std::to_string(den);
+            expect_reduces_like_reference([num, den] { return Rational{num, den}; }, num, den,
+                                          label);
+            if (reference_reduce(num, den)) built.emplace_back(num, den);
+        }
+    }
+    EXPECT_EQ(Rational(0, min).den(), 1);
+    EXPECT_THROW(Rational(min, -1), RationalOverflow);
+    EXPECT_THROW(Rational(1, min), RationalOverflow);
+    EXPECT_EQ(Rational(min, -2), Rational(two62));
+
+    // The arithmetic operators on a sample of those values: the same
+    // quotients of 128-bit products, or the same throw.
+    for (int draw = 0; draw < 20000; ++draw) {
+        const Rational& a = built[rng.next_below(built.size())];
+        const Rational& b = built[rng.next_below(built.size())];
+        const std::string label = a.to_string() + " op " + b.to_string();
+        expect_reduces_like_reference([&] { return a * b; }, Int128{a.num()} * b.num(),
+                                      Int128{a.den()} * b.den(), label + " *");
+        expect_reduces_like_reference([&] { return a + b; },
+                                      Int128{a.num()} * b.den() + Int128{b.num()} * a.den(),
+                                      Int128{a.den()} * b.den(), label + " +");
+        expect_reduces_like_reference([&] { return a - b; },
+                                      Int128{a.num()} * b.den() - Int128{b.num()} * a.den(),
+                                      Int128{a.den()} * b.den(), label + " -");
+        if (!b.is_zero()) {
+            expect_reduces_like_reference([&] { return a / b; }, Int128{a.num()} * b.den(),
+                                          Int128{a.den()} * b.num(), label + " /");
+        }
+        if (::testing::Test::HasFailure()) return;
     }
 }
 
