@@ -178,41 +178,6 @@ void bench_serve_cache_eviction(benchmark::State& state) {
 }
 BENCHMARK(bench_serve_cache_eviction)->Unit(benchmark::kMillisecond);
 
-// The admission path under burst load: a 1-worker server with a short
-// queue sheds the overflow with retry-after instead of queueing without
-// bound. shed_rate depends on how fast the worker drains, so it is
-// reported for observability, not gated.
-void bench_serve_submit_burst(benchmark::State& state) {
-    const std::size_t burst = 32;
-    std::uint64_t submitted = 0;
-    std::uint64_t shed = 0;
-    const serve::QueryRequest starved = starved_request();
-    for (auto _ : state) {
-        state.PauseTiming();
-        serve::RobustnessServer::Options options;
-        options.num_workers = 1;
-        options.queue_capacity = 4;
-        serve::RobustnessServer server(options);
-        std::vector<serve::RobustnessServer::Submission> submissions;
-        submissions.reserve(burst);
-        state.ResumeTiming();
-        for (std::size_t i = 0; i < burst; ++i) {
-            submissions.push_back(server.submit(starved));
-        }
-        for (serve::RobustnessServer::Submission& submission : submissions) {
-            const serve::QueryResponse response = submission.result.get();
-            if (response.status == serve::QueryStatus::kRejected) ++shed;
-        }
-        submitted += burst;
-        state.PauseTiming();
-        state.ResumeTiming();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(submitted));
-    state.counters["shed_rate"] = benchmark::Counter(
-        submitted > 0 ? static_cast<double>(shed) / static_cast<double>(submitted) : 0);
-}
-BENCHMARK(bench_serve_submit_burst)->Unit(benchmark::kMillisecond);
-
 // Resumable degradation: a frontier sweep whose grant covers about a
 // third of the grid, chained to completion through resume tokens. The
 // gated rows pin the resume contract structurally: every retry seeks

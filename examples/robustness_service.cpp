@@ -1,5 +1,5 @@
 // The robustness-query server end to end: canonicalized cache hits,
-// budget-degraded answers, load shedding, and the stdin line protocol.
+// budget- and deadline-degraded answers, and the stdin line protocol.
 //
 //   $ ./robustness_service                 # scripted demo
 //   $ ./robustness_service --stdin         # line protocol on stdin (see
@@ -105,15 +105,14 @@ int main(int argc, char** argv) {
     show("rescaled upload    ", server.query(rescaled));
 
     std::cout << "\n== Deadline expired before the sweep: shed compute, degrade ==\n";
-    // The same Submission handle also exposes grant->cancel() for
-    // explicit mid-flight abandonment; a cancel that loses the race to an
-    // already-found witness still returns the exact verdict.
+    // The grant expires before the first block is checked, so the query
+    // answers degraded at once; an already-found witness would still
+    // return the exact verdict.
     serve::QueryRequest big = request;
     big.k = 3;
     big.t = 2;
     big.deadline = std::chrono::nanoseconds{0};
-    serve::RobustnessServer::Submission submission = server.submit(big);
-    show("0ns deadline       ", submission.result.get());
+    show("0ns deadline       ", server.query(big));
 
     const serve::ServerStats stats = server.stats();
     std::cout << "\naccepted=" << stats.accepted << " resolved=" << stats.resolved

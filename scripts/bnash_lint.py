@@ -31,8 +31,10 @@ Rules (ids are stable; waivers reference them):
                      written once. No waiver.
   naked-thread       No std::thread / std::jthread / std::async /
                      pthread_create outside util::ThreadPool and
-                     src/serve (the two sanctioned concurrency owners).
-                     Waiver:  // lint: thread-ok(<reason>)
+                     serve/socket_front.cpp (the pool and the socket
+                     front's per-connection threads are the two
+                     sanctioned concurrency owners; the query server
+                     owns no thread). Waiver:  // lint: thread-ok(<reason>)
   no-rand            No rand()/srand()/std::random_device/arc4random in
                      library code — sweeps are deterministic and seeded
                      through util::Rng. Waiver:  // lint: rand-ok(<reason>)
@@ -80,7 +82,7 @@ RULE_DOCS = {
     "walker-charge": "advance loops must charge work counters (waiver: no-charge)",
     "grant-propagation": "pooled sites must be grant-aware (waiver: grant-ok)",
     "pool-loop": "no raw run_blocks outside src/util; use first_hit/for_blocks (no waiver)",
-    "naked-thread": "threads only via util::ThreadPool or src/serve (waiver: thread-ok)",
+    "naked-thread": "threads only via util::ThreadPool or the socket front (waiver: thread-ok)",
     "no-rand": "no ambient randomness in library code (waiver: rand-ok)",
     "no-stdout": "no stdout writes in library code (waiver: stdout-ok)",
     "header-guard": "headers open with #pragma once",
@@ -365,7 +367,7 @@ STDOUT_RE = re.compile(
 DECODE_RE = re.compile(r"(?:\.|->)\s*payoffs_flat\s*\(")
 
 WALKER_CHARGE_DIRS = ("core/", "game/")
-THREAD_EXEMPT = ("util/thread_pool.h", "util/thread_pool.cpp", "serve/")
+THREAD_EXEMPT = ("util/thread_pool.h", "util/thread_pool.cpp", "serve/socket_front.cpp")
 
 
 def check_walker_charge(unit, findings):
@@ -437,7 +439,7 @@ def check_no_decode(unit, findings):
 
 
 def check_naked_thread(unit, findings):
-    if unit.rel.startswith(THREAD_EXEMPT[2]) or unit.rel in THREAD_EXEMPT[:2]:
+    if unit.rel in THREAD_EXEMPT:
         return
     for match in THREAD_RE.finditer(unit.stripped):
         if THIS_THREAD_RE.search(unit.stripped, max(0, match.start() - 4),
@@ -448,7 +450,7 @@ def check_naked_thread(unit, findings):
             continue
         findings.append(Finding(
             "naked-thread", unit.rel, line,
-            "raw thread construction outside util::ThreadPool / src/serve; "
+            "raw thread construction outside util::ThreadPool / the socket front; "
             "pooled work must go through ThreadPool::run_blocks so execution "
             "grants propagate (waive with // lint: thread-ok(<reason>))",
             unit.context_at(match.start())))

@@ -1,9 +1,10 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <exception>
+#include <memory>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "core/robust/coalition_sweep.h"
 #include "serve/canonical.h"
@@ -14,7 +15,6 @@ const char* to_string(QueryStatus status) noexcept {
     switch (status) {
         case QueryStatus::kResolved: return "resolved";
         case QueryStatus::kDegraded: return "degraded";
-        case QueryStatus::kRejected: return "rejected";
         case QueryStatus::kError: return "error";
     }
     return "?";
@@ -90,6 +90,19 @@ constexpr std::uint64_t kMaxTokenVector = 1ULL << 20;
 [[nodiscard]] std::size_t checked_length(std::uint64_t claimed) {
     if (claimed > kMaxTokenVector) throw core::InvalidCheckpoint("malformed resume token");
     return static_cast<std::size_t>(claimed);
+}
+
+// The request's grant. A deadline past the clock's range saturates to
+// none: it never expires rather than wrapping into the past.
+[[nodiscard]] std::shared_ptr<util::ExecutionGrant> make_grant(
+    std::uint64_t budget_cells, const std::optional<std::chrono::nanoseconds>& deadline) {
+    using Clock = util::ExecutionGrant::Clock;
+    std::optional<Clock::time_point> at;
+    if (deadline) {
+        const Clock::time_point now = Clock::now();
+        if (*deadline < Clock::time_point::max() - now) at = now + *deadline;
+    }
+    return std::make_shared<util::ExecutionGrant>(budget_cells, at);
 }
 
 // True when `error` refuses the resume token a request presented.
@@ -246,106 +259,7 @@ private:
 RobustnessServer::RobustnessServer() : RobustnessServer(Options{}) {}
 
 RobustnessServer::RobustnessServer(Options options)
-    : options_(options), cache_(options.cache_shards, options.cache_capacity) {
-    const std::size_t num_workers = options_.num_workers == 0 ? 1 : options_.num_workers;
-    workers_.reserve(num_workers);
-    for (std::size_t i = 0; i < num_workers; ++i) {
-        workers_.emplace_back([this] { worker_loop(); });
-    }
-}
-
-RobustnessServer::~RobustnessServer() {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    queue_ready_.notify_all();
-    workers_.clear();  // jthread joins; in-flight requests finish normally
-    // Whatever was still queued is answered, not dropped: a rejected
-    // response keeps every Submission future valid through shutdown.
-    for (Item& item : queue_) {
-        QueryResponse shed;
-        shed.status = QueryStatus::kRejected;
-        shed.retry_after_ms = options_.retry_after_ms;
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        item.promise.set_value(std::move(shed));
-    }
-    queue_.clear();
-}
-
-std::shared_ptr<util::ExecutionGrant> RobustnessServer::make_grant(
-    std::uint64_t budget_cells, const std::optional<std::chrono::nanoseconds>& deadline) {
-    std::optional<util::ExecutionGrant::Clock::time_point> at;
-    if (deadline) at = util::ExecutionGrant::Clock::now() + *deadline;
-    return std::make_shared<util::ExecutionGrant>(budget_cells, at);
-}
-
-QueryResponse RobustnessServer::query(const QueryRequest& request) {
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    const std::shared_ptr<util::ExecutionGrant> grant =
-        make_grant(request.budget_cells, request.deadline);
-    return process(request, grant);
-}
-
-std::uint64_t RobustnessServer::shed_backoff_ms(const std::string& source, std::size_t depth) {
-    // Caller holds mutex_. Consecutive sheds from one source double the
-    // hint (capped); the first shed is the plain backlog-proportional
-    // base.
-    const std::uint64_t streak = ++shed_streaks_[source];
-    const std::uint64_t shift = std::min<std::uint64_t>(streak - 1, options_.retry_backoff_cap);
-    return (options_.retry_after_ms * (depth + 1)) << shift;
-}
-
-void RobustnessServer::reset_backoff(const std::string& source) {
-    // Caller holds mutex_.
-    shed_streaks_.erase(source);
-}
-
-RobustnessServer::Submission RobustnessServer::submit(QueryRequest request) {
-    Submission out;
-    out.grant = make_grant(request.budget_cells, request.deadline);
-    std::promise<QueryResponse> promise;
-    out.result = promise.get_future();
-    std::size_t depth = 0;
-    bool shed = false;
-    std::uint64_t retry_hint = 0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        depth = queue_.size();
-        if (stopping_ || depth >= options_.queue_capacity) {
-            shed = true;
-            retry_hint = shed_backoff_ms(request.source, depth);
-        } else {
-            reset_backoff(request.source);
-            queue_.push_back(Item{std::move(request), std::move(promise), out.grant});
-            accepted_.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-    if (shed) {
-        QueryResponse response;
-        response.status = QueryStatus::kRejected;
-        response.retry_after_ms = retry_hint;
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        promise.set_value(std::move(response));
-        return out;
-    }
-    queue_ready_.notify_one();
-    return out;
-}
-
-void RobustnessServer::worker_loop() {
-    while (true) {
-        Item item;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            queue_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-            if (stopping_) return;  // leftovers are rejected by the destructor
-            item = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        item.promise.set_value(process(item.request, item.grant));
-    }
-}
+    : cache_(options.cache_shards, options.cache_capacity) {}
 
 template <typename Response>
 void RobustnessServer::fail(Response& response, const std::string& presented_token) {
@@ -364,8 +278,10 @@ void RobustnessServer::fail(Response& response, const std::string& presented_tok
     errors_.fetch_add(1, std::memory_order_relaxed);
 }
 
-QueryResponse RobustnessServer::process(const QueryRequest& request,
-                                        const std::shared_ptr<util::ExecutionGrant>& grant) {
+QueryResponse RobustnessServer::query(const QueryRequest& request) {
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    const std::shared_ptr<util::ExecutionGrant> grant =
+        make_grant(request.budget_cells, request.deadline);
     QueryResponse response;
     std::string key;
     bool leader = false;
@@ -422,7 +338,7 @@ QueryResponse RobustnessServer::process(const QueryRequest& request,
             degraded_.fetch_add(1, std::memory_order_relaxed);
             // Hand the token to the longest-deadline live follower
             // instead of degrading the whole burst; that follower's
-            // process() continues the sweep (and may hand off again).
+            // query() continues the sweep (and may hand off again).
             cache_.degrade(key, response.resume_token);
         } else {
             response.verdict = broken ? core::CellVerdict::kBroken : core::CellVerdict::kRobust;
@@ -482,7 +398,6 @@ FrontierResponse RobustnessServer::frontier(const FrontierRequest& request,
 ServerStats RobustnessServer::stats() const {
     ServerStats out;
     out.accepted = accepted_.load(std::memory_order_relaxed);
-    out.rejected = rejected_.load(std::memory_order_relaxed);
     out.resolved = resolved_.load(std::memory_order_relaxed);
     out.degraded = degraded_.load(std::memory_order_relaxed);
     out.errors = errors_.load(std::memory_order_relaxed);

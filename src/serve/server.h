@@ -1,14 +1,16 @@
-// The robustness-query server: admission control, per-request execution
-// grants, verdict memoization, graceful degradation, and resumable
-// sweeps.
+// The robustness-query server: per-request execution grants, verdict
+// memoization, graceful degradation, and resumable sweeps. It owns no
+// thread: every query runs on its caller's thread, and concurrent
+// callers (the socket front's per-connection threads) meet in the
+// verdict cache.
 //
 // A query asks "is this candidate profile (k,t)-robust in this game?".
 // The server answers with a CellVerdict and a status:
 //
 //   kResolved  — exact verdict (kRobust / kBroken), possibly from cache.
 //   kDegraded  — the request's util::ExecutionGrant (work budget and/or
-//                deadline, or an explicit cancel through the Submission
-//                handle) expired mid-sweep. The verdict is kUnknown —
+//                deadline, or a cancel through the fault hook's grant)
+//                expired mid-sweep. The verdict is kUnknown —
 //                NEVER a guess — and the response carries a RESUME TOKEN:
 //                an opaque encoding of the sweep's SweepCheckpoint. A
 //                retry presenting the token seeks past every task the
@@ -21,11 +23,6 @@
 //                below one task's cost makes no progress — clients
 //                should grow a budget that keeps returning the same
 //                token, or cap their retries.
-//   kRejected  — the bounded queue was full; the response carries a
-//                retry_after_ms backoff hint and no work was done
-//                (load shedding at admission, not mid-flight). Repeated
-//                sheds from one `source` grow the hint exponentially
-//                (reset on admit).
 //   kError     — the computation threw; `error` holds the message. The
 //                cache entry is dropped so a retry recomputes. A resume
 //                token minted for a DIFFERENT request (or before
@@ -45,27 +42,19 @@
 // that request, else replaced by a fresh sweep (promoted) or by a token
 // for one (degraded).
 //
-// frontier() runs the full batch grid query synchronously (uncached —
-// grids are request-shaped, not cell-shaped), streaming each t-column
-// through the optional ColumnSink as it resolves and degrading to a
-// resume token exactly like query(): both run one token-bound leg.
+// frontier() runs the full batch grid query (uncached — grids are
+// request-shaped, not cell-shaped), streaming each t-column through the
+// optional ColumnSink as it resolves and degrading to a resume token
+// exactly like query(): both run one token-bound leg.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "core/robust/robustness.h"
 #include "game/game_view.h"
@@ -79,7 +68,6 @@ namespace bnash::serve {
 enum class QueryStatus : std::uint8_t {
     kResolved = 0,
     kDegraded,
-    kRejected,
     kError,
 };
 
@@ -99,7 +87,8 @@ struct SweepRequest {
     core::GainCriterion criterion = core::GainCriterion::kAnyMemberGains;
     game::SweepMode mode = game::SweepMode::kAuto;
     // Per-request grant limits. kUnlimited budget + no deadline = the
-    // request runs to completion (unless cancelled).
+    // request runs to completion (unless cancelled). A deadline too far
+    // out for the clock to represent is the same as no deadline.
     std::uint64_t budget_cells = util::ExecutionGrant::kUnlimited;
     std::optional<std::chrono::nanoseconds> deadline;
     // Resume token from a previous kDegraded response for this EXACT
@@ -111,9 +100,6 @@ struct SweepRequest {
 struct QueryRequest final : SweepRequest {
     std::size_t k = 1;
     std::size_t t = 0;
-    // Load-shedding identity: consecutive sheds from one source grow the
-    // backoff hint exponentially. Empty = one shared anonymous source.
-    std::string source;
 };
 
 struct QueryResponse final {
@@ -122,10 +108,9 @@ struct QueryResponse final {
     // True when the verdict came from the memo — either directly (hit)
     // or by waiting on the in-flight leader of a stampede.
     bool cache_hit = false;
-    std::uint64_t cells_charged = 0;   // work billed to this request's grant
-    std::uint64_t retry_after_ms = 0;  // kRejected backoff hint
-    std::string resume_token;          // kDegraded: present on retry to continue
-    std::string error;                 // kError only
+    std::uint64_t cells_charged = 0;  // work billed to this request's grant
+    std::string resume_token;         // kDegraded: present on retry to continue
+    std::string error;                // kError only
 };
 
 struct FrontierRequest final : SweepRequest {
@@ -152,7 +137,6 @@ using ColumnSink = core::FrontierColumnSink;
 
 struct ServerStats final {
     std::uint64_t accepted = 0;
-    std::uint64_t rejected = 0;
     std::uint64_t resolved = 0;
     std::uint64_t degraded = 0;
     std::uint64_t errors = 0;
@@ -170,42 +154,25 @@ struct ServerStats final {
 class RobustnessServer final {
 public:
     struct Options final {
-        std::size_t num_workers = 1;      // queue-draining threads
-        std::size_t queue_capacity = 16;  // pending requests before shedding
         std::size_t cache_shards = 16;
         // Memoized-verdict cap across all shards; 0 = unbounded. Bounding
         // trades repeat-query latency for a memory ceiling on long-lived
         // servers (VerdictCache evicts shard-local LRU).
         std::size_t cache_capacity = 0;
-        std::uint64_t retry_after_ms = 50;  // base backoff hint when shedding
-        // Cap on the exponential shed-backoff doubling (multiplier is
-        // 2^min(consecutive_sheds - 1, cap)).
-        std::uint64_t retry_backoff_cap = 6;
     };
 
     RobustnessServer();  // default Options
     explicit RobustnessServer(Options options);
-    // Stops the workers; requests still queued are answered kRejected.
-    ~RobustnessServer();
 
     RobustnessServer(const RobustnessServer&) = delete;
     RobustnessServer& operator=(const RobustnessServer&) = delete;
 
-    // Synchronous in-process query: runs on the caller's thread under the
-    // request's grant, bypassing the admission queue (never kRejected).
+    // Answers one cell query on the caller's thread under the request's
+    // grant. Safe to call from many threads at once.
     [[nodiscard]] QueryResponse query(const QueryRequest& request);
 
-    // Admission-controlled path. The returned grant handle is live for
-    // the whole request: cancel() it to abandon a queued or mid-sweep
-    // request (the response then degrades instead of blocking).
-    struct Submission final {
-        std::future<QueryResponse> result;
-        std::shared_ptr<util::ExecutionGrant> grant;
-    };
-    [[nodiscard]] Submission submit(QueryRequest request);
-
-    // Synchronous full-grid sweep with optional column streaming; see the
-    // file comment. Uncached and queue-bypassing, like query().
+    // Full-grid sweep with optional column streaming, on the caller's
+    // thread; see the file comment. Uncached.
     [[nodiscard]] FrontierResponse frontier(const FrontierRequest& request,
                                             const ColumnSink& on_column = nullptr);
 
@@ -219,36 +186,25 @@ public:
     [[nodiscard]] ServerStats stats() const;
     [[nodiscard]] VerdictCache& cache() noexcept { return cache_; }
 
-    // Fault-injection hook (tests): runs on the serving thread, under the
-    // request's grant, before every sweep leg — query() and submit()
-    // leaders and frontier() calls alike, in arrival order. Exceptions it
+    // Fault-injection hook (tests): runs on the calling thread, under the
+    // request's grant, before every sweep leg — query() leaders and
+    // frontier() calls alike, in arrival order. Exceptions it
     // throws follow the normal error path (kError + cache drop). Not
     // thread-safe against in-flight requests; install before serving. The
     // hook sees the grant (so a schedule can cancel or starve it).
     void set_fault_hook(std::function<void(util::ExecutionGrant&)> hook);
 
 private:
-    struct Item final {
-        QueryRequest request;
-        std::promise<QueryResponse> promise;
-        std::shared_ptr<util::ExecutionGrant> grant;
-    };
-
-    // One token-bound sweep leg of a request, shared by process() and
+    // One token-bound sweep leg of a request, shared by query() and
     // frontier(); see server.cpp.
     class Leg;
 
-    [[nodiscard]] QueryResponse process(const QueryRequest& request,
-                                        const std::shared_ptr<util::ExecutionGrant>& grant);
-    // The error path of process() and frontier(), run inside their
+    // The error path of query() and frontier(), run inside their
     // catch (...): marks `response` kError with the in-flight exception's
     // message, drops its resume token and counts the error (and a refused
     // `presented_token`).
     template <typename Response>
     void fail(Response& response, const std::string& presented_token);
-    [[nodiscard]] static std::shared_ptr<util::ExecutionGrant> make_grant(
-        std::uint64_t budget_cells, const std::optional<std::chrono::nanoseconds>& deadline);
-    void worker_loop();
 
     // Resume-token codec. Tokens are '.'-joined decimal fields: kind,
     // generation, request hash, then the SweepCheckpoint payload a retry
@@ -262,23 +218,11 @@ private:
     [[nodiscard]] core::SweepCheckpoint decode_token(const std::string& token, char kind,
                                                      std::uint64_t request_hash) const;
 
-    [[nodiscard]] std::uint64_t shed_backoff_ms(const std::string& source, std::size_t depth);
-    void reset_backoff(const std::string& source);
-
-    Options options_;
     VerdictCache cache_;
     std::function<void(util::ExecutionGrant&)> fault_hook_;
 
-    std::mutex mutex_;
-    std::condition_variable queue_ready_;
-    std::deque<Item> queue_;
-    bool stopping_ = false;
-    std::unordered_map<std::string, std::uint64_t> shed_streaks_;
-    std::vector<std::jthread> workers_;
-
     std::atomic<std::uint64_t> token_generation_{0};
     std::atomic<std::uint64_t> accepted_{0};
-    std::atomic<std::uint64_t> rejected_{0};
     std::atomic<std::uint64_t> resolved_{0};
     std::atomic<std::uint64_t> degraded_{0};
     std::atomic<std::uint64_t> errors_{0};

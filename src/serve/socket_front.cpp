@@ -9,11 +9,11 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <list>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "serve/text_front.h"
 
@@ -30,6 +30,13 @@ struct SharedCounters final {
     std::atomic<std::uint64_t> deadline_closes{0};
     std::atomic<std::uint64_t> pipeline_closes{0};
     std::atomic<std::uint64_t> stream_drops{0};
+};
+
+// A connection's thread and the flag it raises when its session is over,
+// so that the accept loop can join it without waiting.
+struct Connection final {
+    std::atomic<bool> done{false};
+    std::jthread thread;
 };
 
 [[nodiscard]] bool send_all(int fd, const std::string& data) {
@@ -161,36 +168,41 @@ SocketFrontStats run_socket_front(RobustnessServer& server, const SocketFrontOpt
 
     SocketFrontStats stats;
     SharedCounters counters;
-    std::atomic<std::size_t> active{0};
-    std::vector<std::jthread> threads;
+    // Live connections. Finished ones are joined on every tick, so a
+    // long-lived front keeps no stack of a connection it served.
+    std::list<Connection> connections;
     std::uint64_t conn_index = 0;
 
     while (!stop.load(std::memory_order_relaxed)) {
         pollfd poll_fd{listen_fd, POLLIN, 0};
         const int ready = ::poll(&poll_fd, 1, kPollTickMs);
+        std::erase_if(connections, [](const Connection& connection) {
+            return connection.done.load(std::memory_order_acquire);
+        });
         if (ready <= 0) continue;  // tick or EINTR: re-check stop
         const int fd = ::accept(listen_fd, nullptr, nullptr);
         if (fd < 0) continue;
         ++stats.connections;
         // Over-capacity connections still consume an accept index (the
         // FaultSchedule's `conn` numbering is pure accept order).
-        if (active.load(std::memory_order_relaxed) >= options.max_connections) {
+        if (connections.size() >= options.max_connections) {
             (void)send_all(fd, "error: too many connections\n");
             ::close(fd);
             ++stats.rejected;
             ++conn_index;
             continue;
         }
-        active.fetch_add(1, std::memory_order_relaxed);
-        threads.emplace_back(
-            [&server, &options, &stop, &counters, &active, fd, index = conn_index] {
+        Connection& connection = connections.emplace_back();
+        connection.thread =
+            std::jthread([&server, &options, &stop, &counters, &connection, fd,
+                          index = conn_index] {
                 serve_connection(fd, index, server, options, stop, counters);
-                active.fetch_sub(1, std::memory_order_relaxed);
+                connection.done.store(true, std::memory_order_release);
             });
         ++conn_index;
     }
     ::close(listen_fd);
-    threads.clear();  // jthread joins: every connection winds down on the stop flag
+    connections.clear();  // jthread joins: every connection winds down on the stop flag
 
     stats.lines = counters.lines.load(std::memory_order_relaxed);
     stats.deadline_closes = counters.deadline_closes.load(std::memory_order_relaxed);

@@ -4,8 +4,10 @@
 // binds 127.0.0.1.
 //
 // One serve::LineSession per connection, one thread per connection,
-// accept loop on the caller's thread until `stop` latches. Defenses,
-// all per connection:
+// accept loop on the caller's thread until `stop` latches. The accept
+// loop joins a finished connection's thread on its next tick, so the
+// front holds only the threads of live connections. Defenses, all per
+// connection:
 //
 //   READ DEADLINE — a peer that goes quiet (including mid-line: a
 //   slowloris dribbling bytes forever) is closed once no byte arrives

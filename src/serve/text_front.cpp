@@ -68,6 +68,15 @@ constexpr std::size_t kKeptTokenCapacity = 8192;
     return static_cast<std::size_t>(value);
 }
 
+// Milliseconds from now. A count too large for nanoseconds saturates to
+// the longest deadline, which the server treats as none.
+[[nodiscard]] std::chrono::nanoseconds parse_deadline(std::string_view token) {
+    constexpr auto kMaxMs =
+        std::chrono::duration_cast<std::chrono::milliseconds>(std::chrono::nanoseconds::max());
+    const std::chrono::milliseconds ms(parse_size(token));
+    return ms > kMaxMs ? std::chrono::nanoseconds::max() : std::chrono::nanoseconds(ms);
+}
+
 [[nodiscard]] util::Rational parse_rational(std::string_view token) {
     const std::size_t slash = token.find('/');
     if (slash == std::string_view::npos) return util::Rational(parse_int(token));
@@ -189,7 +198,7 @@ void LineSession::fill_request(SweepRequest& request, Args args) {
     // Both numbers parse before the token is taken, so a malformed line
     // leaves the armed token for the next request.
     if (args.size() >= 3) request.budget_cells = static_cast<std::uint64_t>(parse_size(args[2]));
-    if (args.size() >= 4) request.deadline = std::chrono::milliseconds(parse_size(args[3]));
+    if (args.size() >= 4) request.deadline = parse_deadline(args[3]);
     request.game = require_game();
     request.profile = profile_;
     request.mode = mode_;
@@ -204,7 +213,6 @@ bool LineSession::handle_ask(Args args, const LineSink& emit) {
     QueryRequest request;
     request.k = parse_size(args[0]);
     request.t = parse_size(args[1]);
-    request.source = source_;
     fill_request(request, args);
 
     const QueryResponse response = server_->query(request);
@@ -257,10 +265,9 @@ bool LineSession::handle_frontier(Args args, const LineSink& emit) {
 bool LineSession::handle_stats(const LineSink& emit) {
     const ServerStats stats = server_->stats();
     std::ostringstream reply;
-    reply << "accepted=" << stats.accepted << " rejected=" << stats.rejected
-          << " resolved=" << stats.resolved << " degraded=" << stats.degraded
-          << " errors=" << stats.errors << " cache_hits=" << stats.cache_hits
-          << " cache_misses=" << stats.cache_misses
+    reply << "accepted=" << stats.accepted << " resolved=" << stats.resolved
+          << " degraded=" << stats.degraded << " errors=" << stats.errors
+          << " cache_hits=" << stats.cache_hits << " cache_misses=" << stats.cache_misses
           << " cache_promotions=" << stats.cache_promotions
           << " stampede_waits=" << stats.stampede_waits
           << " tokens_rejected=" << stats.tokens_rejected;
@@ -308,11 +315,6 @@ bool LineSession::dispatch(const LineSink& emit) {
         }
         if (command == "mode") {
             handle_mode(args);
-            return emit("ok");
-        }
-        if (command == "source") {
-            if (args.size() != 1) throw std::invalid_argument("usage: source <name>");
-            source_ = args[0];
             return emit("ok");
         }
         if (command == "resume") {

@@ -18,17 +18,18 @@
 //   profile <a_0> ... <a_{n-1}>       pure candidate profile
 //   mixed <player> <p_0> ... <p_{c-1}> one player's mixed strategy
 //   mode <auto|serial>                sweep mode for later ask/frontier
-//   source <name>                     load-shedding identity (backoff key)
 //   resume <token>                    arm a resume token; the NEXT ask or
 //                                     frontier that parses presents it
 //                                     (one-shot)
 //   ask <k> <t> [budget_cells] [deadline_ms]
 //   frontier <max_k> <max_t> [budget_cells] [deadline_ms]
+//                                     a deadline_ms past the clock's
+//                                     range means no deadline
 //   stats                             print server counters
 //   quit                              stop reading
 //
 // `ask` replies on one line:
-//   verdict=<robust|broken|unknown> status=<resolved|degraded|rejected|error>
+//   verdict=<robust|broken|unknown> status=<resolved|degraded|error>
 //   cache=<hit|miss> cells=<n>
 // followed by ` token=<resume-token>` when degraded and ` error=<message>`
 // for error statuses.
@@ -109,7 +110,6 @@ private:
     std::optional<game::NormalFormGame> game_;
     game::ExactMixedProfile profile_;
     game::SweepMode mode_ = game::SweepMode::kAuto;
-    std::string source_;
     std::string resume_token_;
     std::size_t asks_ = 0;
     // Token buffer reused across lines (released after a very long one);

@@ -1,5 +1,5 @@
-// Fixture: serve/ is a sanctioned concurrency owner — std::jthread here
-// must NOT trigger naked-thread.
+// Fixture: the socket front is a sanctioned concurrency owner — its
+// per-connection std::jthread must NOT trigger naked-thread.
 #include <thread>
 #include <vector>
 

@@ -4,18 +4,19 @@
 // over monotone disguises), the sharded single-flight verdict
 // cache with follower-owned deadlines and leader hand-off, the
 // RobustnessServer's degradation ladder under scripted fault injection
-// — slow tasks against deadlines, poisoned (throwing) tasks,
-// cancellation in flight, leader death with follower promotion, queue
-// overflow shedding with exponential per-source backoff, resume-token
-// lifecycle (mint, seek, reject), streamed frontier columns — and both
-// line-protocol fronts (stdin and TCP socket) including parser
-// hardening, pipelining bounds, read deadlines, and scheduled
-// mid-stream drops.
+// — slow tasks against deadlines, deadlines past the clock's range,
+// poisoned (throwing) tasks, cancellation in flight, leader death with
+// follower promotion, resume-token lifecycle (mint, seek, reject),
+// streamed frontier columns — and both line-protocol fronts (stdin and
+// TCP socket) including parser hardening, pipelining bounds, read
+// deadlines, scheduled mid-stream drops and the reaping of finished
+// connections. Concurrent requests are concurrent query() callers.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -23,6 +24,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <limits>
 #include <map>
@@ -741,6 +744,32 @@ TEST(Server, SlowTaskAgainstDeadlineDegrades) {
     EXPECT_EQ(response.verdict, CellVerdict::kUnknown);
 }
 
+// A deadline too far out for the clock to represent never expires: both
+// request kinds run to completion instead of wrapping into the past.
+TEST(Server, DeadlinePastTheClockRangeNeverExpires) {
+    for (const std::chrono::nanoseconds deadline :
+         {std::chrono::nanoseconds::max(),
+          std::chrono::nanoseconds::max() - std::chrono::seconds(1)}) {
+        RobustnessServer server;
+        QueryRequest cell = attack_request();
+        cell.deadline = deadline;
+        const QueryResponse answer = server.query(cell);
+        EXPECT_EQ(answer.status, QueryStatus::kResolved) << answer.error;
+        EXPECT_EQ(answer.verdict, CellVerdict::kRobust);
+        EXPECT_GT(answer.cells_charged, 0u);
+
+        FrontierRequest grid;
+        grid.game = cell.game;
+        grid.profile = cell.profile;
+        grid.max_k = 2;
+        grid.max_t = 1;
+        grid.deadline = deadline;
+        const FrontierResponse swept = server.frontier(grid);
+        EXPECT_EQ(swept.status, QueryStatus::kResolved) << swept.error;
+        EXPECT_TRUE(swept.resume_token.empty());
+    }
+}
+
 TEST(Server, PoisonedTaskErrorsAndRetrySucceeds) {
     RobustnessServer server;
     server.set_fault_hook([](util::ExecutionGrant&) {
@@ -759,140 +788,34 @@ TEST(Server, PoisonedTaskErrorsAndRetrySucceeds) {
 }
 
 TEST(Server, CancelInFlightDegradesInsteadOfBlocking) {
-    RobustnessServer::Options options;
-    options.num_workers = 1;
-    RobustnessServer server(options);
+    RobustnessServer server;
     std::mutex mutex;
     std::condition_variable cv;
-    bool started = false;
+    util::ExecutionGrant* in_flight = nullptr;
     bool release = false;
-    server.set_fault_hook([&](util::ExecutionGrant&) {
+    server.set_fault_hook([&](util::ExecutionGrant& grant) {
         std::unique_lock<std::mutex> lock(mutex);
-        started = true;
+        in_flight = &grant;
         cv.notify_all();
         cv.wait(lock, [&] { return release; });
     });
-    RobustnessServer::Submission submission = server.submit(pd_request(1));
+    std::future<QueryResponse> result =
+        std::async(std::launch::async, [&] { return server.query(pd_request(1)); });
     {
         std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] { return started; });
-    }
-    submission.grant->cancel();  // the request is mid-flight on the worker
-    {
-        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return in_flight != nullptr; });
+        in_flight->cancel();  // the request is mid-flight on its caller's thread
         release = true;
         cv.notify_all();
     }
-    const QueryResponse response = submission.result.get();
+    const QueryResponse response = result.get();
     EXPECT_EQ(response.status, QueryStatus::kDegraded);
     EXPECT_EQ(response.verdict, CellVerdict::kUnknown);
     EXPECT_EQ(server.stats().degraded, 1u);
 }
 
-TEST(Server, FullQueueShedsWithRetryAfter) {
-    RobustnessServer::Options options;
-    options.num_workers = 1;
-    options.queue_capacity = 1;
-    options.retry_after_ms = 25;
-    RobustnessServer server(options);
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool started = false;
-    bool release = false;
-    server.set_fault_hook([&](util::ExecutionGrant&) {
-        std::unique_lock<std::mutex> lock(mutex);
-        started = true;
-        cv.notify_all();
-        cv.wait(lock, [&] { return release; });
-    });
-    // First request occupies the worker...
-    RobustnessServer::Submission first = server.submit(pd_request(1));
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] { return started; });
-    }
-    // ...second fills the queue, third is shed at admission.
-    RobustnessServer::Submission second = server.submit(pd_request(0));
-    RobustnessServer::Submission third = server.submit(pd_request(1, 2, 0));
-    const QueryResponse shed = third.result.get();
-    EXPECT_EQ(shed.status, QueryStatus::kRejected);
-    EXPECT_GE(shed.retry_after_ms, 25u);
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        release = true;
-        cv.notify_all();
-    }
-    EXPECT_EQ(first.result.get().status, QueryStatus::kResolved);
-    EXPECT_EQ(second.result.get().status, QueryStatus::kResolved);
-    const auto stats = server.stats();
-    EXPECT_EQ(stats.accepted, 2u);
-    EXPECT_EQ(stats.rejected, 1u);
-}
-
-TEST(Server, ConsecutiveShedsBackOffExponentiallyAndResetOnAdmit) {
-    RobustnessServer::Options options;
-    options.num_workers = 1;
-    options.queue_capacity = 1;
-    options.retry_after_ms = 10;
-    options.retry_backoff_cap = 3;
-    RobustnessServer server(options);
-    std::atomic<int> entered{0};
-    std::atomic<bool> gate{false};
-    server.set_fault_hook([&](util::ExecutionGrant&) {
-        entered.fetch_add(1);
-        while (!gate.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    });
-    // Only cache LEADERS reach the hook, so waiting on `entered` proves
-    // the worker has dequeued the blocking request (and the queue slot is
-    // free again).
-    const auto wait_entered = [&](int count) {
-        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-        while (entered.load() < count && std::chrono::steady_clock::now() < deadline) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        ASSERT_GE(entered.load(), count);
-    };
-    QueryRequest burst = pd_request(1);
-    burst.source = "burst";
-    QueryRequest other = pd_request(1);
-    other.source = "other";
-
-    // Occupy the worker and fill the queue, then hammer from one source.
-    RobustnessServer::Submission in_flight = server.submit(pd_request(1));
-    wait_entered(1);
-    RobustnessServer::Submission queued = server.submit(pd_request(0));
-    // With the queue pinned at depth 1, the base hint is 10 * (1 + 1).
-    EXPECT_EQ(server.submit(burst).result.get().retry_after_ms, 20u);   // streak 1
-    EXPECT_EQ(server.submit(burst).result.get().retry_after_ms, 40u);   // streak 2
-    EXPECT_EQ(server.submit(burst).result.get().retry_after_ms, 80u);   // streak 3
-    EXPECT_EQ(server.submit(burst).result.get().retry_after_ms, 160u);  // streak 4
-    EXPECT_EQ(server.submit(burst).result.get().retry_after_ms, 160u);  // capped at 2^3
-    // A different source keeps its own (fresh) streak.
-    EXPECT_EQ(server.submit(other).result.get().retry_after_ms, 20u);
-
-    gate.store(true);
-    EXPECT_EQ(in_flight.result.get().status, QueryStatus::kResolved);
-    EXPECT_EQ(queued.result.get().status, QueryStatus::kResolved);
-    // An ADMITTED request from the burst source resets its streak. (This
-    // one is a cache hit, so it never reaches the gate hook.)
-    EXPECT_EQ(server.submit(burst).result.get().status, QueryStatus::kResolved);
-
-    // Re-block with UNCACHED queries (memoized ones skip the gate hook).
-    gate.store(false);
-    RobustnessServer::Submission refill_flight = server.submit(pd_request(1, 2, 0));
-    wait_entered(3);  // 1: in_flight, 2: queued, 3: refill_flight
-    RobustnessServer::Submission refill_queue = server.submit(pd_request(0, 2, 1));
-    // ...so the next shed starts from the base hint again.
-    EXPECT_EQ(server.submit(burst).result.get().retry_after_ms, 20u);
-    gate.store(true);
-    EXPECT_EQ(refill_flight.result.get().status, QueryStatus::kResolved);
-    EXPECT_EQ(refill_queue.result.get().status, QueryStatus::kResolved);
-}
-
 TEST(Server, CacheStampedeIsSingleFlight) {
-    RobustnessServer::Options options;
-    options.num_workers = 3;
-    RobustnessServer server(options);
+    RobustnessServer server;
     std::mutex mutex;
     std::condition_variable cv;
     bool release = false;
@@ -902,9 +825,11 @@ TEST(Server, CacheStampedeIsSingleFlight) {
         std::unique_lock<std::mutex> lock(mutex);
         cv.wait(lock, [&] { return release; });
     });
-    RobustnessServer::Submission a = server.submit(pd_request(1));
-    RobustnessServer::Submission b = server.submit(pd_request(1));
-    RobustnessServer::Submission c = server.submit(pd_request(1));
+    std::vector<std::future<QueryResponse>> callers;
+    for (int i = 0; i < 3; ++i) {
+        callers.push_back(
+            std::async(std::launch::async, [&] { return server.query(pd_request(1)); }));
+    }
     // Wait until both non-leaders are parked on the leader's future.
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
     while (server.stats().stampede_waits < 2 &&
@@ -917,56 +842,13 @@ TEST(Server, CacheStampedeIsSingleFlight) {
         release = true;
         cv.notify_all();
     }
-    for (auto* submission : {&a, &b, &c}) {
-        const QueryResponse response = submission->result.get();
+    for (std::future<QueryResponse>& caller : callers) {
+        const QueryResponse response = caller.get();
         EXPECT_EQ(response.status, QueryStatus::kResolved);
         EXPECT_EQ(response.verdict, CellVerdict::kRobust);
     }
     EXPECT_EQ(leaders.load(), 1);  // one sweep served the whole burst
     EXPECT_EQ(server.stats().cache_misses, 1u);
-}
-
-TEST(Server, ShutdownRejectsQueuedRequests) {
-    std::future<QueryResponse> queued_1;
-    std::future<QueryResponse> queued_2;
-    std::future<QueryResponse> in_flight;
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool started = false;
-    bool release = false;
-    std::thread releaser;
-    {
-        RobustnessServer::Options options;
-        options.num_workers = 1;
-        options.queue_capacity = 8;
-        RobustnessServer server(options);
-        server.set_fault_hook([&](util::ExecutionGrant&) {
-            std::unique_lock<std::mutex> lock(mutex);
-            started = true;
-            cv.notify_all();
-            cv.wait(lock, [&] { return release; });
-        });
-        in_flight = server.submit(pd_request(1)).result;
-        {
-            std::unique_lock<std::mutex> lock(mutex);
-            cv.wait(lock, [&] { return started; });
-        }
-        queued_1 = server.submit(pd_request(0)).result;
-        queued_2 = server.submit(pd_request(1, 2, 0)).result;
-        // Unblock the worker well after ~RobustnessServer() has latched
-        // stopping; the in-flight request finishes, the queued ones drain
-        // as rejected.
-        releaser = std::thread([&] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(30));
-            std::unique_lock<std::mutex> lock(mutex);
-            release = true;
-            cv.notify_all();
-        });
-    }
-    releaser.join();
-    EXPECT_EQ(in_flight.get().status, QueryStatus::kResolved);
-    EXPECT_EQ(queued_1.get().status, QueryStatus::kRejected);
-    EXPECT_EQ(queued_2.get().status, QueryStatus::kRejected);
 }
 
 // ---------------------------------------------------------- resume tokens
@@ -1117,9 +999,7 @@ TEST(ServerResume, OutOfRangeForgedTokenErrorsAndPoisonsNothing) {
 // ------------------------------------------------- promotion, end to end
 
 TEST(Server, LeaderDeathPromotesFollowerWhichFinishesTheSweep) {
-    RobustnessServer::Options options;
-    options.num_workers = 2;
-    RobustnessServer server(options);
+    RobustnessServer server;
     std::atomic<int> arrivals{0};
     server.set_fault_hook([&](util::ExecutionGrant& grant) {
         if (arrivals.fetch_add(1) != 0) return;  // only the first leader dies
@@ -1132,10 +1012,11 @@ TEST(Server, LeaderDeathPromotesFollowerWhichFinishesTheSweep) {
         }
         grant.restrict_budget(1);
     });
-    RobustnessServer::Submission a = server.submit(attack_request());
-    RobustnessServer::Submission b = server.submit(attack_request());
-    const QueryResponse ra = a.result.get();
-    const QueryResponse rb = b.result.get();
+    const auto ask = [&] { return server.query(attack_request()); };
+    std::future<QueryResponse> a = std::async(std::launch::async, ask);
+    std::future<QueryResponse> b = std::async(std::launch::async, ask);
+    const QueryResponse ra = a.get();
+    const QueryResponse rb = b.get();
 
     // One of the two was the dying leader (degraded, with a token); the
     // other inherited the checkpoint, finished the sweep, and resolved.
@@ -1162,9 +1043,7 @@ TEST(Server, LeaderDeathPromotesFollowerWhichFinishesTheSweep) {
 // ITS request, not only the leader's, whose bytes the leader's token
 // binds to.
 TEST(Server, DisguisedDegradedFollowerGetsATokenItCanUse) {
-    RobustnessServer::Options options;
-    options.num_workers = 2;
-    RobustnessServer server(options);
+    RobustnessServer server;
     QueryRequest cubed = attack_request();
     for (std::uint64_t rank = 0; rank < cubed.game.num_profiles(); ++rank) {
         const PureProfile cell = cubed.game.profile_unrank(rank);
@@ -1192,13 +1071,15 @@ TEST(Server, DisguisedDegradedFollowerGetsATokenItCanUse) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         grant.restrict_budget(1);
     });
-    RobustnessServer::Submission leader = server.submit(plain);
+    std::future<QueryResponse> leader =
+        std::async(std::launch::async, [&] { return server.query(plain); });
     wait_for([&] { return arrivals.load() >= 1; });
     QueryRequest follower = cubed;
     follower.deadline = std::chrono::milliseconds(5);
-    RobustnessServer::Submission parked = server.submit(follower);
-    EXPECT_EQ(leader.result.get().status, QueryStatus::kDegraded);
-    const QueryResponse degraded = parked.result.get();
+    std::future<QueryResponse> parked =
+        std::async(std::launch::async, [&] { return server.query(follower); });
+    EXPECT_EQ(leader.get().status, QueryStatus::kDegraded);
+    const QueryResponse degraded = parked.get();
     ASSERT_EQ(degraded.status, QueryStatus::kDegraded);
     EXPECT_TRUE(degraded.cache_hit);
     ASSERT_FALSE(degraded.resume_token.empty());
@@ -1411,6 +1292,7 @@ TEST(TextFront, ServesTheLineProtocol) {
         "ask 1 0\n"
         "mixed 0 1/2 1/2\n"
         "bogus command\n"
+        "source client-a\n"
         "ask 1 0 999999\n"
         "stats\n"
         "quit\n"
@@ -1422,6 +1304,7 @@ TEST(TextFront, ServesTheLineProtocol) {
     EXPECT_NE(text.find("verdict=robust status=resolved"), std::string::npos);
     EXPECT_NE(text.find("verdict=broken status=resolved"), std::string::npos);
     EXPECT_NE(text.find("error: unknown command 'bogus'"), std::string::npos);
+    EXPECT_NE(text.find("error: unknown command 'source'"), std::string::npos);
     EXPECT_NE(text.find("accepted=3"), std::string::npos);
 }
 
@@ -1856,6 +1739,27 @@ TEST(TextFront, MalformedRetryKeepsTheArmedToken) {
     }
 }
 
+// A `deadline_ms` too large for the clock, whether it overflows the
+// nanosecond count or only the clock's time point, means no deadline: the
+// ask and the frontier answer exactly what they answer without one, on a
+// 5-player all-zero game where the whole sweep runs.
+TEST(TextFront, DeadlinePastTheClockRangeNeverExpires) {
+    const auto run = [](const std::string& line) {
+        RobustnessServer server;
+        ScriptedSession session(server);
+        EXPECT_EQ(session.reply("game 5 2 2 2 2 2"), "ok");
+        return session.send(line);
+    };
+    for (const std::string command : {"ask 2 1 1000000", "frontier 2 1 1000000"}) {
+        const std::vector<std::string> unbounded = run(command);
+        ASSERT_FALSE(unbounded.empty());
+        EXPECT_EQ(unbounded.back().find("token="), std::string::npos) << unbounded.back();
+        for (const char* deadline_ms : {"9223372036854775807", "9300000000000", "9223372036854"}) {
+            EXPECT_EQ(run(command + " " + deadline_ms), unbounded) << command << " " << deadline_ms;
+        }
+    }
+}
+
 // ------------------------------------------------------------ socket front
 
 // Runs the TCP front on a background thread; joins (and surfaces the
@@ -2104,6 +2008,76 @@ TEST(SocketFront, OverCapacityConnectionsAreTurnedAway) {
     EXPECT_FALSE(second.read_line(std::chrono::seconds(5)).has_value());
     harness.stop();
     EXPECT_EQ(harness.stats().rejected, 1u);
+}
+
+#ifdef __linux__
+// The process's address-space size (VmSize), in bytes.
+std::uint64_t virtual_bytes() {
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    while (status >> key) {
+        if (key == "VmSize:") {
+            std::uint64_t kib = 0;
+            status >> kib;
+            return kib * 1024;
+        }
+        status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+    }
+    return 0;
+}
+
+std::size_t live_threads() {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+std::size_t default_stack_bytes() {
+    pthread_attr_t attr;
+    std::size_t bytes = 0;
+    if (pthread_getattr_default_np(&attr) == 0) {
+        pthread_attr_getstacksize(&attr, &bytes);
+        pthread_attr_destroy(&attr);
+    }
+    return bytes;
+}
+#endif
+
+// A long-lived front keeps no stack of a connection it has finished: 64
+// sequential connections grow the address space by less than a few
+// thread stacks, not by one stack per connection served.
+TEST(SocketFront, FinishedConnectionsAreReaped) {
+#ifndef __linux__
+    GTEST_SKIP() << "reads /proc/self";
+#else
+    RobustnessServer server;
+    SocketHarness harness(server);
+    const std::size_t idle_threads = live_threads();
+    const auto serve_one = [&] {
+        TestClient client(harness.port());
+        ASSERT_TRUE(client.connected());
+        ASSERT_TRUE(client.send_line("quit"));
+        EXPECT_FALSE(client.read_line().has_value());  // EOF: the session is over
+        // ...and its thread has exited, so the next accept can reap it.
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (live_threads() > idle_threads && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        ASSERT_EQ(live_threads(), idle_threads);
+    };
+    serve_one();
+    const std::uint64_t after_first = virtual_bytes();
+    for (int i = 1; i < 64; ++i) {
+        serve_one();
+        if (HasFatalFailure()) return;
+    }
+    const std::uint64_t after_all = virtual_bytes();
+    const std::size_t stack = default_stack_bytes();
+    ASSERT_GT(stack, 0u);
+    EXPECT_LT(after_all, after_first + 4 * stack)
+        << "grew " << (after_all - after_first) / 1024 << " KiB over 63 connections";
+    harness.stop();
+    EXPECT_EQ(harness.stats().connections, 64u);
+#endif
 }
 
 TEST(SocketFront, RejectedPayoffsLeaveTheGameUnchanged) {
