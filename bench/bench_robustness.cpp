@@ -85,7 +85,7 @@ solver::EliminationResult elimination_by_copies(const game::NormalFormGame& game
                         local[i].push_back(a);
                     }
                 }
-                result.reduced = result.reduced.restrict(local);
+                result.reduced = game::GameView::restrict(result.reduced, local).materialize();
                 result.kept[player].erase(result.kept[player].begin() +
                                           static_cast<std::ptrdiff_t>(action));
                 changed = true;
@@ -714,7 +714,7 @@ game::NormalFormGame sliced_bench_game(std::size_t n) {
 void bench_view_native_robustness(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     const auto g = sliced_bench_game(n);
-    const auto view = g.restrict_view(std::vector<std::vector<std::size_t>>(n, {0, 2}));
+    const auto view = game::GameView::restrict(g, std::vector<std::vector<std::size_t>>(n, {0, 2}));
     const auto profile = core::as_exact_profile(view, game::PureProfile(n, 0));
     const core::RobustnessOptions options{core::GainCriterion::kAnyMemberGains,
                                           game::SweepMode::kSerial};
@@ -728,7 +728,7 @@ BENCHMARK(bench_view_native_robustness)->DenseRange(5, 7)->Unit(benchmark::kMicr
 void bench_materialize_then_check(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     const auto g = sliced_bench_game(n);
-    const auto view = g.restrict_view(std::vector<std::vector<std::size_t>>(n, {0, 2}));
+    const auto view = game::GameView::restrict(g, std::vector<std::vector<std::size_t>>(n, {0, 2}));
     const core::RobustnessOptions options{core::GainCriterion::kAnyMemberGains,
                                           game::SweepMode::kSerial};
     for (auto _ : state) {

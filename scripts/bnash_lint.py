@@ -53,9 +53,13 @@ Rules (ids are stable; waivers reference them):
                      levels, ordinal_ranks). No waiver.
   identity-forward   No function that takes a NormalFormGame and whose
                      whole body is `return f(... GameView::full(...) ...);`
-                     (or GameView(...) / GameView{...}).
-                     A NormalFormGame converts to its identity view, so
-                     such a twin only restates the view entry. No waiver.
+                     (or GameView(...) / GameView{...}), and no
+                     NormalFormGame member (defined out of line as
+                     NormalFormGame::f or inside the class) whose whole
+                     body is one `return` passing `*this` to a call,
+                     directly or as GameView(*this). A NormalFormGame
+                     converts to its identity view, so such a twin only
+                     restates the view entry. No waiver.
 
 Waivers bind to the flagged line: same line, or one of the three lines
 directly above it. The reason is mandatory — `// lint: no-charge()`
@@ -87,7 +91,8 @@ RULE_DOCS = {
     "no-stdout": "no stdout writes in library code (waiver: stdout-ok)",
     "header-guard": "headers open with #pragma once",
     "include-hygiene": "includes resolve under src/, no ../ or <bits/>",
-    "identity-forward": "no NormalFormGame twin that only forwards its identity view (no waiver)",
+    "identity-forward": "no NormalFormGame twin or member that only forwards its identity "
+                        "view (no waiver)",
     "no-decode": "no payoffs_flat() call in library code; read the payoff store (no waiver)",
 }
 
@@ -508,17 +513,44 @@ IDENTITY_FORWARD_RE = re.compile(
     r"\{\s*return\s+[A-Za-z_][\w:]*\s*\([^;]*\bGameView\s*(?:::\s*full\s*)?[({][^;]*;\s*\}",
     re.DOTALL)
 NORMAL_FORM_RE = re.compile(r"\bNormalFormGame\b")
+# A body that is one return statement passing *this to a call (or to a
+# braced GameView{*this}).
+MEMBER_FORWARD_RE = re.compile(
+    r"\{\s*return\b[^;]*[({,]\s*\*\s*this\s*[,)}][^;]*;\s*\}", re.DOTALL)
+QUALIFIED_MEMBER_RE = re.compile(r"\bNormalFormGame\s*::\s*~?\w+\s*$")
+NORMAL_FORM_CLASS_RE = re.compile(r"\b(?:class|struct)\s+NormalFormGame\b[^;{}]*$")
+
+
+def _is_normal_form_member(stripped, block, open_paren):
+    """True when the function block is a NormalFormGame member."""
+    if QUALIFIED_MEMBER_RE.search(stripped, max(0, open_paren - 160), open_paren):
+        return True
+    outer = block.parent
+    return (outer is not None and outer.kind == "class" and
+            NORMAL_FORM_CLASS_RE.search(stripped, max(0, outer.start - 160), outer.start)
+            is not None)
 
 
 def check_identity_forward(unit, findings):
     for block in unit.blocks:
         if block.kind != "function" or block.end is None:
             continue
-        if not IDENTITY_FORWARD_RE.fullmatch(unit.stripped, block.start, block.end + 1):
-            continue
         close = unit.stripped.rfind(")", 0, block.start)
         open_paren = _match_paren_backwards(unit.stripped, close)
-        if open_paren < 0 or not NORMAL_FORM_RE.search(unit.stripped, open_paren, close):
+        if open_paren < 0:
+            continue
+        if (MEMBER_FORWARD_RE.fullmatch(unit.stripped, block.start, block.end + 1) and
+                _is_normal_form_member(unit.stripped, block, open_paren)):
+            findings.append(Finding(
+                "identity-forward", unit.rel, line_of(unit.stripped, block.start),
+                f"NormalFormGame member '{block.name}' only passes *this on; a "
+                "NormalFormGame converts to GameView implicitly, so delete the "
+                "member and call the view entry",
+                block.name))
+            continue
+        if not IDENTITY_FORWARD_RE.fullmatch(unit.stripped, block.start, block.end + 1):
+            continue
+        if not NORMAL_FORM_RE.search(unit.stripped, open_paren, close):
             continue
         findings.append(Finding(
             "identity-forward", unit.rel, line_of(unit.stripped, block.start),

@@ -11,9 +11,21 @@ then alternates servebench/run.py runs: for every pair, seed and
 workload, one base run and one working-tree run, the side that goes
 first swapping from pair to pair. Prints, per workload and seed, the
 median of every end-to-end metric on each side, the base side's
-interquartile range, and on how many pairs the working tree was better
-(direction from BENCHMARK.json). Exits 1 if any run fails, reports
-failed requests or an incorrect verdict.
+interquartile range (IQR), on how many pairs the working tree was better
+(direction from BENCHMARK.json) and a verdict against the metric's
+`bound` in BENCHMARK.json (a fraction of the base median):
+
+    unresolved  the base IQR exceeds bound x base median, unless every
+                working-tree run beats every base run
+    worse       the working-tree median is worse than the base median by
+                more than the bound
+    gain        the working tree wins at least 9 of every 10 pairs and
+                the medians differ by more than the base IQR
+    level       anything else
+
+Ten pairs (the default) is the fewest at which a gain can be told from
+noise. Exits 1 if any run fails, reports failed requests or an incorrect
+verdict.
 """
 
 import argparse
@@ -70,17 +82,38 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def compare(base, change, direction, bound):
+    """One metric's paired runs: the two medians, the base IQR, the change's
+    wins and the verdict (see the module docstring)."""
+    lower = direction == "lower"
+    mb, mc = statistics.median(base), statistics.median(change)
+    q1, q3 = quartiles(base)
+    iqr = q3 - q1
+    wins = sum((y < x) if lower else (y > x) for x, y in zip(base, change))
+    margin = bound * abs(mb)
+    beats_all = max(change) < min(base) if lower else min(change) > max(base)
+    if iqr > margin and not beats_all:
+        verdict = "unresolved"
+    elif (mc - mb if lower else mb - mc) > margin:
+        verdict = "worse"
+    elif 10 * wins >= 9 * len(base) and (mb - mc if lower else mc - mb) > iqr:
+        verdict = "gain"
+    else:
+        verdict = "level"
+    return mb, mc, iqr, wins, verdict
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=4.0)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7919])
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as spec:
-        better = {m["name"]: m["better"] for m in json.load(spec)["end_to_end"]}
+        end_to_end = [(m["name"], m["better"], m["bound"]) for m in json.load(spec)["end_to_end"]]
     sha = export_base(args.base)
     sides = {"base": BASE_DIR, "change": ROOT}
     # A short first run per side builds it (servebench/run.py builds on demand).
@@ -117,18 +150,16 @@ def main():
                 continue
             print(f"\n{workload} seed {seed} ({pairs} pairs)")
             print(f"  {'metric':<20} {'base':>12} {'change':>12} {'delta':>8} "
-                  f"{'base IQR':>10} {'wins':>6}")
-            for metric, direction in better.items():
+                  f"{'base IQR':>10} {'wins':>6}  verdict")
+            for metric, direction, bound in end_to_end:
                 if metric not in base[0]:
                     continue
                 b = [run[metric] for run in base[:pairs]]
                 c = [run[metric] for run in change[:pairs]]
-                mb, mc = statistics.median(b), statistics.median(c)
-                q1, q3 = quartiles(b)
-                wins = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(b, c))
+                mb, mc, iqr, wins, verdict = compare(b, c, direction, bound)
                 delta = (mc - mb) / mb * 100 if mb else 0.0
                 print(f"  {metric:<20} {mb:>12.4g} {mc:>12.4g} {delta:>+7.1f}% "
-                      f"{q3 - q1:>10.4g} {wins:>3}/{pairs}")
+                      f"{iqr:>10.4g} {wins:>3}/{pairs}  {verdict}")
     if bad:
         print(f"\n{len(bad)} run(s) failed or reported failed requests", file=sys.stderr)
         return 1

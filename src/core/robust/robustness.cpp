@@ -28,23 +28,28 @@ using util::Rational;
 // coalition deviation is an O(|who|) stride delta from the candidate's
 // precomputed rank — no PureProfile rebuild, no full re-rank per joint
 // action. Used by the reference checkers and the punishment search; the
-// production robustness checkers run on CoalitionSweep instead.
+// production robustness checkers run on CoalitionSweep instead. It keeps
+// its own row-major strides so that, as the oracle the sweep kernels are
+// checked against, it shares no code with them.
 class Evaluator final {
 public:
     Evaluator(const NormalFormGame& game, const ExactMixedProfile& profile)
-        : game_(game), engine_(game), profile_(profile), pure_(as_pure_profile(profile)) {
-        if (pure_) base_rank_ = engine_.rank_of(*pure_);
+        : game_(game), strides_(game.num_players(), 1), profile_(profile),
+          pure_(as_pure_profile(profile)) {
+        for (std::size_t i = strides_.size() - 1; i-- > 0;) {
+            strides_[i] = strides_[i + 1] * game.num_actions(i + 1);
+        }
+        if (pure_) base_rank_ = game.profile_rank(*pure_);
     }
 
     [[nodiscard]] Rational utility(const std::vector<std::size_t>& who,
                                    const PureProfile& actions, std::size_t player) const {
         if (pure_) {
-            const auto& strides = engine_.strides();
             std::uint64_t rank = base_rank_;
             for (std::size_t idx = 0; idx < who.size(); ++idx) {
                 // Unsigned wrap-around is fine: the final rank is in range.
-                rank += actions[idx] * strides[who[idx]];
-                rank -= (*pure_)[who[idx]] * strides[who[idx]];
+                rank += actions[idx] * strides_[who[idx]];
+                rank -= (*pure_)[who[idx]] * strides_[who[idx]];
             }
             return game_.payoff_at(rank, player);
         }
@@ -63,7 +68,7 @@ public:
 
 private:
     const NormalFormGame& game_;
-    game::PayoffEngine engine_;
+    std::vector<std::uint64_t> strides_;
     const ExactMixedProfile& profile_;
     std::optional<PureProfile> pure_;
     std::uint64_t base_rank_ = 0;

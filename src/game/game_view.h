@@ -47,8 +47,10 @@ public:
     GameView(NormalFormGame&&) = delete;
     [[nodiscard]] static GameView full(const NormalFormGame& game) { return GameView(game); }
 
-    // Restriction to subsets of actions, per player. Validation matches
-    // NormalFormGame::restrict: every player keeps >= 1 in-range action.
+    // Restriction to subsets of actions, per player: every player keeps
+    // >= 1 action (else std::invalid_argument), each in range (else
+    // std::out_of_range). materialize() gives the restricted game as a
+    // copy (iterated elimination's final reduction).
     [[nodiscard]] static GameView restrict(
         const NormalFormGame& game, const std::vector<std::vector<std::size_t>>& kept_actions);
 
@@ -71,10 +73,6 @@ public:
     }
     [[nodiscard]] std::uint64_t num_profiles() const noexcept { return num_profiles_; }
     [[nodiscard]] const NormalFormGame& parent() const noexcept { return *parent_; }
-    // Parent action index backing view cell (player, action).
-    [[nodiscard]] std::size_t parent_action(std::size_t player, std::size_t action) const {
-        return kept_.at(player).at(action);
-    }
     [[nodiscard]] std::size_t parent_player(std::size_t player) const {
         return player_map_.at(player);
     }
@@ -128,11 +126,10 @@ public:
         return payoff_d_from(row_offset(tuple), player);
     }
 
-    // One player's payoff matrix of a 2-player view, read through the
-    // cell offsets (throws std::logic_error otherwise) — the zero-copy
-    // sibling of NormalFormGame::payoff_matrix the 2-player solvers
-    // consume. A MatrixQ is not a payoff tensor: building one does not
-    // count as a tensor allocation.
+    // One player's payoff matrix of a 2-player view (rows: view player
+    // 0), read through the cell offsets (throws std::logic_error
+    // otherwise) — what the 2-player solvers consume. A MatrixQ is not a
+    // payoff tensor: building one does not count as a tensor allocation.
     [[nodiscard]] util::MatrixQ payoff_matrix(std::size_t player) const;
 
     // Copies the viewed subgame into an owning NormalFormGame (labels

@@ -7,8 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "game/game_view.h"
-#include "game/payoff_engine.h"
 #include "util/combinatorics.h"
 
 namespace bnash::game {
@@ -287,63 +285,6 @@ NormalFormGame NormalFormGame::with_levels(
     out.store_ = std::make_shared<Store>(std::move(built));
     g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
     return out;
-}
-
-// The mixed-profile evaluations are the payoff-engine sweeps on this
-// game's identity view: one stride-indexed tensor sweep instead of one
-// per (player, action). Hot loops that evaluate many profiles should call
-// the batched sweeps (deviation_payoffs_all) directly.
-
-double NormalFormGame::expected_payoff(const MixedProfile& profile, std::size_t player) const {
-    if (profile.size() != num_players()) throw std::invalid_argument("expected_payoff: width");
-    return game::expected_payoff(*this, profile, player);
-}
-
-std::vector<double> NormalFormGame::expected_payoffs(const MixedProfile& profile) const {
-    if (profile.size() != num_players()) throw std::invalid_argument("expected_payoffs: width");
-    return game::expected_payoffs(*this, profile);
-}
-
-double NormalFormGame::deviation_payoff(const MixedProfile& profile, std::size_t player,
-                                        std::size_t action) const {
-    return deviation_row(*this, profile, player).at(action);
-}
-
-util::Rational NormalFormGame::expected_payoff_exact(const ExactMixedProfile& profile,
-                                                     std::size_t player) const {
-    if (profile.size() != num_players()) {
-        throw std::invalid_argument("expected_payoff_exact: width");
-    }
-    return game::expected_payoff_exact(*this, profile, player);
-}
-
-util::Rational NormalFormGame::deviation_payoff_exact(const ExactMixedProfile& profile,
-                                                      std::size_t player,
-                                                      std::size_t action) const {
-    return deviation_row_exact(*this, profile, player).at(action);
-}
-
-std::vector<std::size_t> NormalFormGame::best_responses(const MixedProfile& profile,
-                                                        std::size_t player, double tol) const {
-    return PayoffEngine::best_responses_from(deviation_row(*this, profile, player), tol);
-}
-
-double NormalFormGame::regret(const MixedProfile& profile) const {
-    return PayoffEngine::regret_from(deviation_payoffs_all(*this, profile), profile);
-}
-
-util::MatrixQ NormalFormGame::payoff_matrix(std::size_t player) const {
-    return GameView(*this).payoff_matrix(player);
-}
-
-NormalFormGame NormalFormGame::restrict(
-    const std::vector<std::vector<std::size_t>>& kept_actions) const {
-    return restrict_view(kept_actions).materialize();
-}
-
-GameView NormalFormGame::restrict_view(
-    const std::vector<std::vector<std::size_t>>& kept_actions) const {
-    return GameView::restrict(*this, kept_actions);
 }
 
 std::uint64_t NormalFormGame::profile_rank(const PureProfile& profile) const {

@@ -15,6 +15,12 @@
 // References into the store (payoff, payoff_at, ordinal_ranks, levels,
 // payoffs_d_flat, every GameView over the game) stay valid until the next
 // mutation of this game. Copies may be read on other threads meanwhile.
+//
+// The store is all this class keeps. Every payoff quantity computed from
+// it (expected and deviation payoffs, best responses, regret, a payoff
+// matrix, a restriction) has one entry taking a GameView (game/
+// payoff_engine.h, game/game_view.h), and a game is its identity view,
+// so the store depends on nothing built over it.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +34,6 @@
 #include "util/rng.h"
 
 namespace bnash::game {
-
-class GameView;
 
 class NormalFormGame final {
 public:
@@ -87,8 +91,9 @@ public:
         return payoff_d_at(profile_rank(profile), player);
     }
 
-    // Rank-indexed lookups for stride-based hot paths (PayoffEngine, the
-    // robustness Evaluator): no profile materialization, no re-ranking.
+    // Rank-indexed lookups for stride-based hot paths (the pure-Nash
+    // scans, the robustness Evaluator): no profile materialization, no
+    // re-ranking.
     [[nodiscard]] const util::Rational& payoff_at(std::uint64_t rank,
                                                   std::size_t player) const {
         return store_->levels[player][store_->ranks[rank * num_players() + player]];
@@ -125,46 +130,6 @@ public:
     // std::invalid_argument): same ranks and counts, new values and mirror.
     [[nodiscard]] NormalFormGame with_levels(
         std::vector<std::vector<util::Rational>> levels) const;
-
-    // Expected utility of `player` under an independent mixed profile.
-    [[nodiscard]] double expected_payoff(const MixedProfile& profile, std::size_t player) const;
-    [[nodiscard]] std::vector<double> expected_payoffs(const MixedProfile& profile) const;
-
-    // Expected utility when `player` deviates to pure `action` while everyone
-    // else follows `profile`. The workhorse of best-response computation.
-    [[nodiscard]] double deviation_payoff(const MixedProfile& profile, std::size_t player,
-                                          std::size_t action) const;
-
-    // Exact deviation payoff for exact profiles (robustness checkers).
-    [[nodiscard]] util::Rational deviation_payoff_exact(const ExactMixedProfile& profile,
-                                                        std::size_t player,
-                                                        std::size_t action) const;
-    [[nodiscard]] util::Rational expected_payoff_exact(const ExactMixedProfile& profile,
-                                                       std::size_t player) const;
-
-    // Best responses of `player` against the others (exact tie handling on
-    // the double mirror with tolerance `tol`).
-    [[nodiscard]] std::vector<std::size_t> best_responses(const MixedProfile& profile,
-                                                          std::size_t player,
-                                                          double tol = 1e-9) const;
-
-    // Max over players of (best-response payoff - current payoff): 0 at a
-    // Nash equilibrium, and <= epsilon at an epsilon-equilibrium.
-    [[nodiscard]] double regret(const MixedProfile& profile) const;
-
-    // Payoff matrix of one player in a 2-player game (rows: player 0).
-    [[nodiscard]] util::MatrixQ payoff_matrix(std::size_t player) const;
-
-    // Restriction of the game to subsets of actions (iterated elimination):
-    // restrict_view's subgame, materialized.
-    [[nodiscard]] NormalFormGame restrict(
-        const std::vector<std::vector<std::size_t>>& kept_actions) const;
-
-    // Zero-copy sibling of restrict: a stride-indexed view over THIS
-    // game's tensors (defined in game/game_view.h; the view must not
-    // outlive the game). Same validation as restrict.
-    [[nodiscard]] GameView restrict_view(
-        const std::vector<std::vector<std::size_t>>& kept_actions) const;
 
     [[nodiscard]] std::uint64_t profile_rank(const PureProfile& profile) const;
     [[nodiscard]] PureProfile profile_unrank(std::uint64_t rank) const;

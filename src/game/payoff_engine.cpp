@@ -97,7 +97,7 @@ using BlockRanges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
 // [0, num_profiles) in kParallelBlock-sized chunks.
 BlockRanges uniform_blocks(std::uint64_t num_profiles) {
-    constexpr std::uint64_t kBlock = PayoffEngine::kParallelBlock;
+    constexpr std::uint64_t kBlock = kParallelBlock;
     BlockRanges blocks;
     blocks.reserve(static_cast<std::size_t>((num_profiles + kBlock - 1) / kBlock));
     for (std::uint64_t lo = 0; lo < num_profiles; lo += kBlock) {
@@ -165,7 +165,7 @@ SupportPlan support_plan(const GameView& view, const ProfileT& profile,
 // a bitwise no-op: accumulators start at +0.0 and x + 0.0 == x for every
 // reachable x, so empty dense blocks are skipped).
 BlockRanges support_blocks(const GameView& view, const SupportPlan& plan) {
-    constexpr std::uint64_t kBlock = PayoffEngine::kParallelBlock;
+    constexpr std::uint64_t kBlock = kParallelBlock;
     const auto& full_counts = view.action_counts();
     const std::uint64_t full_profiles = view.num_profiles();
     BlockRanges blocks;
@@ -597,47 +597,6 @@ SupportPlan build_support_plan_from_dists(const std::vector<std::vector<double>>
         [&](std::size_t p, std::size_t a) { return static_cast<std::uint64_t>(a) * strides[p]; });
 }
 
-PayoffEngine::PayoffEngine(const NormalFormGame& game) {
-    const auto& counts = game.action_counts();
-    strides_.assign(counts.size(), 1);
-    for (std::size_t i = counts.size() - 1; i-- > 0;) {
-        strides_[i] = strides_[i + 1] * counts[i + 1];
-    }
-}
-
-std::uint64_t PayoffEngine::rank_of(const PureProfile& profile) const {
-    std::uint64_t rank = 0;
-    for (std::size_t i = 0; i < strides_.size(); ++i) {
-        rank += profile[i] * strides_[i];
-    }
-    return rank;
-}
-
-double PayoffEngine::regret_from(const DeviationTable& dev, const MixedProfile& profile) {
-    double worst = 0.0;
-    for (std::size_t i = 0; i < dev.size(); ++i) {
-        double current = 0.0;
-        double best = -std::numeric_limits<double>::infinity();
-        for (std::size_t a = 0; a < dev[i].size(); ++a) {
-            current += profile[i][a] * dev[i][a];
-            best = std::max(best, dev[i][a]);
-        }
-        worst = std::max(worst, best - current);
-    }
-    return worst;
-}
-
-std::vector<std::size_t> PayoffEngine::best_responses_from(const std::vector<double>& row,
-                                                           double tol) {
-    double best = -std::numeric_limits<double>::infinity();
-    for (const double value : row) best = std::max(best, value);
-    std::vector<std::size_t> out;
-    for (std::size_t action = 0; action < row.size(); ++action) {
-        if (row[action] >= best - tol) out.push_back(action);
-    }
-    return out;
-}
-
 // --- the sweep entries --------------------------------------------------------
 
 std::vector<double> expected_payoffs(const GameView& view, const MixedProfile& profile,
@@ -657,6 +616,30 @@ DeviationTable deviation_payoffs_all(const GameView& view, const MixedProfile& p
 std::vector<double> deviation_row(const GameView& view, const MixedProfile& profile,
                                   std::size_t player) {
     return row_sweep(view, profile, player, "deviation_row");
+}
+
+double regret_from(const DeviationTable& dev, const MixedProfile& profile) {
+    double worst = 0.0;
+    for (std::size_t i = 0; i < dev.size(); ++i) {
+        double current = 0.0;
+        double best = -std::numeric_limits<double>::infinity();
+        for (std::size_t a = 0; a < dev[i].size(); ++a) {
+            current += profile[i][a] * dev[i][a];
+            best = std::max(best, dev[i][a]);
+        }
+        worst = std::max(worst, best - current);
+    }
+    return worst;
+}
+
+std::vector<std::size_t> best_responses_from(const std::vector<double>& row, double tol) {
+    double best = -std::numeric_limits<double>::infinity();
+    for (const double value : row) best = std::max(best, value);
+    std::vector<std::size_t> out;
+    for (std::size_t action = 0; action < row.size(); ++action) {
+        if (row[action] >= best - tol) out.push_back(action);
+    }
+    return out;
 }
 
 std::vector<util::Rational> expected_payoffs_exact(const GameView& view,

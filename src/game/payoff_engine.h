@@ -3,10 +3,11 @@
 //
 // Every solution concept in the paper — Nash regret, epsilon-equilibria,
 // (k,t)-robustness — reduces to repeated expected-utility and
-// deviation-payoff evaluations. The seed implementation walked the whole
-// tensor once per (player, action) and re-derived each profile's rank
-// from scratch (O(players) per lookup), making best_responses, regret and
-// the learning dynamics O(actions x profiles x players^2). These sweeps:
+// deviation-payoff evaluations. Walking the whole tensor once per
+// (player, action) and re-deriving each profile's rank from scratch
+// (O(players) per lookup; the naive:: references below) makes best
+// responses, regret and the learning dynamics O(actions x profiles x
+// players^2). These sweeps:
 //
 //   - step a GameView's per-digit cell-offset tables with the shared
 //     util::OffsetWalker, so ranks update in O(1) per odometer step;
@@ -26,7 +27,8 @@
 //
 // A DENSE GAME IS THE IDENTITY VIEW: every sweep takes a GameView, and a
 // NormalFormGame converts to its identity view implicitly, so each
-// quantity has exactly one entry. Restricted and permuted views sweep
+// quantity has exactly one entry, and NormalFormGame keeps no member
+// twin of any of them. Restricted and permuted views sweep
 // zero-copy through the view's offsets into the parent's store. When the
 // view's player map is the identity (the full game and its action
 // restrictions) a profile's doubles are one contiguous mirror row, and
@@ -74,35 +76,9 @@ using ExactDeviationTable = std::vector<std::vector<util::Rational>>;
 // so results are identical — used by the determinism tests and benches).
 enum class SweepMode { kAuto, kSerial };
 
-// Row-major strides of a dense game, for callers that re-rank pure
-// profiles by hand (pure-Nash checks, the reference robustness
-// Evaluator), plus the derived quantities read off a deviation table.
-// Runs no sweep.
-class PayoffEngine final {
-public:
-    // Profiles per parallel block. Fixed (not derived from worker count)
-    // so that threaded and serial sweeps merge identically.
-    static constexpr std::uint64_t kParallelBlock = std::uint64_t{1} << 14;
-
-    explicit PayoffEngine(const NormalFormGame& game);
-
-    [[nodiscard]] const std::vector<std::uint64_t>& strides() const noexcept {
-        return strides_;
-    }
-
-    // Row-major rank via strides; O(players), no allocation.
-    [[nodiscard]] std::uint64_t rank_of(const PureProfile& profile) const;
-
-    // From a precomputed table: callers doing several queries per sweep
-    // (fictitious play needs regret AND best responses every iteration).
-    [[nodiscard]] static double regret_from(const DeviationTable& dev,
-                                            const MixedProfile& profile);
-    [[nodiscard]] static std::vector<std::size_t> best_responses_from(
-        const std::vector<double>& row, double tol);
-
-private:
-    std::vector<std::uint64_t> strides_;
-};
+// Profiles per parallel block. Fixed (not derived from worker count) so
+// that threaded and serial sweeps merge identically.
+inline constexpr std::uint64_t kParallelBlock = std::uint64_t{1} << 14;
 
 // --- the sweeps ---------------------------------------------------------------
 // One entry per quantity. Profiles are indexed in VIEW action space;
@@ -121,6 +97,15 @@ private:
 [[nodiscard]] std::vector<double> deviation_row(const GameView& view,
                                                 const MixedProfile& profile,
                                                 std::size_t player);
+// Read off a computed table, so a caller asking several questions per
+// sweep (fictitious play needs regret AND best responses every
+// iteration) sweeps once. regret_from: the max over players of the best
+// deviation payoff minus the profile's payoff (0 at a Nash equilibrium,
+// <= epsilon at an epsilon-equilibrium). best_responses_from: the actions
+// within `tol` of the row's best.
+[[nodiscard]] double regret_from(const DeviationTable& dev, const MixedProfile& profile);
+[[nodiscard]] std::vector<std::size_t> best_responses_from(const std::vector<double>& row,
+                                                           double tol);
 
 // --- exact payoffs
 [[nodiscard]] std::vector<util::Rational> expected_payoffs_exact(

@@ -228,15 +228,9 @@ std::uint64_t QuotientGame::others_orbits(std::size_t cls) const {
 }
 
 void QuotientGame::finalize() {
-    others_orbits_.assign(class_sizes.size(), 1);
+    others_orbits_.resize(class_sizes.size());
     for (std::size_t c = 0; c < class_sizes.size(); ++c) {
-        std::uint64_t total = 1;
-        for (std::size_t d = 0; d < class_sizes.size(); ++d) {
-            const std::size_t members = class_sizes[d] - (d == c ? 1 : 0);
-            const std::uint64_t count = util::composition_count(members, class_actions[d]);
-            total *= count;  // overflow-checked upstream via composition_count growth
-        }
-        others_orbits_[c] = total;
+        others_orbits_[c] = others_walker(c).num_orbits();  // throws on overflow
     }
 }
 

@@ -128,7 +128,9 @@ struct QuotientGame final {
 
     // Derived once by build_quotient / finalize().
     std::vector<std::uint64_t> others_orbits_;
-    void finalize();  // fills others_orbits_ from sizes/actions
+    // Fills others_orbits_ from sizes/actions; throws std::overflow_error
+    // when an orbit count does not fit in 64 bits.
+    void finalize();
 };
 
 // Tabulate the quotient of `view` under `group` by representative

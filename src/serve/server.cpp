@@ -105,6 +105,16 @@ constexpr std::uint64_t kMaxTokenVector = 1ULL << 20;
     return std::make_shared<util::ExecutionGrant>(budget_cells, at);
 }
 
+// Refuses a size (k or t, max_k or max_t) above the player count, in
+// every build: the sweep allocates per unit of size before it reads the
+// game, so one hostile line could otherwise ask for gigabytes.
+void check_sizes(const game::NormalFormGame& game, std::size_t k, std::size_t t) {
+    if (k > game.num_players() || t > game.num_players()) {
+        throw std::invalid_argument("sizes must not exceed the player count (" +
+                                    std::to_string(game.num_players()) + ")");
+    }
+}
+
 // True when `error` refuses the resume token a request presented.
 [[nodiscard]] bool refuses_token(const std::string& presented, const std::exception& error) {
     return !presented.empty() && dynamic_cast<const core::InvalidCheckpoint*>(&error) != nullptr;
@@ -185,9 +195,10 @@ core::SweepCheckpoint RobustnessServer::decode_token(const std::string& token, c
     return checkpoint;
 }
 
-// One sweep leg of a request, bound to its resume token: the presented
-// token is decoded strictly on construction (a bad token is the caller's
-// error, refused before the cache sees the request), a token a cache
+// One sweep leg of a request, bound to its resume token: the sizes are
+// checked and the presented token is decoded strictly on construction
+// (a bad size or token is the caller's error, refused before the cache
+// sees the request), a token a cache
 // leader handed over is re-bound through rebind(), and run() sweeps under
 // the grant and the fault hook, then mints the token of an unfinished
 // leg. `kind` is 'c' for a cell query, 'f' for a frontier; (k, t) are its
@@ -198,6 +209,7 @@ public:
     Leg(RobustnessServer& server, const SweepRequest& request, char kind, std::size_t k,
         std::size_t t)
         : server_(server), request_(request), kind_(kind), k_(k), t_(t) {
+        check_sizes(request.game, k, t);
         if (!request.resume_token.empty()) {
             resume_ = server_.decode_token(request.resume_token, kind_, fingerprint());
         }

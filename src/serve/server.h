@@ -28,6 +28,9 @@
 //                token minted for a DIFFERENT request (or before
 //                invalidate_resume_tokens()) is rejected this way — the
 //                server never seeks into the wrong sweep.
+//                So is a size above the game's player count (k or t;
+//                max_k or max_t), before any key or sweep work: it
+//                charges 0 cells and memoizes nothing.
 //
 // Requests are canonicalized (serve/canonical.h) and memoized in a
 // sharded VerdictCache with single-flight stampede control: concurrent

@@ -23,8 +23,11 @@
 //                                     (one-shot)
 //   ask <k> <t> [budget_cells] [deadline_ms]
 //   frontier <max_k> <max_t> [budget_cells] [deadline_ms]
-//                                     a deadline_ms past the clock's
-//                                     range means no deadline
+//                                     each size is at most the game's
+//                                     player count (a larger one is
+//                                     answered status=error / `error:`,
+//                                     0 cells); a deadline_ms past the
+//                                     clock's range means no deadline
 //   stats                             print server counters
 //   quit                              stop reading
 //

@@ -141,7 +141,7 @@ ViewEliminationResult iterated_elimination_view(const game::NormalFormGame& game
                 trace.push_back(EliminationStep{player, kept[player][action]});
                 kept[player].erase(kept[player].begin() +
                                    static_cast<std::ptrdiff_t>(action));
-                view = game.restrict_view(kept);
+                view = GameView::restrict(game, kept);
                 changed = true;
                 break;
             }

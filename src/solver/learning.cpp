@@ -48,7 +48,7 @@ LearningResult fictitious_play(const game::NormalFormGame& game,
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
         for (std::size_t i = 0; i < players; ++i) profile[i] = empirical(i);
         const auto dev = game::deviation_payoffs_all(view, profile);
-        const double regret = game::PayoffEngine::regret_from(dev, profile);
+        const double regret = game::regret_from(dev, profile);
         record_trace(regret, iter, options, result);
         result.iterations = iter + 1;
         if (regret <= options.target_regret) {
@@ -58,14 +58,14 @@ LearningResult fictitious_play(const game::NormalFormGame& game,
         // Simultaneous best responses to the current empirical profile;
         // ties break toward the lowest action index (deterministic).
         for (std::size_t i = 0; i < players; ++i) {
-            const auto best =
-                game::PayoffEngine::best_responses_from(dev[i], options.tie_tolerance);
+            const auto best = game::best_responses_from(dev[i], options.tie_tolerance);
             counts[i][best.front()] += 1.0;
         }
     }
     for (std::size_t i = 0; i < players; ++i) profile[i] = empirical(i);
     result.profile = std::move(profile);
-    result.final_regret = game.regret(result.profile);
+    result.final_regret =
+        game::regret_from(game::deviation_payoffs_all(view, result.profile), result.profile);
     result.converged = result.final_regret <= options.target_regret;
     return result;
 }
@@ -88,7 +88,7 @@ LearningResult replicator_dynamics(const game::NormalFormGame& game,
     }
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
         const auto dev = game::deviation_payoffs_all(view, profile);
-        const double regret = game::PayoffEngine::regret_from(dev, profile);
+        const double regret = game::regret_from(dev, profile);
         record_trace(regret, iter, options, result);
         result.iterations = iter + 1;
         if (regret <= options.target_regret) {
@@ -112,7 +112,8 @@ LearningResult replicator_dynamics(const game::NormalFormGame& game,
         profile = std::move(next);
     }
     result.profile = std::move(profile);
-    result.final_regret = game.regret(result.profile);
+    result.final_regret =
+        game::regret_from(game::deviation_payoffs_all(view, result.profile), result.profile);
     result.converged = result.final_regret <= options.target_regret;
     return result;
 }

@@ -2,17 +2,15 @@
 
 #include <stdexcept>
 
+#include "game/game_view.h"
 #include "game/payoff_engine.h"
 #include "util/combinatorics.h"
 
 namespace bnash::solver {
 namespace {
 
-// Shared stride-based pure-Nash test: compares `player`'s payoff at
-// `rank` against every unilateral deviation by walking the player's
-// stride, with no profile materialization or re-ranking.
 // Matches the validation the seed's game.payoff() path performed via
-// product_rank; rank_of itself is an unchecked hot-path primitive.
+// product_rank; the view's row offsets are unchecked hot-path reads.
 void validate_pure_profile(const game::NormalFormGame& game,
                            const game::PureProfile& profile) {
     if (profile.size() != game.num_players()) {
@@ -25,15 +23,19 @@ void validate_pure_profile(const game::NormalFormGame& game,
     }
 }
 
-bool is_pure_nash_at(const game::NormalFormGame& game,
-                     const std::vector<std::uint64_t>& strides, std::uint64_t rank,
+// Compares each player's payoff at `row` (the profile's row offset in
+// the game's identity view) against every unilateral deviation, read
+// through the deviating player's offset column: no profile
+// materialization or re-ranking.
+bool is_pure_nash_at(const game::GameView& view, std::uint64_t row,
                      const game::PureProfile& profile) {
-    for (std::size_t player = 0; player < game.num_players(); ++player) {
-        const auto& current = game.payoff_at(rank, player);
-        const std::uint64_t base = rank - profile[player] * strides[player];
-        for (std::size_t action = 0; action < game.num_actions(player); ++action) {
+    for (std::size_t player = 0; player < view.num_players(); ++player) {
+        const auto& current = view.payoff_from(row, player);
+        // Unsigned wrap-around is fine: every complete row is in range.
+        const std::uint64_t base = row - view.cell_offset(player, profile[player]);
+        for (std::size_t action = 0; action < view.num_actions(player); ++action) {
             if (action == profile[player]) continue;
-            if (game.payoff_at(base + action * strides[player], player) > current) {
+            if (view.payoff_from(base + view.cell_offset(player, action), player) > current) {
                 return false;
             }
         }
@@ -78,20 +80,15 @@ bool is_nash_exact(const game::NormalFormGame& game, const game::ExactMixedProfi
 
 bool is_pure_nash(const game::NormalFormGame& game, const game::PureProfile& profile) {
     validate_pure_profile(game, profile);
-    const game::PayoffEngine engine(game);
-    return is_pure_nash_at(game, engine.strides(), engine.rank_of(profile), profile);
+    const game::GameView view(game);
+    return is_pure_nash_at(view, view.row_offset(profile), profile);
 }
 
 std::vector<game::PureProfile> pure_nash_equilibria(const game::NormalFormGame& game) {
-    const game::PayoffEngine engine(game);
-    const auto& strides = engine.strides();
+    const game::GameView view(game);
     std::vector<game::PureProfile> out;
-    // product_for_each visits in row-major order, so a running counter
-    // tracks each profile's rank without re-ranking.
-    std::uint64_t rank = 0;
     util::product_for_each(game.action_counts(), [&](const game::PureProfile& profile) {
-        if (is_pure_nash_at(game, strides, rank, profile)) out.push_back(profile);
-        ++rank;
+        if (is_pure_nash_at(view, view.row_offset(profile), profile)) out.push_back(profile);
         return true;
     });
     return out;
@@ -99,8 +96,7 @@ std::vector<game::PureProfile> pure_nash_equilibria(const game::NormalFormGame& 
 
 bool is_pareto_dominated(const game::NormalFormGame& game, const game::PureProfile& profile) {
     validate_pure_profile(game, profile);
-    const game::PayoffEngine engine(game);
-    const std::uint64_t here_rank = engine.rank_of(profile);
+    const std::uint64_t here_rank = game.profile_rank(profile);
     for (std::uint64_t other = 0; other < game.num_profiles(); ++other) {
         bool all_at_least = true;
         bool some_better = false;

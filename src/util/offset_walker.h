@@ -95,18 +95,6 @@ public:
 
     [[nodiscard]] std::size_t num_digits() const noexcept { return radices_.size(); }
 
-    // Tuples in the walk (pinned digits count 1). Throws on uint64 overflow.
-    [[nodiscard]] std::uint64_t num_tuples() const {
-        std::uint64_t total = 1;
-        for (const std::size_t radix : radices_) {
-            if (total > UINT64_MAX / radix) {
-                throw std::overflow_error("OffsetWalker: tuple count overflow");
-            }
-            total *= radix;
-        }
-        return total;
-    }
-
     // All-zeros tuple; row = base + sum of every digit's entry-0 offset.
     // `base` may encode an external rebase (unsigned wrap-around is fine).
     void reset(std::uint64_t base = 0) {

@@ -21,8 +21,7 @@ namespace {
 // From-scratch cross-checks of the walker's incremental rank state: each
 // digit's cached composition rank must agree with ranking its counts
 // afresh (and the counts must still sum to the class size), and the
-// joint rank must be the mixed-radix composition of the digit ranks over
-// the free digits. O(digits * members * actions) per call — audit builds
+// joint rank must be the mixed-radix composition of the digit ranks. O(digits * members * actions) per call — audit builds
 // pay it on every advance/seek.
 void audit_digit_ranks(const char* who, std::size_t members,
                        const std::vector<std::size_t>& counts,
@@ -41,7 +40,6 @@ void audit_digit_ranks(const char* who, std::size_t members,
 void OrbitWalker::audit_state(const char* who) const {
     std::uint64_t joint = 0;
     for (const Digit& digit : digits_) {
-        if (digit.pinned) continue;
         audit_digit_ranks(who, digit.members, digit.counts, digit.digit_rank);
         joint = joint * digit.orbits + digit.digit_rank;
     }
@@ -93,17 +91,6 @@ void composition_unrank(std::size_t total, std::size_t parts, std::uint64_t rank
     counts[parts - 1] = remaining;
 }
 
-std::uint64_t orbit_multiplicity(const std::vector<std::size_t>& counts) {
-    std::size_t remaining = 0;
-    for (const std::size_t c : counts) remaining += c;
-    std::uint64_t result = 1;
-    for (const std::size_t c : counts) {
-        result = checked_mul(result, binomial(remaining, c));
-        remaining -= c;
-    }
-    return result;
-}
-
 void OrbitWalker::clear() {
     digits_.clear();
     rank_ = 0;
@@ -149,29 +136,6 @@ void OrbitWalker::add_class(std::size_t members, std::size_t num_actions) {
     lowest_changed_ = digits_.size();
 }
 
-void OrbitWalker::add_pinned_class(std::size_t members, std::size_t num_actions,
-                                   std::vector<std::size_t> counts) {
-    if (num_actions == 0) throw std::invalid_argument("OrbitWalker: class with no actions");
-    if (counts.size() != num_actions) {
-        throw std::invalid_argument("OrbitWalker: pinned counts size mismatch");
-    }
-    std::size_t sum = 0;
-    for (const std::size_t c : counts) sum += c;
-    if (sum != members) throw std::invalid_argument("OrbitWalker: pinned counts sum mismatch");
-    Digit digit;
-    digit.members = members;
-    digit.actions = num_actions;
-    digit.pinned = true;
-    digit.orbits = 1;
-    digit.counts = std::move(counts);
-    digits_.push_back(std::move(digit));
-    lowest_changed_ = digits_.size();
-}
-
-std::uint64_t OrbitWalker::digit_orbits(std::size_t digit) const {
-    return digits_[digit].orbits;
-}
-
 std::uint64_t OrbitWalker::num_orbits() const {
     std::uint64_t total = 1;
     for (const Digit& digit : digits_) total = checked_mul(total, digit.orbits);
@@ -179,9 +143,7 @@ std::uint64_t OrbitWalker::num_orbits() const {
 }
 
 void OrbitWalker::reset() {
-    for (Digit& digit : digits_) {
-        if (!digit.pinned) first_composition(digit);
-    }
+    for (Digit& digit : digits_) first_composition(digit);
     rank_ = 0;
     lowest_changed_ = 0;
 }
@@ -191,13 +153,11 @@ void OrbitWalker::seek(std::uint64_t rank) {
     BNASH_AUDIT_CHECK(rank < num_orbits() || (rank == 0 && num_orbits() == 0),
                       "OrbitWalker::seek past the end of the orbit space");
 #endif
-    std::uint64_t place = 1;
-    for (const Digit& digit : digits_) place = checked_mul(place, digit.orbits);
+    std::uint64_t place = num_orbits();
     rank_ = rank;
     lowest_changed_ = 0;
     for (Digit& digit : digits_) {
-        if (digit.pinned) continue;
-        place /= digit.orbits;  // non-pinned orbits >= 1
+        place /= digit.orbits;  // orbits >= 1
         const std::uint64_t digit_rank = rank / place;
         rank %= place;
         composition_unrank(digit.members, digit.actions, digit_rank, digit.counts);
@@ -211,10 +171,8 @@ void OrbitWalker::seek(std::uint64_t rank) {
 
 bool OrbitWalker::advance() {
     for (std::size_t d = digits_.size(); d-- > 0;) {
-        Digit& digit = digits_[d];
-        if (digit.pinned) continue;
         ++digit_moves_;
-        if (next_composition(digit)) {
+        if (next_composition(digits_[d])) {
             lowest_changed_ = d;
             ++rank_;
 #if BNASH_AUDIT_ENABLED
@@ -231,18 +189,6 @@ bool OrbitWalker::advance() {
     audit_state("OrbitWalker::advance wrap-around left a digit off rank 0");
 #endif
     return false;
-}
-
-std::uint64_t OrbitWalker::orbit_size(std::size_t digit) const {
-    return orbit_multiplicity(digits_[digit].counts);
-}
-
-std::uint64_t OrbitWalker::orbit_size() const {
-    std::uint64_t total = 1;
-    for (std::size_t d = 0; d < digits_.size(); ++d) {
-        total = checked_mul(total, orbit_size(d));
-    }
-    return total;
 }
 
 }  // namespace bnash::util

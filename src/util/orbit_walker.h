@@ -7,13 +7,11 @@
 // players with `A` actions, and enumerates the weak compositions
 // (h_0, ..., h_{A-1}) with sum h_a = m — C(m + A - 1, A - 1) orbits
 // instead of A^m raw tuples. Digits compose like OffsetWalker digits
-// (last digit fastest), with:
+// (last digit fastest), and every orbit is visited exactly once: the
+// orbit sweeps ask whether SOME deviation gains, never how many raw
+// tuples an orbit stands for, so the walker keeps no multiplicities.
+// It offers
 //
-//   - orbit multiplicities: orbit_size(d) = multinomial(m; h) counts the
-//     raw tuples each composition stands for, so weighted sweeps
-//     (expected payoffs, deviation tables) recover dense totals exactly;
-//   - pinned digits: a class frozen at one composition (the orbit-sweep
-//     analogue of OffsetWalker's pinned candidate digits);
 //   - seek() ranged-block entry: compositions rank/unrank in O(m * A)
 //     via binomial prefix sums, so the two-level parallel split (tasks +
 //     ranged blocks with a deterministic lowest-rank winner) carries
@@ -45,9 +43,6 @@ void composition_unrank(std::size_t total, std::size_t parts, std::uint64_t rank
 // count does not fit in 64 bits (and std::invalid_argument for parts==0
 // with total > 0).
 [[nodiscard]] std::uint64_t composition_count(std::size_t total, std::size_t parts);
-// multinomial(sum counts; counts) — raw tuples in the orbit; throws
-// std::overflow_error when it does not fit.
-[[nodiscard]] std::uint64_t orbit_multiplicity(const std::vector<std::size_t>& counts);
 
 class OrbitWalker final {
 public:
@@ -59,21 +54,15 @@ public:
     // A class of `members` interchangeable players over `num_actions`
     // actions (num_actions >= 1). Starts at its first composition.
     void add_class(std::size_t members, std::size_t num_actions);
-    // A class frozen at one composition: contributes its counts (and
-    // multiplicity) but never advances. sum(counts) must equal members.
-    void add_pinned_class(std::size_t members, std::size_t num_actions,
-                          std::vector<std::size_t> counts);
 
     [[nodiscard]] std::size_t num_digits() const noexcept { return digits_.size(); }
-    // Compositions this digit cycles through (1 for pinned digits).
-    [[nodiscard]] std::uint64_t digit_orbits(std::size_t digit) const;
     // Product over digits; throws std::overflow_error when it overflows.
     [[nodiscard]] std::uint64_t num_orbits() const;
 
-    // Rewind every free digit to its first composition (rank 0).
+    // Rewind every digit to its first composition (rank 0).
     void reset();
-    // Jump straight to the given joint rank (mixed-radix over the free
-    // digits, last digit fastest) — ranged-block entry.
+    // Jump straight to the given joint rank (mixed-radix over the digits,
+    // last digit fastest) — ranged-block entry.
     void seek(std::uint64_t rank);
     // Next orbit in joint order; false (and back at rank 0) on wrap.
     bool advance();
@@ -86,11 +75,6 @@ public:
     // advance()/seek()/reset() (num_digits() before any move).
     [[nodiscard]] std::size_t lowest_changed() const noexcept { return lowest_changed_; }
 
-    // multinomial(members; counts) of one digit / the product over all
-    // digits (pinned included). Throws std::overflow_error on overflow.
-    [[nodiscard]] std::uint64_t orbit_size(std::size_t digit) const;
-    [[nodiscard]] std::uint64_t orbit_size() const;
-
     // Cumulative per-digit composition steps (advance carries + seek
     // unranks), the odometer work the offsets_advanced counter charges.
     [[nodiscard]] std::uint64_t digit_moves() const noexcept { return digit_moves_; }
@@ -99,8 +83,7 @@ private:
     struct Digit final {
         std::size_t members = 0;
         std::size_t actions = 1;
-        bool pinned = false;
-        std::uint64_t orbits = 1;     // composition_count (1 when pinned)
+        std::uint64_t orbits = 1;     // composition_count
         std::uint64_t digit_rank = 0;  // current composition's rank
         std::vector<std::size_t> counts;
     };
@@ -111,7 +94,7 @@ private:
     static void first_composition(Digit& digit);
 
 #if BNASH_AUDIT_ENABLED
-    // Re-ranks every free digit's composition from scratch and recomposes
+    // Re-ranks every digit's composition from scratch and recomposes
     // the joint rank, aborting on any disagreement with the incremental
     // digit_rank/rank_ bookkeeping.
     void audit_state(const char* who) const;

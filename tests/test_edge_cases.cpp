@@ -11,6 +11,7 @@
 #include "crypto/shamir.h"
 #include "dist/network.h"
 #include "game/catalog.h"
+#include "game/game_view.h"
 #include "scrip/scrip_system.h"
 #include "util/combinatorics.h"
 #include <cmath>
@@ -81,13 +82,13 @@ TEST(EdgeGame, ConstructorRejectsEmptyActionSets) {
 
 TEST(EdgeGame, RestrictRejectsEmptyKeepSets) {
     const auto pd = game::catalog::prisoners_dilemma();
-    EXPECT_THROW((void)pd.restrict({{}, {0}}), std::invalid_argument);
-    EXPECT_THROW((void)pd.restrict({{0, 5}, {0}}), std::out_of_range);
+    EXPECT_THROW((void)game::GameView::restrict(pd, {{}, {0}}), std::invalid_argument);
+    EXPECT_THROW((void)game::GameView::restrict(pd, {{0, 5}, {0}}), std::out_of_range);
 }
 
 TEST(EdgeGame, PayoffMatrixRequiresTwoPlayers) {
     const auto g = game::catalog::attack_coordination_game(3);
-    EXPECT_THROW((void)g.payoff_matrix(0), std::logic_error);
+    EXPECT_THROW((void)game::GameView(g).payoff_matrix(0), std::logic_error);
 }
 
 TEST(EdgeGame, NodeAtRejectsForeignHistory) {

@@ -17,7 +17,9 @@
 #include "game/bayesian.h"
 #include "game/catalog.h"
 #include "game/extensive.h"
+#include "game/game_view.h"
 #include "game/normal_form.h"
+#include "game/payoff_engine.h"
 #include "game/strategy.h"
 #include "util/rng.h"
 
@@ -86,24 +88,27 @@ TEST(NormalForm, ExpectedPayoffMatchesHandComputation) {
     const auto pd = catalog::prisoners_dilemma();
     // Both uniform: E[u0] = (3 - 5 + 5 - 3)/4 = 0.
     const MixedProfile uniform{uniform_strategy(2), uniform_strategy(2)};
-    EXPECT_NEAR(pd.expected_payoff(uniform, 0), 0.0, 1e-12);
-    EXPECT_NEAR(pd.expected_payoff(uniform, 1), 0.0, 1e-12);
+    EXPECT_NEAR(expected_payoff(pd, uniform, 0), 0.0, 1e-12);
+    EXPECT_NEAR(expected_payoff(pd, uniform, 1), 0.0, 1e-12);
 }
 
 TEST(NormalForm, DeviationPayoffAndBestResponse) {
     const auto pd = catalog::prisoners_dilemma();
     const MixedProfile opponent_cooperates{pure_as_mixed(0, 2), pure_as_mixed(0, 2)};
     // Against C, defecting pays 5, cooperating 3: best response is D.
-    EXPECT_NEAR(pd.deviation_payoff(opponent_cooperates, 0, 1), 5.0, 1e-12);
-    EXPECT_EQ(pd.best_responses(opponent_cooperates, 0), (std::vector<std::size_t>{1}));
+    const std::vector<double> row = deviation_row(pd, opponent_cooperates, 0);
+    EXPECT_NEAR(row.at(1), 5.0, 1e-12);
+    EXPECT_EQ(best_responses_from(row, 1e-9), (std::vector<std::size_t>{1}));
 }
 
 TEST(NormalForm, RegretZeroAtEquilibrium) {
     const auto pd = catalog::prisoners_dilemma();
     const MixedProfile both_defect{pure_as_mixed(1, 2), pure_as_mixed(1, 2)};
-    EXPECT_NEAR(pd.regret(both_defect), 0.0, 1e-12);
+    EXPECT_NEAR(regret_from(deviation_payoffs_all(pd, both_defect), both_defect), 0.0, 1e-12);
     const MixedProfile both_cooperate{pure_as_mixed(0, 2), pure_as_mixed(0, 2)};
-    EXPECT_NEAR(pd.regret(both_cooperate), 2.0, 1e-12);  // C->D gains 5-3=2
+    // C->D gains 5-3=2
+    EXPECT_NEAR(regret_from(deviation_payoffs_all(pd, both_cooperate), both_cooperate), 2.0,
+                1e-12);
 }
 
 TEST(NormalForm, ExactExpectedPayoff) {
@@ -111,12 +116,12 @@ TEST(NormalForm, ExactExpectedPayoff) {
     const ExactMixedProfile profile{{Rational{1, 2}, Rational{1, 2}},
                                     {Rational{1, 3}, Rational{2, 3}}};
     // E[u0] = 1/2(1/3*3 + 2/3*-5) + 1/2(1/3*5 + 2/3*-3) = 1/2(-7/3) + 1/2(-1/3) = -4/3.
-    EXPECT_EQ(pd.expected_payoff_exact(profile, 0), Rational(-4, 3));
+    EXPECT_EQ(expected_payoff_exact(pd, profile, 0), Rational(-4, 3));
 }
 
 TEST(NormalForm, RestrictKeepsPayoffs) {
     const auto rps = catalog::roshambo();
-    const auto restricted = rps.restrict({{0, 2}, {1}});
+    const auto restricted = GameView::restrict(rps, {{0, 2}, {1}}).materialize();
     EXPECT_EQ(restricted.num_actions(0), 2u);
     EXPECT_EQ(restricted.num_actions(1), 1u);
     // (scissors, paper): scissors beats paper: +1 for row.
@@ -164,11 +169,11 @@ TEST(NormalForm, GnutellaFreeRidingDominantWithoutKick) {
     // Sharing costs 3, gives others benefit; free-riding dominates.
     const MixedProfile all_share{pure_as_mixed(1, 2), pure_as_mixed(1, 2),
                                  pure_as_mixed(1, 2)};
-    EXPECT_GT(g.deviation_payoff(all_share, 0, 0), g.expected_payoff(all_share, 0));
+    EXPECT_GT(deviation_row(g, all_share, 0).at(0), expected_payoff(g, all_share, 0));
     // With a large enough "kick" g > c, sharing becomes a best response.
     const auto g_kick = catalog::gnutella_sharing_game(3, 1, 3, 5);
-    EXPECT_GT(g_kick.expected_payoff(all_share, 0) + 1e-9,
-              g_kick.deviation_payoff(all_share, 0, 0));
+    EXPECT_GT(expected_payoff(g_kick, all_share, 0) + 1e-9,
+              deviation_row(g_kick, all_share, 0).at(0));
 }
 
 // Property: expected payoff of a pure profile embedded as mixed equals the
@@ -184,7 +189,7 @@ TEST_P(NormalFormEmbeddingProperty, PureEmbedsIntoMixed) {
                             sampler.next_below(2)};
         const auto mixed = pure_profile_as_mixed(profile, game.action_counts());
         for (std::size_t player = 0; player < 3; ++player) {
-            EXPECT_NEAR(game.expected_payoff(mixed, player), game.payoff_d(profile, player),
+            EXPECT_NEAR(expected_payoff(game, mixed, player), game.payoff_d(profile, player),
                         1e-12);
         }
     }

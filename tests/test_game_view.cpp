@@ -1,10 +1,11 @@
 // GameView: zero-copy restriction/permutation views must agree exactly
-// with the copying restrict() path, the engine sweeps over views must be
+// with a restriction copied cell by cell, the engine sweeps over views must be
 // bit-identical to sweeping the materialized subgame, and the view-based
 // iterated elimination must allocate exactly ONE payoff tensor (the final
 // reduced game).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -79,6 +80,30 @@ ExactMixedProfile random_exact(const std::vector<std::size_t>& counts, util::Rng
     return profile;
 }
 
+// The restriction copied cell by cell from the parent's payoffs and
+// labels: view profile t is parent profile (kept[0][t_0], ...). An
+// independent reference for the view's offsets and materialize().
+NormalFormGame restrict_by_hand(const NormalFormGame& g,
+                                const std::vector<std::vector<std::size_t>>& kept) {
+    std::vector<std::size_t> counts;
+    for (const auto& actions : kept) counts.push_back(actions.size());
+    NormalFormGame out(counts);
+    std::vector<Rational> values;
+    for (std::uint64_t rank = 0; rank < out.num_profiles(); ++rank) {
+        PureProfile parent = out.profile_unrank(rank);
+        for (std::size_t p = 0; p < parent.size(); ++p) parent[p] = kept[p][parent[p]];
+        for (std::size_t p = 0; p < parent.size(); ++p) values.push_back(g.payoff(parent, p));
+    }
+    out.assign_payoffs(values);
+    for (std::size_t p = 0; p < kept.size(); ++p) {
+        if (!g.has_action_labels(p)) continue;
+        std::vector<std::string> labels;
+        for (const std::size_t action : kept[p]) labels.push_back(g.action_label(p, action));
+        out.set_action_labels(p, std::move(labels));
+    }
+    return out;
+}
+
 void expect_games_equal(const NormalFormGame& a, const NormalFormGame& b) {
     ASSERT_EQ(a.action_counts(), b.action_counts());
     for (std::uint64_t rank = 0; rank < a.num_profiles(); ++rank) {
@@ -103,8 +128,8 @@ TEST(GameView, RestrictViewMatchesRestrictOnRandomGames) {
         const auto g = NormalFormGame::random(random_shape(rng, players), rng);
         std::vector<std::vector<std::size_t>> kept(players);
         for (std::size_t p = 0; p < players; ++p) kept[p] = random_kept(rng, g.num_actions(p));
-        const auto copied = g.restrict(kept);
-        const auto view = g.restrict_view(kept);
+        const auto copied = restrict_by_hand(g, kept);
+        const auto view = GameView::restrict(g, kept);
         EXPECT_EQ(view.num_profiles(), copied.num_profiles());
         expect_games_equal(copied, view.materialize());
         // Direct rank-indexed lookups agree cell by cell too.
@@ -119,9 +144,9 @@ TEST(GameView, RestrictViewMatchesRestrictOnRandomGames) {
 
 TEST(GameView, CarriesActionLabels) {
     const auto rps = catalog::roshambo();
-    const auto view = rps.restrict_view({{0, 2}, {1}});
+    const auto view = GameView::restrict(rps, {{0, 2}, {1}});
     const auto materialized = view.materialize();
-    const auto copied = rps.restrict({{0, 2}, {1}});
+    const auto copied = restrict_by_hand(rps, {{0, 2}, {1}});
     expect_games_equal(copied, materialized);
     EXPECT_EQ(materialized.action_label(0, 1), "scissors");
 }
@@ -159,16 +184,16 @@ TEST(GameView, ComposedRestrictionMatchesRestrictChain) {
     const auto g = NormalFormGame::random({4, 4, 3}, rng);
     const std::vector<std::vector<std::size_t>> first{{0, 2, 3}, {1, 2, 3}, {0, 2}};
     const std::vector<std::vector<std::size_t>> second{{1, 2}, {0, 2}, {1}};
-    const auto copied = g.restrict(first).restrict(second);
-    const auto view = g.restrict_view(first).restrict(second);
+    const auto copied = restrict_by_hand(restrict_by_hand(g, first), second);
+    const auto view = GameView::restrict(g, first).restrict(second);
     expect_games_equal(copied, view.materialize());
 }
 
-TEST(GameView, ValidationMatchesRestrict) {
+TEST(GameView, RestrictAndPermuteValidate) {
     const auto pd = catalog::prisoners_dilemma();
-    EXPECT_THROW((void)pd.restrict_view({{0}}), std::invalid_argument);
-    EXPECT_THROW((void)pd.restrict_view({{}, {0}}), std::invalid_argument);
-    EXPECT_THROW((void)pd.restrict_view({{0, 5}, {0}}), std::out_of_range);
+    EXPECT_THROW((void)GameView::restrict(pd, {{0}}), std::invalid_argument);
+    EXPECT_THROW((void)GameView::restrict(pd, {{}, {0}}), std::invalid_argument);
+    EXPECT_THROW((void)GameView::restrict(pd, {{0, 5}, {0}}), std::out_of_range);
     EXPECT_THROW((void)GameView::permute(pd, {0, 0}), std::invalid_argument);
     EXPECT_THROW((void)GameView::permute(pd, {0}), std::invalid_argument);
 }
@@ -184,7 +209,7 @@ TEST(GameView, EngineSweepsOnViewsAreBitIdenticalToMaterialized) {
         // A restriction keeps the identity player map (contiguous rows); a
         // permuted restriction reads through the player map.
         const std::vector<GameView> views{
-            g.restrict_view(kept),
+            GameView::restrict(g, kept),
             GameView::permute(g, {2, 0, 1}).restrict({kept[2], kept[0], kept[1]})};
         for (const GameView& view : views) {
             const auto materialized = view.materialize();
@@ -219,8 +244,8 @@ TEST(GameView, MultiBlockViewSweepsAreBitIdenticalToMaterialized) {
         if (a % 5 != 0) kept[0].push_back(a);  // 160 kept
         if (a % 3 != 2) kept[1].push_back(a);  // 134 kept
     }
-    const auto view = g.restrict_view(kept);
-    ASSERT_GT(view.num_profiles(), PayoffEngine::kParallelBlock);
+    const auto view = GameView::restrict(g, kept);
+    ASSERT_GT(view.num_profiles(), kParallelBlock);
     const auto materialized = view.materialize();
     const auto mixed = random_mixed(view.action_counts(), rng);
     for (const auto mode : {SweepMode::kSerial, SweepMode::kAuto}) {
@@ -236,7 +261,7 @@ TEST(GameView, MultiBlockViewSweepsAreBitIdenticalToMaterialized) {
 TEST(GameView, ViewSweepValidatesProfileShape) {
     util::Rng rng{29};
     const auto g = NormalFormGame::random({3, 3}, rng);
-    const auto view = g.restrict_view({{0, 2}, {1, 2}});
+    const auto view = GameView::restrict(g, {{0, 2}, {1, 2}});
     MixedProfile wrong{{0.5, 0.5, 0.0}, {0.5, 0.5}};  // player 0 has 2 view actions
     EXPECT_THROW((void)expected_payoffs(view, wrong), std::invalid_argument);
 }
@@ -271,7 +296,7 @@ TEST(GameView, ViewsThemselvesAllocateNoTensor) {
     util::Rng rng{31};
     const auto g = NormalFormGame::random({4, 4, 4}, rng);
     const auto before = NormalFormGame::tensor_allocations();
-    const auto view = g.restrict_view({{0, 1}, {1, 2, 3}, {2}});
+    const auto view = GameView::restrict(g, {{0, 1}, {1, 2, 3}, {2}});
     const auto narrowed = view.restrict({{0}, {0, 2}, {0}});
     (void)narrowed.payoff({0, 1, 0}, 2);
     EXPECT_EQ(NormalFormGame::tensor_allocations(), before);

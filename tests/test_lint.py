@@ -123,6 +123,16 @@ class BadTree(unittest.TestCase):
         # GameView{...} alike; the rule accepts no waiver
         self.assertEqual(len(hits), 4, self.out)
 
+    def test_identity_forward_fires_on_members(self):
+        hits = self.hits("identity-forward", "member_forward.cpp")
+        # out-of-line and in-class members alike, *this passed directly,
+        # as GameView(*this) or as GameView{*this}
+        self.assertEqual(len(hits), 5, self.out)
+        self.assertEqual(
+            sorted(f["context"] for f in hits),
+            ["deviation_payoff", "expected_payoff", "payoff_matrix", "regret",
+             "restrict_view"], self.out)
+
     def test_no_decode_fires_without_waiver(self):
         hits = self.hits("no-decode", "bad_decode.cpp")
         # `.payoffs_flat()` and `->payoffs_flat()`; the decode-ok comment

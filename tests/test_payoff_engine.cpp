@@ -68,22 +68,6 @@ ExactMixedProfile random_exact(const NormalFormGame& game, util::Rng& rng) {
     return profile;
 }
 
-TEST(PayoffEngine, StridesRankMatchesProfileRank) {
-    util::Rng rng{7};
-    for (std::size_t players = 2; players <= 4; ++players) {
-        const auto g = NormalFormGame::random(random_shape(rng, players), rng);
-        const PayoffEngine engine(g);
-        for (int trial = 0; trial < 20; ++trial) {
-            PureProfile profile(players);
-            for (std::size_t i = 0; i < players; ++i) {
-                profile[i] = static_cast<std::size_t>(
-                    rng.next_int(0, static_cast<std::int64_t>(g.num_actions(i)) - 1));
-            }
-            EXPECT_EQ(engine.rank_of(profile), g.profile_rank(profile));
-        }
-    }
-}
-
 TEST(PayoffEngine, SingleSweepMatchesNaiveDouble) {
     util::Rng rng{11};
     for (std::size_t players = 2; players <= 4; ++players) {
@@ -194,16 +178,24 @@ TEST(PayoffEngine, DeviationRowMatchesFullTable) {
     }
 }
 
-TEST(PayoffEngine, BestResponsesAndRegretMatchGameApi) {
+TEST(PayoffEngine, BestResponsesAndRegretMatchNaive) {
     util::Rng rng{23};
     const auto g = NormalFormGame::random({5, 5}, rng);
     const auto profile = random_mixed(g, rng, false);
+    const auto table = naive::deviation_payoffs_all(g, profile);
+    double regret = 0.0;
     for (std::size_t i = 0; i < g.num_players(); ++i) {
-        EXPECT_EQ(PayoffEngine::best_responses_from(deviation_row(g, profile, i), 1e-9),
-                  g.best_responses(profile, i));
+        const double best = *std::max_element(table[i].begin(), table[i].end());
+        std::vector<std::size_t> responses;
+        double current = 0.0;
+        for (std::size_t a = 0; a < table[i].size(); ++a) {
+            if (table[i][a] >= best - 1e-9) responses.push_back(a);
+            current += profile[i][a] * table[i][a];
+        }
+        EXPECT_EQ(best_responses_from(deviation_row(g, profile, i), 1e-9), responses);
+        regret = std::max(regret, best - current);
     }
-    EXPECT_DOUBLE_EQ(PayoffEngine::regret_from(deviation_payoffs_all(g, profile), profile),
-                     g.regret(profile));
+    EXPECT_NEAR(regret_from(deviation_payoffs_all(g, profile), profile), regret, 1e-12);
 }
 
 TEST(PayoffEngine, ThreadedAndSerialSweepsAreBitIdentical) {
@@ -248,7 +240,7 @@ TEST(PayoffEngine, SparseSweepsAreBitIdenticalToDense) {
     for (int trial = 0; trial < 24; ++trial) {
         const std::size_t players = 2 + static_cast<std::size_t>(trial % 5);
         const auto g = NormalFormGame::random(random_shape(rng, players), rng);
-        ASSERT_LE(g.num_profiles(), PayoffEngine::kParallelBlock);
+        ASSERT_LE(g.num_profiles(), kParallelBlock);
         const std::size_t support = 1 + static_cast<std::size_t>(trial % 4);
         const auto profile = random_support_profile(g, rng, support);
         const std::string label = "trial " + std::to_string(trial);
@@ -308,7 +300,7 @@ TEST(PayoffEngine, SparseMultiBlockMatchesDenseBitwise) {
     // table equals the per-player rows BITWISE, in both modes.
     util::Rng rng{47};
     const auto g = NormalFormGame::random({8, 8, 8, 8, 8, 8}, rng);
-    ASSERT_GT(g.num_profiles(), PayoffEngine::kParallelBlock);
+    ASSERT_GT(g.num_profiles(), kParallelBlock);
     for (const std::uint64_t support : {2u, 7u, 8u}) {
         const auto profile = random_support_profile(g, rng, support);
         std::uint64_t rows = 6 * 8;
@@ -366,8 +358,9 @@ TEST(PayoffEngine, ValidatesProfileShape) {
 }
 
 TEST(PayoffEngine, VerificationAgreesWithEngine) {
-    // pure_nash_equilibria now walks ranks with stride deltas; the result
-    // must agree with a per-profile is_pure_nash check.
+    // pure_nash_equilibria reads each profile's deviations through the
+    // identity view's offsets; the result must agree with a per-profile
+    // is_pure_nash check.
     util::Rng rng{37};
     const auto g = NormalFormGame::random({3, 3, 3}, rng);
     const auto equilibria = solver::pure_nash_equilibria(g);

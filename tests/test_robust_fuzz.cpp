@@ -160,7 +160,7 @@ TEST(RobustFuzz, ViewNativeMatchesMaterializeThenCheckOnRestrictions) {
                     rng.next_int(0, static_cast<std::int64_t>(counts[p]) - 1)));
             }
         }
-        const auto view = g.restrict_view(kept);
+        const auto view = GameView::restrict(g, kept);
         const auto materialized = view.materialize();
         const auto profile = as_exact_profile(view, random_pure(rng, view.action_counts()));
         const std::size_t k = 1 + static_cast<std::size_t>(trial) % n;
@@ -312,7 +312,7 @@ TEST(RobustFuzz, FrontierOnViewsMatchesMaterializedGrid) {
                     rng.next_int(0, static_cast<std::int64_t>(counts[p]) - 1)));
             }
         }
-        const auto view = g.restrict_view(kept);
+        const auto view = GameView::restrict(g, kept);
         const auto profile = as_exact_profile(view, random_pure(rng, view.action_counts()));
         const std::string label = "view frontier trial " + std::to_string(trial);
 
@@ -343,7 +343,7 @@ TEST(RobustFuzz, SparseViewSweepsMatchDenseOnRandomRestrictions) {
             }
             if (kept[p].empty()) kept[p].push_back(0);
         }
-        const auto view = g.restrict_view(kept);
+        const auto view = GameView::restrict(g, kept);
         // Degenerate single-support (point-mass) profiles every 3rd
         // trial; sparse random supports otherwise.
         ExactMixedProfile profile;

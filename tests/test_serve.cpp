@@ -38,6 +38,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/robust/robustness.h"
@@ -659,6 +660,56 @@ TEST(Server, ResolvesExactVerdicts) {
     const auto stats = server.stats();
     EXPECT_EQ(stats.resolved, 2u);
     EXPECT_EQ(stats.cache_misses, 2u);
+}
+
+// A size above the player count is refused before any key or sweep
+// work: kError with 0 cells charged, counted in errors, nothing admitted
+// to the cache. Sizes up to the player count still run.
+TEST(Server, SizesBeyondThePlayerCountAreRefused) {
+    RobustnessServer server;
+    const std::pair<std::size_t, std::size_t> too_big[] = {{3, 0}, {1, 3}, {1, 1000000}};
+    for (const auto& [k, t] : too_big) {
+        for (int repeat = 0; repeat < 2; ++repeat) {
+            const QueryResponse refused = server.query(pd_request(1, k, t));
+            EXPECT_EQ(refused.status, QueryStatus::kError) << k << " " << t;
+            EXPECT_EQ(refused.verdict, CellVerdict::kUnknown);
+            EXPECT_FALSE(refused.cache_hit);
+            EXPECT_EQ(refused.cells_charged, 0u);
+            EXPECT_NE(refused.error.find("player count"), std::string::npos) << refused.error;
+        }
+    }
+    for (const auto& [max_k, max_t] : too_big) {
+        FrontierRequest request;
+        request.game = game::catalog::prisoners_dilemma();
+        request.profile = pure(request.game, PureProfile(2, 1));
+        request.max_k = max_k;
+        request.max_t = max_t;
+        std::size_t columns = 0;
+        const FrontierResponse refused = server.frontier(
+            request, [&](std::size_t, std::size_t, const core::RobustnessViolation*) {
+                ++columns;
+            });
+        EXPECT_EQ(refused.status, QueryStatus::kError) << max_k << " " << max_t;
+        EXPECT_EQ(refused.cells_charged, 0u);
+        EXPECT_EQ(refused.stream_columns, 0u);
+        EXPECT_EQ(columns, 0u);
+    }
+    ServerStats stats = server.stats();
+    EXPECT_EQ(stats.errors, 9u);
+    EXPECT_EQ(stats.cache_misses, 0u);
+    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(stats.tokens_rejected, 0u);
+
+    EXPECT_EQ(server.query(pd_request(1, 2, 2)).status, QueryStatus::kResolved);
+    FrontierRequest at_count;
+    at_count.game = game::catalog::prisoners_dilemma();
+    at_count.profile = pure(at_count.game, PureProfile(2, 1));
+    at_count.max_k = 2;
+    at_count.max_t = 2;
+    EXPECT_EQ(server.frontier(at_count).status, QueryStatus::kResolved);
+    stats = server.stats();
+    EXPECT_EQ(stats.errors, 9u);
+    EXPECT_EQ(stats.resolved, 2u);
 }
 
 TEST(Server, BudgetDegradesThenRetryResolvesThenMemoizes) {
@@ -1737,6 +1788,24 @@ TEST(TextFront, MalformedRetryKeepsTheArmedToken) {
         EXPECT_EQ(kept, final_cells(true, false)) << command;
         EXPECT_LT(kept, final_cells(false, false)) << command;
     }
+}
+
+// `ask 1 1000000` and `frontier 1000 1000` on a 2-player game answer an
+// error line each (no `col` line) instead of sweeping, and the session
+// keeps serving.
+TEST(TextFront, SizesBeyondThePlayerCountAnswerAnError) {
+    RobustnessServer server;
+    ScriptedSession session(server);
+    EXPECT_EQ(session.reply("game 2 2 2"), "ok");
+    (void)session.send("payoffs 3 3 0 5 5 0 1 1");
+    (void)session.send("profile 1 1");
+    const std::string ask = session.reply("ask 1 1000000");
+    EXPECT_EQ(ask.rfind("verdict=unknown status=error cache=miss cells=0 error=", 0), 0u) << ask;
+    const std::vector<std::string> frontier = session.send("frontier 1000 1000");
+    ASSERT_EQ(frontier.size(), 1u);
+    EXPECT_EQ(frontier[0].rfind("error: ", 0), 0u) << frontier[0];
+    EXPECT_EQ(session.reply("ask 1 1").rfind("verdict=robust status=resolved", 0), 0u);
+    EXPECT_NE(session.reply("stats").find(" errors=2 "), std::string::npos);
 }
 
 // A `deadline_ms` too large for the clock, whether it overflows the

@@ -474,12 +474,12 @@ TEST(Learning, TieToleranceSharedWithNashVerifier) {
     // At the shared tolerance the two actions tie, and ties break toward
     // the lowest index — exactly the indifference is_nash certifies.
     const auto row = game::deviation_row(g, {game::uniform_strategy(2)}, 0);
-    const auto tied = game::PayoffEngine::best_responses_from(row, kNashTolerance);
+    const auto tied = game::best_responses_from(row, kNashTolerance);
     ASSERT_EQ(tied.size(), 2u);
     EXPECT_EQ(tied.front(), 0u);
     EXPECT_TRUE(is_nash(g, {game::pure_as_mixed(0, 2)}));
     // A tolerance tighter than the gap separates them again.
-    EXPECT_EQ(game::PayoffEngine::best_responses_from(row, 0.0).size(), 1u);
+    EXPECT_EQ(game::best_responses_from(row, 0.0).size(), 1u);
     EXPECT_FALSE(is_nash(g, {game::pure_as_mixed(0, 2)}, 0.0));
 
     // Fictitious play inherits the shared default and therefore keeps

@@ -12,9 +12,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/robust/anonymous.h"
@@ -28,6 +30,7 @@
 #include "game/strategy.h"
 #include "game/symmetry.h"
 #include "symmetric_corpus.h"
+#include "util/combinatorics.h"
 #include "util/orbit_walker.h"
 #include "util/rng.h"
 
@@ -67,61 +70,65 @@ TEST(OrbitWalkerTest, CompositionRankUnrankRoundTrip) {
     }
 }
 
-TEST(OrbitWalkerTest, MultiplicitiesAreMultinomials) {
-    EXPECT_EQ(util::orbit_multiplicity({2, 1, 1}), 12u);
-    EXPECT_EQ(util::orbit_multiplicity({4, 0, 0}), 1u);
-    EXPECT_EQ(util::orbit_multiplicity({2, 2}), 6u);
-}
+// Each class is (members, actions). The raw tuples of all the players,
+// bucketed by their per-class action histograms, must be exactly the
+// orbits advance() visits, each visited once; and seek(r) must land on
+// the orbit advance() reaches at rank r.
+void expect_walk_visits_each_orbit_once(
+    const std::vector<std::pair<std::size_t, std::size_t>>& classes) {
+    const auto make_walker = [&] {
+        OrbitWalker walker;
+        for (const auto& [members, actions] : classes) walker.add_class(members, actions);
+        return walker;
+    };
+    using Histograms = std::vector<std::vector<std::size_t>>;
+    std::vector<std::size_t> radices;
+    for (const auto& [members, actions] : classes) radices.insert(radices.end(), members, actions);
+    std::map<Histograms, int> visits;
+    util::product_for_each(radices, [&](const std::vector<std::size_t>& tuple) {
+        Histograms key;
+        std::size_t player = 0;
+        for (const auto& [members, actions] : classes) {
+            std::vector<std::size_t> counts(actions, 0);
+            for (std::size_t i = 0; i < members; ++i) ++counts[tuple[player++]];
+            key.push_back(std::move(counts));
+        }
+        visits.emplace(std::move(key), 0);
+        return true;
+    });
 
-TEST(OrbitWalkerTest, AdvanceCoversAllOrbitsAndSeekAgrees) {
-    OrbitWalker walker;
-    walker.add_class(2, 2);  // 3 compositions
-    walker.add_class(3, 2);  // 4 compositions
-    ASSERT_EQ(walker.num_orbits(), 12u);
-
-    // Record the advance() trajectory and the summed multiplicities.
-    std::vector<std::vector<std::size_t>> first_digit, second_digit;
-    std::uint64_t total_tuples = 0;
+    OrbitWalker walker = make_walker();
+    ASSERT_EQ(walker.num_orbits(), visits.size());
+    std::vector<Histograms> trajectory;
     walker.reset();
     std::uint64_t rank = 0;
     do {
         EXPECT_EQ(walker.rank(), rank);
-        first_digit.push_back(walker.counts(0));
-        second_digit.push_back(walker.counts(1));
-        total_tuples += walker.orbit_size();
+        Histograms key;
+        for (std::size_t d = 0; d < classes.size(); ++d) key.push_back(walker.counts(d));
+        const auto bucket = visits.find(key);
+        ASSERT_NE(bucket, visits.end()) << "rank " << rank << " is no tuple's histograms";
+        EXPECT_EQ(++bucket->second, 1) << "rank " << rank << " revisits an orbit";
+        trajectory.push_back(std::move(key));
         ++rank;
     } while (walker.advance());
-    ASSERT_EQ(rank, 12u);
-    // Orbit multiplicities partition the raw tuple space 2^2 * 2^3.
-    EXPECT_EQ(total_tuples, 32u);
+    EXPECT_EQ(rank, visits.size());
 
-    // seek(r) lands on the same compositions advance() reaches.
-    for (std::uint64_t r = 0; r < 12; ++r) {
-        OrbitWalker fresh;
-        fresh.add_class(2, 2);
-        fresh.add_class(3, 2);
+    for (std::uint64_t r = 0; r < trajectory.size(); ++r) {
+        OrbitWalker fresh = make_walker();
         fresh.seek(r);
         EXPECT_EQ(fresh.rank(), r);
-        EXPECT_EQ(fresh.counts(0), first_digit[r]) << "rank " << r;
-        EXPECT_EQ(fresh.counts(1), second_digit[r]) << "rank " << r;
+        for (std::size_t d = 0; d < classes.size(); ++d) {
+            EXPECT_EQ(fresh.counts(d), trajectory[r][d]) << "rank " << r;
+        }
     }
 }
 
-TEST(OrbitWalkerTest, PinnedDigitsNeverAdvance) {
-    OrbitWalker walker;
-    walker.add_pinned_class(2, 2, {1, 1});
-    walker.add_class(2, 2);
-    EXPECT_EQ(walker.num_orbits(), 3u);
-    walker.reset();
-    std::uint64_t seen = 0;
-    do {
-        EXPECT_EQ(walker.counts(0), (std::vector<std::size_t>{1, 1}));
-        // Pinned multiplicity (2 over {1,1}) scales every orbit.
-        EXPECT_EQ(walker.orbit_size() % 2, 0u);
-        ++seen;
-    } while (walker.advance());
-    EXPECT_EQ(seen, 3u);
-    EXPECT_GT(walker.digit_moves(), 0u);
+TEST(OrbitWalkerTest, AdvanceCoversAllOrbitsAndSeekAgrees) {
+    // 3 * 4 = 12 orbits over 2^2 * 2^3 raw tuples.
+    expect_walk_visits_each_orbit_once({{2, 2}, {3, 2}});
+    // 6 * 10 * 3 = 180 orbits over 3^6 raw tuples.
+    expect_walk_visits_each_orbit_once({{2, 3}, {3, 3}, {1, 3}});
 }
 
 // ------------------------------------------------ symmetric-game helpers
