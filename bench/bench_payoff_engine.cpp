@@ -46,6 +46,8 @@ game::MixedProfile interior_profile(const game::NormalFormGame& g, util::Rng& rn
 
 using bnash::bench::CounterScope;
 using bnash::bench::measure_ns;
+using bnash::bench::ratio_text;
+using bnash::bench::Timing;
 
 // Support-2 mixed profile (mass on two random actions per player).
 game::MixedProfile support2_profile(const game::NormalFormGame& g, util::Rng& rng) {
@@ -70,38 +72,38 @@ void print_tables() {
     const auto small_profile = interior_profile(small, rng);
     const game::GameView small_view(small);
 
-    const double naive_ns =
+    const Timing naive =
         measure_ns([&] { benchmark::DoNotOptimize(game::naive::deviation_payoffs_all(
                              small, small_profile)); });
-    const double engine_ns = measure_ns([&] {
+    const Timing engine = measure_ns([&] {
         benchmark::DoNotOptimize(game::deviation_payoffs_all(small_view, small_profile));
     });
 
     util::Table pe1({"implementation", "ns/op", "speedup"});
-    pe1.add_row({"naive per-action sweeps", util::Table::fmt(naive_ns), "1.00x"});
-    pe1.add_row({"engine single sweep", util::Table::fmt(engine_ns),
-                 util::Table::fmt(naive_ns / engine_ns, 2) + "x"});
+    pe1.add_row({"naive per-action sweeps", util::Table::fmt(naive.median_ns), "1.00x"});
+    pe1.add_row({"engine single sweep", util::Table::fmt(engine.median_ns),
+                 ratio_text(naive, engine)});
     pe1.print(std::cout);
-    std::cout << "-> acceptance: engine >= 5x over naive ("
-              << (naive_ns / engine_ns >= 5.0 ? "PASS" : "MISS") << ")\n\n";
+    std::cout << "-> acceptance: engine >= 5x over naive (" << ratio_text(naive, engine) << ", "
+              << (naive.median_ns / engine.median_ns >= 5.0 ? "PASS" : "MISS") << ")\n\n";
 
     std::cout << "=== E-PE2: blocked sweep, 4 players x 32 actions (2^20 profiles) ===\n";
     const auto big = game::NormalFormGame::random({32, 32, 32, 32}, rng);
     const auto big_profile = interior_profile(big, rng);
     const game::GameView big_view(big);
-    const double serial_ns = measure_ns([&] {
+    const Timing serial = measure_ns([&] {
         benchmark::DoNotOptimize(
             game::deviation_payoffs_all(big_view, big_profile, game::SweepMode::kSerial));
     });
-    const double auto_ns = measure_ns([&] {
+    const Timing threaded = measure_ns([&] {
         benchmark::DoNotOptimize(
             game::deviation_payoffs_all(big_view, big_profile, game::SweepMode::kAuto));
     });
     util::Table pe2({"mode", "ns/op", "speedup"});
-    pe2.add_row({"serial blocks", util::Table::fmt(serial_ns), "1.00x"});
+    pe2.add_row({"serial blocks", util::Table::fmt(serial.median_ns), "1.00x"});
     pe2.add_row({"threaded blocks (" + std::to_string(util::global_pool().size()) +
                      " executors)",
-                 util::Table::fmt(auto_ns), util::Table::fmt(serial_ns / auto_ns, 2) + "x"});
+                 util::Table::fmt(threaded.median_ns), ratio_text(serial, threaded)});
     pe2.print(std::cout);
     std::cout << "-> threaded and serial sweeps are bit-identical by construction "
                  "(fixed block decomposition, ordered merge)\n\n";
@@ -130,18 +132,17 @@ void print_tables() {
                 game::deviation_payoffs_all(wide_view, profile, game::SweepMode::kSerial));
         });
     };
-    const double full_ns = time_of(full_profile);
-    const double sparse_ns = time_of(sparse_profile);
+    const Timing full = time_of(full_profile);
+    const Timing sparse = time_of(sparse_profile);
     util::Table pes({"profile", "ns/op", "cells", "speedup"});
-    pes.add_row({"interior (every cell)", util::Table::fmt(full_ns),
+    pes.add_row({"interior (every cell)", util::Table::fmt(full.median_ns),
                  util::Table::fmt(full_cells, 0), "1.00x"});
-    pes.add_row({"support 2 (support only)", util::Table::fmt(sparse_ns),
-                 util::Table::fmt(sparse_cells, 0),
-                 util::Table::fmt(full_ns / sparse_ns, 2) + "x"});
+    pes.add_row({"support 2 (support only)", util::Table::fmt(sparse.median_ns),
+                 util::Table::fmt(sparse_cells, 0), ratio_text(full, sparse)});
     pes.print(std::cout);
-    std::cout << "-> acceptance: support-2 >= 3x over interior ("
-              << util::Table::fmt(full_ns / sparse_ns, 2) << "x, "
-              << (full_ns / sparse_ns >= 3.0 ? "PASS" : "MISS") << "); cells ratio "
+    std::cout << "-> acceptance: support-2 >= 3x over interior (" << ratio_text(full, sparse)
+              << ", " << (full.median_ns / sparse.median_ns >= 3.0 ? "PASS" : "MISS")
+              << "); cells ratio "
               << util::Table::fmt(full_cells / (sparse_cells == 0.0 ? 1.0 : sparse_cells), 0)
               << "x\n\n";
 }

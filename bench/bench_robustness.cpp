@@ -55,6 +55,8 @@ using namespace bnash;
 // scheduling-dependent.
 using bnash::bench::CounterScope;
 using bnash::bench::measure_ns;
+using bnash::bench::ratio_text;
+using bnash::bench::Timing;
 
 // The seed's reduction loop: one full tensor copy per eliminated action
 // (plus the working copy). Baseline for the R-CS2 comparison.
@@ -159,6 +161,7 @@ void print_coalition_sweep_acceptance() {
 
     util::Table table({"profile", "checker", "ns/op", "speedup"});
     double full_sweep_speedup = 0.0;
+    std::string full_sweep_ratio;
     bool verdicts_identical = true;
     for (const std::size_t base : {1u, 0u}) {
         // all-1 completes the full quantification (it IS (2,1)-robust);
@@ -175,35 +178,37 @@ void print_coalition_sweep_acceptance() {
                                (!via_serial || *via_serial == *via_parallel);
         verdicts_identical = verdicts_identical && identical;
 
-        const double reference_ns = measure_ns([&] {
+        const Timing reference = measure_ns([&] {
             benchmark::DoNotOptimize(core::reference::find_robustness_violation(
                 g, profile, 2, 1, core::RobustnessOptions{}));
         });
-        const double serial_ns = measure_ns([&] {
+        const Timing serial = measure_ns([&] {
             benchmark::DoNotOptimize(
                 core::find_robustness_violation(g, profile, 2, 1, serial_opts));
         });
-        const double parallel_ns = measure_ns([&] {
+        const Timing parallel = measure_ns([&] {
             benchmark::DoNotOptimize(
                 core::find_robustness_violation(g, profile, 2, 1, parallel_opts));
         });
         const std::string label = base == 1 ? "all-1 (full sweep)" : "all-0 (early exit)";
-        table.add_row({label, "PR-1 serial reference", util::Table::fmt(reference_ns),
+        table.add_row({label, "PR-1 serial reference", util::Table::fmt(reference.median_ns),
                        "1.00x"});
-        table.add_row({label, "sweep, serial blocks", util::Table::fmt(serial_ns),
-                       util::Table::fmt(reference_ns / serial_ns, 2) + "x"});
+        table.add_row({label, "sweep, serial blocks", util::Table::fmt(serial.median_ns),
+                       ratio_text(reference, serial)});
         table.add_row({label,
                        "sweep, parallel (" +
                            std::to_string(util::global_pool().size()) + " executors)",
-                       util::Table::fmt(parallel_ns),
-                       util::Table::fmt(reference_ns / parallel_ns, 2) + "x"});
-        if (base == 1) full_sweep_speedup = reference_ns / parallel_ns;
+                       util::Table::fmt(parallel.median_ns), ratio_text(reference, parallel)});
+        if (base == 1) {
+            full_sweep_speedup = reference.median_ns / parallel.median_ns;
+            full_sweep_ratio = ratio_text(reference, parallel);
+        }
     }
     table.print(std::cout);
     std::cout << "-> verdicts/violations identical across reference, serial, parallel ("
               << (verdicts_identical ? "PASS" : "MISS") << ")\n";
     std::cout << "-> acceptance: parallel sweep >= 3x over PR-1 serial on the full sweep ("
-              << util::Table::fmt(full_sweep_speedup, 2) << "x, "
+              << full_sweep_ratio << ", "
               << (full_sweep_speedup >= 3.0 ? "PASS" : "MISS") << ")\n\n";
 }
 
@@ -245,16 +250,16 @@ void print_batch_resilience_acceptance() {
 
     const double independent_ns = measure_ns([&] {
         benchmark::DoNotOptimize(independent_probes(g, all_one, max_k, serial_opts));
-    });
+    }).median_ns;
     const double batch_ns = measure_ns([&] {
         benchmark::DoNotOptimize(core::batch_resilience(g, all_one, max_k, serial_opts));
-    });
+    }).median_ns;
     const double independent_parallel_ns = measure_ns([&] {
         benchmark::DoNotOptimize(independent_probes(g, all_one, max_k, parallel_opts));
-    });
+    }).median_ns;
     const double batch_parallel_ns = measure_ns([&] {
         benchmark::DoNotOptimize(core::batch_resilience(g, all_one, max_k, parallel_opts));
-    });
+    }).median_ns;
     util::Table table({"probe", "ns/op", "speedup"});
     table.add_row({"independent k = 1..5, serial", util::Table::fmt(independent_ns),
                    "1.00x"});
@@ -328,15 +333,15 @@ void print_frontier_acceptance() {
 
     const double independent_ns = measure_ns([&] {
         benchmark::DoNotOptimize(independent_frontier(g, all_one, max_k, max_t, serial_opts));
-    });
+    }).median_ns;
     const double batch_ns = measure_ns([&] {
         benchmark::DoNotOptimize(
             core::batch_robustness_frontier(g, all_one, max_k, max_t, serial_opts));
-    });
+    }).median_ns;
     const double batch_parallel_ns = measure_ns([&] {
         benchmark::DoNotOptimize(
             core::batch_robustness_frontier(g, all_one, max_k, max_t, parallel_opts));
-    });
+    }).median_ns;
     util::Table table({"probe", "ns/op", "speedup"});
     table.add_row({"independent per-cell probes, serial", util::Table::fmt(independent_ns),
                    "1.00x"});
@@ -398,10 +403,10 @@ void print_intra_block_acceptance() {
 
     const double serial_ns = measure_ns([&] {
         benchmark::DoNotOptimize(core::find_resilience_violation(g, all_zero, 4, serial_opts));
-    });
+    }).median_ns;
     const double split_ns = measure_ns([&] {
         benchmark::DoNotOptimize(core::find_resilience_violation(g, all_zero, 4, auto_opts));
-    });
+    }).median_ns;
 
     util::Table table({"sweep", "ns/op", "speedup"});
     table.add_row({"single-task serial", util::Table::fmt(serial_ns), "1.00x"});
@@ -467,10 +472,10 @@ void print_max_kt_acceptance() {
     const double frontier_ns = measure_ns([&] {
         benchmark::DoNotOptimize(
             core::batch_robustness_frontier(g, all_one, max_k, max_t, serial_opts));
-    });
+    }).median_ns;
     const double walk_ns = measure_ns([&] {
         benchmark::DoNotOptimize(core::max_kt(g, all_one, max_k, max_t, serial_opts));
-    });
+    }).median_ns;
     util::Table table({"probe", "(k,t) cells resolved", "tensor cells swept", "ns/op"});
     table.add_row({"full frontier grid", util::Table::fmt(grid_cells),
                    util::Table::fmt(frontier_work.cells_visited),
@@ -509,10 +514,10 @@ void print_view_elimination_comparison() {
 
     const double copy_ns = measure_ns([&] {
         benchmark::DoNotOptimize(elimination_by_copies(g, kind));
-    });
+    }).median_ns;
     const double view_ns = measure_ns([&] {
         benchmark::DoNotOptimize(solver::iterated_elimination(g, kind));
-    });
+    }).median_ns;
     util::Table table({"implementation", "ns/op", "tensor allocations", "speedup"});
     table.add_row({"restrict() copies (seed loop)", util::Table::fmt(copy_ns),
                    util::Table::fmt(copy_allocs), "1.00x"});

@@ -260,8 +260,8 @@ BENCHMARK(bench_canonical_key)->Arg(4)->Arg(6)->Unit(benchmark::kMicrosecond);
 
 // The COLD row: every iteration re-assigns the payoffs, as a fresh upload
 // does, so every key pays the store build. The time includes that
-// assign_payoffs (one hashing pass, a sort of each player's levels, and
-// the double mirror).
+// assign_payoffs (one hashing pass and a sort of each player's levels,
+// with one to_double per level).
 void bench_canonical_key_cold(benchmark::State& state) {
     const auto players = static_cast<std::size_t>(state.range(0));
     game::NormalFormGame game = game::catalog::attack_coordination_game(players);

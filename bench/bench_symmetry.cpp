@@ -73,11 +73,11 @@ void print_orbit_vs_dense_acceptance() {
     const double dense_ns = measure_ns([&] {
         benchmark::DoNotOptimize(
             core::batch_robustness_frontier(g, profile, max_k, max_t, serial_opts));
-    });
+    }).median_ns;
     const double orbit_ns = measure_ns([&] {
         benchmark::DoNotOptimize(sweep.batch_robustness_frontier(
             max_k, max_t, core::GainCriterion::kAnyMemberGains, game::SweepMode::kSerial));
-    });
+    }).median_ns;
     util::Table table({"engine", "cells visited", "offsets advanced", "ns/op"});
     table.add_row({"dense CoalitionSweep", util::Table::fmt(dense_work.cells_visited),
                    util::Table::fmt(dense_work.offsets_advanced), util::Table::fmt(dense_ns)});

@@ -31,11 +31,6 @@ void MediatorPolicy::set_recommendation(const TypeProfile& types, const PureProf
         std::move(prob);
 }
 
-const Rational& MediatorPolicy::recommendation_prob(const TypeProfile& types,
-                                                    const PureProfile& actions) const {
-    return table_[row_index(types)][util::product_rank(game_->action_counts(), actions)];
-}
-
 void MediatorPolicy::validate() const {
     for (const auto& row : table_) {
         Rational total{0};

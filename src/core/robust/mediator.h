@@ -29,8 +29,6 @@ public:
     // probability `prob` when types are reported as `types`.
     void set_recommendation(const game::TypeProfile& types, const game::PureProfile& actions,
                             util::Rational prob);
-    [[nodiscard]] const util::Rational& recommendation_prob(
-        const game::TypeProfile& types, const game::PureProfile& actions) const;
     // Every row must be a distribution; throws otherwise.
     void validate() const;
 

@@ -199,15 +199,6 @@ std::uint64_t BayesianGame::num_pure_strategies(std::size_t player) const {
     return total;
 }
 
-std::vector<double> BayesianGame::action_distribution(const BayesianPureProfile& profile,
-                                                      const TypeProfile& types) const {
-    std::vector<double> out(num_action_profiles_, 0.0);
-    PureProfile actions(num_players());
-    for (std::size_t i = 0; i < num_players(); ++i) actions[i] = profile[i][types[i]];
-    out[util::product_rank(action_counts_, actions)] = 1.0;
-    return out;
-}
-
 TypeProfile BayesianGame::sample_types(util::Rng& rng) const {
     validate_prior();
     std::vector<double> weights(prior_.size());

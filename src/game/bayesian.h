@@ -94,12 +94,6 @@ public:
                                                        std::uint64_t rank) const;
     [[nodiscard]] std::uint64_t num_pure_strategies(std::size_t player) const;
 
-    // Distribution over action profiles induced by a pure profile given a
-    // fixed type profile (deterministic: a point mass) — exposed because
-    // the mediator-implementation tests compare induced distributions.
-    [[nodiscard]] std::vector<double> action_distribution(const BayesianPureProfile& profile,
-                                                          const TypeProfile& types) const;
-
     [[nodiscard]] TypeProfile sample_types(util::Rng& rng) const;
 
     // --- flat-tensor accessors (sweep kernels) -----------------------------

@@ -170,18 +170,6 @@ ExtensiveGame::BehavioralProfile ExtensiveGame::uniform_profile() const {
     return out;
 }
 
-ExtensiveGame::BehavioralProfile ExtensiveGame::pure_as_behavioral(
-    const PureStrategyProfile& pure) const {
-    require_finalized();
-    if (pure.size() != info_sets_.size()) throw std::invalid_argument("pure_as_behavioral");
-    BehavioralProfile out;
-    out.reserve(info_sets_.size());
-    for (std::size_t i = 0; i < info_sets_.size(); ++i) {
-        out.push_back(pure_as_mixed(pure[i], info_sets_[i].num_actions()));
-    }
-    return out;
-}
-
 void ExtensiveGame::accumulate_payoffs(NodeId id, double weight,
                                        const BehavioralProfile& profile,
                                        std::vector<double>& totals) const {

@@ -87,7 +87,6 @@ public:
     using PureStrategyProfile = std::vector<std::size_t>;
 
     [[nodiscard]] BehavioralProfile uniform_profile() const;
-    [[nodiscard]] BehavioralProfile pure_as_behavioral(const PureStrategyProfile& pure) const;
 
     [[nodiscard]] std::vector<double> expected_payoffs(const BehavioralProfile& profile) const;
     [[nodiscard]] double expected_payoff(const BehavioralProfile& profile,

@@ -15,7 +15,7 @@ GameView::GameView(const NormalFormGame& parent, std::vector<std::size_t> player
     : parent_(&parent),
       ranks_(parent.ordinal_ranks().data()),
       levels_(&parent.levels(0)),
-      mirror_(parent.payoffs_d_flat().data()),
+      levels_d_(&parent.levels_d(0)),
       player_map_(std::move(player_map)),
       kept_(std::move(kept)) {
     rebuild_tables();

@@ -14,8 +14,8 @@
 // view player maps to a parent column (player_map). A profile's payoff
 // row is then the SUM of its digits' cell offsets — O(players) adds, no
 // division — and odometer walks update the row incrementally per digit.
-// An exact payoff is two loads, the parent column's rank at the row and
-// that rank's level; a double is one load from the mirror.
+// A payoff is two loads, the parent column's rank at the row and that
+// rank's level: its Rational, or its double.
 // Views are cheap value types (a pointer plus small index tables); they
 // must not outlive their parent game, and the view caches pointers into
 // the parent's store, so MUTATING the parent (set_payoff, assign_payoffs,
@@ -109,7 +109,8 @@ public:
         return levels_[column][ranks_[row + column]];
     }
     [[nodiscard]] double payoff_d_from(std::uint64_t row, std::size_t player) const {
-        return mirror_[row + player_map_[player]];
+        const std::size_t column = player_map_[player];
+        return levels_d_[column][ranks_[row + column]];
     }
 
     // --- rank / tuple lookups ------------------------------------------------
@@ -144,11 +145,11 @@ private:
     void rebuild_tables();
 
     const NormalFormGame* parent_ = nullptr;
-    // The parent's ordinal ranks, its levels (indexed by parent player)
-    // and its mirror.
+    // The parent's ordinal ranks, and its levels and their doubles
+    // (indexed by parent player).
     const std::uint32_t* ranks_ = nullptr;
     const std::vector<util::Rational>* levels_ = nullptr;
-    const double* mirror_ = nullptr;
+    const std::vector<double>* levels_d_ = nullptr;
     // View player p reads parent column player_map_[p]; its action a is
     // parent action kept_[p][a] of that same parent player.
     std::vector<std::size_t> player_map_;

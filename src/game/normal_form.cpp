@@ -49,12 +49,6 @@ std::uint64_t level_hash(const util::Rational& value) noexcept {
 // number of levels, not of profiles, so a narrow column stays in L1.
 class LevelIds final {
 public:
-    // A first-seen id's place among the sorted levels, and its double.
-    struct Placed final {
-        std::uint32_t rank;
-        double value;
-    };
-
     std::uint32_t id(const util::Rational& value) {
         std::size_t mask = slots_.size() - 1;
         std::size_t slot = level_hash(value) & mask;
@@ -82,24 +76,25 @@ public:
     }
 
     // Once every cell has its id: the levels in increasing order with
-    // their counts, after which placed(id) holds. Equal reduced Rationals
-    // convert to equal doubles, so one to_double per level gives every
-    // cell's mirror bits.
-    void sort(std::vector<util::Rational>& levels, std::vector<std::uint32_t>& counts) {
+    // their counts and doubles, after which rank(id) holds.
+    void sort(std::vector<util::Rational>& levels, std::vector<std::uint32_t>& counts,
+              std::vector<double>& levels_d) {
         std::sort(entries_.begin(), entries_.end(),
                   [](const Entry& a, const Entry& b) { return a.exact < b.exact; });
         levels.reserve(entries_.size());
         counts.reserve(entries_.size());
-        placed_.resize(entries_.size());
+        levels_d.reserve(entries_.size());
+        ranks_.resize(entries_.size());
         for (const Entry& entry : entries_) {
-            placed_[entry.id] = {static_cast<std::uint32_t>(levels.size()),
-                                 entry.exact.to_double()};
+            ranks_[entry.id] = static_cast<std::uint32_t>(levels.size());
             levels.push_back(entry.exact);
             counts.push_back(entry.count);
+            levels_d.push_back(entry.exact.to_double());
         }
     }
 
-    [[nodiscard]] const Placed& placed(std::uint32_t id) const { return placed_[id]; }
+    // A first-seen id's place among the sorted levels.
+    [[nodiscard]] std::uint32_t rank(std::uint32_t id) const { return ranks_[id]; }
 
 private:
     static constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
@@ -112,7 +107,7 @@ private:
 
     std::vector<Entry> entries_;  // by id during the pass, by rank once sorted
     std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(16, kEmpty);
-    std::vector<Placed> placed_;
+    std::vector<std::uint32_t> ranks_;
 };
 }  // namespace
 
@@ -135,7 +130,7 @@ NormalFormGame::NormalFormGame(std::vector<std::size_t> action_counts)
     store_->ranks.assign(num_profiles_ * n, 0);
     store_->levels.assign(n, {util::Rational{0}});
     store_->counts.assign(n, {static_cast<std::uint32_t>(num_profiles_)});
-    store_->mirror.assign(num_profiles_ * n, 0.0);
+    store_->levels_d.assign(n, {0.0});
     action_labels_.resize(n);
     g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
 }
@@ -190,20 +185,22 @@ void NormalFormGame::set_payoff(const PureProfile& profile, std::size_t player,
     Store& store = writable_store();
     std::vector<util::Rational>& levels = store.levels[player];
     std::vector<std::uint32_t>& counts = store.counts[player];
+    std::vector<double>& levels_d = store.levels_d[player];
     const auto at = std::lower_bound(levels.begin(), levels.end(), value);
     const auto to = static_cast<std::uint32_t>(at - levels.begin());
     if (at == levels.end() || *at != value) {
+        levels_d.insert(levels_d.begin() + to, value.to_double());
         levels.insert(at, std::move(value));
         counts.insert(counts.begin() + to, 0);
         shift_ranks(store.ranks, num_players(), player, to, 1);
     }
     const std::uint32_t from = store.ranks[index];
     store.ranks[index] = to;
-    store.mirror[index] = levels[to].to_double();
     ++counts[to];
     if (--counts[from] == 0) {
         levels.erase(levels.begin() + from);
         counts.erase(counts.begin() + from);
+        levels_d.erase(levels_d.begin() + from);
         shift_ranks(store.ranks, num_players(), player, from + 1, -1);
     }
 }
@@ -236,24 +233,23 @@ void NormalFormGame::assign_payoffs(const std::vector<util::Rational>& values) {
     }
     std::vector<std::vector<util::Rational>> levels(n);
     std::vector<std::vector<std::uint32_t>> counts(n);
+    std::vector<std::vector<double>> levels_d(n);
     for (std::size_t player = 0; player < n; ++player) {
-        tables[player].sort(levels[player], counts[player]);
+        tables[player].sort(levels[player], counts[player], levels_d[player]);
     }
     if (store_.use_count() != 1) {
-        store_ = std::make_shared<Store>(Store{std::vector<std::uint32_t>(values.size()), {}, {},
-                                               std::vector<double>(values.size())});
+        store_ = std::make_shared<Store>(Store{std::vector<std::uint32_t>(values.size()), {}, {}, {}});
         g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
     }
     Store& store = *store_;
     for (std::size_t i = 0; i < values.size();) {
         for (std::size_t player = 0; player < n; ++player, ++i) {
-            const LevelIds::Placed& at = tables[player].placed(ids[i]);
-            store.ranks[i] = at.rank;
-            store.mirror[i] = at.value;
+            store.ranks[i] = tables[player].rank(ids[i]);
         }
     }
     store.levels = std::move(levels);
     store.counts = std::move(counts);
+    store.levels_d = std::move(levels_d);
 }
 
 std::vector<util::Rational> NormalFormGame::payoffs_flat() const {
@@ -278,9 +274,11 @@ NormalFormGame NormalFormGame::with_levels(
     if (!fits) throw std::invalid_argument("with_levels: levels must match, strictly increasing");
     NormalFormGame out = *this;
     Store built{store_->ranks, std::move(levels), store_->counts,
-                std::vector<double>(store_->ranks.size())};
-    for (std::size_t i = 0; i < built.ranks.size(); ++i) {
-        built.mirror[i] = built.levels[i % n][built.ranks[i]].to_double();
+                std::vector<std::vector<double>>(n)};
+    for (std::size_t player = 0; player < n; ++player) {
+        for (const util::Rational& level : built.levels[player]) {
+            built.levels_d[player].push_back(level.to_double());
+        }
     }
     out.store_ = std::make_shared<Store>(std::move(built));
     g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);

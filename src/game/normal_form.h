@@ -8,12 +8,14 @@
 //     cache key can observe (serve/canonical.h, ORDINAL INVARIANCE);
 //   - per player, the LEVELS: those sorted distinct Rationals, each with
 //     its cell count. An exact payoff is levels(player)[rank];
-//   - a DOUBLE mirror for the iterative dynamics and the simulators.
+//   - per player, each level's DOUBLE (to_double of the level), for the
+//     iterative dynamics and the simulators: a cell's double is
+//     levels_d(player)[rank], one table of L doubles, not one per cell.
 // A bulk build (assign_payoffs) costs O(cells + L log L) per player, L
 // being the player's number of distinct payoffs: one hashing pass over
 // the cells, then a sort of the levels only.
 // References into the store (payoff, payoff_at, ordinal_ranks, levels,
-// payoffs_d_flat, every GameView over the game) stay valid until the next
+// levels_d, every GameView over the game) stay valid until the next
 // mutation of this game. Copies may be read on other threads meanwhile.
 //
 // The store is all this class keeps. Every payoff quantity computed from
@@ -99,15 +101,11 @@ public:
         return store_->levels[player][store_->ranks[rank * num_players() + player]];
     }
     [[nodiscard]] double payoff_d_at(std::uint64_t rank, std::size_t player) const {
-        return store_->mirror[rank * num_players() + player];
+        return store_->levels_d[player][store_->ranks[rank * num_players() + player]];
     }
     // The exact tensor decoded into a new flat vector [rank * num_players +
     // player], for callers outside the library; library code reads the store.
     [[nodiscard]] std::vector<util::Rational> payoffs_flat() const;
-    // The double mirror in the same flat layout.
-    [[nodiscard]] const std::vector<double>& payoffs_d_flat() const noexcept {
-        return store_->mirror;
-    }
     // Per-player dense payoff ranks in the same flat layout:
     // ordinal_ranks()[rank * num_players + player] is the number of
     // distinct payoffs of `player` strictly below its payoff at that
@@ -125,9 +123,13 @@ public:
     [[nodiscard]] const std::vector<std::uint32_t>& level_counts(std::size_t player) const {
         return store_->counts.at(player);
     }
+    // levels_d(player)[r] == levels(player)[r].to_double(), bit for bit.
+    [[nodiscard]] const std::vector<double>& levels_d(std::size_t player) const {
+        return store_->levels_d.at(player);
+    }
     // This game with each player's levels replaced by `levels[player]`,
     // which must be strictly increasing and as many (else it throws
-    // std::invalid_argument): same ranks and counts, new values and mirror.
+    // std::invalid_argument): same ranks and counts, new values.
     [[nodiscard]] NormalFormGame with_levels(
         std::vector<std::vector<util::Rational>> levels) const;
 
@@ -144,13 +146,14 @@ public:
     [[nodiscard]] std::string to_string() const;  // 2-player matrix rendering
 
 private:
-    // The payoff store (see the file comment). ranks and mirror are
-    // indexed [profile_rank * num_players + player].
+    // The payoff store (see the file comment). ranks is indexed
+    // [profile_rank * num_players + player]; levels, counts and levels_d
+    // by player, then rank.
     struct Store final {
         std::vector<std::uint32_t> ranks;
         std::vector<std::vector<util::Rational>> levels;
         std::vector<std::vector<std::uint32_t>> counts;
-        std::vector<double> mirror;
+        std::vector<std::vector<double>> levels_d;
     };
 
     // The store, cloned first when a copy shares it.

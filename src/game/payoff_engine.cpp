@@ -33,17 +33,27 @@ constexpr std::size_t kNoFullPlayer = SupportPlan::kNoFullPlayer;
 // player i's payoff from a walker row (a cell offset into the parent
 // tensor: zero copy).
 //
-// The double mirror of a view whose player map is the identity (the full
-// game and its action restrictions): view player i reads row + i, so a
-// whole row is contiguous and the all-player accumulation vectorizes
-// (kContiguousRow).
-struct MirrorRows {
-    const double* data;  // the parent's double mirror
-    static constexpr bool kContiguousRow = true;
-    [[nodiscard]] const double* row_ptr(std::uint64_t row) const noexcept { return data + row; }
-    [[nodiscard]] double at(std::uint64_t row, std::size_t i) const noexcept {
-        return data[row + i];
+// The doubles of a view whose player map is the identity (the full game
+// and its action restrictions): view player i reads its rank at row + i
+// and that rank's double, through level tables looked up once per sweep.
+// Kernels take the accessor by value, so the table pointers stay out of
+// the accumulation loops' loads; a fixed table keeps that copy free of
+// allocation, and a game of more players reads through the view.
+class LevelRows final {
+public:
+    static constexpr std::size_t kMaxPlayers = 16;
+    explicit LevelRows(const GameView& view) : ranks_(view.parent().ordinal_ranks().data()) {
+        for (std::size_t i = 0; i < view.num_players(); ++i) {
+            levels_d_[i] = view.parent().levels_d(i).data();
+        }
     }
+    [[nodiscard]] double at(std::uint64_t row, std::size_t i) const noexcept {
+        return levels_d_[i][ranks_[row + i]];
+    }
+
+private:
+    const std::uint32_t* ranks_;
+    std::array<const double*, kMaxPlayers> levels_d_{};
 };
 
 // Every other case reads through the view: exact payoffs as rank then
@@ -51,7 +61,6 @@ struct MirrorRows {
 template <typename V>
 struct MappedRows {
     const GameView* view;
-    static constexpr bool kContiguousRow = false;
     [[nodiscard]] decltype(auto) at(std::uint64_t row, std::size_t i) const {
         if constexpr (std::is_same_v<V, double>) {
             return view->payoff_d_from(row, i);
@@ -61,36 +70,18 @@ struct MappedRows {
     }
 };
 
-// Runs `sweep(acc)` with the accessor the view's layout allows. The
-// choice is a property of the input, and both accessors accumulate in the
-// same order, so results are bit-identical either way.
+// Runs `sweep(acc)` with the accessor the view's layout allows. Both
+// read the same level of the same cell, so the choice never changes a
+// result bit.
 template <typename V, typename Sweep>
 void with_rows(const GameView& view, const Sweep& sweep) {
     if constexpr (std::is_same_v<V, double>) {
-        if (view.identity_player_map()) {
-            sweep(MirrorRows{view.parent().payoffs_d_flat().data()});
+        if (view.identity_player_map() && view.num_players() <= LevelRows::kMaxPlayers) {
+            sweep(LevelRows(view));
             return;
         }
     }
     sweep(MappedRows<V>{&view});
-}
-
-// totals[i] += weight * row[i] for every player. On contiguous rows the
-// loop is elementwise-independent, so the double mirror vectorizes
-// (enabled with -fopenmp-simd; each totals[i] keeps its own accumulator,
-// so SIMD changes no accumulation order and results stay bit-identical).
-template <typename V, typename Acc>
-inline void accumulate_all(const Acc& acc, std::uint64_t row, const V& weight,
-                           std::vector<V>& totals) {
-    const std::size_t n = totals.size();
-    if constexpr (Acc::kContiguousRow) {
-        const V* cells = acc.row_ptr(row);
-        V* out = totals.data();
-#pragma omp simd
-        for (std::size_t i = 0; i < n; ++i) out[i] += weight * cells[i];
-    } else {
-        for (std::size_t i = 0; i < n; ++i) totals[i] += weight * acc.at(row, i);
-    }
 }
 
 using BlockRanges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
@@ -307,7 +298,7 @@ private:
 // ((1*x0)*x1)*..., kept as prefix products of which only digits at or
 // above the walker's lowest changed digit recompute.
 template <typename V, typename Digits, typename ProfileT, typename Acc, typename Out>
-void expected_block(const Digits& digits, const ProfileT& profile, const Acc& acc,
+void expected_block(const Digits& digits, const ProfileT& profile, const Acc acc,
                     std::size_t player, std::uint64_t begin, std::uint64_t end, Out& out) {
     const std::size_t n = profile.size();
     util::OffsetWalker walker = digits.make_walker();
@@ -327,7 +318,7 @@ void expected_block(const Digits& digits, const ProfileT& profile, const Acc& ac
             if constexpr (std::is_same_v<Out, V>) {
                 out += prefix[n] * acc.at(walker.row(), player);
             } else {
-                accumulate_all(acc, walker.row(), prefix[n], out);
+                for (std::size_t i = 0; i < n; ++i) out[i] += prefix[n] * acc.at(walker.row(), i);
             }
         }
         (void)walker.advance();
@@ -342,7 +333,7 @@ void expected_block(const Digits& digits, const ProfileT& profile, const Acc& ac
 // prefix[i] * suffix[i+1] fold (same operand order), so the row is
 // bit-identical to the deviation table's.
 template <typename V, typename Digits, typename ProfileT, typename Acc>
-void row_block(const Digits& digits, const ProfileT& profile, const Acc& acc,
+void row_block(const Digits& digits, const ProfileT& profile, const Acc acc,
                std::size_t player, std::uint64_t begin, std::uint64_t end,
                std::vector<V>& dev_row) {
     const std::size_t n = profile.size();
@@ -379,7 +370,7 @@ void row_block(const Digits& digits, const ProfileT& profile, const Acc& acc,
 // for all i in O(players) per profile — the marginalization that replaces
 // the seed's one-full-sweep-per-(player, action).
 template <typename V, typename ProfileT, typename Acc>
-void deviation_block(const FullDigits& digits, const ProfileT& profile, const Acc& acc,
+void deviation_block(const FullDigits& digits, const ProfileT& profile, const Acc acc,
                      std::uint64_t begin, std::uint64_t end, std::vector<std::vector<V>>& dev) {
     const std::size_t n = profile.size();
     util::OffsetWalker walker = digits.make_walker();
@@ -389,10 +380,16 @@ void deviation_block(const FullDigits& digits, const ProfileT& profile, const Ac
     Products<V> suffix(n + 1);
     prefix[0] = V{1};
     suffix[n] = V{1};
+    std::size_t from = 0;
     for (std::uint64_t rank = begin; rank < end; ++rank) {
-        for (std::size_t i = 0; i < n; ++i) {
+        // prefix[i] folds digits below i, so only the products above the
+        // walker's lowest changed digit recompute.
+        for (std::size_t i = from; i + 1 < n; ++i) {
             prefix[i + 1] = prefix[i] * profile[i][tuple[i]];
         }
+        BNASH_AUDIT_CHECK(prefix[n - 1] == (audit_left_fold<V>(digits, profile, tuple, n - 1)),
+                          "deviation_block: incremental prefix product drifted from a "
+                          "from-scratch left-fold of the weights");
         for (std::size_t i = n; i-- > 0;) {
             suffix[i] = suffix[i + 1] * profile[i][tuple[i]];
         }
@@ -402,6 +399,7 @@ void deviation_block(const FullDigits& digits, const ProfileT& profile, const Ac
             if (!sweep_zero(weight)) dev[i][tuple[i]] += weight * acc.at(row, i);
         }
         (void)walker.advance();
+        from = walker.lowest_changed();
     }
     util::work_counters_add(end - begin, walker.digit_moves());
 }

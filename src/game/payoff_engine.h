@@ -16,9 +16,9 @@
 //     products give weight_excluding(i) for every i in O(players), and
 //     each accumulates into dev[i][a_i] (or one support row per player
 //     when that walks fewer cells; see below);
-//   - run the same kernel over the double mirror and the exact payoffs,
-//     read as rank then level from the game's store (the robustness
-//     checkers must not see floating point);
+//   - run the same kernel over doubles and exact payoffs, both read as
+//     rank then level (its double or its Rational) from the game's store
+//     (the robustness checkers must not see floating point);
 //   - above kParallelBlock profiles, split the sweep into fixed-size
 //     contiguous blocks dispatched to util::global_pool(). Block
 //     decomposition is independent of worker count and partial tables are
@@ -31,10 +31,9 @@
 // twin of any of them. Restricted and permuted views sweep
 // zero-copy through the view's offsets into the parent's store. When the
 // view's player map is the identity (the full game and its action
-// restrictions) a profile's doubles are one contiguous mirror row, and
-// the all-player accumulation runs the vectorized contiguous-row path;
-// exact payoffs and permuted views read through the view. The choice
-// follows from the input, and both paths accumulate in the same order.
+// restrictions) the double kernels read each player's level table
+// through a pointer looked up once per sweep; exact payoffs and permuted
+// views read through the view. Both read the same level of each cell.
 //
 // EVERY SWEEP WALKS ONLY THE PROFILE'S SUPPORT: a profile with zero
 // weights is walked over a SupportPlan (radix = |supp(sigma_i)| per
@@ -84,7 +83,7 @@ inline constexpr std::uint64_t kParallelBlock = std::uint64_t{1} << 14;
 // One entry per quantity. Profiles are indexed in VIEW action space;
 // shape mismatches throw std::invalid_argument.
 
-// --- double mirror
+// --- doubles
 [[nodiscard]] std::vector<double> expected_payoffs(const GameView& view,
                                                    const MixedProfile& profile,
                                                    SweepMode mode = SweepMode::kAuto);

@@ -43,11 +43,15 @@ bool pure_dominates(const GameView& view, std::size_t player, std::size_t domina
         view.cell_offset(player, dominator) - view.cell_offset(player, 0);
     const std::uint64_t dominated_delta =
         view.cell_offset(player, dominated) - view.cell_offset(player, 0);
+    // Both payoffs are the player's own, so they compare like their
+    // ordinal ranks in the parent's column.
+    const std::uint32_t* ranks =
+        view.parent().ordinal_ranks().data() + view.parent_player(player);
     bool all_hold = true;
     bool somewhere_strict = false;
     for_each_opponent_base(view, player, [&](std::uint64_t base) {
-        const auto& u_dominated = view.payoff_from(base + dominated_delta, player);
-        const auto& u_dominator = view.payoff_from(base + dominator_delta, player);
+        const std::uint32_t u_dominated = ranks[base + dominated_delta];
+        const std::uint32_t u_dominator = ranks[base + dominator_delta];
         if (strict ? !(u_dominator > u_dominated) : (u_dominator < u_dominated)) {
             all_hold = false;
             return false;

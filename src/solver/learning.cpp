@@ -74,10 +74,11 @@ LearningResult replicator_dynamics(const game::NormalFormGame& game,
                                    const LearningOptions& options) {
     const std::size_t players = game.num_players();
     const game::GameView view(game);
-    // Shift payoffs so fitness is positive.
+    // Shift payoffs so fitness is positive. Every level pays some cell,
+    // so the least level double is the least payoff double.
     double min_payoff = std::numeric_limits<double>::infinity();
-    for (const double value : game.payoffs_d_flat()) {
-        min_payoff = std::min(min_payoff, value);
+    for (std::size_t i = 0; i < players; ++i) {
+        for (const double value : game.levels_d(i)) min_payoff = std::min(min_payoff, value);
     }
     const double shift = 1.0 - std::min(0.0, min_payoff);
 

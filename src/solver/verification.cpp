@@ -1,16 +1,15 @@
 #include "solver/verification.h"
 
+#include <cstdint>
 #include <stdexcept>
 
-#include "game/game_view.h"
 #include "game/payoff_engine.h"
-#include "util/combinatorics.h"
 
 namespace bnash::solver {
 namespace {
 
 // Matches the validation the seed's game.payoff() path performed via
-// product_rank; the view's row offsets are unchecked hot-path reads.
+// product_rank; the flat rows below are unchecked hot-path reads.
 void validate_pure_profile(const game::NormalFormGame& game,
                            const game::PureProfile& profile) {
     if (profile.size() != game.num_players()) {
@@ -23,21 +22,29 @@ void validate_pure_profile(const game::NormalFormGame& game,
     }
 }
 
-// Compares each player's payoff at `row` (the profile's row offset in
-// the game's identity view) against every unilateral deviation, read
-// through the deviating player's offset column: no profile
-// materialization or re-ranking.
-bool is_pure_nash_at(const game::GameView& view, std::uint64_t row,
-                     const game::PureProfile& profile) {
-    for (std::size_t player = 0; player < view.num_players(); ++player) {
-        const auto& current = view.payoff_from(row, player);
-        // Unsigned wrap-around is fine: every complete row is in range.
-        const std::uint64_t base = row - view.cell_offset(player, profile[player]);
-        for (std::size_t action = 0; action < view.num_actions(player); ++action) {
-            if (action == profile[player]) continue;
-            if (view.payoff_from(base + view.cell_offset(player, action), player) > current) {
-                return false;
-            }
+// Row-major strides premultiplied by the player count: one step of
+// `player`'s action moves a profile's flat row in ordinal_ranks() by
+// strides[player].
+std::vector<std::uint64_t> flat_strides(const game::NormalFormGame& game) {
+    const std::size_t n = game.num_players();
+    std::vector<std::uint64_t> strides(n, n);
+    for (std::size_t i = n - 1; i-- > 0;) strides[i] = strides[i + 1] * game.num_actions(i + 1);
+    return strides;
+}
+
+// Compares each player's payoff at flat row `row` (the profile's rank
+// times the player count) against every unilateral deviation. Two payoffs
+// of one player compare like their ordinal ranks, so no Rational is read.
+bool is_pure_nash_at(const game::NormalFormGame& game, const std::vector<std::uint64_t>& strides,
+                     std::uint64_t row, const game::PureProfile& profile) {
+    const std::uint32_t* ranks = game.ordinal_ranks().data();
+    const std::vector<std::size_t>& counts = game.action_counts();
+    for (std::size_t player = 0; player < counts.size(); ++player) {
+        const std::uint32_t current = ranks[row + player];
+        const std::uint64_t stride = strides[player];
+        const std::uint32_t* column = ranks + (row - profile[player] * stride + player);
+        for (std::size_t action = 0; action < counts[player]; ++action) {
+            if (column[action * stride] > current) return false;
         }
     }
     return true;
@@ -80,34 +87,41 @@ bool is_nash_exact(const game::NormalFormGame& game, const game::ExactMixedProfi
 
 bool is_pure_nash(const game::NormalFormGame& game, const game::PureProfile& profile) {
     validate_pure_profile(game, profile);
-    const game::GameView view(game);
-    return is_pure_nash_at(view, view.row_offset(profile), profile);
+    return is_pure_nash_at(game, flat_strides(game),
+                           game.profile_rank(profile) * game.num_players(), profile);
 }
 
 std::vector<game::PureProfile> pure_nash_equilibria(const game::NormalFormGame& game) {
-    const game::GameView view(game);
+    const std::size_t n = game.num_players();
+    const std::vector<std::uint64_t> strides = flat_strides(game);
     std::vector<game::PureProfile> out;
-    util::product_for_each(game.action_counts(), [&](const game::PureProfile& profile) {
-        if (is_pure_nash_at(view, view.row_offset(profile), profile)) out.push_back(profile);
-        return true;
-    });
+    game::PureProfile profile(n, 0);
+    // Row-major order: the flat row advances by n per profile while the
+    // last digit counts fastest.
+    for (std::uint64_t row = 0; row < game.ordinal_ranks().size(); row += n) {
+        if (is_pure_nash_at(game, strides, row, profile)) out.push_back(profile);
+        for (std::size_t d = n; d-- > 0;) {
+            if (++profile[d] < game.action_counts()[d]) break;
+            profile[d] = 0;
+        }
+    }
     return out;
 }
 
 bool is_pareto_dominated(const game::NormalFormGame& game, const game::PureProfile& profile) {
     validate_pure_profile(game, profile);
-    const std::uint64_t here_rank = game.profile_rank(profile);
-    for (std::uint64_t other = 0; other < game.num_profiles(); ++other) {
+    const std::size_t n = game.num_players();
+    const std::vector<std::uint32_t>& ranks = game.ordinal_ranks();
+    const std::uint64_t here = game.profile_rank(profile) * n;
+    for (std::uint64_t there = 0; there < ranks.size(); there += n) {
         bool all_at_least = true;
         bool some_better = false;
-        for (std::size_t player = 0; player < game.num_players(); ++player) {
-            const auto& here = game.payoff_at(here_rank, player);
-            const auto& there = game.payoff_at(other, player);
-            if (there < here) {
+        for (std::size_t player = 0; player < n; ++player) {
+            if (ranks[there + player] < ranks[here + player]) {
                 all_at_least = false;
                 break;
             }
-            if (there > here) some_better = true;
+            if (ranks[there + player] > ranks[here + player]) some_better = true;
         }
         if (all_at_least && some_better) return true;
     }

@@ -215,7 +215,7 @@ std::uint32_t brute_rank(const NormalFormGame& g, std::uint64_t rank, std::size_
 
 // Every invariant of the store: each player's levels sorted and
 // distinct with positive counts summing to the profile count, each rank
-// the brute-force one, and the mirror the exact payoff's double.
+// the brute-force one, and each cell's double the exact payoff's.
 void expect_store_invariants(const NormalFormGame& g, const std::string& label = "") {
     const std::vector<std::uint32_t>& ranks = g.ordinal_ranks();
     ASSERT_EQ(ranks.size(), g.num_profiles() * g.num_players()) << label;
@@ -393,7 +393,7 @@ struct ReferenceStore {
     std::vector<std::uint32_t> ranks;
     std::vector<std::vector<Rational>> levels;
     std::vector<std::vector<std::uint32_t>> counts;
-    std::vector<double> mirror;
+    std::vector<double> doubles;  // each cell's to_double, flat order
 };
 
 ReferenceStore sort_reference(std::size_t n, const std::vector<Rational>& values) {
@@ -413,11 +413,12 @@ ReferenceStore sort_reference(std::size_t n, const std::vector<Rational>& values
         out.levels.push_back(std::move(column));
         out.counts.push_back(std::move(counts));
     }
-    for (const Rational& value : values) out.mirror.push_back(value.to_double());
+    for (const Rational& value : values) out.doubles.push_back(value.to_double());
     return out;
 }
 
-// Ranks, levels, counts and the mirror (bit for bit) against the reference.
+// Ranks, levels, counts and every cell's double (bit for bit) against
+// the reference.
 void expect_store_matches(const NormalFormGame& g, const ReferenceStore& want,
                           const std::string& label) {
     EXPECT_EQ(g.ordinal_ranks(), want.ranks) << label;
@@ -425,10 +426,11 @@ void expect_store_matches(const NormalFormGame& g, const ReferenceStore& want,
         EXPECT_EQ(g.levels(player), want.levels[player]) << label << " player " << player;
         EXPECT_EQ(g.level_counts(player), want.counts[player]) << label << " player " << player;
     }
-    const std::vector<double>& mirror = g.payoffs_d_flat();
-    ASSERT_EQ(mirror.size(), want.mirror.size()) << label;
-    for (std::size_t i = 0; i < mirror.size(); ++i) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(mirror[i]), std::bit_cast<std::uint64_t>(want.mirror[i]))
+    const std::size_t n = g.num_players();
+    ASSERT_EQ(g.num_profiles() * n, want.doubles.size()) << label;
+    for (std::size_t i = 0; i < want.doubles.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(g.payoff_d_at(i / n, i % n)),
+                  std::bit_cast<std::uint64_t>(want.doubles[i]))
             << label << " entry " << i;
     }
 }
@@ -460,8 +462,8 @@ TEST(NormalFormStore, HashBuildMatchesSortReference) {
     rng.shuffle(distinct);
     check({5, 5, 5, 5}, distinct, "all distinct");
 
-    // int64 extremes, parts past 2^53, and levels that a sort by the
-    // mirror would misorder: two whose doubles tie (1/3 and p/q with p,
+    // int64 extremes, parts past 2^53, and levels that a sort by their
+    // doubles would misorder: two whose doubles tie (1/3 and p/q with p,
     // q < 2^53) and two whose doubles are in the wrong order.
     const Rational third_twin{3002399751580330, k53 - 1};
     ASSERT_EQ(third_twin.to_double(), Rational(1, 3).to_double());

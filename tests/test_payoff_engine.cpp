@@ -70,23 +70,32 @@ ExactMixedProfile random_exact(const NormalFormGame& game, util::Rng& rng) {
 
 TEST(PayoffEngine, SingleSweepMatchesNaiveDouble) {
     util::Rng rng{11};
-    for (std::size_t players = 2; players <= 4; ++players) {
-        for (int trial = 0; trial < 5; ++trial) {
-            const auto g = NormalFormGame::random(random_shape(rng, players), rng);
-            for (const bool with_zeros : {false, true}) {
-                const auto profile = random_mixed(g, rng, with_zeros);
-                const auto fast = deviation_payoffs_all(g, profile);
-                const auto slow = naive::deviation_payoffs_all(g, profile);
-                ASSERT_EQ(fast.size(), slow.size());
-                for (std::size_t i = 0; i < fast.size(); ++i) {
-                    for (std::size_t a = 0; a < fast[i].size(); ++a) {
-                        EXPECT_NEAR(fast[i][a], slow[i][a], 1e-9)
-                            << "players=" << players << " i=" << i << " a=" << a;
-                    }
+    const auto check = [&](const NormalFormGame& g) {
+        for (const bool with_zeros : {false, true}) {
+            const auto profile = random_mixed(g, rng, with_zeros);
+            const auto fast = deviation_payoffs_all(g, profile);
+            const auto slow = naive::deviation_payoffs_all(g, profile);
+            ASSERT_EQ(fast.size(), slow.size());
+            for (std::size_t i = 0; i < fast.size(); ++i) {
+                for (std::size_t a = 0; a < fast[i].size(); ++a) {
+                    EXPECT_NEAR(fast[i][a], slow[i][a], 1e-9)
+                        << "players=" << g.num_players() << " i=" << i << " a=" << a;
                 }
             }
         }
+    };
+    for (std::size_t players = 2; players <= 4; ++players) {
+        for (int trial = 0; trial < 5; ++trial) {
+            check(NormalFormGame::random(random_shape(rng, players), rng));
+        }
     }
+    // More players than the full-game double accessor's level table
+    // holds: that sweep reads through the view instead.
+    std::vector<std::size_t> wide(17, 1);
+    wide[0] = 2;
+    wide[8] = 3;
+    wide[16] = 2;
+    check(NormalFormGame::random(wide, rng));
 }
 
 TEST(PayoffEngine, SingleSweepMatchesNaiveExact) {
@@ -120,7 +129,7 @@ TEST(PayoffEngine, ExpectedPayoffIsTableContraction) {
         }
         EXPECT_NEAR(expected[i], contraction, 1e-9);
     }
-    // Exact mirror of the same identity.
+    // The same identity in exact arithmetic.
     const auto exact_profile = random_exact(g, rng);
     const auto exact_dev = deviation_payoffs_all_exact(g, exact_profile);
     const auto exact_expected = expected_payoffs_exact(g, exact_profile);
@@ -358,9 +367,8 @@ TEST(PayoffEngine, ValidatesProfileShape) {
 }
 
 TEST(PayoffEngine, VerificationAgreesWithEngine) {
-    // pure_nash_equilibria reads each profile's deviations through the
-    // identity view's offsets; the result must agree with a per-profile
-    // is_pure_nash check.
+    // pure_nash_equilibria walks a running flat row of ordinal ranks; the
+    // result must agree with a per-profile is_pure_nash check.
     util::Rng rng{37};
     const auto g = NormalFormGame::random({3, 3, 3}, rng);
     const auto equilibria = solver::pure_nash_equilibria(g);

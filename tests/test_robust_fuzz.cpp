@@ -370,7 +370,7 @@ TEST(RobustFuzz, SparseViewSweepsMatchDenseOnRandomRestrictions) {
             EXPECT_EQ(dev[p], game::deviation_row_exact(row_cut.view, row_cut.profile, p))
                 << label << " player " << p;
         }
-        // Double mirror: bitwise equality (same cells, same order, one
+        // Doubles: bitwise equality (same cells, same order, one
         // block).
         const auto mixed = game::to_double(profile);
         const auto mixed_cut = game::restrict_to_support(view, mixed);

@@ -1508,7 +1508,7 @@ TEST(TextFront, RejectedPayoffsLeaveTheGameUnchanged) {
         << lines[4];
     EXPECT_EQ(lines[5].rfind("verdict=broken status=resolved", 0), 0u) << lines[5];
 
-    // The tensor itself, exact and double, is untouched by a refused line
+    // The store itself (payoffs, ranks and levels) is untouched by a refused line
     // whatever the position of the bad token.
     ScriptedSession session(server);
     ASSERT_EQ(session.reply("game 2 2 2"), "ok");
@@ -1519,7 +1519,11 @@ TEST(TextFront, RejectedPayoffsLeaveTheGameUnchanged) {
                             "payoffs 9 9 0 5 5 0 1 99999999999999999999"}) {
         EXPECT_EQ(session.reply(bad).rfind("error: ", 0), 0u) << bad;
         EXPECT_EQ(session.session().game()->payoffs_flat(), before.payoffs_flat()) << bad;
-        EXPECT_EQ(session.session().game()->payoffs_d_flat(), before.payoffs_d_flat()) << bad;
+        const NormalFormGame& after = *session.session().game();
+        EXPECT_EQ(after.ordinal_ranks(), before.ordinal_ranks()) << bad;
+        for (std::size_t p = 0; p < before.num_players(); ++p) {
+            EXPECT_EQ(after.levels(p), before.levels(p)) << bad << " player " << p;
+        }
     }
 }
 
@@ -1679,7 +1683,10 @@ TEST(TextFront, PayoffsLineRoundTripsRandomGames) {
         const NormalFormGame& uploaded = *session.session().game();
         EXPECT_EQ(uploaded.action_counts(), source.action_counts()) << "trial " << trial;
         EXPECT_EQ(uploaded.payoffs_flat(), source.payoffs_flat()) << "trial " << trial;
-        EXPECT_EQ(uploaded.payoffs_d_flat(), source.payoffs_d_flat()) << "trial " << trial;
+        EXPECT_EQ(uploaded.ordinal_ranks(), source.ordinal_ranks()) << "trial " << trial;
+        for (std::size_t p = 0; p < source.num_players(); ++p) {
+            EXPECT_EQ(uploaded.levels(p), source.levels(p)) << "trial " << trial << " player " << p;
+        }
     }
 }
 

@@ -50,6 +50,136 @@ TEST(Verification, DefectDefectIsParetoDominatedByCooperate) {
     EXPECT_FALSE(is_pareto_dominated(pd, {0, 0}));
 }
 
+// The pure questions read ordinal ranks; this oracle reads the exact
+// payoffs and knows nothing of the store.
+struct PureOracle {
+    const game::NormalFormGame& g;
+
+    [[nodiscard]] const Rational& u(const PureProfile& profile, std::size_t player) const {
+        return g.payoff(profile, player);
+    }
+    [[nodiscard]] bool nash(const PureProfile& profile) const {
+        for (std::size_t p = 0; p < g.num_players(); ++p) {
+            PureProfile deviated = profile;
+            for (std::size_t a = 0; a < g.num_actions(p); ++a) {
+                deviated[p] = a;
+                if (u(deviated, p) > u(profile, p)) return false;
+            }
+        }
+        return true;
+    }
+    [[nodiscard]] bool pareto_dominated(const PureProfile& profile) const {
+        for (std::uint64_t rank = 0; rank < g.num_profiles(); ++rank) {
+            const PureProfile other = g.profile_unrank(rank);
+            bool all_at_least = true;
+            bool some_better = false;
+            for (std::size_t p = 0; p < g.num_players(); ++p) {
+                all_at_least = all_at_least && u(other, p) >= u(profile, p);
+                some_better = some_better || u(other, p) > u(profile, p);
+            }
+            if (all_at_least && some_better) return true;
+        }
+        return false;
+    }
+    // Some other action of `player` beats `action` against every opponent
+    // profile (strict), or never loses and once wins (weak).
+    [[nodiscard]] bool dominated(std::size_t player, std::size_t action, bool strict) const {
+        for (std::size_t b = 0; b < g.num_actions(player); ++b) {
+            if (b == action) continue;
+            bool holds = true;
+            bool somewhere_better = false;
+            for (std::uint64_t rank = 0; rank < g.num_profiles() && holds; ++rank) {
+                PureProfile profile = g.profile_unrank(rank);
+                if (profile[player] != action) continue;
+                const Rational& mine = u(profile, player);
+                profile[player] = b;
+                const Rational& theirs = u(profile, player);
+                holds = strict ? theirs > mine : theirs >= mine;
+                somewhere_better = somewhere_better || theirs > mine;
+            }
+            if (holds && (strict || somewhere_better)) return true;
+        }
+        return false;
+    }
+};
+
+// Every answer of the pure questions on one game, in a fixed order.
+std::vector<bool> pure_answers(const game::NormalFormGame& g) {
+    std::vector<bool> out;
+    for (std::uint64_t rank = 0; rank < g.num_profiles(); ++rank) {
+        const PureProfile profile = g.profile_unrank(rank);
+        out.push_back(is_pure_nash(g, profile));
+        out.push_back(is_pareto_dominated(g, profile));
+    }
+    for (std::size_t p = 0; p < g.num_players(); ++p) {
+        for (std::size_t a = 0; a < g.num_actions(p); ++a) {
+            out.push_back(is_dominated(g, p, a, DominanceKind::kStrictPure));
+            out.push_back(is_dominated(g, p, a, DominanceKind::kWeakPure));
+        }
+    }
+    return out;
+}
+
+TEST(Verification, OrdinalPureQuestionsMatchExactOracleWithTies) {
+    util::Rng rng{3119};
+    for (int trial = 0; trial < 60; ++trial) {
+        std::vector<std::size_t> counts(2 + rng.next_below(4));
+        for (std::size_t& count : counts) count = 2 + rng.next_below(3);
+        game::NormalFormGame g(counts);
+        const std::size_t n = counts.size();
+        // Non-integer payoffs drawn from a few values per player, so ties
+        // are common; then a quarter of the cells copy the payoff the same
+        // player gets at action 0 against the same opponents.
+        std::vector<Rational> values(g.num_profiles() * n);
+        for (Rational& value : values) value = Rational{2 * rng.next_int(-2, 2) + 1, 6};
+        for (std::uint64_t rank = 0; rank < g.num_profiles(); ++rank) {
+            PureProfile profile = g.profile_unrank(rank);
+            for (std::size_t p = 0; p < n; ++p) {
+                if (!rng.next_bool(0.25)) continue;
+                PureProfile first = profile;
+                first[p] = 0;
+                values[rank * n + p] = values[g.profile_rank(first) * n + p];
+            }
+        }
+        g.assign_payoffs(values);
+        const std::string label = "trial " + std::to_string(trial);
+
+        const PureOracle oracle{g};
+        std::vector<PureProfile> want_nash;
+        for (std::uint64_t rank = 0; rank < g.num_profiles(); ++rank) {
+            const PureProfile profile = g.profile_unrank(rank);
+            if (oracle.nash(profile)) want_nash.push_back(profile);
+            EXPECT_EQ(is_pure_nash(g, profile), oracle.nash(profile)) << label;
+            EXPECT_EQ(is_pareto_dominated(g, profile), oracle.pareto_dominated(profile)) << label;
+        }
+        EXPECT_EQ(pure_nash_equilibria(g), want_nash) << label;
+        for (std::size_t p = 0; p < n; ++p) {
+            for (std::size_t a = 0; a < counts[p]; ++a) {
+                EXPECT_EQ(is_dominated(g, p, a, DominanceKind::kStrictPure),
+                          oracle.dominated(p, a, true))
+                    << label << " player " << p << " action " << a;
+                EXPECT_EQ(is_dominated(g, p, a, DominanceKind::kWeakPure),
+                          oracle.dominated(p, a, false))
+                    << label << " player " << p << " action " << a;
+            }
+        }
+
+        // A strictly increasing remap of each player's levels keeps every
+        // answer.
+        std::vector<std::vector<Rational>> remapped(n);
+        for (std::size_t p = 0; p < n; ++p) {
+            Rational level{rng.next_int(-20, 20), 7};
+            for (std::size_t r = 0; r < g.levels(p).size(); ++r) {
+                remapped[p].push_back(level);
+                level += Rational{rng.next_int(1, 5), rng.next_int(2, 9)};
+            }
+        }
+        const game::NormalFormGame moved = g.with_levels(std::move(remapped));
+        EXPECT_EQ(pure_nash_equilibria(moved), want_nash) << label;
+        EXPECT_EQ(pure_answers(moved), pure_answers(g)) << label;
+    }
+}
+
 TEST(Verification, MatchingPenniesHasNoPureNash) {
     EXPECT_TRUE(pure_nash_equilibria(matching_pennies()).empty());
 }
