@@ -3,10 +3,12 @@
 //     into the google-benchmark flags unless the caller already chose an
 //     output, so every bench binary drops a BENCH_<name>.json next to the
 //     working directory and future PRs can track the perf trajectory.
-//   - measure_ns: the acceptance tables' timing harness — ONE definition
-//     so speedup numbers stay comparable across bench binaries. It
-//     reports the median and quartiles of kTimingSamples repetitions,
-//     and ratio_text prints a ratio of two with its quartile range.
+//   - measure_ns / measure_ratio: the acceptance tables' timing harness —
+//     ONE definition so speedup numbers stay comparable across bench
+//     binaries. measure_ns reports the median and quartiles of
+//     kTimingSamples repetitions; measure_ratio times two calls in paired,
+//     alternating rounds and reports the median per-round ratio, which
+//     ratio_text prints with its quartile range.
 //   - CounterScope: attaches the work-counter deltas of a timing loop to
 //     the JSON row — ONE definition so the gated cells_visited /
 //     offsets_advanced metrics stay comparable across bench binaries.
@@ -15,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -59,36 +62,86 @@ struct Timing final {
 
 inline constexpr std::size_t kTimingSamples = 21;
 
+// {median, first quartile, third quartile} of kTimingSamples samples.
+inline std::array<double, 3> quartiles(std::vector<double> samples) {
+    std::sort(samples.begin(), samples.end());
+    return {samples[kTimingSamples / 2], samples[kTimingSamples / 4],
+            samples[3 * kTimingSamples / 4]};
+}
+
+// Wall-clock ns of `reps` back-to-back calls.
+template <typename Fn>
+double run_ns(Fn& fn, std::size_t reps) {
+    using clock = std::chrono::steady_clock;
+    const auto start = clock::now();
+    for (std::size_t r = 0; r < reps; ++r) fn();
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - start).count());
+}
+
+inline constexpr double kRepetitionNs = 5'000'000.0;
+inline constexpr std::size_t kMaxCalls = std::size_t{1} << 22;
+
 // Calls per repetition double until one repetition takes >= 5 ms (or
 // 2^22 calls); then kTimingSamples repetitions of that many calls each
 // give one ns/op sample apiece. A median over repetitions, unlike the
 // mean of one window, does not move with a burst of host load.
 template <typename Fn>
 Timing measure_ns(Fn&& fn) {
-    using clock = std::chrono::steady_clock;
-    const auto run = [&](std::size_t reps) {
-        const auto start = clock::now();
-        for (std::size_t r = 0; r < reps; ++r) fn();
-        return static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - start).count());
-    };
     fn();  // warm-up
     std::size_t reps = 1;
-    while (run(reps) < 5'000'000.0 && reps < (std::size_t{1} << 22)) reps *= 2;
+    while (run_ns(fn, reps) < kRepetitionNs && reps < kMaxCalls) reps *= 2;
     std::vector<double> samples(kTimingSamples);
-    for (double& sample : samples) sample = run(reps) / static_cast<double>(reps);
-    std::sort(samples.begin(), samples.end());
-    return {samples[kTimingSamples / 2], samples[kTimingSamples / 4],
-            samples[3 * kTimingSamples / 4]};
+    for (double& sample : samples) sample = run_ns(fn, reps) / static_cast<double>(reps);
+    const auto [median, q1, q3] = quartiles(std::move(samples));
+    return {median, q1, q3};
 }
 
-// "<median ratio>x (IQR <low>-<high>x)" for num / den, the range being
-// the widest the two quartile ranges allow.
-inline std::string ratio_text(const Timing& num, const Timing& den) {
+// num / den from paired rounds: the median and quartiles of the per-round
+// ratios, and each side's ns/op.
+struct PairedRatio final {
+    Timing num;
+    Timing den;
+    double median = 0.0;
+    double q1 = 0.0;
+    double q3 = 0.0;
+};
+
+// Both sides run the same call count, calibrated until each repetition
+// of either takes >= 5 ms (or 2^22 calls); then kTimingSamples rounds
+// each time one repetition of num and one of den, in alternating order.
+// A burst of host load then lands inside one round, on both sides of
+// its ratio, instead of on one side's whole measurement.
+template <typename Num, typename Den>
+PairedRatio measure_ratio(Num&& num, Den&& den) {
+    num();  // warm-up
+    den();
+    std::size_t reps = 1;
+    while (std::min(run_ns(num, reps), run_ns(den, reps)) < kRepetitionNs && reps < kMaxCalls) {
+        reps *= 2;
+    }
+    std::vector<double> num_ns(kTimingSamples);
+    std::vector<double> den_ns(kTimingSamples);
+    std::vector<double> ratios(kTimingSamples);
+    for (std::size_t round = 0; round < kTimingSamples; ++round) {
+        if (round % 2 == 0) num_ns[round] = run_ns(num, reps);
+        den_ns[round] = run_ns(den, reps);
+        if (round % 2 == 1) num_ns[round] = run_ns(num, reps);
+        ratios[round] = num_ns[round] / den_ns[round];
+        num_ns[round] /= static_cast<double>(reps);
+        den_ns[round] /= static_cast<double>(reps);
+    }
+    const auto [num_median, num_q1, num_q3] = quartiles(std::move(num_ns));
+    const auto [den_median, den_q1, den_q3] = quartiles(std::move(den_ns));
+    const auto [median, q1, q3] = quartiles(std::move(ratios));
+    return {{num_median, num_q1, num_q3}, {den_median, den_q1, den_q3}, median, q1, q3};
+}
+
+// "<median ratio>x (IQR <q1>-<q3>x)" over the paired rounds.
+inline std::string ratio_text(const PairedRatio& ratio) {
     using util::Table;
-    return Table::fmt(num.median_ns / den.median_ns, 2) + "x (IQR " +
-           Table::fmt(num.q1_ns / den.q3_ns, 2) + "-" + Table::fmt(num.q3_ns / den.q1_ns, 2) +
-           "x)";
+    return Table::fmt(ratio.median, 2) + "x (IQR " + Table::fmt(ratio.q1, 2) + "-" +
+           Table::fmt(ratio.q3, 2) + "x)";
 }
 
 inline void initialize_with_json_output(int argc, char** argv, const char* default_path) {

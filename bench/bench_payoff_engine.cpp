@@ -8,6 +8,8 @@
 //   PE-SPARSE: deviation payoffs on a 6-player 8-action game — a
 //          support-2 profile, which walks only its support, vs an
 //          interior profile, which walks every cell (target: >= 3x).
+// Each speedup is the median ratio of paired, alternating rounds
+// (bench::measure_ratio), so both sides of it see the same host load.
 //
 // Benchmark rows additionally report the CI-stable work counters
 // (cells_visited / offsets_advanced): the payoff sweeps have no early
@@ -45,9 +47,9 @@ game::MixedProfile interior_profile(const game::NormalFormGame& g, util::Rng& rn
 }
 
 using bnash::bench::CounterScope;
-using bnash::bench::measure_ns;
+using bnash::bench::measure_ratio;
+using bnash::bench::PairedRatio;
 using bnash::bench::ratio_text;
-using bnash::bench::Timing;
 
 // Support-2 mixed profile (mass on two random actions per player).
 game::MixedProfile support2_profile(const game::NormalFormGame& g, util::Rng& rng) {
@@ -72,38 +74,38 @@ void print_tables() {
     const auto small_profile = interior_profile(small, rng);
     const game::GameView small_view(small);
 
-    const Timing naive =
-        measure_ns([&] { benchmark::DoNotOptimize(game::naive::deviation_payoffs_all(
-                             small, small_profile)); });
-    const Timing engine = measure_ns([&] {
-        benchmark::DoNotOptimize(game::deviation_payoffs_all(small_view, small_profile));
-    });
+    const PairedRatio pe1_ratio = measure_ratio(
+        [&] {
+            benchmark::DoNotOptimize(game::naive::deviation_payoffs_all(small, small_profile));
+        },
+        [&] { benchmark::DoNotOptimize(game::deviation_payoffs_all(small_view, small_profile)); });
 
     util::Table pe1({"implementation", "ns/op", "speedup"});
-    pe1.add_row({"naive per-action sweeps", util::Table::fmt(naive.median_ns), "1.00x"});
-    pe1.add_row({"engine single sweep", util::Table::fmt(engine.median_ns),
-                 ratio_text(naive, engine)});
+    pe1.add_row({"naive per-action sweeps", util::Table::fmt(pe1_ratio.num.median_ns), "1.00x"});
+    pe1.add_row({"engine single sweep", util::Table::fmt(pe1_ratio.den.median_ns),
+                 ratio_text(pe1_ratio)});
     pe1.print(std::cout);
-    std::cout << "-> acceptance: engine >= 5x over naive (" << ratio_text(naive, engine) << ", "
-              << (naive.median_ns / engine.median_ns >= 5.0 ? "PASS" : "MISS") << ")\n\n";
+    std::cout << "-> acceptance: engine >= 5x over naive (" << ratio_text(pe1_ratio) << ", "
+              << (pe1_ratio.median >= 5.0 ? "PASS" : "MISS") << ")\n\n";
 
     std::cout << "=== E-PE2: blocked sweep, 4 players x 32 actions (2^20 profiles) ===\n";
     const auto big = game::NormalFormGame::random({32, 32, 32, 32}, rng);
     const auto big_profile = interior_profile(big, rng);
     const game::GameView big_view(big);
-    const Timing serial = measure_ns([&] {
-        benchmark::DoNotOptimize(
-            game::deviation_payoffs_all(big_view, big_profile, game::SweepMode::kSerial));
-    });
-    const Timing threaded = measure_ns([&] {
-        benchmark::DoNotOptimize(
-            game::deviation_payoffs_all(big_view, big_profile, game::SweepMode::kAuto));
-    });
+    const PairedRatio pe2_ratio = measure_ratio(
+        [&] {
+            benchmark::DoNotOptimize(
+                game::deviation_payoffs_all(big_view, big_profile, game::SweepMode::kSerial));
+        },
+        [&] {
+            benchmark::DoNotOptimize(
+                game::deviation_payoffs_all(big_view, big_profile, game::SweepMode::kAuto));
+        });
     util::Table pe2({"mode", "ns/op", "speedup"});
-    pe2.add_row({"serial blocks", util::Table::fmt(serial.median_ns), "1.00x"});
+    pe2.add_row({"serial blocks", util::Table::fmt(pe2_ratio.num.median_ns), "1.00x"});
     pe2.add_row({"threaded blocks (" + std::to_string(util::global_pool().size()) +
                      " executors)",
-                 util::Table::fmt(threaded.median_ns), ratio_text(serial, threaded)});
+                 util::Table::fmt(pe2_ratio.den.median_ns), ratio_text(pe2_ratio)});
     pe2.print(std::cout);
     std::cout << "-> threaded and serial sweeps are bit-identical by construction "
                  "(fixed block decomposition, ordered merge)\n\n";
@@ -126,22 +128,21 @@ void print_tables() {
     };
     const double full_cells = cells_of(full_profile);
     const double sparse_cells = cells_of(sparse_profile);
-    const auto time_of = [&](const game::MixedProfile& profile) {
-        return measure_ns([&] {
+    const auto sweep_of = [&](const game::MixedProfile& profile) {
+        return [&] {
             benchmark::DoNotOptimize(
                 game::deviation_payoffs_all(wide_view, profile, game::SweepMode::kSerial));
-        });
+        };
     };
-    const Timing full = time_of(full_profile);
-    const Timing sparse = time_of(sparse_profile);
+    const PairedRatio pes_ratio = measure_ratio(sweep_of(full_profile), sweep_of(sparse_profile));
     util::Table pes({"profile", "ns/op", "cells", "speedup"});
-    pes.add_row({"interior (every cell)", util::Table::fmt(full.median_ns),
+    pes.add_row({"interior (every cell)", util::Table::fmt(pes_ratio.num.median_ns),
                  util::Table::fmt(full_cells, 0), "1.00x"});
-    pes.add_row({"support 2 (support only)", util::Table::fmt(sparse.median_ns),
-                 util::Table::fmt(sparse_cells, 0), ratio_text(full, sparse)});
+    pes.add_row({"support 2 (support only)", util::Table::fmt(pes_ratio.den.median_ns),
+                 util::Table::fmt(sparse_cells, 0), ratio_text(pes_ratio)});
     pes.print(std::cout);
-    std::cout << "-> acceptance: support-2 >= 3x over interior (" << ratio_text(full, sparse)
-              << ", " << (full.median_ns / sparse.median_ns >= 3.0 ? "PASS" : "MISS")
+    std::cout << "-> acceptance: support-2 >= 3x over interior (" << ratio_text(pes_ratio)
+              << ", " << (pes_ratio.median >= 3.0 ? "PASS" : "MISS")
               << "); cells ratio "
               << util::Table::fmt(full_cells / (sparse_cells == 0.0 ? 1.0 : sparse_cells), 0)
               << "x\n\n";

@@ -10,7 +10,9 @@
 //          (target: >= 3x, identical verdicts/violations). The all-1
 //          profile IS (2,1)-robust, so that row times the full
 //          quantification with no early exit; the all-0 row times the
-//          early-exit (violation) path.
+//          early-exit (violation) path. Each speedup is the median ratio
+//          of paired, alternating rounds against the reference
+//          (bench::measure_ratio).
 //   R-CS2: iterated elimination on a 12x12 dominance chain — tensor-
 //          copying restrict() loop vs the zero-copy GameView loop
 //          (allocation counts straight from the tensor counter).
@@ -55,8 +57,9 @@ using namespace bnash;
 // scheduling-dependent.
 using bnash::bench::CounterScope;
 using bnash::bench::measure_ns;
+using bnash::bench::measure_ratio;
+using bnash::bench::PairedRatio;
 using bnash::bench::ratio_text;
-using bnash::bench::Timing;
 
 // The seed's reduction loop: one full tensor copy per eliminated action
 // (plus the working copy). Baseline for the R-CS2 comparison.
@@ -178,30 +181,30 @@ void print_coalition_sweep_acceptance() {
                                (!via_serial || *via_serial == *via_parallel);
         verdicts_identical = verdicts_identical && identical;
 
-        const Timing reference = measure_ns([&] {
+        const auto reference = [&] {
             benchmark::DoNotOptimize(core::reference::find_robustness_violation(
                 g, profile, 2, 1, core::RobustnessOptions{}));
-        });
-        const Timing serial = measure_ns([&] {
+        };
+        const PairedRatio serial = measure_ratio(reference, [&] {
             benchmark::DoNotOptimize(
                 core::find_robustness_violation(g, profile, 2, 1, serial_opts));
         });
-        const Timing parallel = measure_ns([&] {
+        const PairedRatio parallel = measure_ratio(reference, [&] {
             benchmark::DoNotOptimize(
                 core::find_robustness_violation(g, profile, 2, 1, parallel_opts));
         });
         const std::string label = base == 1 ? "all-1 (full sweep)" : "all-0 (early exit)";
-        table.add_row({label, "PR-1 serial reference", util::Table::fmt(reference.median_ns),
-                       "1.00x"});
-        table.add_row({label, "sweep, serial blocks", util::Table::fmt(serial.median_ns),
-                       ratio_text(reference, serial)});
+        table.add_row({label, "PR-1 serial reference",
+                       util::Table::fmt(serial.num.median_ns), "1.00x"});
+        table.add_row({label, "sweep, serial blocks", util::Table::fmt(serial.den.median_ns),
+                       ratio_text(serial)});
         table.add_row({label,
                        "sweep, parallel (" +
                            std::to_string(util::global_pool().size()) + " executors)",
-                       util::Table::fmt(parallel.median_ns), ratio_text(reference, parallel)});
+                       util::Table::fmt(parallel.den.median_ns), ratio_text(parallel)});
         if (base == 1) {
-            full_sweep_speedup = reference.median_ns / parallel.median_ns;
-            full_sweep_ratio = ratio_text(reference, parallel);
+            full_sweep_speedup = parallel.median;
+            full_sweep_ratio = ratio_text(parallel);
         }
     }
     table.print(std::cout);

@@ -60,6 +60,15 @@ Rules (ids are stable; waivers reference them):
                      directly or as GameView(*this). A NormalFormGame
                      converts to its identity view, so such a twin only
                      restates the view entry. No waiver.
+  payoff-store       No class data member of type std::vector<Rational>
+                     or std::vector<double> named payoffs..._ (the `name_`
+                     spelling of owned class state) outside
+                     game/normal_form.{h,cpp}: a game's payoffs live in
+                     NormalFormGame's store, and a Bayesian game keeps one
+                     NormalFormGame per type profile. Aggregate fields
+                     holding one payoff per player (ExtensiveGame::Node::
+                     payoffs, MixedEquilibrium::payoffs) and locals are not
+                     stores. No waiver.
 
 Waivers bind to the flagged line: same line, or one of the three lines
 directly above it. The reason is mandatory — `// lint: no-charge()`
@@ -94,6 +103,8 @@ RULE_DOCS = {
     "identity-forward": "no NormalFormGame twin or member that only forwards its identity "
                         "view (no waiver)",
     "no-decode": "no payoffs_flat() call in library code; read the payoff store (no waiver)",
+    "payoff-store": "no payoffs..._ vector member outside game/normal_form; keep payoffs in "
+                    "NormalFormGame's store (no waiver)",
 }
 
 WAIVER_OF_RULE = {
@@ -285,6 +296,16 @@ def parse_blocks(stripped):
     return blocks
 
 
+def innermost_block(blocks, offset):
+    """Innermost block containing `offset` (None at file scope)."""
+    inner = None
+    for block in blocks:
+        if block.start < offset and block.end is not None and offset <= block.end:
+            if inner is None or block.start > inner.start:
+                inner = block
+    return inner
+
+
 def enclosing_function(blocks, offset):
     """Outermost function/lambda block containing `offset` (None if free)."""
     chain = []
@@ -371,6 +392,13 @@ STDOUT_RE = re.compile(
 # (`NormalFormGame::payoffs_flat()`) are not call sites.
 DECODE_RE = re.compile(r"(?:\.|->)\s*payoffs_flat\s*\(")
 
+# A vector of exact or double payoffs declared under an owned-state name.
+PAYOFF_MEMBER_RE = re.compile(
+    r"\bstd\s*::\s*vector\s*<\s*(?:(?:util\s*::\s*)?Rational|double)\s*>\s*"
+    r"(payoffs\w*_)\s*[;{=]")
+PAYOFF_STORE_HOME = ("game/normal_form.h", "game/normal_form.cpp")
+CLASS_HEAD_RE = re.compile(r"\b(?:class|struct|union)\s+(\w+)")
+
 WALKER_CHARGE_DIRS = ("core/", "game/")
 THREAD_EXEMPT = ("util/thread_pool.h", "util/thread_pool.cpp", "serve/socket_front.cpp")
 
@@ -441,6 +469,22 @@ def check_no_decode(unit, findings):
             "read the payoff store instead (payoff_at, levels, "
             "ordinal_ranks; the rule has no waiver)",
             unit.context_at(match.start())))
+
+
+def check_payoff_store(unit, findings):
+    if unit.rel in PAYOFF_STORE_HOME:
+        return
+    for match in PAYOFF_MEMBER_RE.finditer(unit.stripped):
+        block = innermost_block(unit.blocks, match.start())
+        if block is None or block.kind != "class":
+            continue  # a local or a global, not a data member
+        heads = CLASS_HEAD_RE.findall(unit.stripped, max(0, block.start - 160), block.start)
+        findings.append(Finding(
+            "payoff-store", unit.rel, line_of(unit.stripped, match.start()),
+            f"data member '{match.group(1)}' keeps a second payoff format; a "
+            "game's payoffs live in NormalFormGame's store (a Bayesian game "
+            "keeps one NormalFormGame per type profile; the rule has no waiver)",
+            heads[-1] if heads else block.name))
 
 
 def check_naked_thread(unit, findings):
@@ -608,6 +652,7 @@ def lint_tree(src_root):
         check_grant_propagation(unit, findings)
         check_pool_loop(unit, findings)
         check_no_decode(unit, findings)
+        check_payoff_store(unit, findings)
         check_naked_thread(unit, findings)
         check_no_rand(unit, findings)
         check_no_stdout(unit, findings)

@@ -129,17 +129,7 @@ std::shared_ptr<Machine> table_machine(std::vector<std::size_t> action_per_type,
 }
 
 game::BayesianGame lift_to_bayesian(const game::NormalFormGame& game) {
-    game::BayesianGame out(std::vector<std::size_t>(game.num_players(), 1),
-                           game.action_counts());
-    out.set_prior(game::TypeProfile(game.num_players(), 0), util::Rational{1});
-    util::product_for_each(game.action_counts(), [&](const game::PureProfile& actions) {
-        for (std::size_t player = 0; player < game.num_players(); ++player) {
-            out.set_payoff(game::TypeProfile(game.num_players(), 0), actions, player,
-                           game.payoff(actions, player));
-        }
-        return true;
-    });
-    return out;
+    return game::BayesianGame(game);
 }
 
 MachineGame::MachineGame(game::BayesianGame base, MachineCost cost)
@@ -184,7 +174,7 @@ double MachineGame::utility(const std::vector<std::size_t>& machine_profile,
         }
         // One sparse support plan per type profile: the walker's row IS
         // the action rank (offsets are rank strides), so the payoff lookup
-        // needs no per-cell re-ranking.
+        // in the type profile's state needs no per-cell re-ranking.
         const auto plan =
             game::build_support_plan_from_dists(dists, base_.action_rank_strides());
         if (plan.dead) return true;
@@ -196,7 +186,7 @@ double MachineGame::utility(const std::vector<std::size_t>& machine_profile,
         }
         auto walker = plan.make_walker();
         walker.reset();
-        const std::uint64_t type_rank = base_.type_profile_rank(types);
+        const game::NormalFormGame& state = base_.state(base_.type_rank(types));
         prefix[0] = prior;
         std::size_t low = 0;
         bool more = true;
@@ -207,7 +197,7 @@ double MachineGame::utility(const std::vector<std::size_t>& machine_profile,
             }
             const double weight = prefix[n];
             if (weight > 0.0) {
-                expected += weight * base_.payoff_d_at(type_rank, walker.row(), player);
+                expected += weight * state.payoff_d_at(walker.row(), player);
             }
             more = walker.advance();
             low = walker.lowest_changed();

@@ -68,9 +68,10 @@ public:
 [[nodiscard]] std::shared_ptr<Machine> table_machine(std::vector<std::size_t> action_per_type,
                                                      std::string name);
 
-// Wraps a complete-information game as a Bayesian game with single types
-// (machine games consume Bayesian games; Example 3.3's roshambo enters
-// through this lift).
+// Wraps a complete-information game as a Bayesian game with single types:
+// the game is the only state and shares its payoff store, nothing is
+// copied cell by cell (machine games consume Bayesian games; Example
+// 3.3's roshambo enters through this lift).
 [[nodiscard]] game::BayesianGame lift_to_bayesian(const game::NormalFormGame& game);
 
 class MachineGame final {

@@ -27,7 +27,7 @@ MediatorPolicy::MediatorPolicy(const BayesianGame& game)
 void MediatorPolicy::set_recommendation(const TypeProfile& types, const PureProfile& actions,
                                         Rational prob) {
     if (prob.sign() < 0) throw std::invalid_argument("set_recommendation: negative prob");
-    table_[row_index(types)][util::product_rank(game_->action_counts(), actions)] =
+    table_[game_->type_rank(types)][util::product_rank(game_->action_counts(), actions)] =
         std::move(prob);
 }
 
@@ -68,16 +68,18 @@ MediatorPolicy MediatorPolicy::reveal_types(const BayesianGame& game) {
 }
 
 Rational MediatorPolicy::truthful_value(std::size_t player) const {
+    if (player >= game_->num_players()) throw std::out_of_range("truthful_value: bad player");
     game_->validate_prior();
     Rational total{0};
     util::product_for_each(game_->type_counts(), [&](const TypeProfile& types) {
         const auto& prior = game_->prior(types);
         if (prior.is_zero()) return true;
-        const auto& row = table_[row_index(types)];
+        const std::uint64_t type_rank = game_->type_rank(types);
+        const auto& row = table_[type_rank];
+        const game::NormalFormGame& state = game_->state(type_rank);
         for (std::uint64_t rank = 0; rank < num_action_profiles_; ++rank) {
             if (row[rank].is_zero()) continue;
-            const auto actions = util::product_unrank(game_->action_counts(), rank);
-            total += prior * row[rank] * game_->payoff(types, actions, player);
+            total += prior * row[rank] * state.payoff_at(rank, player);
         }
         return true;
     });
@@ -86,7 +88,7 @@ Rational MediatorPolicy::truthful_value(std::size_t player) const {
 
 std::vector<Rational> MediatorPolicy::induced_action_distribution(
     const TypeProfile& types) const {
-    return table_[row_index(types)];
+    return table_[game_->type_rank(types)];
 }
 
 namespace {
@@ -135,16 +137,20 @@ bool MediatorPolicy::is_truthful_resilient_independent(std::size_t k, GainCriter
     if (coalitions.empty()) return true;
 
     // --- precomputation shared by every coalition task ---------------------
-    // Positive-prior true type profiles with their table row pre-ranked.
+    // Positive-prior true type profiles with their table row pre-ranked
+    // and their state looked up once.
     struct Theta final {
         TypeProfile types;
         std::uint64_t type_rank;
         const Rational* prior;
+        const game::NormalFormGame* state;
     };
     std::vector<Theta> thetas;
     util::product_for_each(game_->type_counts(), [&](const TypeProfile& types) {
         const auto& prior = game_->prior(types);
-        if (!prior.is_zero()) thetas.push_back({types, row_index(types), &prior});
+        if (prior.is_zero()) return true;
+        const std::uint64_t type_rank = game_->type_rank(types);
+        thetas.push_back({types, type_rank, &prior, &game_->state(type_rank)});
         return true;
     });
 
@@ -311,8 +317,7 @@ bool MediatorPolicy::is_truthful_resilient_independent(std::size_t k, GainCriter
                         }
                         const Rational weight = *theta.prior * *entry.prob;
                         for (std::size_t idx = 0; idx < m; ++idx) {
-                            value[idx] +=
-                                weight * game_->payoff_at(theta.type_rank, rank, coalition[idx]);
+                            value[idx] += weight * theta.state->payoff_at(rank, coalition[idx]);
                         }
                     }
                 }
@@ -389,7 +394,7 @@ std::size_t MediatorPolicy::coin_space() const {
 std::size_t MediatorPolicy::sample_rank(const TypeProfile& types, std::size_t coin,
                                         std::size_t coin_space_size) const {
     if (coin >= coin_space_size) throw std::out_of_range("sample_rank: coin");
-    const auto& row = table_[row_index(types)];
+    const auto& row = table_[game_->type_rank(types)];
     const Rational point{static_cast<std::int64_t>(coin),
                          static_cast<std::int64_t>(coin_space_size)};
     Rational cumulative{0};
@@ -398,10 +403,6 @@ std::size_t MediatorPolicy::sample_rank(const TypeProfile& types, std::size_t co
         if (point < cumulative) return static_cast<std::size_t>(rank);
     }
     throw std::logic_error("sample_rank: row does not sum to 1");
-}
-
-std::uint64_t MediatorPolicy::row_index(const TypeProfile& types) const {
-    return util::product_rank(game_->type_counts(), types);
 }
 
 namespace reference {

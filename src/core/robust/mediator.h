@@ -92,8 +92,6 @@ public:
                                           std::size_t coin_space_size) const;
 
 private:
-    [[nodiscard]] std::uint64_t row_index(const game::TypeProfile& types) const;
-
     const game::BayesianGame* game_;
     std::uint64_t num_action_profiles_;
     std::vector<std::vector<util::Rational>> table_;  // [type_rank][action_rank]

@@ -6,33 +6,44 @@
 
 namespace bnash::game {
 
+namespace {
+
+// Row-major rank strides (product_rank order): strides[p] is the rank
+// delta of a unit change in player p's digit.
+std::vector<std::uint64_t> rank_strides(const std::vector<std::size_t>& counts) {
+    std::vector<std::uint64_t> strides(counts.size(), 1);
+    for (std::size_t p = counts.size() - 1; p-- > 0;) {
+        strides[p] = strides[p + 1] * counts[p + 1];
+    }
+    return strides;
+}
+
+}  // namespace
+
 BayesianGame::BayesianGame(std::vector<std::size_t> type_counts,
                            std::vector<std::size_t> action_counts)
-    : type_counts_(std::move(type_counts)), action_counts_(std::move(action_counts)) {
-    if (type_counts_.empty() || type_counts_.size() != action_counts_.size()) {
+    : type_counts_(std::move(type_counts)) {
+    if (type_counts_.empty() || type_counts_.size() != action_counts.size()) {
         throw std::invalid_argument("BayesianGame: player count mismatch");
     }
     for (std::size_t i = 0; i < type_counts_.size(); ++i) {
-        if (type_counts_[i] == 0 || action_counts_[i] == 0) {
+        if (type_counts_[i] == 0 || action_counts[i] == 0) {
             throw std::invalid_argument("BayesianGame: empty type or action set");
         }
     }
-    num_type_profiles_ = util::product_size(type_counts_);
-    num_action_profiles_ = util::product_size(action_counts_);
-    // Row-major rank strides (product_rank order): stride[p] is the rank
-    // delta of a unit change in player p's digit.
-    const std::size_t n = num_players();
-    type_rank_strides_.assign(n, 1);
-    action_rank_strides_.assign(n, 1);
-    for (std::size_t p = n - 1; p-- > 0;) {
-        type_rank_strides_[p] = type_rank_strides_[p + 1] * type_counts_[p + 1];
-        action_rank_strides_[p] = action_rank_strides_[p + 1] * action_counts_[p + 1];
-    }
-    prior_.assign(num_type_profiles_, util::Rational{0});
-    payoffs_.assign(num_type_profiles_ * num_action_profiles_ * num_players(),
-                    util::Rational{0});
-    payoffs_d_.assign(payoffs_.size(), 0.0);
+    type_rank_strides_ = rank_strides(type_counts_);
+    action_rank_strides_ = rank_strides(action_counts);
+    const std::uint64_t num_type_profiles = util::product_size(type_counts_);
+    prior_.assign(num_type_profiles, util::Rational{0});
+    states_.assign(num_type_profiles, NormalFormGame(std::move(action_counts)));
 }
+
+BayesianGame::BayesianGame(const NormalFormGame& game)
+    : type_counts_(game.num_players(), 1),
+      type_rank_strides_(game.num_players(), 1),
+      action_rank_strides_(rank_strides(game.action_counts())),
+      prior_{util::Rational{1}},
+      states_{game} {}
 
 void BayesianGame::set_prior(const TypeProfile& types, util::Rational probability) {
     if (probability.sign() < 0) throw std::invalid_argument("set_prior: negative probability");
@@ -53,19 +64,17 @@ void BayesianGame::validate_prior() const {
 
 void BayesianGame::set_payoff(const TypeProfile& types, const PureProfile& actions,
                               std::size_t player, util::Rational value) {
-    const auto index = cell_index(types, actions, player);
-    payoffs_d_[index] = value.to_double();
-    payoffs_[index] = std::move(value);
+    states_[type_rank(types)].set_payoff(actions, player, std::move(value));
 }
 
 const util::Rational& BayesianGame::payoff(const TypeProfile& types, const PureProfile& actions,
                                            std::size_t player) const {
-    return payoffs_[cell_index(types, actions, player)];
+    return state_of(types, player).payoff(actions, player);
 }
 
 double BayesianGame::payoff_d(const TypeProfile& types, const PureProfile& actions,
                               std::size_t player) const {
-    return payoffs_d_[cell_index(types, actions, player)];
+    return state_of(types, player).payoff_d(actions, player);
 }
 
 util::Rational BayesianGame::expected_payoff(const BayesianPureProfile& profile,
@@ -91,12 +100,13 @@ double BayesianGame::expected_payoff_d(const BayesianBehavioralProfile& profile,
         const double p = prior_[type_rank(types)].to_double();
         if (p == 0.0) return true;
         // Expectation over the product action distribution at this type profile.
-        util::product_for_each(action_counts_, [&](const PureProfile& actions) {
+        const NormalFormGame& state = state_of(types, player);
+        util::product_for_each(action_counts(), [&](const PureProfile& actions) {
             double weight = p;
             for (std::size_t i = 0; i < num_players() && weight > 0.0; ++i) {
                 weight *= profile[i][types[i]][actions[i]];
             }
-            if (weight > 0.0) total += weight * payoff_d(types, actions, player);
+            if (weight > 0.0) total += weight * state.payoff_d(actions, player);
             return true;
         });
         return true;
@@ -192,11 +202,7 @@ BayesianPureStrategy BayesianGame::strategy_unrank(std::size_t player,
 }
 
 std::uint64_t BayesianGame::num_pure_strategies(std::size_t player) const {
-    std::uint64_t total = 1;
-    for (std::size_t t = 0; t < num_types(player); ++t) {
-        total *= num_actions(player);
-    }
-    return total;
+    return util::product_size(std::vector<std::size_t>(num_types(player), num_actions(player)));
 }
 
 TypeProfile BayesianGame::sample_types(util::Rng& rng) const {
@@ -210,17 +216,10 @@ std::uint64_t BayesianGame::type_rank(const TypeProfile& types) const {
     return util::product_rank(type_counts_, types);
 }
 
-std::uint64_t BayesianGame::type_profile_rank(const TypeProfile& types) const {
-    return type_rank(types);
-}
-
-std::uint64_t BayesianGame::cell_index(const TypeProfile& types, const PureProfile& actions,
-                                       std::size_t player) const {
+const NormalFormGame& BayesianGame::state_of(const TypeProfile& types,
+                                             std::size_t player) const {
     if (player >= num_players()) throw std::out_of_range("BayesianGame: bad player");
-    return (type_rank(types) * num_action_profiles_ +
-            util::product_rank(action_counts_, actions)) *
-               num_players() +
-           player;
+    return states_[type_rank(types)];
 }
 
 }  // namespace bnash::game

@@ -7,6 +7,15 @@
 // computational games of Section 3 (where a player's type is the input to
 // its machine).
 //
+// At a fixed type profile a Bayesian game IS a normal-form game, and it is
+// stored as one: the game keeps its prior and one NormalFormGame per type
+// profile, its STATE, reached as state(type_rank). Every payoff therefore
+// lives in the one payoff store of game/normal_form.h: an exact payoff is
+// state(rank).payoff_at(action_rank, player), its double the level double
+// payoff_d_at returns. All states start as copies of one all-zero game
+// and share its store; a state's first set_payoff clones it (the store's
+// copy-on-write), so an untouched type profile costs no tensor.
+//
 // A pure strategy for player i maps each of i's types to an action; it is
 // stored as a vector indexed by type. A behavioral (mixed) strategy maps
 // each type to a distribution over actions.
@@ -34,19 +43,22 @@ using BayesianBehavioralProfile = std::vector<BayesianBehavioralStrategy>;
 class BayesianGame final {
 public:
     BayesianGame(std::vector<std::size_t> type_counts, std::vector<std::size_t> action_counts);
+    // Complete information: one type per player, prior one, and `game` as
+    // the only state, sharing its store.
+    explicit BayesianGame(const NormalFormGame& game);
 
     [[nodiscard]] std::size_t num_players() const noexcept { return type_counts_.size(); }
     [[nodiscard]] std::size_t num_types(std::size_t player) const {
         return type_counts_.at(player);
     }
     [[nodiscard]] std::size_t num_actions(std::size_t player) const {
-        return action_counts_.at(player);
+        return states_.front().num_actions(player);
     }
     [[nodiscard]] const std::vector<std::size_t>& type_counts() const noexcept {
         return type_counts_;
     }
     [[nodiscard]] const std::vector<std::size_t>& action_counts() const noexcept {
-        return action_counts_;
+        return states_.front().action_counts();
     }
 
     // Prior. Probabilities are exact rationals and must sum to one by the
@@ -96,54 +108,34 @@ public:
 
     [[nodiscard]] TypeProfile sample_types(util::Rng& rng) const;
 
-    // --- flat-tensor accessors (sweep kernels) -----------------------------
-    // The payoff tensor is laid out [type_rank][action_rank][player]. The
-    // view-native sweeps (mediator deviation odometers, machine-game
-    // support walks) index it through these instead of re-ranking full
-    // profiles on every cell: a modified action profile is a rank delta
-    // of `action_rank_strides()[p] * (a' - a)` per touched player.
-    [[nodiscard]] std::uint64_t num_type_profiles() const noexcept {
-        return num_type_profiles_;
+    // --- the states (sweep kernels) ------------------------------------------
+    // The normal-form game at the type profile of rank `type_rank`
+    // (util::product_rank over type_counts()). Sweeps look a state up once
+    // per type profile and read it by action rank; a modified action
+    // profile is a rank delta of `action_rank_strides()[p] * (a' - a)` per
+    // touched player, a misreported type profile one of
+    // `type_rank_strides()[p] * (t' - t)`.
+    [[nodiscard]] const NormalFormGame& state(std::uint64_t type_rank) const {
+        return states_.at(type_rank);
     }
-    [[nodiscard]] std::uint64_t num_action_profiles() const noexcept {
-        return num_action_profiles_;
-    }
-    [[nodiscard]] std::uint64_t type_profile_rank(const TypeProfile& types) const;
+    [[nodiscard]] std::uint64_t type_rank(const TypeProfile& types) const;
     [[nodiscard]] const std::vector<std::uint64_t>& type_rank_strides() const noexcept {
         return type_rank_strides_;
     }
     [[nodiscard]] const std::vector<std::uint64_t>& action_rank_strides() const noexcept {
         return action_rank_strides_;
     }
-    [[nodiscard]] const util::Rational& payoff_at(std::uint64_t type_rank,
-                                                  std::uint64_t action_rank,
-                                                  std::size_t player) const {
-        return payoffs_[(type_rank * num_action_profiles_ + action_rank) * num_players() +
-                        player];
-    }
-    [[nodiscard]] double payoff_d_at(std::uint64_t type_rank, std::uint64_t action_rank,
-                                     std::size_t player) const {
-        return payoffs_d_[(type_rank * num_action_profiles_ + action_rank) * num_players() +
-                          player];
-    }
-    [[nodiscard]] const util::Rational& prior_at(std::uint64_t type_rank) const {
-        return prior_[type_rank];
-    }
 
 private:
-    [[nodiscard]] std::uint64_t type_rank(const TypeProfile& types) const;
-    [[nodiscard]] std::uint64_t cell_index(const TypeProfile& types, const PureProfile& actions,
-                                           std::size_t player) const;
+    // The state holding the payoffs at `types`; throws on a bad player.
+    [[nodiscard]] const NormalFormGame& state_of(const TypeProfile& types,
+                                                 std::size_t player) const;
 
     std::vector<std::size_t> type_counts_;
-    std::vector<std::size_t> action_counts_;
-    std::uint64_t num_type_profiles_ = 0;
-    std::uint64_t num_action_profiles_ = 0;
     std::vector<std::uint64_t> type_rank_strides_;
     std::vector<std::uint64_t> action_rank_strides_;
-    std::vector<util::Rational> prior_;
-    std::vector<util::Rational> payoffs_;
-    std::vector<double> payoffs_d_;
+    std::vector<util::Rational> prior_;   // by type rank
+    std::vector<NormalFormGame> states_;  // by type rank
 };
 
 }  // namespace bnash::game

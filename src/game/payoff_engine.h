@@ -151,10 +151,9 @@ struct SupportPlan final {
 
 // Plan over an explicit product distribution against caller-supplied flat
 // strides: support = actions with positive probability, offsets[p][s] =
-// actions[p][s] * strides[p]. This is the entry point for sweeps over
-// tensors the GameView layer does not wrap — the machine-game expected
-// utility walks a Bayesian action slice with strides =
-// BayesianGame::action_rank_strides().
+// actions[p][s] * strides[p]. With rank strides the walker's row is an
+// action rank: the machine-game expected utility walks one Bayesian
+// state's action ranks with strides = BayesianGame::action_rank_strides().
 [[nodiscard]] SupportPlan build_support_plan_from_dists(
     const std::vector<std::vector<double>>& dists,
     const std::vector<std::uint64_t>& strides);

@@ -8,12 +8,15 @@
 #include <functional>
 #include <latch>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "core/machine/machine_game.h"
 #include "game/bayesian.h"
 #include "game/catalog.h"
 #include "game/extensive.h"
@@ -21,6 +24,7 @@
 #include "game/normal_form.h"
 #include "game/payoff_engine.h"
 #include "game/strategy.h"
+#include "util/combinatorics.h"
 #include "util/rng.h"
 
 namespace bnash::game {
@@ -636,6 +640,112 @@ TEST(Bayesian, SampleTypesRespectsPrior) {
     int ones = 0;
     for (int i = 0; i < 4000; ++i) ones += (g.sample_types(rng)[0] == 1);
     EXPECT_NEAR(ones, 2000, 140);
+}
+
+TEST(Bayesian, PureStrategyCountOverflowThrows) {
+    // 2^64 type -> action maps do not fit a uint64_t: the count throws
+    // instead of wrapping to 0, which left pure_bayes_nash() empty although
+    // every one-player game has an equilibrium.
+    BayesianGame g({64}, {2});
+    g.set_prior({0}, Rational{1});
+    EXPECT_THROW((void)g.num_pure_strategies(0), std::overflow_error);
+    EXPECT_THROW((void)g.pure_bayes_nash(), std::overflow_error);
+    // 3^41 wraps to a wrong nonzero count.
+    const BayesianGame wide({41}, {3});
+    EXPECT_THROW((void)wide.num_pure_strategies(0), std::overflow_error);
+}
+
+// Every cell of `g` against `shadow` (absent cells are zero): the exact
+// payoff, and its double bit for bit.
+void expect_bayesian_matches(
+    const BayesianGame& g,
+    const std::map<std::tuple<TypeProfile, PureProfile, std::size_t>, Rational>& shadow,
+    const std::string& label) {
+    util::product_for_each(g.type_counts(), [&](const TypeProfile& types) {
+        util::product_for_each(g.action_counts(), [&](const PureProfile& actions) {
+            for (std::size_t player = 0; player < g.num_players(); ++player) {
+                const auto it = shadow.find({types, actions, player});
+                const Rational expected = it == shadow.end() ? Rational{0} : it->second;
+                EXPECT_EQ(g.payoff(types, actions, player), expected) << label;
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(g.payoff_d(types, actions, player)),
+                          std::bit_cast<std::uint64_t>(expected.to_double()))
+                    << label;
+            }
+            return true;
+        });
+        return true;
+    });
+}
+
+// Random set_payoff sequences over odd sixths (few values, so ties are
+// planted everywhere) read back exactly through the states, an
+// overwrite can empty a level, and a mutated copy leaves the original be.
+TEST(BayesianStore, SetPayoffRoundTripsThroughTheStates) {
+    util::Rng rng{20261019};
+    for (int trial = 0; trial < 40; ++trial) {
+        const std::size_t n = 2 + static_cast<std::size_t>(trial % 2);
+        std::vector<std::size_t> type_counts(n);
+        std::vector<std::size_t> action_counts(n);
+        for (std::size_t p = 0; p < n; ++p) {
+            type_counts[p] = 1 + rng.next_below(3);
+            action_counts[p] = 2 + rng.next_below(2);
+        }
+        BayesianGame g(type_counts, action_counts);
+        std::map<std::tuple<TypeProfile, PureProfile, std::size_t>, Rational> shadow;
+        const auto random_tuple = [&](const std::vector<std::size_t>& radices) {
+            std::vector<std::size_t> tuple(radices.size());
+            for (std::size_t i = 0; i < radices.size(); ++i) tuple[i] = rng.next_below(radices[i]);
+            return tuple;
+        };
+        const std::string label = "trial " + std::to_string(trial);
+        for (int step = 0; step < 80; ++step) {
+            const TypeProfile types = random_tuple(type_counts);
+            const PureProfile actions = random_tuple(action_counts);
+            const std::size_t player = rng.next_below(n);
+            const Rational value{2 * rng.next_int(-3, 2) + 1, 6};
+            g.set_payoff(types, actions, player, value);
+            shadow[{types, actions, player}] = value;
+        }
+        expect_bayesian_matches(g, shadow, label);
+
+        // Overwrite every cell of one level of player 0 at one type
+        // profile: the level leaves that state's store.
+        const TypeProfile types = random_tuple(type_counts);
+        const PureProfile first(n, 0);
+        const Rational emptied = g.payoff(types, first, 0);
+        util::product_for_each(action_counts, [&](const PureProfile& actions) {
+            if (g.payoff(types, actions, 0) != emptied) return true;
+            g.set_payoff(types, actions, 0, Rational{7, 6});
+            shadow[{types, actions, 0}] = Rational{7, 6};
+            return true;
+        });
+        const auto& levels = g.state(g.type_rank(types)).levels(0);
+        EXPECT_EQ(std::find(levels.begin(), levels.end(), emptied), levels.end()) << label;
+        expect_bayesian_matches(g, shadow, label + " emptied");
+
+        BayesianGame copy = g;
+        copy.set_payoff(types, first, n - 1, Rational{13, 6});
+        EXPECT_EQ(copy.payoff(types, first, n - 1), (Rational{13, 6})) << label;
+        expect_bayesian_matches(g, shadow, label + " original");
+        if (::testing::Test::HasFailure()) return;
+    }
+}
+
+TEST(BayesianStore, LiftSharesTheNormalFormStore) {
+    util::Rng rng{5};
+    const NormalFormGame g = NormalFormGame::random({3, 2, 2}, rng, -4, 4);
+    const std::uint64_t before = NormalFormGame::tensor_allocations();
+    const BayesianGame lifted = core::lift_to_bayesian(g);
+    EXPECT_EQ(NormalFormGame::tensor_allocations(), before);
+    EXPECT_EQ(&lifted.state(0).ordinal_ranks(), &g.ordinal_ranks());
+    const TypeProfile types(3, 0);
+    EXPECT_EQ(lifted.prior(types), Rational{1});
+    for (std::uint64_t rank = 0; rank < g.num_profiles(); ++rank) {
+        for (std::size_t player = 0; player < 3; ++player) {
+            EXPECT_EQ(lifted.payoff(types, g.profile_unrank(rank), player),
+                      g.payoff_at(rank, player));
+        }
+    }
 }
 
 // --------------------------------------------------------------- Extensive

@@ -142,6 +142,17 @@ class BadTree(unittest.TestCase):
             [f for f in self.findings if "bad_decode.cpp" in f["path"]
              and f["rule"] != "no-decode"], [], self.out)
 
+    def test_payoff_store_fires_without_waiver(self):
+        hits = self.hits("payoff-store", "bad_payoff_store.h")
+        # the per-cell Rational tensor and its double mirror; the waiver
+        # comment does not silence the second, and the count member is quiet
+        self.assertEqual(len(hits), 2, self.out)
+        self.assertEqual([f["context"] for f in hits], ["BayesianGame", "BayesianGame"],
+                         self.out)
+        self.assertEqual(
+            [f for f in self.findings if "bad_payoff_store.h" in f["path"]
+             and f["rule"] != "payoff-store"], [], self.out)
+
     def test_empty_waiver_reason_does_not_suppress(self):
         self.assertTrue(self.hits("no-rand", "bad_waiver.cpp"), self.out)
 
