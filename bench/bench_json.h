@@ -83,14 +83,21 @@ inline constexpr double kRepetitionNs = 5'000'000.0;
 inline constexpr std::size_t kMaxCalls = std::size_t{1} << 22;
 
 // Calls per repetition double until one repetition takes >= 5 ms (or
-// 2^22 calls); then kTimingSamples repetitions of that many calls each
-// give one ns/op sample apiece. A median over repetitions, unlike the
-// mean of one window, does not move with a burst of host load.
+// 2^22 calls, calibrate_calls); then kTimingSamples repetitions of that
+// many calls each give one ns/op sample apiece. A median over
+// repetitions, unlike the mean of one window, does not move with a burst
+// of host load.
 template <typename Fn>
-Timing measure_ns(Fn&& fn) {
+std::size_t calibrate_calls(Fn& fn) {
     fn();  // warm-up
     std::size_t reps = 1;
     while (run_ns(fn, reps) < kRepetitionNs && reps < kMaxCalls) reps *= 2;
+    return reps;
+}
+
+template <typename Fn>
+Timing measure_ns(Fn&& fn) {
+    const std::size_t reps = calibrate_calls(fn);
     std::vector<double> samples(kTimingSamples);
     for (double& sample : samples) sample = run_ns(fn, reps) / static_cast<double>(reps);
     const auto [median, q1, q3] = quartiles(std::move(samples));
@@ -107,29 +114,25 @@ struct PairedRatio final {
     double q3 = 0.0;
 };
 
-// Both sides run the same call count, calibrated until each repetition
-// of either takes >= 5 ms (or 2^22 calls); then kTimingSamples rounds
-// each time one repetition of num and one of den, in alternating order.
-// A burst of host load then lands inside one round, on both sides of
-// its ratio, instead of on one side's whole measurement.
+// Each side gets its own call count, calibrated until one repetition
+// takes >= 5 ms (or 2^22 calls), so a slow side is not run ratio-times
+// longer than needed; then kTimingSamples rounds each time one
+// repetition of num and one of den, in alternating order. A burst of
+// host load then lands inside one round, on both sides of its ratio,
+// instead of on one side's whole measurement.
 template <typename Num, typename Den>
 PairedRatio measure_ratio(Num&& num, Den&& den) {
-    num();  // warm-up
-    den();
-    std::size_t reps = 1;
-    while (std::min(run_ns(num, reps), run_ns(den, reps)) < kRepetitionNs && reps < kMaxCalls) {
-        reps *= 2;
-    }
+    const std::size_t num_reps = calibrate_calls(num);
+    const std::size_t den_reps = calibrate_calls(den);
     std::vector<double> num_ns(kTimingSamples);
     std::vector<double> den_ns(kTimingSamples);
     std::vector<double> ratios(kTimingSamples);
     for (std::size_t round = 0; round < kTimingSamples; ++round) {
-        if (round % 2 == 0) num_ns[round] = run_ns(num, reps);
-        den_ns[round] = run_ns(den, reps);
-        if (round % 2 == 1) num_ns[round] = run_ns(num, reps);
+        if (round % 2 == 0) num_ns[round] = run_ns(num, num_reps);
+        den_ns[round] = run_ns(den, den_reps) / static_cast<double>(den_reps);
+        if (round % 2 == 1) num_ns[round] = run_ns(num, num_reps);
+        num_ns[round] /= static_cast<double>(num_reps);
         ratios[round] = num_ns[round] / den_ns[round];
-        num_ns[round] /= static_cast<double>(reps);
-        den_ns[round] /= static_cast<double>(reps);
     }
     const auto [num_median, num_q1, num_q3] = quartiles(std::move(num_ns));
     const auto [den_median, den_q1, den_q3] = quartiles(std::move(den_ns));

@@ -30,24 +30,27 @@ std::uint64_t mix64(std::uint64_t z) noexcept {
     return z ^ (z >> 31);
 }
 
-// Where a value's probes start. Keying on (num, den) is exact because
-// Rationals stay gcd-reduced with den > 0. The seed is a static's
+// Where a value's probes start: one mix64 of num * seed + den, exact to
+// key on because Rationals stay gcd-reduced with den > 0. The seed is odd
+// (so distinct integers never share a key) and comes from a static's
 // address, which address-space randomization moves between runs of a
 // position-independent build, so an upload cannot be prepared whose
 // payoffs all collide and turn the build quadratic; the store never
 // depends on it (ids are first-seen and the levels are sorted after).
 std::uint64_t level_hash(const util::Rational& value) noexcept {
     static const std::uint64_t seed =
-        mix64(reinterpret_cast<std::uintptr_t>(&g_tensor_allocations));
-    return mix64(static_cast<std::uint64_t>(value.num()) ^ seed) +
-           mix64(static_cast<std::uint64_t>(value.den()));
+        mix64(reinterpret_cast<std::uintptr_t>(&g_tensor_allocations)) | 1;
+    return mix64(static_cast<std::uint64_t>(value.num()) * seed +
+                 static_cast<std::uint64_t>(value.den()));
 }
 
-// One player's distinct payoffs while assign_payoffs runs: each value by
+}  // namespace
+
+// One player's distinct payoffs while a Build runs: each value by
 // first-seen id with its cell count, and an open-addressing table of the
 // ids (linear probing, at most half full). The table grows with the
 // number of levels, not of profiles, so a narrow column stays in L1.
-class LevelIds final {
+class NormalFormGame::Build::LevelIds final {
 public:
     std::uint32_t id(const util::Rational& value) {
         std::size_t mask = slots_.size() - 1;
@@ -109,7 +112,6 @@ private:
     std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(16, kEmpty);
     std::vector<std::uint32_t> ranks_;
 };
-}  // namespace
 
 std::uint64_t NormalFormGame::tensor_allocations() noexcept {
     return g_tensor_allocations.load(std::memory_order_relaxed);
@@ -213,38 +215,66 @@ void NormalFormGame::set_payoffs(const PureProfile& profile,
     }
 }
 
-void NormalFormGame::assign_payoffs(const std::vector<util::Rational>& values) {
-    const std::size_t n = num_players();
-    if (values.size() != num_profiles_ * n) {
-        throw std::invalid_argument("assign_payoffs: expected " +
-                                    std::to_string(num_profiles_ * n) + " values, got " +
-                                    std::to_string(values.size()));
+void NormalFormGame::assign_payoffs(std::span<const util::Rational> values) {
+    const std::size_t cells = num_profiles_ * num_players();
+    if (values.size() != cells) {
+        throw std::invalid_argument("assign_payoffs: expected " + std::to_string(cells) +
+                                    " values, got " + std::to_string(values.size()));
     }
-    // One pass in flat order gives every cell its player's first-seen
-    // level id; then each player sorts only its L levels. Everything that
-    // allocates runs before the store is touched, so a throw leaves the
-    // game unchanged.
-    std::vector<LevelIds> tables(n);
-    std::vector<std::uint32_t> ids(values.size());
-    for (std::size_t i = 0; i < values.size();) {
-        for (std::size_t player = 0; player < n; ++player, ++i) {
-            ids[i] = tables[player].id(values[i]);
-        }
+    Build build(*this);
+    build.add(values);
+    build.commit();
+}
+
+NormalFormGame::Build::Build(NormalFormGame& game)
+    : game_(&game), tables_(game.num_players()), ids_(game.num_profiles_ * game.num_players()) {}
+
+NormalFormGame::Build::~Build() = default;
+
+void NormalFormGame::Build::add(std::span<const util::Rational> values) {
+    if (values.size() > ids_.size() - next_) {
+        throw std::length_error("payoff build: more values than cells");
     }
+    // The cursors live in locals so that they stay in registers.
+    const std::size_t n = tables_.size();
+    std::uint32_t* const ids = ids_.data() + next_;
+    std::size_t player = player_;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        ids[i] = tables_[player].id(values[i]);
+        if (++player == n) player = 0;
+    }
+    next_ += values.size();
+    player_ = player;
+}
+
+void NormalFormGame::Build::commit() {
+    if (next_ != ids_.size()) {
+        throw std::invalid_argument("payoff build: expected " + std::to_string(ids_.size()) +
+                                    " values, got " + std::to_string(next_));
+    }
+    // Everything that allocates runs before the store is touched, so a
+    // throw leaves the game unchanged.
+    const std::size_t n = tables_.size();
     std::vector<std::vector<util::Rational>> levels(n);
     std::vector<std::vector<std::uint32_t>> counts(n);
     std::vector<std::vector<double>> levels_d(n);
     for (std::size_t player = 0; player < n; ++player) {
-        tables[player].sort(levels[player], counts[player], levels_d[player]);
+        tables_[player].sort(levels[player], counts[player], levels_d[player]);
     }
-    if (store_.use_count() != 1) {
-        store_ = std::make_shared<Store>(Store{std::vector<std::uint32_t>(values.size()), {}, {}, {}});
+    // An unshared store keeps its rank buffer and the ranks are written
+    // over it. Swapping in a fresh buffer on each upload read about 15%
+    // slower on servebench frontier_session's first reply (seed 1, 4-CPU
+    // shared x86-64 host), most likely from where the sweep's own
+    // allocations then landed.
+    if (game_->store_.use_count() != 1) {
+        game_->store_ = std::make_shared<Store>(
+            Store{std::vector<std::uint32_t>(ids_.size()), {}, {}, {}});
         g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
     }
-    Store& store = *store_;
-    for (std::size_t i = 0; i < values.size();) {
+    Store& store = *game_->store_;
+    for (std::size_t i = 0; i < ids_.size();) {
         for (std::size_t player = 0; player < n; ++player, ++i) {
-            store.ranks[i] = tables[player].rank(ids[i]);
+            store.ranks[i] = tables_[player].rank(ids_[i]);
         }
     }
     store.levels = std::move(levels);

@@ -11,9 +11,10 @@
 //   - per player, each level's DOUBLE (to_double of the level), for the
 //     iterative dynamics and the simulators: a cell's double is
 //     levels_d(player)[rank], one table of L doubles, not one per cell.
-// A bulk build (assign_payoffs) costs O(cells + L log L) per player, L
-// being the player's number of distinct payoffs: one hashing pass over
-// the cells, then a sort of the levels only.
+// A bulk build (Build, or assign_payoffs over a span) costs O(cells +
+// L log L) per player, L being the player's number of distinct payoffs:
+// one hashing pass over the values as they arrive, with no staged copy of
+// the tensor, then a sort of the levels only.
 // References into the store (payoff, payoff_at, ordinal_ranks, levels,
 // levels_d, every GameView over the game) stay valid until the next
 // mutation of this game. Copies may be read on other threads meanwhile.
@@ -27,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,17 +75,48 @@ public:
     // One cell. Keeps the player's levels dense: a value that is not yet
     // a level inserts one, and a level whose last cell leaves is erased;
     // either shifts that player's ranks, in O(num_profiles). Builders that
-    // fill a whole tensor stage it and call assign_payoffs once.
+    // fill a whole tensor use one Build (or assign_payoffs) instead.
     void set_payoff(const PureProfile& profile, std::size_t player, util::Rational value);
     void set_payoffs(const PureProfile& profile, const std::vector<util::Rational>& values);
     // Replaces the whole tensor in one step. `values` is in the flat order
     // [rank * num_players + player] and must hold exactly num_profiles *
     // num_players entries; on a size mismatch it throws and the game is
-    // left unchanged. One pass hashes each player's payoffs into a table
-    // sized by its distinct values L, then only the L levels are sorted:
-    // O(num_profiles * num_players + sum of L log L). An unshared store is
-    // rewritten in place.
-    void assign_payoffs(const std::vector<util::Rational>& values);
+    // left unchanged. A Build fed `values` in order (see there).
+    void assign_payoffs(std::span<const util::Rational> values);
+
+    // A whole-tensor build fed in the flat order, a few values at a time,
+    // by a producer that makes them as it goes: the text front parses an
+    // upload straight into one, so no tensor of Rationals is staged.
+    // Each value gets its player's first-seen level id from a hash table
+    // sized by the player's distinct values L; commit() sorts only the L
+    // levels and writes each cell's rank from its id:
+    // O(num_profiles * num_players + sum of L log L). Nothing reaches the
+    // game before commit(), so a build abandoned half way (a parse error)
+    // leaves the game as it was. An unshared store is rewritten in place;
+    // a shared one is replaced, and its other holders keep it.
+    class Build final {
+    public:
+        explicit Build(NormalFormGame& game);
+        ~Build();
+        Build(const Build&) = delete;
+        Build& operator=(const Build&) = delete;
+
+        // The next values in flat order; throws std::length_error, adding
+        // none, when they run past the last cell.
+        void add(std::span<const util::Rational> values);
+        // Installs the tensor. Throws std::invalid_argument, changing
+        // nothing, unless every value was added.
+        void commit();
+
+    private:
+        class LevelIds;
+
+        NormalFormGame* game_;
+        std::vector<LevelIds> tables_;     // one per player
+        std::vector<std::uint32_t> ids_;    // per cell, flat order
+        std::size_t next_ = 0;
+        std::size_t player_ = 0;
+    };
 
     [[nodiscard]] const util::Rational& payoff(const PureProfile& profile,
                                                std::size_t player) const {

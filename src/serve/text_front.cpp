@@ -1,10 +1,13 @@
 #include "serve/text_front.h"
 
+#include <array>
 #include <charconv>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,13 +25,32 @@ namespace {
 // entries) would exceed this is refused before anything is allocated.
 constexpr std::uint64_t kMaxGamePayoffs = std::uint64_t{1} << 22;
 
-// Token-buffer capacity kept between lines: enough for a 6-player
-// 3-action `payoffs` line (4374 tokens) without regrowing.
-constexpr std::size_t kKeptTokenCapacity = 8192;
+// Token-buffer capacity kept between lines. A `payoffs` line, the one
+// whose length grows with the tensor, never fills the buffer; every other
+// command holds at most one token per player (`game`, `profile`) or per
+// action of one player (`mixed`), which 64 covers on the games clients
+// send. A wider line grows the buffer for itself and releases it after.
+constexpr std::size_t kKeptTokenCapacity = 64;
 
 // The classic-locale whitespace set: ' ' and '\t' '\n' '\v' '\f' '\r'.
 [[nodiscard]] constexpr bool is_separator(char c) noexcept {
     return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+// Moves `at` past any separators; false at the end of the line.
+[[nodiscard]] bool skip_separators(std::string_view line, std::size_t& at) noexcept {
+    while (at < line.size() && is_separator(line[at])) ++at;
+    return at < line.size();
+}
+
+// The token that starts at or after `at`, moving `at` past it; empty at
+// the end of the line. With skip_separators, the one scanner of the
+// protocol: tokenizing a line and walking a `payoffs` line both use it.
+[[nodiscard]] std::string_view next_token(std::string_view line, std::size_t& at) noexcept {
+    (void)skip_separators(line, at);
+    const std::size_t begin = at;
+    while (at < line.size() && !is_separator(line[at])) ++at;
+    return line.substr(begin, at - begin);
 }
 
 [[nodiscard]] std::string quoted(std::string_view token) {
@@ -86,6 +108,44 @@ constexpr std::size_t kKeptTokenCapacity = 8192;
     return util::Rational(num, den);
 }
 
+// 1 to 18 decimal digits at `at` (so below 10^18, no int64 overflow),
+// accumulated into `value`; false on none or more.
+[[nodiscard]] bool scan_digits(const char*& at, const char* end, std::int64_t& value) noexcept {
+    const char* const begin = at;
+    value = 0;
+    for (; at != end && static_cast<unsigned char>(*at - '0') < 10; ++at) {
+        if (at - begin == 18) return false;
+        value = value * 10 + (*at - '0');
+    }
+    return at != begin;
+}
+
+// parse_rational's shortcut for the tokens clients send: a token of the
+// form -?digits or -?digits/digits, 1 to 18 digits a side, with a nonzero
+// denominator, read in the same pass that finds its end. On such a token
+// it sets `value` to what parse_rational returns for it and moves `at`
+// past it. On any other token it returns false with `at` unmoved, and the
+// caller takes parse_rational, which owns the grammar and its messages.
+[[nodiscard]] bool scan_plain_rational(std::string_view line, std::size_t& at,
+                                       util::Rational& value) {
+    const char* const end = line.data() + line.size();
+    const char* cursor = line.data() + at;
+    const bool negative = *cursor == '-';
+    cursor += negative;
+    std::int64_t num = 0;
+    if (!scan_digits(cursor, end, num)) return false;
+    if (negative) num = -num;
+    std::int64_t den = 1;
+    if (cursor != end && *cursor == '/') {
+        ++cursor;
+        if (!scan_digits(cursor, end, den) || den == 0) return false;
+    }
+    if (cursor != end && !is_separator(*cursor)) return false;
+    value = den == 1 ? util::Rational(num) : util::Rational(num, den);
+    at = static_cast<std::size_t>(cursor - line.data());
+    return true;
+}
+
 }  // namespace
 
 game::NormalFormGame& LineSession::require_game() {
@@ -129,20 +189,47 @@ void LineSession::handle_game(Args args) {
     profile_ = std::move(candidate);
 }
 
-void LineSession::handle_payoffs(Args args) {
+void LineSession::handle_payoffs(std::string_view values) {
     game::NormalFormGame& game = require_game();
     const std::size_t expected =
         static_cast<std::size_t>(game.num_profiles()) * game.num_players();
-    if (args.size() != expected) {
-        throw std::invalid_argument("payoffs: expected " + std::to_string(expected) +
-                                    " values, got " + std::to_string(args.size()));
+    // One pass over the bytes, straight into the store build, which
+    // touches the game only at commit. Values reach the build a window at
+    // a time: a tight parse loop and a tight hashing loop run faster than
+    // one loop that alternates the two, and the window stays in L1. The
+    // whole line is counted before any token's error is reported, so a
+    // wrong count is named first whatever the tokens hold; past a bad
+    // token or the expected count the walk only counts.
+    game::NormalFormGame::Build build(game);
+    std::array<util::Rational, 64> window;
+    std::size_t filled = 0;
+    std::size_t count = 0;
+    std::exception_ptr token_error;
+    for (std::size_t at = 0; skip_separators(values, at);) {
+        if (++count > expected || token_error) {
+            (void)next_token(values, at);
+            continue;
+        }
+        if (!scan_plain_rational(values, at, window[filled])) {
+            try {
+                window[filled] = parse_rational(next_token(values, at));
+            } catch (const std::exception&) {
+                token_error = std::current_exception();
+                continue;
+            }
+        }
+        if (++filled == window.size()) {
+            build.add(window);
+            filled = 0;
+        }
     }
-    // The wire order is the flat tensor order, so the values are staged
-    // front to back and committed only once every token has parsed.
-    std::vector<util::Rational> values;
-    values.reserve(expected);
-    for (const std::string_view token : args) values.push_back(parse_rational(token));
-    game.assign_payoffs(values);
+    if (count != expected) {
+        throw std::invalid_argument("payoffs: expected " + std::to_string(expected) +
+                                    " values, got " + std::to_string(count));
+    }
+    if (token_error) std::rethrow_exception(token_error);
+    build.add(std::span(window).first(filled));
+    build.commit();
 }
 
 void LineSession::handle_profile(Args args) {
@@ -275,34 +362,34 @@ bool LineSession::handle_stats(const LineSink& emit) {
 }
 
 bool LineSession::handle_line(std::string_view line, const LineSink& emit) {
+    std::size_t at = 0;
+    const std::string_view command = next_token(line, at);
+    if (command.empty() || command.starts_with('#')) return true;
+    const std::string_view rest = line.substr(at);
     tokens_.clear();
-    for (std::size_t at = 0; at < line.size();) {
-        if (is_separator(line[at])) {
-            ++at;
-            continue;
+    if (command != "payoffs") {
+        for (std::string_view token = next_token(line, at); !token.empty();
+             token = next_token(line, at)) {
+            tokens_.push_back(token);
         }
-        const std::size_t begin = at;
-        while (at < line.size() && !is_separator(line[at])) ++at;
-        tokens_.push_back(line.substr(begin, at - begin));
     }
-    const bool keep = dispatch(emit);
-    // A very long line (a large `payoffs` upload) does not pin its token
-    // buffer for the rest of the session.
+    const bool keep = dispatch(command, rest, emit);
+    // A very long line (a wide `mixed` or a malformed command) does not pin
+    // its token buffer for the rest of the session.
     if (tokens_.capacity() > kKeptTokenCapacity) std::vector<std::string_view>().swap(tokens_);
     return keep;
 }
 
-bool LineSession::dispatch(const LineSink& emit) {
-    if (tokens_.empty() || tokens_[0].starts_with('#')) return true;
-    const std::string_view command = tokens_[0];
-    const Args args = Args(tokens_).subspan(1);
+bool LineSession::dispatch(std::string_view command, std::string_view rest,
+                           const LineSink& emit) {
+    const Args args(tokens_);
     try {
         if (command == "game") {
             handle_game(args);
             return emit("ok");
         }
         if (command == "payoffs") {
-            handle_payoffs(args);
+            handle_payoffs(rest);
             return emit("ok");
         }
         if (command == "profile") {

@@ -51,6 +51,16 @@
 // upload cap — reply a single `error: <message>` line, change no session
 // state, and the session continues; parse errors never tear the session
 // down.
+//
+// A `payoffs` line is not split into tokens: it is scanned once, and each
+// value goes straight into the store build (game::NormalFormGame::Build)
+// that the game takes only when the whole line has parsed. A token of the
+// plain form -?digits(/digits)?, at most 18 digits a side, is read in the
+// same pass that finds its end; any other token goes through the one
+// rational parser above, so the grammar and its messages are the same
+// for every command. The scan counts every token on the line before it
+// reports one's error, so a wrong count (`payoffs: expected N values,
+// got M`) is named ahead of any bad token.
 #pragma once
 
 #include <cstddef>
@@ -93,11 +103,13 @@ private:
     // A command's arguments: views into the line being handled.
     using Args = std::span<const std::string_view>;
 
-    // Runs the command held in tokens_.
-    [[nodiscard]] bool dispatch(const LineSink& emit);
+    // Runs `command`: `payoffs` walks `rest`, the line after the command,
+    // itself; every other command reads its arguments from tokens_.
+    [[nodiscard]] bool dispatch(std::string_view command, std::string_view rest,
+                                const LineSink& emit);
     [[nodiscard]] game::NormalFormGame& require_game();
     void handle_game(Args args);
-    void handle_payoffs(Args args);
+    void handle_payoffs(std::string_view values);
     void handle_profile(Args args);
     void handle_mixed(Args args);
     void handle_mode(Args args);
@@ -116,7 +128,7 @@ private:
     std::string resume_token_;
     std::size_t asks_ = 0;
     // Token buffer reused across lines (released after a very long one);
-    // valid only inside handle_line.
+    // valid only inside handle_line. A `payoffs` line leaves it empty.
     std::vector<std::string_view> tokens_;
 };
 

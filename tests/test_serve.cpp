@@ -21,8 +21,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -1690,19 +1692,208 @@ TEST(TextFront, PayoffsLineRoundTripsRandomGames) {
     }
 }
 
-// A 7-player, 3-action upload (15309 payoff tokens) outgrows the token
-// buffer a session keeps between lines; the lines after it still parse.
+// The `payoffs` scanner against the parser it replaced. The oracle
+// splits the line on the six separators and parses every token with
+// std::stoll's rules, as the protocol once did; each random line must
+// give the oracle's reply, and either the store assign_payoffs builds
+// from the oracle's values or, on an error, the game as it was.
+namespace legacy {
+
+std::string quoted(const std::string& token) { return "'" + token + "'"; }
+
+std::int64_t parse_int(const std::string& token) {
+    std::size_t used = 0;
+    std::int64_t value = 0;
+    try {
+        value = std::stoll(token, &used, 10);
+    } catch (const std::out_of_range&) {
+        throw std::invalid_argument("integer out of range: " + quoted(token));
+    } catch (const std::invalid_argument&) {
+        throw std::invalid_argument("expected an integer, got " + quoted(token));
+    }
+    if (used != token.size()) throw std::invalid_argument("trailing junk in " + quoted(token));
+    return value;
+}
+
+Rational parse_rational(const std::string& token) {
+    const std::size_t slash = token.find('/');
+    if (slash == std::string::npos) return Rational(parse_int(token));
+    const std::int64_t num = parse_int(token.substr(0, slash));
+    const std::int64_t den = parse_int(token.substr(slash + 1));
+    if (den == 0) throw std::invalid_argument("rational " + quoted(token) + ": zero denominator");
+    return Rational(num, den);
+}
+
+// The reply to `line`, and in `values` the parsed payoffs when it is "ok".
+std::string payoffs_reply(const std::string& line, std::size_t expected,
+                          std::vector<Rational>& values) {
+    std::vector<std::string> tokens;
+    std::string token;
+    for (const char c : line + ' ') {
+        if (c == ' ' || (c >= '\t' && c <= '\r')) {
+            if (!token.empty()) tokens.push_back(std::exchange(token, std::string()));
+        } else {
+            token += c;
+        }
+    }
+    if (tokens.empty() || tokens[0] != "payoffs") return "not a payoffs line";
+    if (tokens.size() - 1 != expected) {
+        return "error: payoffs: expected " + std::to_string(expected) + " values, got " +
+               std::to_string(tokens.size() - 1);
+    }
+    values.clear();
+    try {
+        for (std::size_t i = 1; i < tokens.size(); ++i) values.push_back(parse_rational(tokens[i]));
+    } catch (const std::exception& error) {
+        return std::string("error: ") + error.what();
+    }
+    return "ok";
+}
+
+}  // namespace legacy
+
+// Everything a store holds, the doubles as bits.
+struct StoreImage final {
+    std::vector<std::uint32_t> ranks;
+    std::vector<std::vector<Rational>> levels;
+    std::vector<std::vector<std::uint32_t>> counts;
+    std::vector<std::vector<std::uint64_t>> levels_d;
+    bool operator==(const StoreImage&) const = default;
+};
+
+StoreImage image_of(const NormalFormGame& game) {
+    StoreImage image{game.ordinal_ranks(), {}, {}, {}};
+    for (std::size_t player = 0; player < game.num_players(); ++player) {
+        image.levels.push_back(game.levels(player));
+        image.counts.push_back(game.level_counts(player));
+        image.levels_d.emplace_back();
+        for (const double level : game.levels_d(player)) {
+            image.levels_d.back().push_back(std::bit_cast<std::uint64_t>(level));
+        }
+    }
+    return image;
+}
+
+// One random payoff token: mostly the plain forms clients send, plus the
+// grammar's corners, its 18/19-digit and int64 boundaries, and, when
+// `junk`, a token the grammar refuses.
+std::string random_payoff_token(util::Rng& rng, bool junk) {
+    static const char* const kCorners[] = {
+        "+3", "+3/+4", "-0", "007", "-0/5", "0/7", "6/4", "-6/-4", "3/-6", "+0",
+        "999999999999999999", "-999999999999999999", "000000000000000009",
+        "1000000000000000000", "-1000000000000000000", "0000000000000000009",
+        "999999999999999999/999999999999999998", "1/999999999999999999",
+        "1/1000000000000000000", "9223372036854775807", "-9223372036854775808",
+        "-9223372036854775807/9223372036854775807", "123456789012345678/2"};
+    static const char* const kJunk[] = {
+        "3/", "/3", "1/2/3", "++3", "+-3", "-+3", "+", "-", "x", "3x", "1.5", "0x10", "--3",
+        "9223372036854775808", "-9223372036854775809", "99999999999999999999", "1/0",
+        "0/0", "-5/00", "-9223372036854775808/-1", "5/x", "/", "3/+-4"};
+    if (junk) return kJunk[rng.next_below(std::size(kJunk))];
+    switch (rng.next_below(8)) {
+        case 0:
+            return kCorners[rng.next_below(std::size(kCorners))];
+        case 1:
+        case 2:
+            return std::to_string(rng.next_int(-30, 30)) + "/" + std::to_string(rng.next_int(1, 12));
+        default:
+            return std::to_string(rng.next_int(-9, 9));
+    }
+}
+
+TEST(TextFront, PayoffsScannerMatchesTokenGrammar) {
+    static constexpr char kSeparators[] = {' ', '\t', '\n', '\v', '\f', '\r'};
+    util::Rng rng(3301);
+    RobustnessServer server;
+    std::size_t accepted = 0;
+    std::size_t refused = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        std::vector<std::size_t> counts(1 + rng.next_below(3));
+        for (std::size_t& count : counts) count = 1 + rng.next_below(3);
+        std::string header = "game " + std::to_string(counts.size());
+        for (const std::size_t count : counts) (header += ' ') += std::to_string(count);
+        ScriptedSession session(server);
+        ASSERT_EQ(session.reply(header), "ok");
+        const NormalFormGame start = NormalFormGame::random(counts, rng);
+        std::string first = "payoffs";
+        for (const Rational& value : start.payoffs_flat()) (first += ' ') += value.to_string();
+        ASSERT_EQ(session.reply(first), "ok");
+        const std::size_t expected = start.num_profiles() * start.num_players();
+
+        // One value too few or too many on one line in eight, and a
+        // refused token on one in four (a second one on every other of
+        // those, so that the first must be the one reported).
+        std::size_t tokens = expected;
+        if (trial % 8 == 3) tokens = expected - 1;
+        if (trial % 8 == 5) tokens = expected + 1;
+        const std::size_t junk_at = trial % 4 == 1 ? rng.next_below(tokens + 1) : tokens;
+        const std::size_t junk_too = trial % 8 == 1 ? rng.next_below(tokens + 1) : tokens;
+        const auto separators = [&rng] {
+            std::string run(1 + rng.next_below(2), ' ');
+            for (char& c : run) c = kSeparators[rng.next_below(std::size(kSeparators))];
+            return run;
+        };
+        std::string line = rng.next_bool(0.2) ? separators() : std::string();
+        line += "payoffs";
+        for (std::size_t i = 0; i < tokens; ++i) {
+            line += separators();
+            line += random_payoff_token(rng, i == junk_at || i == junk_too);
+        }
+        if (rng.next_bool(0.3)) line += separators();
+
+        std::vector<Rational> values;
+        const std::string want = legacy::payoffs_reply(line, expected, values);
+        const StoreImage before = image_of(*session.session().game());
+        // Every other upload runs while a request copy shares the store:
+        // the copy keeps its store and the upload builds exactly one.
+        const bool shared = trial % 2 == 0;
+        std::optional<NormalFormGame> copy;
+        if (shared) copy = *session.session().game();
+        const std::uint64_t allocations = NormalFormGame::tensor_allocations();
+
+        ASSERT_EQ(session.reply(line), want) << "trial " << trial << ": " << line;
+        const StoreImage after = image_of(*session.session().game());
+        if (want == "ok") {
+            ++accepted;
+            EXPECT_EQ(NormalFormGame::tensor_allocations(), allocations + (shared ? 1 : 0))
+                << "trial " << trial;
+            NormalFormGame oracle(counts);
+            oracle.assign_payoffs(values);
+            EXPECT_EQ(after, image_of(oracle)) << "trial " << trial << ": " << line;
+        } else {
+            ++refused;
+            EXPECT_EQ(after, before) << "trial " << trial << ": " << line;
+            EXPECT_EQ(NormalFormGame::tensor_allocations(), allocations) << "trial " << trial;
+        }
+        if (copy) {
+            EXPECT_EQ(image_of(*copy), before) << "trial " << trial;
+        }
+    }
+    // Both outcomes are well represented.
+    EXPECT_GT(accepted, 150u);
+    EXPECT_GT(refused, 100u);
+}
+
+// A 15000-action `mixed` line outgrows the token buffer a session keeps
+// between lines (a `payoffs` line never fills it), and a 7-player,
+// 3-action upload (15309 values) runs the one-pass scan through many
+// windows; the lines after both still parse.
 TEST(TextFront, SessionKeepsWorkingAfterAVeryLongLine) {
     util::Rng rng(7);
     const NormalFormGame source = NormalFormGame::random(std::vector<std::size_t>(7, 3), rng);
     std::string payoffs = "payoffs";
     for (const Rational& value : source.payoffs_flat()) (payoffs += ' ') += value.to_string();
+    std::string mixed = "mixed 0";
+    for (int action = 0; action < 15000; ++action) mixed += " 1/15000";
 
     RobustnessServer server;
     ScriptedSession session(server);
     ASSERT_EQ(session.reply("game 7 3 3 3 3 3 3 3"), "ok");
     ASSERT_EQ(session.reply(payoffs), "ok");
     EXPECT_EQ(session.session().game()->payoffs_flat(), source.payoffs_flat());
+    ASSERT_EQ(session.reply("game 2 15000 1"), "ok");
+    ASSERT_EQ(session.reply(mixed), "ok");
+    ASSERT_EQ(session.reply(mixed + " 0"), "error: mixed: expected 15000 probabilities");
     ASSERT_EQ(session.reply("game 2 2 2"), "ok");
     ASSERT_EQ(session.reply("payoffs 3 3 0 5 5 0 1 1"), "ok");
     ASSERT_EQ(session.reply("profile 0 0"), "ok");
