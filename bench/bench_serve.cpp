@@ -339,19 +339,69 @@ void bench_serve_upload(benchmark::State& state) {
 }
 BENCHMARK(bench_serve_upload)->Arg(6)->Unit(benchmark::kMicrosecond);
 
-// The NARROW row, shaped like the serving benchmark's cold uploads:
-// integer payoffs, each player's a safe value in [4, 12] lowered by 1-6
-// when it plays its last action, so about 7 distinct payoffs per player.
-void bench_serve_upload_planted(benchmark::State& state) {
+// The planted n-player, 3-action game of the serving benchmark's cold
+// uploads: integer payoffs, each player's a safe value in [4, 12]
+// lowered by 1-6 when it plays its last action, so about 7 distinct
+// payoffs per player.
+game::NormalFormGame planted_game(std::size_t players) {
     util::Rng rng(15);
-    std::vector<std::int64_t> safe(static_cast<std::size_t>(state.range(0)));
+    std::vector<std::int64_t> safe(players);
     for (std::int64_t& value : safe) value = rng.next_int(4, 12);
-    run_upload(state, [&rng, &safe](const game::PureProfile& profile, std::size_t player) {
-        const std::int64_t drop = profile[player] == 2 ? rng.next_int(1, 6) : 0;
-        return util::Rational(safe[player] - drop);
+    game::NormalFormGame game(std::vector<std::size_t>(players, 3));
+    std::vector<util::Rational> values;
+    values.reserve(game.num_profiles() * players);
+    for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
+        const game::PureProfile profile = game.profile_unrank(rank);
+        for (std::size_t player = 0; player < players; ++player) {
+            const std::int64_t drop = profile[player] == 2 ? rng.next_int(1, 6) : 0;
+            values.emplace_back(safe[player] - drop);
+        }
+    }
+    game.assign_payoffs(values);
+    return game;
+}
+
+// The NARROW row: the planted game's upload.
+void bench_serve_upload_planted(benchmark::State& state) {
+    const game::NormalFormGame game = planted_game(static_cast<std::size_t>(state.range(0)));
+    run_upload(state, [&game](const game::PureProfile& profile, std::size_t player) {
+        return game.payoff(profile, player);
     });
 }
 BENCHMARK(bench_serve_upload_planted)->Arg(6)->Unit(benchmark::kMicrosecond);
+
+// The resume-token fingerprint of a (2,1) ask on the planted game, which
+// every leg of a budget chain computes once.
+void bench_request_fingerprint(benchmark::State& state) {
+    const auto players = static_cast<std::size_t>(state.range(0));
+    const game::NormalFormGame game = planted_game(players);
+    const game::ExactMixedProfile profile =
+        core::as_exact_profile(game, game::PureProfile(players, 0));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(serve::request_fingerprint(
+            game, profile, 2, 1, core::GainCriterion::kAnyMemberGains, game::SweepMode::kAuto));
+    }
+}
+BENCHMARK(bench_request_fingerprint)->Arg(6)->Unit(benchmark::kMicrosecond);
+
+// The canonical key of the planted game: no two players share a sort
+// key, so it is the dense "ord:" key (the attack-game rows above fold to
+// "sym:" keys and never write the rank tensor).
+void bench_canonical_key_planted(benchmark::State& state) {
+    const auto players = static_cast<std::size_t>(state.range(0));
+    const game::NormalFormGame game = planted_game(players);
+    const game::ExactMixedProfile profile =
+        core::as_exact_profile(game, game::PureProfile(players, 0));
+    if (serve::canonical_key(game, profile, 2, 1, core::GainCriterion::kAnyMemberGains)
+            .rfind("bnashQ1:ord:", 0) != 0) {
+        state.SkipWithError("not a dense ordinal key");
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            serve::canonical_key(game, profile, 2, 1, core::GainCriterion::kAnyMemberGains));
+    }
+}
+BENCHMARK(bench_canonical_key_planted)->Arg(6)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

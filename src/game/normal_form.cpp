@@ -79,11 +79,26 @@ public:
     }
 
     // Once every cell has its id: the levels in increasing order with
-    // their counts and doubles, after which rank(id) holds.
+    // their counts and doubles, after which rank(id) holds. The sort
+    // compares doubles first: when both parts of a value are below 2^53
+    // they convert exactly, and correctly rounded division is monotone,
+    // so distinct doubles order like their values. Ties, and values with
+    // a wider part (NaN keys, which compare false both ways), fall back
+    // to the exact compare.
     void sort(std::vector<util::Rational>& levels, std::vector<std::uint32_t>& counts,
               std::vector<double>& levels_d) {
-        std::sort(entries_.begin(), entries_.end(),
-                  [](const Entry& a, const Entry& b) { return a.exact < b.exact; });
+        constexpr std::int64_t kExact = std::int64_t{1} << 53;
+        for (Entry& entry : entries_) {
+            const std::int64_t num = entry.exact.num();
+            entry.key = num > -kExact && num < kExact && entry.exact.den() < kExact
+                            ? entry.exact.to_double()
+                            : std::numeric_limits<double>::quiet_NaN();
+        }
+        std::sort(entries_.begin(), entries_.end(), [](const Entry& a, const Entry& b) {
+            if (a.key < b.key) return true;
+            if (b.key < a.key) return false;
+            return a.exact < b.exact;
+        });
         levels.reserve(entries_.size());
         counts.reserve(entries_.size());
         levels_d.reserve(entries_.size());
@@ -106,6 +121,7 @@ private:
         util::Rational exact;
         std::uint32_t count;
         std::uint32_t id;
+        double key = 0.0;  // the sort key, set by sort()
     };
 
     std::vector<Entry> entries_;  // by id during the pass, by rank once sorted

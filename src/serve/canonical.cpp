@@ -1,6 +1,7 @@
 #include "serve/canonical.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <numeric>
 #include <optional>
@@ -17,23 +18,22 @@ namespace bnash::serve {
 
 namespace {
 
+// Each to_chars stops one byte short of the buffer's end, leaving room
+// for the separator it is followed by.
 void append_size(std::string& out, std::size_t value) {
-    out += std::to_string(value);
-    out += ',';
+    char text[21];  // 20 digits and ','
+    char* end = std::to_chars(text, text + sizeof text - 1, value).ptr;
+    *end++ = ',';
+    out.append(text, end);
 }
 
 void append_rational(std::string& out, const util::Rational& value) {
-    out += std::to_string(value.num());
-    out += '/';
-    out += std::to_string(value.den());
-    out += ',';
-}
-
-// `value` as `width` little-endian bytes.
-void append_fixed(std::string& out, std::uint32_t value, std::size_t width) {
-    for (std::size_t byte = 0; byte < width; ++byte) {
-        out += static_cast<char>((value >> (8 * byte)) & 0xffU);
-    }
+    char text[42];  // two signed 19-digit numbers, '/' and ','
+    char* end = std::to_chars(text, text + 20, value.num()).ptr;
+    *end++ = '/';
+    end = std::to_chars(end, text + sizeof text - 1, value.den()).ptr;
+    *end++ = ',';
+    out.append(text, end);
 }
 
 // Players in canonical order: perm[j] = original player at canonical
@@ -277,6 +277,24 @@ template <class Key>
 
 // --- ordinal path (pure candidates) ------------------------------------
 
+// The rank tensor in canonical player order, each rank as `Width`
+// little-endian bytes, written to `out` (ranks().size() * Width bytes).
+template <std::size_t Width>
+void write_ranks(char* out, const game::NormalFormGame& game,
+                 const std::vector<std::size_t>& perm) {
+    const std::uint32_t* const ranks = game.ordinal_ranks().data();
+    const std::size_t num_players = game.num_players();
+    for_each_canonical_rank(game, perm, [&](std::uint64_t rank) {
+        const std::uint32_t* const row = ranks + rank * num_players;
+        for (const std::size_t player : perm) {
+            const std::uint32_t value = row[player];
+            for (std::size_t byte = 0; byte < Width; ++byte) {
+                *out++ = static_cast<char>((value >> (8 * byte)) & 0xffU);
+            }
+        }
+    });
+}
+
 // Ordinal key of a pure-candidate upload: the rank tensor in canonical
 // player order as fixed-width binary ranks, then the candidate actions,
 // or the folded "sym:ord:" key of the rank game.
@@ -328,12 +346,15 @@ template <class Key>
     for (std::size_t j = 0; j < num_players; ++j) append_size(bytes, game.num_actions(perm[j]));
     append_size(bytes, width);
     bytes += "|u:";
-    bytes.reserve(bytes.size() + ranks.size() * width + 4 * num_players + 8);
-    for_each_canonical_rank(game, perm, [&](std::uint64_t rank) {
-        for (std::size_t j = 0; j < num_players; ++j) {
-            append_fixed(bytes, ranks[rank * num_players + perm[j]], width);
-        }
-    });
+    const std::size_t block = bytes.size();
+    bytes.reserve(block + ranks.size() * width + 4 * num_players + 8);
+    bytes.resize(block + ranks.size() * width);
+    char* const out = bytes.data() + block;
+    switch (width) {
+        case 1: write_ranks<1>(out, game, perm); break;
+        case 2: write_ranks<2>(out, game, perm); break;
+        default: write_ranks<4>(out, game, perm); break;
+    }
     bytes += "|s:";
     for (std::size_t j = 0; j < num_players; ++j) append_size(bytes, candidate[perm[j]]);
     return bytes;

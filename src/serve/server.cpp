@@ -1,7 +1,10 @@
 #include "serve/server.h"
 
+#include <array>
+#include <bit>
 #include <exception>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -31,16 +34,65 @@ const char* to_string(core::CellVerdict verdict) noexcept {
 
 namespace {
 
-struct Fnv64 final {
-    std::uint64_t hash = 14695981039346656037ULL;
-
-    void mix(std::uint64_t value) noexcept {
-        for (int byte = 0; byte < 8; ++byte) {
-            hash ^= (value >> (8 * byte)) & 0xffU;
-            hash *= 1099511628211ULL;
-        }
+// A 64-bit digest of a stream of words: four independent xxHash64
+// lanes (word i goes to lane i mod 4, each a multiply-rotate-multiply
+// round), merged and finished with splitmix64's output function. Not a
+// MAC: anyone can compute it.
+class WordHash final {
+public:
+    void add(std::uint64_t word) noexcept {
+        std::uint64_t& lane = lanes_[words_++ % 4];
+        lane = round(lane, word);
     }
-    void mix_signed(std::int64_t value) noexcept { mix(static_cast<std::uint64_t>(value)); }
+    void add(const util::Rational& value) noexcept {
+        add(static_cast<std::uint64_t>(value.num()));
+        add(static_cast<std::uint64_t>(value.den()));
+    }
+
+    // The values two to a word (the first in the low half), a lone last
+    // value in a word of its own.
+    void add_pairs(std::span<const std::uint32_t> values) noexcept {
+        const auto word = [&values](std::size_t i) {
+            return std::uint64_t{values[i]} | (std::uint64_t{values[i + 1]} << 32);
+        };
+        std::size_t i = 0;
+        for (; i + 2 <= values.size() && words_ % 4 != 0; i += 2) add(word(i));
+        // Then four words at a time into the four lanes, held in registers.
+        std::uint64_t a = lanes_[0], b = lanes_[1], c = lanes_[2], d = lanes_[3];
+        const std::size_t start = i;
+        for (; i + 8 <= values.size(); i += 8) {
+            a = round(a, word(i));
+            b = round(b, word(i + 2));
+            c = round(c, word(i + 4));
+            d = round(d, word(i + 6));
+        }
+        lanes_ = {a, b, c, d};
+        words_ += (i - start) / 2;
+        for (; i + 2 <= values.size(); i += 2) add(word(i));
+        if (i < values.size()) add(std::uint64_t{values[i]});
+    }
+
+    [[nodiscard]] std::uint64_t finish() const noexcept {
+        std::uint64_t hash = std::rotl(lanes_[0], 1) + std::rotl(lanes_[1], 7) +
+                             std::rotl(lanes_[2], 12) + std::rotl(lanes_[3], 18);
+        for (const std::uint64_t lane : lanes_) hash = (hash ^ round(0, lane)) * kPrime1 + kPrime4;
+        hash += words_;
+        hash = (hash ^ (hash >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        hash = (hash ^ (hash >> 27)) * 0x94d049bb133111ebULL;
+        return hash ^ (hash >> 31);
+    }
+
+private:
+    static constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+    static constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+    static constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+
+    static std::uint64_t round(std::uint64_t lane, std::uint64_t word) noexcept {
+        return std::rotl(lane + word * kPrime2, 31) * kPrime1;
+    }
+
+    std::array<std::uint64_t, 4> lanes_{kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+    std::uint64_t words_ = 0;
 };
 
 void append_field(std::string& out, std::uint64_t value) {
@@ -131,29 +183,27 @@ std::uint64_t request_fingerprint(const game::NormalFormGame& game,
                                   const game::ExactMixedProfile& profile,
                                   std::size_t k_or_max_k, std::size_t t_or_max_t,
                                   core::GainCriterion criterion, game::SweepMode mode) {
-    Fnv64 fnv;
-    fnv.mix(game.num_players());
-    for (const std::size_t actions : game.action_counts()) fnv.mix(actions);
-    for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
-        for (std::size_t player = 0; player < game.num_players(); ++player) {
-            const util::Rational& payoff = game.payoff_at(rank, player);
-            fnv.mix_signed(payoff.num());
-            fnv.mix_signed(payoff.den());
-        }
+    // Sorted levels plus ranks fix every payoff, so hashing the store's
+    // words binds the same inputs as hashing every cell's Rational.
+    WordHash hash;
+    hash.add(game.num_players());
+    for (const std::size_t actions : game.action_counts()) hash.add(actions);
+    for (std::size_t player = 0; player < game.num_players(); ++player) {
+        const std::vector<util::Rational>& levels = game.levels(player);
+        hash.add(levels.size());
+        for (const util::Rational& level : levels) hash.add(level);
     }
-    fnv.mix(profile.size());
+    hash.add_pairs(game.ordinal_ranks());
+    hash.add(profile.size());
     for (const game::ExactMixedStrategy& strategy : profile) {
-        fnv.mix(strategy.size());
-        for (const util::Rational& weight : strategy) {
-            fnv.mix_signed(weight.num());
-            fnv.mix_signed(weight.den());
-        }
+        hash.add(strategy.size());
+        for (const util::Rational& weight : strategy) hash.add(weight);
     }
-    fnv.mix(k_or_max_k);
-    fnv.mix(t_or_max_t);
-    fnv.mix(static_cast<std::uint64_t>(criterion));
-    fnv.mix(static_cast<std::uint64_t>(mode));
-    return fnv.hash;
+    hash.add(k_or_max_k);
+    hash.add(t_or_max_t);
+    hash.add(static_cast<std::uint64_t>(criterion));
+    hash.add(static_cast<std::uint64_t>(mode));
+    return hash.finish();
 }
 
 std::string RobustnessServer::encode_token(char kind, std::uint64_t request_hash,

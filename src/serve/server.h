@@ -232,14 +232,21 @@ private:
     std::atomic<std::uint64_t> tokens_rejected_{0};
 };
 
-// Exact-request fingerprint (FNV-1a 64 over the request's defining
-// bytes). Resume tokens bind to THIS — not to the canonical cache key —
-// because checkpoints are task-rank based and two permuted-equivalent
-// games give the same ranks different meanings. It reads every payoff, so
-// the server computes it only on token paths — decoding a presented
-// token, re-binding a token a cache leader handed to a follower, minting
-// a degraded response's token — and at most once per request; a request
-// that never touches a token never pays for it.
+// Exact-request fingerprint. Resume tokens bind to THIS — not to the
+// canonical cache key — because checkpoints are task-rank based and two
+// permuted-equivalent games give the same ranks different meanings. It
+// binds the action counts, every exact payoff, the candidate profile's
+// exact weights, both sizes, the criterion and the mode: it hashes the
+// store's words (each player's sorted levels as (num, den), then the
+// ordinal ranks two to a 64-bit word), and sorted levels plus ranks fix
+// every payoff. The hash is four xxHash64 lanes with a splitmix64 finish,
+// public and unkeyed: it tells a token minted for another request from
+// one minted for this one, but it is NOT a MAC, and a client can mint a
+// well-formed token for its own request. The server computes it only on
+// token paths — decoding a presented token, re-binding a token a cache
+// leader handed to a follower, minting a degraded response's token — and
+// at most once per request; a request that never touches a token never
+// pays for it.
 [[nodiscard]] std::uint64_t request_fingerprint(const game::NormalFormGame& game,
                                                 const game::ExactMixedProfile& profile,
                                                 std::size_t k_or_max_k,

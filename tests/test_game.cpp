@@ -487,6 +487,13 @@ TEST(NormalFormStore, HashBuildMatchesSortReference) {
     check({4, 4, 4}, wide, "extremes");
     check({extremes.size()}, extremes, "extremes in one column");
     check({4}, {Rational{1, 3}, third_twin, Rational{-1}, Rational{1, 3}}, "tied doubles");
+    // The level sort compares doubles and breaks their ties exactly; it
+    // compares a value with a part of 2^53 or more exactly throughout.
+    const Rational under_third{3000000000000000, 9000000000000001};
+    ASSERT_EQ(under_third.to_double(), Rational(1, 3).to_double());
+    check({6},
+          {Rational{1, 3}, above, under_third, below, Rational{-(k53 + 1), k53}, Rational{1, 3}},
+          "tied doubles and wide parts");
 
     // A shared numerator over different denominators (and one
     // denominator over different numerators).

@@ -301,6 +301,125 @@ TEST(Canonical, MixedCandidateKeysMatchGoldenBytes) {
               "bnashQ1:sym:nrm:1,2,2,|s:2,1/3,2/3,|u:4,1/1,0/1,3/4,1/2,|q:1,0,0,");
 }
 
+// FNV-1a 64 over every key's length and bytes, in order.
+std::uint64_t key_digest(const std::vector<std::string>& keys) {
+    std::uint64_t hash = 14695981039346656037ULL;
+    const auto mix = [&hash](unsigned char byte) {
+        hash ^= byte;
+        hash *= 1099511628211ULL;
+    };
+    for (const std::string& key : keys) {
+        for (std::size_t byte = 0; byte < 8; ++byte) mix((key.size() >> (8 * byte)) & 0xffU);
+        for (const char c : key) mix(static_cast<unsigned char>(c));
+    }
+    return hash;
+}
+
+// The rank width a dense "bnashQ1:ord:" key declares: the last field
+// before "|u:".
+std::size_t ordinal_width(const std::string& key) {
+    const std::size_t block = key.find(",|u:");
+    const std::size_t field = key.rfind(',', block - 1) + 1;
+    return std::stoul(key.substr(field, block - field));
+}
+
+// Pins the bytes of every canonical key kind. The seeded corpus covers
+// dense "ord:" keys at rank widths 1, 2 and 4 (players with more than
+// 256 and more than 65,536 levels), "sym:ord:", "nrm:", "sym:nrm:" and
+// the "raw:" overflow fallback. Keys are memo keys, so a change to any
+// key byte is a format change: a rewrite of the key writers must keep
+// this digest.
+TEST(Canonical, KeyBytesMatchPinnedDigest) {
+    util::Rng rng(2024);
+    std::vector<std::string> keys;
+    std::map<std::string, std::size_t> kinds;
+    std::set<std::size_t> widths;
+    const auto add = [&](const NormalFormGame& game, const game::ExactMixedProfile& profile) {
+        const std::size_t k = 1 + rng.next_below(game.num_players());
+        const std::size_t t = rng.next_below(game.num_players() + 1);
+        const auto criterion = rng.next_below(2) == 0 ? core::GainCriterion::kAnyMemberGains
+                                                      : core::GainCriterion::kAllMembersGain;
+        keys.push_back(canonical_key(game, profile, k, t, criterion));
+        const std::string& key = keys.back();
+        const std::size_t tag_end = key.find(':', key.find(':', 8) + 1);
+        const std::string kind =
+            key.compare(8, 4, "sym:") == 0 ? key.substr(8, tag_end - 7) : key.substr(8, 4);
+        ++kinds[kind];
+        if (kind == "ord:") widths.insert(ordinal_width(key));
+    };
+    const auto random_pure = [&rng](const NormalFormGame& game) {
+        PureProfile actions(game.num_players());
+        for (std::size_t p = 0; p < actions.size(); ++p) {
+            actions[p] = rng.next_below(game.num_actions(p));
+        }
+        return pure(game, actions);
+    };
+    const auto random_mixed = [&rng](const NormalFormGame& game) {
+        game::ExactMixedProfile profile(game.num_players());
+        for (std::size_t p = 0; p < profile.size(); ++p) {
+            std::vector<std::int64_t> weights(game.num_actions(p));
+            std::int64_t total = 0;
+            for (std::int64_t& weight : weights) total += weight = rng.next_int(0, 4);
+            if (total == 0) total = weights.front() = 1;
+            for (const std::int64_t weight : weights) profile[p].emplace_back(weight, total);
+        }
+        return profile;
+    };
+
+    // Small random games: dense width-1 ordinal keys and affine keys,
+    // with action counts that make the canonical player order move.
+    for (std::size_t trial = 0; trial < 24; ++trial) {
+        std::vector<std::size_t> counts(2 + rng.next_below(3));
+        for (std::size_t& count : counts) count = 2 + rng.next_below(3);
+        const NormalFormGame game = NormalFormGame::random(counts, rng, -9, 9);
+        add(game, random_pure(game));
+        add(game, random_mixed(game));
+    }
+    // Width 2: a few hundred levels per player.
+    for (const std::vector<std::size_t>& counts :
+         {std::vector<std::size_t>{24, 17}, std::vector<std::size_t>{9, 7, 8}}) {
+        const NormalFormGame game = NormalFormGame::random(counts, rng, -5000, 5000);
+        add(game, random_pure(game));
+    }
+    // Width 4: one player's 69,000 payoffs all distinct.
+    {
+        NormalFormGame game({230, 300});
+        std::vector<std::int64_t> distinct(game.num_profiles());
+        std::iota(distinct.begin(), distinct.end(), std::int64_t{-30000});
+        rng.shuffle(distinct);
+        std::vector<Rational> values;
+        values.reserve(2 * distinct.size());
+        for (const std::int64_t value : distinct) {
+            values.emplace_back(rng.next_int(-3, 3));
+            values.emplace_back(value, 7);
+        }
+        game.assign_payoffs(values);
+        add(game, random_pure(game));
+    }
+    // Symmetric games: folded keys, pure and mixed.
+    for (const std::size_t players : {3, 4, 5}) {
+        const NormalFormGame game = game::catalog::attack_coordination_game(players);
+        add(game, pure(game, PureProfile(players, 1)));
+        add(game, game::ExactMixedProfile(players, {Rational(1, 3), Rational(2, 3)}));
+    }
+    // The overflow fallback, dense and with a symmetric game.
+    add(overflowing_game(), {{Rational(1, 2), Rational(1, 2)}, {Rational(0), Rational(1)}});
+    {
+        const std::int64_t big = std::int64_t{1} << 62;
+        NormalFormGame game({2, 2});
+        game.set_payoffs({0, 0}, {Rational(-big, 3), Rational(-big, 3)});
+        game.set_payoffs({0, 1}, {Rational(big, 5), Rational(1)});
+        game.set_payoffs({1, 0}, {Rational(1), Rational(big, 5)});
+        add(game, {{Rational(1, 2), Rational(1, 2)}, {Rational(1, 2), Rational(1, 2)}});
+    }
+
+    for (const char* kind : {"ord:", "sym:ord:", "nrm:", "sym:nrm:", "raw:"}) {
+        EXPECT_GT(kinds[kind], 0u) << kind;
+    }
+    EXPECT_EQ(widths, (std::set<std::size_t>{1, 2, 4}));
+    EXPECT_EQ(key_digest(keys), 0x7a9a0ec87719e55eULL) << std::hex << key_digest(keys);
+}
+
 // A random strictly increasing remap of each player's distinct payoffs
 // (random gaps and denominators, so generally not affine), plus a random
 // player relabeling carried through the tensor and the candidate.
@@ -1276,7 +1395,7 @@ TEST(ServerResume, StarvedTokensMatchGoldenBytes) {
     ask.budget_cells = 200;
     const QueryResponse degraded = server.query(ask);
     ASSERT_EQ(degraded.status, QueryStatus::kDegraded);
-    EXPECT_EQ(degraded.resume_token, "c.0.11474610264568175207.1.0.8.0.0");
+    EXPECT_EQ(degraded.resume_token, "c.0.10012330043009379204.1.0.8.0.0");
     ask.budget_cells = util::ExecutionGrant::kUnlimited;
     ask.resume_token = degraded.resume_token;
     const QueryResponse resumed = server.query(ask);
@@ -1289,7 +1408,7 @@ TEST(ServerResume, StarvedTokensMatchGoldenBytes) {
     grid.budget_cells = 200;
     const FrontierResponse partial = server.frontier(grid);
     ASSERT_EQ(partial.status, QueryStatus::kDegraded);
-    EXPECT_EQ(partial.resume_token, "f.0.4224598482035055556.1.2.2.3.0");
+    EXPECT_EQ(partial.resume_token, "f.0.11541199632330537245.1.2.2.3.0");
     grid.budget_cells = util::ExecutionGrant::kUnlimited;
     grid.resume_token = partial.resume_token;
     const FrontierResponse rest = server.frontier(grid);
@@ -1297,6 +1416,92 @@ TEST(ServerResume, StarvedTokensMatchGoldenBytes) {
     core::FrontierVerdict assembled = partial.frontier;
     core::merge_frontier(assembled, rest.frontier);
     EXPECT_EQ(assembled, full.frontier);
+}
+
+// The fingerprint a token binds to covers every input of the request:
+// each payoff (through the levels and the ranks), the action counts, the
+// candidate's weights, both sizes, the criterion and the mode. Games that
+// hold the same payoffs share it however their stores were built.
+TEST(ServerResume, FingerprintBindsEveryInput) {
+    struct Inputs {
+        NormalFormGame game;
+        game::ExactMixedProfile profile;
+        std::size_t k = 2;
+        std::size_t t = 1;
+        core::GainCriterion criterion = core::GainCriterion::kAnyMemberGains;
+        game::SweepMode mode = game::SweepMode::kAuto;
+
+        [[nodiscard]] std::uint64_t fingerprint() const {
+            return request_fingerprint(game, profile, k, t, criterion, mode);
+        }
+    };
+    util::Rng rng(31);
+    std::vector<Rational> values(12 * 2);
+    for (Rational& value : values) value = Rational(rng.next_int(-9, 9), rng.next_int(1, 3));
+    Inputs base{NormalFormGame({2, 6}),
+                {{Rational(1, 3), Rational(2, 3)}, {1, 0, 0, 0, 0, 0}}};
+    base.game.assign_payoffs(values);
+    const std::uint64_t fingerprint = base.fingerprint();
+
+    // Equal payoffs, however the store was built or shared.
+    Inputs rebuilt = base;
+    rebuilt.game = NormalFormGame({2, 6});
+    rebuilt.game.assign_payoffs(values);
+    EXPECT_EQ(rebuilt.fingerprint(), fingerprint);
+    Inputs by_cell = base;
+    by_cell.game = NormalFormGame({2, 6});
+    for (std::uint64_t rank = 0; rank < 12; ++rank) {
+        for (std::size_t player = 0; player < 2; ++player) {
+            by_cell.game.set_payoff(base.game.profile_unrank(rank), player,
+                                    values[rank * 2 + player]);
+        }
+    }
+    EXPECT_EQ(by_cell.fingerprint(), fingerprint);
+    const Inputs shared = base;
+    ASSERT_EQ(&shared.game.ordinal_ranks(), &base.game.ordinal_ranks());
+    EXPECT_EQ(shared.fingerprint(), fingerprint);
+
+    std::vector<std::pair<std::string, Inputs>> changed;
+    const auto change = [&](std::string what, const auto& edit) {
+        Inputs inputs = base;
+        edit(inputs);
+        changed.emplace_back(std::move(what), std::move(inputs));
+    };
+    change("a payoff set to a new value",
+           [](Inputs& in) { in.game.set_payoff({1, 4}, 1, Rational(100)); });
+    change("a payoff set to another level", [](Inputs& in) {
+        const std::vector<Rational> levels = in.game.levels(0);
+        const Rational& now = in.game.payoff({0, 2}, 0);
+        in.game.set_payoff({0, 2}, 0, now == levels.front() ? levels.back() : levels.front());
+    });
+    change("a level's value, ranks unchanged", [](Inputs& in) {
+        std::vector<std::vector<Rational>> levels{in.game.levels(0), in.game.levels(1)};
+        levels[1].back() += Rational(1, 7);
+        in.game = in.game.with_levels(std::move(levels));
+    });
+    change("action counts 3x4 for 2x6", [&values](Inputs& in) {
+        in.game = NormalFormGame({3, 4});
+        in.game.assign_payoffs(values);
+    });
+    change("a profile weight",
+           [](Inputs& in) { in.profile[0] = {Rational(1, 4), Rational(3, 4)}; });
+    change("k", [](Inputs& in) { in.k = 1; });
+    change("t", [](Inputs& in) { in.t = 2; });
+    change("the criterion",
+           [](Inputs& in) { in.criterion = core::GainCriterion::kAllMembersGain; });
+    change("the mode", [](Inputs& in) { in.mode = game::SweepMode::kSerial; });
+
+    // The level and count edits leave the rest of the store as it was.
+    const Inputs& relevelled = changed[2].second;
+    EXPECT_EQ(relevelled.game.ordinal_ranks(), base.game.ordinal_ranks());
+    const Inputs& reshaped = changed[3].second;
+    EXPECT_EQ(reshaped.game.ordinal_ranks(), base.game.ordinal_ranks());
+    for (std::size_t player = 0; player < 2; ++player) {
+        EXPECT_EQ(reshaped.game.levels(player), base.game.levels(player));
+    }
+    for (const auto& [what, inputs] : changed) {
+        EXPECT_NE(inputs.fingerprint(), fingerprint) << what;
+    }
 }
 
 // A frontier token is validated field by field, not only by its
