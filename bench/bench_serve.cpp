@@ -186,10 +186,24 @@ BENCHMARK(bench_serve_cache_eviction)->Unit(benchmark::kMillisecond);
 // exactly once across the whole chain (stream_columns == max_t + 1),
 // and every leg but the last degrades (degraded_rate). A regression in
 // checkpoint seeking shows up here as cells_visited growth even when
-// wall time hides in machine noise.
-void bench_serve_resume(benchmark::State& state) {
+// wall time hides in machine noise. The attack game is symmetric, so the
+// server sweeps its orbits (bench_serve_resume_orbit); the dense row asks
+// the same grid with player p's payoffs mapped by x -> (p + 1) x + p,
+// which keeps every verdict and the dense task space but no symmetry.
+void run_resume_chain(benchmark::State& state, bool dense) {
     serve::FrontierRequest base;
     base.game = game::catalog::attack_coordination_game(5);
+    if (dense) {
+        const game::NormalFormGame symmetric = base.game;
+        for (std::uint64_t rank = 0; rank < symmetric.num_profiles(); ++rank) {
+            const game::PureProfile cell = symmetric.profile_unrank(rank);
+            for (std::size_t p = 0; p < symmetric.num_players(); ++p) {
+                const util::Rational scale(static_cast<std::int64_t>(p) + 1);
+                base.game.set_payoff(cell, p,
+                                     symmetric.payoff_at(rank, p) * scale + scale - 1);
+            }
+        }
+    }
     base.profile = core::as_exact_profile(base.game, game::PureProfile(5, 1));
     base.max_k = 2;
     base.max_t = 2;
@@ -240,7 +254,10 @@ void bench_serve_resume(benchmark::State& state) {
     state.counters["degraded_rate"] = benchmark::Counter(
         legs > 0 ? static_cast<double>(legs - 1) / static_cast<double>(legs) : 0);
 }
+void bench_serve_resume(benchmark::State& state) { run_resume_chain(state, true); }
 BENCHMARK(bench_serve_resume)->Unit(benchmark::kMillisecond);
+void bench_serve_resume_orbit(benchmark::State& state) { run_resume_chain(state, false); }
+BENCHMARK(bench_serve_resume_orbit)->Unit(benchmark::kMicrosecond);
 
 // Canonicalization on its own (a pure candidate: the ordinal path): the
 // fixed per-request cost every cached answer still pays. This is the WARM

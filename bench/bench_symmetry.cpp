@@ -14,6 +14,12 @@
 //          holds 2^60 profiles, twelve orders of magnitude past the
 //          grant, while the orbit sweep completes the whole grid inside
 //          it.
+//   R-SYM3: what the server pays for `frontier 5 2` on a symmetric
+//          7-player upload with a two-class pure candidate — detection
+//          on a fresh store, the refined group, the quotient and the
+//          orbit sweep (core::make_sweep) — against the dense kAuto
+//          sweep, in one binary (target: >= 2x), plus the orbit
+//          kernel's ns per orbit cell.
 //
 // Serial bench rows report the CI-stable work counters (cells_visited /
 // offsets_advanced) that scripts/bench_diff.py gates on.
@@ -26,6 +32,8 @@
 #include "core/robust/anonymous.h"
 #include "core/robust/orbit_sweep.h"
 #include "core/robust/robustness.h"
+#include "core/robust/sweep_driver.h"
+#include "game/catalog.h"
 #include "game/game_view.h"
 #include "game/normal_form.h"
 #include "game/strategy.h"
@@ -39,6 +47,7 @@ namespace {
 using namespace bnash;
 using bnash::bench::CounterScope;
 using bnash::bench::measure_ns;
+using bnash::bench::measure_ratio;
 
 void print_orbit_vs_dense_acceptance() {
     // The bargaining all-stay profile is resilient at EVERY coalition
@@ -143,6 +152,102 @@ void print_budget_wall_acceptance() {
               << (pass ? "PASS" : "MISS") << ")\n\n";
 }
 
+// The 3-action symmetric game lifted from the n-player bargaining game:
+// actions 0 and 1 pay a safe 10; action 2 pays 10 plus what leaving gains
+// over the all-stay payoff in the catalog game (every action-2 player
+// leaving, everyone else staying), minus 1/2. Leaving never gains there,
+// so every pure safe candidate is robust and a frontier sweeps its whole
+// grid.
+game::NormalFormGame lifted_bargaining(std::size_t n) {
+    const game::NormalFormGame base = game::catalog::bargaining_game(n);
+    game::NormalFormGame lifted(std::vector<std::size_t>(n, 3));
+    const game::PureProfile all_stay(n, 0);
+    game::PureProfile projected(n, 0);
+    for (std::uint64_t rank = 0; rank < lifted.num_profiles(); ++rank) {
+        const game::PureProfile profile = lifted.profile_unrank(rank);
+        for (std::size_t p = 0; p < n; ++p) projected[p] = profile[p] == 2 ? 1 : 0;
+        for (std::size_t p = 0; p < n; ++p) {
+            util::Rational value{10};
+            if (profile[p] == 2) {
+                value += base.payoff(projected, p) - base.payoff(all_stay, p) -
+                         util::Rational(1, 2);
+            }
+            lifted.set_payoff(profile, p, value);
+        }
+    }
+    return lifted;
+}
+
+void print_routed_vs_dense_acceptance() {
+    std::cout << "=== R-SYM3: frontier k<=5, t<=2 on the lifted 7-player bargaining game, "
+                 "two-class pure candidate — routed (detect + quotient + orbit) vs dense "
+                 "kAuto ===\n";
+    const std::size_t n = 7, max_k = 5, max_t = 2;
+    const game::NormalFormGame g = lifted_bargaining(n);
+    const game::PureProfile base{0, 0, 0, 0, 1, 1, 1};
+    const auto profile = core::as_exact_profile(g, base);
+    const core::RobustnessOptions options{core::GainCriterion::kAnyMemberGains,
+                                          game::SweepMode::kAuto};
+    // Each routed call detects on a fresh store (a clone that shares no
+    // memo), as the first request on an upload does.
+    const std::vector<std::vector<util::Rational>> levels = [&] {
+        std::vector<std::vector<util::Rational>> out;
+        for (std::size_t p = 0; p < n; ++p) out.push_back(g.levels(p));
+        return out;
+    }();
+    const auto routed = [&] {
+        const game::NormalFormGame upload = g.with_levels(levels);
+        const game::SymmetryGroup group =
+            game::SymmetryGroup::detect(upload).refined_by(profile);
+        return core::make_sweep(upload, profile, &group)
+            ->batch_robustness_frontier(max_k, max_t, options.criterion, options.mode);
+    };
+    const auto dense = [&] {
+        return core::batch_robustness_frontier(g, profile, max_k, max_t, options);
+    };
+
+    const game::SymmetryGroup group = game::SymmetryGroup::detect(g).refined_by(profile);
+    const core::OrbitSweep orbit(game::build_quotient(g, group), group, {0, 1});
+    util::work_counters_reset();
+    const core::FrontierVerdict dense_grid = dense();
+    const util::WorkCounters dense_work = util::work_counters_snapshot();
+    util::work_counters_reset();
+    const core::FrontierVerdict orbit_grid = orbit.batch_robustness_frontier(
+        max_k, max_t, options.criterion, game::SweepMode::kSerial);
+    const util::WorkCounters orbit_work = util::work_counters_snapshot();
+    util::work_counters_reset();
+    bool identical = dense_grid.complete() && routed() == orbit_grid;
+    for (std::size_t k = 0; k <= max_k; ++k) {
+        for (std::size_t t = 0; t <= max_t; ++t) {
+            identical = identical && dense_grid.robust(k, t) == orbit_grid.robust(k, t);
+        }
+    }
+
+    const bench::PairedRatio ratio = measure_ratio(
+        [&] { benchmark::DoNotOptimize(dense()); }, [&] { benchmark::DoNotOptimize(routed()); });
+    const double orbit_ns = measure_ns([&] {
+        benchmark::DoNotOptimize(orbit.batch_robustness_frontier(
+            max_k, max_t, options.criterion, game::SweepMode::kSerial));
+    }).median_ns;
+    const double ns_per_cell =
+        orbit_ns / static_cast<double>(std::max<std::uint64_t>(orbit_work.cells_visited, 1));
+    util::Table table({"path", "cells visited", "ns/op"});
+    table.add_row({"dense CoalitionSweep, kAuto", util::Table::fmt(dense_work.cells_visited),
+                   util::Table::fmt(ratio.num.median_ns)});
+    table.add_row({"routed: detect + quotient + orbit", util::Table::fmt(orbit_work.cells_visited),
+                   util::Table::fmt(ratio.den.median_ns)});
+    table.add_row({"orbit sweep alone, serial", util::Table::fmt(orbit_work.cells_visited),
+                   util::Table::fmt(orbit_ns)});
+    table.print(std::cout);
+    std::cout << "-> orbit kernel: " << util::Table::fmt(ns_per_cell, 1)
+              << " ns per orbit cell\n";
+    std::cout << "-> verdict grids identical cell for cell (" << (identical ? "PASS" : "MISS")
+              << ")\n";
+    std::cout << "-> acceptance: routed >= 2x faster than dense kAuto ("
+              << bench::ratio_text(ratio) << ", "
+              << (identical && ratio.median >= 2.0 ? "PASS" : "MISS") << ")\n\n";
+}
+
 // Orbit frontier trajectory rows, serial with CI-gated work counters:
 // the per-op work is a pure function of (n, max_k, max_t).
 void bench_orbit_frontier_serial(benchmark::State& state) {
@@ -211,6 +316,7 @@ BENCHMARK(bench_routed_frontier)->Arg(8)->Arg(10)->Unit(benchmark::kMicrosecond)
 int main(int argc, char** argv) {
     print_orbit_vs_dense_acceptance();
     print_budget_wall_acceptance();
+    print_routed_vs_dense_acceptance();
     bnash::bench::initialize_with_json_output(argc, argv, "BENCH_symmetry.json");
     benchmark::RunSpecifiedBenchmarks();
     return 0;

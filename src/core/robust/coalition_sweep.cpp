@@ -512,11 +512,12 @@ std::vector<Rational> CoalitionSweep::immunity_baseline() const {
 // Phase (a): the faulty sets of sizes 1..max_t, size-major.
 class CoalitionSweep::ImmunityTasks final : public SweepTasks {
 public:
-    ImmunityTasks(const CoalitionSweep& sweep, std::size_t max_t, game::SweepMode mode)
+    ImmunityTasks(const CoalitionSweep& sweep, util::SubsetEnumerator faulty_sets,
+                  game::SweepMode mode)
         : SweepTasks(mode),
           sweep_(sweep),
           baseline_(sweep.immunity_baseline()),
-          faulty_sets_(sweep.view_.num_players(), max_t) {}
+          faulty_sets_(std::move(faulty_sets)) {}
     [[nodiscard]] std::size_t size() const override { return faulty_sets_.size(); }
     [[nodiscard]] std::size_t set_size(std::size_t task) const override {
         return faulty_sets_[task].size();
@@ -558,7 +559,25 @@ private:
 
 std::unique_ptr<SweepTasks> CoalitionSweep::immunity_tasks(std::size_t max_t,
                                                            game::SweepMode mode) const {
-    return std::make_unique<ImmunityTasks>(*this, max_t, mode);
+    util::SubsetEnumerator faulty_sets(view_.num_players(), max_t);
+    // A pure candidate's immunity phase scans one cell per joint deviation
+    // of each faulty set. When all of them together would not make one
+    // split scan (split_scan), pooling the tasks costs more than it saves,
+    // so they run inline.
+    if (pure_) {
+        constexpr std::uint64_t kCap = 2 * kIntraBlock;
+        std::uint64_t cells = 0;
+        for (const std::vector<std::size_t>& faulty : faulty_sets) {
+            std::uint64_t deviations = 1;
+            for (const std::size_t p : faulty) {
+                deviations = std::min(deviations * view_.num_actions(p), kCap);
+            }
+            cells += deviations;
+            if (cells >= kCap) break;
+        }
+        if (!split_scan(mode, cells)) mode = game::SweepMode::kSerial;
+    }
+    return std::make_unique<ImmunityTasks>(*this, std::move(faulty_sets), mode);
 }
 
 std::unique_ptr<SweepTasks> CoalitionSweep::resilience_tasks(std::size_t max_k,

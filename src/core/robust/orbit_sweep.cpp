@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
+#include "util/audit.h"
 #include "util/execution_grant.h"
 #include "util/orbit_walker.h"
 
@@ -44,19 +46,144 @@ bool for_each_bounded_composition(std::size_t total, const std::vector<std::size
     return bounded_compositions_rec(x, cap, 0, total, fn);
 }
 
+}  // namespace
+
+// The quotient indexed by per-class action histograms, built once per
+// sweep so that no scan calls QuotientGame::rank_others.
+//
+// A histogram h of a class with A actions and s members ranks among the
+// compositions of s as sum_{i < A-1} count(r_i - h_i - 1, A - i), where
+// r_i = s - h_0 - ... - h_{i-1} and a term with h_i == r_i is 0 (the
+// hockey-stick sum of composition_rank's per-part blocks): one table
+// lookup per part. A class-c member's quotient row is indexed by the
+// OTHER players' histograms, class c's short of the member itself, so
+// `without` maps the rank of c's full histogram and the member's action
+// to the rank of the histogram without it. The payoffs are replaced by
+// dense per-class ranks: every compare a scan makes is between two
+// payoffs of one class, and ranks order exactly like the Rationals.
+class OrbitSweep::Index final {
+public:
+    explicit Index(const QuotientGame& quotient) : classes_(quotient.num_classes()) {
+        const std::size_t m = quotient.num_classes();
+        for (std::size_t c = 0; c < m; ++c) {
+            Class& cls = classes_[c];
+            cls.members = quotient.class_sizes[c];
+            cls.actions = quotient.class_actions[c];
+            cls.row = quotient.others_orbits(c);
+            cls.part.assign((cls.actions - 1) * (cls.members + 1), 0);
+            for (std::size_t i = 0; i + 1 < cls.actions; ++i) {
+                for (std::size_t gap = 1; gap <= cls.members; ++gap) {
+                    cls.part[i * (cls.members + 1) + gap] =
+                        util::composition_count(gap - 1, cls.actions - i);
+                }
+            }
+            const std::uint64_t full = util::composition_count(cls.members, cls.actions);
+            cls.without.assign(full * cls.actions, 0);
+            std::vector<std::size_t> h;
+            for (std::uint64_t r = 0; r < full; ++r) {
+                util::composition_unrank(cls.members, cls.actions, r, h);
+                for (std::size_t a = 0; a < cls.actions; ++a) {
+                    if (h[a] == 0) continue;
+                    --h[a];
+                    cls.without[r * cls.actions + a] = util::composition_rank(cls.members - 1, h);
+                    ++h[a];
+                }
+            }
+            cls.stride.assign(m, 1);
+            for (std::size_t d = m - 1; d-- > 0;) {
+                cls.stride[d] = cls.stride[d + 1] *
+                                util::composition_count(
+                                    quotient.class_sizes[d + 1] - (d + 1 == c ? 1 : 0),
+                                    quotient.class_actions[d + 1]);
+            }
+            // Dense ranks of the class's payoffs, in the order of their values.
+            const std::vector<Rational>& values = quotient.payoff[c];
+            std::vector<std::uint32_t> order(values.size());
+            std::iota(order.begin(), order.end(), std::uint32_t{0});
+            std::sort(order.begin(), order.end(),
+                      [&values](std::uint32_t x, std::uint32_t y) {
+                          return values[x] < values[y];
+                      });
+            cls.payoff_rank.assign(values.size(), 0);
+            std::uint32_t level = 0;
+            for (std::size_t i = 1; i < order.size(); ++i) {
+                if (values[order[i - 1]] < values[order[i]]) ++level;
+                cls.payoff_rank[order[i]] = level;
+            }
+        }
+    }
+
+    [[nodiscard]] std::size_t num_classes() const noexcept { return classes_.size(); }
+
+    // Rank of class d's full histogram (its `members` players), whose
+    // count at action a is h(a).
+    template <typename Count>
+    [[nodiscard]] std::uint64_t rank(std::size_t d, const Count& h) const {
+        const Class& cls = classes_[d];
+        const std::uint64_t* part = cls.part.data();
+        std::size_t rest = cls.members;
+        std::uint64_t r = 0;
+        for (std::size_t a = 0; a + 1 < cls.actions; ++a, part += cls.members + 1) {
+            const std::size_t v = h(a);
+            r += part[rest - v];
+            rest -= v;
+        }
+        return r;
+    }
+
+    // Index into quotient.payoff[c] of a class-c member playing `action`,
+    // given the ranks of every class's full histogram (the member in its
+    // own). `others` is offset(c, full) below.
+    [[nodiscard]] std::uint64_t at(std::size_t c, std::size_t action, std::uint64_t others,
+                                   const std::vector<std::uint64_t>& full) const {
+        const Class& cls = classes_[c];
+        return action * cls.row + others +
+               cls.stride[c] * cls.without[full[c] * cls.actions + action];
+    }
+    // The part of a class-c member's quotient index that the other classes
+    // fix.
+    [[nodiscard]] std::uint64_t offset(std::size_t c,
+                                       const std::vector<std::uint64_t>& full) const {
+        const Class& cls = classes_[c];
+        std::uint64_t sum = 0;
+        for (std::size_t d = 0; d < full.size(); ++d) {
+            if (d != c) sum += cls.stride[d] * full[d];
+        }
+        return sum;
+    }
+
+    [[nodiscard]] std::uint32_t payoff_rank(std::size_t c, std::uint64_t index) const {
+        BNASH_AUDIT_CHECK(index < classes_[c].payoff_rank.size(),
+                          "OrbitSweep::Index: quotient index out of range");
+        return classes_[c].payoff_rank[index];
+    }
+
+private:
+    struct Class final {
+        std::size_t members = 0;
+        std::size_t actions = 0;
+        std::uint64_t row = 0;                   // quotient entries per action
+        std::vector<std::uint64_t> part;         // [i * (members + 1) + gap]
+        std::vector<std::uint64_t> without;      // [full rank * actions + action]
+        std::vector<std::uint64_t> stride;       // of class d's digit in a row
+        std::vector<std::uint32_t> payoff_rank;  // per quotient entry
+    };
+    std::vector<Class> classes_;
+};
+
 // One (coalition counts, faulty counts) pair's scan for run_scan
 // (sweep_driver.h): the joint orbits of a walker with m faulty digits,
 // then m coalition digits. `cls` lists the classes with coalition members.
-class PairScan final {
+class OrbitSweep::PairScan final {
 public:
-    PairScan(const QuotientGame& quotient, const SymmetryGroup& group,
-             const std::vector<std::size_t>& base, GainCriterion criterion)
-        : q_(quotient), group_(group), base_(base), criterion_(criterion) {}
+    PairScan(const OrbitSweep& sweep, GainCriterion criterion)
+        : sweep_(sweep), index_(*sweep.index_), criterion_(criterion) {}
 
     // Lays the cursor out for a new pair at rank 0.
     void set_counts(const std::vector<std::size_t>& ccounts,
                     const std::vector<std::size_t>& tcounts) {
-        const std::size_t m = q_.num_classes();
+        const game::QuotientGame& q = sweep_.quotient_;
+        const std::size_t m = q.num_classes();
         ccounts_ = ccounts;
         tcounts_ = tcounts;
         cls_.clear();
@@ -65,8 +192,8 @@ public:
         }
         cursor.clear();
         cursor.reserve(2 * m);
-        for (std::size_t d = 0; d < m; ++d) cursor.add_class(tcounts[d], q_.class_actions[d]);
-        for (std::size_t d = 0; d < m; ++d) cursor.add_class(ccounts[d], q_.class_actions[d]);
+        for (std::size_t d = 0; d < m; ++d) cursor.add_class(tcounts[d], q.class_actions[d]);
+        for (std::size_t d = 0; d < m; ++d) cursor.add_class(ccounts[d], q.class_actions[d]);
         total_ = cursor.num_orbits();
     }
 
@@ -74,9 +201,10 @@ public:
 
     // Scans joint orbits [lo, hi) and returns the first hit. Per-class
     // reference payoffs are refreshed only when the faulty digits move
-    // (they are the SLOW digits, so refreshes are rare). Advances the
-    // walker after every cell it checks without a hit, the last cell of
-    // the range included, except the scan's final orbit, which has no
+    // (they are the SLOW digits, so refreshes are rare), and a class's
+    // histogram is re-ranked only when one of its digits moved. Advances
+    // the walker after every cell it checks without a hit, the last cell
+    // of the range included, except the scan's final orbit, which has no
     // successor: the blocks of a split scan then count the digit moves of
     // the inline scan. Polls the grant before each cell; `best`, when
     // given, is the block sweep's winning-rank early exit.
@@ -84,28 +212,30 @@ public:
                                                std::uint64_t hi, ScanTally& tally,
                                                const std::atomic<std::uint64_t>* best) const {
         if (lo != 0) walker.seek(lo);  // a cursor laid out by set_counts sits at 0
-        const std::vector<std::size_t>& base = base_;
-        const std::size_t m = q_.num_classes();
+        const Index& index = index_;
+        const std::vector<std::size_t>& sizes = sweep_.quotient_.class_sizes;
+        const std::vector<std::size_t>& base = sweep_.base_;
+        const std::size_t m = index.num_classes();
         const std::uint64_t moves_entry = walker.digit_moves();
-        std::vector<std::vector<std::size_t>> others(m);
-        for (std::size_t d = 0; d < m; ++d) others[d].assign(q_.class_actions[d], 0);
-        std::vector<Rational> ref(m);
-        bool ref_valid = false;
-        // Reference payoff of a class-c coalition member when the whole
-        // coalition still plays the candidate against the same faulty
-        // deviation: others = fh_d + (n_d - t_d) at base_d, minus itself.
+        // Histogram ranks: the reference profile's (faulty deviation, the
+        // coalition on the candidate) and the deviated profile's.
+        std::vector<std::uint64_t> ref_full(m);
+        std::vector<std::uint64_t> full(m);
+        std::vector<std::uint64_t> ref_index(m);
+        std::vector<std::uint32_t> ref(m);
+        bool fresh = true;
         const auto refresh_ref = [&] {
-            for (const std::size_t c : cls_) {
-                for (std::size_t d = 0; d < m; ++d) {
-                    const auto& fh = walker.counts(d);
-                    auto& h = others[d];
-                    for (std::size_t a = 0; a < h.size(); ++a) h[a] = fh[a];
-                    h[base[d]] += q_.class_sizes[d] - tcounts_[d];
-                }
-                others[c][base[c]] -= 1;
-                ref[c] = q_.at(c, base[c], q_.rank_others(c, others));
+            for (std::size_t d = 0; d < m; ++d) {
+                const auto& fh = walker.counts(d);
+                const std::size_t fill = sizes[d] - tcounts_[d];
+                ref_full[d] = index.rank(d, [&](std::size_t a) {
+                    return fh[a] + (a == base[d] ? fill : 0);
+                });
             }
-            ref_valid = true;
+            for (const std::size_t c : cls_) {
+                ref_index[c] = index.at(c, base[c], index.offset(c, ref_full), ref_full);
+                ref[c] = index.payoff_rank(c, ref_index[c]);
+            }
         };
 
         std::optional<RankHit> hit;
@@ -122,33 +252,35 @@ public:
                 rank >= best->load(std::memory_order_acquire)) {
                 break;
             }
-            if (!ref_valid || walker.lowest_changed() < m) refresh_ref();
-            // Deviated-profile template: faulty histogram + coalition
-            // histogram + everyone else on the candidate.
-            for (std::size_t d = 0; d < m; ++d) {
+            const std::size_t moved = fresh ? 0 : walker.lowest_changed();
+            if (moved < m) refresh_ref();
+            // Deviated profile: faulty histogram + coalition histogram +
+            // everyone else on the candidate. Class d's digits are d and
+            // m + d, and only digits from `moved` up changed.
+            for (std::size_t d = moved > m ? moved - m : 0; d < m; ++d) {
                 const auto& fh = walker.counts(d);
                 const auto& ch = walker.counts(m + d);
-                auto& h = others[d];
-                for (std::size_t a = 0; a < h.size(); ++a) h[a] = fh[a] + ch[a];
-                h[base[d]] += q_.class_sizes[d] - tcounts_[d] - ccounts_[d];
+                const std::size_t fill = sizes[d] - tcounts_[d] - ccounts_[d];
+                full[d] = index.rank(d, [&](std::size_t a) {
+                    return fh[a] + ch[a] + (a == base[d] ? fill : 0);
+                });
             }
+            fresh = false;
             bool any_gain = false;
             bool all_gain = true;
             std::size_t witness_class = 0;
-            std::size_t witness_action = 0;
-            Rational witness_after;
+            std::uint64_t witness_index = 0;
             for (const std::size_t c : cls_) {
                 const auto& ch = walker.counts(m + c);
+                const std::uint64_t others = index.offset(c, full);
                 for (std::size_t a = 0; a < ch.size(); ++a) {
                     if (ch[a] == 0) continue;
-                    others[c][a] -= 1;
-                    const Rational& after = q_.at(c, a, q_.rank_others(c, others));
-                    others[c][a] += 1;
-                    if (after > ref[c]) {
+                    const std::uint64_t at = index.at(c, a, others, full);
+                    audit_index(walker, c, a, at);
+                    if (index.payoff_rank(c, at) > ref[c]) {
                         if (!any_gain) {
                             witness_class = c;
-                            witness_action = a;
-                            witness_after = after;
+                            witness_index = at;
                         }
                         any_gain = true;
                     } else {
@@ -157,8 +289,11 @@ public:
                 }
             }
             if (criterion_ == GainCriterion::kAnyMemberGains ? any_gain : all_gain) {
-                hit = RankHit{rank, witness(walker, witness_class, witness_action,
-                                            ref[witness_class], witness_after)};
+                const game::QuotientGame& q = sweep_.quotient_;
+                const std::uint64_t row = q.others_orbits(witness_class);
+                hit = RankHit{rank, witness(walker, witness_class, witness_index / row,
+                                            q.payoff[witness_class][ref_index[witness_class]],
+                                            q.payoff[witness_class][witness_index])};
                 break;
             }
             if (rank + 1 < total_) (void)walker.advance();
@@ -170,6 +305,28 @@ public:
     OrbitWalker cursor;
 
 private:
+    // Audit builds: the table index equals QuotientGame::rank_others' on
+    // the explicit histograms of the other players.
+    void audit_index([[maybe_unused]] const OrbitWalker& walker, [[maybe_unused]] std::size_t c,
+                     [[maybe_unused]] std::size_t action,
+                     [[maybe_unused]] std::uint64_t at) const {
+#if BNASH_AUDIT_ENABLED
+        const game::QuotientGame& q = sweep_.quotient_;
+        const std::size_t m = q.num_classes();
+        std::vector<std::vector<std::size_t>> others(m);
+        for (std::size_t d = 0; d < m; ++d) {
+            others[d].assign(q.class_actions[d], 0);
+            for (std::size_t a = 0; a < q.class_actions[d]; ++a) {
+                others[d][a] = walker.counts(d)[a] + walker.counts(m + d)[a];
+            }
+            others[d][sweep_.base_[d]] += q.class_sizes[d] - tcounts_[d] - ccounts_[d];
+        }
+        others[c][action] -= 1;
+        BNASH_AUDIT_CHECK(at == action * q.others_orbits(c) + q.rank_others(c, others),
+                          "OrbitSweep: table index disagrees with rank_others");
+#endif
+    }
+
     // Expands a representative tuple back to a CONCRETE violation: per
     // class, the first t_c members are faulty and the next c_c form the
     // coalition, each block taking its histogram's actions in ascending
@@ -180,8 +337,8 @@ private:
                                               std::size_t witness_class,
                                               std::size_t witness_action, const Rational& before,
                                               const Rational& after) const {
-        const auto& classes = group_.classes();
-        const std::size_t m = q_.num_classes();
+        const auto& classes = sweep_.group_.classes();
+        const std::size_t m = sweep_.quotient_.num_classes();
         RobustnessViolation v;
         for (std::size_t c = 0; c < m; ++c) {
             const auto& members = classes[c];
@@ -213,17 +370,14 @@ private:
         return v;
     }
 
-    const QuotientGame& q_;
-    const SymmetryGroup& group_;
-    const std::vector<std::size_t>& base_;
+    const OrbitSweep& sweep_;
+    const Index& index_;
     GainCriterion criterion_;
     std::vector<std::size_t> ccounts_;
     std::vector<std::size_t> tcounts_;
     std::vector<std::size_t> cls_;
     std::uint64_t total_ = 1;
 };
-
-}  // namespace
 
 OrbitSweep::OrbitSweep(QuotientGame quotient, SymmetryGroup group,
                        std::vector<std::size_t> base_by_class)
@@ -246,25 +400,24 @@ OrbitSweep::OrbitSweep(QuotientGame quotient, SymmetryGroup group,
         }
     }
     if (quotient_.others_orbits_.size() != m) quotient_.finalize();
-    // Candidate payoff per class: everyone on base, minus the evaluated
-    // member itself.
-    std::vector<std::vector<std::size_t>> others(m);
+    index_ = std::make_shared<const Index>(quotient_);
+    // Candidate payoff per class: everyone on base.
+    std::vector<std::uint64_t> full(m);
     for (std::size_t d = 0; d < m; ++d) {
-        others[d].assign(quotient_.class_actions[d], 0);
-        others[d][base_[d]] = quotient_.class_sizes[d];
+        full[d] = index_->rank(d, [&](std::size_t a) {
+            return a == base_[d] ? quotient_.class_sizes[d] : 0;
+        });
     }
     baseline_.resize(m);
     for (std::size_t c = 0; c < m; ++c) {
-        others[c][base_[c]] -= 1;
-        baseline_[c] = quotient_.at(c, base_[c], quotient_.rank_others(c, others));
-        others[c][base_[c]] += 1;
+        baseline_[c] = index_->at(c, base_[c], index_->offset(c, full), full);
     }
 }
 
 RobustnessViolation OrbitSweep::make_immunity_witness(const std::vector<std::size_t>& tcounts,
                                                       const OrbitWalker& walker,
                                                       std::size_t witness_class,
-                                                      const Rational& after) const {
+                                                      std::uint64_t after) const {
     const auto& classes = group_.classes();
     RobustnessViolation v;
     for (std::size_t c = 0; c < quotient_.num_classes(); ++c) {
@@ -280,18 +433,18 @@ RobustnessViolation OrbitSweep::make_immunity_witness(const std::vector<std::siz
     }
     // First outsider of the hurt class: its members [0, t_c) are faulty.
     v.witness_player = classes[witness_class][tcounts[witness_class]];
-    v.payoff_before = baseline_[witness_class].to_double();
-    v.payoff_after = after.to_double();
+    v.payoff_before = quotient_.payoff[witness_class][baseline_[witness_class]].to_double();
+    v.payoff_after = quotient_.payoff[witness_class][after].to_double();
     return v;
 }
 
 std::optional<RobustnessViolation> OrbitSweep::immunity_scan(std::size_t faulty_size) const {
+    const Index& index = *index_;
     const std::size_t m = quotient_.num_classes();
     ScanTally tally;  // one across the faulty compositions
     std::optional<RobustnessViolation> out;
     OrbitWalker walker;
-    std::vector<std::vector<std::size_t>> others(m);
-    for (std::size_t d = 0; d < m; ++d) others[d].assign(quotient_.class_actions[d], 0);
+    std::vector<std::uint64_t> full(m);
     std::vector<std::size_t> tcounts;
     for_each_bounded_composition(faulty_size, quotient_.class_sizes, tcounts, [&] {
         walker.clear();
@@ -305,20 +458,22 @@ std::optional<RobustnessViolation> OrbitSweep::immunity_scan(std::size_t faulty_
             ++scanned;
             // Truncated: the caller observes the expired grant.
             if (tally.grant != nullptr && tally.expired_at(scanned, walker.digit_moves())) break;
+            // The faulty deviation with everyone else on the candidate.
+            for (std::size_t d = 0; d < m; ++d) {
+                const auto& fh = walker.counts(d);
+                const std::size_t fill = quotient_.class_sizes[d] - tcounts[d];
+                full[d] = index.rank(d, [&](std::size_t a) {
+                    return fh[a] + (a == base_[d] ? fill : 0);
+                });
+            }
             // Every class with an outsider left checks its candidate
             // payoff against the faulty deviation.
             for (std::size_t c = 0; c < m && !out; ++c) {
                 if (tcounts[c] >= quotient_.class_sizes[c]) continue;
-                for (std::size_t d = 0; d < m; ++d) {
-                    const auto& fh = walker.counts(d);
-                    auto& h = others[d];
-                    for (std::size_t a = 0; a < h.size(); ++a) h[a] = fh[a];
-                    h[base_[d]] += quotient_.class_sizes[d] - tcounts[d];
+                const std::uint64_t after = index.at(c, base_[c], index.offset(c, full), full);
+                if (index.payoff_rank(c, after) < index.payoff_rank(c, baseline_[c])) {
+                    out = make_immunity_witness(tcounts, walker, c, after);
                 }
-                others[c][base_[c]] -= 1;
-                const Rational& after =
-                    quotient_.at(c, base_[c], quotient_.rank_others(c, others));
-                if (after < baseline_[c]) out = make_immunity_witness(tcounts, walker, c, after);
             }
             walking = !out && walker.advance();
         }
@@ -335,7 +490,7 @@ std::optional<RobustnessViolation> OrbitSweep::resilience_scan(std::size_t coali
                                                                 game::SweepMode mode) const {
     const std::size_t m = quotient_.num_classes();
     std::optional<RobustnessViolation> out;
-    PairScan scan(quotient_, group_, base_, criterion);
+    PairScan scan(*this, criterion);
     std::vector<std::size_t> ccounts;
     std::vector<std::size_t> tcounts;
     std::vector<std::size_t> fcap(m);

@@ -40,10 +40,19 @@
 // payoffs come from the view's support-sparse sweeps
 // (game/payoff_engine.h), and a mixed candidate runs the dense engine.
 //
-// Callers reach it through the `symmetry` argument of the robustness.h
-// (k,t) questions: the one router in robustness.cpp validates the candidate,
-// builds this engine when orbit_applicable, and the dense CoalitionSweep
-// otherwise.
+// The sweep's kernels read no Rational: the constructor builds, once, a
+// per-class rank table of the quotient's payoffs and per-class tables
+// that index the quotient by histogram ranks, so a cell costs table
+// lookups and rank compares. A witness's payoffs still come from the
+// quotient's Rationals.
+//
+// Callers reach it through core::make_sweep (robustness.h), the one
+// engine factory: it validates the candidate, builds this engine when
+// orbit_applicable, and the dense CoalitionSweep otherwise. The (k,t)
+// questions pass their `symmetry` argument; the query server
+// (serve/server.h) passes the upload's detected group refined by the
+// candidate, so its asks and frontiers on symmetric uploads sweep orbits,
+// budgets and resume tokens included.
 #pragma once
 
 #include <cstddef>
@@ -57,7 +66,6 @@
 #include "game/game_view.h"
 #include "game/strategy.h"
 #include "game/symmetry.h"
-#include "util/rational.h"
 
 namespace bnash::core {
 
@@ -75,6 +83,8 @@ public:
     [[nodiscard]] const game::SymmetryGroup& group() const noexcept { return group_; }
 
 private:
+    class Index;
+    class PairScan;
     class ImmunityTasks;
     class PairTasks;
 
@@ -93,14 +103,18 @@ private:
         std::size_t coalition_size, std::size_t faulty_size, GainCriterion criterion,
         game::SweepMode mode) const;
 
+    // `after` indexes the hurt class's quotient row.
     [[nodiscard]] RobustnessViolation make_immunity_witness(
         const std::vector<std::size_t>& tcounts, const util::OrbitWalker& walker,
-        std::size_t witness_class, const util::Rational& after) const;
+        std::size_t witness_class, std::uint64_t after) const;
 
     game::QuotientGame quotient_;
     game::SymmetryGroup group_;
     std::vector<std::size_t> base_;
-    std::vector<util::Rational> baseline_;  // per-class candidate payoff
+    // Built once per sweep: the quotient's payoff ranks and the tables
+    // that index it by per-class histogram ranks (see the .cpp).
+    std::shared_ptr<const Index> index_;
+    std::vector<std::uint64_t> baseline_;  // per class, the candidate's quotient index
 };
 
 // True when the orbit engine can answer for this candidate: the group is

@@ -96,12 +96,10 @@ void validate_profile(const game::GameView& view, const ExactMixedProfile& profi
     }
 }
 
-// The one router behind every question: validate the candidate, pick
-// the engine — the orbit engine when the group applies, the dense
-// CoalitionSweep otherwise — and ask it.
-template <typename Ask>
-auto route(game::GameView view, const ExactMixedProfile& profile,
-           const game::SymmetryGroup* symmetry, const Ask& ask) {
+}  // namespace
+
+std::unique_ptr<SweepDriver> make_sweep(game::GameView view, const ExactMixedProfile& profile,
+                                        const game::SymmetryGroup* symmetry) {
     validate_profile(view, profile);
     if (symmetry != nullptr && orbit_applicable(*symmetry, profile)) {
         const PureProfile pure = *as_pure_profile(profile);
@@ -109,12 +107,11 @@ auto route(game::GameView view, const ExactMixedProfile& profile,
         for (std::size_t c = 0; c < base.size(); ++c) {
             base[c] = pure[symmetry->classes()[c].front()];
         }
-        return ask(OrbitSweep(game::build_quotient(view, *symmetry), *symmetry, std::move(base)));
+        return std::make_unique<OrbitSweep>(game::build_quotient(view, *symmetry), *symmetry,
+                                            std::move(base));
     }
-    return ask(CoalitionSweep(std::move(view), profile));
+    return std::make_unique<CoalitionSweep>(std::move(view), profile);
 }
-
-}  // namespace
 
 std::string RobustnessViolation::to_string() const {
     std::ostringstream os;
@@ -154,16 +151,13 @@ std::optional<RobustnessViolation> find_resilience_violation(
 
 std::optional<RobustnessViolation> find_immunity_violation(
     game::GameView view, const ExactMixedProfile& profile, std::size_t t) {
-    return route(std::move(view), profile, nullptr,
-                 [&](const SweepDriver& sweep) { return sweep.immunity_violation(t); });
+    return make_sweep(std::move(view), profile, nullptr)->immunity_violation(t);
 }
 
 std::optional<RobustnessViolation> find_robustness_violation(
     game::GameView view, const ExactMixedProfile& profile, std::size_t k,
     std::size_t t, const RobustnessOptions& options, const game::SymmetryGroup* symmetry) {
-    return route(std::move(view), profile, symmetry, [&](const SweepDriver& sweep) {
-        return sweep.robustness_violation(k, t, options);
-    });
+    return make_sweep(std::move(view), profile, symmetry)->robustness_violation(k, t, options);
 }
 
 bool is_k_resilient(game::GameView view, const ExactMixedProfile& profile,
@@ -184,33 +178,28 @@ bool is_kt_robust(game::GameView view, const ExactMixedProfile& profile, std::si
 
 BatchVerdict batch_resilience(game::GameView view, const ExactMixedProfile& profile,
                               std::size_t max_k, const RobustnessOptions& options) {
-    return route(std::move(view), profile, nullptr, [&](const SweepDriver& sweep) {
-        return sweep.batch_resilience(max_k, options.criterion, options.mode);
-    });
+    return make_sweep(std::move(view), profile, nullptr)
+        ->batch_resilience(max_k, options.criterion, options.mode);
 }
 
 BatchVerdict batch_immunity(game::GameView view, const ExactMixedProfile& profile,
                             std::size_t max_t, game::SweepMode mode) {
-    return route(std::move(view), profile, nullptr, [&](const SweepDriver& sweep) {
-        return sweep.batch_immunity(max_t, mode);
-    });
+    return make_sweep(std::move(view), profile, nullptr)->batch_immunity(max_t, mode);
 }
 
 FrontierVerdict batch_robustness_frontier(game::GameView view,
                                           const ExactMixedProfile& profile, std::size_t max_k,
                                           std::size_t max_t, const RobustnessOptions& options,
                                           const game::SymmetryGroup* symmetry) {
-    return route(std::move(view), profile, symmetry, [&](const SweepDriver& sweep) {
-        return sweep.batch_robustness_frontier(max_k, max_t, options.criterion, options.mode);
-    });
+    return make_sweep(std::move(view), profile, symmetry)
+        ->batch_robustness_frontier(max_k, max_t, options.criterion, options.mode);
 }
 
 MaxKtResult max_kt(game::GameView view, const ExactMixedProfile& profile,
                    std::size_t max_k, std::size_t max_t, const RobustnessOptions& options,
                    const game::SymmetryGroup* symmetry) {
-    return route(std::move(view), profile, symmetry, [&](const SweepDriver& sweep) {
-        return sweep.max_kt(max_k, max_t, options.criterion, options.mode);
-    });
+    return make_sweep(std::move(view), profile, symmetry)
+        ->max_kt(max_k, max_t, options.criterion, options.mode);
 }
 
 std::size_t max_resilience(game::GameView view, const ExactMixedProfile& profile,

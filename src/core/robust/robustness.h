@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -304,6 +305,19 @@ struct MaxKtResult final {
 // bit for bit as with no group at all. It is an argument rather than a
 // RobustnessOptions field because the SweepDriver methods take
 // RobustnessOptions too and have no engine to choose.
+
+class SweepDriver;  // core/robust/sweep_driver.h
+
+// The one engine factory behind every question above and the server's
+// sweeps: validates the candidate like they do, then returns the orbit
+// engine when `symmetry` applies to it (orbit_applicable) and the dense
+// CoalitionSweep otherwise. The server passes the detected group of the
+// upload refined by the candidate, so a pure candidate on a symmetric
+// upload sweeps orbits. The view's parent game and the profile must
+// outlive the engine.
+[[nodiscard]] std::unique_ptr<SweepDriver> make_sweep(game::GameView view,
+                                                      const game::ExactMixedProfile& profile,
+                                                      const game::SymmetryGroup* symmetry);
 
 [[nodiscard]] std::optional<RobustnessViolation> find_resilience_violation(
     game::GameView view, const game::ExactMixedProfile& profile, std::size_t k,

@@ -40,9 +40,14 @@ void GameView::rebuild_tables() {
         }
     }
     num_profiles_ = util::product_size(action_counts_);
-    identity_players_ = true;
-    for (std::size_t p = 0; p < n; ++p) {
-        if (player_map_[p] != p) identity_players_ = false;
+    identity_players_ = n == parent_n;
+    identity_ = identity_players_;
+    for (std::size_t p = 0; p < n && identity_players_; ++p) {
+        if (player_map_[p] != p) identity_players_ = identity_ = false;
+        if (kept_[p].size() != parent_->num_actions(p)) identity_ = false;
+        for (std::size_t a = 0; a < kept_[p].size() && identity_; ++a) {
+            if (kept_[p][a] != a) identity_ = false;
+        }
     }
 }
 

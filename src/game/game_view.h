@@ -80,6 +80,9 @@ public:
     // game and its action restrictions): a profile's payoffs then sit
     // contiguously at row_offset .. row_offset + num_players() - 1.
     [[nodiscard]] bool identity_player_map() const noexcept { return identity_players_; }
+    // True for the parent game unchanged: the identity player map, and
+    // every action of every player kept in order.
+    [[nodiscard]] bool is_identity() const noexcept { return identity_; }
 
     // --- flat-offset hot path ------------------------------------------------
     // row_offset(tuple) = sum of cell_offset(p, tuple[p]): the flat index
@@ -158,6 +161,7 @@ private:
     std::vector<std::size_t> action_counts_;
     std::uint64_t num_profiles_ = 0;
     bool identity_players_ = false;
+    bool identity_ = false;
 };
 
 }  // namespace bnash::game

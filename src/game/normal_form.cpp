@@ -157,6 +157,8 @@ NormalFormGame::Store& NormalFormGame::writable_store() {
     if (store_.use_count() != 1) {
         store_ = std::make_shared<Store>(*store_);
         g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        store_->symmetry.group.store(nullptr);
     }
     return *store_;
 }
@@ -284,10 +286,11 @@ void NormalFormGame::Build::commit() {
     // allocations then landed.
     if (game_->store_.use_count() != 1) {
         game_->store_ = std::make_shared<Store>(
-            Store{std::vector<std::uint32_t>(ids_.size()), {}, {}, {}});
+            Store{std::vector<std::uint32_t>(ids_.size()), {}, {}, {}, {}});
         g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
     }
     Store& store = *game_->store_;
+    store.symmetry.group.store(nullptr);
     for (std::size_t i = 0; i < ids_.size();) {
         for (std::size_t player = 0; player < n; ++player, ++i) {
             store.ranks[i] = tables_[player].rank(ids_[i]);
@@ -320,7 +323,7 @@ NormalFormGame NormalFormGame::with_levels(
     if (!fits) throw std::invalid_argument("with_levels: levels must match, strictly increasing");
     NormalFormGame out = *this;
     Store built{store_->ranks, std::move(levels), store_->counts,
-                std::vector<std::vector<double>>(n)};
+                std::vector<std::vector<double>>(n), {}};
     for (std::size_t player = 0; player < n; ++player) {
         for (const util::Rational& level : built.levels[player]) {
             built.levels_d[player].push_back(level.to_double());

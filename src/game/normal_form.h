@@ -10,7 +10,10 @@
 //     its cell count. An exact payoff is levels(player)[rank];
 //   - per player, each level's DOUBLE (to_double of the level), for the
 //     iterative dynamics and the simulators: a cell's double is
-//     levels_d(player)[rank], one table of L doubles, not one per cell.
+//     levels_d(player)[rank], one table of L doubles, not one per cell;
+//   - a memo of SymmetryGroup::detect on the game's full view, so copies
+//     that share the store detect once. A store written in place or
+//     cloned for a write starts with an empty memo.
 // A bulk build (Build, or assign_payoffs over a span) costs O(cells +
 // L log L) per player, L being the player's number of distinct payoffs:
 // one hashing pass over the values as they arrive, with no staged copy of
@@ -26,6 +29,7 @@
 // so the store depends on nothing built over it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -38,6 +42,8 @@
 #include "util/rng.h"
 
 namespace bnash::game {
+
+class SymmetryGroup;  // game/symmetry.h
 
 class NormalFormGame final {
 public:
@@ -165,6 +171,11 @@ public:
     // std::invalid_argument): same ranks and counts, new values.
     [[nodiscard]] NormalFormGame with_levels(
         std::vector<std::vector<util::Rational>> levels) const;
+    // SymmetryGroup::detect's answer on the whole game, or null before the
+    // first detection since the store was last written.
+    [[nodiscard]] std::shared_ptr<const SymmetryGroup> detected_symmetry() const {
+        return store_->symmetry.group.load();
+    }
 
     [[nodiscard]] std::uint64_t profile_rank(const PureProfile& profile) const;
     [[nodiscard]] PureProfile profile_unrank(std::uint64_t rank) const;
@@ -179,6 +190,18 @@ public:
     [[nodiscard]] std::string to_string() const;  // 2-player matrix rendering
 
 private:
+    friend class SymmetryGroup;  // fills Store::symmetry
+
+    // SymmetryGroup::detect's answer for the full view, filled by the
+    // first detection and read by every copy sharing the store; copies of
+    // the store start empty, because they are made to be written.
+    struct SymmetryMemo final {
+        SymmetryMemo() = default;
+        SymmetryMemo(const SymmetryMemo&) noexcept {}
+        SymmetryMemo& operator=(const SymmetryMemo&) = delete;
+        std::atomic<std::shared_ptr<const SymmetryGroup>> group;
+    };
+
     // The payoff store (see the file comment). ranks is indexed
     // [profile_rank * num_players + player]; levels, counts and levels_d
     // by player, then rank.
@@ -187,9 +210,11 @@ private:
         std::vector<std::vector<util::Rational>> levels;
         std::vector<std::vector<std::uint32_t>> counts;
         std::vector<std::vector<double>> levels_d;
+        SymmetryMemo symmetry;
     };
 
-    // The store, cloned first when a copy shares it.
+    // The store, cloned first when a copy shares it; either way its
+    // symmetry memo is empty, since the caller is about to write.
     [[nodiscard]] Store& writable_store();
 
     std::vector<std::size_t> action_counts_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -39,29 +39,61 @@ using util::Rational;
     }
 }
 
-// Cheap pre-filter for detect(): players with different sorted payoff
-// multisets are never exchangeable (their own-payoff multisets must map
-// onto each other under the transposition).
-[[nodiscard]] std::vector<Rational> sorted_payoff_multiset(const GameView& view,
-                                                          std::size_t player) {
-    std::vector<Rational> values;
-    values.reserve(static_cast<std::size_t>(view.num_profiles()));
-    PureProfile tuple(view.num_players(), 0);
-    while (true) {
-        values.push_back(view.payoff(tuple, player));
-        std::size_t d = view.num_players();
-        bool done = true;
-        while (d-- > 0) {
-            if (++tuple[d] < view.num_actions(d)) {
-                done = false;
-                break;
+// The same check on the store's ranks, for players i < j whose levels are
+// equal: a payoff of i then equals one of j exactly when their ranks do,
+// and every other compare is within one player. The equations at tau . a
+// are those at a with q and tau(q) exchanged, so only profiles with
+// a_i <= a_j are visited.
+[[nodiscard]] bool exchangeable_ranks(const NormalFormGame& game, std::size_t i, std::size_t j) {
+    const std::size_t n = game.num_players();
+    const std::uint32_t* const ranks = game.ordinal_ranks().data();
+    // Row-major strides, in profiles.
+    std::vector<std::uint64_t> stride(n, 1);
+    for (std::size_t p = n - 1; p-- > 0;) stride[p] = stride[p + 1] * game.num_actions(p + 1);
+    PureProfile tuple(n, 0);
+    for (std::uint64_t profile = 0; profile < game.num_profiles(); ++profile) {
+        if (tuple[i] <= tuple[j]) {
+            const std::uint64_t gap = (tuple[j] - tuple[i]) * (stride[i] - stride[j]);
+            const std::uint32_t* const row = ranks + profile * n;
+            const std::uint32_t* const swapped = ranks + (profile + gap) * n;
+            for (std::size_t q = 0; q < n; ++q) {
+                const std::size_t tq = q == i ? j : (q == j ? i : q);
+                if (row[q] != swapped[tq]) return false;
             }
+        }
+        for (std::size_t d = n; d-- > 0;) {
+            if (++tuple[d] < game.num_actions(d)) break;
             tuple[d] = 0;
         }
-        if (done) break;
     }
-    std::sort(values.begin(), values.end());
-    return values;
+    return true;
+}
+
+// The finest partition into pairwise exchangeable classes, grown greedily
+// in player order. Two players can share a class only when their action
+// counts and their payoff multisets (the store's levels and level counts)
+// agree; that refutes most pairs in O(levels), and the rest are checked
+// on ranks.
+[[nodiscard]] std::vector<std::vector<std::size_t>> exchangeable_classes(
+    const NormalFormGame& game) {
+    const std::size_t n = game.num_players();
+    std::vector<std::vector<std::size_t>> classes;
+    for (std::size_t p = 0; p < n; ++p) {
+        bool joined = false;
+        for (auto& cls : classes) {
+            const std::size_t rep = cls.front();
+            if (game.num_actions(rep) != game.num_actions(p) ||
+                game.level_counts(rep) != game.level_counts(p) ||
+                game.levels(rep) != game.levels(p) || !exchangeable_ranks(game, rep, p)) {
+                continue;
+            }
+            cls.push_back(p);
+            joined = true;
+            break;
+        }
+        if (!joined) classes.push_back({p});
+    }
+    return classes;
 }
 
 }  // namespace
@@ -119,27 +151,20 @@ SymmetryGroup SymmetryGroup::declared(std::vector<std::vector<std::size_t>> clas
 }
 
 SymmetryGroup SymmetryGroup::detect(const GameView& view) {
-    const std::size_t n = view.num_players();
-    std::vector<std::vector<std::size_t>> classes;
-    std::vector<std::vector<Rational>> multisets(n);
-    for (std::size_t p = 0; p < n; ++p) {
-        multisets[p] = sorted_payoff_multiset(view, p);
-        bool joined = false;
-        for (auto& cls : classes) {
-            const std::size_t rep = cls.front();
-            if (view.num_actions(rep) != view.num_actions(p)) continue;
-            if (multisets[rep] != multisets[p]) continue;
-            if (exchangeable(view, rep, p)) {
-                cls.push_back(p);
-                joined = true;
-                break;
-            }
-        }
-        if (!joined) classes.push_back({p});
+    // A view other than the whole game (rare: every library caller passes
+    // a full view) detects on a copy of its subgame, whose player indices
+    // are the view's.
+    return view.is_identity() ? detect(view.parent()) : detect(view.materialize());
+}
+
+SymmetryGroup SymmetryGroup::detect(const NormalFormGame& game) {
+    if (const std::shared_ptr<const SymmetryGroup> known = game.detected_symmetry()) {
+        return *known;
     }
     SymmetryGroup group;
-    group.classes_ = std::move(classes);
+    group.classes_ = exchangeable_classes(game);
     group.index_classes();
+    game.store_->symmetry.group.store(std::make_shared<const SymmetryGroup>(group));
     return group;
 }
 

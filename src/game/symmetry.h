@@ -53,11 +53,17 @@ public:
     // (AnonymousBinaryGame) when no tensor exists.
     [[nodiscard]] static SymmetryGroup declared(std::vector<std::vector<std::size_t>> classes,
                                                 std::size_t num_players);
-    // Payoff-comparison detection on a small tensor-backed view: players
-    // are bucketed by (action count, sorted payoff multiset) and classes
-    // grown by exact transposition checks, so the result is the FINEST
-    // partition whose classes are pairwise exchangeable — maximal and
-    // always verified by construction.
+    // Detection on a small tensor-backed view: classes are grown by exact
+    // transposition checks, so the result is the FINEST partition whose
+    // classes are pairwise exchangeable — maximal and always verified by
+    // construction. Players share a class only when their action counts
+    // and payoff multisets (the store's levels and level counts) agree,
+    // which refutes most pairs in O(levels); the transpositions are then
+    // checked on the store's ranks. On a whole game the answer is
+    // memoized in its store (NormalFormGame::detected_symmetry), so the
+    // copies that share it detect once; any other view detects on a copy
+    // of its subgame.
+    [[nodiscard]] static SymmetryGroup detect(const NormalFormGame& game);
     [[nodiscard]] static SymmetryGroup detect(const GameView& view);
 
     // Star-transposition check of every class against `view`; true iff

@@ -9,7 +9,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/robust/coalition_sweep.h"
+#include "core/robust/sweep_driver.h"
+#include "game/symmetry.h"
 #include "serve/canonical.h"
 
 namespace bnash::serve {
@@ -167,6 +168,23 @@ void check_sizes(const game::NormalFormGame& game, std::size_t k, std::size_t t)
     }
 }
 
+// The symmetry the engine factory gets for a request: the upload's
+// detected group (memoized on its store, so the requests on one upload
+// detect once), refined by a pure candidate. A mixed candidate, one of the
+// wrong width, or an upload with no symmetry gets none and the dense
+// engine, which validates the candidate. The game and the candidate fix
+// the group, so the request fingerprint, which binds both, also fixes the
+// engine a token indexes.
+[[nodiscard]] std::optional<game::SymmetryGroup> sweep_symmetry(const SweepRequest& request) {
+    if (request.profile.size() != request.game.num_players() ||
+        !core::as_pure_profile(request.profile)) {
+        return std::nullopt;
+    }
+    const game::SymmetryGroup detected = game::SymmetryGroup::detect(request.game);
+    if (detected.is_trivial()) return std::nullopt;
+    return detected.refined_by(request.profile);
+}
+
 // True when `error` refuses the resume token a request presented.
 [[nodiscard]] bool refuses_token(const std::string& presented, const std::exception& error) {
     return !presented.empty() && dynamic_cast<const core::InvalidCheckpoint*>(&error) != nullptr;
@@ -281,17 +299,20 @@ public:
         }
     }
 
-    // `sweep(engine, resume, checkpoint)` runs the question on a fresh
-    // CoalitionSweep under `grant`. Returns the token to retry with, or
-    // "" when the leg finished.
+    // `sweep(engine, resume, checkpoint)` runs the question under `grant`
+    // on a fresh engine from core::make_sweep: the orbit engine for a pure
+    // candidate on a symmetric upload, the dense one otherwise. Returns
+    // the token to retry with, or "" when the leg finished.
     template <typename Sweep>
     std::string run(util::ExecutionGrant& grant, const Sweep& sweep) {
         core::SweepCheckpoint checkpoint;
         {
             util::GrantScope scope(&grant);
             if (server_.fault_hook_) server_.fault_hook_(grant);
-            const core::CoalitionSweep engine(request_.game, request_.profile);
-            sweep(engine, resume_ ? &*resume_ : nullptr, checkpoint);
+            const std::optional<game::SymmetryGroup> symmetry = sweep_symmetry(request_);
+            const std::unique_ptr<core::SweepDriver> engine = core::make_sweep(
+                request_.game, request_.profile, symmetry ? &*symmetry : nullptr);
+            sweep(*engine, resume_ ? &*resume_ : nullptr, checkpoint);
         }
         return checkpoint.finished ? std::string() : mint(checkpoint);
     }
@@ -383,7 +404,7 @@ QueryResponse RobustnessServer::query(const QueryRequest& request) {
         }
         bool broken = false;
         response.resume_token =
-            leg.run(*grant, [&](const core::CoalitionSweep& sweep,
+            leg.run(*grant, [&](const core::SweepDriver& sweep,
                                 const core::SweepCheckpoint* resume,
                                 core::SweepCheckpoint& checkpoint) {
                 broken = sweep.robustness_violation(request.k, request.t,
@@ -435,7 +456,7 @@ FrontierResponse RobustnessServer::frontier(const FrontierRequest& request,
             };
         }
         response.resume_token =
-            leg.run(*grant, [&](const core::CoalitionSweep& sweep,
+            leg.run(*grant, [&](const core::SweepDriver& sweep,
                                 const core::SweepCheckpoint* resume,
                                 core::SweepCheckpoint& checkpoint) {
                 response.frontier = sweep.batch_robustness_frontier(

@@ -45,6 +45,15 @@
 // that request, else replaced by a fresh sweep (promoted) or by a token
 // for one (degraded).
 //
+// Every leg sweeps on the engine core::make_sweep picks: the orbit
+// engine (core/robust/orbit_sweep.h) for a pure candidate on an upload
+// whose detected symmetry group, refined by the candidate, is
+// non-trivial; the dense CoalitionSweep otherwise. The bound game and
+// profile fix that choice, and a resume token binds both through its
+// fingerprint, so a token always seeks the task space of the engine that
+// minted it. Detection runs once per uploaded payoff store, whose copies
+// share the answer (NormalFormGame::detected_symmetry).
+//
 // frontier() runs the full batch grid query (uncached — grids are
 // request-shaped, not cell-shaped), streaming each t-column through the
 // optional ColumnSink as it resolves and degrading to a resume token

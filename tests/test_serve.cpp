@@ -43,14 +43,20 @@
 #include <utility>
 #include <vector>
 
+#include "core/robust/anonymous.h"
+#include "core/robust/orbit_sweep.h"
 #include "core/robust/robustness.h"
+#include "core/robust/sweep_driver.h"
 #include "game/catalog.h"
 #include "game/normal_form.h"
+#include "game/symmetry.h"
+#include "orbit_checks.h"
 #include "serve/canonical.h"
 #include "serve/fault_schedule.h"
 #include "serve/server.h"
 #include "serve/socket_front.h"
 #include "serve/text_front.h"
+#include "symmetric_corpus.h"
 #include "util/execution_grant.h"
 #include "util/rng.h"
 #include "util/work_counters.h"
@@ -746,9 +752,36 @@ TEST(VerdictCacheTest, DegradeWithZeroFollowersErasesTheEntry) {
 
 // ----------------------------------------------------------------- server
 
-QueryRequest pd_request(std::size_t action, std::size_t k = 1, std::size_t t = 0) {
+// `game` with player p's payoffs mapped by x -> (p + 1) x + p. Each
+// compare a pure question makes is between two payoffs of one player, so
+// every pure verdict, and the dense sweep's task space, stay those of
+// `game`; but no two players share their levels, so detection finds no
+// symmetry and the server sweeps it with the dense engine.
+NormalFormGame asymmetric_game(const NormalFormGame& game) {
+    NormalFormGame out = game;
+    for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
+        const PureProfile cell = game.profile_unrank(rank);
+        for (std::size_t player = 0; player < game.num_players(); ++player) {
+            const Rational scale(static_cast<std::int64_t>(player) + 1);
+            out.set_payoff(cell, player, game.payoff_at(rank, player) * scale + scale - 1);
+        }
+    }
+    return out;
+}
+
+// The engine a catalog game's request reaches. The catalog games are
+// symmetric, so a class-constant pure candidate sweeps orbits (kOrbit);
+// kDense asks the same question on asymmetric_game(game).
+enum class Engine : std::uint8_t { kOrbit, kDense };
+
+NormalFormGame uploaded(NormalFormGame game, Engine engine) {
+    return engine == Engine::kDense ? asymmetric_game(game) : game;
+}
+
+QueryRequest pd_request(std::size_t action, std::size_t k = 1, std::size_t t = 0,
+                        Engine engine = Engine::kOrbit) {
     QueryRequest request;
-    request.game = game::catalog::prisoners_dilemma();
+    request.game = uploaded(game::catalog::prisoners_dilemma(), engine);
     request.profile = pure(request.game, PureProfile(2, action));
     request.k = k;
     request.t = t;
@@ -757,9 +790,9 @@ QueryRequest pd_request(std::size_t action, std::size_t k = 1, std::size_t t = 0
 
 // A (2,1)-robust query big enough to truncate under small budgets;
 // serial mode so checkpoints land at deterministic task boundaries.
-QueryRequest attack_request() {
+QueryRequest attack_request(Engine engine = Engine::kOrbit) {
     QueryRequest request;
-    request.game = game::catalog::attack_coordination_game(5);
+    request.game = uploaded(game::catalog::attack_coordination_game(5), engine);
     request.profile = pure(request.game, PureProfile(5, 1));
     request.k = 2;
     request.t = 1;
@@ -768,19 +801,21 @@ QueryRequest attack_request() {
 }
 
 TEST(Server, ResolvesExactVerdicts) {
-    RobustnessServer server;
-    // (D, D) is the PD's Nash equilibrium: (1,0)-robust.
-    const QueryResponse robust = server.query(pd_request(1));
-    EXPECT_EQ(robust.status, QueryStatus::kResolved);
-    EXPECT_EQ(robust.verdict, CellVerdict::kRobust);
-    EXPECT_FALSE(robust.cache_hit);
-    // (C, C) is not: either player gains by defecting.
-    const QueryResponse broken = server.query(pd_request(0));
-    EXPECT_EQ(broken.status, QueryStatus::kResolved);
-    EXPECT_EQ(broken.verdict, CellVerdict::kBroken);
-    const auto stats = server.stats();
-    EXPECT_EQ(stats.resolved, 2u);
-    EXPECT_EQ(stats.cache_misses, 2u);
+    for (const Engine engine : {Engine::kOrbit, Engine::kDense}) {
+        RobustnessServer server;
+        // (D, D) is the PD's Nash equilibrium: (1,0)-robust.
+        const QueryResponse robust = server.query(pd_request(1, 1, 0, engine));
+        EXPECT_EQ(robust.status, QueryStatus::kResolved);
+        EXPECT_EQ(robust.verdict, CellVerdict::kRobust);
+        EXPECT_FALSE(robust.cache_hit);
+        // (C, C) is not: either player gains by defecting.
+        const QueryResponse broken = server.query(pd_request(0, 1, 0, engine));
+        EXPECT_EQ(broken.status, QueryStatus::kResolved);
+        EXPECT_EQ(broken.verdict, CellVerdict::kBroken);
+        const auto stats = server.stats();
+        EXPECT_EQ(stats.resolved, 2u);
+        EXPECT_EQ(stats.cache_misses, 2u);
+    }
 }
 
 // A size above the player count is refused before any key or sweep
@@ -1026,73 +1061,83 @@ TEST(Server, CacheStampedeIsSingleFlight) {
 // ---------------------------------------------------------- resume tokens
 
 TEST(ServerResume, BudgetedRetriesChainThroughOneSweep) {
-    // Reference: the unbudgeted cost of the query, on a throwaway server
-    // so nothing is memoized where the budgeted chain runs.
-    std::uint64_t full_cost = 0;
-    {
-        RobustnessServer reference;
-        const QueryResponse unbudgeted = reference.query(attack_request());
-        ASSERT_EQ(unbudgeted.status, QueryStatus::kResolved);
-        ASSERT_EQ(unbudgeted.verdict, CellVerdict::kRobust);
-        full_cost = unbudgeted.cells_charged;
-    }
-    ASSERT_GT(full_cost, 0u);
+    for (const Engine engine : {Engine::kDense, Engine::kOrbit}) {
+        SCOPED_TRACE(engine == Engine::kDense ? "dense" : "orbit");
+        // Reference: the unbudgeted cost of the query, on a throwaway
+        // server so nothing is memoized where the budgeted chain runs.
+        std::uint64_t full_cost = 0;
+        {
+            RobustnessServer reference;
+            const QueryResponse unbudgeted = reference.query(attack_request(engine));
+            ASSERT_EQ(unbudgeted.status, QueryStatus::kResolved);
+            ASSERT_EQ(unbudgeted.verdict, CellVerdict::kRobust);
+            full_cost = unbudgeted.cells_charged;
+        }
+        ASSERT_GT(full_cost, 0u);
 
-    RobustnessServer server;
-    QueryRequest request = attack_request();
-    request.budget_cells = std::max<std::uint64_t>(full_cost / 4, 1);
-    QueryResponse response = server.query(request);
-    std::uint64_t total_cells = response.cells_charged;
-    std::size_t retries = 0;
-    while (response.status == QueryStatus::kDegraded && retries < 64) {
-        EXPECT_FALSE(response.resume_token.empty());
-        request.resume_token = response.resume_token;
-        response = server.query(request);
-        total_cells += response.cells_charged;
-        ++retries;
-    }
-    EXPECT_EQ(response.status, QueryStatus::kResolved);
-    EXPECT_EQ(response.verdict, CellVerdict::kRobust);
-    EXPECT_GE(retries, 2u);
-    // The retries seeked past resolved work: the chain costs far less
-    // than recomputing from scratch each time. (The tight <= 1.15x gate
-    // runs on the large-grid fuzz corpus in test_grant.)
-    EXPECT_LT(total_cells, full_cost * retries);
+        RobustnessServer server;
+        QueryRequest request = attack_request(engine);
+        // A quarter of the dense sweep. The orbit sweep's largest task
+        // (6 of its 17 cells) costs more than a quarter, and a budget
+        // below one task's cost makes no progress (server.h): it gets half.
+        const std::uint64_t parts = engine == Engine::kDense ? 4 : 2;
+        request.budget_cells = std::max<std::uint64_t>(full_cost / parts, 1);
+        QueryResponse response = server.query(request);
+        std::uint64_t total_cells = response.cells_charged;
+        std::size_t retries = 0;
+        while (response.status == QueryStatus::kDegraded && retries < 64) {
+            EXPECT_FALSE(response.resume_token.empty());
+            request.resume_token = response.resume_token;
+            response = server.query(request);
+            total_cells += response.cells_charged;
+            ++retries;
+        }
+        EXPECT_EQ(response.status, QueryStatus::kResolved);
+        EXPECT_EQ(response.verdict, CellVerdict::kRobust);
+        EXPECT_GE(retries, 2u);
+        // The retries seeked past resolved work: the chain costs far less
+        // than recomputing from scratch each time. (The tight <= 1.15x
+        // gate runs on the large-grid fuzz corpus in test_grant.)
+        EXPECT_LT(total_cells, full_cost * retries);
 
-    // The chained verdict is memoized like any exact verdict.
-    request.resume_token.clear();
-    request.budget_cells = util::ExecutionGrant::kUnlimited;
-    EXPECT_TRUE(server.query(request).cache_hit);
+        // The chained verdict is memoized like any exact verdict.
+        request.resume_token.clear();
+        request.budget_cells = util::ExecutionGrant::kUnlimited;
+        EXPECT_TRUE(server.query(request).cache_hit);
+    }
 }
 
 TEST(ServerResume, TokenFromDifferentRequestIsRejected) {
-    RobustnessServer server;
-    QueryRequest request = attack_request();
-    request.budget_cells = 8;
-    const QueryResponse degraded = server.query(request);
-    ASSERT_EQ(degraded.status, QueryStatus::kDegraded);
-    ASSERT_FALSE(degraded.resume_token.empty());
+    for (const Engine engine : {Engine::kDense, Engine::kOrbit}) {
+        SCOPED_TRACE(engine == Engine::kDense ? "dense" : "orbit");
+        RobustnessServer server;
+        QueryRequest request = attack_request(engine);
+        request.budget_cells = 8;
+        const QueryResponse degraded = server.query(request);
+        ASSERT_EQ(degraded.status, QueryStatus::kDegraded);
+        ASSERT_FALSE(degraded.resume_token.empty());
 
-    // Same token, different (k, t): the checkpoint's task ranks would
-    // seek into the wrong enumeration — refused outright.
-    QueryRequest other = attack_request();
-    other.k = 3;
-    other.resume_token = degraded.resume_token;
-    const QueryResponse rejected = server.query(other);
-    EXPECT_EQ(rejected.status, QueryStatus::kError);
-    EXPECT_NE(rejected.error.find("does not match"), std::string::npos);
+        // Same token, different (k, t): the checkpoint's task ranks would
+        // seek into the wrong enumeration — refused outright.
+        QueryRequest other = attack_request(engine);
+        other.k = 3;
+        other.resume_token = degraded.resume_token;
+        const QueryResponse rejected = server.query(other);
+        EXPECT_EQ(rejected.status, QueryStatus::kError);
+        EXPECT_NE(rejected.error.find("does not match"), std::string::npos);
 
-    // Different game entirely.
-    QueryRequest wrong_game = pd_request(1);
-    wrong_game.resume_token = degraded.resume_token;
-    EXPECT_EQ(server.query(wrong_game).status, QueryStatus::kError);
+        // Different game entirely.
+        QueryRequest wrong_game = pd_request(1, 1, 0, engine);
+        wrong_game.resume_token = degraded.resume_token;
+        EXPECT_EQ(server.query(wrong_game).status, QueryStatus::kError);
 
-    // The original request still accepts its own token.
-    request.resume_token = degraded.resume_token;
-    request.budget_cells = util::ExecutionGrant::kUnlimited;
-    const QueryResponse resumed = server.query(request);
-    EXPECT_EQ(resumed.status, QueryStatus::kResolved);
-    EXPECT_EQ(resumed.verdict, CellVerdict::kRobust);
+        // The original request still accepts its own token.
+        request.resume_token = degraded.resume_token;
+        request.budget_cells = util::ExecutionGrant::kUnlimited;
+        const QueryResponse resumed = server.query(request);
+        EXPECT_EQ(resumed.status, QueryStatus::kResolved);
+        EXPECT_EQ(resumed.verdict, CellVerdict::kRobust);
+    }
 }
 
 TEST(ServerResume, StaleGenerationAndGarbageTokensAreRejected) {
@@ -1133,11 +1178,12 @@ TEST(ServerResume, StaleGenerationAndGarbageTokensAreRejected) {
 // to is public, so a client can mint a well-formed token for its own
 // request. In the prisoner's dilemma, (C,C) is not even a Nash
 // equilibrium, yet a token claiming the resilience phase resumes at task
-// 999999 — past the 2-task space — used to read as "every task verified":
+// 999999 — past the task space — used to read as "every task verified":
 // the sweep finished, the server memoized kRobust, and the next honest
 // client got it as a cache hit. Out-of-range resume positions now throw in
-// every build. An IN-range forgery (next_task = 2 here) is still accepted;
-// closing that needs authenticated tokens (a server-keyed MAC).
+// every build. An IN-range forgery (next_task = 1 here: the symmetric game
+// sweeps orbits, one (coalition size, faulty size) task) is still
+// accepted; closing that needs authenticated tokens (a server-keyed MAC).
 TEST(ServerResume, OutOfRangeForgedTokenErrorsAndPoisonsNothing) {
     RobustnessServer server;
     QueryRequest forged = pd_request(0);
@@ -1296,9 +1342,10 @@ TEST(FaultScheduleTest, DrivesEveryDegradationRung) {
 
 // ----------------------------------------------------------- frontier grid
 
-FrontierRequest frontier_request(std::size_t max_k, std::size_t max_t) {
+FrontierRequest frontier_request(std::size_t max_k, std::size_t max_t,
+                                 Engine engine = Engine::kOrbit) {
     FrontierRequest request;
-    request.game = game::catalog::attack_coordination_game(5);
+    request.game = uploaded(game::catalog::attack_coordination_game(5), engine);
     request.profile = pure(request.game, PureProfile(5, 1));
     request.max_k = max_k;
     request.max_t = max_t;
@@ -1325,40 +1372,43 @@ TEST(ServerFrontier, StreamsEveryColumnAndResolves) {
 }
 
 TEST(ServerFrontier, ResumedRetriesReassembleBitIdenticallyWithoutReStreaming) {
-    RobustnessServer server;
-    // Unbudgeted reference run (frontiers are uncached, so one server is
-    // fine).
-    const FrontierResponse full = server.frontier(frontier_request(2, 2));
-    ASSERT_EQ(full.status, QueryStatus::kResolved);
-    const std::uint64_t full_cost = full.cells_charged;
-    ASSERT_GT(full_cost, 0u);
+    for (const Engine engine : {Engine::kDense, Engine::kOrbit}) {
+        SCOPED_TRACE(engine == Engine::kDense ? "dense" : "orbit");
+        RobustnessServer server;
+        // Unbudgeted reference run (frontiers are uncached, so one server
+        // is fine).
+        const FrontierResponse full = server.frontier(frontier_request(2, 2, engine));
+        ASSERT_EQ(full.status, QueryStatus::kResolved);
+        const std::uint64_t full_cost = full.cells_charged;
+        ASSERT_GT(full_cost, 0u);
 
-    // Budgeted chain: each retry presents the previous token; each
-    // column must stream from EXACTLY one run.
-    FrontierRequest request = frontier_request(2, 2);
-    request.budget_cells = std::max<std::uint64_t>(full_cost / 3, 1);
-    std::vector<std::size_t> streamed_ts;
-    const auto sink = [&](std::size_t t, std::size_t, const core::RobustnessViolation*) {
-        streamed_ts.push_back(t);
-    };
-    FrontierResponse partial = server.frontier(request, sink);
-    core::FrontierVerdict assembled = partial.frontier;
-    std::size_t retries = 0;
-    while (partial.status == QueryStatus::kDegraded && retries < 64) {
-        ASSERT_FALSE(partial.resume_token.empty());
-        request.resume_token = partial.resume_token;
-        partial = server.frontier(request, sink);
-        core::merge_frontier(assembled, partial.frontier);
-        ++retries;
+        // Budgeted chain: each retry presents the previous token; each
+        // column must stream from EXACTLY one run.
+        FrontierRequest request = frontier_request(2, 2, engine);
+        request.budget_cells = std::max<std::uint64_t>(full_cost / 3, 1);
+        std::vector<std::size_t> streamed_ts;
+        const auto sink = [&](std::size_t t, std::size_t, const core::RobustnessViolation*) {
+            streamed_ts.push_back(t);
+        };
+        FrontierResponse partial = server.frontier(request, sink);
+        core::FrontierVerdict assembled = partial.frontier;
+        std::size_t retries = 0;
+        while (partial.status == QueryStatus::kDegraded && retries < 64) {
+            ASSERT_FALSE(partial.resume_token.empty());
+            request.resume_token = partial.resume_token;
+            partial = server.frontier(request, sink);
+            core::merge_frontier(assembled, partial.frontier);
+            ++retries;
+        }
+        ASSERT_EQ(partial.status, QueryStatus::kResolved);
+        EXPECT_GE(retries, 1u);
+        // Reassembled grid == the unbudgeted grid, witnesses included.
+        EXPECT_EQ(assembled, full.frontier);
+        // No column streamed twice, and all columns streamed once overall.
+        std::set<std::size_t> unique_ts(streamed_ts.begin(), streamed_ts.end());
+        EXPECT_EQ(unique_ts.size(), streamed_ts.size());
+        EXPECT_EQ(unique_ts, (std::set<std::size_t>{0, 1, 2}));
     }
-    ASSERT_EQ(partial.status, QueryStatus::kResolved);
-    EXPECT_GE(retries, 1u);
-    // Reassembled grid == the unbudgeted grid, witnesses included.
-    EXPECT_EQ(assembled, full.frontier);
-    // No column streamed twice, and all columns streamed once overall.
-    std::set<std::size_t> unique_ts(streamed_ts.begin(), streamed_ts.end());
-    EXPECT_EQ(unique_ts.size(), streamed_ts.size());
-    EXPECT_EQ(unique_ts, (std::set<std::size_t>{0, 1, 2}));
 }
 
 TEST(ServerFrontier, WrongKindTokenIsRejected) {
@@ -1383,39 +1433,55 @@ TEST(ServerFrontier, WrongKindTokenIsRejected) {
     EXPECT_EQ(server.query(cell_with_grid_token).status, QueryStatus::kError);
 }
 
-// Tokens minted by budget-starved requests on a fixed game, byte for byte
-// as minted before the fingerprint became lazy; resuming from each one
-// reproduces the unbudgeted verdict or grid. Serial mode lands the
-// checkpoints at deterministic task boundaries.
+// Tokens minted by budget-starved requests on a fixed game, byte for byte;
+// resuming from each one reproduces the unbudgeted verdict or grid.
+// Serial mode lands the checkpoints at deterministic task boundaries. The
+// dense tokens seek the CoalitionSweep's tasks (200-cell budgets), the
+// orbit tokens the (coalition size, faulty size) pairs of the 17-cell ask
+// and the 28-cell frontier (8-cell budgets); the fingerprint binds the
+// game, so the two engines' tokens never meet.
 TEST(ServerResume, StarvedTokensMatchGoldenBytes) {
-    RobustnessServer server;
-    QueryRequest ask = attack_request();
-    const QueryResponse unbudgeted = RobustnessServer{}.query(ask);
-    ASSERT_EQ(unbudgeted.status, QueryStatus::kResolved);
-    ask.budget_cells = 200;
-    const QueryResponse degraded = server.query(ask);
-    ASSERT_EQ(degraded.status, QueryStatus::kDegraded);
-    EXPECT_EQ(degraded.resume_token, "c.0.10012330043009379204.1.0.8.0.0");
-    ask.budget_cells = util::ExecutionGrant::kUnlimited;
-    ask.resume_token = degraded.resume_token;
-    const QueryResponse resumed = server.query(ask);
-    EXPECT_EQ(resumed.status, QueryStatus::kResolved);
-    EXPECT_EQ(resumed.verdict, unbudgeted.verdict);
+    struct Golden {
+        Engine engine;
+        std::uint64_t budget;
+        const char* ask;
+        const char* frontier;
+    };
+    for (const Golden& golden :
+         {Golden{Engine::kDense, 200, "c.0.9928885523790770227.1.0.8.0.0",
+                 "f.0.8225714782347938372.1.2.2.3.0"},
+          Golden{Engine::kOrbit, 8, "c.0.10012330043009379204.1.0.1.0.0",
+                 "f.0.11541199632330537245.1.2.1.3.0"}}) {
+        SCOPED_TRACE(golden.engine == Engine::kDense ? "dense" : "orbit");
+        RobustnessServer server;
+        QueryRequest ask = attack_request(golden.engine);
+        const QueryResponse unbudgeted = RobustnessServer{}.query(ask);
+        ASSERT_EQ(unbudgeted.status, QueryStatus::kResolved);
+        ask.budget_cells = golden.budget;
+        const QueryResponse degraded = server.query(ask);
+        ASSERT_EQ(degraded.status, QueryStatus::kDegraded);
+        EXPECT_EQ(degraded.resume_token, golden.ask);
+        ask.budget_cells = util::ExecutionGrant::kUnlimited;
+        ask.resume_token = degraded.resume_token;
+        const QueryResponse resumed = server.query(ask);
+        EXPECT_EQ(resumed.status, QueryStatus::kResolved);
+        EXPECT_EQ(resumed.verdict, unbudgeted.verdict);
 
-    FrontierRequest grid = frontier_request(2, 2);
-    const FrontierResponse full = server.frontier(grid);
-    ASSERT_EQ(full.status, QueryStatus::kResolved);
-    grid.budget_cells = 200;
-    const FrontierResponse partial = server.frontier(grid);
-    ASSERT_EQ(partial.status, QueryStatus::kDegraded);
-    EXPECT_EQ(partial.resume_token, "f.0.11541199632330537245.1.2.2.3.0");
-    grid.budget_cells = util::ExecutionGrant::kUnlimited;
-    grid.resume_token = partial.resume_token;
-    const FrontierResponse rest = server.frontier(grid);
-    ASSERT_EQ(rest.status, QueryStatus::kResolved);
-    core::FrontierVerdict assembled = partial.frontier;
-    core::merge_frontier(assembled, rest.frontier);
-    EXPECT_EQ(assembled, full.frontier);
+        FrontierRequest grid = frontier_request(2, 2, golden.engine);
+        const FrontierResponse full = server.frontier(grid);
+        ASSERT_EQ(full.status, QueryStatus::kResolved);
+        grid.budget_cells = golden.budget;
+        const FrontierResponse partial = server.frontier(grid);
+        ASSERT_EQ(partial.status, QueryStatus::kDegraded);
+        EXPECT_EQ(partial.resume_token, golden.frontier);
+        grid.budget_cells = util::ExecutionGrant::kUnlimited;
+        grid.resume_token = partial.resume_token;
+        const FrontierResponse rest = server.frontier(grid);
+        ASSERT_EQ(rest.status, QueryStatus::kResolved);
+        core::FrontierVerdict assembled = partial.frontier;
+        core::merge_frontier(assembled, rest.frontier);
+        EXPECT_EQ(assembled, full.frontier);
+    }
 }
 
 // The fingerprint a token binds to covers every input of the request:
@@ -1508,32 +1574,35 @@ TEST(ServerResume, FingerprintBindsEveryInput) {
 // positions: a real starved token whose open_columns count has been
 // raised past the grid's columns is refused (kError) and counted.
 TEST(ServerResume, OpenColumnsPastTheGridTokenIsRejected) {
-    RobustnessServer server;
-    FrontierRequest grid = frontier_request(2, 2);
-    grid.budget_cells = 200;
-    const FrontierResponse partial = server.frontier(grid);
-    ASSERT_EQ(partial.status, QueryStatus::kDegraded);
-    // Fields: kind, generation, fingerprint, immunity_done, immunity_ok,
-    // next_task, open_columns, then the walk_k_of_t count. The grid has
-    // max_t + 1 = 3 columns.
-    std::vector<std::string> fields;
-    std::istringstream split(partial.resume_token);
-    for (std::string field; std::getline(split, field, '.');) fields.push_back(field);
-    ASSERT_EQ(fields.size(), 8u);
-    fields[6] = "4";
-    std::string widened = fields[0];
-    for (std::size_t i = 1; i < fields.size(); ++i) widened += "." + fields[i];
+    for (const Engine engine : {Engine::kDense, Engine::kOrbit}) {
+        SCOPED_TRACE(engine == Engine::kDense ? "dense" : "orbit");
+        RobustnessServer server;
+        FrontierRequest grid = frontier_request(2, 2, engine);
+        grid.budget_cells = engine == Engine::kDense ? 200 : 8;
+        const FrontierResponse partial = server.frontier(grid);
+        ASSERT_EQ(partial.status, QueryStatus::kDegraded);
+        // Fields: kind, generation, fingerprint, immunity_done,
+        // immunity_ok, next_task, open_columns, then the walk_k_of_t
+        // count. The grid has max_t + 1 = 3 columns.
+        std::vector<std::string> fields;
+        std::istringstream split(partial.resume_token);
+        for (std::string field; std::getline(split, field, '.');) fields.push_back(field);
+        ASSERT_EQ(fields.size(), 8u);
+        fields[6] = "4";
+        std::string widened = fields[0];
+        for (std::size_t i = 1; i < fields.size(); ++i) widened += "." + fields[i];
 
-    grid.budget_cells = util::ExecutionGrant::kUnlimited;
-    grid.resume_token = widened;
-    const FrontierResponse rejected = server.frontier(grid);
-    EXPECT_EQ(rejected.status, QueryStatus::kError);
-    EXPECT_NE(rejected.error.find("open_columns"), std::string::npos) << rejected.error;
-    EXPECT_EQ(server.stats().tokens_rejected, 1u);
-    // The genuine token still resumes.
-    grid.resume_token = partial.resume_token;
-    EXPECT_EQ(server.frontier(grid).status, QueryStatus::kResolved);
-    EXPECT_EQ(server.stats().tokens_rejected, 1u);
+        grid.budget_cells = util::ExecutionGrant::kUnlimited;
+        grid.resume_token = widened;
+        const FrontierResponse rejected = server.frontier(grid);
+        EXPECT_EQ(rejected.status, QueryStatus::kError);
+        EXPECT_NE(rejected.error.find("open_columns"), std::string::npos) << rejected.error;
+        EXPECT_EQ(server.stats().tokens_rejected, 1u);
+        // The genuine token still resumes.
+        grid.resume_token = partial.resume_token;
+        EXPECT_EQ(server.frontier(grid).status, QueryStatus::kResolved);
+        EXPECT_EQ(server.stats().tokens_rejected, 1u);
+    }
 }
 
 // ------------------------------------------------------------- text front
@@ -2153,10 +2222,12 @@ TEST(TextFront, RequestsShareTheUploadedGame) {
 }
 
 // A malformed retry must not drop the token armed for it. `command` with a
-// 200-cell budget degrades on an all-zero game (nobody ever gains, so the
-// whole sweep runs); the well-formed retry after a rejected
-// `<command> 2 1 abc` must charge what a retry right after `resume` does,
-// which is less than a fresh unbudgeted run.
+// starved budget degrades on a game where nobody ever gains, so the whole
+// sweep runs; the well-formed retry after a rejected `<command> 2 1 abc`
+// must charge what a retry right after `resume` does, which is less than
+// a fresh unbudgeted run. The all-zero upload sweeps orbits (an 8-cell
+// budget starves it); the one paying player p a constant p is asymmetric
+// and sweeps densely (200 cells).
 TEST(TextFront, MalformedRetryKeepsTheArmedToken) {
     const auto field = [](const std::string& reply, const std::string& name) {
         const std::size_t at = reply.find(name + "=");
@@ -2164,32 +2235,42 @@ TEST(TextFront, MalformedRetryKeepsTheArmedToken) {
         const std::size_t begin = at + name.size() + 1;
         return reply.substr(begin, reply.find(' ', begin) - begin);
     };
-    for (const std::string command : {"ask 2 1", "frontier 2 1"}) {
-        // Cells charged by the last `command` of: upload, then (when
-        // resuming) a degraded run, `resume`, an optional malformed retry.
-        const auto final_cells = [&](bool resume, bool malformed) {
-            RobustnessServer server;
-            ScriptedSession session(server);
-            EXPECT_EQ(session.reply("game 5 2 2 2 2 2"), "ok");
-            // Serial sweeps, so that a budget stops at one fixed task.
-            EXPECT_EQ(session.reply("mode serial"), "ok");
-            if (resume) {
-                const std::string degraded = session.send(command + " 200").back();
-                const std::string token = field(degraded, "token");
-                EXPECT_FALSE(token.empty()) << command << ": " << degraded;
-                EXPECT_EQ(session.reply("resume " + token), "ok");
-                if (malformed) {
-                    EXPECT_EQ(session.reply(command + " abc").rfind("error: ", 0), 0u)
-                        << command;
+    std::string constant = "payoffs";
+    for (int cell = 0; cell < 32; ++cell) constant += " 0 1 2 3 4";
+    struct Upload {
+        std::vector<std::string> lines;
+        std::string budget;
+    };
+    for (const Upload& upload : {Upload{{"game 5 2 2 2 2 2"}, " 8"},
+                                 Upload{{"game 5 2 2 2 2 2", constant}, " 200"}}) {
+        for (const std::string command : {"ask 2 1", "frontier 2 1"}) {
+            // Cells charged by the last `command` of: upload, then (when
+            // resuming) a degraded run, `resume`, an optional malformed
+            // retry.
+            const auto final_cells = [&](bool resume, bool malformed) {
+                RobustnessServer server;
+                ScriptedSession session(server);
+                for (const std::string& line : upload.lines) EXPECT_EQ(session.reply(line), "ok");
+                // Serial sweeps, so that a budget stops at one fixed task.
+                EXPECT_EQ(session.reply("mode serial"), "ok");
+                if (resume) {
+                    const std::string degraded = session.send(command + upload.budget).back();
+                    const std::string token = field(degraded, "token");
+                    EXPECT_FALSE(token.empty()) << command << ": " << degraded;
+                    EXPECT_EQ(session.reply("resume " + token), "ok");
+                    if (malformed) {
+                        EXPECT_EQ(session.reply(command + " abc").rfind("error: ", 0), 0u)
+                            << command;
+                    }
                 }
-            }
-            const std::string done = session.send(command).back();
-            EXPECT_EQ(done.find("token="), std::string::npos) << command << ": " << done;
-            return std::stoull(field(done, "cells"));
-        };
-        const std::uint64_t kept = final_cells(true, true);
-        EXPECT_EQ(kept, final_cells(true, false)) << command;
-        EXPECT_LT(kept, final_cells(false, false)) << command;
+                const std::string done = session.send(command).back();
+                EXPECT_EQ(done.find("token="), std::string::npos) << command << ": " << done;
+                return std::stoull(field(done, "cells"));
+            };
+            const std::uint64_t kept = final_cells(true, true);
+            EXPECT_EQ(kept, final_cells(true, false)) << command << upload.budget;
+            EXPECT_LT(kept, final_cells(false, false)) << command << upload.budget;
+        }
     }
 }
 
@@ -2229,6 +2310,255 @@ TEST(TextFront, DeadlinePastTheClockRangeNeverExpires) {
         for (const char* deadline_ms : {"9223372036854775807", "9300000000000", "9223372036854"}) {
             EXPECT_EQ(run(command + " " + deadline_ms), unbounded) << command << " " << deadline_ms;
         }
+    }
+}
+
+// ---------------------------------------------------------- the orbit route
+
+// The 3-action symmetric game lifted from a 2-action catalog game, as
+// servebench's frontier_session serves them: actions 0 and 1 pay a safe
+// 10; action 2 plays the catalog's `deviate` action against everyone
+// else's `stay`, paid relative to the all-`stay` catalog payoff, minus 1/2.
+NormalFormGame lifted(const NormalFormGame& base, std::size_t stay, std::size_t deviate) {
+    const std::size_t n = base.num_players();
+    NormalFormGame out(std::vector<std::size_t>(n, 3));
+    const PureProfile all_stay(n, stay);
+    PureProfile projected(n, stay);
+    for (std::uint64_t rank = 0; rank < out.num_profiles(); ++rank) {
+        const PureProfile profile = out.profile_unrank(rank);
+        for (std::size_t p = 0; p < n; ++p) projected[p] = profile[p] == 2 ? deviate : stay;
+        for (std::size_t p = 0; p < n; ++p) {
+            Rational value(10);
+            if (profile[p] == 2) {
+                value += base.payoff(projected, p) - base.payoff(all_stay, p) - Rational(1, 2);
+            }
+            out.set_payoff(profile, p, value);
+        }
+    }
+    return out;
+}
+
+struct SymmetricUpload {
+    std::string name;
+    NormalFormGame game;
+};
+
+// Seeded symmetric uploads: lifted catalog games, the anonymous games'
+// tensors, the catalog attack and bargaining games, and random games
+// expanded from a random quotient.
+std::vector<SymmetricUpload> symmetric_uploads() {
+    namespace catalog = game::catalog;
+    std::vector<SymmetricUpload> out;
+    out.push_back({"lifted attack(5)", lifted(catalog::attack_coordination_game(5), 0, 1)});
+    out.push_back({"lifted bargaining(5)", lifted(catalog::bargaining_game(5), 0, 1)});
+    out.push_back({"anonymous attack(6)", core::AnonymousBinaryGame::attack(6).to_normal_form()});
+    out.push_back(
+        {"anonymous bargaining(6)", core::AnonymousBinaryGame::bargaining(6).to_normal_form()});
+    out.push_back({"attack(5)", catalog::attack_coordination_game(5)});
+    out.push_back({"bargaining(5)", catalog::bargaining_game(5)});
+    util::Rng rng(3571);
+    for (std::size_t i = 0; i < 4; ++i) {
+        std::vector<std::size_t> sizes;
+        const game::SymmetryGroup group = core::random_group(rng, 5, sizes);
+        const std::vector<std::size_t> actions(sizes.size(), 2 + i % 2);
+        out.push_back({"quotient game " + std::to_string(i),
+                       core::expand_quotient(core::random_quotient(rng, sizes, actions), group)});
+    }
+    return out;
+}
+
+// A random pure candidate on at most two actions, so that most classes
+// of a symmetric upload keep several members after refined_by.
+PureProfile random_candidate(const NormalFormGame& game, util::Rng& rng) {
+    const std::uint64_t a = rng.next_u64();
+    const std::uint64_t b = rng.next_u64();
+    PureProfile base(game.num_players());
+    for (std::size_t p = 0; p < base.size(); ++p) {
+        base[p] = static_cast<std::size_t>((rng.next_below(3) == 0 ? b : a) % game.num_actions(p));
+    }
+    return base;
+}
+
+const char* criterion_name(core::GainCriterion criterion) {
+    return criterion == core::GainCriterion::kAnyMemberGains ? "any" : "all";
+}
+
+// Every frontier grid and ask verdict the server returns on a symmetric
+// upload equals the dense sweep's, asked without a group; every broken
+// cell's witness re-checks on the uploaded tensor; and a serial frontier
+// charges exactly what the engine core::make_sweep picks for the detected
+// group charges, so the orbit route is the one taken.
+TEST(ServerOrbit, AsksAndFrontiersMatchTheDenseSweep) {
+    util::Rng rng(9001);
+    std::size_t orbit_requests = 0;
+    for (const SymmetricUpload& upload : symmetric_uploads()) {
+        const NormalFormGame& game = upload.game;
+        const std::size_t max_k = std::min<std::size_t>(game.num_players(), 3);
+        const std::size_t max_t = 2;
+        for (int trial = 0; trial < 3; ++trial) {
+            const PureProfile base = random_candidate(game, rng);
+            const game::ExactMixedProfile profile = pure(game, base);
+            const game::SymmetryGroup group =
+                game::SymmetryGroup::detect(game).refined_by(profile);
+            const bool orbit = core::orbit_applicable(group, profile);
+            for (const core::GainCriterion criterion :
+                 {core::GainCriterion::kAnyMemberGains, core::GainCriterion::kAllMembersGain}) {
+                const std::string label = upload.name + " trial " + std::to_string(trial) + " " +
+                                          criterion_name(criterion);
+                RobustnessServer server;
+                FrontierRequest grid;
+                grid.game = game;
+                grid.profile = profile;
+                grid.max_k = max_k;
+                grid.max_t = max_t;
+                grid.criterion = criterion;
+                grid.mode = game::SweepMode::kSerial;
+                const FrontierResponse served = server.frontier(grid);
+                ASSERT_EQ(served.status, QueryStatus::kResolved) << label << served.error;
+                const core::FrontierVerdict dense = core::batch_robustness_frontier(
+                    game, profile, max_k, max_t, {criterion, game::SweepMode::kAuto});
+                core::expect_same_verdict_grid(dense, served.frontier, label);
+                for (std::size_t k = 0; k <= max_k; ++k) {
+                    for (std::size_t t = 0; t <= max_t; ++t) {
+                        if (const auto& witness = served.frontier.violation(k, t)) {
+                            core::validate_witness(game, base, *witness, k, t, criterion,
+                                                   label + " cell (" + std::to_string(k) +
+                                                       "," + std::to_string(t) + ")");
+                        }
+                    }
+                }
+                util::ExecutionGrant grant(util::ExecutionGrant::kUnlimited);
+                {
+                    util::GrantScope scope(&grant);
+                    (void)core::make_sweep(game, profile, &group)
+                        ->batch_robustness_frontier(max_k, max_t, criterion,
+                                                    game::SweepMode::kSerial);
+                }
+                EXPECT_EQ(served.cells_charged, grant.charged()) << label;
+                orbit_requests += orbit ? 1 : 0;
+
+                for (std::size_t k = 0; k <= max_k; ++k) {
+                    for (std::size_t t = 0; t <= max_t; ++t) {
+                        QueryRequest ask;
+                        ask.game = game;
+                        ask.profile = profile;
+                        ask.k = k;
+                        ask.t = t;
+                        ask.criterion = criterion;
+                        const QueryResponse answer = server.query(ask);
+                        ASSERT_EQ(answer.status, QueryStatus::kResolved) << label << answer.error;
+                        EXPECT_EQ(answer.verdict, dense.verdict(k, t))
+                            << label << " ask " << k << " " << t;
+                    }
+                }
+            }
+        }
+    }
+    // Most candidates keep a class of several players.
+    EXPECT_GE(orbit_requests, 40u);
+}
+
+// Budgeted `frontier` and `ask` chains on the orbit engine resume to the
+// unbudgeted grid (bit for bit, witnesses included) and verdict. A leg
+// that hands back the token it was given made no progress (its budget is
+// below one task's cost): the client doubles the budget, as server.h
+// advises.
+TEST(ServerOrbit, BudgetedChainsResumeToTheUnbudgetedResult) {
+    util::Rng rng(4242);
+    std::size_t degraded_legs = 0;
+    for (const SymmetricUpload& upload : symmetric_uploads()) {
+        const NormalFormGame& game = upload.game;
+        const PureProfile base = random_candidate(game, rng);
+        const game::ExactMixedProfile profile = pure(game, base);
+        if (!core::orbit_applicable(game::SymmetryGroup::detect(game).refined_by(profile),
+                                    profile)) {
+            continue;
+        }
+        for (const core::GainCriterion criterion :
+             {core::GainCriterion::kAnyMemberGains, core::GainCriterion::kAllMembersGain}) {
+            const std::string label = upload.name + " " + criterion_name(criterion);
+            RobustnessServer server;
+            FrontierRequest grid;
+            grid.game = game;
+            grid.profile = profile;
+            grid.max_k = std::min<std::size_t>(game.num_players(), 3);
+            grid.max_t = 2;
+            grid.criterion = criterion;
+            const FrontierResponse full = server.frontier(grid);
+            ASSERT_EQ(full.status, QueryStatus::kResolved) << label;
+            grid.budget_cells = std::max<std::uint64_t>(full.cells_charged / 4, 1);
+            FrontierResponse leg = server.frontier(grid);
+            core::FrontierVerdict assembled = leg.frontier;
+            for (int legs = 0; leg.status == QueryStatus::kDegraded && legs < 256; ++legs) {
+                ++degraded_legs;
+                if (leg.resume_token == grid.resume_token) grid.budget_cells *= 2;
+                grid.resume_token = leg.resume_token;
+                leg = server.frontier(grid);
+                core::merge_frontier(assembled, leg.frontier);
+            }
+            ASSERT_EQ(leg.status, QueryStatus::kResolved) << label << leg.error;
+            EXPECT_EQ(assembled, full.frontier) << label;
+
+            QueryRequest ask;
+            ask.game = game;
+            ask.profile = profile;
+            ask.k = grid.max_k;
+            ask.t = 1;
+            ask.criterion = criterion;
+            const QueryResponse unbudgeted = RobustnessServer{}.query(ask);
+            ASSERT_EQ(unbudgeted.status, QueryStatus::kResolved) << label;
+            ask.budget_cells = std::max<std::uint64_t>(unbudgeted.cells_charged / 4, 1);
+            QueryResponse answer = server.query(ask);
+            for (int legs = 0; answer.status == QueryStatus::kDegraded && legs < 256; ++legs) {
+                ++degraded_legs;
+                if (answer.resume_token == ask.resume_token) ask.budget_cells *= 2;
+                ask.resume_token = answer.resume_token;
+                answer = server.query(ask);
+            }
+            ASSERT_EQ(answer.status, QueryStatus::kResolved) << label << answer.error;
+            EXPECT_EQ(answer.verdict, unbudgeted.verdict) << label;
+        }
+    }
+    EXPECT_GT(degraded_legs, 0u);
+}
+
+// An orbit leg's token binds the upload's bytes: after a disguised
+// re-upload (every payoff cubed, which keeps the canonical key and the
+// symmetry), presenting it is refused and counted in tokens_rejected;
+// the original upload still resumes with it.
+TEST(ServerOrbit, TokenIsRefusedAfterADisguisedReupload) {
+    const NormalFormGame game = game::catalog::attack_coordination_game(5);
+    const auto payoffs_line = [](const NormalFormGame& g) {
+        std::string line = "payoffs";
+        for (const Rational& value : g.payoffs_flat()) (line += ' ') += value.to_string();
+        return line;
+    };
+    for (const std::string command : {"ask 2 1", "frontier 2 1"}) {
+        RobustnessServer server;
+        ScriptedSession session(server);
+        ASSERT_EQ(session.reply("game 5 2 2 2 2 2"), "ok");
+        ASSERT_EQ(session.reply(payoffs_line(game)), "ok");
+        ASSERT_EQ(session.reply("profile 1 1 1 1 1"), "ok");
+        ASSERT_EQ(session.reply("mode serial"), "ok");
+        // 8 cells starve the orbit sweep (17 cells for the ask, 28 for the
+        // frontier) after its first tasks.
+        const std::string degraded = session.send(command + " 8").back();
+        const std::size_t at = degraded.find("token=");
+        ASSERT_NE(at, std::string::npos) << command << ": " << degraded;
+        const std::string token = degraded.substr(at + 6, degraded.find(' ', at) - at - 6);
+
+        ASSERT_EQ(session.reply(payoffs_line(cubed(game))), "ok");
+        ASSERT_EQ(session.reply("resume " + token), "ok");
+        const std::string refused = session.send(command).back();
+        EXPECT_NE(refused.find("does not match"), std::string::npos) << command << ": " << refused;
+        EXPECT_NE(session.reply("stats").find(" tokens_rejected=1"), std::string::npos);
+
+        ASSERT_EQ(session.reply(payoffs_line(game)), "ok");
+        ASSERT_EQ(session.reply("resume " + token), "ok");
+        const std::string resumed = session.send(command).back();
+        EXPECT_EQ(resumed.find("error"), std::string::npos) << command << ": " << resumed;
+        EXPECT_EQ(resumed.find("token="), std::string::npos) << command << ": " << resumed;
+        EXPECT_NE(session.reply("stats").find(" tokens_rejected=1"), std::string::npos);
     }
 }
 

@@ -16,6 +16,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,8 +30,10 @@
 #include "game/payoff_engine.h"
 #include "game/strategy.h"
 #include "game/symmetry.h"
+#include "orbit_checks.h"
 #include "symmetric_corpus.h"
 #include "util/combinatorics.h"
+#include "util/matrix.h"
 #include "util/orbit_walker.h"
 #include "util/rng.h"
 
@@ -131,73 +134,6 @@ TEST(OrbitWalkerTest, AdvanceCoversAllOrbitsAndSeekAgrees) {
     expect_walk_visits_each_orbit_once({{2, 3}, {3, 3}, {1, 3}});
 }
 
-// ------------------------------------------------ symmetric-game helpers
-
-// Dense re-evaluation of an orbit witness on the expanded tensor: the
-// reported violation must be genuine as stated, whatever orbit member it
-// names.
-void validate_witness(const NormalFormGame& g, const PureProfile& base,
-                      const RobustnessViolation& v, std::size_t k, std::size_t t,
-                      GainCriterion criterion, const std::string& label) {
-    ASSERT_LE(v.coalition.size(), k) << label;
-    ASSERT_LE(v.faulty.size(), t) << label;
-    ASSERT_EQ(v.coalition.size(), v.coalition_deviation.size()) << label;
-    ASSERT_EQ(v.faulty.size(), v.faulty_deviation.size()) << label;
-    PureProfile after = base;
-    for (std::size_t i = 0; i < v.coalition.size(); ++i) {
-        after[v.coalition[i]] = v.coalition_deviation[i];
-    }
-    for (std::size_t i = 0; i < v.faulty.size(); ++i) {
-        after[v.faulty[i]] = v.faulty_deviation[i];
-    }
-    for (const std::size_t member : v.coalition) {
-        EXPECT_TRUE(std::find(v.faulty.begin(), v.faulty.end(), member) == v.faulty.end())
-            << label << ": coalition and faulty overlap";
-    }
-    const Rational post = g.payoff(after, v.witness_player);
-    EXPECT_EQ(v.payoff_after, post.to_double()) << label;
-    if (v.coalition.empty()) {
-        // Immunity violation: an OUTSIDER is hurt relative to the full
-        // candidate profile.
-        EXPECT_TRUE(std::find(v.faulty.begin(), v.faulty.end(), v.witness_player) ==
-                    v.faulty.end())
-            << label;
-        const Rational before = g.payoff(base, v.witness_player);
-        EXPECT_EQ(v.payoff_before, before.to_double()) << label;
-        EXPECT_LT(post, before) << label;
-    } else {
-        // Resilience violation: the reference is the coalition playing
-        // the CANDIDATE against the same faulty deviation.
-        PureProfile reference = base;
-        for (std::size_t i = 0; i < v.faulty.size(); ++i) {
-            reference[v.faulty[i]] = v.faulty_deviation[i];
-        }
-        EXPECT_TRUE(std::find(v.coalition.begin(), v.coalition.end(), v.witness_player) !=
-                    v.coalition.end())
-            << label;
-        const Rational before = g.payoff(reference, v.witness_player);
-        EXPECT_EQ(v.payoff_before, before.to_double()) << label;
-        EXPECT_GT(post, before) << label;
-        if (criterion == GainCriterion::kAllMembersGain) {
-            for (const std::size_t member : v.coalition) {
-                EXPECT_GT(g.payoff(after, member), g.payoff(reference, member)) << label;
-            }
-        }
-    }
-}
-
-void expect_same_verdict_grid(const FrontierVerdict& a, const FrontierVerdict& b,
-                              const std::string& label) {
-    ASSERT_EQ(a.max_k, b.max_k) << label;
-    ASSERT_EQ(a.max_t, b.max_t) << label;
-    for (std::size_t k = 0; k <= a.max_k; ++k) {
-        for (std::size_t t = 0; t <= a.max_t; ++t) {
-            EXPECT_EQ(a.verdict(k, t), b.verdict(k, t))
-                << label << " cell (" << k << "," << t << ")";
-        }
-    }
-}
-
 // ------------------------------------------------- SymmetryGroup basics
 
 TEST(SymmetryGroupTest, DeclaredValidatesPartitions) {
@@ -248,6 +184,186 @@ TEST(SymmetryGroupTest, RefinedBySplitsOnStrategies) {
     EXPECT_EQ(refined.class_of(0), refined.class_of(1));
     EXPECT_EQ(refined.class_of(2), refined.class_of(3));
     EXPECT_NE(refined.class_of(0), refined.class_of(2));
+}
+
+// ------------------------------------------------ rank-native detection
+
+// The Rational detection the rank-native one replaced, kept as its
+// oracle: players bucketed by action count and sorted payoff multiset,
+// classes grown greedily in player order by transposition checks that
+// compare the view's Rationals.
+SymmetryGroup rational_detect(const GameView& view) {
+    const std::size_t n = view.num_players();
+    const auto multiset = [&](std::size_t p) {
+        std::vector<Rational> values;
+        for (std::uint64_t r = 0; r < view.num_profiles(); ++r) {
+            values.push_back(view.payoff_at(r, p));
+        }
+        std::sort(values.begin(), values.end());
+        return values;
+    };
+    const auto exchangeable = [&](std::size_t i, std::size_t j) {
+        for (std::uint64_t r = 0; r < view.num_profiles(); ++r) {
+            const PureProfile a = util::product_unrank(view.action_counts(), r);
+            PureProfile swapped = a;
+            std::swap(swapped[i], swapped[j]);
+            for (std::size_t q = 0; q < n; ++q) {
+                const std::size_t tq = q == i ? j : (q == j ? i : q);
+                if (view.payoff(a, q) != view.payoff(swapped, tq)) return false;
+            }
+        }
+        return true;
+    };
+    std::vector<std::vector<std::size_t>> classes;
+    for (std::size_t p = 0; p < n; ++p) {
+        bool joined = false;
+        for (auto& cls : classes) {
+            const std::size_t rep = cls.front();
+            if (view.num_actions(rep) == view.num_actions(p) && multiset(rep) == multiset(p) &&
+                exchangeable(rep, p)) {
+                cls.push_back(p);
+                joined = true;
+                break;
+            }
+        }
+        if (!joined) classes.push_back({p});
+    }
+    return SymmetryGroup::declared(std::move(classes), n);
+}
+
+void expect_detection_matches_oracle(const NormalFormGame& g, const std::string& label) {
+    EXPECT_EQ(SymmetryGroup::detect(g).classes(), rational_detect(g).classes()) << label;
+    // A permuted view detects on a copy of its subgame.
+    std::vector<std::size_t> order(g.num_players());
+    for (std::size_t p = 0; p < order.size(); ++p) order[p] = order.size() - 1 - p;
+    const GameView reversed = GameView::permute(g, order);
+    EXPECT_EQ(SymmetryGroup::detect(reversed).classes(), rational_detect(reversed).classes())
+        << label << " (reversed view)";
+}
+
+// `g` with one cell's payoffs of players i and j exchanged: both keep
+// their payoff multisets when the two values are levels of both.
+NormalFormGame with_cell_swapped(const NormalFormGame& g, std::uint64_t rank, std::size_t i,
+                                 std::size_t j) {
+    NormalFormGame out = g;
+    const PureProfile cell = g.profile_unrank(rank);
+    out.set_payoff(cell, i, g.payoff_at(rank, j));
+    out.set_payoff(cell, j, g.payoff_at(rank, i));
+    return out;
+}
+
+TEST(SymmetryGroupTest, RankDetectionMatchesTheRationalOracle) {
+    util::Rng rng{60613};
+    // Symmetric corpus games, with 1..3 classes of shuffled members.
+    for (int trial = 0; trial < 24; ++trial) {
+        const std::size_t n = 3 + static_cast<std::size_t>(trial % 3);
+        std::vector<std::size_t> sizes;
+        const SymmetryGroup group = random_group(rng, n, sizes);
+        std::vector<std::size_t> actions(sizes.size());
+        for (auto& a : actions) a = 2 + static_cast<std::size_t>(rng.next_int(0, 1));
+        const NormalFormGame g = expand_quotient(random_quotient(rng, sizes, actions), group);
+        const std::string label = "corpus trial " + std::to_string(trial);
+        expect_detection_matches_oracle(g, label);
+        // One cell's payoffs exchanged between two players: the two keep
+        // their multisets (random_quotient's values are shared levels)
+        // but usually stop being exchangeable.
+        expect_detection_matches_oracle(
+            with_cell_swapped(g, rng.next_below(g.num_profiles()), 0, n - 1), label + " swapped");
+    }
+    // Seeded random games, over a small value range so payoffs collide,
+    // with mixed action counts.
+    for (int trial = 0; trial < 24; ++trial) {
+        std::vector<std::size_t> counts(2 + static_cast<std::size_t>(trial % 3));
+        for (auto& c : counts) c = 2 + static_cast<std::size_t>(rng.next_int(0, trial % 2));
+        expect_detection_matches_oracle(NormalFormGame::random(counts, rng, -1, 1),
+                                        "random trial " + std::to_string(trial));
+    }
+    // Symmetric bimatrix games (B = A^T), exchangeable; then player 1's
+    // payoffs shifted by 1, which keeps every level count but moves the
+    // levels; then two of player 1's payoffs exchanged, which keeps the
+    // multiset but not the exchangeability.
+    for (int trial = 0; trial < 12; ++trial) {
+        const std::size_t m = 2 + static_cast<std::size_t>(trial % 3);
+        util::MatrixQ a(m, m);
+        for (std::size_t r = 0; r < m; ++r) {
+            for (std::size_t c = 0; c < m; ++c) a(r, c) = Rational{rng.next_int(-3, 3)};
+        }
+        util::MatrixQ b(m, m);
+        util::MatrixQ shifted(m, m);
+        for (std::size_t r = 0; r < m; ++r) {
+            for (std::size_t c = 0; c < m; ++c) {
+                b(r, c) = a(c, r);
+                shifted(r, c) = a(c, r) + 1;
+            }
+        }
+        const std::string label = "bimatrix trial " + std::to_string(trial);
+        const NormalFormGame symmetric = NormalFormGame::from_bimatrix(a, b);
+        EXPECT_EQ(SymmetryGroup::detect(symmetric).num_classes(), 1u) << label;
+        expect_detection_matches_oracle(symmetric, label);
+        const NormalFormGame moved = NormalFormGame::from_bimatrix(a, shifted);
+        EXPECT_EQ(moved.level_counts(0), moved.level_counts(1)) << label;
+        expect_detection_matches_oracle(moved, label + " shifted");
+        NormalFormGame exchanged = symmetric;
+        exchanged.set_payoff({0, 0}, 1, b(m - 1, 1));
+        exchanged.set_payoff({m - 1, 1}, 1, b(0, 0));
+        expect_detection_matches_oracle(exchanged, label + " exchanged");
+    }
+}
+
+TEST(SymmetryGroupTest, DetectionIsMemoizedPerStore) {
+    util::Rng rng{8831};
+    const NormalFormGame g =
+        expand_quotient(random_quotient(rng, {4}, {3}), SymmetryGroup::single_class(4));
+    EXPECT_FALSE(g.detected_symmetry());
+    // Copies share the store, and with it one detection.
+    const NormalFormGame copy = g;
+    const SymmetryGroup detected = SymmetryGroup::detect(copy);
+    ASSERT_EQ(detected.num_classes(), 1u);
+    ASSERT_TRUE(g.detected_symmetry());
+    EXPECT_EQ(g.detected_symmetry(), copy.detected_symmetry());
+    EXPECT_EQ(SymmetryGroup::detect(g).classes(), detected.classes());
+
+    // A write to a store that shares its memo clones the store, memo left
+    // behind: the written game detects afresh, the others keep theirs.
+    NormalFormGame written = g;
+    const PureProfile cell{0, 1, 2, 0};
+    written.set_payoff(cell, 0, g.payoff(cell, 0) + 100);
+    EXPECT_FALSE(written.detected_symmetry());
+    EXPECT_EQ(g.detected_symmetry(), copy.detected_symmetry());
+    const SymmetryGroup redetected = SymmetryGroup::detect(written);
+    EXPECT_EQ(redetected.classes(), rational_detect(written).classes());
+    EXPECT_NE(redetected.classes(), detected.classes());
+    ASSERT_TRUE(written.detected_symmetry());
+    EXPECT_NE(written.detected_symmetry(), g.detected_symmetry());
+
+    // A store written in place by its sole owner drops its memo too, by a
+    // single payoff or by a bulk assignment.
+    written.set_payoff(cell, 0, g.payoff(cell, 0));
+    EXPECT_FALSE(written.detected_symmetry());
+    EXPECT_EQ(SymmetryGroup::detect(written).classes(), detected.classes());
+    std::vector<Rational> values = written.payoffs_flat();
+    values[1] += 100;
+    written.assign_payoffs(values);
+    EXPECT_FALSE(written.detected_symmetry());
+    EXPECT_EQ(SymmetryGroup::detect(written).classes(), rational_detect(written).classes());
+
+    // Copies on several threads may detect at once: each gets the answer,
+    // and one of theirs stays in the shared memo.
+    const NormalFormGame fresh = expand_quotient(random_quotient(rng, {3, 2}, {2, 2}),
+                                                 SymmetryGroup::declared({{0, 1, 2}, {3, 4}}, 5));
+    std::vector<std::vector<std::vector<std::size_t>>> seen(4);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        threads.emplace_back([&fresh, &seen, i] {
+            const NormalFormGame copy = fresh;
+            seen[i] = SymmetryGroup::detect(copy).classes();
+        });
+    }
+    for (std::thread& thread : threads) thread.join();
+    const std::vector<std::vector<std::size_t>> expected = rational_detect(fresh).classes();
+    for (const auto& classes : seen) EXPECT_EQ(classes, expected);
+    ASSERT_TRUE(fresh.detected_symmetry());
+    EXPECT_EQ(fresh.detected_symmetry()->classes(), expected);
 }
 
 // ------------------------------------- orbit-vs-dense robustness fuzzing
