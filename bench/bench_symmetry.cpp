@@ -19,7 +19,8 @@
 //          on a fresh store, the refined group, the quotient and the
 //          orbit sweep (core::make_sweep) — against the dense kAuto
 //          sweep, in one binary (target: >= 2x), plus the orbit
-//          kernel's ns per orbit cell.
+//          kernel's ns per orbit cell, the executor count and the routed
+//          path's kAuto/serial speedup (its pair tasks on the pool).
 //
 // Serial bench rows report the CI-stable work counters (cells_visited /
 // offsets_advanced) that scripts/bench_diff.py gates on.
@@ -40,6 +41,7 @@
 #include "game/symmetry.h"
 #include "util/execution_grant.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/work_counters.h"
 
 namespace {
@@ -195,13 +197,14 @@ void print_routed_vs_dense_acceptance() {
         for (std::size_t p = 0; p < n; ++p) out.push_back(g.levels(p));
         return out;
     }();
-    const auto routed = [&] {
+    const auto routed_in = [&](game::SweepMode mode) {
         const game::NormalFormGame upload = g.with_levels(levels);
         const game::SymmetryGroup group =
             game::SymmetryGroup::detect(upload).refined_by(profile);
         return core::make_sweep(upload, profile, &group)
-            ->batch_robustness_frontier(max_k, max_t, options.criterion, options.mode);
+            ->batch_robustness_frontier(max_k, max_t, options.criterion, mode);
     };
+    const auto routed = [&] { return routed_in(options.mode); };
     const auto dense = [&] {
         return core::batch_robustness_frontier(g, profile, max_k, max_t, options);
     };
@@ -225,6 +228,9 @@ void print_routed_vs_dense_acceptance() {
 
     const bench::PairedRatio ratio = measure_ratio(
         [&] { benchmark::DoNotOptimize(dense()); }, [&] { benchmark::DoNotOptimize(routed()); });
+    const bench::PairedRatio pooled = measure_ratio(
+        [&] { benchmark::DoNotOptimize(routed_in(game::SweepMode::kSerial)); },
+        [&] { benchmark::DoNotOptimize(routed()); });
     const double orbit_ns = measure_ns([&] {
         benchmark::DoNotOptimize(orbit.batch_robustness_frontier(
             max_k, max_t, options.criterion, game::SweepMode::kSerial));
@@ -245,7 +251,9 @@ void print_routed_vs_dense_acceptance() {
               << ")\n";
     std::cout << "-> acceptance: routed >= 2x faster than dense kAuto ("
               << bench::ratio_text(ratio) << ", "
-              << (identical && ratio.median >= 2.0 ? "PASS" : "MISS") << ")\n\n";
+              << (identical && ratio.median >= 2.0 ? "PASS" : "MISS") << "); "
+              << util::global_pool().size() << " executors, routed kAuto/serial speedup "
+              << bench::ratio_text(pooled) << "\n\n";
 }
 
 // Orbit frontier trajectory rows, serial with CI-gated work counters:
@@ -291,6 +299,40 @@ void bench_orbit_max_kt_serial(benchmark::State& state) {
     }
 }
 BENCHMARK(bench_orbit_max_kt_serial)->Arg(12)->Arg(60)->Unit(benchmark::kMicrosecond);
+
+// The lifted 7-player bargaining game of R-SYM3 with its two-class pure
+// candidate, and that candidate's group on the game (detected once).
+struct LiftedCandidate final {
+    game::NormalFormGame game = lifted_bargaining(7);
+    game::ExactMixedProfile profile =
+        core::as_exact_profile(game, game::PureProfile{0, 0, 0, 0, 1, 1, 1});
+    game::SymmetryGroup detected = game::SymmetryGroup::detect(game);
+};
+
+// R-SYM3's orbit frontier on its own in kAuto mode: pair tasks claimed on
+// the pool. Wall time only (a pooled sweep's counters are not gated).
+void bench_orbit_frontier_auto(benchmark::State& state) {
+    const LiftedCandidate lifted;
+    const game::SymmetryGroup group = lifted.detected.refined_by(lifted.profile);
+    const auto sweep = core::make_sweep(lifted.game, lifted.profile, &group);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(sweep->batch_robustness_frontier(
+            5, 2, core::GainCriterion::kAnyMemberGains, game::SweepMode::kAuto));
+    }
+}
+BENCHMARK(bench_orbit_frontier_auto)->Unit(benchmark::kMicrosecond);
+
+// What a symmetric request pays before its orbit sweep, once the upload's
+// group is known: the refinement by the candidate, the quotient of store
+// ranks and the engine's tables (core::make_sweep). Wall time only.
+void bench_orbit_setup(benchmark::State& state) {
+    const LiftedCandidate lifted;
+    for (auto _ : state) {
+        const game::SymmetryGroup group = lifted.detected.refined_by(lifted.profile);
+        benchmark::DoNotOptimize(core::make_sweep(lifted.game, lifted.profile, &group));
+    }
+}
+BENCHMARK(bench_orbit_setup)->Unit(benchmark::kMicrosecond);
 
 // The routed entry points on a materialized symmetric tensor: detection
 // + quotient build + orbit sweep, the cost a caller actually pays.

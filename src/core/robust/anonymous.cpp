@@ -4,6 +4,8 @@
 #include <atomic>
 #include <optional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "util/combinatorics.h"
 #include "util/execution_grant.h"
@@ -188,16 +190,16 @@ game::QuotientGame AnonymousBinaryGame::quotient() const {
     game::QuotientGame out;
     out.class_sizes = {n_};
     out.class_actions = {2};
-    out.payoff.resize(1);
-    out.payoff[0].reserve(2 * n_);
+    std::vector<util::Rational> payoff;
+    payoff.reserve(2 * n_);
     // Others-orbit rank r is the number of OTHER players on action 1
     // (descending-lex compositions of n-1 into (zeros, ones)).
     for (std::size_t action = 0; action < 2; ++action) {
         for (std::size_t r = 0; r < n_; ++r) {
-            out.payoff[0].push_back(payoff_(action, r + (action == 1 ? 1 : 0), n_));
+            payoff.push_back(payoff_(action, r + (action == 1 ? 1 : 0), n_));
         }
     }
-    out.finalize();
+    out.assign_payoffs({std::move(payoff)});
     return out;
 }
 

@@ -466,7 +466,7 @@ std::optional<RobustnessViolation> CoalitionSweep::immunity_task(
 
 std::optional<RobustnessViolation> CoalitionSweep::resilience_task(
     const std::vector<std::size_t>& coalition, std::size_t min_t, std::size_t max_t,
-    GainCriterion criterion, game::SweepMode mode) const {
+    GainCriterion criterion, game::SweepMode mode, const TaskBound& bound) const {
     const std::vector<std::size_t> others = players_outside(view_.num_players(), coalition);
     // A pure candidate runs its range kernel over each faulty set, with
     // one scan state for the whole task; a mixed one runs a fused
@@ -489,8 +489,9 @@ std::optional<RobustnessViolation> CoalitionSweep::resilience_task(
         for (const auto& index_set : enumerator) {
             if (index_set.size() < min_t) continue;
             // Truncated between faulty sets: the caller observes the
-            // expired grant.
+            // expired grant, or a lower task already won.
             if (tally.grant != nullptr && tally.grant->expired()) break;
+            if (bound.beaten()) break;
             faulty.clear();
             for (const std::size_t idx : index_set) faulty.push_back(others[idx]);
             found = scan(faulty);
@@ -523,7 +524,8 @@ public:
         return faulty_sets_[task].size();
     }
     [[nodiscard]] std::optional<RobustnessViolation> run(std::size_t task, std::size_t,
-                                                         std::size_t) const override {
+                                                         std::size_t,
+                                                         const TaskBound&) const override {
         return sweep_.immunity_task(faulty_sets_[task], baseline_, mode());
     }
 
@@ -547,8 +549,10 @@ public:
         return coalitions_[task].size();
     }
     [[nodiscard]] std::optional<RobustnessViolation> run(std::size_t task, std::size_t min_t,
-                                                         std::size_t max_t) const override {
-        return sweep_.resilience_task(coalitions_[task], min_t, max_t, criterion_, mode());
+                                                         std::size_t max_t,
+                                                         const TaskBound& bound) const override {
+        return sweep_.resilience_task(coalitions_[task], min_t, max_t, criterion_, mode(),
+                                      bound);
     }
 
 private:

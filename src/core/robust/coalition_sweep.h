@@ -91,10 +91,11 @@ private:
         const std::vector<std::size_t>& faulty,
         const std::vector<util::Rational>& baseline, game::SweepMode mode) const;
     // Scans faulty sets with min_t <= |T| <= max_t (the empty set iff
-    // min_t == 0); max_kt's boundary steps use min_t == max_t.
+    // min_t == 0); max_kt's boundary steps use min_t == max_t. Stops
+    // between faulty sets once `bound` is beaten.
     [[nodiscard]] std::optional<RobustnessViolation> resilience_task(
         const std::vector<std::size_t>& coalition, std::size_t min_t, std::size_t max_t,
-        GainCriterion criterion, game::SweepMode mode) const;
+        GainCriterion criterion, game::SweepMode mode, const TaskBound& bound) const;
 
     // Mixed candidates' expected payoffs at the candidate (empty for a
     // pure candidate, whose kernels read the candidate row's ranks).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -58,8 +57,8 @@ bool for_each_bounded_composition(std::size_t total, const std::vector<std::size
 // lookup per part. A class-c member's quotient row is indexed by the
 // OTHER players' histograms, class c's short of the member itself, so
 // `without` maps the rank of c's full histogram and the member's action
-// to the rank of the histogram without it. The payoffs are replaced by
-// dense per-class ranks: every compare a scan makes is between two
+// to the rank of the histogram without it. The payoffs themselves are the
+// quotient's store ranks: every compare a scan makes is between two
 // payoffs of one class, and ranks order exactly like the Rationals.
 class OrbitSweep::Index final {
 public:
@@ -85,7 +84,8 @@ public:
                 for (std::size_t a = 0; a < cls.actions; ++a) {
                     if (h[a] == 0) continue;
                     --h[a];
-                    cls.without[r * cls.actions + a] = util::composition_rank(cls.members - 1, h);
+                    cls.without[r * cls.actions + a] =
+                        rank_of(cls, cls.members - 1, [&h](std::size_t b) { return h[b]; });
                     ++h[a];
                 }
             }
@@ -96,20 +96,6 @@ public:
                                     quotient.class_sizes[d + 1] - (d + 1 == c ? 1 : 0),
                                     quotient.class_actions[d + 1]);
             }
-            // Dense ranks of the class's payoffs, in the order of their values.
-            const std::vector<Rational>& values = quotient.payoff[c];
-            std::vector<std::uint32_t> order(values.size());
-            std::iota(order.begin(), order.end(), std::uint32_t{0});
-            std::sort(order.begin(), order.end(),
-                      [&values](std::uint32_t x, std::uint32_t y) {
-                          return values[x] < values[y];
-                      });
-            cls.payoff_rank.assign(values.size(), 0);
-            std::uint32_t level = 0;
-            for (std::size_t i = 1; i < order.size(); ++i) {
-                if (values[order[i - 1]] < values[order[i]]) ++level;
-                cls.payoff_rank[order[i]] = level;
-            }
         }
     }
 
@@ -119,19 +105,10 @@ public:
     // count at action a is h(a).
     template <typename Count>
     [[nodiscard]] std::uint64_t rank(std::size_t d, const Count& h) const {
-        const Class& cls = classes_[d];
-        const std::uint64_t* part = cls.part.data();
-        std::size_t rest = cls.members;
-        std::uint64_t r = 0;
-        for (std::size_t a = 0; a + 1 < cls.actions; ++a, part += cls.members + 1) {
-            const std::size_t v = h(a);
-            r += part[rest - v];
-            rest -= v;
-        }
-        return r;
+        return rank_of(classes_[d], classes_[d].members, h);
     }
 
-    // Index into quotient.payoff[c] of a class-c member playing `action`,
+    // Index into quotient.rank[c] of a class-c member playing `action`,
     // given the ranks of every class's full histogram (the member in its
     // own). `others` is offset(c, full) below.
     [[nodiscard]] std::uint64_t at(std::size_t c, std::size_t action, std::uint64_t others,
@@ -152,12 +129,6 @@ public:
         return sum;
     }
 
-    [[nodiscard]] std::uint32_t payoff_rank(std::size_t c, std::uint64_t index) const {
-        BNASH_AUDIT_CHECK(index < classes_[c].payoff_rank.size(),
-                          "OrbitSweep::Index: quotient index out of range");
-        return classes_[c].payoff_rank[index];
-    }
-
 private:
     struct Class final {
         std::size_t members = 0;
@@ -166,8 +137,23 @@ private:
         std::vector<std::uint64_t> part;         // [i * (members + 1) + gap]
         std::vector<std::uint64_t> without;      // [full rank * actions + action]
         std::vector<std::uint64_t> stride;       // of class d's digit in a row
-        std::vector<std::uint32_t> payoff_rank;  // per quotient entry
     };
+    // Rank of a histogram of `total` <= cls.members players: the part
+    // table's entries depend on the gap r_i - h_i only, not on the total.
+    template <typename Count>
+    [[nodiscard]] static std::uint64_t rank_of(const Class& cls, std::size_t total,
+                                               const Count& h) {
+        const std::uint64_t* part = cls.part.data();
+        std::size_t rest = total;
+        std::uint64_t r = 0;
+        for (std::size_t a = 0; a + 1 < cls.actions; ++a, part += cls.members + 1) {
+            const std::size_t v = h(a);
+            r += part[rest - v];
+            rest -= v;
+        }
+        return r;
+    }
+
     std::vector<Class> classes_;
 };
 
@@ -177,7 +163,8 @@ private:
 class OrbitSweep::PairScan final {
 public:
     PairScan(const OrbitSweep& sweep, GainCriterion criterion)
-        : sweep_(sweep), index_(*sweep.index_), criterion_(criterion) {}
+        : sweep_(sweep), index_(*sweep.index_), ranks_(sweep.quotient_.rank),
+          criterion_(criterion) {}
 
     // Lays the cursor out for a new pair at rank 0.
     void set_counts(const std::vector<std::size_t>& ccounts,
@@ -234,7 +221,7 @@ public:
             }
             for (const std::size_t c : cls_) {
                 ref_index[c] = index.at(c, base[c], index.offset(c, ref_full), ref_full);
-                ref[c] = index.payoff_rank(c, ref_index[c]);
+                ref[c] = ranks_[c][ref_index[c]];
             }
         };
 
@@ -277,7 +264,7 @@ public:
                     if (ch[a] == 0) continue;
                     const std::uint64_t at = index.at(c, a, others, full);
                     audit_index(walker, c, a, at);
-                    if (index.payoff_rank(c, at) > ref[c]) {
+                    if (ranks_[c][at] > ref[c]) {
                         if (!any_gain) {
                             witness_class = c;
                             witness_index = at;
@@ -292,8 +279,8 @@ public:
                 const game::QuotientGame& q = sweep_.quotient_;
                 const std::uint64_t row = q.others_orbits(witness_class);
                 hit = RankHit{rank, witness(walker, witness_class, witness_index / row,
-                                            q.payoff[witness_class][ref_index[witness_class]],
-                                            q.payoff[witness_class][witness_index])};
+                                            q.value(witness_class, ref_index[witness_class]),
+                                            q.value(witness_class, witness_index))};
                 break;
             }
             if (rank + 1 < total_) (void)walker.advance();
@@ -372,6 +359,7 @@ private:
 
     const OrbitSweep& sweep_;
     const Index& index_;
+    const std::vector<std::vector<std::uint32_t>>& ranks_;  // the quotient's
     GainCriterion criterion_;
     std::vector<std::size_t> ccounts_;
     std::vector<std::size_t> tcounts_;
@@ -400,6 +388,18 @@ OrbitSweep::OrbitSweep(QuotientGame quotient, SymmetryGroup group,
         }
     }
     if (quotient_.others_orbits_.size() != m) quotient_.finalize();
+    if (quotient_.rank.size() != m || quotient_.levels.size() != m) {
+        throw std::invalid_argument("OrbitSweep: quotient has no payoffs");
+    }
+    for (std::size_t c = 0; c < m; ++c) {
+        const std::vector<std::uint32_t>& ranks = quotient_.rank[c];
+        if (ranks.size() != quotient_.class_actions[c] * quotient_.others_orbits(c) ||
+            std::any_of(ranks.begin(), ranks.end(), [&](std::uint32_t r) {
+                return r >= quotient_.levels[c].size();
+            })) {
+            throw std::invalid_argument("OrbitSweep: quotient ranks do not fit its levels");
+        }
+    }
     index_ = std::make_shared<const Index>(quotient_);
     // Candidate payoff per class: everyone on base.
     std::vector<std::uint64_t> full(m);
@@ -433,8 +433,8 @@ RobustnessViolation OrbitSweep::make_immunity_witness(const std::vector<std::siz
     }
     // First outsider of the hurt class: its members [0, t_c) are faulty.
     v.witness_player = classes[witness_class][tcounts[witness_class]];
-    v.payoff_before = quotient_.payoff[witness_class][baseline_[witness_class]].to_double();
-    v.payoff_after = quotient_.payoff[witness_class][after].to_double();
+    v.payoff_before = quotient_.value(witness_class, baseline_[witness_class]).to_double();
+    v.payoff_after = quotient_.value(witness_class, after).to_double();
     return v;
 }
 
@@ -471,7 +471,7 @@ std::optional<RobustnessViolation> OrbitSweep::immunity_scan(std::size_t faulty_
             for (std::size_t c = 0; c < m && !out; ++c) {
                 if (tcounts[c] >= quotient_.class_sizes[c]) continue;
                 const std::uint64_t after = index.at(c, base_[c], index.offset(c, full), full);
-                if (index.payoff_rank(c, after) < index.payoff_rank(c, baseline_[c])) {
+                if (quotient_.rank[c][after] < quotient_.rank[c][baseline_[c]]) {
                     out = make_immunity_witness(tcounts, walker, c, after);
                 }
             }
@@ -487,7 +487,8 @@ std::optional<RobustnessViolation> OrbitSweep::immunity_scan(std::size_t faulty_
 std::optional<RobustnessViolation> OrbitSweep::resilience_scan(std::size_t coalition_size,
                                                                 std::size_t faulty_size,
                                                                 GainCriterion criterion,
-                                                                game::SweepMode mode) const {
+                                                                game::SweepMode mode,
+                                                                const TaskBound& bound) const {
     const std::size_t m = quotient_.num_classes();
     std::optional<RobustnessViolation> out;
     PairScan scan(*this, criterion);
@@ -497,6 +498,8 @@ std::optional<RobustnessViolation> OrbitSweep::resilience_scan(std::size_t coali
     for_each_bounded_composition(coalition_size, quotient_.class_sizes, ccounts, [&] {
         for (std::size_t d = 0; d < m; ++d) fcap[d] = quotient_.class_sizes[d] - ccounts[d];
         return for_each_bounded_composition(faulty_size, fcap, tcounts, [&] {
+            // A lower pair task already won: nothing here can be reported.
+            if (bound.beaten()) return false;
             scan.set_counts(ccounts, tcounts);
             ScanTally tally;  // one per composition scan
             out = run_scan(scan, mode, tally);
@@ -517,7 +520,8 @@ public:
     [[nodiscard]] std::size_t size() const override { return max_t_; }
     [[nodiscard]] std::size_t set_size(std::size_t task) const override { return task + 1; }
     [[nodiscard]] std::optional<RobustnessViolation> run(std::size_t task, std::size_t,
-                                                         std::size_t) const override {
+                                                         std::size_t,
+                                                         const TaskBound&) const override {
         return sweep_.immunity_scan(task + 1);
     }
 
@@ -527,27 +531,47 @@ private:
 };
 
 // Phase (b): pairs (sc, st) with sc in 1..max_k and st in 0..max_t, at
-// rank (sc - 1) * (max_t + 1) + st. The TASK level runs serially (each
-// pair is a whole scan); `mode` gates the split of one pair's scan.
+// rank (sc - 1) * (max_t + 1) + st. `cells` holds each pair's orbit cells
+// when the pairs are pooled (see resilience_tasks) and is empty when they
+// run in order; `scan_mode` gates the split of one pair's composition
+// scans.
 class OrbitSweep::PairTasks final : public SweepTasks {
 public:
     PairTasks(const OrbitSweep& sweep, std::size_t max_k, std::size_t max_t,
-              GainCriterion criterion, game::SweepMode mode)
-        : SweepTasks(game::SweepMode::kSerial),
+              GainCriterion criterion, game::SweepMode scan_mode,
+              std::vector<std::uint64_t> cells)
+        : SweepTasks(cells.empty() ? game::SweepMode::kSerial : game::SweepMode::kAuto),
           sweep_(sweep),
           max_k_(max_k),
           row_(max_t + 1),
           criterion_(criterion),
-          scan_mode_(mode) {}
+          scan_mode_(scan_mode),
+          cells_(std::move(cells)) {}
     [[nodiscard]] std::size_t size() const override { return max_k_ * row_; }
     [[nodiscard]] std::size_t set_size(std::size_t task) const override {
         return task / row_ + 1;
     }
     [[nodiscard]] std::optional<RobustnessViolation> run(std::size_t task, std::size_t min_t,
-                                                         std::size_t max_t) const override {
+                                                         std::size_t max_t,
+                                                         const TaskBound& bound) const override {
         const std::size_t faulty_size = task % row_;
         if (faulty_size < min_t || faulty_size > max_t) return std::nullopt;
-        return sweep_.resilience_scan(set_size(task), faulty_size, criterion_, scan_mode_);
+        return sweep_.resilience_scan(set_size(task), faulty_size, criterion_, scan_mode_,
+                                      bound);
+    }
+    // The longest run of pairs from `first` whose cells in the searched
+    // faulty sizes stay below kDispatchCells.
+    [[nodiscard]] std::size_t inline_prefix(std::size_t first, std::size_t min_t,
+                                            std::size_t max_t) const override {
+        std::uint64_t cells = 0;
+        std::size_t task = first;
+        for (; task < cells_.size(); ++task) {
+            const std::size_t faulty_size = task % row_;
+            if (faulty_size < min_t || faulty_size > max_t) continue;
+            cells += cells_[task];
+            if (cells >= kDispatchCells) break;
+        }
+        return task - first;
     }
 
 private:
@@ -556,6 +580,7 @@ private:
     std::size_t row_;
     GainCriterion criterion_;
     game::SweepMode scan_mode_;
+    std::vector<std::uint64_t> cells_;
 };
 
 std::unique_ptr<SweepTasks> OrbitSweep::immunity_tasks(std::size_t max_t,
@@ -564,10 +589,65 @@ std::unique_ptr<SweepTasks> OrbitSweep::immunity_tasks(std::size_t max_t,
     return std::make_unique<ImmunityTasks>(*this, max_t);
 }
 
+std::vector<std::uint64_t> OrbitSweep::pair_cells(std::size_t max_k, std::size_t max_t) const {
+    // A composition scan with per-class sizes (c_d, t_d) visits the
+    // product over classes of C(c_d + A_d - 1, A_d - 1) coalition
+    // histograms and C(t_d + A_d - 1, A_d - 1) faulty ones. Convolving
+    // the classes one by one gives, per (coalition size, faulty size), the
+    // sum of its scans' cells and the largest scan. Every count is capped
+    // where split_scan splits one scan.
+    static constexpr std::uint64_t kCap = 2 * kIntraBlock;
+    const auto times = [](std::uint64_t a, std::uint64_t b) { return std::min(kCap, a * b); };
+    struct Cells final {
+        std::uint64_t sum = 0;      // 0: no composition reaches this pair
+        std::uint64_t largest = 0;  // one scan's cells
+    };
+    const std::size_t row = max_t + 1;
+    std::vector<Cells> acc((max_k + 1) * row);
+    std::vector<Cells> next(acc.size());
+    acc[0] = {1, 1};
+    std::vector<std::uint64_t> orbits;
+    for (std::size_t d = 0; d < quotient_.num_classes(); ++d) {
+        const std::size_t members = quotient_.class_sizes[d];
+        orbits.clear();
+        for (std::size_t x = 0; x <= std::min(members, std::max(max_k, max_t)); ++x) {
+            orbits.push_back(std::min(kCap, util::composition_count(x, quotient_.class_actions[d])));
+        }
+        std::fill(next.begin(), next.end(), Cells{});
+        for (std::size_t a = 0; a <= max_k; ++a) {
+            for (std::size_t b = 0; b <= max_t; ++b) {
+                const Cells from = acc[a * row + b];
+                if (from.sum == 0) continue;
+                for (std::size_t c = 0; c <= members && a + c <= max_k; ++c) {
+                    for (std::size_t t = 0; c + t <= members && b + t <= max_t; ++t) {
+                        const std::uint64_t scan = times(orbits[c], orbits[t]);
+                        Cells& to = next[(a + c) * row + b + t];
+                        to.sum = std::min(kCap, to.sum + times(from.sum, scan));
+                        to.largest = std::max(to.largest, times(from.largest, scan));
+                    }
+                }
+            }
+        }
+        acc.swap(next);
+    }
+    std::vector<std::uint64_t> cells(max_k * row);
+    for (std::size_t task = 0; task < cells.size(); ++task) {
+        const Cells& pair = acc[row + task];  // coalition size task / row + 1
+        if (pair.largest == kCap) return {};
+        cells[task] = pair.sum;
+    }
+    return cells;
+}
+
 std::unique_ptr<SweepTasks> OrbitSweep::resilience_tasks(std::size_t max_k, std::size_t max_t,
                                                          GainCriterion criterion,
                                                          game::SweepMode mode) const {
-    return std::make_unique<PairTasks>(*this, max_k, max_t, criterion, mode);
+    // kAuto claims the pair tasks on the pool, unless a composition scan
+    // of theirs splits (split_scan): a split nested in a pooled task would
+    // run inline, so those tasks run in order and their large scans split.
+    std::vector<std::uint64_t> cells;
+    if (mode == game::SweepMode::kAuto) cells = pair_cells(max_k, max_t);
+    return std::make_unique<PairTasks>(*this, max_k, max_t, criterion, mode, std::move(cells));
 }
 
 bool orbit_applicable(const SymmetryGroup& group, const game::ExactMixedProfile& profile) {

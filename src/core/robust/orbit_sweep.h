@@ -28,23 +28,27 @@
 // As an ENGINE for SweepDriver (sweep_driver.h) it supplies only the
 // task space and kernels. Phase (a) tasks are faulty sizes 1..t; phase
 // (b) tasks are (coalition size, faulty size) pairs, coalition-size-
-// major. Pair tasks run in order on the calling thread; each pair's
-// composition scan goes through run_scan, so a large one splits into
-// seek()-entered ranged blocks on util::global_pool(). Cells and walker
-// digit-moves are charged through a ScanTally — one per immunity task,
-// one per composition scan — to util::work_counters and any active
-// util::ExecutionGrant.
+// major. In kAuto mode the driver claims pair tasks on util::global_pool()
+// through util::first_hit, after an inline prefix too small to pay for a
+// dispatch (kDispatchCells), and a task above the winner stops between
+// its composition scans. A sweep one of whose composition scans would
+// split (run_scan) keeps its pair tasks in order on the calling thread
+// instead, so each large scan still splits into seek()-entered ranged
+// blocks on the pool; both rules come from exact composition counts.
+// Cells and walker digit-moves are charged through a ScanTally — one per
+// immunity task, one per composition scan — to util::work_counters and
+// any active util::ExecutionGrant.
 //
 // The quotient serves these sweeps only: there is no orbit-native
 // expected- or deviation-payoff entry. A class-constant mixed profile's
 // payoffs come from the view's support-sparse sweeps
 // (game/payoff_engine.h), and a mixed candidate runs the dense engine.
 //
-// The sweep's kernels read no Rational: the constructor builds, once, a
-// per-class rank table of the quotient's payoffs and per-class tables
-// that index the quotient by histogram ranks, so a cell costs table
-// lookups and rank compares. A witness's payoffs still come from the
-// quotient's Rationals.
+// The sweep's kernels read no Rational: the quotient already holds one
+// store rank per entry (game::QuotientGame), and the constructor builds,
+// once, per-class tables that index the quotient by histogram ranks, so
+// a cell costs table lookups and rank compares. A witness's payoffs are
+// read from the quotient's level tables.
 //
 // Callers reach it through core::make_sweep (robustness.h), the one
 // engine factory: it validates the candidate, builds this engine when
@@ -101,7 +105,12 @@ private:
     [[nodiscard]] std::optional<RobustnessViolation> immunity_scan(std::size_t faulty_size) const;
     [[nodiscard]] std::optional<RobustnessViolation> resilience_scan(
         std::size_t coalition_size, std::size_t faulty_size, GainCriterion criterion,
-        game::SweepMode mode) const;
+        game::SweepMode mode, const TaskBound& bound) const;
+    // Orbit cells of each pair task of resilience_tasks(max_k, max_t, ...),
+    // from exact composition counts; empty when one of their composition
+    // scans would split (split_scan).
+    [[nodiscard]] std::vector<std::uint64_t> pair_cells(std::size_t max_k,
+                                                        std::size_t max_t) const;
 
     // `after` indexes the hurt class's quotient row.
     [[nodiscard]] RobustnessViolation make_immunity_witness(
@@ -111,8 +120,8 @@ private:
     game::QuotientGame quotient_;
     game::SymmetryGroup group_;
     std::vector<std::size_t> base_;
-    // Built once per sweep: the quotient's payoff ranks and the tables
-    // that index it by per-class histogram ranks (see the .cpp).
+    // Built once per sweep: the tables that index the quotient by
+    // per-class histogram ranks (see the .cpp).
     std::shared_ptr<const Index> index_;
     std::vector<std::uint64_t> baseline_;  // per class, the candidate's quotient index
 };

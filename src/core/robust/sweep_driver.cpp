@@ -33,31 +33,52 @@ void check_resume_position(std::uint64_t position, std::uint64_t end) {
     }
 }
 
-// The tasks over the GLOBAL index range [start, size), each scanning
-// faulty sizes [min_t, max_t]: the prefix [0, start) was verified clean
-// by an earlier budgeted run, so skipping it preserves the first-hit-wins
-// verdict — any hit found here is the global-first hit. Runs them through
-// util::first_hit, one task per block: in order, or in kAuto mode with
-// the first task inline and the rest on the global pool only when it did
-// not violate. Both modes report the task the serial loop stops at, in a
-// global task rank, and a task that finishes after the active grant
-// expired vouches for nothing.
-TaskRun run_tasks_from(const SweepTasks& tasks, std::uint64_t start, std::size_t min_t,
-                       std::size_t max_t) {
-    check_resume_position(start, tasks.size());
-    const auto first = static_cast<std::size_t>(start);
-    std::vector<std::optional<RobustnessViolation>> found(tasks.size() - first);
+// Tasks [first, end) through util::first_hit, one task per block: in
+// order, or pooled with the first task inline and the rest on the global
+// pool only when it did not violate. Both report the task the serial loop
+// stops at, in a global task rank, and a task that finishes after the
+// active grant expired vouches for nothing. Each task gets first_hit's
+// `best` as its TaskBound: a task above the winner may stop early, and its
+// (empty) result is never read, since only the winner's slot is.
+TaskRun run_tasks(const SweepTasks& tasks, std::size_t first, std::size_t end,
+                  std::size_t min_t, std::size_t max_t, bool pooled) {
+    std::vector<std::optional<RobustnessViolation>> found(end - first);
     // lint: grant-ok(the engines' task kernels charge the active grant
     // through their ScanTally)
     const util::FirstHit run = util::first_hit(
-        found.size(), 1, tasks.mode() == game::SweepMode::kAuto,
-        [&](std::size_t index, const std::atomic<std::uint64_t>&) -> std::optional<std::uint64_t> {
-            found[index] = tasks.run(first + index, min_t, max_t);
+        found.size(), 1, pooled,
+        [&](std::size_t index,
+            const std::atomic<std::uint64_t>& best) -> std::optional<std::uint64_t> {
+            found[index] = tasks.run(first + index, min_t, max_t, TaskBound{&best, index});
             if (!found[index]) return std::nullopt;
             return index;
         });
     if (!run.rank) return {std::nullopt, first + run.verified};
     return {std::move(found[run.verified]), first + run.verified};
+}
+
+// The tasks over the GLOBAL index range [start, size), each scanning
+// faulty sizes [min_t, max_t]: the prefix [0, start) was verified clean
+// by an earlier budgeted run, so skipping it preserves the first-hit-wins
+// verdict — any hit found here is the global-first hit. In kAuto mode the
+// engine's inline_prefix runs in order first, and only the tasks after it
+// go through a pooled run_tasks; either way the serial loop's winner is
+// reported.
+TaskRun run_tasks_from(const SweepTasks& tasks, std::uint64_t start, std::size_t min_t,
+                       std::size_t max_t) {
+    check_resume_position(start, tasks.size());
+    auto first = static_cast<std::size_t>(start);
+    const bool pooled = tasks.mode() == game::SweepMode::kAuto;
+    if (pooled) {
+        const std::size_t prefix = std::min(tasks.inline_prefix(first, min_t, max_t),
+                                            tasks.size() - first);
+        if (prefix > 0) {
+            TaskRun head = run_tasks(tasks, first, first + prefix, min_t, max_t, false);
+            if (head.hit || head.verified < first + prefix) return head;
+            first += prefix;
+        }
+    }
+    return run_tasks(tasks, first, tasks.size(), min_t, max_t, pooled);
 }
 
 enum class Entry { kCell, kFrontier, kWalk };

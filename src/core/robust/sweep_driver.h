@@ -10,6 +10,7 @@
 //   - run_tasks_from: the lowest-index winner over the task list through
 //     util::first_hit, one task per block: task 0 inline, the rest on
 //     util::global_pool() in kAuto mode only when task 0 did not violate.
+//     Each task polls a TaskBound and stops once a lower task has won.
 //     A task that finishes after its util::ExecutionGrant expired vouches
 //     for nothing, and errors surface as the serial loop would raise them;
 //   - the resumable immunity phase and the two-phase robustness check;
@@ -48,6 +49,20 @@
 
 namespace bnash::core {
 
+// What a running task polls to learn that it can no longer win: `best`
+// is first_hit's lowest hit or error rank so far and `rank` the task's own
+// rank in that search. Once best <= rank, a lower task has won, so the
+// driver discards whatever this task returns. A default bound (a serial
+// caller) is never beaten.
+struct TaskBound final {
+    const std::atomic<std::uint64_t>* best = nullptr;
+    std::uint64_t rank = 0;
+
+    [[nodiscard]] bool beaten() const noexcept {
+        return best != nullptr && best->load(std::memory_order_acquire) <= rank;
+    }
+};
+
 // One phase's tasks, in the engine's fixed enumeration order.
 class SweepTasks {
 public:
@@ -67,11 +82,23 @@ public:
     // The task's first violation in enumeration order, or nullopt. A
     // resilience task scans only faulty sizes in [min_t, max_t] (and
     // returns at once when it has none there); an immunity task ignores
-    // the range. Kernels may stop early once the active grant expires —
-    // the driver then discards whatever they return.
+    // the range. Kernels may stop early once the active grant expires or
+    // `bound` is beaten (a lower task won) — the driver then discards
+    // whatever they return. A resilience task polls the bound between its
+    // scans (faulty sets, or composition scans), never inside one.
     [[nodiscard]] virtual std::optional<RobustnessViolation> run(std::size_t task,
                                                                  std::size_t min_t,
-                                                                 std::size_t max_t) const = 0;
+                                                                 std::size_t max_t,
+                                                                 const TaskBound& bound) const = 0;
+    // In kAuto mode, how many tasks from `first` a search over faulty
+    // sizes [min_t, max_t] runs in order on the calling thread before it
+    // pools the rest: a prefix too small to pay for a dispatch, all of the
+    // tasks when their whole work is. 0 (the default) pools from `first`.
+    [[nodiscard]] virtual std::size_t inline_prefix(std::size_t /*first*/,
+                                                    std::size_t /*min_t*/,
+                                                    std::size_t /*max_t*/) const {
+        return 0;
+    }
 
 private:
     game::SweepMode mode_;
@@ -87,6 +114,13 @@ struct RankHit final {
 // worker count, so the block decomposition — and with it the lowest-rank
 // winner — is machine-independent.
 inline constexpr std::uint64_t kIntraBlock = std::uint64_t{1} << 11;
+
+// About the work one pooled dispatch costs, in cells: first_hit's wake-up
+// and completion wait take 2-6 us on a 4-executor pool, as long as a few
+// hundred orbit cells take inline. An engine runs a task prefix below it
+// inline (SweepTasks::inline_prefix), so an early hit there dispatches
+// nothing and a later dispatch costs at most about what the prefix did.
+inline constexpr std::uint64_t kDispatchCells = kIntraBlock / 8;
 
 // How every engine runs one task's scan of `total` cells through its
 // range kernel: split into ranged blocks (run_ranked_blocks) in kAuto

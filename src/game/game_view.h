@@ -115,6 +115,15 @@ public:
         const std::size_t column = player_map_[player];
         return levels_d_[column][ranks_[row + column]];
     }
+    // The store behind payoff_from: the player's ordinal rank at `row`
+    // and its level table, payoff_from(row, p) == levels(p)[rank_from(row,
+    // p)]. Two ranks of one player compare like their payoffs.
+    [[nodiscard]] std::uint32_t rank_from(std::uint64_t row, std::size_t player) const {
+        return ranks_[row + player_map_[player]];
+    }
+    [[nodiscard]] const std::vector<util::Rational>& levels(std::size_t player) const {
+        return levels_[player_map_[player]];
+    }
 
     // --- rank / tuple lookups ------------------------------------------------
     // Rank is in the VIEW's row-major space (digit decomposition per call;

@@ -1,6 +1,7 @@
 #include "game/symmetry.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -299,6 +300,31 @@ std::uint64_t QuotientGame::rank_others(
     return rank;
 }
 
+void QuotientGame::assign_payoffs(const std::vector<std::vector<Rational>>& payoff) {
+    finalize();
+    const std::size_t m = num_classes();
+    if (payoff.size() != m) {
+        throw std::invalid_argument("QuotientGame::assign_payoffs: class count mismatch");
+    }
+    rank.assign(m, {});
+    levels.assign(m, {});
+    for (std::size_t c = 0; c < m; ++c) {
+        const std::vector<Rational>& values = payoff[c];
+        if (values.size() != class_actions[c] * others_orbits_[c]) {
+            throw std::invalid_argument("QuotientGame::assign_payoffs: entry count mismatch");
+        }
+        std::vector<Rational>& sorted = levels[c];
+        sorted = values;
+        std::sort(sorted.begin(), sorted.end());
+        sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+        rank[c].reserve(values.size());
+        for (const Rational& value : values) {
+            rank[c].push_back(static_cast<std::uint32_t>(
+                std::lower_bound(sorted.begin(), sorted.end(), value) - sorted.begin()));
+        }
+    }
+}
+
 QuotientGame build_quotient(const GameView& view, const SymmetryGroup& group) {
     if (group.num_players() != view.num_players()) {
         throw std::invalid_argument("build_quotient: group/view player mismatch");
@@ -313,40 +339,65 @@ QuotientGame build_quotient(const GameView& view, const SymmetryGroup& group) {
     }
     quotient.finalize();
 
-    quotient.payoff.resize(m);
-    PureProfile profile(view.num_players(), 0);
+    // offsets[d][0 or 1][i]: the row offset of class d's members when
+    // they play its i-th histogram (composition order), each member
+    // taking the histogram's actions in ascending order — all members
+    // (index 0), or all but the representative, its first member (1).
+    std::vector<std::array<std::vector<std::uint64_t>, 2>> offsets(m);
+    util::OrbitWalker walker;
+    for (std::size_t d = 0; d < m; ++d) {
+        const std::vector<std::size_t>& players = group.classes()[d];
+        for (std::size_t skip = 0; skip < 2; ++skip) {
+            std::vector<std::uint64_t>& list = offsets[d][skip];
+            walker.clear();
+            walker.add_class(players.size() - skip, quotient.class_actions[d]);
+            do {
+                const std::vector<std::size_t>& counts = walker.counts(0);
+                std::size_t member = skip;
+                std::uint64_t sum = 0;
+                for (std::size_t a = 0; a < counts.size(); ++a) {
+                    for (std::size_t i = 0; i < counts[a]; ++i) {
+                        sum += view.cell_offset(players[member++], a);
+                    }
+                }
+                list.push_back(sum);
+                // lint: no-charge(quotient tabulation is per-group setup cost,
+                // outside the gated sweep counters by design — charging it
+                // would shift bench_symmetry's blessed cells_visited parity)
+            } while (walker.advance());
+        }
+    }
+
+    // Per class c, the others' orbits in others_walker(c)'s order: an
+    // odometer over the classes' histogram lists, last class fastest,
+    // whose row is the sum of the current entries (partial[d + 1] sums
+    // classes 0..d).
+    quotient.rank.resize(m);
+    quotient.levels.resize(m);
+    std::vector<std::size_t> digit(m);
+    std::vector<std::uint64_t> partial(m + 1, 0);
     for (std::size_t c = 0; c < m; ++c) {
         const std::size_t rep = group.classes()[c].front();
         const std::size_t actions = quotient.class_actions[c];
         const std::uint64_t orbits = quotient.others_orbits(c);
-        quotient.payoff[c].assign(actions * orbits, Rational{});
-        util::OrbitWalker walker = quotient.others_walker(c);
-        std::uint64_t r = 0;
-        do {
-            // Representative assignment: each class's members (minus the
-            // evaluated rep for class c) take the orbit's actions in
-            // ascending order.
-            for (std::size_t d = 0; d < m; ++d) {
-                const std::vector<std::size_t>& counts = walker.counts(d);
-                std::size_t member = 0;
-                const auto& players = group.classes()[d];
-                for (std::size_t a = 0; a < counts.size(); ++a) {
-                    for (std::size_t rep_count = 0; rep_count < counts[a]; ++rep_count) {
-                        if (d == c && players[member] == rep) ++member;
-                        profile[players[member++]] = a;
-                    }
-                }
-            }
+        const auto list = [&](std::size_t d) -> const std::vector<std::uint64_t>& {
+            return offsets[d][d == c ? 1 : 0];
+        };
+        quotient.levels[c] = view.levels(rep);
+        std::vector<std::uint32_t>& ranks = quotient.rank[c];
+        ranks.resize(actions * orbits);
+        const std::vector<std::uint64_t>& own = view.cell_offsets(rep);
+        std::fill(digit.begin(), digit.end(), 0);
+        std::size_t moved = 0;  // classes [moved, m) changed entry
+        for (std::uint64_t r = 0; r < orbits; ++r) {
+            for (std::size_t d = moved; d < m; ++d) partial[d + 1] = partial[d] + list(d)[digit[d]];
             for (std::size_t a = 0; a < actions; ++a) {
-                profile[rep] = a;
-                quotient.payoff[c][a * orbits + r] =
-                    view.payoff_from(view.row_offset(profile), rep);
+                ranks[a * orbits + r] = view.rank_from(partial[m] + own[a], rep);
             }
-            ++r;
-            // lint: no-charge(quotient tabulation is per-group setup cost,
-            // outside the gated sweep counters by design — charging it would
-            // shift bench_symmetry's blessed cells_visited parity)
-        } while (walker.advance());
+            for (moved = m; moved-- > 0 && ++digit[moved] == list(moved).size();) {
+                digit[moved] = 0;
+            }
+        }
     }
     return quotient;
 }

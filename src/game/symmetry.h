@@ -13,10 +13,11 @@
 // on HOW MANY players of each class play each action. build_quotient()
 // tabulates exactly those representative payoffs: for each (class, own
 // action), one entry per util::OrbitWalker orbit of the OTHER players'
-// per-class action histograms. The quotient determines the full game up
-// to relabeling, which makes it both the substrate for the orbit-native
-// robustness sweeps (core/robust/orbit_sweep.h) and a canonicalization
-// hook: serve/canonical.h folds the quotient bytes into its cache key so
+// per-class action histograms, kept as the representative's store rank.
+// The quotient determines the full game up to relabeling, which makes it
+// both the substrate for the orbit-native robustness sweeps
+// (core/robust/orbit_sweep.h) and a canonicalization hook:
+// serve/canonical.h folds the quotient's payoffs into its cache key so
 // uploads differing by a player relabeling inside symmetry classes hit
 // one cache entry. Payoffs of a class-constant mixed profile have no
 // orbit-native entry here: the view's support-sparse payoff sweeps
@@ -102,15 +103,23 @@ private:
 };
 
 // The quotient of a symmetric game: payoffs at one representative per
-// orbit. Indexing: payoff[c][a * others_orbits(c) + r] is the payoff of
-// a class-c player playing action `a` when the OTHER n-1 players' per-
-// class action histograms form the rank-r orbit of others_walker(c)
-// (class c reduced by the one member being evaluated; composition order
-// is util::composition_rank's descending lex).
+// orbit, kept as ranks into a per-class level table. A class-c entry is a
+// payoff of one player (the class representative), so its rank orders
+// exactly like its Rational and a sweep compares ranks only.
+// Indexing: rank[c][a * others_orbits(c) + r] is the rank, in levels[c],
+// of the payoff of a class-c player playing action `a` when the OTHER n-1
+// players' per-class action histograms form the rank-r orbit of
+// others_walker(c) (class c reduced by the one member being evaluated;
+// composition order is util::composition_rank's descending lex).
+// build_quotient reads both from the payoff store (the representative's
+// ordinal ranks and levels); assign_payoffs ranks explicit payoffs, for
+// quotients built from closed forms.
 struct QuotientGame final {
     std::vector<std::size_t> class_sizes;
     std::vector<std::size_t> class_actions;
-    std::vector<std::vector<util::Rational>> payoff;
+    std::vector<std::vector<std::uint32_t>> rank;
+    // Per class, increasing; every rank[c] entry indexes levels[c].
+    std::vector<std::vector<util::Rational>> levels;
 
     [[nodiscard]] std::size_t num_classes() const noexcept { return class_sizes.size(); }
     [[nodiscard]] std::size_t num_players() const noexcept;
@@ -122,15 +131,26 @@ struct QuotientGame final {
     // has class_actions[d] entries; class `cls` must sum to size-1).
     [[nodiscard]] std::uint64_t rank_others(
         std::size_t cls, const std::vector<std::vector<std::size_t>>& others) const;
+    // The payoff at flat entry `index` of class `cls` (laid out like rank).
+    [[nodiscard]] const util::Rational& value(std::size_t cls, std::uint64_t index) const {
+        BNASH_AUDIT_CHECK(cls < rank.size() && index < rank[cls].size() &&
+                              rank[cls][index] < levels[cls].size(),
+                          "QuotientGame::value: entry outside the tabulated quotient");
+        return levels[cls][rank[cls][index]];
+    }
     [[nodiscard]] const util::Rational& at(std::size_t cls, std::size_t action,
                                            std::uint64_t others_rank) const {
-        BNASH_AUDIT_CHECK(cls < payoff.size() && others_rank < others_orbits_[cls] &&
-                              action * others_orbits_[cls] + others_rank <
-                                  payoff[cls].size(),
+        BNASH_AUDIT_CHECK(cls < rank.size() && others_rank < others_orbits_[cls],
                           "QuotientGame::at: (class, action, others_rank) indexes "
                           "outside the tabulated quotient");
-        return payoff[cls][action * others_orbits_[cls] + others_rank];
+        return value(cls, action * others_orbits_[cls] + others_rank);
     }
+
+    // Ranks explicit payoffs: payoff[c] is laid out like rank[c] and must
+    // have class_actions[c] * others_orbits(c) entries (else it throws
+    // std::invalid_argument); levels[c] becomes its sorted distinct
+    // values. Calls finalize() first.
+    void assign_payoffs(const std::vector<std::vector<util::Rational>>& payoff);
 
     // Derived once by build_quotient / finalize().
     std::vector<std::uint64_t> others_orbits_;
@@ -140,10 +160,11 @@ struct QuotientGame final {
 };
 
 // Tabulate the quotient of `view` under `group` by representative
-// lookups (one view row per (class, action, orbit)). Requires the group
-// to BE a symmetry of the view — verify()/detect() first; payoffs are
-// read at representatives, so a non-symmetric view yields a quotient
-// that silently misrepresents it.
+// lookups: one store rank per (class, action, orbit), read at the class
+// representative's column, and that column's level table. No Rational is
+// copied per entry. Requires the group to BE a symmetry of the view —
+// verify()/detect() first; payoffs are read at representatives, so a
+// non-symmetric view yields a quotient that silently misrepresents it.
 [[nodiscard]] QuotientGame build_quotient(const GameView& view, const SymmetryGroup& group);
 
 }  // namespace bnash::game

@@ -216,9 +216,11 @@ template <class Key>
         for (const util::Rational& mass : profile[rep]) append_rational(bytes, mass);
     }
     bytes += "|u:";
-    for (const auto& row : quotient.payoff) {
-        append_size(bytes, row.size());
-        for (const util::Rational& value : row) append_rational(bytes, value);
+    for (std::size_t j = 0; j < quotient.num_classes(); ++j) {
+        append_size(bytes, quotient.rank[j].size());
+        for (const std::uint32_t rank : quotient.rank[j]) {
+            append_rational(bytes, quotient.levels[j][rank]);
+        }
     }
     return bytes;
 }

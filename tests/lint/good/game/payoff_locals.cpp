@@ -1,6 +1,6 @@
 // Fixture: payoff-store stays quiet on function-local vectors with the
 // store's member names, on an aggregate holding one payoff per player,
-// and on a nested orbit-indexed table such as QuotientGame::payoff.
+// and on a nested orbit-indexed table such as a per-class payoff table.
 #include <vector>
 
 namespace bnash::game {
@@ -9,7 +9,7 @@ struct MixedEquilibrium final {
     std::vector<util::Rational> payoffs;
 };
 
-struct QuotientGame final {
+struct OrbitTable final {
     std::vector<std::vector<util::Rational>> payoff;
 };
 

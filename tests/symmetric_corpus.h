@@ -1,6 +1,6 @@
 // Seeded symmetric-game corpus shared by the orbit-engine suites: random
-// class partitions, random quotient payoffs, and the dense tensor a
-// quotient expands to.
+// class partitions, random quotient payoffs, the dense tensor a quotient
+// expands to, and symmetric 3-action games lifted from catalog games.
 #pragma once
 
 #include <cstddef>
@@ -50,14 +50,15 @@ inline game::QuotientGame random_quotient(util::Rng& rng, std::vector<std::size_
     quotient.class_sizes = std::move(class_sizes);
     quotient.class_actions = std::move(class_actions);
     quotient.finalize();
-    quotient.payoff.resize(quotient.num_classes());
+    std::vector<std::vector<util::Rational>> payoff(quotient.num_classes());
     for (std::size_t c = 0; c < quotient.num_classes(); ++c) {
         const std::size_t entries = quotient.class_actions[c] * quotient.others_orbits(c);
-        quotient.payoff[c].reserve(entries);
+        payoff[c].reserve(entries);
         for (std::size_t e = 0; e < entries; ++e) {
-            quotient.payoff[c].push_back(util::Rational{rng.next_int(-5, 5), rng.next_int(1, 2)});
+            payoff[c].push_back(util::Rational{rng.next_int(-5, 5), rng.next_int(1, 2)});
         }
     }
+    quotient.assign_payoffs(payoff);
     return quotient;
 }
 
@@ -93,6 +94,31 @@ inline game::SymmetryGroup random_group(util::Rng& rng, std::size_t n,
     return group;
 }
 
+// The 3-action symmetric game lifted from a 2-action catalog game, as
+// servebench's frontier_session serves them: actions 0 and 1 pay a safe
+// 10; action 2 plays the catalog's `deviate` action against everyone
+// else's `stay`, paid relative to the all-`stay` catalog payoff, minus 1/2.
+inline game::NormalFormGame lifted_catalog(const game::NormalFormGame& base, std::size_t stay,
+                                           std::size_t deviate) {
+    const std::size_t n = base.num_players();
+    game::NormalFormGame out(std::vector<std::size_t>(n, 3));
+    const game::PureProfile all_stay(n, stay);
+    game::PureProfile projected(n, stay);
+    for (std::uint64_t rank = 0; rank < out.num_profiles(); ++rank) {
+        const game::PureProfile profile = out.profile_unrank(rank);
+        for (std::size_t p = 0; p < n; ++p) projected[p] = profile[p] == 2 ? deviate : stay;
+        for (std::size_t p = 0; p < n; ++p) {
+            util::Rational value(10);
+            if (profile[p] == 2) {
+                value += base.payoff(projected, p) - base.payoff(all_stay, p) -
+                         util::Rational(1, 2);
+            }
+            out.set_payoff(profile, p, value);
+        }
+    }
+    return out;
+}
+
 // Two classes of two players, eight actions each. Every payoff is 0
 // except, for 1 <= lead <= 6, one gain for a class-1 player on action 7
 // whose class-0 opponents play `lead` and `lead + 1` and whose class-1
@@ -109,18 +135,19 @@ inline game::QuotientGame planted_split_quotient(std::size_t lead) {
     quotient.class_sizes = {2, 2};
     quotient.class_actions = {8, 8};
     quotient.finalize();
-    quotient.payoff.resize(2);
+    std::vector<std::vector<util::Rational>> payoff(2);
     for (std::size_t c = 0; c < 2; ++c) {
-        quotient.payoff[c].assign(8 * quotient.others_orbits(c), util::Rational{0});
+        payoff[c].assign(8 * quotient.others_orbits(c), util::Rational{0});
     }
     if (lead > 0) {
         std::vector<std::vector<std::size_t>> others(2, std::vector<std::size_t>(8, 0));
         others[0][lead] = 1;
         others[0][lead + 1] = 1;
         others[1][7] = 1;
-        quotient.payoff[1][7 * quotient.others_orbits(1) + quotient.rank_others(1, others)] =
+        payoff[1][7 * quotient.others_orbits(1) + quotient.rank_others(1, others)] =
             util::Rational{1};
     }
+    quotient.assign_payoffs(payoff);
     return quotient;
 }
 

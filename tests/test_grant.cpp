@@ -31,18 +31,22 @@
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/work_counters.h"
+#include "resume_chains.h"
 #include "symmetric_corpus.h"
 
 namespace bnash {
 namespace {
 
 using core::BatchVerdict;
+using core::ChainEnds;
 using core::CellVerdict;
 using core::CoalitionSweep;
 using core::FrontierVerdict;
 using core::GainCriterion;
 using core::MaxKtResult;
 using core::RobustnessOptions;
+using core::run_chains;
+using core::run_leg;
 using game::ExactMixedProfile;
 using game::NormalFormGame;
 using game::PureProfile;
@@ -431,28 +435,6 @@ TEST(GrantFuzz, BudgetedResultsAreSoundPrefixes) {
 
 // --------------------------------------------------- checkpointed resume
 
-// Runs one budgeted leg of a resume chain: seeks past `resume` (when
-// set), sweeps under a fresh budget, and reports the new checkpoint plus
-// the cells this leg charged.
-template <typename Body>
-std::uint64_t run_leg(std::uint64_t budget, const Body& body) {
-    ExecutionGrant grant = ExecutionGrant::with_budget(budget);
-    GrantScope scope(&grant);
-    body();
-    return grant.charged();
-}
-
-// A budget below the resume floor (the immunity baseline plus one
-// task's cells) cannot vouch for any task, so such a leg makes NO
-// progress — the checkpoint comes back unchanged. A real client
-// retries with a bigger grant; the chains here do the same, growing a
-// stuck leg's budget 8x. Starting at budget 1 this exercises both the
-// zero-progress rung and the mixed-budget chain.
-#define BNASH_GROW_IF_STUCK(leg_budget, progressed)                   \
-    if (!(progressed) && (leg_budget) < (std::uint64_t{1} << 40)) {   \
-        (leg_budget) *= 8;                                            \
-    }
-
 // The resume contract, fuzzed: for every entry point (cell probe, full
 // frontier, boundary walk), a chain of budgeted retries — each seeking
 // past the previous checkpoint — terminates, costs ~one sweep's work
@@ -618,66 +600,6 @@ TEST(GrantAccounting, ResumedChainCostsAboutOneSweep) {
     // one checkpoint chunk per leg, gated at 15% total.
     EXPECT_LE(total_cost, full_cost + full_cost * 15 / 100)
         << "total=" << total_cost << " full=" << full_cost;
-}
-
-// Runs one budgeted retry chain: `leg(resume, next)` runs a leg under a
-// fresh budget (resume is nullptr on the first) and returns true once the
-// chain is done. Stuck legs grow their budget as above. Returns every
-// checkpoint a leg resumed from.
-template <typename Leg>
-std::vector<core::SweepCheckpoint> run_chain(std::uint64_t budget, const Leg& leg) {
-    std::vector<core::SweepCheckpoint> resumed;
-    core::SweepCheckpoint checkpoint;
-    std::uint64_t leg_budget = budget;
-    for (std::size_t legs = 0; legs < 512; ++legs) {
-        core::SweepCheckpoint next;
-        bool done = false;
-        (void)run_leg(leg_budget, [&] { done = leg(legs == 0 ? nullptr : &checkpoint, next); });
-        if (done) return resumed;
-        BNASH_GROW_IF_STUCK(leg_budget, !(next == checkpoint));
-        checkpoint = next;
-        resumed.push_back(checkpoint);
-    }
-    ADD_FAILURE() << "chain did not terminate";
-    return resumed;
-}
-
-// The three resumable entry points of a sweep, each driven to completion
-// by a budgeted chain.
-struct ChainEnds final {
-    std::optional<core::RobustnessViolation> cell;
-    FrontierVerdict grid;
-    MaxKtResult walk;
-    // Checkpoints the cell, frontier and walk chains resumed from.
-    std::vector<core::SweepCheckpoint> cell_resumes, grid_resumes, walk_resumes;
-};
-
-ChainEnds run_chains(const core::SweepDriver& sweep, std::size_t max_k, std::size_t max_t,
-                     GainCriterion criterion, SweepMode mode, std::uint64_t budget) {
-    ChainEnds ends;
-    const RobustnessOptions options{criterion, mode};
-    ends.cell_resumes = run_chain(budget, [&](const core::SweepCheckpoint* resume,
-                                              core::SweepCheckpoint& next) {
-        ends.cell = sweep.robustness_violation(max_k, max_t, options, resume, &next);
-        return ends.cell.has_value() || next.finished;
-    });
-    ends.grid_resumes = run_chain(budget, [&](const core::SweepCheckpoint* resume,
-                                              core::SweepCheckpoint& next) {
-        const FrontierVerdict part =
-            sweep.batch_robustness_frontier(max_k, max_t, criterion, mode, resume, &next);
-        if (resume == nullptr) {
-            ends.grid = part;
-        } else {
-            core::merge_frontier(ends.grid, part);
-        }
-        return next.finished;
-    });
-    ends.walk_resumes = run_chain(budget, [&](const core::SweepCheckpoint* resume,
-                                              core::SweepCheckpoint& next) {
-        ends.walk = sweep.max_kt(max_k, max_t, criterion, mode, resume, &next);
-        return ends.walk.complete;
-    });
-    return ends;
 }
 
 // The orbit engine's resume points (faulty-size / pair-rank / boundary
@@ -853,7 +775,8 @@ TEST(GrantFuzz, PerturbedCheckpointFieldsAreRejected) {
     const game::SymmetryGroup group = core::random_group(rng, 6, sizes);
     game::QuotientGame quotient =
         core::random_quotient(rng, sizes, std::vector<std::size_t>(sizes.size(), 2));
-    for (auto& row : quotient.payoff) std::fill(row.begin(), row.end(), util::Rational{0});
+    for (auto& row : quotient.rank) std::fill(row.begin(), row.end(), 0u);
+    quotient.levels.assign(quotient.num_classes(), {util::Rational{0}});
     const core::OrbitSweep orbit(quotient, group, std::vector<std::size_t>(sizes.size(), 0));
 
     const GainCriterion criterion = GainCriterion::kAnyMemberGains;

@@ -2315,29 +2315,6 @@ TEST(TextFront, DeadlinePastTheClockRangeNeverExpires) {
 
 // ---------------------------------------------------------- the orbit route
 
-// The 3-action symmetric game lifted from a 2-action catalog game, as
-// servebench's frontier_session serves them: actions 0 and 1 pay a safe
-// 10; action 2 plays the catalog's `deviate` action against everyone
-// else's `stay`, paid relative to the all-`stay` catalog payoff, minus 1/2.
-NormalFormGame lifted(const NormalFormGame& base, std::size_t stay, std::size_t deviate) {
-    const std::size_t n = base.num_players();
-    NormalFormGame out(std::vector<std::size_t>(n, 3));
-    const PureProfile all_stay(n, stay);
-    PureProfile projected(n, stay);
-    for (std::uint64_t rank = 0; rank < out.num_profiles(); ++rank) {
-        const PureProfile profile = out.profile_unrank(rank);
-        for (std::size_t p = 0; p < n; ++p) projected[p] = profile[p] == 2 ? deviate : stay;
-        for (std::size_t p = 0; p < n; ++p) {
-            Rational value(10);
-            if (profile[p] == 2) {
-                value += base.payoff(projected, p) - base.payoff(all_stay, p) - Rational(1, 2);
-            }
-            out.set_payoff(profile, p, value);
-        }
-    }
-    return out;
-}
-
 struct SymmetricUpload {
     std::string name;
     NormalFormGame game;
@@ -2349,8 +2326,8 @@ struct SymmetricUpload {
 std::vector<SymmetricUpload> symmetric_uploads() {
     namespace catalog = game::catalog;
     std::vector<SymmetricUpload> out;
-    out.push_back({"lifted attack(5)", lifted(catalog::attack_coordination_game(5), 0, 1)});
-    out.push_back({"lifted bargaining(5)", lifted(catalog::bargaining_game(5), 0, 1)});
+    out.push_back({"lifted attack(5)", core::lifted_catalog(catalog::attack_coordination_game(5), 0, 1)});
+    out.push_back({"lifted bargaining(5)", core::lifted_catalog(catalog::bargaining_game(5), 0, 1)});
     out.push_back({"anonymous attack(6)", core::AnonymousBinaryGame::attack(6).to_normal_form()});
     out.push_back(
         {"anonymous bargaining(6)", core::AnonymousBinaryGame::bargaining(6).to_normal_form()});

@@ -31,8 +31,10 @@
 #include "game/strategy.h"
 #include "game/symmetry.h"
 #include "orbit_checks.h"
+#include "resume_chains.h"
 #include "symmetric_corpus.h"
 #include "util/combinatorics.h"
+#include "util/execution_grant.h"
 #include "util/matrix.h"
 #include "util/orbit_walker.h"
 #include "util/rng.h"
@@ -307,6 +309,79 @@ TEST(SymmetryGroupTest, RankDetectionMatchesTheRationalOracle) {
         exchanged.set_payoff({0, 0}, 1, b(m - 1, 1));
         exchanged.set_payoff({m - 1, 1}, 1, b(0, 0));
         expect_detection_matches_oracle(exchanged, label + " exchanged");
+    }
+}
+
+// build_quotient against one view lookup per (class, action, others'
+// orbit): the members of each class (less the evaluated representative)
+// take the orbit's actions in ascending order. Each class keeps the
+// representative's level table.
+void expect_quotient_reads_the_view(const GameView& view, const SymmetryGroup& group,
+                                    const std::string& label) {
+    const QuotientGame q = game::build_quotient(view, group);
+    PureProfile profile(view.num_players(), 0);
+    for (std::size_t c = 0; c < q.num_classes(); ++c) {
+        const std::size_t rep = group.classes()[c].front();
+        EXPECT_EQ(q.levels[c], view.levels(rep)) << label;
+        OrbitWalker walker = q.others_walker(c);
+        std::uint64_t r = 0;
+        do {
+            for (std::size_t d = 0; d < q.num_classes(); ++d) {
+                const std::vector<std::size_t>& players = group.classes()[d];
+                std::size_t member = d == c ? 1 : 0;
+                for (std::size_t a = 0; a < walker.counts(d).size(); ++a) {
+                    for (std::size_t i = 0; i < walker.counts(d)[a]; ++i) {
+                        profile[players[member++]] = a;
+                    }
+                }
+            }
+            for (std::size_t a = 0; a < q.class_actions[c]; ++a) {
+                profile[rep] = a;
+                ASSERT_EQ(q.at(c, a, r), view.payoff(profile, rep))
+                    << label << " class " << c << " action " << a << " orbit " << r;
+            }
+            ++r;
+        } while (walker.advance());
+        EXPECT_EQ(r, q.others_orbits(c)) << label;
+    }
+}
+
+// The quotient of store ranks reads every entry a Rational tabulation
+// would: on expanded corpus games (1..3 classes of shuffled members, one
+// to three actions), full and reversed views, and on the lifted 7-player
+// games under their candidates' refined groups.
+TEST(SymmetryGroupTest, QuotientRanksReadTheViewsPayoffs) {
+    util::Rng rng{36037};
+    for (int trial = 0; trial < 24; ++trial) {
+        const std::size_t n = 2 + static_cast<std::size_t>(trial % 5);
+        std::vector<std::size_t> sizes;
+        const SymmetryGroup group = random_group(rng, n, sizes);
+        std::vector<std::size_t> actions(sizes.size());
+        for (auto& a : actions) a = 1 + rng.next_below(3);
+        const NormalFormGame g = expand_quotient(random_quotient(rng, sizes, actions), group);
+        const std::string label = "corpus trial " + std::to_string(trial);
+        expect_quotient_reads_the_view(GameView(g), group, label);
+        // View player p is game player n - 1 - p.
+        std::vector<std::size_t> order(n);
+        for (std::size_t p = 0; p < n; ++p) order[p] = n - 1 - p;
+        std::vector<std::vector<std::size_t>> mirrored = group.classes();
+        for (auto& cls : mirrored) {
+            for (std::size_t& p : cls) p = n - 1 - p;
+        }
+        expect_quotient_reads_the_view(GameView::permute(g, order),
+                                       SymmetryGroup::declared(std::move(mirrored), n),
+                                       label + " (reversed view)");
+    }
+    namespace catalog = game::catalog;
+    for (const NormalFormGame& g :
+         {lifted_catalog(catalog::attack_coordination_game(7), 0, 1),
+          lifted_catalog(catalog::bargaining_game(7), 0, 1)}) {
+        for (const PureProfile& base :
+             {PureProfile(7, 0), PureProfile{0, 0, 0, 0, 1, 1, 1}, PureProfile{1, 0, 1, 0, 1, 0, 1}}) {
+            const SymmetryGroup group =
+                SymmetryGroup::detect(g).refined_by(as_exact_profile(g, base));
+            expect_quotient_reads_the_view(GameView(g), group, "lifted");
+        }
     }
 }
 
@@ -623,6 +698,150 @@ TEST(OrbitSweepTest, SplitPairScanIsBitIdenticalToSerial) {
             }
         }
     }
+}
+
+// ------------------------------------------------ pooled pair tasks
+
+// A symmetric game and the pure candidates its orbit sweeps are checked
+// on.
+struct PooledCase final {
+    std::string name;
+    NormalFormGame game;
+    std::vector<PureProfile> candidates;
+    std::size_t max_k = 0;
+    std::size_t max_t = 0;
+};
+
+// The three lifted 7-player games the serving benchmark uploads (each
+// sweep of theirs pools its pair tasks: none of their composition scans
+// splits), each with seeded candidates on the safe actions, and seeded
+// games from the symmetric corpus with class-constant candidates.
+std::vector<PooledCase> pooled_cases() {
+    namespace catalog = game::catalog;
+    std::vector<PooledCase> out;
+    out.push_back({"lifted attack(7)",
+                   lifted_catalog(catalog::attack_coordination_game(7), 0, 1), {}, 5, 2});
+    out.push_back(
+        {"lifted bargaining(7)", lifted_catalog(catalog::bargaining_game(7), 0, 1), {}, 5, 2});
+    out.push_back({"lifted gnutella(7)",
+                   lifted_catalog(catalog::gnutella_sharing_game(7, 1, 3, 4), 1, 0), {}, 5, 2});
+    util::Rng rng{36036};
+    for (PooledCase& lifted : out) {
+        lifted.candidates.emplace_back(7, 0);
+        for (int i = 0; i < 3; ++i) {
+            PureProfile base(7);
+            for (std::size_t& action : base) action = rng.next_below(2);
+            lifted.candidates.push_back(std::move(base));
+        }
+    }
+    for (std::size_t trial = 0; trial < 12; ++trial) {
+        const std::size_t n = 4 + trial % 3;
+        std::vector<std::size_t> sizes;
+        const SymmetryGroup group = random_group(rng, n, sizes);
+        std::vector<std::size_t> actions(sizes.size());
+        for (auto& a : actions) a = 2 + rng.next_below(2);
+        PooledCase corpus{"corpus " + std::to_string(trial),
+                          expand_quotient(random_quotient(rng, sizes, actions), group),
+                          {},
+                          n - 1,
+                          trial % 3};
+        PureProfile base(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            base[i] = (trial + group.class_of(i)) % actions[group.class_of(i)];
+        }
+        corpus.candidates.push_back(std::move(base));
+        out.push_back(std::move(corpus));
+    }
+    return out;
+}
+
+// Every kAuto orbit sweep — pair tasks claimed on the pool, tasks above
+// the winner yielding — returns the serial orbit sweep's asks, frontier
+// and boundary walk bit for bit, witnesses included. The suite runs again
+// at BNASH_THREADS=4 (test_symmetry_four_threads), so the pooled path runs
+// even on a one-CPU host.
+TEST(OrbitSweepTest, PooledSweepsMatchSerialBitForBit) {
+    std::size_t swept = 0;
+    for (const PooledCase& c : pooled_cases()) {
+        for (const PureProfile& base : c.candidates) {
+            const ExactMixedProfile profile = as_exact_profile(c.game, base);
+            const SymmetryGroup group = SymmetryGroup::detect(c.game).refined_by(profile);
+            if (!orbit_applicable(group, profile)) continue;
+            ++swept;
+            const auto sweep = make_sweep(c.game, profile, &group);
+            for (const GainCriterion criterion :
+                 {GainCriterion::kAnyMemberGains, GainCriterion::kAllMembersGain}) {
+                const std::string label =
+                    c.name + (criterion == GainCriterion::kAllMembersGain ? " all" : " any");
+                const FrontierVerdict serial = sweep->batch_robustness_frontier(
+                    c.max_k, c.max_t, criterion, SweepMode::kSerial);
+                EXPECT_TRUE(sweep->batch_robustness_frontier(c.max_k, c.max_t, criterion,
+                                                             SweepMode::kAuto) == serial)
+                    << label;
+                EXPECT_TRUE(sweep->max_kt(c.max_k, c.max_t, criterion, SweepMode::kAuto) ==
+                            sweep->max_kt(c.max_k, c.max_t, criterion, SweepMode::kSerial))
+                    << label;
+                for (std::size_t k = 0; k <= c.max_k; ++k) {
+                    for (std::size_t t = 0; t <= c.max_t; ++t) {
+                        const auto pooled = sweep->robustness_violation(
+                            k, t, RobustnessOptions{criterion, SweepMode::kAuto});
+                        const auto in_order = sweep->robustness_violation(
+                            k, t, RobustnessOptions{criterion, SweepMode::kSerial});
+                        ASSERT_EQ(pooled.has_value(), in_order.has_value())
+                            << label << " ask (" << k << "," << t << ")";
+                        if (pooled) {
+                            EXPECT_TRUE(*pooled == *in_order)
+                                << label << " ask (" << k << "," << t << ")";
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GE(swept, 20u) << "too few orbit-applicable candidates";
+}
+
+// Budgeted kAuto chains on the same sweeps, from a one-cell budget up to
+// an unbudgeted one, resume to the unbudgeted result.
+TEST(OrbitSweepTest, PooledBudgetChainsResumeToUnbudgeted) {
+    std::size_t swept = 0;
+    for (const PooledCase& c : pooled_cases()) {
+        const PureProfile& base = c.candidates.back();
+        const ExactMixedProfile profile = as_exact_profile(c.game, base);
+        const SymmetryGroup group = SymmetryGroup::detect(c.game).refined_by(profile);
+        if (!orbit_applicable(group, profile)) continue;
+        ++swept;
+        const auto sweep = make_sweep(c.game, profile, &group);
+        const GainCriterion criterion = GainCriterion::kAnyMemberGains;
+        const RobustnessOptions options{criterion, SweepMode::kAuto};
+        const auto full_cell = sweep->robustness_violation(c.max_k, c.max_t, options);
+        const FrontierVerdict full_grid =
+            sweep->batch_robustness_frontier(c.max_k, c.max_t, criterion, SweepMode::kAuto);
+        const MaxKtResult full_walk =
+            sweep->max_kt(c.max_k, c.max_t, criterion, SweepMode::kAuto);
+        std::uint64_t full_cost = 0;
+        {
+            util::ExecutionGrant unlimited;
+            util::GrantScope scope(&unlimited);
+            (void)sweep->batch_robustness_frontier(c.max_k, c.max_t, criterion,
+                                                   SweepMode::kAuto);
+            full_cost = unlimited.charged();
+        }
+        for (const std::uint64_t budget :
+             {std::uint64_t{1}, std::max<std::uint64_t>(full_cost / 9, 1),
+              std::max<std::uint64_t>(full_cost / 2, 1), full_cost + 1}) {
+            const ChainEnds ends =
+                run_chains(*sweep, c.max_k, c.max_t, criterion, SweepMode::kAuto, budget);
+            const std::string label = c.name + " budget=" + std::to_string(budget);
+            ASSERT_EQ(ends.cell.has_value(), full_cell.has_value()) << label;
+            if (ends.cell) {
+                EXPECT_TRUE(*ends.cell == *full_cell) << label;
+            }
+            EXPECT_TRUE(ends.grid == full_grid) << label;
+            EXPECT_TRUE(ends.walk == full_walk) << label;
+        }
+    }
+    EXPECT_GE(swept, 10u) << "too few orbit-applicable candidates";
 }
 
 }  // namespace

@@ -1046,6 +1046,63 @@ TEST(BlockRunner, ErrorAboveWinnerIsSwallowed) {
     }
 }
 
+// The yield contract behind the sweeps' TaskBound: a block still mid-scan
+// when a LOWER block hits sees `best` drop to or below its current rank
+// and returns early, and the search reports the in-order loop's hit rank
+// and verified prefix all the same.
+TEST(BlockRunner, HigherBlockYieldsOnceALowerBlockHits) {
+    constexpr std::uint64_t kRanks = 100;
+    constexpr std::uint64_t kHit = kRanks + 50;  // in block 1
+    const FirstHit in_order = first_hit(
+        4, kRanks, false,
+        [&](std::size_t block, const std::atomic<std::uint64_t>&) -> std::optional<std::uint64_t> {
+            return block == 1 ? std::optional<std::uint64_t>(kHit) : std::nullopt;
+        });
+    for (const bool pooled : {true, false}) {
+        const bool concurrent = pooled && global_pool().size() > 1;
+        std::atomic<bool> high_started{false};
+        std::atomic<bool> high_yielded{false};
+        const FirstHit run = first_hit(
+            4, kRanks, pooled,
+            [&](std::size_t block,
+                const std::atomic<std::uint64_t>& best) -> std::optional<std::uint64_t> {
+                const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+                if (block == 1) {
+                    // On the real pool, hit only once block 2 is mid-scan.
+                    while (concurrent && !high_started.load() &&
+                           std::chrono::steady_clock::now() < give_up) {
+                        std::this_thread::yield();
+                    }
+                    return kHit;
+                }
+                if (block == 2) {
+                    high_started.store(true);
+                    // Mid-scan at this rank until the bound says a lower
+                    // block won.
+                    const std::uint64_t current = 2 * kRanks + kRanks / 2;
+                    while (std::chrono::steady_clock::now() < give_up) {
+                        if (best.load(std::memory_order_acquire) <= current) {
+                            high_yielded.store(true);
+                            return std::nullopt;
+                        }
+                        std::this_thread::yield();
+                    }
+                }
+                return std::nullopt;
+            });
+        EXPECT_EQ(run.rank, in_order.rank) << "pooled " << pooled;
+        EXPECT_EQ(run.verified, in_order.verified) << "pooled " << pooled;
+        EXPECT_EQ(run.rank, std::optional<std::uint64_t>(kHit));
+        EXPECT_EQ(run.verified, 1u);
+        // Block 2 only starts while block 1 runs (once block 1 hit, it is
+        // skipped), and then it always sees the bound drop.
+        if (concurrent) {
+            EXPECT_TRUE(high_started.load());
+        }
+        EXPECT_EQ(high_yielded.load(), high_started.load()) << "pooled " << pooled;
+    }
+}
+
 TEST(BlockRunner, CancelledGrantYieldsVerifiedPrefix) {
     constexpr std::size_t kCancelBlock = 5;
     for (const bool pooled : {true, false}) {
